@@ -31,7 +31,9 @@
 //     sentinels with operation context as errors cross layers; a ==
 //     comparison breaks the moment any layer adds fmt.Errorf("%w").
 //     The rule flags comparisons and switch cases against any exported
-//     package-level error value (including io.EOF).
+//     package-level error value (including io.EOF), and matching an
+//     error by its message: err.Error() under ==, != or
+//     strings.Contains/HasPrefix/HasSuffix.
 //
 //   - ctxflow: cancellation is an end-to-end property. A function that
 //     receives a *cluster.Ctx must forward it: passing

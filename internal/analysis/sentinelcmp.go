@@ -12,11 +12,14 @@ import (
 // cluster.ErrCanceled, io.EOF, ... — only holds through errors.Is:
 // every layer is free to wrap a sentinel with fmt.Errorf("%w", ...),
 // and an identity comparison silently stops matching the moment one
-// does.
+// does. Matching an error by its text — err.Error() compared with ==
+// or != or searched with strings.Contains, HasPrefix or HasSuffix — is
+// banned with it: a message is not a contract, and it changes the
+// moment any layer rewords or wraps.
 func SentinelCmp() *Analyzer {
 	a := &Analyzer{
 		Name: "sentinelcmp",
-		Doc:  "==/!= against a sentinel error value; use errors.Is",
+		Doc:  "==/!= against a sentinel error value, or matching an error by its message; use errors.Is",
 		// Applies everywhere, tests included: test assertions break
 		// just as silently when a sentinel gets wrapped.
 	}
@@ -37,6 +40,23 @@ func SentinelCmp() *Analyzer {
 							p.findingf(&out, a.Name, n.Pos(),
 								"%s comparison against sentinel error %s breaks once the error is wrapped; use errors.Is", n.Op, name)
 							break
+						}
+						if isErrorText(p.Info, side) {
+							p.findingf(&out, a.Name, n.Pos(),
+								"%s comparison of an error's message; match the error with errors.Is or errors.As", n.Op)
+							break
+						}
+					}
+				case *ast.CallExpr:
+					fn := funcObj(p.Info, n)
+					if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "strings" || len(n.Args) == 0 {
+						return true
+					}
+					switch fn.Name() {
+					case "Contains", "HasPrefix", "HasSuffix":
+						if isErrorText(p.Info, n.Args[0]) {
+							p.findingf(&out, a.Name, n.Pos(),
+								"strings.%s on an error's message; match the error with errors.Is or errors.As", fn.Name())
 						}
 					}
 				case *ast.SwitchStmt:
@@ -92,6 +112,21 @@ func sentinelError(info *types.Info, e ast.Expr) (string, bool) {
 		return "", false
 	}
 	return v.Pkg().Name() + "." + v.Name(), true
+}
+
+// isErrorText reports whether e is a call x.Error() on a value that
+// satisfies the error interface.
+func isErrorText(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Error" {
+		return false
+	}
+	tv, ok := info.Types[sel.X]
+	return ok && tv.Type != nil && implementsError(tv.Type)
 }
 
 // isNilExpr reports whether e is the predeclared nil.

@@ -1,262 +1,76 @@
-// Package rpcnet exposes a BSFS deployment over TCP using the standard
-// library's net/rpc with gob encoding, so real remote clients
-// (cmd/blobctl) can drive the file system hosted by cmd/bsfsd.
+// Package rpcnet serves a BSFS deployment over TCP: remote clients
+// (cmd/blobctl) drive the file system cmd/bsfsd hosts, through the same
+// service objects the simulator runs. A connection's first byte names
+// one of two planes.
 //
-// This is the repository's "real wire" demonstration: the services
-// themselves are the same objects the simulator runs; rpcnet is a thin
-// veneer that serializes the fsapi surface (plus BSFS's versioning
-// extensions) onto one listener.
+// 'C' is the control plane: net/rpc with gob for the calls that move no
+// file bytes (Stat, List, Mkdir, Delete, Rename, Versions, Shards,
+// Providers, Tenants, Join, Leave, Drain), on a connection a Client
+// dials at its first such call. Its errors are net/rpc's, message
+// strings: errors.Is does not hold across it.
+//
+// 'D' is the data plane: one exchange at a time of frames, each a
+// 32-byte little-endian header, then path, tenant and payload bytes.
+//
+//	 0 op      u8   requests 1 write, 2 read; replies 3 data, 4 status
+//	 1 flags   u8   write: 1 = append to an existing file
+//	 2 code    u16  status: 0 ok, or the error (below)
+//	 4 pathLen u16  request: path bytes, <= 4096; status: message bytes
+//	 6 tenLen  u16  request: admission tenant bytes, <= 256
+//	 8 version u64  read: snapshot, 0 = latest
+//	16 offset  i64  read: first byte; status: retry-after in ns
+//	24 length  i64  write, data: payload bytes that follow; read: most
+//	                bytes wanted; a read's first status: bytes to come
+//
+// Put and Append are write+file -> status; Get and ReadRange are
+// read -> status, data..., status (or one error status). An upload
+// passes through one pooled MaxChunk buffer into one fsapi.Writer, so a
+// block commits while the next arrives, and that writer is closed when
+// the stream ends or tears: no server state outlives its connection. A
+// refused request has its payload skipped and leaves the connection
+// usable; a malformed header is answered and hung up on. A read reply
+// comes from one OpenAt: Get returns exactly one published snapshot
+// whatever is appended meanwhile, fetches each page once, and reports a
+// mid-stream read error in the closing status, not as a short file.
+// Admission charges the tenant one token per exchange, at its start,
+// before any writer or reader opens, and holds it until the reply ends.
+//
+// Codes: 1 any other error, message only; 2-7 fsapi.ErrNotFound,
+// ErrExists, ErrIsDir, ErrNotDir, ErrBadPath, ErrNotSupported; 8-11
+// core.ErrNoSuchVersion, ErrAborted, ErrAllReplicasDown, ErrCanceled;
+// 12 core.ErrOverloaded, rebuilt as *traffic.OverloadedError with its
+// retry-after. The client's error keeps the server's message and
+// matches the sentinel under errors.Is.
 package rpcnet
 
 import (
-	"errors"
-	"fmt"
+	"bufio"
 	"io"
+	"math"
 	"net"
 	"net/rpc"
-	"strings"
 	"sync"
 
 	"repro/internal/bsfs"
 	"repro/internal/cluster"
-	"repro/internal/fsapi"
-	"repro/internal/traffic"
 )
 
-// MaxChunk bounds a single read or write payload on the wire.
-const MaxChunk = 4 << 20
-
-// Service is the RPC-visible server. Exported methods follow net/rpc's
-// (args, reply) convention.
-type Service struct {
-	fs *bsfs.FS
-
-	mu      sync.Mutex
-	nextID  uint64
-	writers map[uint64]*wireWriter
-}
-
-// wireWriter is one open write handle plus the tenant it was opened
-// under: every Write/WriteVec through the handle is admitted against
-// that tenant's bucket.
-type wireWriter struct {
-	w      fsapi.Writer
-	tenant string
-}
+// Service is the server. Its exported methods are the control plane and
+// follow net/rpc's (args, reply) convention; wire.go holds the data
+// plane.
+type Service struct{ fs *bsfs.FS }
 
 // NewService wraps a BSFS client (typically node 0 of a Local env).
-func NewService(fs *bsfs.FS) *Service {
-	return &Service{fs: fs, writers: make(map[uint64]*wireWriter)}
-}
+func NewService(fs *bsfs.FS) *Service { return &Service{fs: fs} }
 
-// admit charges one RPC to the deployment's per-tenant admission
-// limiter (the rpcnet ingress edge; rejections fail fast with the
-// typed overload error — net/rpc flattens it to its message on the
-// wire, which IsOverloaded recognizes client-side). Untenanted calls
-// and servers without admission pass through.
+// admit charges one data exchange to the deployment's per-tenant
+// admission limiter, failing fast with the typed overload error.
+// Untenanted requests and servers without admission pass through.
 func (s *Service) admit(tenant string) (func(), error) {
-	lim := s.fs.Deployment().Admission
-	if lim == nil || tenant == "" {
-		return func() {}, nil
+	if lim := s.fs.Deployment().Admission; lim != nil {
+		return lim.Admit(tenant)
 	}
-	return lim.Admit(tenant)
-}
-
-// IsOverloaded reports whether err is an admission rejection — typed
-// (server side) or flattened to its message by net/rpc (client side).
-// Callers should back off and retry rather than tighten their loop.
-func IsOverloaded(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, traffic.ErrOverloaded) || strings.Contains(err.Error(), "over admission rate")
-}
-
-// OpenArgs opens a file for writing. Tenant attributes the open and
-// every write through the returned handle to an admission tenant
-// (empty bypasses admission).
-type OpenArgs struct {
-	Path   string
-	Append bool
-	Tenant string
-}
-
-// OpenReply returns the write handle.
-type OpenReply struct{ Handle uint64 }
-
-// Open creates or opens a file for (appending) writes.
-func (s *Service) Open(args *OpenArgs, reply *OpenReply) error {
-	release, err := s.admit(args.Tenant)
-	if err != nil {
-		return err
-	}
-	defer release()
-	var w fsapi.Writer
-	if args.Append {
-		w, err = s.fs.Append(args.Path)
-	} else {
-		w, err = s.fs.Create(args.Path)
-	}
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.writers[id] = &wireWriter{w: w, tenant: args.Tenant}
-	s.mu.Unlock()
-	reply.Handle = id
-	return nil
-}
-
-// WriteArgs appends a chunk through a handle.
-type WriteArgs struct {
-	Handle uint64
-	Data   []byte
-}
-
-// WriteReply reports bytes accepted.
-type WriteReply struct{ N int }
-
-// Write appends data through an open handle.
-func (s *Service) Write(args *WriteArgs, reply *WriteReply) error {
-	if len(args.Data) > MaxChunk {
-		return fmt.Errorf("rpcnet: chunk %d exceeds max %d", len(args.Data), MaxChunk)
-	}
-	w, err := s.writer(args.Handle)
-	if err != nil {
-		return err
-	}
-	release, err := s.admit(w.tenant)
-	if err != nil {
-		return err
-	}
-	defer release()
-	n, err := w.w.Write(args.Data)
-	reply.N = n
-	return err
-}
-
-// MaxVecChunks bounds the chunk count of one vectored write.
-const MaxVecChunks = 16
-
-// WriteVecArgs appends several chunks through a handle in one round
-// trip — the wire-level face of the batched commit pipeline: the BSFS
-// writer behind the handle queues the chunks' blocks and publishes
-// them through the version manager's group-commit path.
-type WriteVecArgs struct {
-	Handle uint64
-	Chunks [][]byte
-}
-
-// WriteVecReply reports the total bytes accepted across the chunks.
-type WriteVecReply struct{ N int64 }
-
-// WriteVec appends every chunk in order through an open handle,
-// stopping at the first failure. net/rpc drops the reply when a
-// handler errors, so a mid-batch error loses the accepted-byte count:
-// callers must treat a failed vectored write as indeterminate (the
-// writer behind the handle is poisoned anyway — see bsfs's writer
-// error contract).
-func (s *Service) WriteVec(args *WriteVecArgs, reply *WriteVecReply) error {
-	if len(args.Chunks) > MaxVecChunks {
-		return fmt.Errorf("rpcnet: %d chunks exceed max %d", len(args.Chunks), MaxVecChunks)
-	}
-	for _, c := range args.Chunks {
-		if len(c) > MaxChunk {
-			return fmt.Errorf("rpcnet: chunk %d exceeds max %d", len(c), MaxChunk)
-		}
-	}
-	w, err := s.writer(args.Handle)
-	if err != nil {
-		return err
-	}
-	// One admission charge per vectored call: the batch is the unit of
-	// work the client offered, and a rejected batch writes nothing.
-	release, err := s.admit(w.tenant)
-	if err != nil {
-		return err
-	}
-	defer release()
-	for _, c := range args.Chunks {
-		n, err := w.w.Write(c)
-		reply.N += int64(n)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CloseArgs closes a write handle.
-type CloseArgs struct{ Handle uint64 }
-
-// CloseReply is empty.
-type CloseReply struct{}
-
-// Close commits and releases a write handle.
-func (s *Service) Close(args *CloseArgs, reply *CloseReply) error {
-	s.mu.Lock()
-	w, ok := s.writers[args.Handle]
-	delete(s.writers, args.Handle)
-	s.mu.Unlock()
-	if !ok {
-		return errors.New("rpcnet: unknown handle")
-	}
-	return w.w.Close()
-}
-
-func (s *Service) writer(id uint64) (*wireWriter, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, ok := s.writers[id]
-	if !ok {
-		return nil, errors.New("rpcnet: unknown handle")
-	}
-	return w, nil
-}
-
-// ReadArgs reads a byte range of a file (Version 0 = latest snapshot).
-// Tenant attributes the read to an admission tenant (empty bypasses
-// admission).
-type ReadArgs struct {
-	Path    string
-	Version uint64
-	Off     int64
-	Len     int64
-	Tenant  string
-}
-
-// ReadReply carries the bytes (short at EOF).
-type ReadReply struct{ Data []byte }
-
-// Read returns up to Len bytes at Off of the requested snapshot.
-func (s *Service) Read(args *ReadArgs, reply *ReadReply) error {
-	if args.Len > MaxChunk {
-		return fmt.Errorf("rpcnet: read %d exceeds max %d", args.Len, MaxChunk)
-	}
-	release, err := s.admit(args.Tenant)
-	if err != nil {
-		return err
-	}
-	defer release()
-	var r fsapi.Reader
-	if args.Version == 0 {
-		r, err = s.fs.OpenAt(args.Path)
-	} else {
-		r, err = s.fs.OpenAt(args.Path, fsapi.AtVersion(args.Version))
-	}
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	buf := make([]byte, args.Len)
-	n, err := r.ReadAt(buf, args.Off)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return err
-	}
-	reply.Data = buf[:n]
-	return nil
+	return func() {}, nil
 }
 
 // PathArgs names a path.
@@ -293,6 +107,9 @@ func (s *Service) List(args *PathArgs, reply *ListReply) error {
 	}
 	return nil
 }
+
+// CloseReply is the empty reply.
+type CloseReply struct{}
 
 // Mkdir creates a directory.
 func (s *Service) Mkdir(args *PathArgs, reply *CloseReply) error {
@@ -526,178 +343,168 @@ func Serve(l net.Listener, svc *Service) error {
 		if err != nil {
 			return err
 		}
-		env.Daemon(func() { srv.ServeConn(conn) })
+		env.Daemon(func() {
+			var preamble [1]byte
+			if _, err := io.ReadFull(conn, preamble[:]); err != nil {
+				conn.Close()
+				return
+			}
+			switch preamble[0] {
+			case preambleCtl:
+				srv.ServeConn(conn)
+			case preambleData:
+				svc.serveData(conn)
+			default:
+				conn.Close()
+			}
+		})
 	}
 }
 
-// Client is a convenience wrapper over the raw RPC connection.
-// Tenant, when set, attributes every subsequent data operation (Put,
-// Append, Get, ReadRange) to that admission tenant; over-rate calls
-// fail with an error IsOverloaded recognizes.
+// Client is one remote user of a server. Tenant, when set, attributes
+// every subsequent data operation (Put, Append, Get, ReadRange) to that
+// admission tenant; over-rate calls fail with an error matching
+// core.ErrOverloaded. Data operations of one Client run one at a time.
 type Client struct {
-	rpc    *rpc.Client
 	Tenant string
+
+	addr string
+	mu   sync.Mutex // serialises data exchanges
+	conn net.Conn
+	br   *bufio.Reader
+
+	ctlMu sync.Mutex
+	ctl   *rpc.Client // dialed by the first control-plane call
+}
+
+func dial(addr string, preamble byte) (net.Conn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := conn.Write([]byte{preamble}); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
 }
 
 // Dial connects to a bsfsd server.
 func Dial(addr string) (*Client, error) {
-	c, err := rpc.Dial("tcp", addr)
+	conn, err := dial(addr, preambleData)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{rpc: c}, nil
+	return &Client{addr: addr, conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-// Close releases the connection.
-func (c *Client) Close() error { return c.rpc.Close() }
+// Close releases the client's connections.
+func (c *Client) Close() error {
+	c.ctlMu.Lock()
+	defer c.ctlMu.Unlock()
+	if c.ctl != nil {
+		c.ctl.Close()
+	}
+	return c.conn.Close()
+}
+
+// call makes one control-plane call, dialing that connection first if
+// it is the client's first.
+func call[Reply any](c *Client, method string, args any) (reply Reply, err error) {
+	c.ctlMu.Lock()
+	if c.ctl == nil {
+		var conn net.Conn
+		if conn, err = dial(c.addr, preambleCtl); err != nil {
+			c.ctlMu.Unlock()
+			return reply, err
+		}
+		c.ctl = rpc.NewClient(conn)
+	}
+	ctl := c.ctl
+	c.ctlMu.Unlock()
+	err = ctl.Call("BSFS."+method, args, &reply)
+	return reply, err
+}
 
 // Put streams data into a new file.
-func (c *Client) Put(path string, data []byte) error {
-	return c.stream(path, false, data)
-}
+func (c *Client) Put(path string, data []byte) error { return c.write(path, 0, data) }
 
 // Append streams data onto an existing file.
-func (c *Client) Append(path string, data []byte) error {
-	return c.stream(path, true, data)
-}
-
-func (c *Client) stream(path string, app bool, data []byte) error {
-	var open OpenReply
-	if err := c.rpc.Call("BSFS.Open", &OpenArgs{Path: path, Append: app, Tenant: c.Tenant}, &open); err != nil {
-		return err
-	}
-	// Batch up to MaxVecChunks chunks per vectored call, amortizing the
-	// RPC round trip the same way the server-side pipeline amortizes
-	// version-manager round trips.
-	for off := 0; off < len(data); {
-		var chunks [][]byte
-		for len(chunks) < MaxVecChunks && off < len(data) {
-			end := off + MaxChunk
-			if end > len(data) {
-				end = len(data)
-			}
-			chunks = append(chunks, data[off:end])
-			off = end
-		}
-		var wr WriteVecReply
-		if err := c.rpc.Call("BSFS.WriteVec", &WriteVecArgs{Handle: open.Handle, Chunks: chunks}, &wr); err != nil {
-			return err
-		}
-	}
-	var cl CloseReply
-	return c.rpc.Call("BSFS.Close", &CloseArgs{Handle: open.Handle}, &cl)
-}
+func (c *Client) Append(path string, data []byte) error { return c.write(path, flagAppend, data) }
 
 // Get reads a whole file (or snapshot version; 0 = latest).
 func (c *Client) Get(path string, version uint64) ([]byte, error) {
-	st, err := c.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []byte
-	for off := int64(0); off < st.Size; off += MaxChunk {
-		l := int64(MaxChunk)
-		if off+l > st.Size {
-			l = st.Size - off
-		}
-		var rr ReadReply
-		if err := c.rpc.Call("BSFS.Read", &ReadArgs{Path: path, Version: version, Off: off, Len: l, Tenant: c.Tenant}, &rr); err != nil {
-			return nil, err
-		}
-		out = append(out, rr.Data...)
-		if int64(len(rr.Data)) < l {
-			break
-		}
-	}
-	return out, nil
+	return c.read(path, version, 0, math.MaxInt64)
 }
 
-// ReadRange reads length bytes at off.
+// ReadRange reads length bytes at off (fewer at the end of the file).
 func (c *Client) ReadRange(path string, version uint64, off, length int64) ([]byte, error) {
-	var rr ReadReply
-	err := c.rpc.Call("BSFS.Read", &ReadArgs{Path: path, Version: version, Off: off, Len: length, Tenant: c.Tenant}, &rr)
-	return rr.Data, err
+	return c.read(path, version, off, length)
 }
 
 // Stat describes a path.
 func (c *Client) Stat(path string) (StatReply, error) {
-	var st StatReply
-	err := c.rpc.Call("BSFS.Stat", &PathArgs{Path: path}, &st)
-	return st, err
+	return call[StatReply](c, "Stat", &PathArgs{Path: path})
 }
 
 // List enumerates a directory.
 func (c *Client) List(path string) ([]StatReply, error) {
-	var lr ListReply
-	err := c.rpc.Call("BSFS.List", &PathArgs{Path: path}, &lr)
+	lr, err := call[ListReply](c, "List", &PathArgs{Path: path})
 	return lr.Entries, err
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	var r CloseReply
-	return c.rpc.Call("BSFS.Mkdir", &PathArgs{Path: path}, &r)
+	_, err := call[CloseReply](c, "Mkdir", &PathArgs{Path: path})
+	return err
 }
 
 // Delete removes a path.
 func (c *Client) Delete(path string) error {
-	var r CloseReply
-	return c.rpc.Call("BSFS.Delete", &PathArgs{Path: path}, &r)
+	_, err := call[CloseReply](c, "Delete", &PathArgs{Path: path})
+	return err
 }
 
 // Rename moves a path.
 func (c *Client) Rename(oldPath, newPath string) error {
-	var r CloseReply
-	return c.rpc.Call("BSFS.Rename", &RenameArgs{Old: oldPath, New: newPath}, &r)
+	_, err := call[CloseReply](c, "Rename", &RenameArgs{Old: oldPath, New: newPath})
+	return err
 }
 
 // Versions lists a file's snapshots.
 func (c *Client) Versions(path string) ([]uint64, error) {
-	var vr VersionsReply
-	err := c.rpc.Call("BSFS.Versions", &PathArgs{Path: path}, &vr)
+	vr, err := call[VersionsReply](c, "Versions", &PathArgs{Path: path})
 	return vr.Versions, err
 }
 
 // Shards describes the server's version-manager tier; a non-empty path
 // additionally resolves that file's blob id and owning shard.
 func (c *Client) Shards(path string) (ShardsReply, error) {
-	var sr ShardsReply
-	err := c.rpc.Call("BSFS.Shards", &ShardsArgs{Path: path}, &sr)
-	return sr, err
+	return call[ShardsReply](c, "Shards", &ShardsArgs{Path: path})
 }
 
 // Providers lists the provider fleet with health and store occupancy.
 func (c *Client) Providers() (ProvidersReply, error) {
-	var pr ProvidersReply
-	err := c.rpc.Call("BSFS.Providers", &ProvidersArgs{}, &pr)
-	return pr, err
+	return call[ProvidersReply](c, "Providers", &ProvidersArgs{})
 }
 
 // Tenants lists per-tenant admission counters.
 func (c *Client) Tenants() (TenantsReply, error) {
-	var tr TenantsReply
-	err := c.rpc.Call("BSFS.Tenants", &TenantsArgs{}, &tr)
-	return tr, err
+	return call[TenantsReply](c, "Tenants", &TenantsArgs{})
 }
 
 // Join adds a provider on node (0 auto-allocates), returning the node
 // chosen and the new membership epoch.
 func (c *Client) Join(node uint64) (NodeReply, error) {
-	var nr NodeReply
-	err := c.rpc.Call("BSFS.Join", &NodeArgs{Node: node}, &nr)
-	return nr, err
+	return call[NodeReply](c, "Join", &NodeArgs{Node: node})
 }
 
 // Leave removes a provider from the fleet.
 func (c *Client) Leave(node uint64) (NodeReply, error) {
-	var nr NodeReply
-	err := c.rpc.Call("BSFS.Leave", &NodeArgs{Node: node}, &nr)
-	return nr, err
+	return call[NodeReply](c, "Leave", &NodeArgs{Node: node})
 }
 
 // Drain marks a provider draining so its pages migrate away.
 func (c *Client) Drain(node uint64) (NodeReply, error) {
-	var nr NodeReply
-	err := c.rpc.Call("BSFS.Drain", &NodeArgs{Node: node}, &nr)
-	return nr, err
+	return call[NodeReply](c, "Drain", &NodeArgs{Node: node})
 }

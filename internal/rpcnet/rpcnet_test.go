@@ -2,8 +2,10 @@ package rpcnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/bsfs"
 	"repro/internal/cluster"
@@ -21,28 +23,36 @@ func startServer(t *testing.T) *Client {
 // bsfsd's -vm-shards layout).
 func startShardedServer(t *testing.T, shards int) *Client {
 	t.Helper()
-	env := cluster.NewLocal(3+shards, 0)
 	vmNodes := make([]cluster.NodeID, shards)
 	for i := 1; i < shards; i++ {
 		vmNodes[i] = cluster.NodeID(3 + i)
 	}
-	dep, err := core.NewDeployment(env, core.Options{
-		PageSize:      4 << 10,
-		VMNodes:       vmNodes,
-		ProviderNodes: []cluster.NodeID{1, 2, 3},
-	})
+	addr, _ := serve(t, core.Options{PageSize: 4 << 10, VMNodes: vmNodes}, bsfs.Config{BlockSize: 64 << 10})
+	return dialTest(t, addr)
+}
+
+// serve boots a Local-env deployment with three providers behind a TCP
+// listener and returns its address.
+func serve(t testing.TB, opts core.Options, cfg bsfs.Config) (string, *core.Deployment) {
+	t.Helper()
+	opts.ProviderNodes = []cluster.NodeID{1, 2, 3}
+	dep, err := core.NewDeployment(cluster.NewLocal(3+max(len(opts.VMNodes), 1), 0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dep.Close() })
-	svc := bsfs.NewService(dep, bsfs.Config{BlockSize: 64 << 10})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go Serve(l, NewService(svc.NewFS(0)))
-	c, err := Dial(l.Addr().String())
+	go Serve(l, NewService(bsfs.NewService(dep, cfg).NewFS(0)))
+	return l.Addr().String(), dep
+}
+
+func dialTest(t testing.TB, addr string) *Client {
+	t.Helper()
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +160,19 @@ func TestErrorsPropagate(t *testing.T) {
 	if err := c.Append("/missing", []byte("x")); err == nil {
 		t.Fatal("append to missing file succeeded")
 	}
-	var rr ReadReply
-	if err := c.rpc.Call("BSFS.Read", &ReadArgs{Path: "/missing", Len: MaxChunk + 1}, &rr); err == nil {
-		t.Fatal("oversized read accepted")
+	// A range longer than a wire chunk streams as several data frames.
+	if _, err := c.ReadRange("/missing", 0, 0, MaxChunk+1); err == nil {
+		t.Fatal("oversized read of a missing file succeeded")
+	}
+	data := bytes.Repeat([]byte{7}, MaxChunk+4097)
+	if err := c.Put("/wide", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.ReadRange("/wide", 0, 1, MaxChunk+4096); err != nil || !bytes.Equal(got, data[1:]) {
+		t.Fatalf("oversized read: %d bytes, %v", len(got), err)
+	}
+	if _, err := c.ReadRange("/wide", 0, -1, 1); err == nil {
+		t.Fatal("negative offset accepted")
 	}
 }
 
@@ -281,57 +301,45 @@ func TestMembershipOverWire(t *testing.T) {
 	}
 }
 
-// TestWriteVecBatchedChunks drives the vectored write RPC directly:
-// many chunks land through one round trip and read back in order.
+// TestWriteVecBatchedChunks drives a write exchange by hand: the header
+// and a payload that arrives in many small pieces land as one file, in
+// order, whatever the sizes of the writes that carried them.
 func TestWriteVecBatchedChunks(t *testing.T) {
-	c := startServer(t)
-	var open OpenReply
-	if err := c.rpc.Call("BSFS.Open", &OpenArgs{Path: "/vec/f"}, &open); err != nil {
-		t.Fatal(err)
-	}
-	var chunks [][]byte
+	addr, _ := serve(t, core.Options{PageSize: 4 << 10}, bsfs.Config{BlockSize: 64 << 10})
+	conn := dialRaw(t, addr)
 	var want []byte
 	for i := 0; i < 5; i++ {
-		chunk := bytes.Repeat([]byte{byte('a' + i)}, 1000+i)
-		chunks = append(chunks, chunk)
-		want = append(want, chunk...)
+		want = append(want, bytes.Repeat([]byte{byte('a' + i)}, 1000+i)...)
 	}
-	var wr WriteVecReply
-	if err := c.rpc.Call("BSFS.WriteVec", &WriteVecArgs{Handle: open.Handle, Chunks: chunks}, &wr); err != nil {
+	if err := writeFrame(conn, header{Op: opWrite, Length: int64(len(want))}, "/vec/f", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if wr.N != int64(len(want)) {
-		t.Fatalf("WriteVec accepted %d bytes, want %d", wr.N, len(want))
+	for off := 0; off < len(want); off += 700 {
+		if _, err := conn.Write(want[off:min(off+700, len(want))]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var cl CloseReply
-	if err := c.rpc.Call("BSFS.Close", &CloseArgs{Handle: open.Handle}, &cl); err != nil {
-		t.Fatal(err)
+	var h header
+	if err := binary.Read(conn, binary.LittleEndian, &h); err != nil || h.Op != opStatus || h.Code != 0 {
+		t.Fatalf("write status = %+v, %v", h, err)
 	}
-	got, err := c.Get("/vec/f", 0)
+	got, err := dialTest(t, addr).Get("/vec/f", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("vectored write round trip mismatch")
+		t.Fatal("pieced write round trip mismatch")
 	}
+}
 
-	// Limits are enforced: too many chunks and oversized chunks reject.
-	var open2 OpenReply
-	if err := c.rpc.Call("BSFS.Open", &OpenArgs{Path: "/vec/limits"}, &open2); err != nil {
+// dialRaw opens a data connection the test frames by hand.
+func dialRaw(t testing.TB, addr string) net.Conn {
+	t.Helper()
+	conn, err := dial(addr, preambleData)
+	if err != nil {
 		t.Fatal(err)
 	}
-	many := make([][]byte, MaxVecChunks+1)
-	for i := range many {
-		many[i] = []byte("x")
-	}
-	if err := c.rpc.Call("BSFS.WriteVec", &WriteVecArgs{Handle: open2.Handle, Chunks: many}, &wr); err == nil {
-		t.Fatal("oversized chunk count accepted")
-	}
-	if err := c.rpc.Call("BSFS.WriteVec", &WriteVecArgs{Handle: open2.Handle, Chunks: [][]byte{make([]byte, MaxChunk+1)}}, &wr); err == nil {
-		t.Fatal("oversized chunk accepted")
-	}
-	// Unknown handles are typed errors, not panics.
-	if err := c.rpc.Call("BSFS.WriteVec", &WriteVecArgs{Handle: 9999, Chunks: [][]byte{[]byte("y")}}, &wr); err == nil {
-		t.Fatal("unknown handle accepted")
-	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	return conn
 }
