@@ -8,7 +8,7 @@
 //	E5  BenchmarkE5DistributedGrep     — §IV.C application 2
 //	X1  BenchmarkX1ConcurrentAppend    — §V future work: shared appends
 //	X4  BenchmarkX4SnapshotIsolation   — §V future work: versioned jobs
-//	A1-A4                              — ablations (see DESIGN.md)
+//	A1-A4                              — ablations (see README.md, "Running the benchmarks")
 //
 // Each iteration builds a fresh simulated cluster, runs the workload in
 // virtual time, and reports the paper's metric (per-client MB/s or job

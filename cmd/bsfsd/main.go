@@ -7,14 +7,13 @@
 // backend selected by spec — "disk:/var/lib/bsfsd" persists pages to
 // per-provider write-ahead logs that survive restarts (a restarted
 // bsfsd recovers the full page index from the logs and reports how many
-// pages came back); "mem:" and "null:" are testing backends. -data DIR
-// is the historical alias for -store disk:DIR. With -vm-shards N,
-// version management is partitioned per blob across N independent
-// shards (blobctl's `shards` command shows the tier and any file's
-// owner). The provider fleet is dynamic: blobctl's `join`, `drain` and
-// `leave` commands grow and shrink it at runtime (-spares reserves node
-// headroom for joins), and `providers` shows each member's health,
-// backend and store occupancy.
+// pages came back); "mem:" and "null:" are testing backends. With
+// -vm-shards N, version management is partitioned per blob across N
+// independent shards (blobctl's `shards` command shows the tier and any
+// file's owner). The provider fleet is dynamic: blobctl's `join`,
+// `drain` and `leave` commands grow and shrink it at runtime (-spares
+// reserves node headroom for joins), and `providers` shows each
+// member's health, backend and store occupancy.
 //
 // Usage:
 //
@@ -44,9 +43,8 @@ func main() {
 		blockSize   = flag.Int64("block", 64<<20, "BSFS block size in bytes")
 		replicas    = flag.Int("replicas", 1, "page replication factor")
 		storeSpec   = flag.String("store", "", "provider backend spec: disk:PATH, mem:, null: (empty = in-memory)")
-		dataDir     = flag.String("data", "", "alias for -store disk:DIR (historical)")
 		inflight    = flag.Int("inflight", 0, "writer commit-pipeline depth in blocks (0 = default, negative = synchronous)")
-		serialPub   = flag.Bool("serial-publish", false, "disable version-manager group commit and batched publishes (debug baseline)")
+		serialPub   = flag.Bool("serial-publish", false, "disable version-manager group commit and client batching: one ticket and publish round trip per version (debug baseline)")
 		vmShards    = flag.Int("vm-shards", 1, "version-manager shard count (blobs partition across shards by id)")
 		metaShards  = flag.Int("meta-cache-shards", 0, "client metadata-cache lock-stripe count (0 = default 16, 1 = historical single-mutex cache)")
 		spares      = flag.Int("spares", 32, "node headroom reserved for providers joining at runtime")
@@ -84,7 +82,7 @@ func main() {
 		Replication:       *replicas,
 		VMNodes:           vmNodes,
 		ProviderNodes:     nodes,
-		Provider:          core.ProviderConfig{Store: *storeSpec, Dir: *dataDir},
+		Provider:          core.ProviderConfig{Store: *storeSpec},
 		SerialPublish:     *serialPub,
 		MetaCacheShards:   *metaShards,
 		PlacementInterval: *sweep,

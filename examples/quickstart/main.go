@@ -52,7 +52,7 @@ func main() {
 	show := func(v core.Version) {
 		_, size, _ := blob.Latest()
 		if v != core.LatestVersion {
-			rec, err := dep.VM.GetVersion(0, blob.ID(), v)
+			rec, err := dep.VM.Shard(blob.ID()).GetVersion(0, blob.ID(), v)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -88,8 +88,8 @@ type StorageOpts struct {
 	// reader does no readahead.
 	SerialDataPath bool
 	// SerialPublish disables the version manager's group-commit
-	// pipeline and the batched ticket/publish RPCs (ablation A6):
-	// every version pays its own RequestTicket and Publish round trip.
+	// pipeline and the client's batching (ablation A6): every version
+	// pays its own ticket and publish round trip.
 	SerialPublish bool
 	// MaxInFlightBlocks overrides the BSFS writer pipeline depth
 	// (0 keeps the bsfs default; ignored with SerialDataPath).
@@ -191,7 +191,6 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 		dep, err := core.NewDeployment(env, core.Options{
 			PageSize:        opts.PageSize,
 			Replication:     opts.Replication,
-			VMNode:          0,
 			VMNodes:         vmNodes,
 			VMServiceTime:   opts.VMServiceTime,
 			ProviderNodes:   nodes,

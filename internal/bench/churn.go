@@ -103,7 +103,6 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 	dep, err := core.NewDeployment(env, core.Options{
 		PageSize:      256 * KB,
 		Replication:   opts.Replication,
-		VMNode:        0,
 		ProviderNodes: fleet,
 		// Pin the metadata DHT to the initial nodes: the DHT tier is
 		// separate from the provider fleet and does not churn.

@@ -207,7 +207,7 @@ func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error)
 	}
 	if s.HasVersion {
 		v := core.Version(s.Version)
-		rec, err := f.svc.dep.VM.GetVersion(f.node, b.ID(), v)
+		rec, err := f.svc.dep.VM.Shard(b.ID()).GetVersion(f.node, b.ID(), v)
 		if err != nil {
 			return nil, err
 		}
@@ -484,20 +484,6 @@ func (w *writer) failWriteLocked(droppedNow, base, queuedAtEntry, pre, callLen i
 	return consumed
 }
 
-// commit performs one block append against the blob (no writer locks
-// held). It is the single commit site shared by the serial path and
-// the background flusher.
-func (w *writer) commit(b pendingBlock) error {
-	var blocks []core.AppendBlock
-	if b.data != nil {
-		blocks = core.Blocks(b.data)
-	} else {
-		blocks = core.SyntheticBlocks(b.size)
-	}
-	_, _, err := w.b.Append(blocks, core.WithCtx(w.ctx))
-	return err
-}
-
 // commitLocked hands one block to the commit path. w.mu must be held;
 // it is released across blocking operations and held again on return.
 // A non-nil error means the block did not — and never will — reach the
@@ -505,7 +491,7 @@ func (w *writer) commit(b pendingBlock) error {
 func (w *writer) commitLocked(b pendingBlock) error {
 	if w.serialCommit() {
 		w.mu.Unlock()
-		err := w.commit(b)
+		_, err := w.commitRun([]pendingBlock{b})
 		w.mu.Lock()
 		if err != nil {
 			if w.flushErr == nil {
@@ -605,15 +591,11 @@ func (w *writer) flushLoop() {
 	}
 }
 
-// commitRun commits one homogeneous run of blocks; a single block
-// takes the plain append path.
+// commitRun appends one homogeneous run of blocks to the blob as one
+// batch (no writer locks held) and returns how many of them committed.
+// It is the single commit site shared by the serial path and the
+// background flusher.
 func (w *writer) commitRun(run []pendingBlock) (int, error) {
-	if len(run) == 1 {
-		if err := w.commit(run[0]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
 	blocks := make([]core.AppendBlock, len(run))
 	for i, b := range run {
 		blocks[i] = core.AppendBlock{Data: b.data, Size: b.size}

@@ -110,8 +110,8 @@ func TestAwaitPublished(t *testing.T) {
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
 		id, _ := vm.CreateBlob(1, 100)
-		vm.RequestTicket(1, id, 0, 100, 0)  // v1
-		vm.RequestTicket(1, id, -1, 100, 0) // v2
+		ticket1(vm, 1, id, 0, 100, 0)  // v1
+		ticket1(vm, 1, id, -1, 100, 0) // v2
 		wg := env.NewWaitGroup()
 		var mu sync.Mutex
 		var order []string
@@ -127,9 +127,9 @@ func TestAwaitPublished(t *testing.T) {
 			add("awaited")
 		})
 		wg.Go(func() {
-			vm.Publish(bg, 1, id, 1)
+			publish1(vm, bg, 1, id, 1)
 			add("p1")
-			vm.Publish(bg, 1, id, 2)
+			publish1(vm, bg, 1, id, 2)
 			add("p2")
 		})
 		wg.Wait()
@@ -159,7 +159,7 @@ func TestAwaitPublishedUnblockedByAbort(t *testing.T) {
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
 		id, _ := vm.CreateBlob(1, 100)
-		vm.RequestTicket(1, id, 0, 100, 0)
+		ticket1(vm, 1, id, 0, 100, 0)
 		done := false
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
@@ -167,7 +167,7 @@ func TestAwaitPublishedUnblockedByAbort(t *testing.T) {
 			done = true
 		})
 		wg.Go(func() {
-			vm.Abort(1, id, 1)
+			abort1(vm, 1, id, 1)
 		})
 		wg.Wait()
 		if !done {

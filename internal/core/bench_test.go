@@ -34,7 +34,8 @@ func BenchmarkBuildNodesSequentialAppend(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodes := buildNodes(rec, h, ps, placement)
+		nodes := make(map[string][]byte, 2*(hi-lo)+8)
+		buildNodes(nodes, rec, h, ps, placement)
 		if len(nodes) < 256 {
 			b.Fatal("too few nodes")
 		}
@@ -217,12 +218,12 @@ func BenchmarkVersionManagerTicket(b *testing.B) {
 	since := Version(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tk, err := vm.RequestTicket(1, id, -1, 64<<20, since)
+		tk, err := ticket1(vm, 1, id, -1, 64<<20, since)
 		if err != nil {
 			b.Fatal(err)
 		}
 		since = tk.Record.Version
-		if err := vm.Publish(bg, 1, id, tk.Record.Version); err != nil {
+		if err := publish1(vm, bg, 1, id, tk.Record.Version); err != nil {
 			b.Fatal(err)
 		}
 	}

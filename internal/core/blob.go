@@ -61,45 +61,48 @@ func (b *Blob) ReadAt(p []byte, off int64, opts ...ReadOption) (int64, error) {
 // WriteAt stores p at offset off, producing and publishing a new
 // version, which it returns. Unaligned boundaries are read-modified
 // against the true predecessor snapshot. With Synthetic(n), p must be
-// nil and a size-only write of n bytes is recorded.
+// nil and a size-only write of n bytes is recorded. A write is a
+// one-block batch through the same path as Append.
 func (b *Blob) WriteAt(p []byte, off int64, opts ...WriteOption) (Version, error) {
 	s := resolveWriteOpts(opts)
-	// Admission runs before the version ticket is requested: a
-	// rejected write never holds a ticket, so the publication frontier
-	// cannot wedge on rejected work.
-	release, err := b.c.admit(s)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	length := int64(len(p))
+	block := AppendBlock{Data: p}
 	if s.synthLen > 0 {
 		if p != nil {
 			return 0, fmt.Errorf("%w: Synthetic write with a non-nil buffer", ErrBadWrite)
 		}
-		length = s.synthLen
+		block = AppendBlock{Size: s.synthLen}
 	}
-	v, _, err := b.c.write(s, b.id, off, length, p, false)
-	return v, err
+	vs, _, err := b.write(s, off, []AppendBlock{block})
+	if err != nil {
+		return 0, err // a one-block batch that failed published nothing
+	}
+	return vs[0], nil
 }
 
 // Append adds blocks at the end of the blob, one version per block,
-// amortizing the version-manager round trips across the batch (a
-// single-element batch takes the plain write path). Blocks are real
-// (Data set) or synthetic (Size set); see Blocks and SyntheticBlocks.
-// It returns the versions published in block order and the byte offset
-// the first block landed at. On failure before publication the whole
-// batch is aborted and no version is published; when publication
-// itself fails partway, the longest published prefix is returned
-// alongside the error (see the batch semantics in client.go).
+// amortizing the version-manager round trips across the batch. Blocks
+// are real (Data set) or synthetic (Size set); see Blocks and
+// SyntheticBlocks. It returns the versions published in block order
+// and the byte offset the first block landed at. An error means at
+// least one block did not publish: a failure before publication aborts
+// the whole batch, and when publication itself is cut short the
+// published blocks — always a prefix — are returned alongside the
+// error (see Client.writeBlocks).
 func (b *Blob) Append(blocks []AppendBlock, opts ...WriteOption) ([]Version, int64, error) {
-	s := resolveWriteOpts(opts)
+	return b.write(resolveWriteOpts(opts), -1, blocks)
+}
+
+// write admits the operation and runs the write protocol. Admission
+// comes before the version tickets are requested: a rejected write
+// never holds a ticket, so the publication frontier cannot wedge on
+// rejected work.
+func (b *Blob) write(s opSettings, off int64, blocks []AppendBlock) ([]Version, int64, error) {
 	release, err := b.c.admit(s)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer release()
-	return b.c.appendBlocks(s, b.id, blocks)
+	return b.c.writeBlocks(s, b.id, off, blocks)
 }
 
 // Snapshot branches a new blob off a published snapshot (AtVersion
@@ -122,7 +125,7 @@ func (b *Blob) Snapshot(opts ...ReadOption) (*Blob, error) {
 		}
 		v = rec.Version
 	}
-	id, err := b.c.d.VM.Clone(b.c.node, b.id, v)
+	id, err := b.c.vm(b.id).Clone(b.c.node, b.id, v)
 	if err != nil {
 		return nil, err
 	}

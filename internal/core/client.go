@@ -144,35 +144,32 @@ type blobInfo struct {
 	history  []WriteRecord // contiguous from version 1
 }
 
-// tombstoneCached records an abort in the client's cached history so
-// this client's next tree build borrows around the dead version instead
-// of linking its never-written metadata nodes. History snapshots handed
+// tombstoneCached records aborts in the client's cached history so this
+// client's next tree build borrows around the dead versions instead of
+// linking their never-written metadata nodes. History snapshots handed
 // to in-flight operations may share the backing array, so the slice is
 // replaced, never mutated in place (stale snapshots are tolerated by
-// the walk's aborted-version probe).
-func (c *Client) tombstoneCached(blob BlobID, v Version) {
+// the walk's aborted-version probe). Versions the cache has not seen
+// yet need nothing: a later ticket's delta delivers their records with
+// the tombstone already set.
+func (c *Client) tombstoneCached(blob BlobID, vs []Version) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	bi, ok := c.blobs[blob]
-	if !ok || v == 0 || int(v) > len(bi.history) || bi.history[v-1].Aborted {
+	if !ok {
 		return
 	}
-	h := append([]WriteRecord(nil), bi.history...)
-	h[v-1].Aborted = true
-	bi.history = h
-}
-
-// appendHistory returns h extended by the delta records that
-// contiguously follow it (records already present, or past a gap, are
-// skipped). Appending to a capped snapshot copies instead of mutating
-// the shared backing array.
-func appendHistory(h history, delta []WriteRecord) history {
-	for _, r := range delta {
-		if int(r.Version) == len(h)+1 {
-			h = append(h, r)
+	copied := false
+	for _, v := range vs {
+		if v == 0 || int(v) > len(bi.history) || bi.history[v-1].Aborted {
+			continue
 		}
+		if !copied {
+			bi.history = append([]WriteRecord(nil), bi.history...)
+			copied = true
+		}
+		bi.history[v-1].Aborted = true
 	}
-	return h
 }
 
 // Node returns the node this client runs on.
@@ -237,149 +234,8 @@ func (c *Client) info(blob BlobID) (*blobInfo, error) {
 	return bi, nil
 }
 
-// write runs the write protocol for one version: ticket, page
-// assembly, placement, scatter, metadata, publish. Any failure — or a
-// cancellation of s.ctx — after the ticket was assigned aborts the
-// version, so the publication frontier never wedges on a leaked
-// pending ticket.
-func (c *Client) write(s opSettings, blob BlobID, off, length int64, data []byte, app bool) (Version, int64, error) {
-	if length <= 0 {
-		return 0, 0, fmt.Errorf("%w: length %d", ErrBadWrite, length)
-	}
-	if err := s.ctx.Err(); err != nil {
-		return 0, 0, canceled("write", err) // before the ticket: nothing to release
-	}
-	bi, err := c.info(blob)
-	if err != nil {
-		return 0, 0, err
-	}
-	ps := bi.pageSize
-
-	// 1. Version ticket (appends resolve their offset here).
-	reqOff := off
-	if app {
-		reqOff = -1
-	}
-	c.mu.Lock()
-	since := Version(len(bi.history))
-	c.mu.Unlock()
-	ts, err := c.vm(blob).RequestTickets(c.node, blob, []WriteIntent{{Off: reqOff, Length: length, Tenant: s.tenant}}, since)
-	if err != nil {
-		return 0, 0, err
-	}
-	t := ts[0]
-	c.mu.Lock()
-	bi.history = appendHistory(bi.history, t.History)
-	// Records are append-only and never mutated, so a capped slice
-	// shares the backing array safely.
-	hist := history(bi.history[:len(bi.history):len(bi.history)])
-	c.mu.Unlock()
-	rec := t.Record
-	off = rec.Offset
-
-	// Any failure after the ticket was assigned must tombstone the
-	// version: a leaked pending ticket would wedge the publication
-	// frontier (and thus every later writer) forever.
-	abort := func(cause error) error {
-		if abortErr := c.vm(blob).Abort(c.node, blob, rec.Version); abortErr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", cause, abortErr)
-		}
-		c.tombstoneCached(blob, rec.Version)
-		return cause
-	}
-	if err := s.ctx.Err(); err != nil {
-		return 0, 0, abort(canceled("write", err))
-	}
-
-	// 2. Page contents. Boundary pages of unaligned real writes merge
-	// with their true predecessor version (page-level read-modify-
-	// write). For concurrent writers this waits for the predecessor's
-	// publication, so interleaved sub-page appends never lose bytes.
-	lo, hi := pageSpan(off, length, ps)
-	var pages [][]byte // page lo+i's full contents; nil for synthetic
-	if data != nil {
-		var bufs []*pageBuf
-		pages, bufs, err = c.assemblePages(s, blob, rec, hist, data, ps)
-		if err != nil {
-			return 0, 0, abort(err)
-		}
-		// The scatter joins every in-flight put (and the store copies on
-		// ingest) before write returns, so the buffers recycle safely on
-		// every exit path.
-		defer c.putBufs(bufs)
-	}
-
-	// 3. Placement: each page key hashes to its preferred owners under
-	// the current membership epoch (or to the ablation strategy's pick).
-	keys := make([]string, hi-lo)
-	for p := lo; p < hi; p++ {
-		keys[p-lo] = pageKey(rec.Blob, rec.Version, p)
-	}
-	sets, err := c.d.Placement.Place(c.node, keys, c.d.Opts.Replication)
-	if err != nil {
-		return 0, 0, abort(err)
-	}
-	placement := pagePlacement{lo: lo, sets: sets}
-
-	// 4. Scatter pages to providers (one logical transfer; the store
-	// operations carry the real or synthetic contents).
-	perProv := make(map[cluster.NodeID][]pagePut)
-	var total int64
-	for p := lo; p < hi; p++ {
-		key := keys[p-lo]
-		var content []byte
-		size := pageExtent(p, ps, rec.SizeAfter)
-		if data != nil {
-			content = pages[p-lo]
-			size = int64(len(content))
-		}
-		provs := sets[p-lo]
-		total += size * int64(len(provs))
-		for _, prov := range provs {
-			perProv[prov] = append(perProv[prov], pagePut{key: key, data: content, size: size})
-		}
-	}
-	if scErr := c.scatterPuts(s.ctx, perProv, total); scErr != nil {
-		return 0, 0, abort(scErr)
-	}
-
-	// 5. Metadata tree nodes into the DHT.
-	if err := s.ctx.Err(); err != nil {
-		return 0, 0, abort(canceled("write", err))
-	}
-	nodes := buildNodes(rec, hist, ps, placement)
-	if err := c.meta.BatchPut(nodes); err != nil {
-		return 0, 0, abort(err)
-	}
-
-	// 6. Publish. The default blocks until the version is globally
-	// visible; AwaitPublication(false) returns once it is queued. A
-	// cancellation while awaiting visibility aborts the version — the
-	// ticket is released either way — unless publication won the race,
-	// in which case the write simply succeeded.
-	if !s.await {
-		if err := c.vm(blob).PublishBatchAsync(c.node, blob, []Version{rec.Version}); err != nil {
-			return 0, 0, abort(err)
-		}
-		return rec.Version, off, nil
-	}
-	if err := c.vm(blob).Publish(s.ctx, c.node, blob, rec.Version); err != nil {
-		if errors.Is(err, ErrCanceled) {
-			if abortErr := c.vm(blob).Abort(c.node, blob, rec.Version); abortErr != nil {
-				if errors.Is(abortErr, ErrAlreadyPublished) {
-					return rec.Version, off, nil // publication beat the cancel
-				}
-				return 0, 0, fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
-			}
-			c.tombstoneCached(blob, rec.Version)
-		}
-		return 0, 0, err
-	}
-	return rec.Version, off, nil
-}
-
-// AppendBlock is one element of a batched append: real bytes, or a
-// synthetic length when Data is nil.
+// AppendBlock is one block of a write: real bytes, or a synthetic
+// length when Data is nil.
 type AppendBlock struct {
 	Data []byte
 	Size int64 // synthetic byte count; ignored when Data is non-nil
@@ -392,28 +248,37 @@ func (b AppendBlock) length() int64 {
 	return b.Size
 }
 
-// appendBlocks appends blocks back-to-back as consecutive versions,
-// amortizing the version-manager round trips across the whole batch:
-// one RequestTickets call assigns every version (contiguously — no
-// other writer interleaves), the pages of all blocks scatter in one
-// fan-out, the metadata trees go out in one DHT batch, and one
-// PublishBatch call rides the manager's group-commit queue. It returns
-// the versions published in block order and the offset the first block
-// landed at. When assembly, placement, scatter or metadata fail — or
-// the op's Ctx is canceled before publication — the whole batch is
-// aborted and no version is published (len(versions) == 0); when
-// publication itself fails partway (a member was tombstoned or the Ctx
-// expired mid-wait), the longest published prefix is returned
-// alongside the error.
+// writeBlocks is the write protocol, run once per call for any number
+// of blocks: ticket, page assembly, placement, scatter, metadata,
+// publish. The blocks land back-to-back as consecutive versions
+// starting at off (negative: at the blob's end, resolved by the
+// ticket), so a single write is a batch of one and a batch amortizes
+// the version-manager round trips: one RequestTickets call assigns
+// every version (contiguously — no other writer interleaves), the pages
+// of all blocks scatter in one fan-out, the metadata trees go out in
+// one DHT batch, and one PublishBatch call rides the manager's
+// group-commit queue. It returns the published versions in block order
+// and the offset the first block landed at.
 //
-// With Options.SerialPublish set the batch degrades to one write()
-// round per block — the A6 ablation baseline — and a failure then
-// leaves the leading blocks that already committed published.
-func (c *Client) appendBlocks(s opSettings, blob BlobID, blocks []AppendBlock) ([]Version, int64, error) {
+// One failure rule: once the tickets are assigned, any failure — an
+// error in any step, or a cancellation of s.ctx — resolves every
+// member with one AbortBatch, so a leaked pending ticket never wedges
+// the publication frontier (and thus every later writer). The call
+// returns an error iff at least one version did not publish; the
+// members that did (publication may beat a cancel) are a contiguous
+// prefix and are returned alongside it.
+//
+// A positioned call (off >= 0) carries one block: only the last
+// version's uncovered tail is merged. With Options.SerialPublish a
+// batch degrades to one call per block — the A6 ablation baseline —
+// and a failure then leaves the leading blocks that already committed
+// published.
+func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []AppendBlock) ([]Version, int64, error) {
 	if len(blocks) == 0 {
 		return nil, 0, nil
 	}
 	synthetic := blocks[0].Data == nil
+	var payload int64
 	for _, b := range blocks {
 		if b.length() <= 0 {
 			return nil, 0, fmt.Errorf("%w: length %d", ErrBadWrite, b.length())
@@ -421,281 +286,209 @@ func (c *Client) appendBlocks(s opSettings, blob BlobID, blocks []AppendBlock) (
 		if (b.Data == nil) != synthetic {
 			return nil, 0, fmt.Errorf("%w: mixed real and synthetic blocks", ErrBadWrite)
 		}
+		payload += b.length()
 	}
-	if c.d.Opts.SerialPublish || len(blocks) == 1 {
+	if c.d.Opts.SerialPublish && len(blocks) > 1 {
 		var out []Version
-		var first int64
-		for i, b := range blocks {
-			v, off, err := c.write(s, blob, 0, b.length(), b.Data, true)
-			if err != nil {
-				return out, first, err
-			}
+		var base int64
+		for i := range blocks {
+			vs, at, err := c.writeBlocks(s, blob, off, blocks[i:i+1])
 			if i == 0 {
-				first = off
+				base = at
 			}
-			out = append(out, v)
+			out = append(out, vs...)
+			if err != nil {
+				return out, base, err
+			}
 		}
-		return out, first, nil
+		return out, base, nil
 	}
 	if err := s.ctx.Err(); err != nil {
-		return nil, 0, canceled("append", err)
+		return nil, 0, canceled("write", err) // before the ticket: nothing to release
 	}
-
 	bi, err := c.info(blob)
 	if err != nil {
 		return nil, 0, err
 	}
 	ps := bi.pageSize
+	vm := c.vm(blob)
 
-	// 1. One ticket round trip for the whole batch.
+	// 1. One ticket round trip for every version (appends resolve their
+	// offset here).
 	intents := make([]WriteIntent, len(blocks))
 	for i, b := range blocks {
-		intents[i] = WriteIntent{Off: -1, Length: b.length(), Tenant: s.tenant}
+		intents[i] = WriteIntent{Off: off, Length: b.length(), Tenant: s.tenant}
 	}
 	c.mu.Lock()
 	since := Version(len(bi.history))
 	c.mu.Unlock()
-	tickets, err := c.vm(blob).RequestTickets(c.node, blob, intents, since)
+	tickets, err := vm.RequestTickets(c.node, blob, intents, since)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Each ticket's history delta is a prefix of the last one's, so one
-	// pass over the last delta merges everything. The merge lands in a
-	// LOCAL snapshot, not the client's cache: the delta contains this
-	// batch's own (still pending) records, and caching them before
-	// publication would freeze their Aborted=false state — a failed
-	// batch would then permanently poison this client's boundary
-	// merges on the blob. The cache is updated only after the batch
-	// publishes; on failure the next ticket's delta re-delivers the
-	// records with their tombstones set.
-	lastDelta := tickets[len(tickets)-1].History
+	// Each ticket's history delta is a prefix of the last one's, so
+	// merging the last delta into the cached history delivers everything
+	// — including the records of this call's own tickets 0..N-2, which
+	// the borrow computation of their in-batch successors needs. Records
+	// contiguously following the cache are appended in place (ones
+	// already present, or past a gap, are skipped); they are never
+	// mutated afterwards, so the capped snapshot shares the backing
+	// array safely. The delta's pending records are cached with
+	// Aborted=false; fail below tombstones this call's own.
 	c.mu.Lock()
-	snap := history(bi.history[:len(bi.history):len(bi.history)])
+	for _, r := range tickets[len(tickets)-1].History {
+		if int(r.Version) == len(bi.history)+1 {
+			bi.history = append(bi.history, r)
+		}
+	}
+	hist := history(bi.history[:len(bi.history):len(bi.history)])
 	c.mu.Unlock()
-	local := appendHistory(snap, lastDelta)
-	hist := local[:len(local):len(local)]
 
-	recs := make([]WriteRecord, len(tickets))
 	versions := make([]Version, len(tickets))
 	for i, t := range tickets {
-		recs[i] = t.Record
 		versions[i] = t.Record.Version
 	}
-	base := recs[0].Offset
-	abortAll := func(cause error) error {
-		// One atomic batch abort: every member resolves under a single
-		// version-manager lock acquisition, so no ticket is ever left
-		// pending and the frontier cannot wedge.
-		if abortErr := c.vm(blob).AbortBatch(c.node, blob, versions); abortErr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", cause, abortErr)
+	first, last := tickets[0].Record, tickets[len(tickets)-1].Record
+	base := first.Offset
+
+	// fail is the one failure rule. AbortBatch resolves every member
+	// under a single version-manager lock acquisition: whatever has not
+	// published is tombstoned, so the members still published afterwards
+	// are a contiguous prefix, found by probing in order. That prefix is
+	// exact (nothing published lies past it) and backs the caller's FIFO
+	// byte accounting.
+	fail := func(cause error) ([]Version, int64, error) {
+		if abortErr := vm.AbortBatch(c.node, blob, versions); abortErr != nil {
+			cause = fmt.Errorf("%w (abort also failed: %v)", cause, abortErr)
 		}
-		for _, v := range versions {
-			c.tombstoneCached(blob, v)
+		n := 0
+		for n < len(versions) {
+			if _, err := vm.GetVersion(c.node, blob, versions[n]); err != nil {
+				break
+			}
+			n++
 		}
-		return cause
+		c.tombstoneCached(blob, versions[n:])
+		if n == len(versions) {
+			return versions, base, nil // publication beat the failure
+		}
+		return versions[:n], base, cause
 	}
 	if err := s.ctx.Err(); err != nil {
-		return nil, 0, abortAll(canceled("append", err))
+		return fail(canceled("write", err))
 	}
 
-	// 2. Page contents. The batch spans one contiguous byte range, so a
-	// single extended buffer — the merged sub-page prefix of the first
-	// block plus the concatenated payload — covers every page of every
-	// version; in-batch boundary pages never read each other through
-	// the store (which would deadlock on unpublished predecessors).
+	// 2. Page contents. The call spans one contiguous byte range, so a
+	// single extended buffer over [page-aligned start, end of the last
+	// page's extent) covers every page of every version, and in-batch
+	// boundary pages never read each other through the store (which
+	// would deadlock on unpublished predecessors). Only its two ends can
+	// hold bytes the payload does not cover; they merge with their true
+	// predecessor version (page-level read-modify-write), which for
+	// concurrent writers waits for the predecessor's publication, so
+	// interleaved sub-page appends never lose bytes.
 	alignedStart := base - base%ps
 	var ext []byte
 	if !synthetic {
-		total := int64(0)
-		for _, b := range blocks {
-			total += int64(len(b.Data))
-		}
-		// Pooled (zeroed — the merged prefix's holes must read as
-		// zeros); the scatter joins before this function returns, so the
-		// deferred recycle is safe on every path.
-		extBuf := c.getBuf((base - alignedStart) + total)
+		_, hi := pageSpan(last.Offset, last.Length, ps)
+		extEnd := (hi-1)*ps + pageExtent(hi-1, ps, last.SizeAfter)
+		// Pooled (zeroed — holes in the merged fragments must read as
+		// zeros); the scatter joins every in-flight put (and the store
+		// copies on ingest) before this function returns, so the deferred
+		// recycle is safe on every path.
+		extBuf := c.getBuf(extEnd - alignedStart)
 		defer c.putBuf(extBuf)
 		ext = extBuf.b
-		if base > alignedStart {
-			if err := c.mergeFragment(s.ctx, blob, recs[0].Version, hist, alignedStart, alignedStart, base, ps, ext[:base-alignedStart]); err != nil {
-				return nil, 0, abortAll(err)
+		head, tail := base-alignedStart, base+payload-alignedStart
+		if head > 0 {
+			if err := c.mergeFragment(s.ctx, blob, first.Version, hist, alignedStart, ext[:head]); err != nil {
+				return fail(err)
 			}
 		}
-		at := base - alignedStart
+		if tail < int64(len(ext)) { // a write inside the blob; appends end at SizeAfter
+			if err := c.mergeFragment(s.ctx, blob, first.Version, hist, base+payload, ext[tail:]); err != nil {
+				return fail(err)
+			}
+		}
+		at := head
 		for _, b := range blocks {
-			copy(ext[at:], b.Data)
-			at += int64(len(b.Data))
+			at += int64(copy(ext[at:], b.Data))
 		}
 	}
 
-	// 3. Placement for every page of every version, keyed in slot order.
-	var keys []string
-	for _, rec := range recs {
-		lo, hi := pageSpan(rec.Offset, rec.Length, ps)
+	// 3. Placement for every page of every version, keyed in slot order:
+	// each page key hashes to its preferred owners under the current
+	// membership epoch (or to the ablation strategy's pick).
+	keys := make([]string, 0, payload/ps+int64(2*len(tickets)))
+	for _, t := range tickets {
+		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
 		for p := lo; p < hi; p++ {
-			keys = append(keys, pageKey(rec.Blob, rec.Version, p))
+			keys = append(keys, pageKey(t.Record.Blob, t.Record.Version, p))
 		}
 	}
 	sets, err := c.d.Placement.Place(c.node, keys, c.d.Opts.Replication)
 	if err != nil {
-		return nil, 0, abortAll(err)
+		return fail(err)
 	}
 
-	// 4. One scatter fan-out for the whole batch.
+	// 4. One scatter fan-out (one logical transfer; the store operations
+	// carry the real or synthetic contents).
 	perProv := make(map[cluster.NodeID][]pagePut)
 	var total int64
 	slot := 0
-	for _, rec := range recs {
-		lo, hi := pageSpan(rec.Offset, rec.Length, ps)
+	for _, t := range tickets {
+		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
 		for p := lo; p < hi; p++ {
-			key := keys[slot]
-			size := pageExtent(p, ps, rec.SizeAfter)
+			size := pageExtent(p, ps, t.Record.SizeAfter)
 			var content []byte
 			if !synthetic {
 				from := p*ps - alignedStart
 				content = ext[from : from+size]
 			}
-			provs := sets[slot]
-			slot++
-			total += size * int64(len(provs))
-			for _, prov := range provs {
-				perProv[prov] = append(perProv[prov], pagePut{key: key, data: content, size: size})
+			total += size * int64(len(sets[slot]))
+			for _, prov := range sets[slot] {
+				perProv[prov] = append(perProv[prov], pagePut{key: keys[slot], data: content, size: size})
 			}
+			slot++
 		}
 	}
-	if scErr := c.scatterPuts(s.ctx, perProv, total); scErr != nil {
-		return nil, 0, abortAll(scErr)
+	if err := c.scatterPuts(s.ctx, perProv, total); err != nil {
+		return fail(err)
 	}
 
-	// 5. Every version's metadata tree in one DHT batch. Ticket i's
-	// history delta already delivered the records of tickets 0..i-1, so
-	// borrow computation sees the in-batch predecessors.
+	// 5. Every version's metadata tree in one DHT batch.
 	if err := s.ctx.Err(); err != nil {
-		return nil, 0, abortAll(canceled("append", err))
+		return fail(canceled("write", err))
 	}
-	nodes := make(map[string][]byte)
+	// A span of n pages creates about 2n nodes (leaves plus intersecting
+	// inners) and up to a log-factor spine; presize so hot appends never
+	// regrow the map.
+	nodes := make(map[string][]byte, 2*len(keys)+8*len(tickets))
 	slot = 0
-	for _, rec := range recs {
-		lo, hi := pageSpan(rec.Offset, rec.Length, ps)
-		placement := pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]}
+	for _, t := range tickets {
+		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
+		buildNodes(nodes, t.Record, hist, ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
 		slot += int(hi - lo)
-		for k, v := range buildNodes(rec, hist, ps, placement) {
-			nodes[k] = v
-		}
 	}
 	if err := c.meta.BatchPut(nodes); err != nil {
-		return nil, 0, abortAll(err)
+		return fail(err)
 	}
 
 	// 6. One publish round trip; the group-commit drainer advances the
-	// frontier across the whole batch in one pass.
-	var pubErr error
-	if !s.await {
-		if err := c.vm(blob).PublishBatchAsync(c.node, blob, versions); err != nil {
-			return nil, 0, abortAll(err)
-		}
-		c.mu.Lock()
-		bi.history = appendHistory(bi.history, lastDelta)
-		c.mu.Unlock()
-		return versions, base, nil
-	}
-	pubErr = c.vm(blob).PublishBatch(s.ctx, c.node, blob, versions)
-	if pubErr != nil {
-		// Publication failed partway: a member was tombstoned under us
-		// or the Ctx was canceled mid-wait. Resolve every member with
-		// one atomic batch abort — canceled waits leave tickets
-		// ready-but-unconfirmed, and AbortBatch tombstones whatever
-		// has not published yet under a single lock acquisition, which
-		// guarantees the members still published afterwards are a
-		// contiguous prefix of the batch. Report that prefix: it is
-		// exact (nothing published lies past it), matches the serial
-		// path's semantics, and backs the caller's FIFO byte
-		// accounting.
-		if errors.Is(pubErr, ErrCanceled) {
-			if abortErr := c.vm(blob).AbortBatch(c.node, blob, versions); abortErr != nil {
-				pubErr = fmt.Errorf("%w (abort also failed: %v)", pubErr, abortErr)
-			}
-		}
-		n := 0
-		for _, v := range versions {
-			if _, gerr := c.vm(blob).GetVersion(c.node, blob, v); gerr != nil {
-				break
-			}
-			n++
-		}
-		for _, v := range versions[n:] {
-			c.tombstoneCached(blob, v)
-		}
-		return versions[:n], base, pubErr
-	}
-	c.mu.Lock()
-	bi.history = appendHistory(bi.history, lastDelta)
-	c.mu.Unlock()
-	return versions, base, nil
-}
-
-// BlobAppend names one blob's block batch within a cross-blob append.
-type BlobAppend struct {
-	Blob   BlobID
-	Blocks []AppendBlock
-}
-
-// AppendMany appends batches to many blobs in one call, grouping the
-// work by version-manager shard: each shard's blobs are driven by one
-// worker (a shard serializes its own requests anyway), and the shard
-// groups proceed concurrently — the client-side face of the sharded
-// tier, where aggregate publish throughput scales with the number of
-// shards touched. Results align with reqs: out[i] holds the versions
-// published for reqs[i] (possibly a prefix on failure, matching the
-// batch semantics of Blob.Append), and the first error encountered is
-// returned after every group has finished. Options (WithCtx,
-// AwaitPublication) apply to every batch.
-func (c *Client) AppendMany(reqs []BlobAppend, opts ...WriteOption) ([][]Version, error) {
-	s := resolveWriteOpts(opts)
-	out := make([][]Version, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	// One admission charge per call, before any ticket: a rejected
-	// cross-blob append leaves no state on any shard.
-	release, err := c.admit(s)
-	if err != nil {
-		return out, err
-	}
-	defer release()
-	groups := make(map[int][]int) // shard index -> indices into reqs
-	for i, req := range reqs {
-		sh := c.d.VM.ShardIndex(req.Blob)
-		groups[sh] = append(groups[sh], i)
-	}
-	var mu sync.Mutex
-	var first error
-	var workers []func()
-	for _, idxs := range groups {
-		workers = append(workers, func() {
-			for _, i := range idxs {
-				vs, _, err := c.appendBlocks(s, reqs[i].Blob, reqs[i].Blocks)
-				mu.Lock()
-				out[i] = vs
-				if err != nil && first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		})
-	}
-	if c.d.Opts.SerialIO || len(workers) == 1 {
-		for _, w := range workers {
-			w()
-		}
+	// frontier across the whole call in one pass. The default blocks
+	// until every version is globally visible; AwaitPublication(false)
+	// returns once they are queued. A cancellation while awaiting
+	// visibility leaves the members ready-but-unconfirmed, which fail
+	// resolves like any other failure.
+	if s.await {
+		err = vm.PublishBatch(s.ctx, c.node, blob, versions)
 	} else {
-		wg := c.d.Env.NewWaitGroup()
-		for _, w := range workers {
-			wg.Go(w)
-		}
-		wg.Wait()
+		err = vm.PublishBatchAsync(c.node, blob, versions)
 	}
-	return out, first
+	if err != nil {
+		return fail(err)
+	}
+	return versions, base, nil
 }
 
 // pagePut is one page store operation of a write scatter.
@@ -769,61 +562,14 @@ func pageExtent(p, ps, size int64) int64 {
 	return size - start
 }
 
-// assemblePages splits data (landing at rec.Offset) into full per-page
-// buffers, merging unaligned boundary pages with the latest version
-// whose span covers the uncovered fragment — per the ticket history,
-// not the racing "latest" — waiting for its publication first.
-//
-// pages[i] holds page lo+i. The buffers are pooled: the caller owns
-// bufs and must recycle them (putBufs) once the pages have been copied
-// into the providers' stores; on error everything is recycled here.
-func (c *Client) assemblePages(s opSettings, blob BlobID, rec WriteRecord, hist history, data []byte, ps int64) (pages [][]byte, bufs []*pageBuf, err error) {
-	off, length := rec.Offset, int64(len(data))
-	lo, hi := pageSpan(off, length, ps)
-	pages = make([][]byte, hi-lo)
-	bufs = make([]*pageBuf, 0, hi-lo)
-	fail := func(err error) ([][]byte, []*pageBuf, error) {
-		c.putBufs(bufs)
-		return nil, nil, err
-	}
-	for p := lo; p < hi; p++ {
-		pStart := p * ps
-		extent := pageExtent(p, ps, rec.SizeAfter)
-		pb := c.getBuf(extent) // zeroed: uncovered fragments are holes
-		bufs = append(bufs, pb)
-		buf := pb.b
-		// Overlap with existing data if the write does not fully cover
-		// the page's extent.
-		covFrom, covTo := off-pStart, off+length-pStart
-		if covFrom < 0 {
-			covFrom = 0
-		}
-		if covTo > extent {
-			covTo = extent
-		}
-		if covFrom > 0 {
-			if err := c.mergeFragment(s.ctx, blob, rec.Version, hist, pStart, pStart, pStart+covFrom, ps, buf[:covFrom]); err != nil {
-				return fail(err)
-			}
-		}
-		if covTo < extent {
-			if err := c.mergeFragment(s.ctx, blob, rec.Version, hist, pStart, pStart+covTo, pStart+extent, ps, buf[covTo:]); err != nil {
-				return fail(err)
-			}
-		}
-		srcFrom := pStart + covFrom - off
-		copy(buf[covFrom:covTo], data[srcFrom:])
-		pages[p-lo] = buf
-	}
-	return pages, bufs, nil
-}
-
-// mergeFragment fills dst with bytes [from, to) of page pStart as of
-// the latest non-aborted version before v whose span intersects the
-// fragment. It waits for that version's publication (concurrent-append
-// safety; the wait is cancellable through ctx); if no version ever
-// wrote the fragment it stays zero.
-func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, v Version, hist history, pStart, from, to, ps int64, dst []byte) error {
+// mergeFragment fills dst with the blob's bytes starting at offset
+// from — a fragment lying within one page — as of the latest
+// non-aborted version before v whose span intersects it. It waits for
+// that version's publication (concurrent-append safety; the wait is
+// cancellable through ctx); if no version ever wrote the fragment it
+// stays zero.
+func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, v Version, hist history, from int64, dst []byte) error {
+	to := from + int64(len(dst))
 	for w := v - 1; w >= 1; w-- {
 		r, ok := hist.record(w)
 		if !ok {
@@ -849,7 +595,7 @@ func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, v Version, hist hi
 				// owner exactly as a fresh record would have.
 				continue
 			}
-			return fmt.Errorf("core: read-modify-write of page %d @v%d: %w", pStart/ps, w, err)
+			return fmt.Errorf("core: read-modify-write of bytes [%d,%d) @v%d: %w", from, to, w, err)
 		}
 		return nil
 	}

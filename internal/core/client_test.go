@@ -490,7 +490,7 @@ func TestPersistentProviderRecovery(t *testing.T) {
 	opts := Options{
 		PageSize:      64,
 		ProviderNodes: []cluster.NodeID{1, 2},
-		Provider:      ProviderConfig{Dir: dir},
+		Provider:      ProviderConfig{Store: "disk:" + dir},
 	}
 	d, err := NewDeployment(env, opts)
 	if err != nil {

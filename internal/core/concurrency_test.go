@@ -212,7 +212,7 @@ func TestVersionManagerRecordsBatch(t *testing.T) {
 	d.Provider(1).SetDown(false)
 	blob.WriteAt([]byte("v3 data"), 0)
 
-	recs, err := d.VM.Records(0, blob.ID())
+	recs, err := d.VM.Shard(blob.ID()).Records(0, blob.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestVersionManagerRecordsBatch(t *testing.T) {
 			t.Fatalf("record v%d aborted=%v, want %v", rec.Version, rec.Aborted, wantAborted)
 		}
 	}
-	if _, err := d.VM.Records(0, BlobID(999)); !errors.Is(err, ErrNoSuchBlob) {
+	if _, err := d.VM.Shard(BlobID(999)).Records(0, BlobID(999)); !errors.Is(err, ErrNoSuchBlob) {
 		t.Fatalf("unknown blob err = %v", err)
 	}
 }

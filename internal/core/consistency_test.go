@@ -214,12 +214,12 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 					case opAbort:
 						// A writer that fails right after its ticket:
 						// nothing scattered, nothing published.
-						tk, err := d.VM.RequestTicket(node, blob, op.off, op.length, 0)
+						tk, err := ticket1(d.VM.Shard(blob), node, blob, op.off, op.length, 0)
 						if err != nil {
 							t.Errorf("writer %d op %d: ticket: %v", w, i, err)
 							return
 						}
-						if err := d.VM.Abort(node, blob, tk.Record.Version); err != nil {
+						if err := abort1(d.VM.Shard(blob), node, blob, tk.Record.Version); err != nil {
 							t.Errorf("writer %d op %d: abort: %v", w, i, err)
 							return
 						}
@@ -306,7 +306,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 				for _, v := range targets {
 					awaited := false
 					for !awaited {
-						if err := d.VM.AwaitPublished(bg, node, blob, v); err == nil {
+						if err := d.VM.Shard(blob).AwaitPublished(bg, node, blob, v); err == nil {
 							awaited = true
 							break
 						}
@@ -318,7 +318,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 					if !awaited {
 						continue
 					}
-					pub, err := d.VM.Published(node, blob)
+					pub, err := d.VM.Shard(blob).Published(node, blob)
 					if err != nil {
 						t.Error(err)
 						return
@@ -354,7 +354,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 			if rejected == 0 {
 				t.Errorf("seed %d: overload mix rejected nothing; tighten tenantRate", seed)
 			}
-			recs, err := d.VM.Records(0, blob)
+			recs, err := d.VM.Shard(blob).Records(0, blob)
 			if err != nil {
 				t.Error(err)
 			} else if !withCancels && len(recs) != totalTickets-rejected {
@@ -368,7 +368,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 				t.Errorf("rejected ops leaked tickets: %d records, want <= %d (%d planned - %d rejected)",
 					len(recs), totalTickets-rejected, totalTickets, rejected)
 			}
-			pub, err := d.VM.Published(0, blob)
+			pub, err := d.VM.Shard(blob).Published(0, blob)
 			if err != nil {
 				t.Error(err)
 			} else if int(pub) != len(recs) {
@@ -416,7 +416,7 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 	// version (a leaked pending ticket would leave it short). The
 	// ticket count may run below the plan when serial-mode batch
 	// fallout skips blocks, but never above it.
-	pub, err := d.VM.Published(0, blob)
+	pub, err := d.VM.Shard(blob).Published(0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 	if int(pub) != assigned || unresolved != 0 {
 		t.Fatalf("frontier at %d with %d tickets assigned and %d pending: ticket leaked", pub, assigned, unresolved)
 	}
-	recs, err := d.VM.Records(0, blob)
+	recs, err := d.VM.Shard(blob).Records(0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,17 +471,17 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 		if !rec.Aborted {
 			continue
 		}
-		if _, err := d.VM.GetVersion(0, blob, rec.Version); !errors.Is(err, ErrAborted) {
+		if _, err := d.VM.Shard(blob).GetVersion(0, blob, rec.Version); !errors.Is(err, ErrAborted) {
 			t.Fatalf("GetVersion(aborted v%d) = %v, want ErrAborted", rec.Version, err)
 		}
 		if _, err := rdr.ReadAt(make([]byte, 1), 0, AtVersion(rec.Version)); !errors.Is(err, ErrAborted) {
 			t.Fatalf("Read(aborted v%d) = %v, want ErrAborted", rec.Version, err)
 		}
-		if _, err := d.VM.Clone(0, blob, rec.Version); !errors.Is(err, ErrAborted) {
+		if _, err := d.VM.Shard(blob).Clone(0, blob, rec.Version); !errors.Is(err, ErrAborted) {
 			t.Fatalf("Clone(aborted v%d) = %v, want ErrAborted", rec.Version, err)
 		}
 	}
-	if rec, ok, err := d.VM.LatestRecord(0, blob); err != nil {
+	if rec, ok, err := d.VM.Shard(blob).LatestRecord(0, blob); err != nil {
 		t.Fatal(err)
 	} else if ok && rec.Aborted {
 		t.Fatalf("Latest resolved to tombstoned v%d", rec.Version)
@@ -656,12 +656,12 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 				for i, op := range plans[w] {
 					switch op.kind {
 					case opAbort:
-						tk, err := d.VM.RequestTicket(node, blob, op.off, op.length, 0)
+						tk, err := ticket1(d.VM.Shard(blob), node, blob, op.off, op.length, 0)
 						if err != nil {
 							t.Errorf("writer %d op %d: ticket: %v", w, i, err)
 							return
 						}
-						if err := d.VM.Abort(node, blob, tk.Record.Version); err != nil {
+						if err := abort1(d.VM.Shard(blob), node, blob, tk.Record.Version); err != nil {
 							t.Errorf("writer %d op %d: abort: %v", w, i, err)
 							return
 						}
@@ -688,10 +688,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 						for j, sz := range op.sizes {
 							blocks[j] = AppendBlock{Data: consistData(seed, w, i, j, sz)}
 						}
-						// Route through the cross-blob API so its
-						// per-shard grouping is exercised under load.
-						vss, err := c.AppendMany([]BlobAppend{{Blob: blob, Blocks: blocks}})
-						vs := vss[0]
+						vs, _, err := bh.Append(blocks)
 						for j, v := range vs {
 							results[w] = append(results[w], publishedVersion{v: v, data: blocks[j].Data})
 						}
@@ -718,7 +715,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 				for _, v := range targets {
 					awaited := false
 					for !awaited {
-						if err := d.VM.AwaitPublished(bg, node, blob, v); err == nil {
+						if err := d.VM.Shard(blob).AwaitPublished(bg, node, blob, v); err == nil {
 							awaited = true
 							break
 						}
@@ -730,7 +727,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 					if !awaited {
 						continue
 					}
-					pub, err := d.VM.Published(node, blob)
+					pub, err := d.VM.Shard(blob).Published(node, blob)
 					if err != nil {
 						t.Error(err)
 						return

@@ -23,14 +23,12 @@ type Options struct {
 	PageSize int64
 	// Replication is the page replica count.
 	Replication int
-	// VMNode hosts the placement manager and — when VMNodes is empty —
-	// the single version-manager shard. Kept as the one-shard
-	// compatibility alias for VMNodes.
-	VMNode cluster.NodeID
 	// VMNodes hosts the version-manager shards, one per entry: blobs
 	// are partitioned across them by id (shard = id mod len(VMNodes)),
 	// and each shard runs its own blob table, group-commit drainer and
-	// publication frontiers. Empty means the single shard on VMNode.
+	// publication frontiers. The first entry also hosts the placement
+	// manager and the rebalancer. Empty means a single shard on node 0,
+	// the paper's centralized manager.
 	VMNodes []cluster.NodeID
 	// VMServiceTime models each shard's per-RPC processing occupancy
 	// in the simulated environment: requests to one shard queue for
@@ -61,8 +59,6 @@ type Options struct {
 	// pages and migrating misplaced ones. 0 disables the sweep;
 	// RepairBlob stays available on demand.
 	PlacementInterval time.Duration
-	// RepairInterval is the historical alias for PlacementInterval.
-	RepairInterval time.Duration
 	// HeartbeatInterval enables the placement manager's background
 	// health checker: every interval each provider is probed and
 	// consecutive misses mark it down (a success marks it up again).
@@ -74,10 +70,11 @@ type Options struct {
 	// at a time instead of fanning out concurrently.
 	SerialIO bool
 	// SerialPublish disables the version manager's group-commit
-	// pipeline and the batched ticket/publish client path (the A6
-	// ablation baseline): every version pays its own RequestTicket and
-	// Publish round trip, and the manager applies each call in its own
-	// lock acquisition and frontier pass.
+	// pipeline and the client's batching (the A6 ablation baseline): a
+	// batched append runs as one batch-of-one write per block, so every
+	// version pays its own ticket and publish round trip, and the
+	// manager applies each member in its own lock acquisition and
+	// frontier pass.
 	SerialPublish bool
 	// TenantRate enables per-tenant token-bucket admission at the
 	// client edge: operations tagged with WithTenant are admitted at
@@ -107,9 +104,9 @@ type Options struct {
 	// reproduces the historical single-mutex cache — the A8 ablation
 	// baseline.
 	MetaCacheShards int
-	// UnpooledBuffers disables the data path's page-buffer pooling
-	// (every page assembly, batched-append extension and gather staging
-	// allocates fresh) — the A8 ablation baseline.
+	// UnpooledBuffers disables the data path's buffer pooling (every
+	// write's assembly buffer and every gather's staging allocates
+	// fresh) — the A8 ablation baseline.
 	UnpooledBuffers bool
 }
 
@@ -118,7 +115,7 @@ func (o *Options) fillDefaults() {
 		o.PageSize = 256 << 10
 	}
 	if len(o.VMNodes) == 0 {
-		o.VMNodes = []cluster.NodeID{o.VMNode}
+		o.VMNodes = []cluster.NodeID{0}
 	}
 	if o.Replication < 1 {
 		o.Replication = 1
@@ -131,9 +128,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MetaVNodes < 1 {
 		o.MetaVNodes = 32
-	}
-	if o.PlacementInterval <= 0 {
-		o.PlacementInterval = o.RepairInterval
 	}
 	if o.MetaCacheShards < 1 {
 		o.MetaCacheShards = 16
@@ -169,15 +163,10 @@ func NewDeployment(env cluster.Env, opts Options) (*Deployment, error) {
 	if len(opts.ProviderNodes) == 0 {
 		return nil, fmt.Errorf("core: deployment needs at least one provider node")
 	}
-	vm := NewVersionRouter(env, opts.VMNodes)
-	vm.SetSerialPublish(opts.SerialPublish)
-	vm.SetServiceTime(opts.VMServiceTime)
-	vm.SetApplyTime(opts.PublishApplyTime)
-	vm.SetDrainBatch(opts.PublishDrainBatch)
 	d := &Deployment{
 		Env:   env,
 		Opts:  opts,
-		VM:    vm,
+		VM:    NewVersionRouter(env, opts),
 		Meta:  dht.NewCluster(opts.MetaNodes, opts.MetaVNodes, opts.MetaReplication),
 		provs: make(map[cluster.NodeID]*Provider, len(opts.ProviderNodes)),
 	}
@@ -191,7 +180,7 @@ func NewDeployment(env cluster.Env, opts Options) (*Deployment, error) {
 		}
 		d.provs[n] = p
 	}
-	d.Placement = placement.NewManager(env, opts.VMNode, opts.ProviderNodes, placement.Config{
+	d.Placement = placement.NewManager(env, opts.VMNodes[0], opts.ProviderNodes, placement.Config{
 		Strategy:          opts.Strategy,
 		Probe:             d.probeProvider,
 		HeartbeatInterval: opts.HeartbeatInterval,
@@ -201,7 +190,7 @@ func NewDeployment(env cluster.Env, opts Options) (*Deployment, error) {
 		// true fleet.
 		FailAfter: 1,
 	})
-	d.Rebalance = newRebalancer(d, opts.VMNode)
+	d.Rebalance = newRebalancer(d, opts.VMNodes[0])
 	if opts.PlacementInterval > 0 {
 		env.Daemon(func() { d.Rebalance.sweepLoop(opts.PlacementInterval) })
 	}
@@ -214,9 +203,6 @@ func (d *Deployment) startProvider(n cluster.NodeID) (*Provider, error) {
 	// owns its own directory under a disk spec, so a restarted provider
 	// reopens exactly the pages it persisted.
 	cfg.Store = store.SubSpec(cfg.Store, fmt.Sprintf("provider-%d", n))
-	if cfg.Dir != "" {
-		cfg.Dir = fmt.Sprintf("%s/provider-%d", d.Opts.Provider.Dir, n)
-	}
 	p, err := NewProvider(d.Env, n, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: provider on node %d: %w", n, err)

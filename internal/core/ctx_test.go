@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 // blob has resolved (published or aborted) — the no-leak invariant.
 func frontierIntact(t *testing.T, d *Deployment, blob BlobID) {
 	t.Helper()
-	pub, err := d.VM.Published(0, blob)
+	pub, err := d.VM.Shard(blob).Published(0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCanceledWriteBeforeTicketBurnsNothing(t *testing.T) {
 	if _, err := blob.ReadAt(make([]byte, 4), 0, WithCtx(ctx)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("read err = %v, want ErrCanceled", err)
 	}
-	pub, err := d.VM.Published(0, blob.ID())
+	pub, err := d.VM.Shard(blob.ID()).Published(0, blob.ID())
 	if err != nil || pub != 0 {
 		t.Fatalf("published = %d, %v: canceled ops burned a version", pub, err)
 	}
@@ -84,7 +85,7 @@ func TestCanceledAppendReleasesTicket(t *testing.T) {
 	id := blob.ID()
 
 	// A stuck predecessor: ticket v1 assigned, never published.
-	stuck, err := d.VM.RequestTicket(1, id, -1, 10, 0)
+	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCanceledAppendReleasesTicket(t *testing.T) {
 
 	// Resolve the stuck predecessor; the canceled append's ticket must
 	// already be tombstoned, so the frontier sweeps past both.
-	if err := d.VM.Abort(1, id, stuck.Record.Version); err != nil {
+	if err := abort1(d.VM.Shard(id), 1, id, stuck.Record.Version); err != nil {
 		t.Fatal(err)
 	}
 	frontierIntact(t, d, id)
@@ -125,6 +126,78 @@ func TestCanceledAppendReleasesTicket(t *testing.T) {
 		t.Fatalf("read after recovery: %q, %v", got, err)
 	}
 	frontierIntact(t, d, id)
+}
+
+// TestPublicationBeatsCancel forces the one order in which a canceled
+// call must still succeed: the frontier passes its versions after its
+// ctx fired and before its abort lands. The call parks in its publish
+// wait behind a stuck predecessor until its deadline; the predecessor
+// is then resolved from the version manager's own node (zero latency)
+// while the caller's AbortBatch is still paying its round trip, so the
+// abort finds every member published. A single write (N = 1) and a
+// batch (N = 3) answer alike: no error, every version readable.
+func TestPublicationBeatsCancel(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			eng := sim.NewEngine()
+			net := simnet.New(eng, simnet.Grid5000(8))
+			env := cluster.NewSim(net)
+			d, err := NewDeployment(env, Options{PageSize: 128, ProviderNodes: []cluster.NodeID{1, 2, 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const deadline = 50 * time.Millisecond // far past the write's own few round trips
+			eng.Go(func() {
+				blob, err := d.NewClient(4).CreateBlob(0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				id := blob.ID()
+				vm := d.VM.Shard(id)
+				// v1 stuck: one full page, so the call under test starts
+				// page-aligned and waits nowhere but in its publish.
+				stuck, err := ticket1(vm, vm.Node(), id, -1, 128, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ctx, cancel := cluster.WithTimeout(env, deadline)
+				defer cancel()
+				start := env.Now()
+				wg := env.NewWaitGroup()
+				wg.Go(func() {
+					env.Sleep(deadline + net.Latency(4, vm.Node())/2)
+					if err := abort1(vm, vm.Node(), id, stuck.Record.Version); err != nil {
+						t.Error(err)
+					}
+				})
+				blocks := make([]AppendBlock, n)
+				for i := range blocks {
+					blocks[i] = AppendBlock{Data: bytes.Repeat([]byte{byte('a' + i)}, 50)}
+				}
+				vs, off, err := blob.Append(blocks, WithCtx(ctx))
+				wg.Wait()
+				if ctx.Err() == nil || env.Now()-start < deadline {
+					t.Errorf("append returned at +%v with ctx.Err() = %v: the deadline never fired mid-wait", env.Now()-start, ctx.Err())
+				}
+				if err != nil || len(vs) != n {
+					t.Errorf("append = %d versions, %v; want %d and no error (publication beat the cancel)", len(vs), err, n)
+					return
+				}
+				for i, v := range vs {
+					got := make([]byte, 50)
+					if _, err := blob.ReadAt(got, off+int64(50*i), AtVersion(v)); err != nil || !bytes.Equal(got, blocks[i].Data) {
+						t.Errorf("v%d reads %q, %v", v, got, err)
+					}
+				}
+				frontierIntact(t, d, id)
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestDeadlineExpiredReadMidGather: in the simulator, a read whose
@@ -207,7 +280,7 @@ func TestAwaitPublicationFalse(t *testing.T) {
 
 	// v1 pending forever (until aborted below) — one full page, so the
 	// staged append starts page-aligned and needs no boundary merge.
-	stuck, err := d.VM.RequestTicket(1, id, -1, 128, 0)
+	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +312,12 @@ func TestAwaitPublicationFalse(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("AwaitPublication(false) write blocked on visibility")
 	}
-	if pub, _ := d.VM.Published(0, id); pub != 0 {
+	if pub, _ := d.VM.Shard(id).Published(0, id); pub != 0 {
 		t.Fatalf("frontier at %d before the predecessor resolved", pub)
 	}
 
 	// Resolve v1; the staged version becomes visible in order.
-	if err := d.VM.Abort(1, id, stuck.Record.Version); err != nil {
+	if err := abort1(d.VM.Shard(id), 1, id, stuck.Record.Version); err != nil {
 		t.Fatal(err)
 	}
 	if err := blob.AwaitPublished(v); err != nil {

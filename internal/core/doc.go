@@ -32,15 +32,16 @@
 //	b.ReadAt(buf, off)                         // latest snapshot
 //	b.ReadAt(buf, off, core.AtVersion(v))      // pinned snapshot
 //	b.ReadAt(nil, off, core.Synthetic(n))      // size-only traversal
-//	b.WriteAt(data, off)                       // new published version
+//	b.WriteAt(data, off)                       // new published version (a batch of one)
 //	b.Append(core.Blocks(p1, p2))              // batched append, one version per block
 //	b.Append(bs, core.AwaitPublication(false)) // return once staged
 //	b.Snapshot(core.AtVersion(v))              // O(1) copy-on-write branch
 //	b.History()                                // every version's WriteRecord
 //	b.Locations(off, n)                        // page→provider map (scheduler locality)
 //
-// The cross-blob surface stays on Client: AppendMany groups batches by
-// version-manager shard and drives the shards concurrently.
+// WriteAt and Append are one write path (Client.writeBlocks): a single
+// write is a batch of one block, and a batch pays the version-manager
+// round trips once.
 //
 // # Cancellation
 //

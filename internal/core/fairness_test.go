@@ -25,9 +25,7 @@ func TestGroupCommitFairAcrossTenants(t *testing.T) {
 	)
 	eng := sim.NewEngine()
 	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(4)))
-	vm := NewVersionManager(env, 0)
-	vm.SetApplyTime(apply)
-	vm.SetDrainBatch(drainBatch)
+	vm := NewVersionManagerShard(env, 0, 0, 1, Options{PublishApplyTime: apply, PublishDrainBatch: drainBatch})
 
 	hogTotal := hogChunks * hogChunk
 	var quietLat [quiets]time.Duration
@@ -83,7 +81,7 @@ func TestGroupCommitFairAcrossTenants(t *testing.T) {
 					return
 				}
 				t0 := env.Now()
-				if err := vm.Publish(cluster.Background(), 1, quietBlobs[i], ts[0].Record.Version); err != nil {
+				if err := publish1(vm, cluster.Background(), 1, quietBlobs[i], ts[0].Record.Version); err != nil {
 					t.Error(err)
 					return
 				}

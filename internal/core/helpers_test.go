@@ -29,3 +29,21 @@ func first(vs []Version, off int64, err error) (Version, int64, error) {
 	}
 	return v, off, err
 }
+
+// ticket1, publish1 and abort1 drive the version manager's batched
+// write-side RPCs with a batch of one — a single write's shape.
+func ticket1(vm *VersionManager, from cluster.NodeID, blob BlobID, off, length int64, since Version) (Ticket, error) {
+	ts, err := vm.RequestTickets(from, blob, []WriteIntent{{Off: off, Length: length}}, since)
+	if err != nil {
+		return Ticket{}, err
+	}
+	return ts[0], nil
+}
+
+func publish1(vm *VersionManager, ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
+	return vm.PublishBatch(ctx, from, blob, []Version{v})
+}
+
+func abort1(vm *VersionManager, from cluster.NodeID, blob BlobID, v Version) error {
+	return vm.AbortBatch(from, blob, []Version{v})
+}

@@ -289,18 +289,13 @@ func (pl pagePlacement) at(page int64) []cluster.NodeID {
 	return pl.sets[i]
 }
 
-// buildNodes produces every metadata node a write must publish, as DHT
-// key -> encoded value. rec is the write's own record (its Blob names
-// the key space the new nodes live in), h the history of all versions
-// < rec.Version (h may also contain rec itself; only earlier entries
-// are consulted), and placement maps each written page index to its
-// replica set.
-func buildNodes(rec WriteRecord, h history, pageSize int64, placement pagePlacement) map[string][]byte {
-	lo, hi := pageSpan(rec.Offset, rec.Length, pageSize)
-	// A span of n pages creates about 2n nodes (leaves plus intersecting
-	// inners) and up to a log-factor spine; presize so hot appends never
-	// regrow the map.
-	out := make(map[string][]byte, 2*(hi-lo)+8)
+// buildNodes adds every metadata node a write must publish to out, as
+// DHT key -> encoded value (a batch builds all its versions' trees into
+// one map). rec is the write's own record (its Blob names the key space
+// the new nodes live in), h the history of all versions < rec.Version
+// (h may also contain rec itself; only earlier entries are consulted),
+// and placement maps each written page index to its replica set.
+func buildNodes(out map[string][]byte, rec WriteRecord, h history, pageSize int64, placement pagePlacement) {
 	v := rec.Version
 	blob := rec.Blob
 	capBefore := h.capBefore(v)
@@ -335,10 +330,10 @@ func buildNodes(rec WriteRecord, h history, pageSize int64, placement pagePlacem
 	if !creates(rec, capBefore, root, pageSize) {
 		// Cannot happen for a non-empty write: the root always
 		// intersects the span or is a spine prefix.
+		lo, hi := pageSpan(rec.Offset, rec.Length, pageSize)
 		panic(fmt.Sprintf("core: root %v not created by version %d (span %d+%d)", root, v, lo, hi))
 	}
 	build(root)
-	return out
 }
 
 // PageLoc describes where one page of a snapshot lives. Blob names the

@@ -102,9 +102,7 @@ func applyWrite(store mapFetcher, blob BlobID, rec WriteRecord, h history, ps in
 	for p := lo; p < hi; p++ {
 		placement.sets[p-lo] = []cluster.NodeID{cluster.NodeID(p % 7)}
 	}
-	for k, v := range buildNodes(rec, h, ps, placement) {
-		store[k] = v
-	}
+	buildNodes(store, rec, h, ps, placement)
 }
 
 // refModel tracks, per page, which version last wrote it — the ground
@@ -346,7 +344,8 @@ func TestCreatedNodeCountIsLogarithmic(t *testing.T) {
 	h = append(h, rec)
 	placement := pagePlacement{lo: 1 << 20, sets: [][]cluster.NodeID{{0}}}
 	rec.Blob = 1
-	nodes := buildNodes(rec, h, ps, placement)
+	nodes := make(map[string][]byte)
+	buildNodes(nodes, rec, h, ps, placement)
 	if len(nodes) > 64 {
 		t.Fatalf("single-page append created %d nodes; want O(log n)", len(nodes))
 	}

@@ -1,9 +1,10 @@
 // options.go defines the functional options of the blob-handle API.
-// One write path and one read path serve every variant — synthetic
-// traffic, pinned versions, fire-and-forget publication, op-scoped
-// cancellation — selected per call instead of per method, which is what
-// keeps the Client surface small enough to stay a coherent storage
-// contract (see doc.go).
+// One write path (Client.writeBlocks) and one read path
+// (Client.readCommon) serve every variant — single writes and batched
+// appends, synthetic traffic, pinned versions, fire-and-forget
+// publication, op-scoped cancellation — selected per call instead of
+// per method, which is what keeps the Client surface small enough to
+// stay a coherent storage contract (see doc.go).
 package core
 
 import (
@@ -44,8 +45,7 @@ func resolveWriteOpts(opts []WriteOption) opSettings {
 // Snapshot, History, Latest).
 type ReadOption interface{ applyRead(*opSettings) }
 
-// WriteOption configures one write-side operation (WriteAt, Append,
-// AppendMany).
+// WriteOption configures one write-side operation (WriteAt, Append).
 type WriteOption interface{ applyWrite(*opSettings) }
 
 // bothOption applies to reads and writes alike.
@@ -84,11 +84,11 @@ func WithCtx(ctx *cluster.Ctx) interface {
 
 // WithTenant attributes the operation to an admission tenant. When the
 // deployment runs with admission enabled (Options.TenantRate), a
-// tenant-tagged data operation (ReadAt, WriteAt, Append, AppendMany)
-// is charged against the tenant's token bucket at op entry — before
-// any version ticket is taken — and rejected with an error matching
-// ErrOverloaded when the tenant is over rate, so rejected work leaves
-// no state behind. The tenant also rides write tickets into the
+// tenant-tagged data operation (ReadAt, WriteAt, Append) is charged
+// against the tenant's token bucket at op entry — before any version
+// ticket is taken — and rejected with an error matching ErrOverloaded
+// when the tenant is over rate, so rejected work leaves no state
+// behind. The tenant also rides write tickets into the
 // version manager's write records, where the group-commit drainer uses
 // it to assemble fair batches across tenants. The empty id (the
 // default) bypasses admission.

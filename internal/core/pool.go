@@ -1,12 +1,12 @@
-// pool.go pools the page-sized scratch buffers of the client data
-// path: assemblePages' per-page buffers, the batched append's extended
-// buffer, and the read gather's staging. Buffers cycle strictly within
-// one operation — taken at the start, handed to provider/store calls
-// that copy out of them (pagestore.Put copies on ingest; gather staging
-// is copied into the caller's destination), and returned before the
-// operation completes — so nothing long-lived ever aliases a pooled
-// buffer. Options.UnpooledBuffers disables reuse (fresh allocations,
-// returns dropped) as the A8 ablation baseline.
+// pool.go pools the scratch buffers of the client data path: the write
+// path's extended assembly buffer and the read gather's page staging.
+// Buffers cycle strictly within one operation — taken at the start,
+// handed to provider/store calls that copy out of them (pagestore.Put
+// copies on ingest; gather staging is copied into the caller's
+// destination), and returned before the operation completes — so
+// nothing long-lived ever aliases a pooled buffer.
+// Options.UnpooledBuffers disables reuse (fresh allocations, returns
+// dropped) as the A8 ablation baseline.
 package core
 
 import "sync"
@@ -21,8 +21,8 @@ type pageBuf struct {
 var bufPool = sync.Pool{New: func() any { return new(pageBuf) }}
 
 // getBuf returns a zeroed buffer of length n. Zeroing is part of the
-// contract: page assembly and the extended append buffer rely on
-// untouched bytes reading as zeros (holes).
+// contract: the write path's extended buffer relies on untouched
+// bytes reading as zeros (holes).
 func (c *Client) getBuf(n int64) *pageBuf {
 	if c.d.Opts.UnpooledBuffers {
 		return &pageBuf{b: make([]byte, n)}
@@ -43,12 +43,6 @@ func (c *Client) putBuf(pb *pageBuf) {
 		return
 	}
 	bufPool.Put(pb)
-}
-
-func (c *Client) putBufs(pbs []*pageBuf) {
-	for _, pb := range pbs {
-		c.putBuf(pb)
-	}
 }
 
 // bufArena hands out pooled buffers to concurrent borrowers (the

@@ -57,11 +57,8 @@ type ProviderConfig struct {
 	MemCapacity int64
 	// Store selects the persistent backend tier beneath the RAM cache
 	// ("disk:/var/bsfs", "mem:", "null:" — see internal/store). Empty
-	// (and no Dir) means a pure RAM store.
+	// means a pure RAM store.
 	Store string
-	// Dir is the historical alias for Store = "disk:"+Dir. Ignored when
-	// Store is set.
-	Dir string
 	// FlushBatch caps bytes persisted per flush round (default 64 MB).
 	FlushBatch int64
 	// DirtyCap is the RAM write buffer: while unflushed bytes exceed
@@ -72,7 +69,7 @@ type ProviderConfig struct {
 
 // NewProvider creates a provider on node and starts its flush daemon.
 func NewProvider(env cluster.Env, node cluster.NodeID, cfg ProviderConfig) (*Provider, error) {
-	st, err := pagestore.Open(pagestore.Config{MemCapacity: cfg.MemCapacity, Spec: cfg.Store, Dir: cfg.Dir})
+	st, err := pagestore.Open(pagestore.Config{MemCapacity: cfg.MemCapacity, Spec: cfg.Store})
 	if err != nil {
 		return nil, err
 	}

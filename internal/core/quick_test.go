@@ -138,11 +138,13 @@ func TestQuickHistoryDeltaMatchesNaive(t *testing.T) {
 
 // TestQuickWriteReadMatchesByteModel drives random write sequences —
 // arbitrary offsets and lengths, zero-length rejects, page-boundary
-// straddles, sparse holes, appends and batched appends — through a
-// real deployment and compares every snapshot against a naive byte
-// array. This is the end-to-end property check for mergeFragment and
-// assemblePages: every boundary merge must reproduce exactly the bytes
-// the model says were there.
+// straddles, sparse holes, writes inside the blob whose head and tail
+// are both unaligned, appends and batched appends — through a real
+// deployment and compares every snapshot, including each version a
+// batch returns, against a naive byte array. This is the end-to-end
+// property check for mergeFragment and writeBlocks' page assembly:
+// every boundary merge must reproduce exactly the bytes the model says
+// were there.
 func TestQuickWriteReadMatchesByteModel(t *testing.T) {
 	const ps = int64(32)
 	for trial := 0; trial < 12; trial++ {
@@ -174,7 +176,7 @@ func TestQuickWriteReadMatchesByteModel(t *testing.T) {
 			return b
 		}
 		for op := 0; op < 14; op++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0: // write at a random (page-straddling, maybe sparse) offset
 				off := rng.Int63n(int64(len(model)) + 3*ps + 1)
 				data := fill(1 + rng.Int63n(4*ps))
@@ -197,12 +199,44 @@ func TestQuickWriteReadMatchesByteModel(t *testing.T) {
 				for i := range blocks {
 					blocks[i] = AppendBlock{Data: fill(1 + rng.Int63n(2*ps))}
 				}
-				if _, _, err := blob.Append(blocks); err != nil {
-					t.Fatalf("trial %d op %d: batch: %v", trial, op, err)
+				vs, _, err := blob.Append(blocks)
+				if err != nil || len(vs) != len(blocks) {
+					t.Fatalf("trial %d op %d: batch: %d versions, %v", trial, op, len(vs), err)
 				}
-				for _, b := range blocks {
+				// Each returned version is the snapshot after its block.
+				for i, b := range blocks {
 					apply(int64(len(model)), b.Data)
+					buf := make([]byte, len(model)+1)
+					n, err := blob.ReadAt(buf, 0, AtVersion(vs[i]))
+					if err != nil || n != int64(len(model)) || !bytes.Equal(buf[:n], model) {
+						t.Fatalf("trial %d op %d: batch member %d (v%d) diverges from byte model (read %d of %d, %v)", trial, op, i, vs[i], n, len(model), err)
+					}
 				}
+			case 3: // write inside the blob, head and tail both unaligned
+				span := int64(0) // head and tail share one page...
+				if rng.Intn(2) == 0 {
+					span = 2 + rng.Int63n(2) // ...or lie span pages apart: >= 3 pages touched
+				}
+				pages := int64(len(model)) / ps // whole pages the blob holds
+				if pages < span+1 {
+					data := fill((span + 1) * ps) // too small yet: grow instead
+					if _, _, err := blob.Append(Blocks(data)); err != nil {
+						t.Fatalf("trial %d op %d: growing append: %v", trial, op, err)
+					}
+					apply(int64(len(model)), data)
+					break
+				}
+				head := 1 + rng.Int63n(ps-2)
+				off := rng.Int63n(pages-span)*ps + head
+				length := 1 + rng.Int63n(ps-1-head) // ends before the page does
+				if span > 0 {
+					length = (ps - head) + (span-1)*ps + 1 + rng.Int63n(ps-1) // ends inside page +span
+				}
+				data := fill(length)
+				if _, err := blob.WriteAt(data, off); err != nil {
+					t.Fatalf("trial %d op %d: inner write: %v", trial, op, err)
+				}
+				apply(off, data)
 			}
 			buf := make([]byte, len(model))
 			n, err := blob.ReadAt(buf, 0)

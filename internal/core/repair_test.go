@@ -158,15 +158,15 @@ func TestRepairClampsToSurvivingFleet(t *testing.T) {
 	}
 }
 
-// TestRepairSweepBackground: with RepairInterval set, the background
+// TestRepairSweepBackground: with PlacementInterval set, the background
 // sweep restores replication without anyone calling RepairBlob.
 func TestRepairSweepBackground(t *testing.T) {
 	env := cluster.NewLocal(10, 5)
 	d, err := NewDeployment(env, Options{
-		PageSize:       64,
-		Replication:    2,
-		ProviderNodes:  []cluster.NodeID{1, 2, 3, 4},
-		RepairInterval: 5 * time.Millisecond,
+		PageSize:          64,
+		Replication:       2,
+		ProviderNodes:     []cluster.NodeID{1, 2, 3, 4},
+		PlacementInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,14 +18,16 @@ package core
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 )
 
 // VersionRouter fronts the version-manager shards of a deployment. It
-// carries no per-blob state of its own — routing is computed from the
-// blob id — so it is safe for concurrent use and adds no round trips.
+// only routes: per-blob operations are the owning shard's methods,
+// reached through Shard(blob), and the router itself carries just the
+// tier-wide surface (blob creation, the merged blob list). Routing is
+// computed from the blob id with no per-blob state, so the router is
+// safe for concurrent use and adds no round trips.
 type VersionRouter struct {
 	shards []*VersionManager
 
@@ -36,14 +38,16 @@ type VersionRouter struct {
 }
 
 // NewVersionRouter builds the version-manager tier: one shard per
-// entry of nodes, hosted on that node.
-func NewVersionRouter(env cluster.Env, nodes []cluster.NodeID) *VersionRouter {
+// entry of opts.VMNodes, hosted on that node and configured from opts
+// (see NewVersionManagerShard).
+func NewVersionRouter(env cluster.Env, opts Options) *VersionRouter {
+	nodes := opts.VMNodes
 	if len(nodes) == 0 {
 		panic("core: version-manager tier needs at least one node")
 	}
 	r := &VersionRouter{shards: make([]*VersionManager, len(nodes))}
 	for i, n := range nodes {
-		r.shards[i] = NewVersionManagerShard(env, n, i, len(nodes))
+		r.shards[i] = NewVersionManagerShard(env, n, i, len(nodes), opts)
 	}
 	return r
 }
@@ -74,38 +78,6 @@ func (r *VersionRouter) Shard(blob BlobID) *VersionManager {
 	return r.shards[r.ShardIndex(blob)]
 }
 
-// SetSerialPublish forwards the A6 ablation knob to every shard. Call
-// before concurrent use.
-func (r *VersionRouter) SetSerialPublish(serial bool) {
-	for _, s := range r.shards {
-		s.SetSerialPublish(serial)
-	}
-}
-
-// SetServiceTime forwards the modeled per-RPC processing occupancy to
-// every shard. Call before concurrent use.
-func (r *VersionRouter) SetServiceTime(d time.Duration) {
-	for _, s := range r.shards {
-		s.SetServiceTime(d)
-	}
-}
-
-// SetApplyTime forwards the modeled group-commit apply occupancy to
-// every shard. Call before concurrent use.
-func (r *VersionRouter) SetApplyTime(d time.Duration) {
-	for _, s := range r.shards {
-		s.SetApplyTime(d)
-	}
-}
-
-// SetDrainBatch forwards the drainer's per-pass budget to every
-// shard. Call before concurrent use.
-func (r *VersionRouter) SetDrainBatch(n int) {
-	for _, s := range r.shards {
-		s.SetDrainBatch(n)
-	}
-}
-
 // CreateBlob registers a new blob on the next shard of the round-robin
 // rotation and returns its id (which encodes the shard).
 func (r *VersionRouter) CreateBlob(from cluster.NodeID, pageSize int64) (BlobID, error) {
@@ -126,91 +98,4 @@ func (r *VersionRouter) Blobs(from cluster.NodeID) []BlobID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// The remaining operations address one blob and forward to its owning
-// shard; they are the version-manager API surface clients consume.
-
-// PageSize returns the blob's page size.
-func (r *VersionRouter) PageSize(from cluster.NodeID, blob BlobID) (int64, error) {
-	return r.Shard(blob).PageSize(from, blob)
-}
-
-// RequestTicket assigns the next version of a blob (see
-// VersionManager.RequestTicket).
-func (r *VersionRouter) RequestTicket(from cluster.NodeID, blob BlobID, off, length int64, sinceVersion Version) (Ticket, error) {
-	return r.Shard(blob).RequestTicket(from, blob, off, length, sinceVersion)
-}
-
-// RequestTickets assigns consecutive versions to a batch of writes in
-// one round trip to the owning shard.
-func (r *VersionRouter) RequestTickets(from cluster.NodeID, blob BlobID, intents []WriteIntent, sinceVersion Version) ([]Ticket, error) {
-	return r.Shard(blob).RequestTickets(from, blob, intents, sinceVersion)
-}
-
-// Publish declares a version fully written and blocks until visible
-// (or ctx is canceled).
-func (r *VersionRouter) Publish(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
-	return r.Shard(blob).Publish(ctx, from, blob, v)
-}
-
-// PublishBatch publishes several versions of one blob in one round
-// trip to the owning shard.
-func (r *VersionRouter) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, vs []Version) error {
-	return r.Shard(blob).PublishBatch(ctx, from, blob, vs)
-}
-
-// PublishBatchAsync marks versions ready without awaiting visibility.
-func (r *VersionRouter) PublishBatchAsync(from cluster.NodeID, blob BlobID, vs []Version) error {
-	return r.Shard(blob).PublishBatchAsync(from, blob, vs)
-}
-
-// Abort tombstones a pending version.
-func (r *VersionRouter) Abort(from cluster.NodeID, blob BlobID, v Version) error {
-	return r.Shard(blob).Abort(from, blob, v)
-}
-
-// AbortBatch tombstones every still-pending member of a version batch
-// in one round trip to the owning shard (see VersionManager.AbortBatch
-// for the prefix guarantee).
-func (r *VersionRouter) AbortBatch(from cluster.NodeID, blob BlobID, vs []Version) error {
-	return r.Shard(blob).AbortBatch(from, blob, vs)
-}
-
-// AwaitPublished blocks until the blob's publication frontier reaches
-// v (or ctx is canceled).
-func (r *VersionRouter) AwaitPublished(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
-	return r.Shard(blob).AwaitPublished(ctx, from, blob, v)
-}
-
-// Latest returns the newest published, non-aborted version and its size.
-func (r *VersionRouter) Latest(from cluster.NodeID, blob BlobID) (Version, int64, error) {
-	return r.Shard(blob).Latest(from, blob)
-}
-
-// LatestRecord returns the newest published, non-aborted version's record.
-func (r *VersionRouter) LatestRecord(from cluster.NodeID, blob BlobID) (WriteRecord, bool, error) {
-	return r.Shard(blob).LatestRecord(from, blob)
-}
-
-// Clone branches a new blob off a published snapshot of the source;
-// the clone's id is allocated on the source's shard.
-func (r *VersionRouter) Clone(from cluster.NodeID, source BlobID, v Version) (BlobID, error) {
-	return r.Shard(source).Clone(from, source, v)
-}
-
-// GetVersion returns the record of a published version.
-func (r *VersionRouter) GetVersion(from cluster.NodeID, blob BlobID, v Version) (WriteRecord, error) {
-	return r.Shard(blob).GetVersion(from, blob, v)
-}
-
-// Records returns the write records of every version up to the blob's
-// publication frontier.
-func (r *VersionRouter) Records(from cluster.NodeID, blob BlobID) ([]WriteRecord, error) {
-	return r.Shard(blob).Records(from, blob)
-}
-
-// Published returns the blob's highest published version.
-func (r *VersionRouter) Published(from cluster.NodeID, blob BlobID) (Version, error) {
-	return r.Shard(blob).Published(from, blob)
 }

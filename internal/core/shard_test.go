@@ -9,6 +9,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +36,33 @@ func localShardedDeployment(t *testing.T, shards int) *Deployment {
 	}
 	t.Cleanup(func() { d.Close() })
 	return d
+}
+
+// TestRouterOnlyRoutes pins the router's exported surface: the tier-wide
+// operations and the routing function, nothing per-blob (callers reach
+// those through Shard(blob)), and no post-construction Set* knob on the
+// router or the shards — so the mirror of the VersionManager API cannot
+// grow back.
+func TestRouterOnlyRoutes(t *testing.T) {
+	methods := func(v any) []string {
+		typ := reflect.TypeOf(v)
+		out := make([]string, typ.NumMethod())
+		for i := range out {
+			out[i] = typ.Method(i).Name
+		}
+		return out // reflect lists exported methods sorted by name
+	}
+	want := []string{"Blobs", "CreateBlob", "Nodes", "NumShards", "Shard", "ShardIndex", "Shards"}
+	if got := methods(&VersionRouter{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("VersionRouter exports %v, want exactly %v", got, want)
+	}
+	for _, v := range []any{&VersionRouter{}, &VersionManager{}} {
+		for _, m := range methods(v) {
+			if strings.HasPrefix(m, "Set") {
+				t.Errorf("%T has setter %s: model values arrive at construction", v, m)
+			}
+		}
+	}
 }
 
 // TestSingleShardRoutingIdentity: a one-shard tier is the paper's
@@ -214,7 +243,7 @@ func TestBlobsMergedAcrossShards(t *testing.T) {
 // allocation the range would skip every foreign id and, worse, any id
 // past a gap.
 func TestVersionManagerBlobsSparseIDs(t *testing.T) {
-	vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 2, 5)
+	vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 2, 5, Options{})
 	var want []BlobID
 	for i := 0; i < 4; i++ {
 		id, err := vm.CreateBlob(1, 128)
@@ -237,8 +266,7 @@ func TestServiceTimeQueuesRequests(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(4))
 	env := cluster.NewSim(net)
-	vm := NewVersionManager(env, 0)
-	vm.SetServiceTime(svc)
+	vm := NewVersionManagerShard(env, 0, 0, 1, Options{VMServiceTime: svc})
 	var elapsed time.Duration
 	eng.Go(func() {
 		id, err := vm.CreateBlob(1, 128)

@@ -11,14 +11,16 @@
 // A one-shard manager allocates the dense sequence 1, 2, 3, ... and
 // behaves exactly like the paper's centralized one.
 //
-// Publication runs through a group-commit pipeline: Publish and Abort
-// calls are enqueued and a single drainer applies whole batches under
-// one lock acquisition, advancing each touched blob's published
-// frontier once per batch and waking publishers and AwaitPublished
-// waiters in one sweep. The batched RPCs (RequestTickets,
-// PublishBatch) let clients amortize the manager round trip across
-// many in-flight writes; SerialPublish restores the one-call-one-pass
-// behavior for the A6 ablation.
+// The write-side RPCs are batched — RequestTickets, PublishBatch,
+// PublishBatchAsync, AbortBatch — and a single write is a batch of one:
+// there is no per-version variant. Publication runs through a
+// group-commit pipeline: publish and abort calls are enqueued and a
+// single drainer applies whole batches under one lock acquisition,
+// advancing each touched blob's published frontier once per batch and
+// waking publishers and AwaitPublished waiters in one sweep, so clients
+// amortize the manager round trip across many in-flight writes.
+// Options.SerialPublish restores the one-member-one-pass behavior for
+// the A6 ablation.
 package core
 
 import (
@@ -37,9 +39,10 @@ var (
 	ErrNoSuchVersion = errors.New("core: no such version")
 	ErrAborted       = errors.New("core: version aborted")
 	ErrBadWrite      = errors.New("core: invalid write request")
-	// ErrAlreadyPublished is returned by Abort when the target version
-	// has already been published: a visible snapshot can never be
-	// retracted.
+	// ErrAlreadyPublished is the per-member outcome of aborting a
+	// version that has already been published: a visible snapshot can
+	// never be retracted. AbortBatch tolerates it — the member is simply
+	// left published — so the call itself does not fail with it.
 	ErrAlreadyPublished = errors.New("core: version already published")
 )
 
@@ -91,9 +94,10 @@ type VersionManager struct {
 	nextID BlobID
 	blobs  map[BlobID]*blobState
 
-	// Group-commit state: Publish/Abort requests queue here and a
+	// Group-commit state: publish/abort requests queue here and a
 	// single drainer daemon applies them batch-wise. serial disables
-	// the queue (ablation A6) and restores per-call processing.
+	// the queue (ablation A6, Options.SerialPublish) and restores
+	// per-member processing.
 	//
 	// The queue is fair across tenants: each enqueue call's requests
 	// form one atomic group filed under the tenant that ticketed them
@@ -113,7 +117,8 @@ type VersionManager struct {
 	// request of virtual time before applying. drainBatch caps how
 	// many requests one pass assembles (0 = drain everything queued) —
 	// the knob that makes drains incremental and tenant fairness
-	// measurable. Both are set before concurrent use, like svcTime.
+	// measurable. Like svcTime and serial, both are fixed at
+	// construction from the deployment's Options.
 	applyTime  time.Duration
 	drainBatch int
 }
@@ -122,7 +127,7 @@ type VersionManager struct {
 // pass, always.
 type pubGroup []*pubReq
 
-// pubReq is one Publish or Abort routed through the group-commit
+// pubReq is one publish or abort routed through the group-commit
 // queue. The drainer fills err/wait/p and fires done; the enqueuer
 // then waits on wait (publishes only) for visibility.
 type pubReq struct {
@@ -151,7 +156,7 @@ type pubWaiter struct {
 }
 
 type pendingWrite struct {
-	ready   bool // Publish received, waiting for predecessors
+	ready   bool // publish received, waiting for predecessors
 	aborted bool
 	done    cluster.Signal // fired when published or aborted
 }
@@ -160,15 +165,18 @@ type pendingWrite struct {
 // manager hosted on node: shard 0 of stride 1, allocating the dense id
 // sequence 1, 2, 3, ... exactly as the paper's centralized manager.
 func NewVersionManager(env cluster.Env, node cluster.NodeID) *VersionManager {
-	return NewVersionManagerShard(env, node, 0, 1)
+	return NewVersionManagerShard(env, node, 0, 1, Options{})
 }
 
 // NewVersionManagerShard creates shard `shard` of a `stride`-shard
 // version-manager tier, hosted on node. The shard allocates blob ids
 // congruent to shard modulo stride (starting at the smallest such id
 // >= 1), so the owning shard of any blob is the pure function
-// id mod stride — no lookup table, no routing RPC.
-func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int) *VersionManager {
+// id mod stride — no lookup table, no routing RPC. opts supplies the
+// ablation arm and the sim occupancy models (SerialPublish,
+// VMServiceTime, PublishApplyTime, PublishDrainBatch), fixed for the
+// manager's lifetime.
+func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int, opts Options) *VersionManager {
 	if stride < 1 || shard < 0 || shard >= stride {
 		panic(fmt.Sprintf("core: invalid version-manager shard %d of %d", shard, stride))
 	}
@@ -177,13 +185,17 @@ func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride 
 		first = BlobID(stride) // ids start at 1; shard 0's first id is the stride itself
 	}
 	return &VersionManager{
-		env:    env,
-		node:   node,
-		shard:  shard,
-		stride: BlobID(stride),
-		nextID: first,
-		blobs:  make(map[BlobID]*blobState),
-		queue:  make(map[string][]pubGroup),
+		env:        env,
+		node:       node,
+		shard:      shard,
+		stride:     BlobID(stride),
+		svcTime:    opts.VMServiceTime,
+		nextID:     first,
+		blobs:      make(map[BlobID]*blobState),
+		serial:     opts.SerialPublish,
+		queue:      make(map[string][]pubGroup),
+		applyTime:  opts.PublishApplyTime,
+		drainBatch: opts.PublishDrainBatch,
 	}
 }
 
@@ -192,10 +204,6 @@ func (vm *VersionManager) Node() cluster.NodeID { return vm.node }
 
 // ShardIndex returns this manager's shard index within its tier.
 func (vm *VersionManager) ShardIndex() int { return vm.shard }
-
-// SetServiceTime sets the modeled per-RPC processing occupancy (see
-// the svcTime field). Call before concurrent use; 0 disables.
-func (vm *VersionManager) SetServiceTime(d time.Duration) { vm.svcTime = d }
 
 // serve charges the modeled request-processing occupancy: the caller
 // queues behind every earlier request's slot and holds the processor
@@ -217,22 +225,6 @@ func (vm *VersionManager) serve() {
 	vm.svcMu.Unlock()
 	vm.env.Sleep(end - now)
 }
-
-// SetSerialPublish disables (true) or enables (false) the group-commit
-// publish pipeline. Serial mode processes every Publish/Abort in its
-// own lock acquisition and frontier pass — the A6 ablation baseline.
-// Call before concurrent use.
-func (vm *VersionManager) SetSerialPublish(serial bool) { vm.serial = serial }
-
-// SetApplyTime sets the modeled per-request apply occupancy of the
-// group-commit drainer (see the applyTime field). Call before
-// concurrent use; 0 disables.
-func (vm *VersionManager) SetApplyTime(d time.Duration) { vm.applyTime = d }
-
-// SetDrainBatch caps how many queued requests one drainer pass
-// assembles (see the drainBatch field). Call before concurrent use;
-// 0 restores unbounded passes.
-func (vm *VersionManager) SetDrainBatch(n int) { vm.drainBatch = n }
 
 // CreateBlob registers a new blob with the given page size and returns
 // its id — the next id of this shard's stride sequence, so the id
@@ -265,26 +257,15 @@ func (vm *VersionManager) PageSize(from cluster.NodeID, blob BlobID) (int64, err
 	return b.pageSize, nil
 }
 
-// RequestTicket assigns the next version to a write of length bytes at
-// offset off (off < 0 requests an append at the current end). The
-// returned history contains every record with version in
-// (sinceVersion, assigned version), letting writers cache earlier
-// prefixes.
-func (vm *VersionManager) RequestTicket(from cluster.NodeID, blob BlobID, off, length int64, sinceVersion Version) (Ticket, error) {
-	ts, err := vm.RequestTickets(from, blob, []WriteIntent{{Off: off, Length: length}}, sinceVersion)
-	if err != nil {
-		return Ticket{}, err
-	}
-	return ts[0], nil
-}
-
 // RequestTickets assigns consecutive versions to a batch of writes in
-// one round trip. The versions are guaranteed contiguous — no other
+// one round trip (an intent with Off < 0 requests an append at the
+// current end). The versions are guaranteed contiguous — no other
 // writer's ticket interleaves — so batched appends land back-to-back.
 // Each returned ticket carries the history delta (sinceVersion,
-// assigned version), which for ticket i includes the records of
-// tickets 0..i-1 of the same batch. A bad intent fails the whole batch
-// before any version is assigned.
+// assigned version), letting writers cache earlier prefixes; for
+// ticket i it includes the records of tickets 0..i-1 of the same
+// batch. A bad intent fails the whole batch before any version is
+// assigned.
 func (vm *VersionManager) RequestTickets(from cluster.NodeID, blob BlobID, intents []WriteIntent, sinceVersion Version) ([]Ticket, error) {
 	if len(intents) == 0 {
 		return nil, nil
@@ -369,26 +350,6 @@ func (b *blobState) historyDelta(since, v Version) []WriteRecord {
 	return out
 }
 
-// Publish declares version v's data and metadata fully written. It
-// blocks until v actually becomes visible, which happens once every
-// earlier version has been published or aborted — the version
-// manager's total-order guarantee. In group-commit mode (the default)
-// the call is enqueued and applied by the batch drainer. Cancellation
-// of ctx cuts the visibility wait short with an error matching
-// cluster.ErrCanceled; the version stays ready and will still publish
-// in ticket order unless the caller aborts it — the frontier never
-// depends on the canceled waiter.
-func (vm *VersionManager) Publish(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	if vm.serial {
-		return vm.publishSerial(ctx, blob, v)
-	}
-	req := &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
-	vm.enqueue([]*pubReq{req})
-	return vm.awaitPublishReq(ctx, req)
-}
-
 // PublishBatchAsync marks versions of one blob ready for publication
 // without waiting for visibility — the AwaitPublication(false) path.
 // It returns once the drainer has applied the whole batch (or, in
@@ -424,13 +385,18 @@ func (vm *VersionManager) PublishBatchAsync(from cluster.NodeID, blob BlobID, vs
 	return first
 }
 
-// PublishBatch publishes several versions of one blob in a single
-// round trip: the whole batch enters the group-commit queue together,
-// so the drainer marks every version ready and advances the frontier
-// in one pass. It blocks until every version in the batch is visible
-// (or resolved as aborted) and returns the first error. Cancellation
-// of ctx cuts the visibility waits short (see Publish); every member
-// is still applied before the call returns.
+// PublishBatch declares the data and metadata of several versions of
+// one blob fully written, in a single round trip: the whole batch
+// enters the group-commit queue together, so the drainer marks every
+// version ready and advances the frontier in one pass. It blocks until
+// every version in the batch is visible — which happens once every
+// earlier version has been published or aborted, the version manager's
+// total-order guarantee — or resolved as aborted, and returns the first
+// error. Cancellation of ctx cuts the visibility waits short with an
+// error matching cluster.ErrCanceled; every member is still applied
+// before the call returns, stays ready, and will publish in ticket
+// order unless the caller aborts it — the frontier never depends on
+// the canceled waiter.
 func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
@@ -485,19 +451,6 @@ func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, bl
 		}
 	}
 	return first
-}
-
-// publishSerial is the ablation (SerialPublish) path: one lock
-// acquisition and one frontier pass per call.
-func (vm *VersionManager) publishSerial(ctx *cluster.Ctx, blob BlobID, v Version) error {
-	wait, p, err := vm.publishSerialStart(blob, v)
-	if err != nil || wait == nil {
-		return err
-	}
-	if err := ctx.Wait(wait); err != nil {
-		return err
-	}
-	return vm.checkPublished(blob, v, p)
 }
 
 // publishSerialStart marks v ready under its own lock acquisition and
@@ -566,37 +519,12 @@ func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Versio
 	return p.done, p, nil
 }
 
-// Abort tombstones a pending version (writer failure). Its span remains
+// applyAbortLocked tombstones v if it is still pending. Its span remains
 // in the history — later concurrent writers may already have borrowed
 // node keys referencing it — but it is skipped in the publication order
 // and never becomes the visible snapshot. Aborting an already aborted
-// version is a no-op; an unknown version returns ErrNoSuchVersion and a
-// published one ErrAlreadyPublished (a visible snapshot cannot be
-// retracted). In group-commit mode the call rides the same queue as
-// Publish.
-func (vm *VersionManager) Abort(from cluster.NodeID, blob BlobID, v Version) error {
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	if vm.serial {
-		vm.mu.Lock()
-		defer vm.mu.Unlock()
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-		}
-		err := vm.applyAbortLocked(b, blob, v)
-		if err == nil {
-			vm.advanceLocked(b)
-		}
-		return err
-	}
-	req := &pubReq{blob: blob, v: v, abort: true, done: vm.env.NewSignal()}
-	vm.enqueue([]*pubReq{req})
-	req.done.Wait()
-	return req.err
-}
-
-// applyAbortLocked tombstones v if it is still pending.
+// version is a no-op; an unknown version is ErrNoSuchVersion and a
+// published one ErrAlreadyPublished.
 func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version) error {
 	p, ok := b.pending[v]
 	if !ok {
@@ -636,7 +564,8 @@ func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version)
 }
 
 // AbortBatch tombstones every still-pending member of one blob's
-// version batch in a single round trip. All members are resolved under
+// version batch (writer failure) in a single round trip, riding the
+// same group-commit queue as publishes. All members are resolved under
 // one lock acquisition (the serial path locks once; the group-commit
 // path enters the drainer queue together, and the drainer applies a
 // whole batch under one lock hold), which yields the guarantee the

@@ -35,11 +35,11 @@ func TestCreateBlobAndPageSize(t *testing.T) {
 func TestTicketAssignsOrderedVersions(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	t1, err := vm.RequestTicket(0, id, 0, 100, 0)
+	t1, err := ticket1(vm, 0, id, 0, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, _ := vm.RequestTicket(0, id, -1, 50, 0)
+	t2, _ := ticket1(vm, 0, id, -1, 50, 0)
 	if t1.Record.Version != 1 || t2.Record.Version != 2 {
 		t.Fatalf("versions = %d, %d", t1.Record.Version, t2.Record.Version)
 	}
@@ -55,7 +55,7 @@ func TestTicketAssignsOrderedVersions(t *testing.T) {
 		t.Fatalf("history = %+v", t2.History)
 	}
 	// sinceVersion skips known records.
-	t3, _ := vm.RequestTicket(0, id, -1, 10, 2)
+	t3, _ := ticket1(vm, 0, id, -1, 10, 2)
 	if len(t3.History) != 0 {
 		t.Fatalf("history with since=2: %+v", t3.History)
 	}
@@ -64,7 +64,7 @@ func TestTicketAssignsOrderedVersions(t *testing.T) {
 func TestTicketRejectsBadLength(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	if _, err := vm.RequestTicket(0, id, 0, 0, 0); !errors.Is(err, ErrBadWrite) {
+	if _, err := ticket1(vm, 0, id, 0, 0, 0); !errors.Is(err, ErrBadWrite) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -81,20 +81,20 @@ func TestPublishInOrder(t *testing.T) {
 	var v2Visible, v1Published time.Duration
 	eng.Go(func() {
 		id, _ = vm.CreateBlob(1, 100)
-		vm.RequestTicket(1, id, 0, 100, 0)  // v1
-		vm.RequestTicket(1, id, -1, 100, 0) // v2
+		ticket1(vm, 1, id, 0, 100, 0)  // v1
+		ticket1(vm, 1, id, -1, 100, 0) // v2
 
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
 			// v2 publishes first but must wait for v1.
-			if err := vm.Publish(bg, 1, id, 2); err != nil {
+			if err := publish1(vm, bg, 1, id, 2); err != nil {
 				t.Error(err)
 			}
 			v2Visible = env.Now()
 		})
 		wg.Go(func() {
 			env.Sleep(time.Second)
-			if err := vm.Publish(bg, 2, id, 1); err != nil {
+			if err := publish1(vm, bg, 2, id, 1); err != nil {
 				t.Error(err)
 			}
 			v1Published = env.Now()
@@ -121,18 +121,18 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
 		id, _ := vm.CreateBlob(1, 100)
-		vm.RequestTicket(1, id, 0, 100, 0)  // v1 (will abort)
-		vm.RequestTicket(1, id, -1, 100, 0) // v2
+		ticket1(vm, 1, id, 0, 100, 0)  // v1 (will abort)
+		ticket1(vm, 1, id, -1, 100, 0) // v2
 
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
-			if err := vm.Publish(bg, 1, id, 2); err != nil {
+			if err := publish1(vm, bg, 1, id, 2); err != nil {
 				t.Error(err)
 			}
 		})
 		wg.Go(func() {
 			env.Sleep(time.Second)
-			if err := vm.Abort(1, id, 1); err != nil {
+			if err := abort1(vm, 1, id, 1); err != nil {
 				t.Error(err)
 			}
 		})
@@ -146,7 +146,7 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 			t.Errorf("GetVersion(aborted) = %v", err)
 		}
 		// Publishing an aborted version reports the abort.
-		if err := vm.Publish(bg, 1, id, 1); !errors.Is(err, ErrAborted) {
+		if err := publish1(vm, bg, 1, id, 1); !errors.Is(err, ErrAborted) {
 			t.Errorf("Publish(aborted) = %v", err)
 		}
 	})
@@ -158,12 +158,12 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 func TestLatestSkipsTrailingAborted(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	vm.RequestTicket(0, id, 0, 100, 0)
-	vm.RequestTicket(0, id, -1, 100, 0)
-	if err := vm.Publish(bg, 0, id, 1); err != nil {
+	ticket1(vm, 0, id, 0, 100, 0)
+	ticket1(vm, 0, id, -1, 100, 0)
+	if err := publish1(vm, bg, 0, id, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.Abort(0, id, 2); err != nil {
+	if err := abort1(vm, 0, id, 2); err != nil {
 		t.Fatal(err)
 	}
 	v, size, err := vm.Latest(0, id)
@@ -178,26 +178,27 @@ func TestGetVersionBounds(t *testing.T) {
 	if _, err := vm.GetVersion(0, id, 0); !errors.Is(err, ErrNoSuchVersion) {
 		t.Fatalf("v0: %v", err)
 	}
-	vm.RequestTicket(0, id, 0, 100, 0)
+	ticket1(vm, 0, id, 0, 100, 0)
 	// Unpublished version is not readable.
 	if _, err := vm.GetVersion(0, id, 1); !errors.Is(err, ErrNoSuchVersion) {
 		t.Fatalf("unpublished: %v", err)
 	}
-	vm.Publish(bg, 0, id, 1)
+	publish1(vm, bg, 0, id, 1)
 	rec, err := vm.GetVersion(0, id, 1)
 	if err != nil || rec.SizeAfter != 100 {
 		t.Fatalf("published: %+v, %v", rec, err)
 	}
 	// Double publish is idempotent.
-	if err := vm.Publish(bg, 0, id, 1); err != nil {
+	if err := publish1(vm, bg, 0, id, 1); err != nil {
 		t.Fatalf("re-publish: %v", err)
 	}
 }
 
-// TestAbortTypedErrors: Abort's full outcome table. Unknown versions
-// are ErrNoSuchVersion, published ones ErrAlreadyPublished (a visible
-// snapshot cannot be retracted), pending ones abort (idempotently),
-// and unknown blobs are ErrNoSuchBlob — never a silent success or a
+// TestAbortTypedErrors: the full outcome table of AbortBatch of one.
+// Unknown versions are ErrNoSuchVersion, published ones are left alone
+// (a visible snapshot cannot be retracted, and the batch abort
+// tolerates that: nil, version still readable), pending ones abort
+// (idempotently), and unknown blobs are ErrNoSuchBlob — never a
 // misleading "no such version" for a version that plainly exists.
 func TestAbortTypedErrors(t *testing.T) {
 	setup := func(t *testing.T) (*VersionManager, BlobID) {
@@ -209,14 +210,14 @@ func TestAbortTypedErrors(t *testing.T) {
 		}
 		// v1: published. v2: pending. v3: aborted.
 		for i := 0; i < 3; i++ {
-			if _, err := vm.RequestTicket(0, id, -1, 50, 0); err != nil {
+			if _, err := ticket1(vm, 0, id, -1, 50, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := vm.Publish(bg, 0, id, 1); err != nil {
+		if err := publish1(vm, bg, 0, id, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := vm.Abort(0, id, 3); err != nil {
+		if err := abort1(vm, 0, id, 3); err != nil {
 			t.Fatal(err)
 		}
 		return vm, id
@@ -230,7 +231,7 @@ func TestAbortTypedErrors(t *testing.T) {
 		{name: "unknown blob", blob: 999, v: 1, want: ErrNoSuchBlob},
 		{name: "version zero", v: 0, want: ErrNoSuchVersion},
 		{name: "never assigned", v: 99, want: ErrNoSuchVersion},
-		{name: "already published", v: 1, want: ErrAlreadyPublished},
+		{name: "already published", v: 1, want: nil},
 		{name: "pending", v: 2, want: nil},
 		{name: "already aborted", v: 3, want: nil},
 	} {
@@ -239,10 +240,13 @@ func TestAbortTypedErrors(t *testing.T) {
 			if tc.blob != 0 {
 				id = tc.blob
 			}
-			err := vm.Abort(0, id, tc.v)
+			err := abort1(vm, 0, id, tc.v)
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("Abort = %v, want success", err)
+				}
+				if _, err := vm.GetVersion(0, id, 1); err != nil {
+					t.Fatalf("published v1 unreadable after the abort: %v", err)
 				}
 				return
 			}
@@ -253,14 +257,14 @@ func TestAbortTypedErrors(t *testing.T) {
 	}
 	// The pending abort above is also effective, not just error-free.
 	vm, id := setup(t)
-	if err := vm.Abort(0, id, 2); err != nil {
+	if err := abort1(vm, 0, id, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vm.GetVersion(0, id, 2); !errors.Is(err, ErrNoSuchVersion) && !errors.Is(err, ErrAborted) {
 		t.Fatalf("GetVersion after abort = %v", err)
 	}
 	// Idempotent second abort of the same (now tombstoned) version.
-	if err := vm.Abort(0, id, 2); err != nil {
+	if err := abort1(vm, 0, id, 2); err != nil {
 		t.Fatalf("re-abort = %v, want nil", err)
 	}
 }
@@ -271,7 +275,7 @@ func TestAbortTypedErrors(t *testing.T) {
 func TestRequestTicketsBatch(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	if _, err := vm.RequestTicket(0, id, 0, 100, 0); err != nil {
+	if _, err := ticket1(vm, 0, id, 0, 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	ts, err := vm.RequestTickets(0, id, []WriteIntent{
@@ -341,7 +345,7 @@ func TestPublishBatchGroupCommit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		single, err := vm.RequestTicket(2, id, -1, 10, 0) // v4
+		single, err := ticket1(vm, 2, id, -1, 10, 0) // v4
 		if err != nil {
 			t.Error(err)
 			return
@@ -349,7 +353,7 @@ func TestPublishBatchGroupCommit(t *testing.T) {
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
 			// v4 publishes first but must wait for the batch.
-			if err := vm.Publish(bg, 2, id, single.Record.Version); err != nil {
+			if err := publish1(vm, bg, 2, id, single.Record.Version); err != nil {
 				t.Error(err)
 			}
 			pub, _ := vm.Published(2, id)
@@ -393,9 +397,9 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
 	for i := 0; i < 3; i++ {
-		vm.RequestTicket(0, id, -1, 10, 0)
+		ticket1(vm, 0, id, -1, 10, 0)
 	}
-	if err := vm.Abort(0, id, 2); err != nil {
+	if err := abort1(vm, 0, id, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := vm.PublishBatch(bg, 0, id, []Version{1, 2, 3}); !errors.Is(err, ErrAborted) {
@@ -407,13 +411,12 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 	}
 }
 
-// TestSerialPublishModeEquivalence: with SetSerialPublish the same
+// TestSerialPublishModeEquivalence: with Options.SerialPublish the same
 // sequences produce identical outcomes (the knob changes scheduling,
 // never semantics).
 func TestSerialPublishModeEquivalence(t *testing.T) {
 	for _, serial := range []bool{false, true} {
-		vm := localVM()
-		vm.SetSerialPublish(serial)
+		vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 0, 1, Options{SerialPublish: serial})
 		id, _ := vm.CreateBlob(0, 100)
 		ts, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 25}, {Off: -1, Length: 25}}, 0)
 		if err != nil {
@@ -428,8 +431,12 @@ func TestSerialPublishModeEquivalence(t *testing.T) {
 		if err != nil || v != 2 || size != 50 {
 			t.Fatalf("serial=%v: Latest = %d/%d, %v", serial, v, size, err)
 		}
-		if err := vm.Abort(0, id, 1); !errors.Is(err, ErrAlreadyPublished) {
+		// Aborting a published version is tolerated and retracts nothing.
+		if err := abort1(vm, 0, id, 1); err != nil {
 			t.Fatalf("serial=%v: abort published = %v", serial, err)
+		}
+		if _, err := vm.GetVersion(0, id, 1); err != nil {
+			t.Fatalf("serial=%v: published v1 unreadable after the abort: %v", serial, err)
 		}
 	}
 }

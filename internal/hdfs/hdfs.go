@@ -56,11 +56,8 @@ type Config struct {
 	// scoped per datanode with store.SubSpec: evicted chunks read back
 	// from the backend and a reopened deployment recovers its entries —
 	// the same durability the BSFS providers get from core's
-	// ProviderConfig.Store. Empty (and no Dir) means RAM-only datanodes.
+	// ProviderConfig.Store. Empty means RAM-only datanodes.
 	Store string
-	// Dir is the historical alias for Store = "disk:"+Dir. Ignored when
-	// Store is set.
-	Dir string
 	// Seed makes replica placement deterministic.
 	Seed int64
 }
@@ -116,14 +113,10 @@ func NewDeployment(env cluster.Env, cfg Config) (*Deployment, error) {
 		DNs: make(map[cluster.NodeID]*DataNode, len(cfg.DataNodes)),
 	}
 	for _, n := range cfg.DataNodes {
-		scfg := pagestore.Config{
+		st, err := pagestore.Open(pagestore.Config{
 			MemCapacity: cfg.MemCapacity,
 			Spec:        store.SubSpec(cfg.Store, fmt.Sprintf("datanode-%d", n)),
-		}
-		if cfg.Dir != "" {
-			scfg.Dir = fmt.Sprintf("%s/datanode-%d", cfg.Dir, n)
-		}
-		st, err := pagestore.Open(scfg)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("hdfs: datanode on node %d: %w", n, err)
 		}
@@ -132,8 +125,8 @@ func NewDeployment(env cluster.Env, cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// Close releases the datanode stores (their write-ahead logs, when
-// Config.Dir is set). In-memory deployments need no Close.
+// Close releases the datanode stores (their write-ahead logs, under a
+// disk Config.Store). In-memory deployments need no Close.
 func (d *Deployment) Close() error {
 	var first error
 	for _, dn := range d.DNs {

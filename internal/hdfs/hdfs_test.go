@@ -288,13 +288,13 @@ func TestEmptyFile(t *testing.T) {
 }
 
 func TestDurableDataNodes(t *testing.T) {
-	// Dir-backed datanodes log chunks to disk; a tight MemCapacity
+	// Disk-backed datanodes log chunks to disk; a tight MemCapacity
 	// forces evictions, so reads must come back through the log.
 	d, fs := newTestFS(t, Config{
 		ChunkSize:   256,
 		MemCapacity: 512,
 		Replication: 2,
-		Dir:         t.TempDir(),
+		Store:       "disk:" + t.TempDir(),
 	})
 	defer d.Close()
 	data := make([]byte, 4000)

@@ -51,7 +51,7 @@ func BenchmarkEvictionChurn(b *testing.B) {
 // BenchmarkWALAppend measures durable append throughput.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemCapacity: 64}) // tight: forces evictions
+	s, err := Open(Config{Spec: "disk:" + dir, MemCapacity: 64}) // tight: forces evictions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 // contents match the model exactly.
 func checkRecovered(t *testing.T, dir string, want map[string]modelEntry) {
 	t.Helper()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

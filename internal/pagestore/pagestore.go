@@ -30,23 +30,9 @@ type Config struct {
 	MemCapacity int64
 	// Spec selects the persistent backend tier beneath the cache
 	// ("disk:/var/bsfs", "mem:", "null:" — see internal/store). Empty
-	// (and no Dir) means a pure RAM cache: evicted real entries are
-	// unrecoverable and nothing survives Close.
+	// means a pure RAM cache: evicted real entries are unrecoverable and
+	// nothing survives Close.
 	Spec string
-	// Dir is the historical alias for Spec = "disk:"+Dir. Ignored when
-	// Spec is set.
-	Dir string
-}
-
-// spec resolves the backend spec, folding the legacy Dir alias in.
-func (c Config) spec() string {
-	if c.Spec != "" {
-		return c.Spec
-	}
-	if c.Dir != "" {
-		return "disk:" + c.Dir
-	}
-	return ""
 }
 
 // Meta describes an entry without touching its data.
@@ -90,17 +76,16 @@ type Store struct {
 	hits, misses, evictions uint64
 }
 
-// Open creates a store; with a backend spec (or legacy Dir), the
-// backend's surviving index is replayed to rebuild the page index —
-// restart recovery.
+// Open creates a store; with a backend spec, the backend's surviving
+// index is replayed to rebuild the page index — restart recovery.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:   cfg,
 		items: make(map[string]*entry),
 		lru:   list.New(),
 	}
-	if spec := cfg.spec(); spec != "" {
-		be, err := store.Open(spec)
+	if cfg.Spec != "" {
+		be, err := store.Open(cfg.Spec)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +110,7 @@ func Open(cfg Config) (*Store, error) {
 func MustOpen(cfg Config) *Store {
 	s, err := Open(cfg)
 	if err != nil {
-		panic(fmt.Sprintf("pagestore: MustOpen(%q): %v — use Open for durable backends", cfg.spec(), err))
+		panic(fmt.Sprintf("pagestore: MustOpen(%q): %v — use Open for durable backends", cfg.Spec, err))
 	}
 	return s
 }

@@ -209,7 +209,7 @@ func TestEvictedRealEntryWithoutLogFails(t *testing.T) {
 
 func TestWALPersistenceAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestWALPersistenceAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Config{Dir: dir})
+	s2, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestWALPersistenceAndRecovery(t *testing.T) {
 
 func TestWALEvictionReadBack(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MemCapacity: 16})
+	s, err := Open(Config{Spec: "disk:" + dir, MemCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestWALEvictionReadBack(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	f.Write([]byte{1, 3, 0, 0, 0, 'x'}) // truncated record
 	f.Close()
 
-	s2, err := Open(Config{Dir: dir})
+	s2, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatalf("recovery after torn tail: %v", err)
 	}
@@ -310,7 +310,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestWALCompaction(t *testing.T) {
 	s.Close()
 
 	// Recovery still works after compaction.
-	s2, err := Open(Config{Dir: dir})
+	s2, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestWALCompaction(t *testing.T) {
 
 func TestWALSegmentRolling(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 	// the sweep tracks the wire format.
 	probe := func() int64 {
 		dir := t.TempDir()
-		s, err := Open(Config{Dir: dir})
+		s, err := Open(Config{Spec: "disk:" + dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 	for _, keep := range cuts {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(Config{Dir: dir})
+			s, err := Open(Config{Spec: "disk:" + dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -521,7 +521,7 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(Config{Dir: dir})
+			s2, err := Open(Config{Spec: "disk:" + dir})
 			if err != nil {
 				t.Fatalf("recovery after torn append: %v", err)
 			}
@@ -542,7 +542,7 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 			keys, _ = s2.TakeDirty(0)
 			s2.CommitFlush(keys)
 			s2.Close()
-			s3, err := Open(Config{Dir: dir})
+			s3, err := Open(Config{Spec: "disk:" + dir})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 // log without writing either, losing all unflushed pages.
 func TestCloseFlushesDirty(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestCloseFlushesDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Config{Dir: dir})
+	s2, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCloseFlushesDirty(t *testing.T) {
 // the cache and whatever the next flush wrote to the log.
 func TestGetDoesNotAliasCache(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGetDoesNotAliasCache(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Config{Dir: dir})
+	s2, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGetDoesNotAliasCache(t *testing.T) {
 // forever.
 func TestRestartDoesNotLeakSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
+	s, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRestartDoesNotLeakSegments(t *testing.T) {
 
 	const restarts = 12
 	for i := 0; i < restarts; i++ {
-		s, err := Open(Config{Dir: dir})
+		s, err := Open(Config{Spec: "disk:" + dir})
 		if err != nil {
 			t.Fatalf("restart %d: %v", i, err)
 		}
@@ -164,7 +164,7 @@ func TestRestartDoesNotLeakSegments(t *testing.T) {
 			restarts, len(segs), segs)
 	}
 	// And a write-after-restart still lands in a live segment.
-	s, err = Open(Config{Dir: dir})
+	s, err = Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRestartDoesNotLeakSegments(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Config{Dir: dir})
+	s2, err := Open(Config{Spec: "disk:" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
