@@ -2,10 +2,11 @@
 // (E1-E3), the extensions (X1 concurrent appends, X2 shared-blob
 // publish throughput, X3 provider failure/churn with replica repair,
 // X5 sharded version-manager scaling, X6 membership churn, X7 tiered
-// storage recovery over durable backends) and the ablation studies
-// (A1-A7, including A5's serial-vs-parallel client data path, A6's
-// version-manager group commit on/off, and A7's sharded-vs-centralized
-// version management) on a simulated Grid'5000-style cluster.
+// storage recovery over durable backends, X8 heavy-traffic serving)
+// and the ablation studies (A1-A4, A6's batched-vs-unbatched publish,
+// A7's sharded-vs-centralized version management) on a simulated
+// Grid'5000-style cluster. bench.Experiments is the registry; -list
+// prints it.
 //
 // Usage:
 //
@@ -29,8 +30,13 @@ import (
 )
 
 func main() {
+	ids := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		ids[i] = e.ID
+	}
+	idList := strings.Join(ids, " ")
 	var (
-		exp      = flag.String("exp", "all", "experiment id: e1 e2 e3 x1 x2 x3 x5 x6 x7 a1 a2 a3 a4 a5 a6 a7, or 'all'")
+		exp      = flag.String("exp", "all", "experiment id: "+idList+", or 'all'")
 		clients  = flag.String("clients", "1,20,50,100,150,200,250", "comma-separated client counts")
 		sizeMB   = flag.Int64("size", 1024, "data per client in MB (paper: 1024)")
 		nodes    = flag.Int("nodes", 270, "cluster size (paper: 270)")
@@ -87,7 +93,7 @@ func main() {
 	} else {
 		e, ok := bench.FindExperiment(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: unknown experiment %q (try -list)\n", *exp)
+			fmt.Fprintf(os.Stderr, "bsfs-bench: unknown experiment %q (have %s, or 'all')\n", *exp, idList)
 			os.Exit(2)
 		}
 		todo = []bench.Experiment{e}

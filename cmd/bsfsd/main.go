@@ -1,5 +1,5 @@
 // Command bsfsd hosts a BSFS deployment (BlobSeer version-manager
-// tier, provider manager, providers, metadata DHT, and the BSFS
+// tier, placement manager, providers, metadata DHT, and the BSFS
 // namespace manager) and serves the file system to remote clients over
 // TCP. Pair it with cmd/blobctl.
 //
@@ -43,10 +43,8 @@ func main() {
 		blockSize   = flag.Int64("block", 64<<20, "BSFS block size in bytes")
 		replicas    = flag.Int("replicas", 1, "page replication factor")
 		storeSpec   = flag.String("store", "", "provider backend spec: disk:PATH, mem:, null: (empty = in-memory)")
-		inflight    = flag.Int("inflight", 0, "writer commit-pipeline depth in blocks (0 = default, negative = synchronous)")
-		serialPub   = flag.Bool("serial-publish", false, "disable version-manager group commit and client batching: one ticket and publish round trip per version (debug baseline)")
+		inflight    = flag.Int("inflight", 0, "writer commit-pipeline depth in blocks (0 = default 2; 4 and up batch several blocks per version-manager round trip)")
 		vmShards    = flag.Int("vm-shards", 1, "version-manager shard count (blobs partition across shards by id)")
-		metaShards  = flag.Int("meta-cache-shards", 0, "client metadata-cache lock-stripe count (0 = default 16, 1 = historical single-mutex cache)")
 		spares      = flag.Int("spares", 32, "node headroom reserved for providers joining at runtime")
 		sweep       = flag.Duration("placement-interval", 10*time.Second, "background placement sweep interval: repair + rebalance (0 disables)")
 		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "provider health-check interval (0 = probe only during sweeps)")
@@ -83,8 +81,6 @@ func main() {
 		VMNodes:           vmNodes,
 		ProviderNodes:     nodes,
 		Provider:          core.ProviderConfig{Store: *storeSpec},
-		SerialPublish:     *serialPub,
-		MetaCacheShards:   *metaShards,
 		PlacementInterval: *sweep,
 		HeartbeatInterval: *heartbeat,
 		TenantRate:        *tenantRate,

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness that regenerates the paper's
 // evaluation (§IV): the three microbenchmarks (E1-E3), the two
-// application benchmarks (E4-E5), the future-work extensions (X1-X4)
-// and the ablations (A1-A6). Each run builds a fresh simulated
+// application benchmarks (E4-E5), the future-work extensions (X1-X8)
+// and the ablations (A1-A4, A6, A7) — Experiments in sweep.go is the
+// authoritative list. Each run builds a fresh simulated
 // Grid'5000-style cluster, deploys BSFS or HDFS on it, drives the
 // paper's workload and reports throughput or job completion time.
 package bench
@@ -82,17 +83,8 @@ type StorageOpts struct {
 	// RAMDatanodes disables HDFS's write-through pipeline (ablation
 	// A4): datanodes buffer chunks in RAM like BlobSeer providers.
 	RAMDatanodes bool
-	// SerialDataPath disables the BSFS client data-path concurrency
-	// (ablation A5): provider scatter/gather contact one provider at a
-	// time, the writer commits every block synchronously, and the
-	// reader does no readahead.
-	SerialDataPath bool
-	// SerialPublish disables the version manager's group-commit
-	// pipeline and the client's batching (ablation A6): every version
-	// pays its own ticket and publish round trip.
-	SerialPublish bool
 	// MaxInFlightBlocks overrides the BSFS writer pipeline depth
-	// (0 keeps the bsfs default; ignored with SerialDataPath).
+	// (0 keeps the bsfs default).
 	MaxInFlightBlocks int
 	// VMShards is the version-manager shard count (0/1 = the paper's
 	// single centralized manager on node 0; more spreads shards over
@@ -103,14 +95,6 @@ type StorageOpts struct {
 	// on its processor). 0 disables; the X5/A7 shard experiments set it
 	// to make the version-manager tier the measured bottleneck.
 	VMServiceTime time.Duration
-	// MetaCacheShards is the client metadata-cache lock-stripe count
-	// (0 = the core default of 16; 1 = the historical single-mutex
-	// cache, the A8 baseline).
-	MetaCacheShards int
-	// UnpooledBuffers disables the client data path's page-buffer
-	// pooling (ablation A8): every page assembly and gather staging
-	// buffer is freshly allocated.
-	UnpooledBuffers bool
 }
 
 func (o *StorageOpts) fillDefaults() {
@@ -189,33 +173,23 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 			vmNodes = append(vmNodes, nodes[(i*len(nodes))/shards])
 		}
 		dep, err := core.NewDeployment(env, core.Options{
-			PageSize:        opts.PageSize,
-			Replication:     opts.Replication,
-			VMNodes:         vmNodes,
-			VMServiceTime:   opts.VMServiceTime,
-			ProviderNodes:   nodes,
-			MetaNodes:       meta,
-			Strategy:        strategy,
-			Provider:        core.ProviderConfig{MemCapacity: opts.MemCapacity, Store: opts.Store},
-			SerialIO:        opts.SerialDataPath,
-			SerialPublish:   opts.SerialPublish,
-			MetaCacheShards: opts.MetaCacheShards,
-			UnpooledBuffers: opts.UnpooledBuffers,
+			PageSize:      opts.PageSize,
+			Replication:   opts.Replication,
+			VMNodes:       vmNodes,
+			VMServiceTime: opts.VMServiceTime,
+			ProviderNodes: nodes,
+			MetaNodes:     meta,
+			Strategy:      strategy,
+			Provider:      core.ProviderConfig{MemCapacity: opts.MemCapacity, Store: opts.Store},
 		})
 		if err != nil {
 			return nil, err
 		}
-		fsCfg := bsfs.Config{
-			NamespaceNode:     0,
+		tb.bsfsSvc = bsfs.NewService(dep, bsfs.Config{
 			BlockSize:         opts.BlockSize,
 			DisableCache:      opts.DisableClientCache,
 			MaxInFlightBlocks: opts.MaxInFlightBlocks,
-		}
-		if opts.SerialDataPath {
-			fsCfg.MaxInFlightBlocks = -1
-			fsCfg.DisableReadahead = true
-		}
-		tb.bsfsSvc = bsfs.NewService(dep, fsCfg)
+		})
 		tb.NewFS = func(n cluster.NodeID) fsapi.FileSystem { return tb.bsfsSvc.NewFS(n) }
 	case "hdfs":
 		dep, err := hdfs.NewDeployment(env, hdfs.Config{

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -323,12 +324,12 @@ func TestA7ShardedNotSlowerThanSingle(t *testing.T) {
 }
 
 func TestA6GroupCommitNotSlowerThanSerial(t *testing.T) {
-	// A6's acceptance bar: batched (group-commit) publication is at
-	// least as fast as the serial baseline at every tested writer
-	// count. RunPublishAblation itself errors on a violation; the
-	// explicit comparison here keeps the numbers in the test log.
+	// A6's acceptance bar: batched publication (pipeline depth 8) is
+	// at least as fast as the one-block-per-commit baseline (depth 2)
+	// at every tested writer count. RunPublishAblation itself errors
+	// on a violation; the log line keeps the numbers in the test log.
 	for _, n := range []int{1, 4, 16} {
-		batched, serial, err := RunPublishAblation(PublishOpts{
+		batched, unbatched, err := RunPublishAblation(PublishOpts{
 			Clients:         n,
 			BlocksPerClient: 32,
 			Spec:            ClusterSpec{Nodes: 34},
@@ -336,40 +337,8 @@ func TestA6GroupCommitNotSlowerThanSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		t.Logf("A6 n=%d: group-commit %.1f versions/s vs serial %.1f versions/s",
-			n, batched.VersionsPerSec, serial.VersionsPerSec)
-	}
-}
-
-func TestA5ParallelDataPathNotSlower(t *testing.T) {
-	// The A5 ablation's acceptance bar: the parallel/pipelined client
-	// data path must be at least as fast as the serial baseline, for
-	// both reads and writes. The simulation is deterministic, so a
-	// direct makespan comparison is stable.
-	for _, dir := range []struct {
-		name string
-		run  microRunner
-	}{
-		{"write", RunWriteDistinct},
-		{"read", RunReadDistinct},
-	} {
-		par, err := dir.run(microOpts("bsfs", 12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		so := microOpts("bsfs", 12)
-		so.Storage.SerialDataPath = true
-		ser, err := dir.run(so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("A5 %s: parallel %.1f MB/s vs serial %.1f MB/s per client (makespan %s vs %s)",
-			dir.name, par.PerClientMBps, ser.PerClientMBps, par.Duration, ser.Duration)
-		// Allow a hair of tolerance: scheduling-order differences can
-		// shuffle identical charges by rounding.
-		if par.Duration > ser.Duration+ser.Duration/100 {
-			t.Fatalf("parallel %s path slower than serial: %s vs %s", dir.name, par.Duration, ser.Duration)
-		}
+		t.Logf("A6 n=%d: batched %.1f versions/s vs unbatched %.1f versions/s",
+			n, batched.VersionsPerSec, unbatched.VersionsPerSec)
 	}
 }
 
@@ -434,5 +403,24 @@ func TestX8GracefulDegradationUnderOverload(t *testing.T) {
 	if o10.Report.MaxInflight < 2*a10.Report.MaxInflight {
 		t.Fatalf("open-loop backlog %d not meaningfully above admitted %d",
 			o10.Report.MaxInflight, a10.Report.MaxInflight)
+	}
+}
+
+// TestStorageOptsSurface pins StorageOpts' exported fields. The
+// admission rule for a new one (see core's TestOptionsSurface): an
+// experiment in this package sets it to a second value — an arm that
+// compares the code with its own past is not an experiment.
+func TestStorageOptsSurface(t *testing.T) {
+	typ := reflect.TypeOf(StorageOpts{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	want := []string{"Kind", "Replication", "PageSize", "BlockSize", "MemCapacity", "Store",
+		"LocalFirstPlacement", "DisableClientCache", "RAMDatanodes", "MaxInFlightBlocks", "VMShards", "VMServiceTime"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("StorageOpts has fields %v, want exactly %v", got, want)
 	}
 }

@@ -6,8 +6,8 @@
 // metadata-bound by design: it exposes whether the per-version
 // round trips to the version manager (ticket + publish) scale with
 // writer count or flatten into a serial bottleneck. A6 runs the same
-// workload with and without the group-commit/batched-RPC path and
-// asserts batched publication is at least as fast as serial.
+// workload at the batching pipeline depth and at depth 2 (one block per
+// commit) and asserts batched publication is at least as fast.
 package bench
 
 import (
@@ -152,28 +152,28 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 	return res, err
 }
 
-// RunPublishAblation is ablation A6: the same shared-blob workload
-// with the group-commit/batched-RPC publish path on and off. It errors
-// if the batched path publishes slower than the serial baseline — the
-// sim-level assertion that group commit never loses.
-func RunPublishAblation(opts PublishOpts) (batched, serial PublishResult, err error) {
-	grouped := opts
-	grouped.Storage.SerialPublish = false
-	batched, err = RunPublishShared(grouped)
+// RunPublishAblation is ablation A6: the same shared-blob workload at
+// the configured pipeline depth (batched: the flusher commits
+// half-window runs, one ticket and one publish round trip per run) and
+// at depth 2 (unbatched: one block, one version, per commit). Both arms
+// ride the same group-commit path; the ablated quantity is how many
+// versions share a round trip. It errors if the batched arm publishes
+// slower — the sim-level assertion that batching never loses.
+func RunPublishAblation(opts PublishOpts) (batched, unbatched PublishResult, err error) {
+	batched, err = RunPublishShared(opts)
 	if err != nil {
-		return batched, serial, err
+		return batched, unbatched, err
 	}
-	ser := opts
-	ser.Storage.SerialPublish = true
-	serial, err = RunPublishShared(ser)
+	opts.MaxInFlightBlocks = 2
+	unbatched, err = RunPublishShared(opts)
 	if err != nil {
-		return batched, serial, err
+		return batched, unbatched, err
 	}
 	// Allow sub-percent scheduling jitter; anything beyond means the
 	// batch path genuinely regressed.
-	if batched.VersionsPerSec < serial.VersionsPerSec*0.99 {
-		err = fmt.Errorf("bench: a6 group commit slower than serial publish: %.1f vs %.1f versions/s",
-			batched.VersionsPerSec, serial.VersionsPerSec)
+	if batched.VersionsPerSec < unbatched.VersionsPerSec*0.99 {
+		err = fmt.Errorf("bench: a6 batched publish slower than unbatched: %.1f vs %.1f versions/s",
+			batched.VersionsPerSec, unbatched.VersionsPerSec)
 	}
-	return batched, serial, err
+	return batched, unbatched, err
 }

@@ -1,4 +1,4 @@
-// sweep.go defines the named experiments (E1..E5, X1..X8, A1..A8) as
+// sweep.go defines the named experiments (the Experiments registry) as
 // parameter sweeps over both storage systems — the figures and
 // tables of the paper's evaluation, regenerated, plus the extension
 // and ablation studies this repository adds.
@@ -387,60 +387,28 @@ var Experiments = []Experiment{
 		},
 	},
 	{
-		ID:    "a5",
-		Title: "A5 ablation: serial vs parallel/pipelined client data path (bsfs reads + writes)",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			var all []Point
-			for _, r := range []struct {
-				name string
-				fn   microRunner
-			}{
-				{"write", RunWriteDistinct},
-				{"read", RunReadDistinct},
-			} {
-				par, err := runSweep(r.fn, opts, []string{"bsfs"}, nil)
-				if err != nil {
-					return err
-				}
-				ser, err := runSweep(r.fn, opts, []string{"bsfs"}, func(m *MicroOpts) {
-					m.Storage.SerialDataPath = true
-				})
-				if err != nil {
-					return err
-				}
-				for i := range ser {
-					ser[i].Experiment = "A5-serial-" + r.name
-				}
-				all = append(all, par...)
-				all = append(all, ser...)
-			}
-			WritePointsTable(w, "A5: data-path concurrency ablation (parallel/pipelined vs serial)", all)
-			return nil
-		},
-	},
-	{
 		ID:    "a6",
 		Title: "A6 ablation: version-manager group commit on/off (shared-blob publish)",
 		Run: func(opts SweepOpts, w io.Writer) error {
 			opts.fillDefaults()
 			var all []Point
 			for _, n := range opts.Clients {
-				batched, serial, err := RunPublishAblation(PublishOpts{
+				batched, unbatched, err := RunPublishAblation(PublishOpts{
 					Clients: n,
 					Spec:    opts.Spec,
 					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
 				})
 				if err != nil {
 					// Includes the sim assertion: batched publish
-					// throughput must not fall below serial.
+					// throughput must not fall below unbatched.
 					return fmt.Errorf("bench: a6 n=%d: %w", n, err)
 				}
-				fmt.Fprintf(w, "a6 n=%d: group-commit %.1f versions/s, serial %.1f versions/s (%.2fx)\n",
-					n, batched.VersionsPerSec, serial.VersionsPerSec,
-					batched.VersionsPerSec/serial.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("group_commit_speedup_n%d", n), "x", batched.VersionsPerSec/serial.VersionsPerSec)
-				serial.Point.Experiment = "A6-serial-publish"
-				all = append(all, batched.Point, serial.Point)
+				fmt.Fprintf(w, "a6 n=%d: batched %.1f versions/s, unbatched (depth 2) %.1f versions/s (%.2fx)\n",
+					n, batched.VersionsPerSec, unbatched.VersionsPerSec,
+					batched.VersionsPerSec/unbatched.VersionsPerSec)
+				recordMetric(w, fmt.Sprintf("group_commit_speedup_n%d", n), "x", batched.VersionsPerSec/unbatched.VersionsPerSec)
+				unbatched.Point.Experiment = "A6-unbatched-publish"
+				all = append(all, batched.Point, unbatched.Point)
 			}
 			WritePointsTable(w, "A6: group-commit ablation (shared-blob publish)", all)
 			return nil
@@ -471,34 +439,6 @@ var Experiments = []Experiment{
 				all = append(all, sharded.Point, single.Point)
 			}
 			WritePointsTable(w, "A7: sharding ablation (multi-blob publish)", all)
-			return nil
-		},
-	},
-	{
-		ID:    "a8",
-		Title: "A8 ablation: sharded metadata cache + pooled buffers vs single mutex + fresh allocations",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			res, err := RunAllocAblation(AllocOpts{})
-			if err != nil {
-				// Includes the assertions: the sharded cache must not
-				// read slower than the single mutex under concurrent
-				// readers, and the pooled client path must not allocate
-				// more than the unpooled baseline.
-				return err
-			}
-			fmt.Fprintf(w, "a8 cache (16 readers): sharded %.2fM reads/s, single-mutex %.2fM reads/s (%.2fx)\n",
-				res.ShardedReadsPerSec/1e6, res.SingleReadsPerSec/1e6,
-				res.ShardedReadsPerSec/res.SingleReadsPerSec)
-			fmt.Fprintf(w, "a8 client path (append+read): pooled %.1f allocs/op %.0f B/op, unpooled %.1f allocs/op %.0f B/op (%.2fx fewer allocs)\n",
-				res.PooledAllocsPerOp, res.PooledBytesPerOp,
-				res.UnpooledAllocsPerOp, res.UnpooledBytesPerOp,
-				res.UnpooledAllocsPerOp/res.PooledAllocsPerOp)
-			recordMetric(w, "cache_read_speedup_r16", "x", res.ShardedReadsPerSec/res.SingleReadsPerSec)
-			recordMetric(w, "pooled_allocs_per_op", "allocs/op", res.PooledAllocsPerOp)
-			recordMetric(w, "pooled_bytes_per_op", "B/op", res.PooledBytesPerOp)
-			recordMetric(w, "unpooled_allocs_per_op", "allocs/op", res.UnpooledAllocsPerOp)
-			recordMetric(w, "unpooled_bytes_per_op", "B/op", res.UnpooledBytesPerOp)
-			recordMetric(w, "alloc_reduction", "x", res.UnpooledAllocsPerOp/res.PooledAllocsPerOp)
 			return nil
 		},
 	},

@@ -35,15 +35,10 @@ import (
 
 // Config parameterizes a BSFS deployment.
 type Config struct {
-	// NamespaceNode hosts the namespace manager.
-	NamespaceNode cluster.NodeID
 	// BlockSize is the cache/commit block and the split unit exposed to
 	// MapReduce (default 64 MB). Must be a multiple of the blob page
 	// size.
 	BlockSize int64
-	// CacheBlocks is the per-reader prefetch cache capacity in blocks
-	// (default 2).
-	CacheBlocks int
 	// MaxInFlightBlocks bounds the writer's asynchronous commit
 	// pipeline: up to this many full blocks may be queued or committing
 	// in the background while the application fills the next one
@@ -51,16 +46,11 @@ type Config struct {
 	// core.Blob.Append batches, so depths >= 4 amortize the
 	// version-manager round trips across blocks while the other half
 	// of the window keeps filling; the default depth 2 is classic
-	// double-buffering (single-block commits). A negative value
-	// disables the pipeline; every block then commits synchronously in
-	// the caller.
+	// double-buffering (single-block commits).
 	MaxInFlightBlocks int
-	// DisableReadahead turns off the reader's background prefetch of
-	// the next block on sequential access.
-	DisableReadahead bool
 	// DisableCache bypasses the client cache entirely (ablation A2):
 	// every read and write goes straight to BlobSeer at request
-	// granularity.
+	// granularity, and writes commit synchronously in the caller.
 	DisableCache bool
 }
 
@@ -68,10 +58,7 @@ func (c *Config) fillDefaults() {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 64 << 20
 	}
-	if c.CacheBlocks <= 0 {
-		c.CacheBlocks = 2
-	}
-	if c.MaxInFlightBlocks == 0 {
+	if c.MaxInFlightBlocks <= 0 {
 		c.MaxInFlightBlocks = 2
 	}
 }
@@ -85,10 +72,11 @@ type Service struct {
 	dep  *core.Deployment
 }
 
-// NewService starts the namespace manager over a BlobSeer deployment.
+// NewService starts the namespace manager over a BlobSeer deployment,
+// on the node that hosts the deployment's other masters.
 func NewService(dep *core.Deployment, cfg Config) *Service {
 	cfg.fillDefaults()
-	return &Service{env: dep.Env, node: cfg.NamespaceNode, cfg: cfg, ns: fsapi.NewNamespace(), dep: dep}
+	return &Service{env: dep.Env, node: dep.Opts.VMNodes[0], cfg: cfg, ns: fsapi.NewNamespace(), dep: dep}
 }
 
 // Deployment exposes the underlying BlobSeer deployment.
@@ -441,12 +429,6 @@ func (w *writer) Written() int64 {
 	return w.written
 }
 
-// serialCommit reports whether blocks commit synchronously in the
-// caller instead of through the background pipeline.
-func (w *writer) serialCommit() bool {
-	return w.fs.svc.cfg.MaxInFlightBlocks < 0 || w.fs.svc.cfg.DisableCache
-}
-
 func (w *writer) progSigLocked() cluster.Signal {
 	if w.progSig == nil {
 		w.progSig = w.fs.svc.env.NewSignal()
@@ -489,7 +471,9 @@ func (w *writer) failWriteLocked(droppedNow, base, queuedAtEntry, pre, callLen i
 // A non-nil error means the block did not — and never will — reach the
 // blob; the caller owns rolling its bytes back.
 func (w *writer) commitLocked(b pendingBlock) error {
-	if w.serialCommit() {
+	if w.fs.svc.cfg.DisableCache {
+		// No cache, no pipeline: the block commits synchronously in
+		// the caller.
 		w.mu.Unlock()
 		_, err := w.commitRun([]pendingBlock{b})
 		w.mu.Lock()
@@ -593,8 +577,8 @@ func (w *writer) flushLoop() {
 
 // commitRun appends one homogeneous run of blocks to the blob as one
 // batch (no writer locks held) and returns how many of them committed.
-// It is the single commit site shared by the serial path and the
-// background flusher.
+// It is the single commit site shared by the cache-less synchronous
+// path and the background flusher.
 func (w *writer) commitRun(run []pendingBlock) (int, error) {
 	blocks := make([]core.AppendBlock, len(run))
 	for i, b := range run {
@@ -935,7 +919,9 @@ func (r *reader) insertLocked(bi int64, data []byte) {
 	}
 	r.blocks[bi] = data
 	r.order = append(r.order, bi)
-	for len(r.order) > r.fs.svc.cfg.CacheBlocks {
+	// Two slots: the block being consumed and its readahead.
+	const cacheBlocks = 2
+	for len(r.order) > cacheBlocks {
 		evict := r.order[0]
 		r.order = r.order[1:]
 		delete(r.blocks, evict)
@@ -949,13 +935,7 @@ func (r *reader) insertLocked(bi int64, data []byte) {
 func (r *reader) noteAccessLocked(bi int64, synthetic bool) {
 	seq := bi == r.lastBi+1
 	r.lastBi = bi
-	if !seq || r.closed || r.fs.svc.cfg.DisableReadahead || r.fs.svc.cfg.DisableCache {
-		return
-	}
-	// A single-slot cache cannot hold the current block and its
-	// readahead at once; prefetching would evict the block being
-	// consumed and make the scan strictly slower.
-	if r.fs.svc.cfg.CacheBlocks < 2 {
+	if !seq || r.closed || r.fs.svc.cfg.DisableCache {
 		return
 	}
 	next := bi + 1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestSmallRecordReadsHitCache(t *testing.T) {
 }
 
 func TestReaderCacheEviction(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 256, CacheBlocks: 2})
+	_, fs := newTestFS(t, Config{BlockSize: 256})
 	data := make([]byte, 1024) // 4 blocks
 	rand.New(rand.NewSource(6)).Read(data)
 	writeFile(t, fs, "/f", data)
@@ -422,5 +423,22 @@ func TestManyFilesStress(t *testing.T) {
 		if string(got) != fmt.Sprintf("content-%d", i) {
 			t.Fatalf("file %d = %q", i, got)
 		}
+	}
+}
+
+// TestConfigSurface pins Config's exported fields. The admission rule
+// for a new one (see core's TestOptionsSurface): a non-test setter with
+// a second value in use — otherwise it is a constant at its use site.
+func TestConfigSurface(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	want := []string{"BlockSize", "MaxInFlightBlocks", "DisableCache"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Config has fields %v, want exactly %v", got, want)
 	}
 }

@@ -99,14 +99,14 @@ func TestWriterPipelineDeferredError(t *testing.T) {
 // caller's view never double-counts, and later calls keep returning the
 // error instead of silently re-buffering.
 func TestWriterSyncFlushRollback(t *testing.T) {
-	svc, fs := newTestFS(t, Config{BlockSize: 128, MaxInFlightBlocks: -1})
+	svc, fs := newTestFS(t, Config{BlockSize: 128, DisableCache: true})
 	w, err := fs.Create("/pipe/rollback")
 	if err != nil {
 		t.Fatal(err)
 	}
 	setAllProvidersDown(svc, true)
 	defer setAllProvidersDown(svc, false)
-	n, err := w.Write(make([]byte, 200)) // > one block: flushes inline
+	n, err := w.Write(make([]byte, 200)) // no cache: flushes inline
 	if !errors.Is(err, core.ErrProviderDown) {
 		t.Fatalf("err = %v, want ErrProviderDown", err)
 	}
@@ -161,7 +161,7 @@ func TestWriterSyntheticPipeline(t *testing.T) {
 // trigger a background fetch of block 1 that lands in the cache before
 // the reader asks for it.
 func TestReadaheadPrefetchesNextBlock(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 256, CacheBlocks: 2})
+	_, fs := newTestFS(t, Config{BlockSize: 256})
 	data := make([]byte, 1024)
 	for i := range data {
 		data[i] = byte(i % 251)
@@ -197,33 +197,6 @@ func TestReadaheadPrefetchesNextBlock(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[256:256+64]) {
 		t.Fatal("prefetched block content mismatch")
-	}
-}
-
-// TestReadaheadDisabled: with DisableReadahead no background block
-// appears, and with a random (non-sequential) access pattern no
-// readahead triggers either.
-func TestReadaheadDisabled(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 256, DisableReadahead: true})
-	data := make([]byte, 1024)
-	writeFile(t, fs, "/ra/off", data)
-	r, err := fs.Open("/ra/off")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	rd := r.(*reader)
-	buf := make([]byte, 64)
-	if _, err := rd.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	rd.mu.Lock()
-	_, prefetched := rd.blocks[1]
-	inflight := len(rd.inflight)
-	rd.mu.Unlock()
-	if prefetched || inflight > 0 {
-		t.Fatalf("readahead ran despite DisableReadahead (cached=%v inflight=%d)", prefetched, inflight)
 	}
 }
 

@@ -10,7 +10,7 @@ import "testing"
 // rotting the benchmarks. CI runs these outside the -race legs: the
 // race runtime inflates allocation counts and would trip them falsely.
 //
-// Pre-optimization baselines (allocs/op, Local env, SerialIO):
+// Pre-optimization baselines (allocs/op, Local env, fan-outs inline):
 //
 //	AppendSynthetic 221   AppendReal 236
 //	CachedReadSynthetic 438   CachedReadReal 165

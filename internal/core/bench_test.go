@@ -102,17 +102,14 @@ func BenchmarkLocalWriteRead(b *testing.B) {
 	}
 }
 
-// newBenchDeployment builds a small Local-env deployment with the
-// serial data path (fan-outs run in the calling goroutine), the
-// configuration the allocation benchmarks and assertions (alloc_test.go)
-// measure.
+// newBenchDeployment builds a small Local-env deployment with one
+// provider, so every fan-out takes its inline single-node case and no
+// goroutine spawn enters the count — the configuration the allocation
+// benchmarks and assertions (alloc_test.go) measure.
 func newBenchDeployment(tb testing.TB, opts Options) (*Deployment, *Client) {
 	tb.Helper()
 	env := cluster.NewLocal(4, 2)
-	if len(opts.ProviderNodes) == 0 {
-		opts.ProviderNodes = []cluster.NodeID{1, 2, 3}
-	}
-	opts.SerialIO = true
+	opts.ProviderNodes = []cluster.NodeID{1}
 	d, err := NewDeployment(env, opts)
 	if err != nil {
 		tb.Fatal(err)

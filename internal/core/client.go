@@ -87,8 +87,7 @@ func (c *Client) providerView() map[cluster.NodeID]*Provider {
 // exception is the placement loop: the Rebalancer rewrites leaves it
 // re-replicates or migrates, writing through its own cache; other
 // clients' stale leaves still name surviving replicas, so reads keep
-// working via failover. One shard reproduces the historical
-// single-mutex cache (Options.MetaCacheShards = 1).
+// working via failover.
 type cachedMeta struct {
 	cl    *dht.Client
 	cache *stripecache.Cache
@@ -269,10 +268,7 @@ func (b AppendBlock) length() int64 {
 // prefix and are returned alongside it.
 //
 // A positioned call (off >= 0) carries one block: only the last
-// version's uncovered tail is merged. With Options.SerialPublish a
-// batch degrades to one call per block — the A6 ablation baseline —
-// and a failure then leaves the leading blocks that already committed
-// published.
+// version's uncovered tail is merged.
 func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []AppendBlock) ([]Version, int64, error) {
 	if len(blocks) == 0 {
 		return nil, 0, nil
@@ -287,21 +283,6 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 			return nil, 0, fmt.Errorf("%w: mixed real and synthetic blocks", ErrBadWrite)
 		}
 		payload += b.length()
-	}
-	if c.d.Opts.SerialPublish && len(blocks) > 1 {
-		var out []Version
-		var base int64
-		for i := range blocks {
-			vs, at, err := c.writeBlocks(s, blob, off, blocks[i:i+1])
-			if i == 0 {
-				base = at
-			}
-			out = append(out, vs...)
-			if err != nil {
-				return out, base, err
-			}
-		}
-		return out, base, nil
 	}
 	if err := s.ctx.Err(); err != nil {
 		return nil, 0, canceled("write", err) // before the ticket: nothing to release
@@ -396,8 +377,8 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 		// zeros); the scatter joins every in-flight put (and the store
 		// copies on ingest) before this function returns, so the deferred
 		// recycle is safe on every path.
-		extBuf := c.getBuf(extEnd - alignedStart)
-		defer c.putBuf(extBuf)
+		extBuf := getBuf(extEnd - alignedStart)
+		defer putBuf(extBuf)
 		ext = extBuf.b
 		head, tail := base-alignedStart, base+payload-alignedStart
 		if head > 0 {
@@ -645,7 +626,7 @@ func (c *Client) readCommon(s opSettings, blob BlobID, off, length int64, dst []
 
 	// Gather staging lives in pooled buffers; they recycle after the
 	// copy-out below (nothing retains the staged bytes past this call).
-	arena := bufArena{c: c}
+	var arena bufArena
 	defer arena.release()
 	fetched, err := c.gatherPages(s.ctx, leaves, lo, hi, &arena)
 	if err != nil {
@@ -690,10 +671,10 @@ func (c *Client) readCommon(s opSettings, blob BlobID, off, length int64, dst []
 // fanOut runs fn once per node, concurrently through the environment's
 // WaitGroup so the same code overlaps provider I/O in both the Sim and
 // Local envs. It returns only after every invocation has finished: no
-// in-flight work leaks past it. With Options.SerialIO set (the A5
-// ablation baseline) nodes are visited one at a time instead.
+// in-flight work leaks past it. A single node is visited inline: there
+// is nothing to overlap.
 func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
-	if c.d.Opts.SerialIO || len(nodes) <= 1 {
+	if len(nodes) <= 1 {
 		for _, n := range nodes {
 			fn(n)
 		}

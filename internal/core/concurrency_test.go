@@ -178,28 +178,6 @@ func TestParallelScatterAbortOnFailure(t *testing.T) {
 	}
 }
 
-// TestSerialIOMatchesParallel runs the same workload with and without
-// SerialIO: byte-level results must be identical (the flag only changes
-// scheduling, never outcomes).
-func TestSerialIOMatchesParallel(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		d := newLocalDeployment(t, Options{PageSize: 64, Replication: 2, SerialIO: serial})
-		c := d.NewClient(0)
-		blob, _ := c.CreateBlob(0)
-		data := bytes.Repeat([]byte("squall"), 100)
-		if _, err := blob.WriteAt(data, 0); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
-		}
-		buf := make([]byte, len(data))
-		if _, err := blob.ReadAt(buf, 0); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
-		}
-		if !bytes.Equal(buf, data) {
-			t.Fatalf("serial=%v: round trip mismatch", serial)
-		}
-	}
-}
-
 // TestVersionManagerRecordsBatch: Records returns the full published
 // history (aborted versions tagged) in one call, matching GetVersion.
 func TestVersionManagerRecordsBatch(t *testing.T) {

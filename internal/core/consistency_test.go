@@ -125,7 +125,7 @@ type publishedVersion struct {
 }
 
 // runConsistencySeed drives one seeded run and checks every invariant.
-func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, withCancels, overloaded bool) {
+func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overloaded bool) {
 	t.Helper()
 	const (
 		writers = 5
@@ -160,7 +160,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 	for i := range provs {
 		provs[i] = cluster.NodeID(i + 1)
 	}
-	depOpts := Options{PageSize: ps, ProviderNodes: provs, SerialPublish: serialPublish}
+	depOpts := Options{PageSize: ps, ProviderNodes: provs}
 	if overloaded {
 		depOpts.TenantRate = tenantRate
 		depOpts.TenantBurst = 2
@@ -296,8 +296,9 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, serialPublish, wit
 		// AwaitPublished probes run concurrently with the writers: the
 		// call may block, but once it returns the frontier must have
 		// reached the awaited version. A probe target may never be
-		// assigned when batch fallout skips tickets (serial mode), so
-		// the retry loop gives up once the writers are done.
+		// assigned when an op is rejected at admission or canceled
+		// before its ticket, so the retry loop gives up once the
+		// writers are done.
 		probeWG := env.NewWaitGroup()
 		for pi := 0; pi < 2; pi++ {
 			targets := probes[pi*len(probes)/2 : (pi+1)*len(probes)/2]
@@ -414,8 +415,8 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 
 	// Every assigned ticket resolved: the frontier reached the last
 	// version (a leaked pending ticket would leave it short). The
-	// ticket count may run below the plan when serial-mode batch
-	// fallout skips blocks, but never above it.
+	// ticket count may run below the plan when ops are rejected or
+	// canceled before taking a ticket, but never above it.
 	pub, err := d.VM.Shard(blob).Published(0, blob)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +555,7 @@ func firstDiff(a, b []byte) int {
 func TestConsistencyRandomConcurrentWriters(t *testing.T) {
 	for _, seed := range consistencySeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, false, false, false, false)
+			runConsistencySeed(t, seed, false, false, false)
 		})
 	}
 }
@@ -565,20 +566,7 @@ func TestConsistencyRandomConcurrentWriters(t *testing.T) {
 func TestConsistencyRandomAbortingWriters(t *testing.T) {
 	for _, seed := range consistencySeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, true, false, false, false)
-		})
-	}
-}
-
-// TestConsistencySerialPublishMode re-runs the harness with the
-// group-commit pipeline disabled: the A6 ablation baseline must uphold
-// exactly the same invariants (the knob changes scheduling, never
-// outcomes).
-func TestConsistencySerialPublishMode(t *testing.T) {
-	for _, seed := range consistencySeeds[:2] {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, false, true, false, false)
-			runConsistencySeed(t, seed, true, true, false, false)
+			runConsistencySeed(t, seed, true, false, false)
 		})
 	}
 }
@@ -799,7 +787,7 @@ func TestConsistencyMultiShardWide(t *testing.T) {
 func TestConsistencyCancellingWriters(t *testing.T) {
 	for _, seed := range consistencySeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, false, false, true, false)
+			runConsistencySeed(t, seed, false, true, false)
 		})
 	}
 }
@@ -810,8 +798,7 @@ func TestConsistencyCancellingWriters(t *testing.T) {
 func TestConsistencyCancellingAndAbortingWriters(t *testing.T) {
 	for _, seed := range consistencySeeds[:2] {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, true, false, true, false)
-			runConsistencySeed(t, seed, true, true, true, false)
+			runConsistencySeed(t, seed, true, true, false)
 		})
 	}
 }
@@ -825,7 +812,7 @@ func TestConsistencyCancellingAndAbortingWriters(t *testing.T) {
 func TestConsistencyOverloadedWriters(t *testing.T) {
 	for _, seed := range consistencySeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, false, false, false, true)
+			runConsistencySeed(t, seed, false, false, true)
 		})
 	}
 }
@@ -836,7 +823,7 @@ func TestConsistencyOverloadedWriters(t *testing.T) {
 func TestConsistencyOverloadedAndCancellingWriters(t *testing.T) {
 	for _, seed := range consistencySeeds[:2] {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConsistencySeed(t, seed, false, false, true, true)
+			runConsistencySeed(t, seed, false, true, true)
 		})
 	}
 }

@@ -43,9 +43,6 @@ type Options struct {
 	MetaNodes []cluster.NodeID
 	// MetaReplication is the DHT replica count (default 1).
 	MetaReplication int
-	// MetaVNodes is the consistent-hashing virtual node count
-	// (default 32).
-	MetaVNodes int
 	// Provider configures every provider's local store.
 	Provider ProviderConfig
 	// Strategy overrides the write-time page placement (the ablation
@@ -65,17 +62,6 @@ type Options struct {
 	// 0 leaves health checking to the on-demand probes the placement
 	// loop runs before each evaluation.
 	HeartbeatInterval time.Duration
-	// SerialIO disables the client data-path parallelism (the A5
-	// ablation baseline): page scatter and gather contact providers one
-	// at a time instead of fanning out concurrently.
-	SerialIO bool
-	// SerialPublish disables the version manager's group-commit
-	// pipeline and the client's batching (the A6 ablation baseline): a
-	// batched append runs as one batch-of-one write per block, so every
-	// version pays its own ticket and publish round trip, and the
-	// manager applies each member in its own lock acquisition and
-	// frontier pass.
-	SerialPublish bool
 	// TenantRate enables per-tenant token-bucket admission at the
 	// client edge: operations tagged with WithTenant are admitted at
 	// this many ops/sec per tenant (bucket depth TenantBurst) and
@@ -86,29 +72,16 @@ type Options struct {
 	// TenantBurst is the admission bucket depth in operations
 	// (default max(TenantRate, 1)).
 	TenantBurst float64
-	// PublishApplyTime models the group-commit drainer's per-request
-	// apply occupancy in the simulated environment: each drained
-	// publish/abort holds the shard's commit processor for this long
-	// of virtual time. 0 — the default, and the only sensible value in
-	// the Local env — disables the model. The fairness experiments set
-	// it to make the publish queue a measurable bottleneck.
-	PublishApplyTime time.Duration
-	// PublishDrainBatch caps how many queued requests one drainer pass
-	// assembles; passes are built round-robin across tenants, so with
-	// a bounded pass a quiet tenant waits at most one pass behind a
-	// hot tenant's backlog. 0 (the default) drains everything queued
-	// in one pass — the historical behavior.
-	PublishDrainBatch int
-	// MetaCacheShards is the lock-stripe count of each client's
-	// metadata cache (rounded up to a power of two; default 16). 1
-	// reproduces the historical single-mutex cache — the A8 ablation
-	// baseline.
-	MetaCacheShards int
-	// UnpooledBuffers disables the data path's buffer pooling (every
-	// write's assembly buffer and every gather's staging allocates
-	// fresh) — the A8 ablation baseline.
-	UnpooledBuffers bool
 }
+
+const (
+	// metaVNodes is the metadata DHT's consistent-hashing virtual node
+	// count per member.
+	metaVNodes = 32
+	// metaCacheShards is the lock-stripe count of each client's
+	// metadata cache (a power of two).
+	metaCacheShards = 16
+)
 
 func (o *Options) fillDefaults() {
 	if o.PageSize <= 0 {
@@ -125,12 +98,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MetaReplication < 1 {
 		o.MetaReplication = 1
-	}
-	if o.MetaVNodes < 1 {
-		o.MetaVNodes = 32
-	}
-	if o.MetaCacheShards < 1 {
-		o.MetaCacheShards = 16
 	}
 }
 
@@ -167,7 +134,7 @@ func NewDeployment(env cluster.Env, opts Options) (*Deployment, error) {
 		Env:   env,
 		Opts:  opts,
 		VM:    NewVersionRouter(env, opts),
-		Meta:  dht.NewCluster(opts.MetaNodes, opts.MetaVNodes, opts.MetaReplication),
+		Meta:  dht.NewCluster(opts.MetaNodes, metaVNodes, opts.MetaReplication),
 		provs: make(map[cluster.NodeID]*Provider, len(opts.ProviderNodes)),
 	}
 	if opts.TenantRate > 0 {
@@ -351,7 +318,7 @@ func (d *Deployment) NewClient(node cluster.NodeID) *Client {
 	return &Client{
 		d:     d,
 		node:  node,
-		meta:  newCachedMeta(d.Meta.NewClient(d.Env, node), d.Opts.MetaCacheShards, 1<<16),
+		meta:  newCachedMeta(d.Meta.NewClient(d.Env, node), metaCacheShards, 1<<16),
 		blobs: make(map[BlobID]*blobInfo),
 	}
 }

@@ -25,7 +25,8 @@ func TestGroupCommitFairAcrossTenants(t *testing.T) {
 	)
 	eng := sim.NewEngine()
 	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(4)))
-	vm := NewVersionManagerShard(env, 0, 0, 1, Options{PublishApplyTime: apply, PublishDrainBatch: drainBatch})
+	vm := NewVersionManager(env, 0)
+	vm.applyTime, vm.drainBatch = apply, drainBatch
 
 	hogTotal := hogChunks * hogChunk
 	var quietLat [quiets]time.Duration

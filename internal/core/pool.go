@@ -5,8 +5,6 @@
 // copies on ingest; gather staging is copied into the caller's
 // destination), and returned before the operation completes — so
 // nothing long-lived ever aliases a pooled buffer.
-// Options.UnpooledBuffers disables reuse (fresh allocations, returns
-// dropped) as the A8 ablation baseline.
 package core
 
 import "sync"
@@ -23,10 +21,7 @@ var bufPool = sync.Pool{New: func() any { return new(pageBuf) }}
 // getBuf returns a zeroed buffer of length n. Zeroing is part of the
 // contract: the write path's extended buffer relies on untouched
 // bytes reading as zeros (holes).
-func (c *Client) getBuf(n int64) *pageBuf {
-	if c.d.Opts.UnpooledBuffers {
-		return &pageBuf{b: make([]byte, n)}
-	}
+func getBuf(n int64) *pageBuf {
 	pb := bufPool.Get().(*pageBuf)
 	if int64(cap(pb.b)) < n {
 		pb.b = make([]byte, n)
@@ -38,10 +33,7 @@ func (c *Client) getBuf(n int64) *pageBuf {
 }
 
 // putBuf recycles a buffer. The caller must not touch pb.b afterwards.
-func (c *Client) putBuf(pb *pageBuf) {
-	if pb == nil || c.d.Opts.UnpooledBuffers {
-		return
-	}
+func putBuf(pb *pageBuf) {
 	bufPool.Put(pb)
 }
 
@@ -49,7 +41,6 @@ func (c *Client) putBuf(pb *pageBuf) {
 // gather fan-out's per-provider workers) and releases them all at
 // once when the operation is done with the staged bytes.
 type bufArena struct {
-	c    *Client
 	mu   sync.Mutex
 	bufs []*pageBuf
 }
@@ -57,7 +48,7 @@ type bufArena struct {
 // alloc is the staging allocator handed to Provider.GetPagesInto. Safe
 // for concurrent use.
 func (a *bufArena) alloc(n int64) []byte {
-	pb := a.c.getBuf(n)
+	pb := getBuf(n)
 	a.mu.Lock()
 	a.bufs = append(a.bufs, pb)
 	a.mu.Unlock()
@@ -67,7 +58,7 @@ func (a *bufArena) alloc(n int64) []byte {
 // release recycles every buffer handed out so far.
 func (a *bufArena) release() {
 	for _, pb := range a.bufs {
-		a.c.putBuf(pb)
+		putBuf(pb)
 	}
 	a.bufs = nil
 }

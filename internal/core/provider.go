@@ -23,14 +23,20 @@ type Provider struct {
 	node  cluster.NodeID
 	store *pagestore.Store
 
-	mu         sync.Mutex
-	bytesIn    int64
-	flushBatch int64
-	dirtyCap   int64
-	flushSig   cluster.Signal
-	stopped    bool
-	down       bool
+	mu       sync.Mutex
+	bytesIn  int64
+	flushSig cluster.Signal
+	stopped  bool
+	down     bool
 }
+
+const (
+	// flushBatch caps the bytes persisted per flush round.
+	flushBatch = 64 << 20
+	// dirtyCap is the RAM write buffer: while unflushed bytes exceed it,
+	// incoming page writes are throttled to disk speed (backpressure).
+	dirtyCap = 1 << 30
+)
 
 // ErrProviderDown is returned by operations on a failed provider.
 var ErrProviderDown = fmt.Errorf("core: provider down")
@@ -59,12 +65,6 @@ type ProviderConfig struct {
 	// ("disk:/var/bsfs", "mem:", "null:" — see internal/store). Empty
 	// means a pure RAM store.
 	Store string
-	// FlushBatch caps bytes persisted per flush round (default 64 MB).
-	FlushBatch int64
-	// DirtyCap is the RAM write buffer: while unflushed bytes exceed
-	// it, incoming page writes are throttled to disk speed
-	// (backpressure). Default 1 GiB; 0 keeps the default.
-	DirtyCap int64
 }
 
 // NewProvider creates a provider on node and starts its flush daemon.
@@ -73,19 +73,11 @@ func NewProvider(env cluster.Env, node cluster.NodeID, cfg ProviderConfig) (*Pro
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FlushBatch <= 0 {
-		cfg.FlushBatch = 64 << 20
-	}
-	if cfg.DirtyCap <= 0 {
-		cfg.DirtyCap = 1 << 30
-	}
 	p := &Provider{
-		env:        env,
-		node:       node,
-		store:      st,
-		flushBatch: cfg.FlushBatch,
-		dirtyCap:   cfg.DirtyCap,
-		flushSig:   env.NewSignal(),
+		env:      env,
+		node:     node,
+		store:    st,
+		flushSig: env.NewSignal(),
 	}
 	env.Daemon(p.flushLoop)
 	return p, nil
@@ -110,7 +102,7 @@ func (p *Provider) flushLoop() {
 		if stopped {
 			return
 		}
-		keys, total := p.store.TakeDirty(p.flushBatch)
+		keys, total := p.store.TakeDirty(flushBatch)
 		if len(keys) == 0 {
 			sig.Wait()
 			// Re-arm: the signal just consumed is burnt (Fire is
@@ -158,7 +150,7 @@ func (p *Provider) Stop() {
 // alternative to waiting for the daemon).
 func (p *Provider) FlushNow() error {
 	for {
-		keys, total := p.store.TakeDirty(p.flushBatch)
+		keys, total := p.store.TakeDirty(flushBatch)
 		if len(keys) == 0 {
 			return nil
 		}
@@ -180,7 +172,7 @@ func (p *Provider) PutPage(key string, data []byte, size int64) error {
 	// Backpressure: once the RAM write buffer is full, the writer is
 	// throttled to disk speed for the overflow (the paper's RAM-first
 	// write path only helps while the buffer absorbs the burst).
-	if p.store.DirtyBytes() > p.dirtyCap {
+	if p.store.DirtyBytes() > dirtyCap {
 		p.env.DiskWrite(p.node, size)
 	}
 	var err error

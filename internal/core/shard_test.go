@@ -65,6 +65,34 @@ func TestRouterOnlyRoutes(t *testing.T) {
 	}
 }
 
+// TestOptionsSurface pins the exported fields of Options and
+// ProviderConfig. The admission rule for a new field: it needs a
+// non-test setter (bsfsd, bsfs-bench, an experiment) with a second value
+// in use. A value only tests set is an unexported field the test sets
+// itself; a value nothing varies is a constant at its use site; a field
+// that selects an old code path is not added — the old path is deleted.
+func TestOptionsSurface(t *testing.T) {
+	fields := func(v any) []string {
+		typ := reflect.TypeOf(v)
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				out = append(out, f.Name)
+			}
+		}
+		return out
+	}
+	want := []string{"PageSize", "Replication", "VMNodes", "VMServiceTime", "ProviderNodes", "MetaNodes",
+		"MetaReplication", "Provider", "Strategy", "PlacementInterval", "HeartbeatInterval", "TenantRate", "TenantBurst"}
+	if got := fields(Options{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Options has fields %v, want exactly %v", got, want)
+	}
+	want = []string{"MemCapacity", "Store"}
+	if got := fields(ProviderConfig{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("ProviderConfig has fields %v, want exactly %v", got, want)
+	}
+}
+
 // TestSingleShardRoutingIdentity: a one-shard tier is the paper's
 // centralized manager — every blob routes to shard 0 and ids come out
 // as the dense sequence 1, 2, 3, ...

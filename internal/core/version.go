@@ -19,8 +19,6 @@
 // advancing each touched blob's published frontier once per batch and
 // waking publishers and AwaitPublished waiters in one sweep, so clients
 // amortize the manager round trip across many in-flight writes.
-// Options.SerialPublish restores the one-member-one-pass behavior for
-// the A6 ablation.
 package core
 
 import (
@@ -95,9 +93,7 @@ type VersionManager struct {
 	blobs  map[BlobID]*blobState
 
 	// Group-commit state: publish/abort requests queue here and a
-	// single drainer daemon applies them batch-wise. serial disables
-	// the queue (ablation A6, Options.SerialPublish) and restores
-	// per-member processing.
+	// single drainer daemon applies them batch-wise.
 	//
 	// The queue is fair across tenants: each enqueue call's requests
 	// form one atomic group filed under the tenant that ticketed them
@@ -107,7 +103,6 @@ type VersionManager struct {
 	// backlog's length. Groups are never split across passes: the
 	// batch-abort contiguous-prefix guarantee (see AbortBatch) needs a
 	// whole client batch to resolve under one lock hold.
-	serial   bool
 	queue    map[string][]pubGroup // per-tenant FIFO of enqueue groups
 	order    []string              // round-robin rotation of tenants with queued work
 	draining bool
@@ -117,8 +112,8 @@ type VersionManager struct {
 	// request of virtual time before applying. drainBatch caps how
 	// many requests one pass assembles (0 = drain everything queued) —
 	// the knob that makes drains incremental and tenant fairness
-	// measurable. Like svcTime and serial, both are fixed at
-	// construction from the deployment's Options.
+	// measurable. Both are zero in every deployment; the fairness test
+	// sets them on a manager it builds itself.
 	applyTime  time.Duration
 	drainBatch int
 }
@@ -173,9 +168,8 @@ func NewVersionManager(env cluster.Env, node cluster.NodeID) *VersionManager {
 // congruent to shard modulo stride (starting at the smallest such id
 // >= 1), so the owning shard of any blob is the pure function
 // id mod stride — no lookup table, no routing RPC. opts supplies the
-// ablation arm and the sim occupancy models (SerialPublish,
-// VMServiceTime, PublishApplyTime, PublishDrainBatch), fixed for the
-// manager's lifetime.
+// sim occupancy model (VMServiceTime), fixed for the manager's
+// lifetime.
 func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int, opts Options) *VersionManager {
 	if stride < 1 || shard < 0 || shard >= stride {
 		panic(fmt.Sprintf("core: invalid version-manager shard %d of %d", shard, stride))
@@ -185,17 +179,14 @@ func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride 
 		first = BlobID(stride) // ids start at 1; shard 0's first id is the stride itself
 	}
 	return &VersionManager{
-		env:        env,
-		node:       node,
-		shard:      shard,
-		stride:     BlobID(stride),
-		svcTime:    opts.VMServiceTime,
-		nextID:     first,
-		blobs:      make(map[BlobID]*blobState),
-		serial:     opts.SerialPublish,
-		queue:      make(map[string][]pubGroup),
-		applyTime:  opts.PublishApplyTime,
-		drainBatch: opts.PublishDrainBatch,
+		env:     env,
+		node:    node,
+		shard:   shard,
+		stride:  BlobID(stride),
+		svcTime: opts.VMServiceTime,
+		nextID:  first,
+		blobs:   make(map[BlobID]*blobState),
+		queue:   make(map[string][]pubGroup),
 	}
 }
 
@@ -352,30 +343,22 @@ func (b *blobState) historyDelta(since, v Version) []WriteRecord {
 
 // PublishBatchAsync marks versions of one blob ready for publication
 // without waiting for visibility — the AwaitPublication(false) path.
-// It returns once the drainer has applied the whole batch (or, in
-// serial mode, after marking each member): the versions will become
-// visible in ticket order, observable through AwaitPublished or any
-// later read. The first per-member error is returned.
+// It returns once the drainer has applied the whole batch: the
+// versions will become visible in ticket order, observable through
+// AwaitPublished or any later read. The first per-member error is
+// returned.
 func (vm *VersionManager) PublishBatchAsync(from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
 	vm.env.RTT(from, vm.node)
 	vm.serve()
-	var first error
-	if vm.serial {
-		for _, v := range vs {
-			if _, _, err := vm.publishSerialStart(blob, v); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {
 		reqs[i] = &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
 	}
 	vm.enqueue(reqs)
+	var first error
 	for _, req := range reqs {
 		req.done.Wait() // applied by the drainer; bounded, never canceled
 		if req.err != nil && first == nil {
@@ -403,42 +386,6 @@ func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, bl
 	}
 	vm.env.RTT(from, vm.node)
 	vm.serve()
-	if vm.serial {
-		// Mark every member ready before waiting on any visibility:
-		// waiting inline would deadlock an out-of-order batch on its
-		// own unmarked members.
-		type memberWait struct {
-			v    Version
-			wait cluster.Signal
-			p    *pendingWrite
-		}
-		var first error
-		var waits []memberWait
-		for _, v := range vs {
-			wait, p, err := vm.publishSerialStart(blob, v)
-			if err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			if wait != nil {
-				waits = append(waits, memberWait{v: v, wait: wait, p: p})
-			}
-		}
-		for _, m := range waits {
-			if err := ctx.Wait(m.wait); err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			if err := vm.checkPublished(blob, m.v, m.p); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {
 		reqs[i] = &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
@@ -451,24 +398,6 @@ func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, bl
 		}
 	}
 	return first
-}
-
-// publishSerialStart marks v ready under its own lock acquisition and
-// frontier pass (the serial ablation's cost model); waiting for
-// visibility is the caller's job, so batches can mark every member
-// before blocking on any of them.
-func (vm *VersionManager) publishSerialStart(blob BlobID, v Version) (cluster.Signal, *pendingWrite, error) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	b, ok := vm.blobs[blob]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-	}
-	wait, p, err := vm.applyPublishLocked(b, blob, v)
-	if err == nil && wait != nil {
-		vm.advanceLocked(b)
-	}
-	return wait, p, err
 }
 
 // awaitPublishReq waits for the drainer to apply a queued publish and
@@ -566,16 +495,16 @@ func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version)
 // AbortBatch tombstones every still-pending member of one blob's
 // version batch (writer failure) in a single round trip, riding the
 // same group-commit queue as publishes. All members are resolved under
-// one lock acquisition (the serial path locks once; the group-commit
-// path enters the drainer queue together, and the drainer applies a
-// whole batch under one lock hold), which yields the guarantee the
-// client's failure reporting relies on: since the publication frontier
-// also only moves under that lock, the members of a contiguously-
-// ticketed batch that remain published afterwards form a contiguous
-// prefix — a canceled batch can never leave a published member
-// stranded past an aborted one. Already-aborted members are skipped
-// idempotently and already-published ones are left alone (a visible
-// snapshot cannot be retracted); the first other error is returned.
+// one lock acquisition (they enter the drainer queue together, and the
+// drainer applies a whole batch under one lock hold), which yields the
+// guarantee the client's failure reporting relies on: since the
+// publication frontier also only moves under that lock, the members of
+// a contiguously-ticketed batch that remain published afterwards form
+// a contiguous prefix — a canceled batch can never leave a published
+// member stranded past an aborted one. Already-aborted members are
+// skipped idempotently and already-published ones are left alone (a
+// visible snapshot cannot be retracted); the first other error is
+// returned.
 func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
@@ -584,22 +513,6 @@ func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Vers
 	vm.serve()
 	tolerable := func(err error) bool {
 		return err == nil || errors.Is(err, ErrAlreadyPublished)
-	}
-	if vm.serial {
-		vm.mu.Lock()
-		defer vm.mu.Unlock()
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-		}
-		var first error
-		for _, v := range vs {
-			if err := vm.applyAbortLocked(b, blob, v); !tolerable(err) && first == nil {
-				first = err
-			}
-		}
-		vm.advanceLocked(b)
-		return first
 	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {

@@ -411,33 +411,29 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 	}
 }
 
-// TestSerialPublishModeEquivalence: with Options.SerialPublish the same
-// sequences produce identical outcomes (the knob changes scheduling,
-// never semantics).
-func TestSerialPublishModeEquivalence(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 0, 1, Options{SerialPublish: serial})
-		id, _ := vm.CreateBlob(0, 100)
-		ts, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 25}, {Off: -1, Length: 25}}, 0)
-		if err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
-		}
-		// Publish in reverse ticket order: both modes must mark every
-		// member before waiting, or the batch would deadlock on itself.
-		if err := vm.PublishBatch(bg, 0, id, []Version{ts[1].Record.Version, ts[0].Record.Version}); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
-		}
-		v, size, err := vm.Latest(0, id)
-		if err != nil || v != 2 || size != 50 {
-			t.Fatalf("serial=%v: Latest = %d/%d, %v", serial, v, size, err)
-		}
-		// Aborting a published version is tolerated and retracts nothing.
-		if err := abort1(vm, 0, id, 1); err != nil {
-			t.Fatalf("serial=%v: abort published = %v", serial, err)
-		}
-		if _, err := vm.GetVersion(0, id, 1); err != nil {
-			t.Fatalf("serial=%v: published v1 unreadable after the abort: %v", serial, err)
-		}
+// TestPublishBatchReverseOrder: a batch published in reverse ticket
+// order resolves (every member is marked before any visibility wait,
+// or the batch would deadlock on itself), and aborting a published
+// version is tolerated and retracts nothing.
+func TestPublishBatchReverseOrder(t *testing.T) {
+	vm := localVM()
+	id, _ := vm.CreateBlob(0, 100)
+	ts, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 25}, {Off: -1, Length: 25}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.PublishBatch(bg, 0, id, []Version{ts[1].Record.Version, ts[0].Record.Version}); err != nil {
+		t.Fatal(err)
+	}
+	v, size, err := vm.Latest(0, id)
+	if err != nil || v != 2 || size != 50 {
+		t.Fatalf("Latest = %d/%d, %v", v, size, err)
+	}
+	if err := abort1(vm, 0, id, 1); err != nil {
+		t.Fatalf("abort published = %v", err)
+	}
+	if _, err := vm.GetVersion(0, id, 1); err != nil {
+		t.Fatalf("published v1 unreadable after the abort: %v", err)
 	}
 }
 

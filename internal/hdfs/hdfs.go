@@ -58,8 +58,6 @@ type Config struct {
 	// the same durability the BSFS providers get from core's
 	// ProviderConfig.Store. Empty means RAM-only datanodes.
 	Store string
-	// Seed makes replica placement deterministic.
-	Seed int64
 }
 
 func (c *Config) fillDefaults() {
@@ -71,9 +69,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Replication > len(c.DataNodes) {
 		c.Replication = len(c.DataNodes)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -165,7 +160,7 @@ func newNameNode(env cluster.Env, cfg Config) *NameNode {
 		node: cfg.NameNode,
 		cfg:  cfg,
 		ns:   fsapi.NewNamespace(),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		rng:  rand.New(rand.NewSource(1)), // fixed seed: replica placement is deterministic
 		isDN: isDN,
 	}
 }

@@ -62,8 +62,6 @@ type Member struct {
 
 // Config parameterizes a Manager.
 type Config struct {
-	// VNodes is the ring's virtual node count per member (default 64).
-	VNodes int
 	// Strategy overrides write-time placement (ablations). The ring
 	// remains the authority for preferred owners and rebalancing.
 	Strategy Strategy
@@ -100,14 +98,14 @@ type Manager struct {
 	stopped bool
 }
 
+// ringVNodes is the placement ring's virtual node count per member.
+const ringVNodes = 64
+
 // NewManager creates the placement authority on node over an initial
 // provider fleet, and starts the heartbeat daemon when configured.
 func NewManager(env cluster.Env, node cluster.NodeID, providers []cluster.NodeID, cfg Config) *Manager {
 	if len(providers) == 0 {
 		panic("placement: manager needs at least one provider")
-	}
-	if cfg.VNodes < 1 {
-		cfg.VNodes = 64
 	}
 	if cfg.FailAfter < 1 {
 		cfg.FailAfter = 2
@@ -118,7 +116,7 @@ func NewManager(env cluster.Env, node cluster.NodeID, providers []cluster.NodeID
 		env:     env,
 		node:    node,
 		cfg:     cfg,
-		ring:    dht.NewRing(ps, cfg.VNodes, 1),
+		ring:    dht.NewRing(ps, ringVNodes, 1),
 		members: make(map[cluster.NodeID]*memberState, len(ps)),
 	}
 	for _, n := range ps {

@@ -33,7 +33,6 @@
 // other shard.
 //
 // New(1, capacity) degrades to a single mutex + one LRU list over the
-// whole capacity — byte-for-byte the behavior of the historical
-// single-lock client metadata cache, kept as the A8 ablation baseline
-// and the -meta-cache-shards=1 operational mode.
+// whole capacity: exact global LRU order, which the eviction tests
+// rely on.
 package stripecache
