@@ -15,7 +15,7 @@
 // completion seconds) as custom benchmark units. Benchmarks run at a
 // reduced default scale so `go test -bench=.` finishes quickly; set
 // -paperscale to run the full 270-node / 1 GB-per-client setup the
-// paper used (cmd/bsfs-bench and cmd/mr-bench default to it).
+// paper used (cmd/bsfs-bench defaults to it).
 package main
 
 import (

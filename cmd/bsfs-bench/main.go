@@ -1,8 +1,11 @@
 // Command bsfs-bench regenerates the paper's microbenchmark figures
-// (E1-E3), the extensions (X1 concurrent appends, X2 shared-blob
-// publish throughput, X3 provider failure/churn with replica repair,
-// X5 sharded version-manager scaling, X6 membership churn, X7 tiered
-// storage recovery over durable backends, X8 heavy-traffic serving)
+// (E1-E3) and application benchmarks (E4 Random Text Writer, E5
+// Distributed Grep, through the MapReduce framework), the extensions
+// (X1 concurrent appends, X2 shared-blob publish throughput, X3 provider
+// failure/churn with replica repair, X4 MapReduce jobs on different
+// snapshots, X5 sharded version-manager scaling, X6 membership churn,
+// X7 tiered storage recovery over durable backends, X8 heavy-traffic
+// serving)
 // and the ablation studies (A1-A4, A6's batched-vs-unbatched publish,
 // A7's sharded-vs-centralized version management) on a simulated
 // Grid'5000-style cluster. bench.Experiments is the registry; -list
@@ -15,13 +18,14 @@
 //	bsfs-bench -clients 1,50,250        # custom sweep
 //	bsfs-bench -size 256 -nodes 90      # reduced scale (MB per client)
 //	bsfs-bench -replicas 3              # replicated deployments
-//	bsfs-bench -csv                     # machine-readable output
+//	bsfs-bench -exp a3 -csv             # the sweep points that ran, as CSV
 //	bsfs-bench -json results.json       # record results (name, params, metrics)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -79,12 +83,10 @@ func main() {
 		Replication:    *replicas,
 	}
 
-	out := os.Stdout
+	// -csv replaces the tables with the sweep points of whatever ran.
+	out := io.Writer(os.Stdout)
 	if *csv {
-		// CSV mode wraps every experiment's points; simplest is to run
-		// the sweeps directly for the three core experiments.
-		runCSV(opts)
-		return
+		out = io.Discard
 	}
 
 	var todo []bench.Experiment
@@ -100,14 +102,19 @@ func main() {
 	}
 
 	var results []bench.ExperimentResult
+	var points []bench.Point
 	for _, e := range todo {
-		fmt.Printf("\n--- %s ---\n", e.Title)
+		fmt.Fprintf(out, "\n--- %s ---\n", e.Title)
 		rec := &bench.Recorder{Writer: out}
 		if err := e.Run(opts, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "bsfs-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		results = append(results, bench.NewExperimentResult(e, rec))
+		points = append(points, rec.Points...)
+	}
+	if *csv {
+		bench.WritePointsCSV(os.Stdout, points)
 	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
@@ -121,41 +128,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bsfs-bench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
+		fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
 	}
-}
-
-// runCSV emits E1-E3 sweep data for plotting.
-func runCSV(opts bench.SweepOpts) {
-	var all []bench.Point
-	type runner struct {
-		name string
-		fn   func(bench.MicroOpts) (bench.Point, error)
-	}
-	for _, r := range []runner{
-		{"e1", bench.RunReadDistinct},
-		{"e2", bench.RunReadShared},
-		{"e3", bench.RunWriteDistinct},
-	} {
-		for _, kind := range []string{"bsfs", "hdfs"} {
-			for _, n := range opts.Clients {
-				p, err := r.fn(bench.MicroOpts{
-					Clients:        n,
-					BytesPerClient: opts.BytesPerClient,
-					Spec:           opts.Spec,
-					Storage: bench.StorageOpts{
-						Kind:        kind,
-						MemCapacity: opts.MemCapacity,
-						Replication: opts.Replication,
-					},
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bsfs-bench: %s/%s/%d: %v\n", r.name, kind, n, err)
-					os.Exit(1)
-				}
-				all = append(all, p)
-			}
-		}
-	}
-	bench.WritePointsCSV(os.Stdout, all)
 }

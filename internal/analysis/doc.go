@@ -27,7 +27,7 @@
 //
 //   - sentinelcmp: errors are matched with errors.Is, never == or !=.
 //     The typed error contract (core.ErrNoSuchVersion,
-//     core.ErrAlreadyPublished, cluster.ErrCanceled, ...) wraps
+//     cluster.ErrCanceled, ...) wraps
 //     sentinels with operation context as errors cross layers; a ==
 //     comparison breaks the moment any layer adds fmt.Errorf("%w").
 //     The rule flags comparisons and switch cases against any exported

@@ -8,11 +8,10 @@ import (
 
 // SentinelCmp returns the analyzer banning ==/!= (and switch cases)
 // against exported package-level error values. The typed error
-// contract — core.ErrNoSuchVersion, core.ErrAlreadyPublished,
-// cluster.ErrCanceled, io.EOF, ... — only holds through errors.Is:
-// every layer is free to wrap a sentinel with fmt.Errorf("%w", ...),
-// and an identity comparison silently stops matching the moment one
-// does. Matching an error by its text — err.Error() compared with ==
+// contract — core.ErrNoSuchVersion, cluster.ErrCanceled, io.EOF, ... —
+// only holds through errors.Is: every layer is free to wrap a sentinel
+// with fmt.Errorf("%w", ...), and an identity comparison silently stops
+// matching the moment one does. Matching an error by its text — err.Error() compared with ==
 // or != or searched with strings.Contains, HasPrefix or HasSuffix — is
 // banned with it: a message is not a contract, and it changes the
 // moment any layer rewords or wraps.

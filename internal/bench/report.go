@@ -13,7 +13,7 @@ import (
 // Recorder tees an experiment's rendered output while capturing the
 // structured results behind it. Pass one as the writer to
 // Experiment.Run: WritePointsTable feeds it every sweep point, and
-// experiments with scalar results (x2, x3, x5, x6, a6, a7) record
+// experiments with scalar results (e4, e5, x2-x6, a6, a7) record
 // named metrics. Serialize with WriteResultsJSON (bsfs-bench -json).
 type Recorder struct {
 	io.Writer
@@ -61,8 +61,16 @@ func WritePointsTable(w io.Writer, title string, points []Point) {
 }
 
 // WriteAppTable renders application benchmark results — the paper's
-// job completion time comparison.
+// job completion time comparison — and records each job's time and
+// byte counts as metrics.
 func WriteAppTable(w io.Writer, title string, results []AppResult) {
+	for _, r := range results {
+		job := r.Experiment + "_" + r.Kind
+		recordMetric(w, job+"_completion", "s", r.Completion.Seconds())
+		recordMetric(w, job+"_input", "bytes", float64(r.Counters.InputBytes))
+		recordMetric(w, job+"_shuffle", "bytes", float64(r.Counters.ShuffleBytes))
+		recordMetric(w, job+"_output", "bytes", float64(r.Counters.OutputBytes))
+	}
 	fmt.Fprintf(w, "\n== %s ==\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "experiment\tfs\tmaps\tcompletion\tinput\tshuffle\toutput\tlocal/rack/remote")

@@ -119,9 +119,45 @@ func TestFindExperiment(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	for _, want := range []string{"e1", "e2", "e3", "x1", "a1", "a2", "a3", "a4"} {
+	for _, want := range []string{"e1", "e2", "e3", "e4", "e5", "x1", "x4", "a1", "a2", "a3", "a4"} {
 		if !ids[want] {
 			t.Fatalf("experiment %s missing from registry", want)
+		}
+	}
+}
+
+// TestAppExperimentsRecordMetrics runs the application benchmarks the way
+// bsfs-bench does, through the registry: one map per client at the
+// sweep's largest client count, and every job's completion time and
+// byte counts recorded for -json.
+func TestAppExperimentsRecordMetrics(t *testing.T) {
+	opts := SweepOpts{Clients: []int{2, 6}, BytesPerClient: 16 * MB, Spec: ClusterSpec{Nodes: 30, MetaNodes: 4}}
+	const volume = float64(6 * 16 * MB) // what E4's six maps write and E5's read back
+	for id, want := range map[string]map[string]float64{
+		"e4": {"E4-random-text-writer_bsfs_output": volume, "E4-random-text-writer_hdfs_output": volume},
+		"e5": {"E5-distributed-grep_bsfs_input": volume, "E5-distributed-grep_hdfs_input": volume},
+		"x4": {"X4-snapshot-grep-1_bsfs_input": volume / 2, "X4-snapshot-grep-2_bsfs_input": volume},
+	} {
+		e, _ := FindExperiment(id)
+		rec := &Recorder{Writer: io.Discard}
+		if err := e.Run(opts, rec); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got := map[string]float64{}
+		for _, m := range rec.Metrics {
+			got[m.Name] = m.Value
+		}
+		// Each job records its completion time and three byte counts.
+		if len(got) != 4*len(want) {
+			t.Errorf("%s recorded %d metrics, want %d: %v", id, len(got), 4*len(want), got)
+		}
+		for name, bytes := range want {
+			if got[name] != bytes {
+				t.Errorf("%s: %s = %v, want %v", id, name, got[name], bytes)
+			}
+			if job := name[:strings.LastIndex(name, "_")]; got[job+"_completion"] <= 0 {
+				t.Errorf("%s: %s_completion = %v s", id, job, got[job+"_completion"])
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -68,6 +69,31 @@ func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*Micr
 	return out, nil
 }
 
+// appOpts sizes an application benchmark from a sweep: one map per
+// client at the sweep's largest client count, a client's volume per map.
+func (o SweepOpts) appOpts(kind string) AppOpts {
+	o.fillDefaults()
+	return AppOpts{
+		Maps:        slices.Max(o.Clients),
+		BytesPerMap: o.BytesPerClient,
+		Spec:        o.Spec,
+		Storage:     StorageOpts{Kind: kind, MemCapacity: o.MemCapacity, Replication: o.Replication},
+	}
+}
+
+// runApp runs an application benchmark with BSFS, then HDFS, underneath.
+func runApp(run func(AppOpts) (AppResult, error), opts SweepOpts) ([]AppResult, error) {
+	var out []AppResult
+	for _, kind := range []string{"bsfs", "hdfs"} {
+		r, err := run(opts.appOpts(kind))
+		if err != nil {
+			return out, fmt.Errorf("bench: storage %s: %w", kind, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
 // Experiment metadata for the registry.
 type Experiment struct {
 	ID    string
@@ -102,6 +128,24 @@ var Experiments = []Experiment{
 		Run: func(opts SweepOpts, w io.Writer) error {
 			pts, err := runSweep(RunWriteDistinct, opts, []string{"bsfs", "hdfs"}, nil)
 			WritePointsTable(w, "E3: concurrent writes, distinct files", pts)
+			return err
+		},
+	},
+	{
+		ID:    "e4",
+		Title: "E4 §IV.C: Random Text Writer through MapReduce (job completion time)",
+		Run: func(opts SweepOpts, w io.Writer) error {
+			res, err := runApp(RunRandomTextWriter, opts)
+			WriteAppTable(w, "E4: Random Text Writer (job completion time)", res)
+			return err
+		},
+	},
+	{
+		ID:    "e5",
+		Title: "E5 §IV.C: Distributed Grep through MapReduce (job completion time)",
+		Run: func(opts SweepOpts, w io.Writer) error {
+			res, err := runApp(RunDistributedGrep, opts)
+			WriteAppTable(w, "E5: Distributed Grep (job completion time)", res)
 			return err
 		},
 	},
@@ -177,6 +221,15 @@ var Experiments = []Experiment{
 			}
 			WritePointsTable(w, "X3: reads under provider failure (healthy vs degraded)", pts)
 			return nil
+		},
+	},
+	{
+		ID:    "x4",
+		Title: "X4 §V: concurrent MapReduce jobs on different snapshots of a growing file (bsfs)",
+		Run: func(opts SweepOpts, w io.Writer) error {
+			res, err := RunSnapshotWorkflow(opts.appOpts("bsfs"))
+			WriteAppTable(w, "X4: concurrent MapReduce jobs on different snapshots (bsfs)", res)
+			return err
 		},
 	},
 	{

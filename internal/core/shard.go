@@ -38,8 +38,8 @@ type VersionRouter struct {
 }
 
 // NewVersionRouter builds the version-manager tier: one shard per
-// entry of opts.VMNodes, hosted on that node and configured from opts
-// (see NewVersionManagerShard).
+// entry of opts.VMNodes, hosted on that node, with opts.VMServiceTime as
+// its occupancy model (see NewVersionManagerShard).
 func NewVersionRouter(env cluster.Env, opts Options) *VersionRouter {
 	nodes := opts.VMNodes
 	if len(nodes) == 0 {
@@ -47,7 +47,7 @@ func NewVersionRouter(env cluster.Env, opts Options) *VersionRouter {
 	}
 	r := &VersionRouter{shards: make([]*VersionManager, len(nodes))}
 	for i, n := range nodes {
-		r.shards[i] = NewVersionManagerShard(env, n, i, len(nodes), opts)
+		r.shards[i] = NewVersionManagerShard(env, n, i, len(nodes), opts.VMServiceTime)
 	}
 	return r
 }

@@ -271,7 +271,7 @@ func TestBlobsMergedAcrossShards(t *testing.T) {
 // allocation the range would skip every foreign id and, worse, any id
 // past a gap.
 func TestVersionManagerBlobsSparseIDs(t *testing.T) {
-	vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 2, 5, Options{})
+	vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 2, 5, 0)
 	var want []BlobID
 	for i := 0; i < 4; i++ {
 		id, err := vm.CreateBlob(1, 128)
@@ -294,7 +294,7 @@ func TestServiceTimeQueuesRequests(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(4))
 	env := cluster.NewSim(net)
-	vm := NewVersionManagerShard(env, 0, 0, 1, Options{VMServiceTime: svc})
+	vm := NewVersionManagerShard(env, 0, 0, 1, svc)
 	var elapsed time.Duration
 	eng.Go(func() {
 		id, err := vm.CreateBlob(1, 128)

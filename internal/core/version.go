@@ -37,11 +37,11 @@ var (
 	ErrNoSuchVersion = errors.New("core: no such version")
 	ErrAborted       = errors.New("core: version aborted")
 	ErrBadWrite      = errors.New("core: invalid write request")
-	// ErrAlreadyPublished is the per-member outcome of aborting a
+	// errAlreadyPublished is the per-member outcome of aborting a
 	// version that has already been published: a visible snapshot can
 	// never be retracted. AbortBatch tolerates it — the member is simply
-	// left published — so the call itself does not fail with it.
-	ErrAlreadyPublished = errors.New("core: version already published")
+	// left published — so no caller ever receives it.
+	errAlreadyPublished = errors.New("core: version already published")
 )
 
 // Ticket is the version manager's reply to a write intent: the assigned
@@ -160,17 +160,17 @@ type pendingWrite struct {
 // manager hosted on node: shard 0 of stride 1, allocating the dense id
 // sequence 1, 2, 3, ... exactly as the paper's centralized manager.
 func NewVersionManager(env cluster.Env, node cluster.NodeID) *VersionManager {
-	return NewVersionManagerShard(env, node, 0, 1, Options{})
+	return NewVersionManagerShard(env, node, 0, 1, 0)
 }
 
 // NewVersionManagerShard creates shard `shard` of a `stride`-shard
 // version-manager tier, hosted on node. The shard allocates blob ids
 // congruent to shard modulo stride (starting at the smallest such id
 // >= 1), so the owning shard of any blob is the pure function
-// id mod stride — no lookup table, no routing RPC. opts supplies the
-// sim occupancy model (VMServiceTime), fixed for the manager's
+// id mod stride — no lookup table, no routing RPC. serviceTime is the
+// sim occupancy model (Options.VMServiceTime), fixed for the manager's
 // lifetime.
-func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int, opts Options) *VersionManager {
+func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int, serviceTime time.Duration) *VersionManager {
 	if stride < 1 || shard < 0 || shard >= stride {
 		panic(fmt.Sprintf("core: invalid version-manager shard %d of %d", shard, stride))
 	}
@@ -183,7 +183,7 @@ func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride 
 		node:    node,
 		shard:   shard,
 		stride:  BlobID(stride),
-		svcTime: opts.VMServiceTime,
+		svcTime: serviceTime,
 		nextID:  first,
 		blobs:   make(map[BlobID]*blobState),
 		queue:   make(map[string][]pubGroup),
@@ -453,7 +453,7 @@ func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Versio
 // node keys referencing it — but it is skipped in the publication order
 // and never becomes the visible snapshot. Aborting an already aborted
 // version is a no-op; an unknown version is ErrNoSuchVersion and a
-// published one ErrAlreadyPublished.
+// published one errAlreadyPublished.
 func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version) error {
 	p, ok := b.pending[v]
 	if !ok {
@@ -463,7 +463,7 @@ func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version)
 		if b.records[int(v)-1].Aborted {
 			return nil // already aborted: idempotent
 		}
-		return fmt.Errorf("%w: %d@%d", ErrAlreadyPublished, blob, v)
+		return fmt.Errorf("%w: %d@%d", errAlreadyPublished, blob, v)
 	}
 	if p.aborted {
 		return nil
@@ -512,7 +512,7 @@ func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Vers
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	tolerable := func(err error) bool {
-		return err == nil || errors.Is(err, ErrAlreadyPublished)
+		return err == nil || errors.Is(err, errAlreadyPublished)
 	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {

@@ -35,19 +35,25 @@ func startShardedServer(t *testing.T, shards int) *Client {
 // listener and returns its address.
 func serve(t testing.TB, opts core.Options, cfg bsfs.Config) (string, *core.Deployment) {
 	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Addr().String(), serveOn(t, l, opts, cfg)
+}
+
+// serveOn is serve behind a listener of the test's own making.
+func serveOn(t testing.TB, l net.Listener, opts core.Options, cfg bsfs.Config) *core.Deployment {
+	t.Helper()
+	t.Cleanup(func() { l.Close() })
 	opts.ProviderNodes = []cluster.NodeID{1, 2, 3}
 	dep, err := core.NewDeployment(cluster.NewLocal(3+max(len(opts.VMNodes), 1), 0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dep.Close() })
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
 	go Serve(l, NewService(bsfs.NewService(dep, cfg).NewFS(0)))
-	return l.Addr().String(), dep
+	return dep
 }
 
 func dialTest(t testing.TB, addr string) *Client {
@@ -332,10 +338,10 @@ func TestWriteVecBatchedChunks(t *testing.T) {
 	}
 }
 
-// dialRaw opens a data connection the test frames by hand.
+// dialRaw opens a connection the test frames by hand.
 func dialRaw(t testing.TB, addr string) net.Conn {
 	t.Helper()
-	conn, err := dial(addr, preambleData)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
-// wire.go is the data plane: the frame codec, the typed error table,
-// the server's exchanges and the client's side of them. The package
-// comment documents the format.
+// wire.go is the protocol: the frame codec, the typed error table, the
+// server's exchanges and the client's side of them. The package comment
+// documents the format and the op table.
 package rpcnet
 
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,13 +24,14 @@ import (
 const MaxChunk = 4 << 20
 
 const (
-	preambleData = 'D' // a connection's first byte names its plane
-	preambleCtl  = 'C'
-
 	opWrite  = 1 // request: create (flagAppend: append to) path from Length payload bytes
 	opRead   = 2 // request: stream up to Length bytes at Offset of path's snapshot Version
 	opData   = 3 // reply: Length payload bytes follow
-	opStatus = 4 // reply: the outcome in Code; PathLen bytes of message follow
+	opStatus = 4 // reply: the outcome in Code; PathLen bytes of message, Length of reply value follow
+
+	// The control calls; the package comment's table has what each reads.
+	opStat, opList, opMkdir, opDelete, opRename, opVersions    = 5, 6, 7, 8, 9, 10
+	opShards, opProviders, opTenants, opJoin, opLeave, opDrain = 11, 12, 13, 14, 15, 16
 
 	flagAppend = 1
 
@@ -62,6 +64,7 @@ var wireErrors = [...]error{
 	10: core.ErrAllReplicasDown,
 	11: core.ErrCanceled,
 	12: core.ErrOverloaded, // Offset carries the retry-after hint in nanoseconds
+	13: fsapi.ErrNotEmpty,
 }
 
 const codeOther = 1
@@ -78,6 +81,20 @@ func (e *wireError) Unwrap() error { return e.cause }
 
 var errBadFrame = errors.New("rpcnet: malformed frame")
 
+// valid reports whether h may open a frame in its direction: an op of
+// that direction, every field in bounds, a control payload of one path.
+func (h header) valid(request bool) bool {
+	switch {
+	case h.PathLen > maxPath || h.TenLen > maxTenant || h.Offset < 0 || h.Length < 0:
+		return false
+	case !request:
+		return h.Op == opData || h.Op == opStatus
+	case h.Op == opWrite || h.Op == opRead:
+		return h.Flags&^flagAppend == 0
+	}
+	return h.Op >= opStat && h.Op <= opDrain && h.Flags == 0 && h.Length <= maxPath
+}
+
 // writeFrame sends h, the two short strings and the payload in one
 // gathered write.
 func writeFrame(conn net.Conn, h header, path, tenant string, payload []byte) error {
@@ -91,9 +108,10 @@ func writeFrame(conn net.Conn, h header, path, tenant string, payload []byte) er
 	return err
 }
 
-// readFrame reads a header and the two short strings after it.
-func readFrame(r io.Reader) (h header, path, tenant string, err error) {
-	if err = binary.Read(r, binary.LittleEndian, &h); err == nil && (h.PathLen > maxPath || h.TenLen > maxTenant) {
+// readFrame reads a header and, if it is valid, the two short strings
+// after it.
+func readFrame(r io.Reader, request bool) (h header, path, tenant string, err error) {
+	if err = binary.Read(r, binary.LittleEndian, &h); err == nil && !h.valid(request) {
 		err = errBadFrame
 	}
 	if err != nil {
@@ -105,8 +123,8 @@ func readFrame(r io.Reader) (h header, path, tenant string, err error) {
 }
 
 // writeStatus sends a status frame: h's fields with err's code, hint
-// and message.
-func writeStatus(conn net.Conn, h header, err error) error {
+// and message, then the h.Length bytes of a control call's value.
+func writeStatus(conn net.Conn, h header, err error, value []byte) error {
 	h.Op = opStatus
 	var msg string
 	if err != nil {
@@ -121,48 +139,40 @@ func writeStatus(conn net.Conn, h header, err error) error {
 		msg = err.Error()
 		msg = msg[:min(len(msg), maxPath)]
 	}
-	return writeFrame(conn, h, msg, "", nil)
+	return writeFrame(conn, h, msg, "", value)
 }
 
 // chunks pools the MaxChunk payload buffers, one per exchange in flight.
 var chunks = sync.Pool{New: func() any { return new([MaxChunk]byte) }}
 
-// serveData runs one data connection: exchanges one after another until
-// the peer hangs up, the stream tears or a frame is malformed.
-func (s *Service) serveData(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	for s.exchange(conn, br) == nil {
-	}
-}
-
 // exchange serves one request. A nil return means the reply is sent and
 // the stream stands at the next request.
 func (s *Service) exchange(conn net.Conn, br *bufio.Reader) error {
-	h, path, tenant, err := readFrame(br)
-	if err == nil && ((h.Op != opWrite && h.Op != opRead) || h.Flags&^flagAppend != 0 || h.Offset < 0 || h.Length < 0) {
-		err = errBadFrame
-	}
+	h, path, tenant, err := readFrame(br, true)
 	if err != nil {
 		if errors.Is(err, errBadFrame) {
 			// Say why; the hang-up follows whether or not this arrives.
-			_ = writeStatus(conn, header{}, fmt.Errorf("%w: %+v", err, h))
+			_ = writeStatus(conn, header{}, fmt.Errorf("%w: %+v", err, h), nil)
 		}
 		return err
 	}
 	body := &io.LimitedReader{R: br}
-	if h.Op == opWrite {
+	if h.Op != opRead {
 		body.N = h.Length
 	}
+	var value []byte
 	// One admission token per exchange, taken before any writer or
 	// reader exists and held until the reply is complete.
-	release, err := s.admit(tenant)
+	release, err := s.admit(h.Op, tenant)
 	if err == nil {
 		defer release()
-		if h.Op == opRead {
+		switch h.Op {
+		case opRead:
 			err = s.serveRead(conn, h, path)
-		} else {
+		case opWrite:
 			err = s.serveWrite(body, h.Flags&flagAppend != 0, path)
+		default:
+			value, err = s.control(h, path, body)
 		}
 	}
 	// A refused or failed upload still has payload on the wire: skip it
@@ -171,7 +181,7 @@ func (s *Service) exchange(conn net.Conn, br *bufio.Reader) error {
 	if _, cerr := io.Copy(io.Discard, body); cerr != nil || body.N > 0 {
 		return io.ErrUnexpectedEOF
 	}
-	return writeStatus(conn, header{}, err)
+	return writeStatus(conn, header{Length: int64(len(value))}, err, value)
 }
 
 // serveWrite feeds the upload to one writer through one pooled chunk.
@@ -218,7 +228,7 @@ func (s *Service) serveRead(conn net.Conn, h header, path string) error {
 	defer r.Close()
 	off := min(h.Offset, r.Size())
 	left := min(h.Length, r.Size()-off)
-	if err := writeStatus(conn, header{Length: left}, nil); err != nil {
+	if err := writeStatus(conn, header{Length: left}, nil, nil); err != nil {
 		return err
 	}
 	buf := chunks.Get().(*[MaxChunk]byte)
@@ -232,7 +242,7 @@ func (s *Service) serveRead(conn net.Conn, h header, path string) error {
 	return err
 }
 
-// fail closes the data connection after a transport or framing error:
+// fail closes the connection after a transport or framing error:
 // the stream is out of step and cannot carry another exchange.
 func (c *Client) fail(err error) error {
 	c.conn.Close()
@@ -242,7 +252,7 @@ func (c *Client) fail(err error) error {
 // exchange sends one request and reads the status frame that answers
 // it; the caller holds c.mu.
 func (c *Client) exchange(h header, path string, payload []byte) (header, error) {
-	if len(path) > maxPath || len(c.Tenant) > maxTenant || h.Offset < 0 || h.Length < 0 {
+	if len(path) > maxPath || len(c.Tenant) > maxTenant || !h.valid(true) {
 		return h, fmt.Errorf("%w: path %d tenant %d bytes, offset %d length %d", errBadFrame, len(path), len(c.Tenant), h.Offset, h.Length)
 	}
 	if err := writeFrame(c.conn, h, path, c.Tenant, payload); err != nil {
@@ -258,10 +268,7 @@ func (c *Client) exchange(h header, path string, payload []byte) (header, error)
 // reply reads the next reply frame up to its payload and returns the
 // error a status frame carries.
 func (c *Client) reply() (header, error) {
-	h, msg, _, err := readFrame(c.br)
-	if err == nil && h.Op != opData && h.Op != opStatus {
-		err = errBadFrame
-	}
+	h, msg, _, err := readFrame(c.br, false)
 	if err != nil {
 		return h, c.fail(err)
 	}
@@ -278,25 +285,17 @@ func (c *Client) reply() (header, error) {
 	return h, werr
 }
 
-// write is Put and Append: one request frame carrying the whole file,
-// one status frame back.
-func (c *Client) write(path string, flags uint8, data []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.exchange(header{Op: opWrite, Flags: flags, Length: int64(len(data))}, path, data)
-	return err
-}
-
-// read is Get and ReadRange: the first status frame sizes the result,
-// the data frames fill it in place, the closing status vouches for it.
-func (c *Client) read(path string, version uint64, off, length int64) ([]byte, error) {
+// ReadRange reads length bytes at off (fewer at the end of the file) of
+// a snapshot: the first status frame sizes the result, the data frames
+// fill it in place, the closing status vouches for it.
+func (c *Client) ReadRange(path string, version uint64, off, length int64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, err := c.exchange(header{Op: opRead, Version: version, Offset: off, Length: length}, path, nil)
 	if err != nil {
 		return nil, err
 	}
-	if h.Length < 0 || h.Length > length {
+	if h.Length > length {
 		return nil, c.fail(errBadFrame)
 	}
 	out := make([]byte, h.Length)
@@ -307,11 +306,32 @@ func (c *Client) read(path string, version uint64, off, length int64) ([]byte, e
 		if h.Op == opStatus && n == int64(len(out)) {
 			return out, nil
 		}
-		if h.Op != opData || h.Length < 0 || h.Length > int64(len(out))-n {
+		if h.Op != opData || h.Length > int64(len(out))-n {
 			return nil, c.fail(errBadFrame)
 		}
 		if _, err = io.ReadFull(c.br, out[n:n+h.Length]); err != nil {
 			return nil, c.fail(err)
 		}
 	}
+}
+
+// call is every request but a read: one frame out with its payload (the
+// file to write, Rename's new path), one status frame back, whose
+// payload, if it has one, decodes into the reply.
+func call[Reply any](c *Client, h header, path string, payload []byte) (reply Reply, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h.Length = int64(len(payload))
+	if h, err = c.exchange(h, path, payload); err != nil || h.Length == 0 {
+		return reply, err
+	}
+	if h.Length > MaxChunk {
+		return reply, c.fail(errBadFrame)
+	}
+	value := make([]byte, h.Length)
+	if _, err = io.ReadFull(c.br, value); err != nil {
+		return reply, c.fail(err)
+	}
+	err = json.Unmarshal(value, &reply)
+	return reply, err
 }
