@@ -137,11 +137,11 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 		return nil, err
 	}
 	var results []AppResult
-	var runErr error
+	var runErr firstError
 	err = tb.Run(func() {
 		mr, err := newMRCluster(tb)
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		fs := tb.bsfsSvc.NewFS(0)
@@ -149,12 +149,12 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 
 		// Snapshot 1: first half of the dataset.
 		if err := writeSynthFile(tb, 0, "/x4/data", half); err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		v1s, err := fs.Versions("/x4/data")
 		if err != nil || len(v1s) == 0 {
-			runErr = fmt.Errorf("bench: snapshot 1: %v", err)
+			runErr.set(fmt.Errorf("bench: snapshot 1: %v", err))
 			return
 		}
 		snap1 := v1s[len(v1s)-1]
@@ -162,12 +162,12 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 		// Snapshot 2: the full dataset.
 		aw, err := fs.Append("/x4/data")
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		aw.WriteSynthetic(half)
 		if err := aw.Close(); err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		v2s, _ := fs.Versions("/x4/data")
@@ -184,9 +184,7 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 				job.OpenInput = openSnapshot(snap)
 				r, err := mr.Submit(job)
 				if err != nil {
-					if runErr == nil {
-						runErr = err
-					}
+					runErr.set(err)
 					return
 				}
 				<-resMu
@@ -215,7 +213,7 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 		wg.Wait()
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	return results, err
 }

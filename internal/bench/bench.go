@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bsfs"
@@ -110,6 +111,32 @@ func (o *StorageOpts) fillDefaults() {
 	if o.MemCapacity == 0 {
 		o.MemCapacity = 512 * MB
 	}
+}
+
+// firstError keeps the first error the concurrent activities of one run
+// report. Simulated processes are real goroutines between engine
+// blocking points, so the slot needs a lock.
+type firstError struct {
+	mu  sync.Mutex
+	err error
+}
+
+// set records err unless it is nil or an earlier error is held.
+func (f *firstError) set(err error) {
+	if err == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+func (f *firstError) get() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
 // Testbed is one simulated cluster with a storage deployment.

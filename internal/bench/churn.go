@@ -10,6 +10,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -118,14 +119,10 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 
 	var res ChurnResult
 	res.Cycles = opts.Cycles
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
+	var runErr firstError
+	fail := runErr.set
 
-	stop := false
+	var stop atomic.Bool // controller -> writers
 	blobs := make([]core.BlobID, opts.Writers)
 	appends := make([]int, opts.Writers)
 	retries := make([]int, opts.Writers)
@@ -138,7 +135,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 			return
 		}
 		blobs[i] = b.ID()
-		for !stop && runErr == nil {
+		for !stop.Load() && runErr.get() == nil {
 			var off int64
 			var werr error
 			for attempt := 0; ; attempt++ {
@@ -183,7 +180,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 	}
 
 	controller := func() {
-		for cycle := 0; cycle < opts.Cycles && runErr == nil; cycle++ {
+		for cycle := 0; cycle < opts.Cycles && runErr.get() == nil; cycle++ {
 			env.Sleep(25 * time.Millisecond) // let writers make progress
 			victim := fleet[cycle%len(fleet)]
 			dep.Provider(victim).SetDown(true)
@@ -207,8 +204,8 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 				return
 			}
 		}
-		stop = true
-		if runErr != nil {
+		stop.Store(true)
+		if runErr.get() != nil {
 			return
 		}
 
@@ -216,7 +213,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 		// onto the preferred owners within a bounded number of sweeps.
 		t0 := env.Now()
 		converged := false
-		for i := 0; i < 8 && runErr == nil; i++ {
+		for i := 0; i < 8 && runErr.get() == nil; i++ {
 			if !sweep() {
 				return
 			}
@@ -247,11 +244,9 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 		wg.Go(controller)
 		wg.Wait()
 	})
-	if err := eng.Run(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return res, runErr
+	runErr.set(eng.Run())
+	if err := runErr.get(); err != nil {
+		return res, err
 	}
 	for i := range blobs {
 		res.Appends += appends[i]

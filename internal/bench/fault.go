@@ -148,7 +148,7 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 	blobs := make([]core.BlobID, opts.Clients)
 	readAll := func(label string) (Point, error) {
 		durations := make([]time.Duration, opts.Clients)
-		var readErr error
+		var readErr firstError
 		net0, disk0 := resourceSnapshot(tb)
 		start := tb.Env.Now()
 		wg := tb.Env.NewWaitGroup()
@@ -158,9 +158,7 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 				c := dep.NewClient(node)
 				b, err := c.OpenBlob(blobs[i])
 				if err != nil {
-					if readErr == nil {
-						readErr = err
-					}
+					readErr.set(err)
 					return
 				}
 				for done := int64(0); done < opts.BytesPerClient; done += opts.RecordSize {
@@ -169,11 +167,9 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 						want = opts.BytesPerClient - done
 					}
 					n, err := b.ReadAt(nil, done, core.Synthetic(want))
-					if err != nil && readErr == nil {
-						readErr = err
-					}
-					if n != want && readErr == nil {
-						readErr = fmt.Errorf("bench: short read: %d of %d at %d", n, want, done)
+					readErr.set(err)
+					if n != want {
+						readErr.set(fmt.Errorf("bench: short read: %d of %d at %d", n, want, done))
 					}
 				}
 				durations[i] = tb.Env.Now() - t0
@@ -183,9 +179,10 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 		p := summarize(label, tb.Kind, opts.BytesPerClient, durations, tb.Env.Now()-start)
 		net1, disk1 := resourceSnapshot(tb)
 		p.NetBytes, p.DiskBytes = net1-net0, disk1-disk0
-		return p, readErr
+		return p, readErr.get()
 	}
 
+	var loadErr firstError
 	var runErr error
 	err = tb.Run(func() {
 		// Load phase: one blob per client, written from a distant node.
@@ -199,13 +196,11 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 					blobs[i] = b.ID()
 					_, err = b.WriteAt(nil, 0, core.Synthetic(opts.BytesPerClient))
 				}
-				if err != nil && runErr == nil {
-					runErr = err
-				}
+				loadErr.set(err)
 			})
 		}
 		wg.Wait()
-		if runErr != nil {
+		if runErr = loadErr.get(); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)

@@ -12,7 +12,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -79,27 +78,16 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 	durations := make([]time.Duration, opts.Clients)
 	var makespan time.Duration
 	var versions int
-	// Writers are concurrent sim processes (real goroutines between
-	// engine blocking points), so the shared first-error slot needs a
-	// lock.
-	var errMu sync.Mutex
-	var runErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
+	var runErr firstError
 	err = tb.Run(func() {
 		fs := tb.NewFS(0)
 		w, err := fs.Create("/x2/shared")
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		if err := w.Close(); err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		start := tb.Env.Now()
@@ -110,37 +98,37 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 				cfs := tb.NewFS(c)
 				aw, err := cfs.Append("/x2/shared")
 				if err != nil {
-					setErr(err)
+					runErr.set(err)
 					return
 				}
 				for b := 0; b < opts.BlocksPerClient; b++ {
 					if _, err := aw.WriteSynthetic(opts.BlockSize); err != nil {
-						setErr(err)
+						runErr.set(err)
 					}
 				}
 				if err := aw.Close(); err != nil {
-					setErr(err)
+					runErr.set(err)
 				}
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
 		wg.Wait()
 		makespan = tb.Env.Now() - start
-		if runErr != nil {
+		if runErr.get() != nil {
 			return
 		}
 		vs, err := tb.bsfsSvc.NewFS(0).Versions("/x2/shared")
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		versions = len(vs)
 		if want := opts.Clients * opts.BlocksPerClient; versions != want {
-			runErr = fmt.Errorf("bench: x2 published %d versions, want %d", versions, want)
+			runErr.set(fmt.Errorf("bench: x2 published %d versions, want %d", versions, want))
 		}
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	res := PublishResult{
 		Point:    summarize("X2-publish-shared", tb.Kind, perClient, durations, makespan),

@@ -18,7 +18,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -89,15 +88,7 @@ func RunShardPublish(opts ShardOpts) (PublishResult, error) {
 	durations := make([]time.Duration, opts.Writers)
 	var makespan time.Duration
 	var versions int
-	var errMu sync.Mutex
-	var runErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
+	var runErr firstError
 	path := func(i int) string { return fmt.Sprintf("/x5/f%04d", i) }
 	err = tb.Run(func() {
 		// Setup phase (unmeasured): create every file so the measured
@@ -106,11 +97,11 @@ func RunShardPublish(opts ShardOpts) (PublishResult, error) {
 		for i := 0; i < opts.Writers; i++ {
 			w, err := fs.Create(path(i))
 			if err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 			if err := w.Close(); err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 		}
@@ -122,40 +113,40 @@ func RunShardPublish(opts ShardOpts) (PublishResult, error) {
 				cfs := tb.NewFS(c)
 				aw, err := cfs.Append(path(i))
 				if err != nil {
-					setErr(err)
+					runErr.set(err)
 					return
 				}
 				for b := 0; b < opts.BlocksPerWriter; b++ {
 					if _, err := aw.WriteSynthetic(opts.BlockSize); err != nil {
-						setErr(err)
+						runErr.set(err)
 					}
 				}
 				if err := aw.Close(); err != nil {
-					setErr(err)
+					runErr.set(err)
 				}
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
 		wg.Wait()
 		makespan = tb.Env.Now() - start
-		if runErr != nil {
+		if runErr.get() != nil {
 			return
 		}
 		for i := 0; i < opts.Writers; i++ {
 			vs, err := tb.bsfsSvc.NewFS(0).Versions(path(i))
 			if err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 			versions += len(vs)
 			if len(vs) != opts.BlocksPerWriter {
-				runErr = fmt.Errorf("bench: x5 file %d published %d versions, want %d", i, len(vs), opts.BlocksPerWriter)
+				runErr.set(fmt.Errorf("bench: x5 file %d published %d versions, want %d", i, len(vs), opts.BlocksPerWriter))
 				return
 			}
 		}
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	res := PublishResult{
 		Point:    summarize(fmt.Sprintf("X5-shards-%d", opts.Shards), tb.Kind, perClient, durations, makespan),

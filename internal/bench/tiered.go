@@ -99,7 +99,7 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 	warmDur := make([]time.Duration, opts.Clients)
 	var coldSpan, warmSpan time.Duration
 	var coldNet, coldDisk, warmNet, warmDisk int64
-	var runErr error
+	var runErr firstError
 	err = tb.Run(func() {
 		// Load phase, then let the flush daemons drain.
 		wg := tb.Env.NewWaitGroup()
@@ -107,19 +107,17 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 			loader := tb.loaderNode(c)
 			path := fmt.Sprintf("/x7/f%04d", i)
 			wg.Go(func() {
-				if err := writeSynthFile(tb, loader, path, opts.BytesPerClient); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(writeSynthFile(tb, loader, path, opts.BytesPerClient))
 			})
 		}
 		wg.Wait()
-		if runErr != nil {
+		if runErr.get() != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
 		for _, p := range dep.ProviderList() {
 			if err := p.FlushNow(); err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 			res.StoredPages += p.Store().Len()
@@ -137,7 +135,7 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 			node := p.Node()
 			n, err := dep.RestartProvider(node)
 			if err != nil {
-				runErr = fmt.Errorf("bench: x7 restart node %d: %w", node, err)
+				runErr.set(fmt.Errorf("bench: x7 restart node %d: %w", node, err))
 				return
 			}
 			res.RecoveredPages += n
@@ -155,9 +153,7 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 			path := fmt.Sprintf("/x7/f%04d", i)
 			wg.Go(func() {
 				t0 := tb.Env.Now()
-				if err := readSynthFile(tb, c, path, 0, opts.BytesPerClient, 0); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(readSynthFile(tb, c, path, 0, opts.BytesPerClient, 0))
 				coldDur[i] = tb.Env.Now() - t0
 			})
 		}
@@ -173,9 +169,7 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 			path := fmt.Sprintf("/x7/f%04d", i)
 			wg.Go(func() {
 				t0 := tb.Env.Now()
-				if err := readSynthFile(tb, c, path, 0, opts.BytesPerClient, 0); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(readSynthFile(tb, c, path, 0, opts.BytesPerClient, 0))
 				warmDur[i] = tb.Env.Now() - t0
 			})
 		}
@@ -185,7 +179,7 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 		warmNet, warmDisk = warmNet1-coldNet1, warmDisk1-coldDisk1
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	if err != nil {
 		return res, err

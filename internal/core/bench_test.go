@@ -2,43 +2,132 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 )
 
-// BenchmarkBuildNodesSequentialAppend measures metadata generation for
-// one 64 MB block append (256 pages at 256 KB) into a large blob — the
-// write path's CPU cost per block.
-func BenchmarkBuildNodesSequentialAppend(b *testing.B) {
-	const ps = 256 << 10
-	var h history
-	size := int64(0)
-	for v := Version(1); v <= 1000; v++ {
-		length := int64(64 << 20)
-		h = append(h, WriteRecord{
-			Version: v, Offset: size, Length: length,
-			SizeAfter: size + length, CapAfter: capacityPages(size+length, ps),
+// BenchmarkAppendAtHistory measures one 4-page append onto a blob the
+// given number of such appends precede (preloaded in batches: the
+// preload is not what is measured): a write's cost must not depend on
+// how much history precedes it (ns/op at 50000 within 1.5x of 500).
+func BenchmarkAppendAtHistory(b *testing.B) {
+	batch := make([]AppendBlock, 100)
+	for i := range batch {
+		batch[i] = AppendBlock{Size: 16 << 10}
+	}
+	for _, versions := range []int{500, 5000, 50000} {
+		b.Run(fmt.Sprint(versions), func(b *testing.B) {
+			_, c := newBenchDeployment(b, Options{PageSize: 4 << 10})
+			blob, err := c.CreateBlob(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for done := 0; done < versions; done += len(batch) {
+				if _, _, err := blob.Append(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := blob.Append(batch[:1]); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		size += length
 	}
-	rec := WriteRecord{
-		Version: 1001, Offset: size, Length: 64 << 20,
-		SizeAfter: size + 64<<20, CapAfter: capacityPages(size+64<<20, ps),
+}
+
+// BenchmarkOverwriteAtHistory is the same question for a one-page
+// overwrite at a random page of a 64Ki-page blob that the given number
+// of such overwrites precede: the geometry is fixed, so history length
+// is all that varies, and the borrows reach into old versions.
+func BenchmarkOverwriteAtHistory(b *testing.B) {
+	const ps, pages = 4 << 10, 64 << 10
+	for _, versions := range []int{500, 50000} {
+		b.Run(fmt.Sprint(versions), func(b *testing.B) {
+			_, c := newBenchDeployment(b, Options{PageSize: ps})
+			blob, err := c.CreateBlob(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := blob.Append(SyntheticBlocks(pages * ps)); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := -versions; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer()
+				}
+				if _, err := blob.WriteAt(nil, rng.Int63n(pages)*ps, Synthetic(ps)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	h = append(h, rec)
-	lo, hi := pageSpan(rec.Offset, rec.Length, ps)
-	placement := pagePlacement{lo: lo, sets: make([][]cluster.NodeID, hi-lo)}
-	for p := lo; p < hi; p++ {
-		placement.sets[p-lo] = []cluster.NodeID{cluster.NodeID(p % 200)}
+}
+
+// BenchmarkSoloRead256K is a closed-loop reader alone on the machine:
+// 256 KiB latest-version reads at random offsets of a 128 MiB blob in
+// 16 KiB pages on 4 RAM providers, median latency reported, alone and
+// beside a goroutine that keeps a second core awake. Every page is
+// resident, so the gather copies them on the reader's goroutine and the
+// two medians agree (within 10 %); a gather that spawns goroutines pays
+// an idle-core wake-up per read when alone and is 30-50 % slower there.
+func BenchmarkSoloRead256K(b *testing.B) {
+	const size, readSize = 128 << 20, 256 << 10
+	d, err := NewDeployment(cluster.NewLocal(5, 0), Options{PageSize: 16 << 10, ProviderNodes: []cluster.NodeID{1, 2, 3, 4}})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes := make(map[string][]byte, 2*(hi-lo)+8)
-		buildNodes(nodes, rec, h, ps, placement)
-		if len(nodes) < 256 {
-			b.Fatal("too few nodes")
+	defer d.Close()
+	blob, err := d.NewClient(0).CreateBlob(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk := make([]byte, 1<<20)
+	for off := 0; off < size; off += len(chunk) {
+		if _, _, err := blob.Append(Blocks(chunk)); err != nil {
+			b.Fatal(err)
 		}
+	}
+	for _, spinner := range []bool{false, true} {
+		name := "alone"
+		if spinner {
+			name = "beside-spinner"
+		}
+		b.Run(name, func(b *testing.B) {
+			var stop atomic.Bool
+			defer stop.Store(true)
+			if spinner {
+				go func() {
+					for !stop.Load() {
+					}
+				}()
+			}
+			rng := rand.New(rand.NewSource(1))
+			buf := make([]byte, readSize)
+			lat := make([]time.Duration, b.N)
+			b.SetBytes(readSize)
+			b.ResetTimer()
+			for i := range lat {
+				off := rng.Int63n((size-readSize)/8) * 8
+				t0 := time.Now()
+				if n, err := blob.ReadAt(buf, off); err != nil || n != readSize {
+					b.Fatalf("read %d, %v", n, err)
+				}
+				lat[i] = time.Since(t0)
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-us")
+		})
 	}
 }
 

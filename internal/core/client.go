@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -38,9 +39,10 @@ var ErrCanceled = cluster.ErrCanceled
 // operations run through *Blob handles (OpenBlob / CreateBlob); the
 // Client itself carries only the cross-blob surface. A Client is safe
 // for concurrent use by multiple goroutines (or simulated processes):
-// the cached blob geometry, write history and metadata cache are
-// mutex-protected, history records are append-only and shared via
-// capped snapshots, and the scatter/gather fan-outs join all in-flight
+// mu guards each blob's cached records, the creator index over them and
+// the client's own tombstones (records are append-only and shared via
+// capped snapshots; borrows are resolved under mu), the metadata cache
+// locks itself, and the scatter/gather fan-outs join all in-flight
 // provider operations before returning.
 type Client struct {
 	d    *Deployment
@@ -48,7 +50,7 @@ type Client struct {
 	meta *cachedMeta
 
 	mu    sync.Mutex
-	blobs map[BlobID]*blobInfo // cached geometry + history
+	blobs map[BlobID]*blobInfo // cached geometry, records, creator index
 
 	// Routing view: the provider table as of viewEpoch. Re-resolved
 	// whenever the placement epoch advances (a provider joined, left,
@@ -138,36 +140,32 @@ func (c *cachedMeta) BatchPut(kvs map[string][]byte) error {
 	return nil
 }
 
+// blobInfo is the client's cache of one blob. Everything but pageSize is
+// guarded by Client.mu.
 type blobInfo struct {
 	pageSize int64
-	history  []WriteRecord // contiguous from version 1
+	history  []WriteRecord        // contiguous from version 1; append-only, never mutated (snapshots share it)
+	index    creatorIndex         // over history
+	dead     map[Version]struct{} // this client's own aborts, which the cached records predate
 }
 
-// tombstoneCached records aborts in the client's cached history so this
-// client's next tree build borrows around the dead versions instead of
-// linking their never-written metadata nodes. History snapshots handed
-// to in-flight operations may share the backing array, so the slice is
-// replaced, never mutated in place (stale snapshots are tolerated by
-// the walk's aborted-version probe). Versions the cache has not seen
-// yet need nothing: a later ticket's delta delivers their records with
-// the tombstone already set.
-func (c *Client) tombstoneCached(blob BlobID, vs []Version) {
+func newBlobInfo(pageSize int64) *blobInfo {
+	return &blobInfo{pageSize: pageSize, dead: make(map[Version]struct{}), index: creatorIndex{
+		exact: make(map[PageRange]int),
+		full:  make(map[PageRange]int),
+	}}
+}
+
+// tombstone records this client's own aborts, in O(members), so its next
+// tree build borrows around the dead versions instead of linking their
+// never-written metadata nodes. Other writers' aborts arrive set in a
+// later ticket's delta, or not at all — the walk's aborted-version
+// probe tolerates that.
+func (c *Client) tombstone(bi *blobInfo, vs []Version) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bi, ok := c.blobs[blob]
-	if !ok {
-		return
-	}
-	copied := false
 	for _, v := range vs {
-		if v == 0 || int(v) > len(bi.history) || bi.history[v-1].Aborted {
-			continue
-		}
-		if !copied {
-			bi.history = append([]WriteRecord(nil), bi.history...)
-			copied = true
-		}
-		bi.history[v-1].Aborted = true
+		bi.dead[v] = struct{}{}
 	}
 }
 
@@ -192,7 +190,7 @@ func (c *Client) CreateBlob(pageSize int64) (*Blob, error) {
 	c.mu.Lock()
 	bi, ok := c.blobs[id]
 	if !ok {
-		bi = &blobInfo{pageSize: pageSize}
+		bi = newBlobInfo(pageSize)
 		c.blobs[id] = bi
 	}
 	c.mu.Unlock()
@@ -222,7 +220,7 @@ func (c *Client) info(blob BlobID) (*blobInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	bi = &blobInfo{pageSize: ps}
+	bi = newBlobInfo(ps)
 	c.mu.Lock()
 	if cur, ok := c.blobs[blob]; ok {
 		bi = cur
@@ -307,29 +305,30 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 	if err != nil {
 		return nil, 0, err
 	}
-	// Each ticket's history delta is a prefix of the last one's, so
-	// merging the last delta into the cached history delivers everything
-	// — including the records of this call's own tickets 0..N-2, which
-	// the borrow computation of their in-batch successors needs. Records
-	// contiguously following the cache are appended in place (ones
-	// already present, or past a gap, are skipped); they are never
-	// mutated afterwards, so the capped snapshot shares the backing
-	// array safely. The delta's pending records are cached with
-	// Aborted=false; fail below tombstones this call's own.
+	// Each ticket's history delta is a prefix of the last one's, so the
+	// last delta plus the last ticket's own record deliver every version
+	// up to this call's last (pending ones cached with Aborted=false;
+	// fail below tombstones this call's own). Borrows are resolved here
+	// too, under c.mu; only versions below a ticket's are consulted, so
+	// records a sibling goroutine merged meanwhile do not matter.
+	lastTicket := tickets[len(tickets)-1]
 	c.mu.Lock()
-	for _, r := range tickets[len(tickets)-1].History {
-		if int(r.Version) == len(bi.history)+1 {
-			bi.history = append(bi.history, r)
-		}
+	for _, r := range lastTicket.History {
+		bi.extend(r)
 	}
-	hist := history(bi.history[:len(bi.history):len(bi.history)])
+	bi.extend(lastTicket.Record)
+	borrows := make([]nodeRef, 0, len(tickets)*2*bits.Len64(uint64(lastTicket.Record.CapAfter)))
+	for _, t := range tickets {
+		borrows = bi.descend(t.Record, true, borrows)
+	}
+	hist := bi.history[:len(bi.history):len(bi.history)]
 	c.mu.Unlock()
 
 	versions := make([]Version, len(tickets))
 	for i, t := range tickets {
 		versions[i] = t.Record.Version
 	}
-	first, last := tickets[0].Record, tickets[len(tickets)-1].Record
+	first, last := tickets[0].Record, lastTicket.Record
 	base := first.Offset
 
 	// fail is the one failure rule. AbortBatch resolves every member
@@ -349,7 +348,7 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 			}
 			n++
 		}
-		c.tombstoneCached(blob, versions[n:])
+		c.tombstone(bi, versions[n:])
 		if n == len(versions) {
 			return versions, base, nil // publication beat the failure
 		}
@@ -382,12 +381,12 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 		ext = extBuf.b
 		head, tail := base-alignedStart, base+payload-alignedStart
 		if head > 0 {
-			if err := c.mergeFragment(s.ctx, blob, first.Version, hist, alignedStart, ext[:head]); err != nil {
+			if err := c.mergeFragment(s.ctx, blob, bi, first.Version, hist, alignedStart, ext[:head]); err != nil {
 				return fail(err)
 			}
 		}
 		if tail < int64(len(ext)) { // a write inside the blob; appends end at SizeAfter
-			if err := c.mergeFragment(s.ctx, blob, first.Version, hist, base+payload, ext[tail:]); err != nil {
+			if err := c.mergeFragment(s.ctx, blob, bi, first.Version, hist, base+payload, ext[tail:]); err != nil {
 				return fail(err)
 			}
 		}
@@ -444,14 +443,14 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 	// A span of n pages creates about 2n nodes (leaves plus intersecting
 	// inners) and up to a log-factor spine; presize so hot appends never
 	// regrow the map.
-	nodes := make(map[string][]byte, 2*len(keys)+8*len(tickets))
+	tb := treeBuild{out: make(map[string][]byte, 2*len(keys)+8*len(tickets)), borrows: borrows}
 	slot = 0
 	for _, t := range tickets {
 		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
-		buildNodes(nodes, t.Record, hist, ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
+		tb.buildNodes(t.Record, capBefore(hist, t.Record.Version), ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
 		slot += int(hi - lo)
 	}
-	if err := c.meta.BatchPut(nodes); err != nil {
+	if err := c.meta.BatchPut(tb.out); err != nil {
 		return fail(err)
 	}
 
@@ -549,17 +548,17 @@ func pageExtent(p, ps, size int64) int64 {
 // that version's publication (concurrent-append safety; the wait is
 // cancellable through ctx); if no version ever wrote the fragment it
 // stays zero.
-func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, v Version, hist history, from int64, dst []byte) error {
+func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, bi *blobInfo, v Version, hist []WriteRecord, from int64, dst []byte) error {
 	to := from + int64(len(dst))
 	for w := v - 1; w >= 1; w-- {
-		r, ok := hist.record(w)
-		if !ok {
-			continue
-		}
+		r := hist[w-1]
 		if r.Offset >= to || r.Offset+r.Length <= from {
 			continue // span does not intersect the fragment
 		}
-		if r.Aborted {
+		c.mu.Lock()
+		dead := bi.aborted(w)
+		c.mu.Unlock()
+		if dead {
 			continue // tombstoned writer; fall back to an older owner
 		}
 		if err := c.vm(blob).AwaitPublished(ctx, c.node, blob, w); err != nil {
@@ -570,10 +569,9 @@ func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, v Version, hist hi
 		s.version = w
 		if _, err := c.readCommon(s, blob, from, int64(len(dst)), dst); err != nil {
 			if errors.Is(err, ErrAborted) {
-				// The cached record predates w's abort (history
-				// snapshots are immutable, so a tombstone set after
-				// caching is invisible here). Fall back to an older
-				// owner exactly as a fresh record would have.
+				// The cached record predates another writer's abort of
+				// w. Fall back to an older owner exactly as a fresh
+				// record would have.
 				continue
 			}
 			return fmt.Errorf("core: read-modify-write of bytes [%d,%d) @v%d: %w", from, to, w, err)
@@ -687,14 +685,15 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 	wg.Wait()
 }
 
-// gatherPages fetches every non-hole leaf's page, grouped per provider
-// into batched rounds fetched concurrently, with per-page replica
-// failover: a provider that fails mid-fetch only requeues its own pages
-// onto their surviving replicas instead of aborting the whole read. A
-// page none of whose replicas can serve fails with ErrAllReplicasDown.
-// Cancellation is honored between rounds and before each provider
-// batch: a canceled gather stops issuing fetches, joins its in-flight
-// workers, and returns an error matching ErrCanceled.
+// gatherPages fetches every non-hole leaf's page in rounds of
+// per-provider batches — pages resident in provider RAM copied inline,
+// the rest fetched concurrently — with per-page replica failover: a
+// provider that fails mid-fetch only requeues its own pages onto their
+// surviving replicas instead of aborting the whole read. A page none of
+// whose replicas can serve fails with ErrAllReplicasDown. Cancellation
+// is honored between rounds and before each concurrent batch: a canceled
+// gather stops issuing fetches, joins its in-flight workers, and
+// returns an error matching ErrCanceled.
 //
 // Leaves cover the page span [lo, hi); the result is indexed by
 // page-lo (holes stay zero entries). Real page bytes are staged in
@@ -743,10 +742,32 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 		}
 		srcs := sortedNodes(perProv)
 
+		// Stage one, on the calling goroutine: pages resident in provider
+		// RAM are copied right here — waking an idle core costs more than
+		// the memcpys it would take over. The rest wait for a backend
+		// read (or a provider to fail them) in stage two's fan-out.
 		next = next[:0]
 		var total, fromDisk int64
+		var waiting []cluster.NodeID
+		var kb [48]byte
+		for _, prov := range srcs {
+			pr, batch := c.provider(prov), perProv[prov]
+			rest := batch[:0]
+			for _, idx := range batch {
+				loc := pending[idx].loc
+				if it, ok := pr.residentPageInto(appendPageKey(kb[:0], loc.Blob, loc.Version, loc.Page), arena.alloc); ok {
+					fetched[loc.Page-lo] = it
+					total += it.Size
+					continue
+				}
+				rest = append(rest, idx)
+			}
+			if perProv[prov] = rest; len(rest) > 0 {
+				waiting = append(waiting, prov)
+			}
+		}
 		var gmu sync.Mutex // guards next, total, fromDisk, pending[i].tried/lastErr
-		c.fanOut(srcs, func(prov cluster.NodeID) {
+		c.fanOut(waiting, func(prov cluster.NodeID) {
 			if ctx.Done() {
 				return // canceled: the round check below surfaces it
 			}
@@ -778,11 +799,9 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 			gmu.Lock()
 			defer gmu.Unlock()
 			if err != nil {
-				// Provider failed mid-read: requeue the whole batch onto
-				// the pages' remaining replicas (pages it fetched before
-				// failing are refetched — their staged data is not
-				// charged). Nothing already committed lies past a failed
-				// batch, so the accounting below only counts clean ones.
+				// Provider failed mid-read: requeue its whole waiting batch
+				// onto the pages' remaining replicas (pages this stage fetched
+				// before the failure are refetched, their bytes not charged).
 				for _, idx := range batch {
 					pp := &pending[idx]
 					if pp.tried == nil {
@@ -797,8 +816,8 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 			total += localTotal
 			fromDisk += localFromDisk
 		})
-		// One round-trip charge per failover round; contacting a dead
-		// provider still costs its RTT.
+		// One round-trip charge per round over every provider it touched,
+		// in either stage; contacting a dead provider still costs its RTT.
 		diskFrac := 0.0
 		if total > 0 {
 			diskFrac = float64(fromDisk) / float64(total)

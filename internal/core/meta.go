@@ -16,12 +16,24 @@
 //     ranges).
 //
 // A created node's child that was *not* created by v is borrowed: its
-// key version is the latest w <= v that created a node with exactly
-// that range, computable purely from the write history the version
-// manager hands out with each ticket. This is what lets concurrent
-// writers build their metadata in parallel without reading each
-// other's trees. A child range never touched by any version is a hole
-// and reads as zeros.
+// key version is the latest non-aborted w < v that created a node with
+// exactly that range, computable purely from the write records the
+// version manager hands out with each ticket. This is what lets
+// concurrent writers build their metadata in parallel without reading
+// each other's trees. A child range never touched by any version is a
+// hole and reads as zeros.
+//
+// Borrows are answered by a creator index (creatorIndex) the client
+// extends record by record, laid out the way a segment tree stores an
+// interval, so a record costs O(log capacity) entries however many
+// pages it spans. Descending from the record's root, a range its span
+// covers whole is listed once under full — the record created it and
+// everything beneath it — and the descent stops there; a range it
+// created by touching only part of it (the ancestors of the span's two
+// ends) or as a spine node is listed under exact. The creators of a
+// range r are then exact[r] plus full[a] for a = r and each of its
+// ancestors, each list newest first: a borrow is a few map lookups,
+// whatever the history's length.
 package core
 
 import (
@@ -162,59 +174,148 @@ func capacityPages(size, pageSize int64) int64 {
 	return 1 << bits.Len64(uint64(pages-1))
 }
 
-// creates reports whether the write described by rec (with the capacity
-// before it, capBefore) created the node with the given range.
-func creates(rec WriteRecord, capBefore int64, r PageRange, pageSize int64) bool {
+// span is the tree geometry of one write: the pages it covers and the
+// tree capacity before (0: no tree yet) and after it.
+type span struct {
+	lo, hi              int64
+	capBefore, capAfter int64
+}
+
+func spanOf(rec WriteRecord, capBefore, pageSize int64) span {
 	lo, hi := pageSpan(rec.Offset, rec.Length, pageSize)
-	if r.intersects(lo, hi) && r.end() <= rec.CapAfter {
+	return span{lo: lo, hi: hi, capBefore: capBefore, capAfter: rec.CapAfter}
+}
+
+// creates reports whether the write created the node with range r.
+func (s span) creates(r PageRange) bool {
+	if r.intersects(s.lo, s.hi) && r.end() <= s.capAfter {
 		return true
 	}
 	// Spine: capacity-growth prefixes [0, c), capBefore < c <= capAfter.
-	return r.Off == 0 && r.Count > capBefore && r.Count <= rec.CapAfter
+	return r.Off == 0 && r.Count > s.capBefore && r.Count <= s.capAfter
 }
 
-// history provides ordered write records for borrow computation.
-// Records must be sorted by version ascending and contiguous from
-// version 1; index i holds version i+1.
-type history []WriteRecord
+// covers reports whether the write's span contains r whole.
+func (s span) covers(r PageRange) bool { return s.lo <= r.Off && r.end() <= s.hi }
 
-func (h history) record(v Version) (WriteRecord, bool) {
-	i := int(v) - 1
-	if i < 0 || i >= len(h) {
-		return WriteRecord{}, false
+// capBefore returns the tree capacity in effect before version v, given
+// records contiguous from version 1 (before the first write there is
+// no tree).
+func capBefore(records []WriteRecord, v Version) int64 {
+	if v < 2 || int(v-1) > len(records) {
+		return 0
 	}
-	return h[i], true
+	return records[v-2].CapAfter
 }
 
-// capBefore returns the capacity in effect before version v.
-func (h history) capBefore(v Version) int64 {
-	if rec, ok := h.record(v - 1); ok {
-		return rec.CapAfter
-	}
-	return 0 // before the first write there is no tree
+// nodeRef identifies a borrowed child: the key space (the source blob's,
+// after a clone) and version of the newest surviving node with the
+// child's range, zero for a hole.
+type nodeRef struct {
+	blob BlobID
+	ver  Version
 }
 
-// borrow returns the identity (blob, version) of the newest node with
-// exactly range r among versions <= v, or (0, 0) if no version ever
-// created it (hole). The blob may differ from the reader's after a
-// clone. Aborted versions are skipped: their writer may have died
-// before the metadata reached the DHT, so linking their nodes would
-// leave a dangling reference; the range falls back to the newest
-// surviving creator, or reads as a hole.
-func (h history) borrow(v Version, r PageRange, pageSize int64) (BlobID, Version) {
-	for w := v; w >= 1; w-- {
-		rec, ok := h.record(w)
-		if !ok {
-			continue
+// creatorIndex answers borrows over a blob's cached records (layout in
+// the file comment). Each range's creators chain newest first through
+// one append-only log: a borrow asks about the version just below a
+// ticket this client holds, so the answer is the chain's head unless
+// sibling goroutines merged later records or the newest ones aborted.
+type creatorIndex struct {
+	exact map[PageRange]int // created by touching part of the range, or as spine
+	full  map[PageRange]int // span covers the range: created it and all beneath
+	log   []creator         // chain heads and links are positions+1; 0 ends a chain
+}
+
+type creator struct {
+	ver  Version
+	prev int
+}
+
+func (ix *creatorIndex) list(m map[PageRange]int, r PageRange, v Version) {
+	ix.log = append(ix.log, creator{ver: v, prev: m[r]})
+	m[r] = len(ix.log)
+}
+
+// newest returns the newest non-aborted creator at or below v on the
+// chain from head, 0 if none. Aborted versions are skipped: their
+// writer may have died before the metadata reached the DHT, so linking
+// their nodes would leave a dangling reference; the range falls back to
+// the newest surviving creator, or reads as a hole.
+func (bi *blobInfo) newest(head int, v Version) Version {
+	for head != 0 {
+		c := bi.index.log[head-1]
+		if c.ver <= v && !bi.aborted(c.ver) {
+			return c.ver
 		}
-		if creates(rec, h.capBefore(w), r, pageSize) {
-			if rec.Aborted {
-				continue
+		head = c.prev
+	}
+	return 0
+}
+
+func (bi *blobInfo) aborted(v Version) bool {
+	_, dead := bi.dead[v]
+	return dead || bi.history[v-1].Aborted
+}
+
+// extend caches and indexes rec if it is the next version; ones already
+// present are skipped (a delta never starts past the cache's end).
+func (bi *blobInfo) extend(rec WriteRecord) {
+	if int(rec.Version) == len(bi.history)+1 {
+		bi.history = append(bi.history, rec)
+		bi.descend(rec, false, nil)
+	}
+}
+
+// descend walks the ranges rec creates, root down, stopping at ranges
+// its span covers whole (nothing beneath them is borrowed). With resolve
+// unset it lists rec's version in the index; with it set it appends to
+// borrows, in buildNodes' visit order, the identity of every child rec
+// does not create: the newest non-aborted creator below rec's version
+// among the child's exact and full entries and the full entries of its
+// ancestors, which the descent carries down as inherited.
+func (bi *blobInfo) descend(rec WriteRecord, resolve bool, borrows []nodeRef) []nodeRef {
+	d := descent{bi: bi, s: spanOf(rec, capBefore(bi.history, rec.Version), bi.pageSize), v: rec.Version, resolve: resolve, borrows: borrows}
+	d.visit(PageRange{Count: rec.CapAfter}, 0)
+	return d.borrows
+}
+
+type descent struct {
+	bi      *blobInfo
+	s       span
+	v       Version
+	resolve bool
+	borrows []nodeRef
+}
+
+func (d *descent) visit(r PageRange, inherited Version) {
+	ix := &d.bi.index
+	if d.s.covers(r) {
+		if !d.resolve {
+			ix.list(ix.full, r, d.v)
+		}
+		return
+	}
+	if d.resolve {
+		inherited = max(inherited, d.bi.newest(ix.full[r], d.v-1))
+	} else {
+		ix.list(ix.exact, r, d.v)
+	}
+	if r.leaf() {
+		return // a spine leaf: nothing beneath
+	}
+	for _, half := range [2]PageRange{r.left(), r.right()} {
+		if d.s.creates(half) {
+			d.visit(half, inherited)
+		} else if d.resolve {
+			w := max(inherited, d.bi.newest(ix.exact[half], d.v-1), d.bi.newest(ix.full[half], d.v-1))
+			ref := nodeRef{ver: w}
+			if w != 0 {
+				ref.blob = d.bi.history[w-1].Blob
 			}
-			return rec.Blob, w
+			d.borrows = append(d.borrows, ref)
 		}
 	}
-	return 0, 0
 }
 
 // encodeInner / decodeNode wire formats: 1-byte tag then fixed fields.
@@ -289,51 +390,54 @@ func (pl pagePlacement) at(page int64) []cluster.NodeID {
 	return pl.sets[i]
 }
 
-// buildNodes adds every metadata node a write must publish to out, as
-// DHT key -> encoded value (a batch builds all its versions' trees into
-// one map). rec is the write's own record (its Blob names the key space
-// the new nodes live in), h the history of all versions < rec.Version
-// (h may also contain rec itself; only earlier entries are consulted),
-// and placement maps each written page index to its replica set.
-func buildNodes(out map[string][]byte, rec WriteRecord, h history, pageSize int64, placement pagePlacement) {
-	v := rec.Version
-	blob := rec.Blob
-	capBefore := h.capBefore(v)
+// treeBuild builds the metadata trees of one call's versions into out,
+// DHT key -> encoded value. borrows lists the children the versions do
+// not create, in visit order (blobInfo.descend); each buildNodes consumes
+// its own.
+type treeBuild struct {
+	out       map[string][]byte
+	borrows   []nodeRef
+	rec       WriteRecord
+	s         span
+	placement pagePlacement
+}
 
-	var build func(r PageRange)
-	build = func(r PageRange) {
-		key := NodeKey{Blob: blob, Version: v, Range: r}.String()
-		if r.leaf() {
-			out[key] = encodeLeaf(Leaf{Providers: placement.at(r.Off)})
-			return
-		}
-		var inner Inner
-		for _, half := range [2]PageRange{r.left(), r.right()} {
-			var childBlob BlobID
-			var childVer Version
-			if creates(rec, capBefore, half, pageSize) {
-				childBlob, childVer = blob, v
-				build(half)
-			} else {
-				childBlob, childVer = h.borrow(v-1, half, pageSize)
-			}
-			if half.Off == r.Off {
-				inner.LeftBlob, inner.LeftVersion = childBlob, childVer
-			} else {
-				inner.RightBlob, inner.RightVersion = childBlob, childVer
-			}
-		}
-		out[key] = encodeInner(inner)
-	}
-
+// buildNodes adds every metadata node one write must publish. rec is the
+// write's own record (its Blob names the key space the new nodes live
+// in), capBefore the tree capacity before it, and placement maps each
+// written page index to its replica set.
+func (b *treeBuild) buildNodes(rec WriteRecord, capBefore, pageSize int64, placement pagePlacement) {
+	b.rec, b.s, b.placement = rec, spanOf(rec, capBefore, pageSize), placement
 	root := PageRange{Off: 0, Count: rec.CapAfter}
-	if !creates(rec, capBefore, root, pageSize) {
+	if !b.s.creates(root) {
 		// Cannot happen for a non-empty write: the root always
 		// intersects the span or is a spine prefix.
-		lo, hi := pageSpan(rec.Offset, rec.Length, pageSize)
-		panic(fmt.Sprintf("core: root %v not created by version %d (span %d+%d)", root, v, lo, hi))
+		panic(fmt.Sprintf("core: root %v not created by version %d (span [%d,%d))", root, rec.Version, b.s.lo, b.s.hi))
 	}
-	build(root)
+	b.node(root)
+}
+
+func (b *treeBuild) node(r PageRange) {
+	key := NodeKey{Blob: b.rec.Blob, Version: b.rec.Version, Range: r}.String()
+	if r.leaf() {
+		b.out[key] = encodeLeaf(Leaf{Providers: b.placement.at(r.Off)})
+		return
+	}
+	var inner Inner
+	for _, half := range [2]PageRange{r.left(), r.right()} {
+		child := nodeRef{blob: b.rec.Blob, ver: b.rec.Version}
+		if b.s.creates(half) {
+			b.node(half)
+		} else {
+			child, b.borrows = b.borrows[0], b.borrows[1:]
+		}
+		if half.Off == r.Off {
+			inner.LeftBlob, inner.LeftVersion = child.blob, child.ver
+		} else {
+			inner.RightBlob, inner.RightVersion = child.blob, child.ver
+		}
+	}
+	b.out[key] = encodeInner(inner)
 }
 
 // PageLoc describes where one page of a snapshot lives. Blob names the

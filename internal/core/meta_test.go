@@ -102,7 +102,7 @@ func applyWrite(store mapFetcher, blob BlobID, rec WriteRecord, h history, ps in
 	for p := lo; p < hi; p++ {
 		placement.sets[p-lo] = []cluster.NodeID{cluster.NodeID(p % 7)}
 	}
-	buildNodes(store, rec, h, ps, placement)
+	buildNodesFromHistory(store, rec, h, ps, placement)
 }
 
 // refModel tracks, per page, which version last wrote it — the ground
@@ -302,11 +302,12 @@ func TestBorrowPrefersLatestIntersecting(t *testing.T) {
 	add(3, 6, 2, 8)
 	// For v3, child [0,4) must borrow from v2 (latest intersecting),
 	// not v1.
-	if _, got := h.borrow(2, PageRange{Off: 0, Count: 4}, ps); got != 2 {
+	bi := indexOf(h, ps)
+	if _, got := bi.lookup(2, PageRange{Off: 0, Count: 4}); got != 2 {
 		t.Fatalf("borrow([0,4)) = %d, want 2", got)
 	}
 	// Child [4,6) was never written: hole.
-	if _, got := h.borrow(2, PageRange{Off: 4, Count: 2}, ps); got != 0 {
+	if _, got := bi.lookup(2, PageRange{Off: 4, Count: 2}); got != 0 {
 		t.Fatalf("borrow([4,2)) = %d, want 0 (hole)", got)
 	}
 }
@@ -345,7 +346,7 @@ func TestCreatedNodeCountIsLogarithmic(t *testing.T) {
 	placement := pagePlacement{lo: 1 << 20, sets: [][]cluster.NodeID{{0}}}
 	rec.Blob = 1
 	nodes := make(map[string][]byte)
-	buildNodes(nodes, rec, h, ps, placement)
+	buildNodesFromHistory(nodes, rec, h, ps, placement)
 	if len(nodes) > 64 {
 		t.Fatalf("single-page append created %d nodes; want O(log n)", len(nodes))
 	}

@@ -236,6 +236,17 @@ func (p *Provider) getPageInto(key []byte, alloc func(int64) []byte) (PageFetch,
 	return PageFetch{Data: data, Size: meta.Size, FromDisk: !meta.Resident}, nil
 }
 
+// residentPageInto is getPageInto for a page resident in the provider's
+// RAM; ok false (no provider, down, missing, or a read that must wait
+// for the backend) changes nothing and leaves the page to getPageInto.
+func (p *Provider) residentPageInto(key []byte, alloc func(int64) []byte) (PageFetch, bool) {
+	if p == nil || p.isDown() {
+		return PageFetch{}, false
+	}
+	data, meta, ok := p.store.GetResidentInto(key, alloc)
+	return PageFetch{Data: data, Size: meta.Size}, ok
+}
+
 // DeletePage removes a page copy from the provider's store (rebalance:
 // the copy migrated to a preferred owner). Deleting a missing key is
 // not an error; deleting on a down provider is.

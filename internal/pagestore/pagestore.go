@@ -230,7 +230,7 @@ func (s *Store) Peek(key string) (Meta, bool) {
 	if !ok {
 		return Meta{}, false
 	}
-	return Meta{Size: e.size, Synthetic: e.synthetic, Resident: e.resident, Dirty: e.dirty}, true
+	return e.meta(), true
 }
 
 // Get returns a copy of the entry's data (nil for synthetic entries)
@@ -277,13 +277,45 @@ func (s *Store) GetBytesInto(key []byte, alloc func(size int64) []byte) ([]byte,
 	return s.getLocked(e, alloc)
 }
 
+// GetResidentInto is GetBytesInto for entries sitting in RAM: a hit
+// like any other, except that the bytes are copied (and alloc runs)
+// after the lock is released — stored bytes are never modified in
+// place, only dropped or replaced, so concurrent readers of one store
+// do not queue behind each other's copies. Anything else — not
+// resident, missing, closed — reports ok false and changes nothing (no
+// miss is counted, nothing is faulted in), so a caller can copy
+// resident pages itself and leave the ones that must wait for the
+// backend to GetBytesInto.
+func (s *Store) GetResidentInto(key []byte, alloc func(size int64) []byte) (data []byte, m Meta, ok bool) {
+	s.mu.Lock()
+	e := s.items[string(key)]
+	if s.closed || e == nil || !e.resident {
+		s.mu.Unlock()
+		return nil, Meta{}, false
+	}
+	s.hitLocked(e)
+	m, data = e.meta(), e.data
+	s.mu.Unlock()
+	return copyOut(data, alloc), m, true
+}
+
+func (e *entry) meta() Meta {
+	return Meta{Size: e.size, Synthetic: e.synthetic, Resident: e.resident, Dirty: e.dirty}
+}
+
+// hitLocked counts a read of a resident entry and refreshes its LRU
+// position.
+func (s *Store) hitLocked(e *entry) {
+	s.hits++
+	if e.lruElem != nil {
+		s.lru.MoveToFront(e.lruElem)
+	}
+}
+
 func (s *Store) getLocked(e *entry, alloc func(size int64) []byte) ([]byte, Meta, error) {
-	m := Meta{Size: e.size, Synthetic: e.synthetic, Resident: e.resident, Dirty: e.dirty}
+	m := e.meta()
 	if e.resident {
-		s.hits++
-		if e.lruElem != nil {
-			s.lru.MoveToFront(e.lruElem)
-		}
+		s.hitLocked(e)
 		return copyOut(e.data, alloc), m, nil
 	}
 	s.misses++

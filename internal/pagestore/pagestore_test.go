@@ -274,6 +274,49 @@ func TestWALEvictionReadBack(t *testing.T) {
 	}
 }
 
+// TestGetResidentInto: a resident entry is a hit like any other, its
+// bytes the caller's own; an evicted, missing or closed one reports
+// "would have to fault" and changes nothing — no miss, no fault-in.
+func TestGetResidentInto(t *testing.T) {
+	s, err := Open(Config{Spec: "disk:" + t.TempDir(), MemCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("a", bytes.Repeat([]byte{7}, 12))
+	keys, _ := s.TakeDirty(0)
+	s.CommitFlush(keys)
+	s.Put("b", bytes.Repeat([]byte{8}, 12)) // evicts a after flush
+	keys, _ = s.TakeDirty(0)
+	s.CommitFlush(keys)
+
+	var staged []byte
+	alloc := func(n int64) []byte { staged = make([]byte, n); return staged }
+	data, m, ok := s.GetResidentInto([]byte("b"), alloc)
+	if !ok || !bytes.Equal(data, bytes.Repeat([]byte{8}, 12)) || m.Size != 12 || &data[0] != &staged[0] {
+		t.Fatalf("resident b: ok=%v data=%v meta=%+v (staged in alloc's buffer: %v)", ok, data, m, len(staged) > 0 && &data[0] == &staged[0])
+	}
+	data[0] = 0xFF // the caller's copy: the cache must not see it
+	if again, _, _ := s.Get("b"); again[0] != 8 {
+		t.Fatal("GetResidentInto aliased the cache")
+	}
+	before := s.Stats()
+	for _, key := range []string{"a", "never-stored"} {
+		if _, _, ok := s.GetResidentInto([]byte(key), alloc); ok {
+			t.Fatalf("%q reported resident", key)
+		}
+	}
+	if after := s.Stats(); after != before {
+		t.Fatalf("a refused lookup changed the store: %+v -> %+v", before, after)
+	}
+	if m, _ := s.Peek("a"); m.Resident {
+		t.Fatal("a refused lookup faulted a in")
+	}
+	s.Close()
+	if _, _, ok := s.GetResidentInto([]byte("b"), alloc); ok {
+		t.Fatal("a closed store served a read")
+	}
+}
+
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Spec: "disk:" + dir})

@@ -10,6 +10,11 @@ import (
 	"repro/internal/core"
 )
 
+// poolMisses is how many of the chunks a served stream takes from the
+// sync.Pool may be fresh allocations: a chunk put back is the next one
+// taken, so only the first (see race_test.go for the race runtime).
+const poolMisses = 1
+
 // TestAllocWireGet pins the bytes the process allocates to return a
 // file over the wire, server and client together: the client's result
 // and the reader's block buffers, one copy of the file each, plus small
