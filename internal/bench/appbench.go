@@ -1,6 +1,7 @@
 // appbench.go runs the paper's §IV.C application benchmarks: real
 // MapReduce jobs through the framework, measuring job completion time
 // with BSFS versus HDFS underneath — the paper's end-to-end claim.
+
 package bench
 
 import (

@@ -5,6 +5,7 @@
 // the whole store back onto the ring's preferred owners once the
 // churn stops. The scenario measures the number that matters for
 // elasticity: time-to-rebalance after the fleet stabilizes.
+
 package bench
 
 import (

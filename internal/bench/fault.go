@@ -4,6 +4,7 @@
 // restores every page to full replication. The scenario measures the
 // three numbers that matter for churn tolerance: healthy throughput,
 // degraded throughput, and time-to-full-replication.
+
 package bench
 
 import (

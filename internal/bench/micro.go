@@ -1,6 +1,7 @@
 // micro.go runs the paper's §IV.B microbenchmarks: N concurrent
 // clients hitting the storage layer directly through its file-system
 // interface.
+
 package bench
 
 import (

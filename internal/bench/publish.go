@@ -8,6 +8,7 @@
 // writer count or flatten into a serial bottleneck. A6 runs the same
 // workload at the batching pipeline depth and at depth 2 (one block per
 // commit) and asserts batched publication is at least as fast.
+
 package bench
 
 import (

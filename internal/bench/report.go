@@ -1,5 +1,6 @@
 // report.go renders experiment results as the tables/series the paper
 // reports.
+
 package bench
 
 import (

@@ -14,6 +14,7 @@
 // ErrOverloaded — before any version ticket exists — so the admitted
 // work keeps completing within the SLO and goodput degrades gracefully
 // instead of collapsing. That comparison is the X8 assertion.
+
 package bench
 
 import (

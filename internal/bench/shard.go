@@ -14,6 +14,7 @@
 // claim this experiment demonstrates. A7 runs the same workload with
 // the tier collapsed to one shard and asserts the sharded tier is at
 // least as fast.
+
 package bench
 
 import (

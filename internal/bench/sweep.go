@@ -2,6 +2,7 @@
 // parameter sweeps over both storage systems — the figures and
 // tables of the paper's evaluation, regenerated, plus the extension
 // and ablation studies this repository adds.
+
 package bench
 
 import (

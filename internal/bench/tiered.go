@@ -3,6 +3,7 @@
 // backend — and the experiment measures what the tier buys and what it
 // costs: cold (post-restart, disk-backed) vs warm (RAM-resident) read
 // throughput, and how long restart recovery takes as the store grows.
+
 package bench
 
 import (

@@ -22,6 +22,7 @@
 //   - Wait(sig) parks until sig fires or the Ctx is canceled, whichever
 //     comes first — the one blocking primitive services need to make
 //     every await path cancellable.
+
 package cluster
 
 import (

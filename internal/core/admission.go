@@ -3,6 +3,7 @@
 // tenant-tagged operations (WithTenant) against the deployment's
 // token-bucket limiter (internal/traffic) before any server-side
 // state — in particular a version ticket — is created.
+
 package core
 
 import (

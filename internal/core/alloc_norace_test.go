@@ -1,0 +1,46 @@
+//go:build !race
+
+package core
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestAllocFirstWriteFreshClient: a client's first write to a blob costs
+// no more for a long history. The client holds no history — its ticket
+// carries the borrows — so it copies and indexes nothing; a copy of
+// 20 000 write records alone would be 1.4 MB. Bytes are measured, not
+// allocation counts, so it stays out of the race legs like the counts.
+func TestAllocFirstWriteFreshClient(t *testing.T) {
+	const ps, versions, clients = 4 << 10, 20_000, 8
+	d, c := newBenchDeployment(t, Options{PageSize: ps})
+	blob, err := c.CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]AppendBlock, 500)
+	for i := range batch {
+		batch[i] = AppendBlock{Size: ps}
+	}
+	for done := 0; done < versions; done += len(batch) {
+		if _, _, err := blob.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := make([]*Blob, clients)
+	for i := range fresh {
+		fresh[i] = openB(t, d.NewClient(0), blob.ID())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range fresh {
+		if _, _, err := b.Append(SyntheticBlocks(ps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / clients; per >= 64<<10 {
+		t.Fatalf("a fresh client's first one-page append allocated %d bytes at %d versions, want < 64 KiB", per, versions)
+	}
+}

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -110,8 +112,8 @@ func TestAwaitPublished(t *testing.T) {
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
 		id, _ := vm.CreateBlob(1, 100)
-		ticket1(vm, 1, id, 0, 100, 0)  // v1
-		ticket1(vm, 1, id, -1, 100, 0) // v2
+		ticket1(vm, 1, id, 0, 100)  // v1
+		ticket1(vm, 1, id, -1, 100) // v2
 		wg := env.NewWaitGroup()
 		var mu sync.Mutex
 		var order []string
@@ -151,7 +153,7 @@ func TestAwaitPublished(t *testing.T) {
 }
 
 // TestAwaitPublishedUnblockedByAbort: aborting the predecessor lets the
-// waiter proceed (the fragment owner scan then skips the tombstone).
+// waiter proceed.
 func TestAwaitPublishedUnblockedByAbort(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(4))
@@ -159,7 +161,7 @@ func TestAwaitPublishedUnblockedByAbort(t *testing.T) {
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
 		id, _ := vm.CreateBlob(1, 100)
-		ticket1(vm, 1, id, 0, 100, 0)
+		ticket1(vm, 1, id, 0, 100)
 		done := false
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
@@ -176,6 +178,80 @@ func TestAwaitPublishedUnblockedByAbort(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeadOwnerAbortsMidMerge forces the one order in which a boundary
+// merge must change its mind: an unaligned append's head page was last
+// written by v2, still pending when the append takes its ticket, and v2
+// aborts while the append waits for it. The abort comes from the version
+// manager's own node long after the append parked on v2; the append
+// then merges from the page's older owner — or zeros, if there is none —
+// and publishes.
+func TestHeadOwnerAbortsMidMerge(t *testing.T) {
+	const ps, delay = 128, 50 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		v1   int // bytes v1 writes at 0: past one page, v1 also owns page 1
+	}{{"older owner", 200}, {"hole", ps}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			net := simnet.New(eng, simnet.Grid5000(8))
+			env := cluster.NewSim(net)
+			d, err := NewDeployment(env, Options{PageSize: ps, ProviderNodes: []cluster.NodeID{1, 2, 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Go(func() {
+				blob, err := d.NewClient(4).CreateBlob(0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				id := blob.ID()
+				vm := d.VM.Shard(id)
+				old := bytes.Repeat([]byte("a"), tc.v1)
+				if _, err := blob.WriteAt(old, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				// v2: 50 bytes inside page 1, ticketed and never written.
+				stuck, err := ticket1(vm, vm.Node(), id, -1, 50)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wg := env.NewWaitGroup()
+				wg.Go(func() {
+					env.Sleep(delay)
+					vm.mu.Lock()
+					parked := slices.ContainsFunc(vm.blobs[id].pubWaiters, func(w pubWaiter) bool { return w.v == stuck.Record.Version })
+					vm.mu.Unlock()
+					if !parked {
+						t.Error("the append is not waiting on its head page's owner")
+					}
+					if err := abort1(vm, vm.Node(), id, stuck.Record.Version); err != nil {
+						t.Error(err)
+					}
+				})
+				data := bytes.Repeat([]byte("b"), 40)
+				vs, _, err := blob.Append(Blocks(data))
+				wg.Wait()
+				if err != nil {
+					t.Errorf("append after its head owner aborted: %v", err)
+					return
+				}
+				want := slices.Concat(old, make([]byte, 50), data)
+				got := make([]byte, len(want)+1)
+				if n, err := blob.ReadAt(got, 0, AtVersion(vs[0])); err != nil || !bytes.Equal(got[:n], want) {
+					t.Errorf("v%d reads %q, %v; want %q", vs[0], got[:n], err, want)
+				}
+				frontierIntact(t, d, id)
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -301,14 +301,12 @@ func BenchmarkVersionManagerTicket(b *testing.B) {
 	env := cluster.NewLocal(4, 0)
 	vm := NewVersionManager(env, 0)
 	id, _ := vm.CreateBlob(1, 256<<10)
-	since := Version(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tk, err := ticket1(vm, 1, id, -1, 64<<20, since)
+		tk, err := ticket1(vm, 1, id, -1, 64<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
-		since = tk.Record.Version
 		if err := publish1(vm, bg, 1, id, tk.Record.Version); err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 // blob.go implements the blob handle, the unit of the client API: every
 // per-blob operation hangs off a *Blob obtained from Client.CreateBlob
 // or Client.OpenBlob, parameterized by functional options (options.go)
-// instead of per-variant methods. The handle owns the cached blob
-// metadata (geometry and write history, shared through the owning
-// Client), so repeated operations on one blob pay no rediscovery round
-// trips.
+// instead of per-variant methods. The handle caches only the blob's page
+// size: every write's history-dependent metadata (its borrowed tree
+// children) arrives with its ticket from the version manager, so
+// repeated operations on one blob pay no rediscovery round trips and
+// hold no write history.
+
 package core
 
 import (
@@ -12,19 +14,18 @@ import (
 )
 
 // Blob is a handle to one blob, bound to the Client (and thus the
-// node) that opened it. A Blob is safe for concurrent use; handles for
-// the same blob id from the same Client share cached metadata.
+// node) that opened it. A Blob is safe for concurrent use.
 type Blob struct {
-	c  *Client
-	id BlobID
-	bi *blobInfo
+	c        *Client
+	id       BlobID
+	pageSize int64
 }
 
 // ID returns the blob's id, valid across clients and shards.
 func (b *Blob) ID() BlobID { return b.id }
 
 // PageSize returns the blob's page size, cached at open time.
-func (b *Blob) PageSize() int64 { return b.bi.pageSize }
+func (b *Blob) PageSize() int64 { return b.pageSize }
 
 // Latest returns the newest published version and the blob size at it.
 func (b *Blob) Latest(opts ...ReadOption) (Version, int64, error) {
@@ -53,9 +54,9 @@ func (b *Blob) ReadAt(p []byte, off int64, opts ...ReadOption) (int64, error) {
 		if p != nil {
 			return 0, fmt.Errorf("%w: Synthetic read with a non-nil buffer", ErrBadWrite)
 		}
-		return b.c.readCommon(s, b.id, off, s.synthLen, nil)
+		return b.c.readCommon(s, b.id, b.pageSize, off, s.synthLen, nil)
 	}
-	return b.c.readCommon(s, b.id, off, int64(len(p)), p)
+	return b.c.readCommon(s, b.id, b.pageSize, off, int64(len(p)), p)
 }
 
 // WriteAt stores p at offset off, producing and publishing a new
@@ -102,7 +103,7 @@ func (b *Blob) write(s opSettings, off int64, blocks []AppendBlock) ([]Version, 
 		return nil, 0, err
 	}
 	defer release()
-	return b.c.writeBlocks(s, b.id, off, blocks)
+	return b.c.writeBlocks(s, b.id, b.pageSize, off, blocks)
 }
 
 // Snapshot branches a new blob off a published snapshot (AtVersion

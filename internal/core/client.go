@@ -6,12 +6,12 @@
 // (blob.go): Client opens handles, handles perform operations, options
 // (options.go) select the variant, and an op-scoped cluster.Ctx can
 // cancel any of it mid-flight.
+
 package core
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -39,18 +39,17 @@ var ErrCanceled = cluster.ErrCanceled
 // operations run through *Blob handles (OpenBlob / CreateBlob); the
 // Client itself carries only the cross-blob surface. A Client is safe
 // for concurrent use by multiple goroutines (or simulated processes):
-// mu guards each blob's cached records, the creator index over them and
-// the client's own tombstones (records are append-only and shared via
-// capped snapshots; borrows are resolved under mu), the metadata cache
-// locks itself, and the scatter/gather fan-outs join all in-flight
-// provider operations before returning.
+// mu guards only the page-size cache — a write's borrows arrive with
+// its ticket, so the client holds no write history — the metadata
+// cache locks itself, and the scatter/gather fan-outs join all
+// in-flight provider operations before returning.
 type Client struct {
 	d    *Deployment
 	node cluster.NodeID
 	meta *cachedMeta
 
-	mu    sync.Mutex
-	blobs map[BlobID]*blobInfo // cached geometry, records, creator index
+	mu        sync.Mutex
+	pageSizes map[BlobID]int64
 
 	// Routing view: the provider table as of viewEpoch. Re-resolved
 	// whenever the placement epoch advances (a provider joined, left,
@@ -140,35 +139,6 @@ func (c *cachedMeta) BatchPut(kvs map[string][]byte) error {
 	return nil
 }
 
-// blobInfo is the client's cache of one blob. Everything but pageSize is
-// guarded by Client.mu.
-type blobInfo struct {
-	pageSize int64
-	history  []WriteRecord        // contiguous from version 1; append-only, never mutated (snapshots share it)
-	index    creatorIndex         // over history
-	dead     map[Version]struct{} // this client's own aborts, which the cached records predate
-}
-
-func newBlobInfo(pageSize int64) *blobInfo {
-	return &blobInfo{pageSize: pageSize, dead: make(map[Version]struct{}), index: creatorIndex{
-		exact: make(map[PageRange]int),
-		full:  make(map[PageRange]int),
-	}}
-}
-
-// tombstone records this client's own aborts, in O(members), so its next
-// tree build borrows around the dead versions instead of linking their
-// never-written metadata nodes. Other writers' aborts arrive set in a
-// later ticket's delta, or not at all — the walk's aborted-version
-// probe tolerates that.
-func (c *Client) tombstone(bi *blobInfo, vs []Version) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, v := range vs {
-		bi.dead[v] = struct{}{}
-	}
-}
-
 // Node returns the node this client runs on.
 func (c *Client) Node() cluster.NodeID { return c.node }
 
@@ -188,47 +158,38 @@ func (c *Client) CreateBlob(pageSize int64) (*Blob, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	bi, ok := c.blobs[id]
-	if !ok {
-		bi = newBlobInfo(pageSize)
-		c.blobs[id] = bi
-	}
+	c.pageSizes[id] = pageSize
 	c.mu.Unlock()
-	return &Blob{c: c, id: id, bi: bi}, nil
+	return &Blob{c: c, id: id, pageSize: pageSize}, nil
 }
 
-// OpenBlob returns a handle to an existing blob. The handle owns the
-// cached blob metadata: the first open of a blob fetches its geometry
-// from the owning version-manager shard, later opens and operations
-// serve it from the client cache.
+// OpenBlob returns a handle to an existing blob. The first open of a
+// blob fetches its page size from the owning version-manager shard,
+// later opens and operations serve it from the client cache.
 func (c *Client) OpenBlob(id BlobID) (*Blob, error) {
-	bi, err := c.info(id)
+	ps, err := c.pageSize(id)
 	if err != nil {
 		return nil, err
 	}
-	return &Blob{c: c, id: id, bi: bi}, nil
+	return &Blob{c: c, id: id, pageSize: ps}, nil
 }
 
-func (c *Client) info(blob BlobID) (*blobInfo, error) {
+// pageSize returns a blob's page size, cached after the first lookup.
+func (c *Client) pageSize(blob BlobID) (int64, error) {
 	c.mu.Lock()
-	bi, ok := c.blobs[blob]
+	ps, ok := c.pageSizes[blob]
 	c.mu.Unlock()
 	if ok {
-		return bi, nil
+		return ps, nil
 	}
 	ps, err := c.vm(blob).PageSize(c.node, blob)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	bi = newBlobInfo(ps)
 	c.mu.Lock()
-	if cur, ok := c.blobs[blob]; ok {
-		bi = cur
-	} else {
-		c.blobs[blob] = bi
-	}
+	c.pageSizes[blob] = ps
 	c.mu.Unlock()
-	return bi, nil
+	return ps, nil
 }
 
 // AppendBlock is one block of a write: real bytes, or a synthetic
@@ -267,7 +228,7 @@ func (b AppendBlock) length() int64 {
 //
 // A positioned call (off >= 0) carries one block: only the last
 // version's uncovered tail is merged.
-func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []AppendBlock) ([]Version, int64, error) {
+func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []AppendBlock) ([]Version, int64, error) {
 	if len(blocks) == 0 {
 		return nil, 0, nil
 	}
@@ -285,50 +246,23 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 	if err := s.ctx.Err(); err != nil {
 		return nil, 0, canceled("write", err) // before the ticket: nothing to release
 	}
-	bi, err := c.info(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	ps := bi.pageSize
 	vm := c.vm(blob)
 
 	// 1. One ticket round trip for every version (appends resolve their
-	// offset here).
+	// offset here); each ticket carries its tree's borrows.
 	intents := make([]WriteIntent, len(blocks))
 	for i, b := range blocks {
 		intents[i] = WriteIntent{Off: off, Length: b.length(), Tenant: s.tenant}
 	}
-	c.mu.Lock()
-	since := Version(len(bi.history))
-	c.mu.Unlock()
-	tickets, err := vm.RequestTickets(c.node, blob, intents, since)
+	tickets, err := vm.RequestTickets(c.node, blob, intents, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Each ticket's history delta is a prefix of the last one's, so the
-	// last delta plus the last ticket's own record deliver every version
-	// up to this call's last (pending ones cached with Aborted=false;
-	// fail below tombstones this call's own). Borrows are resolved here
-	// too, under c.mu; only versions below a ticket's are consulted, so
-	// records a sibling goroutine merged meanwhile do not matter.
-	lastTicket := tickets[len(tickets)-1]
-	c.mu.Lock()
-	for _, r := range lastTicket.History {
-		bi.extend(r)
-	}
-	bi.extend(lastTicket.Record)
-	borrows := make([]nodeRef, 0, len(tickets)*2*bits.Len64(uint64(lastTicket.Record.CapAfter)))
-	for _, t := range tickets {
-		borrows = bi.descend(t.Record, true, borrows)
-	}
-	hist := bi.history[:len(bi.history):len(bi.history)]
-	c.mu.Unlock()
-
 	versions := make([]Version, len(tickets))
 	for i, t := range tickets {
 		versions[i] = t.Record.Version
 	}
-	first, last := tickets[0].Record, lastTicket.Record
+	first, last := tickets[0].Record, tickets[len(tickets)-1].Record
 	base := first.Offset
 
 	// fail is the one failure rule. AbortBatch resolves every member
@@ -348,7 +282,6 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 			}
 			n++
 		}
-		c.tombstone(bi, versions[n:])
 		if n == len(versions) {
 			return versions, base, nil // publication beat the failure
 		}
@@ -381,12 +314,12 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 		ext = extBuf.b
 		head, tail := base-alignedStart, base+payload-alignedStart
 		if head > 0 {
-			if err := c.mergeFragment(s.ctx, blob, bi, first.Version, hist, alignedStart, ext[:head]); err != nil {
+			if err := c.mergeFragment(s.ctx, blob, first.Version, ps, alignedStart, ext[:head]); err != nil {
 				return fail(err)
 			}
 		}
 		if tail < int64(len(ext)) { // a write inside the blob; appends end at SizeAfter
-			if err := c.mergeFragment(s.ctx, blob, bi, first.Version, hist, base+payload, ext[tail:]); err != nil {
+			if err := c.mergeFragment(s.ctx, blob, first.Version, ps, base+payload, ext[tail:]); err != nil {
 				return fail(err)
 			}
 		}
@@ -443,11 +376,11 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, off int64, blocks []Appe
 	// A span of n pages creates about 2n nodes (leaves plus intersecting
 	// inners) and up to a log-factor spine; presize so hot appends never
 	// regrow the map.
-	tb := treeBuild{out: make(map[string][]byte, 2*len(keys)+8*len(tickets)), borrows: borrows}
+	tb := treeBuild{out: make(map[string][]byte, 2*len(keys)+8*len(tickets))}
 	slot = 0
 	for _, t := range tickets {
 		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
-		tb.buildNodes(t.Record, capBefore(hist, t.Record.Version), ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
+		tb.buildNodes(t, ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
 		slot += int(hi - lo)
 	}
 	if err := c.meta.BatchPut(tb.out); err != nil {
@@ -543,42 +476,22 @@ func pageExtent(p, ps, size int64) int64 {
 }
 
 // mergeFragment fills dst with the blob's bytes starting at offset
-// from — a fragment lying within one page — as of the latest
-// non-aborted version before v whose span intersects it. It waits for
-// that version's publication (concurrent-append safety; the wait is
-// cancellable through ctx); if no version ever wrote the fragment it
-// stays zero.
-func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, bi *blobInfo, v Version, hist []WriteRecord, from int64, dst []byte) error {
-	to := from + int64(len(dst))
-	for w := v - 1; w >= 1; w-- {
-		r := hist[w-1]
-		if r.Offset >= to || r.Offset+r.Length <= from {
-			continue // span does not intersect the fragment
-		}
-		c.mu.Lock()
-		dead := bi.aborted(w)
-		c.mu.Unlock()
-		if dead {
-			continue // tombstoned writer; fall back to an older owner
-		}
-		if err := c.vm(blob).AwaitPublished(ctx, c.node, blob, w); err != nil {
-			return err
-		}
-		s := defaultSettings()
-		s.ctx = ctx
-		s.version = w
-		if _, err := c.readCommon(s, blob, from, int64(len(dst)), dst); err != nil {
-			if errors.Is(err, ErrAborted) {
-				// The cached record predates another writer's abort of
-				// w. Fall back to an older owner exactly as a fresh
-				// record would have.
-				continue
-			}
-			return fmt.Errorf("core: read-modify-write of bytes [%d,%d) @v%d: %w", from, to, w, err)
-		}
-		return nil
+// from — a fragment lying within one page — as of the version before v:
+// the version manager names the page's owner once it is published
+// (concurrent-append safety; the wait is cancellable through ctx). If no
+// version ever wrote the page the fragment stays zero.
+func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, v Version, ps, from int64, dst []byte) error {
+	w, err := c.vm(blob).pageOwner(ctx, c.node, blob, v, from/ps)
+	if err != nil || w == 0 {
+		return err
 	}
-	return nil // hole: zeros
+	s := defaultSettings()
+	s.ctx = ctx
+	s.version = w
+	if _, err := c.readCommon(s, blob, ps, from, int64(len(dst)), dst); err != nil {
+		return fmt.Errorf("core: read-modify-write of bytes [%d,%d) @v%d: %w", from, from+int64(len(dst)), w, err)
+	}
+	return nil
 }
 
 // readCommon implements the read protocol for the snapshot addressed
@@ -586,19 +499,13 @@ func (c *Client) mergeFragment(ctx *cluster.Ctx, blob BlobID, bi *blobInfo, v Ve
 // (error if the range holds synthetic pages); a nil dst traverses the
 // path for length bytes without materializing. Cancellation of s.ctx
 // is honored between protocol steps and between gather rounds.
-func (c *Client) readCommon(s opSettings, blob BlobID, off, length int64, dst []byte) (int64, error) {
+func (c *Client) readCommon(s opSettings, blob BlobID, ps, off, length int64, dst []byte) (int64, error) {
 	if length <= 0 || off < 0 {
 		return 0, nil
 	}
 	if err := s.ctx.Err(); err != nil {
 		return 0, canceled("read", err)
 	}
-	bi, err := c.info(blob)
-	if err != nil {
-		return 0, err
-	}
-	ps := bi.pageSize
-
 	rec, ok, err := c.resolveVersion(blob, s.version)
 	if err != nil {
 		return 0, err
@@ -863,11 +770,10 @@ func (c *Client) locations(s opSettings, blob BlobID, off, length int64) ([]Page
 	if err := s.ctx.Err(); err != nil {
 		return nil, canceled("locations", err)
 	}
-	bi, err := c.info(blob)
+	ps, err := c.pageSize(blob)
 	if err != nil {
 		return nil, err
 	}
-	ps := bi.pageSize
 	rec, ok, err := c.resolveVersion(blob, s.version)
 	if err != nil {
 		return nil, err

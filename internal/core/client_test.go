@@ -517,7 +517,7 @@ func TestPersistentProviderRecovery(t *testing.T) {
 	d2.VM = d.VM // version metadata is the VM's (not persisted here)
 	d2.Meta = d.Meta
 	c2 := d2.NewClient(0)
-	c2.blobs = map[BlobID]*blobInfo{}
+	c2.pageSizes = map[BlobID]int64{}
 	b2 := openB(t, c2, blob.ID())
 	buf := make([]byte, len(data))
 	if _, err := b2.ReadAt(buf, 0); err != nil {

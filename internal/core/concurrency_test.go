@@ -58,8 +58,9 @@ func TestClientSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestClientSharedAppendersSameBlob has many goroutines append to one
-// blob through one shared Client: the history bookkeeping (ticket
-// deltas into blobInfo.history) must stay contiguous under contention.
+// blob through one shared Client: each ticket's borrows, resolved by
+// the version manager under contention, must link every append's tree
+// to its true predecessors.
 func TestClientSharedAppendersSameBlob(t *testing.T) {
 	d := newLocalDeployment(t, Options{PageSize: 64})
 	c := d.NewClient(0)

@@ -214,7 +214,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 					case opAbort:
 						// A writer that fails right after its ticket:
 						// nothing scattered, nothing published.
-						tk, err := ticket1(d.VM.Shard(blob), node, blob, op.off, op.length, 0)
+						tk, err := ticket1(d.VM.Shard(blob), node, blob, op.off, op.length)
 						if err != nil {
 							t.Errorf("writer %d op %d: ticket: %v", w, i, err)
 							return
@@ -644,7 +644,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 				for i, op := range plans[w] {
 					switch op.kind {
 					case opAbort:
-						tk, err := ticket1(d.VM.Shard(blob), node, blob, op.off, op.length, 0)
+						tk, err := ticket1(d.VM.Shard(blob), node, blob, op.off, op.length)
 						if err != nil {
 							t.Errorf("writer %d op %d: ticket: %v", w, i, err)
 							return

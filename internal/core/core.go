@@ -2,6 +2,7 @@
 // (version-manager tier, placement manager, providers, metadata DHT,
 // rebalancer), and client construction. The package contract lives in
 // doc.go.
+
 package core
 
 import (
@@ -316,10 +317,10 @@ func (d *Deployment) RepairBlob(blob BlobID, v Version) (RepairStats, error) {
 // NewClient returns a client bound to a node.
 func (d *Deployment) NewClient(node cluster.NodeID) *Client {
 	return &Client{
-		d:     d,
-		node:  node,
-		meta:  newCachedMeta(d.Meta.NewClient(d.Env, node), metaCacheShards, 1<<16),
-		blobs: make(map[BlobID]*blobInfo),
+		d:         d,
+		node:      node,
+		meta:      newCachedMeta(d.Meta.NewClient(d.Env, node), metaCacheShards, 1<<16),
+		pageSizes: make(map[BlobID]int64),
 	}
 }
 

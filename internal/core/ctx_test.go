@@ -85,7 +85,7 @@ func TestCanceledAppendReleasesTicket(t *testing.T) {
 	id := blob.ID()
 
 	// A stuck predecessor: ticket v1 assigned, never published.
-	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 10, 0)
+	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPublicationBeatsCancel(t *testing.T) {
 				vm := d.VM.Shard(id)
 				// v1 stuck: one full page, so the call under test starts
 				// page-aligned and waits nowhere but in its publish.
-				stuck, err := ticket1(vm, vm.Node(), id, -1, 128, 0)
+				stuck, err := ticket1(vm, vm.Node(), id, -1, 128)
 				if err != nil {
 					t.Error(err)
 					return
@@ -280,7 +280,7 @@ func TestAwaitPublicationFalse(t *testing.T) {
 
 	// v1 pending forever (until aborted below) — one full page, so the
 	// staged append starts page-aligned and needs no boundary merge.
-	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 128, 0)
+	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@
 // Deployment wires the services onto the nodes of a cluster.Env;
 // Deployment.NewClient binds a Client to one node. The client API is
 // handle-based: Client.CreateBlob / Client.OpenBlob return a *Blob
-// owning the cached blob metadata, and every per-blob operation is a
+// carrying the blob's page size, and every per-blob operation is a
 // Blob method parameterized by functional options instead of a method
 // variant —
 //

@@ -32,8 +32,8 @@ func first(vs []Version, off int64, err error) (Version, int64, error) {
 
 // ticket1, publish1 and abort1 drive the version manager's batched
 // write-side RPCs with a batch of one — a single write's shape.
-func ticket1(vm *VersionManager, from cluster.NodeID, blob BlobID, off, length int64, since Version) (Ticket, error) {
-	ts, err := vm.RequestTickets(from, blob, []WriteIntent{{Off: off, Length: length}}, since)
+func ticket1(vm *VersionManager, from cluster.NodeID, blob BlobID, off, length int64) (Ticket, error) {
+	ts, err := vm.RequestTickets(from, blob, []WriteIntent{{Off: off, Length: length}}, 0)
 	if err != nil {
 		return Ticket{}, err
 	}

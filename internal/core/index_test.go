@@ -43,43 +43,36 @@ func (h history) borrow(v Version, r PageRange, pageSize int64) (BlobID, Version
 	return 0, 0
 }
 
-// indexOf builds the creator index production code would hold after
-// merging h.
-func indexOf(h history, pageSize int64) *blobInfo {
-	bi := newBlobInfo(pageSize)
+// indexOf builds the blob state the version manager would hold after
+// assigning h, creator index included.
+func indexOf(h history, pageSize int64) *blobState {
+	b := newBlobState(pageSize)
 	for _, rec := range h {
-		bi.extend(rec)
+		b.push(rec, nil)
 	}
-	return bi
+	return b
 }
 
 // buildNodesFromHistory builds rec's tree the way the write path does:
-// the records below rec are indexed, rec's borrows resolved from the
-// index, and the nodes built from those.
+// the records below rec are indexed, rec's borrows resolved as its
+// ticket is assigned, and the nodes built from those.
 func buildNodesFromHistory(out map[string][]byte, rec WriteRecord, h history, pageSize int64, placement pagePlacement) {
 	below := h[:min(len(h), int(rec.Version)-1)]
-	tb := treeBuild{out: out, borrows: indexOf(below, pageSize).descend(rec, true, nil)}
-	tb.buildNodes(rec, capBefore(below, rec.Version), pageSize, placement)
+	tb := treeBuild{out: out}
+	tb.buildNodes(Ticket{Record: rec, borrows: indexOf(below, pageSize).push(rec, nil), capBefore: capBefore(below, rec.Version)}, pageSize, placement)
 	if len(tb.borrows) != 0 {
 		panic(fmt.Sprintf("build left %d borrows unconsumed", len(tb.borrows)))
 	}
 }
 
-// lookup answers one borrow from the index the way descent does for a
-// child it does not create: exact[r], and full[a] for r and every
-// ancestor.
-func (bi *blobInfo) lookup(v Version, r PageRange) (BlobID, Version) {
-	if v == 0 {
-		return 0, 0
-	}
-	w := bi.newest(bi.index.exact[r], v)
-	for a := r; a.Count <= bi.history[v-1].CapAfter; a = (PageRange{Off: a.Off &^ (2*a.Count - 1), Count: 2 * a.Count}) {
-		w = max(w, bi.newest(bi.index.full[a], v))
-	}
+// lookup answers one borrow from the index (blobState.creator) with the
+// key space the scan reports.
+func (b *blobState) lookup(v Version, r PageRange) (BlobID, Version) {
+	w := b.creator(v, r)
 	if w == 0 {
 		return 0, 0
 	}
-	return bi.history[w-1].Blob, w
+	return b.records[w-1].Blob, w
 }
 
 // randomHistory mixes appends, overwrites, writes far past the end
@@ -116,22 +109,16 @@ func randomHistory(rng *rand.Rand, n int, ps int64) history {
 	return h
 }
 
-// TestIndexBorrowMatchesScan: the index and the reference scan agree on
-// (blob, version) for random ranges at random versions.
+// TestIndexBorrowMatchesScan: the version manager's index and the
+// reference scan agree on (blob, version) for random ranges at random
+// versions, later versions already indexed (as when other writers hold
+// newer tickets), and on the borrows each version's ticket carries.
 func TestIndexBorrowMatchesScan(t *testing.T) {
 	const ps = 64
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHistory(rng, 300, ps)
 		bi := indexOf(h, ps)
-		// Half the aborts live in the client's own tombstone set instead
-		// of the cached record, as after a failed write of its own.
-		for i := range bi.history {
-			if bi.history[i].Aborted && i%2 == 0 {
-				bi.history[i].Aborted = false
-				bi.dead[Version(i+1)] = struct{}{}
-			}
-		}
 		top := h[len(h)-1].CapAfter
 		for i := 0; i < 4000; i++ {
 			v := Version(rng.Intn(len(h) + 1))
@@ -148,10 +135,11 @@ func TestIndexBorrowMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d: borrow(%d, %+v): index (%d,%d), scan (%d,%d)", seed, v, r, gb, gv, wb, wv)
 			}
 		}
-		// And the write path's own use: every version's resolved borrows
-		// are the scan's answers, in buildNodes' order.
+		// And the write path's own use: every version's borrows, resolved
+		// as it is indexed, are the scan's answers, in buildNodes' order.
+		inc := newBlobState(ps)
 		for _, rec := range h {
-			borrows := bi.descend(rec, true, nil)
+			borrows := inc.push(rec, nil)
 			s := spanOf(rec, capBefore(h, rec.Version), ps)
 			var check func(r PageRange)
 			check = func(r PageRange) {
@@ -178,29 +166,38 @@ func TestIndexBorrowMatchesScan(t *testing.T) {
 	}
 }
 
-// TestIndexEntriesPerRecordIsLogarithmic: a record costs O(log
-// capacity) index entries however many pages it spans (an index with
-// one entry per created node costs ~2 per page).
+// TestIndexEntriesPerRecordIsLogarithmic: a ticket costs the version
+// manager's index O(log capacity) entries however many pages it spans
+// (an index with one entry per created node costs ~2 per page).
 func TestIndexEntriesPerRecordIsLogarithmic(t *testing.T) {
 	const ps = 64
-	size := int64(1<<20) * ps
-	bi := indexOf(history{{Blob: 1, Version: 1, Length: size, SizeAfter: size, CapAfter: 1 << 20}}, ps)
-	for i, w := range []struct{ page, pages int64 }{{777_777, 1}, {123_456, 4096}, {1 << 20, 4096}} {
-		before := len(bi.index.log)
-		size = max(size, (w.page+w.pages)*ps)
-		rec := WriteRecord{Blob: 1, Version: Version(i + 2), Offset: w.page * ps, Length: w.pages * ps, SizeAfter: size, CapAfter: capacityPages(size, ps)}
-		bi.extend(rec)
-		bound := 4*bits.Len64(uint64(rec.CapAfter)-1) + 4
-		if got := len(bi.index.log) - before; got > bound {
+	vm := localVM()
+	id, _ := vm.CreateBlob(0, ps)
+	if _, err := ticket1(vm, 0, id, 0, int64(1<<20)*ps); err != nil {
+		t.Fatal(err)
+	}
+	log := func() int {
+		vm.mu.Lock()
+		defer vm.mu.Unlock()
+		return len(vm.blobs[id].index.log)
+	}
+	for _, w := range []struct{ page, pages int64 }{{777_777, 1}, {123_456, 4096}, {1 << 20, 4096}} {
+		before := log()
+		tk, err := ticket1(vm, 0, id, w.page*ps, w.pages*ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 4*bits.Len64(uint64(tk.Record.CapAfter)-1) + 4
+		if got := log() - before; got > bound {
 			t.Errorf("%d-page write at page %d added %d index entries, want <= %d", w.pages, w.page, got, bound)
 		}
 	}
 }
 
 // TestConcurrentWritersOneClientIndex: 8 goroutines share one Client
-// (one cached history, one index) appending to and overwriting one
-// blob; every published version must read back equal to the byte model
-// replayed from the version manager's records.
+// appending to and overwriting one blob, their tickets resolved against
+// the version manager's one index; every published version must read
+// back equal to the byte model replayed from the manager's records.
 func TestConcurrentWritersOneClientIndex(t *testing.T) {
 	const ps, writers, perWriter = 128, 8, 24
 	d := newLocalDeployment(t, Options{PageSize: ps, ProviderNodes: []cluster.NodeID{1, 2, 3}})

@@ -17,23 +17,24 @@
 //
 // A created node's child that was *not* created by v is borrowed: its
 // key version is the latest non-aborted w < v that created a node with
-// exactly that range, computable purely from the write records the
-// version manager hands out with each ticket. This is what lets
+// exactly that range. The version manager resolves these from its write
+// records when it assigns v and hands them out with the ticket, so
 // concurrent writers build their metadata in parallel without reading
-// each other's trees. A child range never touched by any version is a
-// hole and reads as zeros.
+// each other's trees or holding any history. A child range never
+// touched by any version is a hole and reads as zeros.
 //
-// Borrows are answered by a creator index (creatorIndex) the client
-// extends record by record, laid out the way a segment tree stores an
-// interval, so a record costs O(log capacity) entries however many
-// pages it spans. Descending from the record's root, a range its span
-// covers whole is listed once under full — the record created it and
-// everything beneath it — and the descent stops there; a range it
-// created by touching only part of it (the ancestors of the span's two
-// ends) or as a spine node is listed under exact. The creators of a
-// range r are then exact[r] plus full[a] for a = r and each of its
-// ancestors, each list newest first: a borrow is a few map lookups,
-// whatever the history's length.
+// The manager answers borrows from one creator index (creatorIndex) per
+// blob, extended as each version is assigned and laid out the way a
+// segment tree stores an interval, so a record costs O(log capacity)
+// entries however many pages it spans. Descending from the record's
+// root, a range its span covers whole is listed once under full — the
+// record created it and everything beneath it — and the descent stops
+// there; a range it created by touching only part of it (the ancestors
+// of the span's two ends) or as a spine node is listed under exact. The
+// creators of a range r are then exact[r] plus full[a] for a = r and
+// each of its ancestors, each list newest first: a borrow is a few map
+// lookups, whatever the history's length.
+
 package core
 
 import (
@@ -216,11 +217,11 @@ type nodeRef struct {
 	ver  Version
 }
 
-// creatorIndex answers borrows over a blob's cached records (layout in
-// the file comment). Each range's creators chain newest first through
-// one append-only log: a borrow asks about the version just below a
-// ticket this client holds, so the answer is the chain's head unless
-// sibling goroutines merged later records or the newest ones aborted.
+// creatorIndex answers borrows over one blob's records at the version
+// manager (layout in the file comment). Each range's creators chain
+// newest first through one append-only log: a borrow is resolved as its
+// ticket is assigned, so the answer is the chain's head unless the
+// newest creators aborted.
 type creatorIndex struct {
 	exact map[PageRange]int // created by touching part of the range, or as spine
 	full  map[PageRange]int // span covers the range: created it and all beneath
@@ -237,15 +238,29 @@ func (ix *creatorIndex) list(m map[PageRange]int, r PageRange, v Version) {
 	m[r] = len(ix.log)
 }
 
+// push appends rec, the next version's record, and indexes it in one
+// descent from its root that stops at ranges its span covers whole
+// (nothing beneath them is borrowed). On the way it appends to borrows,
+// in buildNodes' visit order, the identity of every child rec does not
+// create: the newest non-aborted creator below rec's version among the
+// child's exact and full entries and the full entries of its ancestors,
+// which the descent carries down as inherited.
+func (b *blobState) push(rec WriteRecord, borrows []nodeRef) []nodeRef {
+	b.records = append(b.records, rec)
+	d := descent{b: b, s: spanOf(rec, capBefore(b.records, rec.Version), b.pageSize), v: rec.Version, borrows: borrows}
+	d.visit(PageRange{Count: rec.CapAfter}, 0)
+	return d.borrows
+}
+
 // newest returns the newest non-aborted creator at or below v on the
 // chain from head, 0 if none. Aborted versions are skipped: their
 // writer may have died before the metadata reached the DHT, so linking
 // their nodes would leave a dangling reference; the range falls back to
 // the newest surviving creator, or reads as a hole.
-func (bi *blobInfo) newest(head int, v Version) Version {
+func (b *blobState) newest(head int, v Version) Version {
 	for head != 0 {
-		c := bi.index.log[head-1]
-		if c.ver <= v && !bi.aborted(c.ver) {
+		c := b.index.log[head-1]
+		if c.ver <= v && !b.records[c.ver-1].Aborted {
 			return c.ver
 		}
 		head = c.prev
@@ -253,68 +268,52 @@ func (bi *blobInfo) newest(head int, v Version) Version {
 	return 0
 }
 
-func (bi *blobInfo) aborted(v Version) bool {
-	_, dead := bi.dead[v]
-	return dead || bi.history[v-1].Aborted
-}
-
-// extend caches and indexes rec if it is the next version; ones already
-// present are skipped (a delta never starts past the cache's end).
-func (bi *blobInfo) extend(rec WriteRecord) {
-	if int(rec.Version) == len(bi.history)+1 {
-		bi.history = append(bi.history, rec)
-		bi.descend(rec, false, nil)
+// creator returns the newest non-aborted version at or below v that
+// created range r, 0 if none: exact[r], and full[a] for r and every
+// ancestor within the capacity at v.
+func (b *blobState) creator(v Version, r PageRange) Version {
+	if v == 0 {
+		return 0
 	}
-}
-
-// descend walks the ranges rec creates, root down, stopping at ranges
-// its span covers whole (nothing beneath them is borrowed). With resolve
-// unset it lists rec's version in the index; with it set it appends to
-// borrows, in buildNodes' visit order, the identity of every child rec
-// does not create: the newest non-aborted creator below rec's version
-// among the child's exact and full entries and the full entries of its
-// ancestors, which the descent carries down as inherited.
-func (bi *blobInfo) descend(rec WriteRecord, resolve bool, borrows []nodeRef) []nodeRef {
-	d := descent{bi: bi, s: spanOf(rec, capBefore(bi.history, rec.Version), bi.pageSize), v: rec.Version, resolve: resolve, borrows: borrows}
-	d.visit(PageRange{Count: rec.CapAfter}, 0)
-	return d.borrows
+	w := b.newest(b.index.exact[r], v)
+	for a := r; a.Count <= b.records[v-1].CapAfter; a = (PageRange{Off: a.Off &^ (2*a.Count - 1), Count: 2 * a.Count}) {
+		w = max(w, b.newest(b.index.full[a], v))
+	}
+	return w
 }
 
 type descent struct {
-	bi      *blobInfo
+	b       *blobState
 	s       span
 	v       Version
-	resolve bool
 	borrows []nodeRef
 }
 
+// visit lists d.v under r and resolves r's borrowed children. Listing
+// first is safe: a borrow reads only entries below d.v, and d.v lists
+// itself in no range it borrows.
 func (d *descent) visit(r PageRange, inherited Version) {
-	ix := &d.bi.index
+	ix := &d.b.index
 	if d.s.covers(r) {
-		if !d.resolve {
-			ix.list(ix.full, r, d.v)
-		}
+		ix.list(ix.full, r, d.v)
 		return
 	}
-	if d.resolve {
-		inherited = max(inherited, d.bi.newest(ix.full[r], d.v-1))
-	} else {
-		ix.list(ix.exact, r, d.v)
-	}
+	ix.list(ix.exact, r, d.v)
+	inherited = max(inherited, d.b.newest(ix.full[r], d.v-1))
 	if r.leaf() {
 		return // a spine leaf: nothing beneath
 	}
 	for _, half := range [2]PageRange{r.left(), r.right()} {
 		if d.s.creates(half) {
 			d.visit(half, inherited)
-		} else if d.resolve {
-			w := max(inherited, d.bi.newest(ix.exact[half], d.v-1), d.bi.newest(ix.full[half], d.v-1))
-			ref := nodeRef{ver: w}
-			if w != 0 {
-				ref.blob = d.bi.history[w-1].Blob
-			}
-			d.borrows = append(d.borrows, ref)
+			continue
 		}
+		w := max(inherited, d.b.newest(ix.exact[half], d.v-1), d.b.newest(ix.full[half], d.v-1))
+		ref := nodeRef{ver: w}
+		if w != 0 {
+			ref.blob = d.b.records[w-1].Blob
+		}
+		d.borrows = append(d.borrows, ref)
 	}
 }
 
@@ -391,23 +390,23 @@ func (pl pagePlacement) at(page int64) []cluster.NodeID {
 }
 
 // treeBuild builds the metadata trees of one call's versions into out,
-// DHT key -> encoded value. borrows lists the children the versions do
-// not create, in visit order (blobInfo.descend); each buildNodes consumes
-// its own.
+// DHT key -> encoded value.
 type treeBuild struct {
 	out       map[string][]byte
-	borrows   []nodeRef
+	borrows   []nodeRef // the current version's, consumed in visit order
 	rec       WriteRecord
 	s         span
 	placement pagePlacement
 }
 
-// buildNodes adds every metadata node one write must publish. rec is the
-// write's own record (its Blob names the key space the new nodes live
-// in), capBefore the tree capacity before it, and placement maps each
-// written page index to its replica set.
-func (b *treeBuild) buildNodes(rec WriteRecord, capBefore, pageSize int64, placement pagePlacement) {
-	b.rec, b.s, b.placement = rec, spanOf(rec, capBefore, pageSize), placement
+// buildNodes adds every metadata node one write must publish, from its
+// ticket: the record (its Blob names the key space the new nodes live
+// in), the tree capacity before it and the borrowed children the
+// version manager resolved. placement maps each written page index to
+// its replica set.
+func (b *treeBuild) buildNodes(t Ticket, pageSize int64, placement pagePlacement) {
+	rec := t.Record
+	b.rec, b.s, b.borrows, b.placement = rec, spanOf(rec, t.capBefore, pageSize), t.borrows, placement
 	root := PageRange{Off: 0, Count: rec.CapAfter}
 	if !b.s.creates(root) {
 		// Cannot happen for a non-empty write: the root always
@@ -479,12 +478,11 @@ type nodeGetter interface {
 //
 // aborted (optional) resolves whether a version was tombstoned. A tree
 // may legitimately link a subtree of a version that later aborted: the
-// linking writer assembled its nodes from a history snapshot that
-// predates the abort, and the aborted writer may have died before its
-// own nodes reached the DHT. Such a missing subtree is a hole (the
-// aborted write was never visible), not corruption — but only the
-// version manager can tell the two apart, so without a probe a missing
-// node stays a hard error.
+// linking writer's ticket named it as a borrow before the abort, and
+// the aborted writer may have died before its own nodes reached the
+// DHT. Such a missing subtree is a hole (the aborted write was never
+// visible), not corruption — but only the version manager can tell the
+// two apart, so without a probe a missing node stays a hard error.
 func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, fetch nodeFetcher, aborted func(BlobID, Version) bool) ([]PageLoc, error) {
 	if hi > capPages {
 		hi = capPages

@@ -5,6 +5,7 @@
 // publication, op-scoped cancellation — selected per call instead of
 // per method, which is what keeps the Client surface small enough to
 // stay a coherent storage contract (see doc.go).
+
 package core
 
 import (

@@ -5,6 +5,7 @@
 // copies on ingest; gather staging is copied into the caller's
 // destination), and returned before the operation completes — so
 // nothing long-lived ever aliases a pooled buffer.
+
 package core
 
 import "sync"

@@ -4,6 +4,7 @@
 // (internal/placement): by default every page goes to its ring-
 // preferred owners; the striping and local-first strategies of the
 // ablation experiments live there too.
+
 package core
 
 import (

@@ -102,40 +102,6 @@ func TestQuickPageExtentMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestQuickHistoryDeltaMatchesNaive checks blobState.historyDelta
-// against the reference filter "records with version in (since, v)",
-// including out-of-range and inverted bounds.
-func TestQuickHistoryDeltaMatchesNaive(t *testing.T) {
-	f := func(nRaw, sinceRaw, vRaw uint8) bool {
-		n := int(nRaw % 24)
-		b := &blobState{}
-		for i := 0; i < n; i++ {
-			b.records = append(b.records, WriteRecord{Version: Version(i + 1), Offset: int64(i) * 10, Length: 10})
-		}
-		since := Version(sinceRaw % 32)
-		v := Version(vRaw % 32)
-		var naive []WriteRecord
-		for _, rec := range b.records {
-			if rec.Version > since && rec.Version < v {
-				naive = append(naive, rec)
-			}
-		}
-		got := b.historyDelta(since, v)
-		if len(got) != len(naive) {
-			return false
-		}
-		for i := range got {
-			if got[i].Version != naive[i].Version {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(32))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickWriteReadMatchesByteModel drives random write sequences —
 // arbitrary offsets and lengths, zero-length rejects, page-boundary
 // straddles, sparse holes, writes inside the blob whose head and tail

@@ -16,6 +16,7 @@
 // through any surviving old replica (a copy dropped by migration just
 // looks like one more failed replica and fails over), and a fresh tree
 // walk sees the new set.
+
 package core
 
 import (

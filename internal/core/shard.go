@@ -13,6 +13,7 @@
 // A single-shard router is byte-for-byte the paper's centralized
 // version manager: shard 0 of stride 1 allocates the dense sequence
 // 1, 2, 3, ... and every operation routes to it.
+
 package core
 
 import (

@@ -1,8 +1,8 @@
 // version.go implements one shard of BlobSeer's version-manager tier:
-// the entity that assigns version numbers to writes (tickets), keeps
-// the per-blob write history concurrent metadata builders need, and
-// publishes versions in ticket order so readers always see a
-// consistent, totally ordered sequence of snapshots.
+// the entity that assigns version numbers to writes (tickets), resolves
+// each ticket's borrowed tree children from the blob's one creator index
+// (meta.go), and publishes versions in ticket order so readers always
+// see a consistent, totally ordered sequence of snapshots.
 //
 // The paper's version manager is a single node. This repository shards
 // it (see shard.go): each VersionManager owns the blobs whose ids are
@@ -19,11 +19,13 @@
 // advancing each touched blob's published frontier once per batch and
 // waking publishers and AwaitPublished waiters in one sweep, so clients
 // amortize the manager round trip across many in-flight writes.
+
 package core
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -45,14 +47,16 @@ var (
 )
 
 // Ticket is the version manager's reply to a write intent: the assigned
-// version, the resolved offset (for appends), the blob geometry after
-// the write, and the history delta the writer needs to compute borrowed
-// child keys.
+// version, the resolved offset (for appends) and the blob geometry
+// after the write, plus what the writer's metadata tree needs from the
+// versions before it — the borrowed children, resolved against the
+// manager's own records, and the tree capacity before the write.
 type Ticket struct {
 	// Record is the writer's own pending WriteRecord: the assigned
 	// version, resolved offset and post-write geometry.
-	Record  WriteRecord
-	History []WriteRecord // records for versions (SinceVersion, Version)
+	Record    WriteRecord
+	borrows   []nodeRef // children Record does not create, in buildNodes' visit order
+	capBefore int64
 }
 
 // WriteIntent describes one write of a batched ticket request: a byte
@@ -138,11 +142,17 @@ type pubReq struct {
 type blobState struct {
 	pageSize  int64
 	records   []WriteRecord // index i = version i+1; includes pending
+	index     creatorIndex  // over records, extended by push
 	published Version       // latest published version
 	pending   map[Version]*pendingWrite
-	// pubWaiters are AwaitPublished callers parked until the
-	// publication frontier reaches their version.
+	// pubWaiters are AwaitPublished and pageOwner callers parked until
+	// the publication frontier reaches their version.
 	pubWaiters []pubWaiter
+}
+
+func newBlobState(pageSize int64) *blobState {
+	ix := creatorIndex{exact: make(map[PageRange]int), full: make(map[PageRange]int)}
+	return &blobState{pageSize: pageSize, pending: make(map[Version]*pendingWrite), index: ix}
 }
 
 type pubWaiter struct {
@@ -231,7 +241,7 @@ func (vm *VersionManager) CreateBlob(from cluster.NodeID, pageSize int64) (BlobI
 	defer vm.mu.Unlock()
 	id := vm.nextID
 	vm.nextID += vm.stride
-	vm.blobs[id] = &blobState{pageSize: pageSize, pending: make(map[Version]*pendingWrite)}
+	vm.blobs[id] = newBlobState(pageSize)
 	return id, nil
 }
 
@@ -252,12 +262,12 @@ func (vm *VersionManager) PageSize(from cluster.NodeID, blob BlobID) (int64, err
 // one round trip (an intent with Off < 0 requests an append at the
 // current end). The versions are guaranteed contiguous — no other
 // writer's ticket interleaves — so batched appends land back-to-back.
-// Each returned ticket carries the history delta (sinceVersion,
-// assigned version), letting writers cache earlier prefixes; for
-// ticket i it includes the records of tickets 0..i-1 of the same
-// batch. A bad intent fails the whole batch before any version is
-// assigned.
-func (vm *VersionManager) RequestTickets(from cluster.NodeID, blob BlobID, intents []WriteIntent, sinceVersion Version) ([]Ticket, error) {
+// Each ticket carries its tree's borrowed children, resolved against the
+// manager's own records (ticket i may borrow from tickets 0..i-1), so
+// the writer needs no history. A bad intent fails the whole batch
+// before any version is assigned. since is ignored: it stays in the
+// signature for existing callers, and callers pass 0.
+func (vm *VersionManager) RequestTickets(from cluster.NodeID, blob BlobID, intents []WriteIntent, since Version) ([]Ticket, error) {
 	if len(intents) == 0 {
 		return nil, nil
 	}
@@ -276,69 +286,36 @@ func (vm *VersionManager) RequestTickets(from cluster.NodeID, blob BlobID, inten
 	}
 	out := make([]Ticket, len(intents))
 	for i, in := range intents {
-		out[i] = Ticket{Record: vm.assignLocked(b, blob, in.Off, in.Length, in.Tenant)}
-	}
-	// One shared history copy: records are dense (every version has a
-	// record), so ticket i's delta (sinceVersion, v_i) is a prefix of
-	// the last ticket's delta — sub-slice instead of copying K times.
-	last := out[len(out)-1].Record.Version
-	hist := b.historyDelta(sinceVersion, last)
-	for i := range out {
-		n := int(out[i].Record.Version-sinceVersion) - 1
-		if n < 0 {
-			n = 0
-		}
-		if n > len(hist) {
-			n = len(hist)
-		}
-		out[i].History = hist[:n:n]
+		out[i] = vm.assignLocked(b, blob, in)
 	}
 	return out, nil
 }
 
-// assignLocked appends the next version's record and pending entry.
-func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, off, length int64, tenant string) WriteRecord {
+// assignLocked appends and indexes the next version's record, adds its
+// pending entry and returns its ticket.
+func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, in WriteIntent) Ticket {
 	prevSize := int64(0)
 	if n := len(b.records); n > 0 {
 		prevSize = b.records[n-1].SizeAfter
 	}
+	off := in.Off
 	if off < 0 {
 		off = prevSize // append
 	}
-	size := prevSize
-	if off+length > size {
-		size = off + length
-	}
+	size := max(prevSize, off+in.Length)
 	rec := WriteRecord{
 		Blob:      blob,
 		Version:   Version(len(b.records)) + 1,
 		Offset:    off,
-		Length:    length,
+		Length:    in.Length,
 		SizeAfter: size,
 		CapAfter:  capacityPages(size, b.pageSize),
-		Tenant:    tenant,
+		Tenant:    in.Tenant,
 	}
-	b.records = append(b.records, rec)
+	// About two borrows per tree level.
+	borrows := b.push(rec, make([]nodeRef, 0, 2*bits.Len64(uint64(rec.CapAfter))))
 	b.pending[rec.Version] = &pendingWrite{done: vm.env.NewSignal()}
-	return rec
-}
-
-// historyDelta copies records with versions in (since, v).
-func (b *blobState) historyDelta(since, v Version) []WriteRecord {
-	lo := int(since) // records[since] is version since+1
-	hi := int(v) - 1 // exclusive of v itself
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(b.records) {
-		hi = len(b.records)
-	}
-	if lo >= hi {
-		return nil
-	}
-	out := make([]WriteRecord, hi-lo)
-	copy(out, b.records[lo:hi])
-	return out
+	return Ticket{Record: rec, borrows: borrows, capBefore: capBefore(b.records, rec.Version)}
 }
 
 // PublishBatchAsync marks versions of one blob ready for publication
@@ -448,12 +425,12 @@ func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Versio
 	return p.done, p, nil
 }
 
-// applyAbortLocked tombstones v if it is still pending. Its span remains
-// in the history — later concurrent writers may already have borrowed
-// node keys referencing it — but it is skipped in the publication order
-// and never becomes the visible snapshot. Aborting an already aborted
-// version is a no-op; an unknown version is ErrNoSuchVersion and a
-// published one errAlreadyPublished.
+// applyAbortLocked tombstones v if it is still pending. Its record stays
+// — tickets already issued may name its nodes as borrows — but later
+// borrows, pageOwner and the publication order skip it, and it never
+// becomes the visible snapshot. Aborting an already aborted version is a
+// no-op; an unknown version is ErrNoSuchVersion and a published one
+// errAlreadyPublished.
 func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version) error {
 	p, ok := b.pending[v]
 	if !ok {
@@ -686,24 +663,53 @@ func (vm *VersionManager) advanceLocked(b *blobState) {
 func (vm *VersionManager) AwaitPublished(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
+	_, sig, err := vm.watch(blob, v, func(*blobState) Version { return v })
+	if err != nil || sig == nil {
+		return err
+	}
+	return ctx.Wait(sig)
+}
+
+// pageOwner returns the newest non-aborted version below v that created
+// page's leaf, once the frontier has reached it (one round trip, like
+// AwaitPublished), or 0 for a hole; a creator that aborts meanwhile is
+// passed over for the next older one. Every writer merges the pages it
+// touches, so the page's bytes as of v-1 read the same at its leaf
+// creator as at the newest version whose byte span covers them.
+func (vm *VersionManager) pageOwner(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version, page int64) (Version, error) {
+	vm.env.RTT(from, vm.node)
+	vm.serve()
+	for {
+		w, sig, err := vm.watch(blob, v, func(b *blobState) Version { return b.creator(v-1, PageRange{Off: page, Count: 1}) })
+		if err != nil || sig == nil {
+			return w, err
+		}
+		if err := ctx.Wait(sig); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// watch picks, under one lock hold, a version of blob with target (v
+// must be assigned) and, unless the publication frontier has already
+// reached it, parks a waiter that fires once it does.
+func (vm *VersionManager) watch(blob BlobID, v Version, target func(*blobState) Version) (Version, cluster.Signal, error) {
 	vm.mu.Lock()
+	defer vm.mu.Unlock()
 	b, ok := vm.blobs[blob]
 	if !ok {
-		vm.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
+		return 0, nil, fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
 	}
 	if int(v) > len(b.records) {
-		vm.mu.Unlock()
-		return fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
+		return 0, nil, fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
 	}
-	if b.published >= v {
-		vm.mu.Unlock()
-		return nil
+	w := target(b)
+	if w <= b.published {
+		return w, nil, nil
 	}
 	sig := vm.env.NewSignal()
-	b.pubWaiters = append(b.pubWaiters, pubWaiter{v: v, sig: sig})
-	vm.mu.Unlock()
-	return ctx.Wait(sig)
+	b.pubWaiters = append(b.pubWaiters, pubWaiter{v: w, sig: sig})
+	return w, sig, nil
 }
 
 // Latest returns the newest published, non-aborted version and its
@@ -737,8 +743,8 @@ func (vm *VersionManager) LatestRecord(from cluster.NodeID, blob BlobID) (WriteR
 }
 
 // Clone creates a new blob sharing everything up to (and including)
-// published version v of the source: an O(published-versions) metadata
-// copy at the version manager and zero data movement — the cheap
+// published version v of the source: an O(published-versions) copy of
+// the records, indexed afresh, and zero data movement — the cheap
 // branching the lineage systems (GFS, BlobSeer) advertise. The clone's
 // own writes continue from version v+1 in its private key space;
 // source and clone never see each other's subsequent writes.
@@ -762,14 +768,13 @@ func (vm *VersionManager) Clone(from cluster.NodeID, source BlobID, v Version) (
 	// a local operation) and routing stays a pure function of the id.
 	id := vm.nextID
 	vm.nextID += vm.stride
-	records := make([]WriteRecord, v)
-	copy(records, src.records[:v])
-	vm.blobs[id] = &blobState{
-		pageSize:  src.pageSize,
-		records:   records,
-		published: v,
-		pending:   make(map[Version]*pendingWrite),
+	b := newBlobState(src.pageSize)
+	var scratch []nodeRef // the copied versions' borrows are not needed again
+	for _, rec := range src.records[:v] {
+		scratch = b.push(rec, scratch[:0])
 	}
+	b.published = v
+	vm.blobs[id] = b
 	return id, nil
 }
 

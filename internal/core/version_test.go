@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,11 +36,11 @@ func TestCreateBlobAndPageSize(t *testing.T) {
 func TestTicketAssignsOrderedVersions(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	t1, err := ticket1(vm, 0, id, 0, 100, 0)
+	t1, err := ticket1(vm, 0, id, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, _ := ticket1(vm, 0, id, -1, 50, 0)
+	t2, _ := ticket1(vm, 0, id, -1, 50)
 	if t1.Record.Version != 1 || t2.Record.Version != 2 {
 		t.Fatalf("versions = %d, %d", t1.Record.Version, t2.Record.Version)
 	}
@@ -50,21 +51,27 @@ func TestTicketAssignsOrderedVersions(t *testing.T) {
 	if t2.Record.SizeAfter != 150 {
 		t.Fatalf("size after = %d", t2.Record.SizeAfter)
 	}
-	// History delta: t2 sees t1's record.
-	if len(t2.History) != 1 || t2.History[0].Version != 1 {
-		t.Fatalf("history = %+v", t2.History)
-	}
-	// sinceVersion skips known records.
-	t3, _ := ticket1(vm, 0, id, -1, 10, 2)
-	if len(t3.History) != 0 {
-		t.Fatalf("history with since=2: %+v", t3.History)
+	// Borrows: v1 has no tree to link to; v2 (page 1) links v1's page 0.
+	assertBorrows(t, t1, 0)
+	assertBorrows(t, t2, 1, nodeRef{blob: id, ver: 1})
+	// v3 (page 1 again) reaches past v2, which did not create page 0.
+	t3, _ := ticket1(vm, 0, id, -1, 10)
+	assertBorrows(t, t3, 2, nodeRef{blob: id, ver: 1})
+}
+
+// assertBorrows checks the tree inputs a ticket carries: the capacity
+// before its write and its borrowed children in buildNodes' order.
+func assertBorrows(t *testing.T, tk Ticket, capBefore int64, want ...nodeRef) {
+	t.Helper()
+	if tk.capBefore != capBefore || !slices.Equal(tk.borrows, want) {
+		t.Fatalf("v%d: capBefore %d, borrows %+v; want %d, %+v", tk.Record.Version, tk.capBefore, tk.borrows, capBefore, want)
 	}
 }
 
 func TestTicketRejectsBadLength(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	if _, err := ticket1(vm, 0, id, 0, 0, 0); !errors.Is(err, ErrBadWrite) {
+	if _, err := ticket1(vm, 0, id, 0, 0); !errors.Is(err, ErrBadWrite) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -81,8 +88,8 @@ func TestPublishInOrder(t *testing.T) {
 	var v2Visible, v1Published time.Duration
 	eng.Go(func() {
 		id, _ = vm.CreateBlob(1, 100)
-		ticket1(vm, 1, id, 0, 100, 0)  // v1
-		ticket1(vm, 1, id, -1, 100, 0) // v2
+		ticket1(vm, 1, id, 0, 100)  // v1
+		ticket1(vm, 1, id, -1, 100) // v2
 
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
@@ -121,8 +128,8 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
 		id, _ := vm.CreateBlob(1, 100)
-		ticket1(vm, 1, id, 0, 100, 0)  // v1 (will abort)
-		ticket1(vm, 1, id, -1, 100, 0) // v2
+		ticket1(vm, 1, id, 0, 100)  // v1 (will abort)
+		ticket1(vm, 1, id, -1, 100) // v2
 
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
@@ -158,8 +165,8 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 func TestLatestSkipsTrailingAborted(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	ticket1(vm, 0, id, 0, 100, 0)
-	ticket1(vm, 0, id, -1, 100, 0)
+	ticket1(vm, 0, id, 0, 100)
+	ticket1(vm, 0, id, -1, 100)
 	if err := publish1(vm, bg, 0, id, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestGetVersionBounds(t *testing.T) {
 	if _, err := vm.GetVersion(0, id, 0); !errors.Is(err, ErrNoSuchVersion) {
 		t.Fatalf("v0: %v", err)
 	}
-	ticket1(vm, 0, id, 0, 100, 0)
+	ticket1(vm, 0, id, 0, 100)
 	// Unpublished version is not readable.
 	if _, err := vm.GetVersion(0, id, 1); !errors.Is(err, ErrNoSuchVersion) {
 		t.Fatalf("unpublished: %v", err)
@@ -210,7 +217,7 @@ func TestAbortTypedErrors(t *testing.T) {
 		}
 		// v1: published. v2: pending. v3: aborted.
 		for i := 0; i < 3; i++ {
-			if _, err := ticket1(vm, 0, id, -1, 50, 0); err != nil {
+			if _, err := ticket1(vm, 0, id, -1, 50); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,12 +277,12 @@ func TestAbortTypedErrors(t *testing.T) {
 }
 
 // TestRequestTicketsBatch: one round trip assigns contiguous versions
-// with per-ticket history deltas, appends stack their offsets, and a
-// bad intent fails the whole batch before any version is burned.
+// with per-ticket borrows, appends stack their offsets, and a bad
+// intent fails the whole batch before any version is burned.
 func TestRequestTicketsBatch(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
-	if _, err := ticket1(vm, 0, id, 0, 100, 0); err != nil {
+	if _, err := ticket1(vm, 0, id, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	ts, err := vm.RequestTickets(0, id, []WriteIntent{
@@ -300,13 +307,12 @@ func TestRequestTicketsBatch(t *testing.T) {
 			t.Fatalf("ticket %d = %+v, want v%d off %d size %d", i, rec, want.v, want.off, want.size)
 		}
 	}
-	// Ticket i's history delta includes the batch's earlier tickets.
-	if len(ts[0].History) != 1 || ts[0].History[0].Version != 1 {
-		t.Fatalf("ticket 0 history = %+v", ts[0].History)
-	}
-	if len(ts[2].History) != 3 || ts[2].History[2].Version != 3 {
-		t.Fatalf("ticket 2 history = %+v", ts[2].History)
-	}
+	// Ticket i borrows from the batch's earlier tickets: v3 (pages 1-2)
+	// links v1's page 0 and finds page 3 a hole; v4 (page 0) links v3's
+	// page 1 and v3's [2,4).
+	assertBorrows(t, ts[0], 1, nodeRef{blob: id, ver: 1})
+	assertBorrows(t, ts[1], 2, nodeRef{blob: id, ver: 1}, nodeRef{})
+	assertBorrows(t, ts[2], 4, nodeRef{blob: id, ver: 3}, nodeRef{blob: id, ver: 3})
 
 	// A bad length rejects the whole batch atomically.
 	if _, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 10}, {Off: 0, Length: 0}}, 0); !errors.Is(err, ErrBadWrite) {
@@ -345,7 +351,7 @@ func TestPublishBatchGroupCommit(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		single, err := ticket1(vm, 2, id, -1, 10, 0) // v4
+		single, err := ticket1(vm, 2, id, -1, 10) // v4
 		if err != nil {
 			t.Error(err)
 			return
@@ -397,7 +403,7 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.CreateBlob(0, 100)
 	for i := 0; i < 3; i++ {
-		ticket1(vm, 0, id, -1, 10, 0)
+		ticket1(vm, 0, id, -1, 10)
 	}
 	if err := abort1(vm, 0, id, 2); err != nil {
 		t.Fatal(err)

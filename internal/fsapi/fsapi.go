@@ -1,6 +1,7 @@
 // fsapi.go declares the FileSystem/Reader/Writer interfaces, the
 // shared open options, typed errors, and path helpers. The package
 // contract is documented in doc.go.
+
 package fsapi
 
 import (

@@ -1,6 +1,7 @@
 // runtime.go is the execution engine: the jobtracker's task queue and
 // locality-aware assignment, the tasktracker slot loops, and map/reduce
 // task execution (including the shuffle).
+
 package mapreduce
 
 import (

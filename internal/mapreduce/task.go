@@ -1,5 +1,6 @@
 // task.go executes individual map and reduce attempts, both on real
 // records and in synthetic (volume-only) mode, including the shuffle.
+
 package mapreduce
 
 import (

@@ -1,6 +1,7 @@
 // pagestore.go implements the cache tier: the RAM-resident LRU with
 // dirty-page tracking, composed over an internal/store Backend. The
 // package contract (aliasing, flush-on-close) lives in doc.go.
+
 package pagestore
 
 import (

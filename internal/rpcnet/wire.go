@@ -1,6 +1,7 @@
 // wire.go is the protocol: the frame codec, the typed error table, the
 // server's exchanges and the client's side of them. The package comment
 // documents the format and the op table.
+
 package rpcnet
 
 import (

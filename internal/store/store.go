@@ -1,6 +1,7 @@
 // store.go defines the Backend interface every provider-side persistent
 // tier implements, and the factory that turns a backend spec string
 // into a running backend. The package contract lives in doc.go.
+
 package store
 
 import (

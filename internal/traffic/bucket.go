@@ -2,6 +2,7 @@
 // refill on explicit (virtual) timestamps, lazy — no background
 // process — so a deployment with thousands of idle tenants costs
 // nothing.
+
 package traffic
 
 import (

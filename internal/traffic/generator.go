@@ -3,6 +3,7 @@
 // processes so the arrival schedule never depends on completion — the
 // independent-user traffic model (millions of users do not slow down
 // because the storage system did).
+
 package traffic
 
 import (

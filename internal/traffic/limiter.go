@@ -1,6 +1,7 @@
 // limiter.go implements per-tenant admission: one lazily-created token
 // bucket per tenant plus the admitted/rejected/inflight counters the
 // BSFS.Tenants RPC exposes.
+
 package traffic
 
 import (

@@ -1,5 +1,6 @@
 // stats.go: latency-distribution helpers shared by the generator's
 // report and the bench harness's percentile points.
+
 package traffic
 
 import (
