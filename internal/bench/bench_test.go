@@ -248,8 +248,8 @@ func TestA1PlacementAblation(t *testing.T) {
 func TestX2PublishThroughputScalesWithWriters(t *testing.T) {
 	// X2's acceptance bar: aggregate publish throughput (versions/s)
 	// must grow — not stay flat — from 1 to 16 writers sharing one
-	// blob, because group commit and the batched ticket/publish RPCs
-	// keep the version manager off the critical path.
+	// blob, because the batched ticket/publish RPCs keep the version
+	// manager off the critical path.
 	run := func(n int) PublishResult {
 		t.Helper()
 		res, err := RunPublishShared(PublishOpts{

@@ -145,7 +145,7 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 // the configured pipeline depth (batched: the flusher commits
 // half-window runs, one ticket and one publish round trip per run) and
 // at depth 2 (unbatched: one block, one version, per commit). Both arms
-// ride the same group-commit path; the ablated quantity is how many
+// take the same publish path; the ablated quantity is how many
 // versions share a round trip. It errors if the batched arm publishes
 // slower — the sim-level assertion that batching never loses.
 func RunPublishAblation(opts PublishOpts) (batched, unbatched PublishResult, err error) {

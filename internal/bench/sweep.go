@@ -191,7 +191,7 @@ var Experiments = []Experiment{
 				recordMetric(w, fmt.Sprintf("publish_rate_n%d", n), "versions/s", res.VersionsPerSec)
 				pts = append(pts, res.Point)
 			}
-			WritePointsTable(w, "X2: shared-blob publish throughput (group commit)", pts)
+			WritePointsTable(w, "X2: shared-blob publish throughput (batched ticket/publish)", pts)
 			return nil
 		},
 	},
@@ -442,7 +442,7 @@ var Experiments = []Experiment{
 	},
 	{
 		ID:    "a6",
-		Title: "A6 ablation: version-manager group commit on/off (shared-blob publish)",
+		Title: "A6 ablation: writer pipeline depth 8 vs 2 blocks per commit (shared-blob publish)",
 		Run: func(opts SweepOpts, w io.Writer) error {
 			opts.fillDefaults()
 			var all []Point
@@ -464,7 +464,7 @@ var Experiments = []Experiment{
 				unbatched.Point.Experiment = "A6-unbatched-publish"
 				all = append(all, batched.Point, unbatched.Point)
 			}
-			WritePointsTable(w, "A6: group-commit ablation (shared-blob publish)", all)
+			WritePointsTable(w, "A6: pipeline-depth ablation (shared-blob publish)", all)
 			return nil
 		},
 	},

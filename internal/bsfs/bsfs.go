@@ -365,7 +365,7 @@ func (f *FS) BlockLocations(path string, off, length int64) ([]fsapi.BlockLocati
 // application fills the next block while BlobSeer commits the previous
 // one. The flusher drains its queue in batches and commits each batch
 // through core.Blob.Append batches, amortizing the version-manager
-// round trips (one ticket request, one group-commit publish) across
+// round trips (one ticket request, one batched publish) across
 // every in-flight block. Append order is preserved because the one
 // flusher requests every version ticket; errors are deferred and
 // surfaced by the next Write or by Close.
@@ -507,7 +507,7 @@ func (w *writer) commitLocked(b pendingBlock) error {
 
 // flushLoop is the writer's single background flusher: it drains the
 // whole queue each round and commits it in batched runs — one ticket
-// round trip, scatter fan-out and group-commit publish per run (the
+// round trip, scatter fan-out and batched publish per run (the
 // one flusher requesting all tickets is what keeps appends ordered).
 // Runs are homogeneous (a writer may legally switch from real to
 // synthetic blocks at a block boundary, and core.Blob.Append rejects

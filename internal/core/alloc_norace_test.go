@@ -5,6 +5,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestAllocFirstWriteFreshClient: a client's first write to a blob costs
@@ -42,5 +44,36 @@ func TestAllocFirstWriteFreshClient(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / clients; per >= 64<<10 {
 		t.Fatalf("a fresh client's first one-page append allocated %d bytes at %d versions, want < 64 KiB", per, versions)
+	}
+}
+
+// TestAllocPublishOne: a one-version PublishBatch resolves under the
+// manager's lock in the caller and allocates only its wait list.
+func TestAllocPublishOne(t *testing.T) {
+	const runs = 1000
+	vm := NewVersionManager(cluster.NewLocal(2, 0), 0)
+	blob, err := vm.CreateBlob(1, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intents := make([]WriteIntent, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range intents {
+		intents[i] = WriteIntent{Off: -1, Length: 128}
+	}
+	if _, err := vm.RequestTickets(1, blob, intents, 0); err != nil {
+		t.Fatal(err)
+	}
+	vs := make([]Version, 1)
+	got := testing.AllocsPerRun(runs, func() {
+		vs[0]++
+		if err := vm.PublishBatch(bg, 1, blob, vs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 2 {
+		t.Fatalf("one-version PublishBatch: %.1f allocs/op, want <= 2", got)
+	}
+	if pub, _ := vm.published(1, blob); pub != runs+1 {
+		t.Fatalf("frontier at %d after %d publishes", pub, runs+1)
 	}
 }

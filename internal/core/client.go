@@ -214,8 +214,8 @@ func (b AppendBlock) length() int64 {
 // the version-manager round trips: one RequestTickets call assigns
 // every version (contiguously — no other writer interleaves), the pages
 // of all blocks scatter in one fan-out, the metadata trees go out in
-// one DHT batch, and one PublishBatch call rides the manager's
-// group-commit queue. It returns the published versions in block order
+// one DHT batch, and one PublishBatch call publishes them under one
+// manager lock hold. It returns the published versions in block order
 // and the offset the first block landed at.
 //
 // One failure rule: once the tickets are assigned, any failure — an
@@ -252,7 +252,7 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 	// offset here); each ticket carries its tree's borrows.
 	intents := make([]WriteIntent, len(blocks))
 	for i, b := range blocks {
-		intents[i] = WriteIntent{Off: off, Length: b.length(), Tenant: s.tenant}
+		intents[i] = WriteIntent{Off: off, Length: b.length()}
 	}
 	tickets, err := vm.RequestTickets(c.node, blob, intents, 0)
 	if err != nil {
@@ -387,10 +387,10 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 		return fail(err)
 	}
 
-	// 6. One publish round trip; the group-commit drainer advances the
-	// frontier across the whole call in one pass. The default blocks
+	// 6. One publish round trip; the manager marks every version ready
+	// and advances the frontier under one lock hold. The default blocks
 	// until every version is globally visible; AwaitPublication(false)
-	// returns once they are queued. A cancellation while awaiting
+	// returns once they are marked ready. A cancellation while awaiting
 	// visibility leaves the members ready-but-unconfirmed, which fail
 	// resolves like any other failure.
 	if s.await {

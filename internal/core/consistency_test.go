@@ -319,7 +319,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 					if !awaited {
 						continue
 					}
-					pub, err := d.VM.Shard(blob).Published(node, blob)
+					pub, err := d.VM.Shard(blob).published(node, blob)
 					if err != nil {
 						t.Error(err)
 						return
@@ -369,7 +369,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 				t.Errorf("rejected ops leaked tickets: %d records, want <= %d (%d planned - %d rejected)",
 					len(recs), totalTickets-rejected, totalTickets, rejected)
 			}
-			pub, err := d.VM.Shard(blob).Published(0, blob)
+			pub, err := d.VM.Shard(blob).published(0, blob)
 			if err != nil {
 				t.Error(err)
 			} else if int(pub) != len(recs) {
@@ -417,7 +417,7 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 	// version (a leaked pending ticket would leave it short). The
 	// ticket count may run below the plan when ops are rejected or
 	// canceled before taking a ticket, but never above it.
-	pub, err := d.VM.Shard(blob).Published(0, blob)
+	pub, err := d.VM.Shard(blob).published(0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,8 @@ func TestConsistencyRandomAbortingWriters(t *testing.T) {
 // runConsistencySeedSharded drives the harness against a multi-shard
 // version-manager tier: writers spread over several blobs whose ids
 // land on different shards, so the four invariants are checked per
-// blob while the shards run their group-commit drainers independently.
+// blob while the shards advance their publication frontiers
+// independently.
 func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards, blobsN int) {
 	t.Helper()
 	const (
@@ -715,7 +716,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 					if !awaited {
 						continue
 					}
-					pub, err := d.VM.Shard(blob).Published(node, blob)
+					pub, err := d.VM.Shard(blob).published(node, blob)
 					if err != nil {
 						t.Error(err)
 						return

@@ -26,8 +26,8 @@ type Options struct {
 	Replication int
 	// VMNodes hosts the version-manager shards, one per entry: blobs
 	// are partitioned across them by id (shard = id mod len(VMNodes)),
-	// and each shard runs its own blob table, group-commit drainer and
-	// publication frontiers. The first entry also hosts the placement
+	// and each shard runs its own blob table and publication
+	// frontiers. The first entry also hosts the placement
 	// manager and the rebalancer. Empty means a single shard on node 0,
 	// the paper's centralized manager.
 	VMNodes []cluster.NodeID

@@ -21,7 +21,7 @@ import (
 // blob has resolved (published or aborted) — the no-leak invariant.
 func frontierIntact(t *testing.T, d *Deployment, blob BlobID) {
 	t.Helper()
-	pub, err := d.VM.Shard(blob).Published(0, blob)
+	pub, err := d.VM.Shard(blob).published(0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCanceledWriteBeforeTicketBurnsNothing(t *testing.T) {
 	if _, err := blob.ReadAt(make([]byte, 4), 0, WithCtx(ctx)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("read err = %v, want ErrCanceled", err)
 	}
-	pub, err := d.VM.Shard(blob.ID()).Published(0, blob.ID())
+	pub, err := d.VM.Shard(blob.ID()).published(0, blob.ID())
 	if err != nil || pub != 0 {
 		t.Fatalf("published = %d, %v: canceled ops burned a version", pub, err)
 	}
@@ -312,7 +312,7 @@ func TestAwaitPublicationFalse(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("AwaitPublication(false) write blocked on visibility")
 	}
-	if pub, _ := d.VM.Shard(id).Published(0, id); pub != 0 {
+	if pub, _ := d.VM.Shard(id).published(0, id); pub != 0 {
 		t.Fatalf("frontier at %d before the predecessor resolved", pub)
 	}
 

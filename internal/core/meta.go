@@ -69,12 +69,11 @@ const LatestVersion = ^Version(0)
 type WriteRecord struct {
 	Blob      BlobID
 	Version   Version
-	Offset    int64  // byte offset of the write
-	Length    int64  // byte length of the write
-	SizeAfter int64  // blob size after this write
-	CapAfter  int64  // tree capacity (pages) after this write
-	Aborted   bool   // version tombstoned by the version manager
-	Tenant    string // admission tenant that issued the write ("" = untenanted)
+	Offset    int64 // byte offset of the write
+	Length    int64 // byte length of the write
+	SizeAfter int64 // blob size after this write
+	CapAfter  int64 // tree capacity (pages) after this write
+	Aborted   bool  // version tombstoned by the version manager
 }
 
 // PageRange is a canonical tree range measured in pages: Count is a

@@ -89,10 +89,8 @@ func WithCtx(ctx *cluster.Ctx) interface {
 // against the tenant's token bucket at op entry — before any version
 // ticket is taken — and rejected with an error matching ErrOverloaded
 // when the tenant is over rate, so rejected work leaves no state
-// behind. The tenant also rides write tickets into the
-// version manager's write records, where the group-commit drainer uses
-// it to assemble fair batches across tenants. The empty id (the
-// default) bypasses admission.
+// behind. Admission is the tenant's only effect: the version manager
+// never sees it. The empty id (the default) bypasses admission.
 func WithTenant(id string) interface {
 	ReadOption
 	WriteOption

@@ -6,9 +6,9 @@
 // modulo the shard count (per-shard stride/offset, see version.go), so
 // the owning shard of any blob is the pure function id mod shards —
 // the low bits of the id ARE the routing table. No lookup RPC, no
-// shared state between shards: each keeps its own blob table,
-// group-commit drainer and publication frontiers, and aggregate
-// publish throughput scales with the shard count (experiment X5).
+// shared state between shards: each keeps its own blob table and
+// publication frontiers, and aggregate publish throughput scales with
+// the shard count (experiment X5).
 //
 // A single-shard router is byte-for-byte the paper's centralized
 // version manager: shard 0 of stride 1 allocates the dense sequence

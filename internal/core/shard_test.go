@@ -65,6 +65,22 @@ func TestRouterOnlyRoutes(t *testing.T) {
 	}
 }
 
+// TestVersionManagerSurface pins the manager's exported methods: the
+// per-blob RPCs a client reaches through Shard(blob), and the two
+// accessors naming the shard. A new export needs a non-test caller.
+func TestVersionManagerSurface(t *testing.T) {
+	typ := reflect.TypeOf(&VersionManager{})
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	want := []string{"AbortBatch", "AwaitPublished", "Blobs", "Clone", "CreateBlob", "GetVersion", "IsAborted", "Latest",
+		"LatestRecord", "Node", "PageSize", "PublishBatch", "PublishBatchAsync", "Records", "RequestTickets", "ShardIndex"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("VersionManager exports %v, want exactly %v", got, want)
+	}
+}
+
 // TestOptionsSurface pins the exported fields of Options and
 // ProviderConfig. The admission rule for a new field: it needs a
 // non-test setter (bsfsd, bsfs-bench, an experiment) with a second value

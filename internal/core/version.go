@@ -13,12 +13,12 @@
 //
 // The write-side RPCs are batched — RequestTickets, PublishBatch,
 // PublishBatchAsync, AbortBatch — and a single write is a batch of one:
-// there is no per-version variant. Publication runs through a
-// group-commit pipeline: publish and abort calls are enqueued and a
-// single drainer applies whole batches under one lock acquisition,
-// advancing each touched blob's published frontier once per batch and
-// waking publishers and AwaitPublished waiters in one sweep, so clients
-// amortize the manager round trip across many in-flight writes.
+// there is no per-version variant. A publish or abort call resolves all
+// its members under one hold of vm.mu and advances the blob's published
+// frontier once, waking publishers and AwaitPublished waiters in one
+// sweep, so clients amortize the manager round trip across many
+// in-flight writes. The frontier moves only under vm.mu: that is the
+// one step the manager serializes.
 
 package core
 
@@ -39,11 +39,6 @@ var (
 	ErrNoSuchVersion = errors.New("core: no such version")
 	ErrAborted       = errors.New("core: version aborted")
 	ErrBadWrite      = errors.New("core: invalid write request")
-	// errAlreadyPublished is the per-member outcome of aborting a
-	// version that has already been published: a visible snapshot can
-	// never be retracted. AbortBatch tolerates it — the member is simply
-	// left published — so no caller ever receives it.
-	errAlreadyPublished = errors.New("core: version already published")
 )
 
 // Ticket is the version manager's reply to a write intent: the assigned
@@ -61,13 +56,9 @@ type Ticket struct {
 
 // WriteIntent describes one write of a batched ticket request: a byte
 // span at Off (negative requests an append at the current end).
-// Tenant attributes the write to an admission tenant (WithTenant); it
-// rides the ticket into the WriteRecord so the group-commit drainer
-// can assemble its batches fairly across tenants.
 type WriteIntent struct {
 	Off    int64
 	Length int64
-	Tenant string
 }
 
 // VersionManager runs on one node and serializes version assignment
@@ -95,48 +86,6 @@ type VersionManager struct {
 	mu     sync.Mutex
 	nextID BlobID
 	blobs  map[BlobID]*blobState
-
-	// Group-commit state: publish/abort requests queue here and a
-	// single drainer daemon applies them batch-wise.
-	//
-	// The queue is fair across tenants: each enqueue call's requests
-	// form one atomic group filed under the tenant that ticketed them
-	// (per-tenant FIFO), and the drainer assembles every pass
-	// round-robin across the tenants in order — so a hot tenant's
-	// backlog delays a quiet tenant by at most one pass, never by the
-	// backlog's length. Groups are never split across passes: the
-	// batch-abort contiguous-prefix guarantee (see AbortBatch) needs a
-	// whole client batch to resolve under one lock hold.
-	queue    map[string][]pubGroup // per-tenant FIFO of enqueue groups
-	order    []string              // round-robin rotation of tenants with queued work
-	draining bool
-
-	// applyTime > 0 models the drainer's per-request apply occupancy:
-	// each pass holds the shard's commit processor for applyTime per
-	// request of virtual time before applying. drainBatch caps how
-	// many requests one pass assembles (0 = drain everything queued) —
-	// the knob that makes drains incremental and tenant fairness
-	// measurable. Both are zero in every deployment; the fairness test
-	// sets them on a manager it builds itself.
-	applyTime  time.Duration
-	drainBatch int
-}
-
-// pubGroup is one enqueue call's requests: applied in the same drainer
-// pass, always.
-type pubGroup []*pubReq
-
-// pubReq is one publish or abort routed through the group-commit
-// queue. The drainer fills err/wait/p and fires done; the enqueuer
-// then waits on wait (publishes only) for visibility.
-type pubReq struct {
-	blob  BlobID
-	v     Version
-	abort bool
-	done  cluster.Signal // fired once the drainer applied the request
-	err   error
-	wait  cluster.Signal // publish: visibility signal (nil if already resolved)
-	p     *pendingWrite  // publish: pending entry, for the post-wait abort check
 }
 
 type blobState struct {
@@ -196,7 +145,6 @@ func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride 
 		svcTime: serviceTime,
 		nextID:  first,
 		blobs:   make(map[BlobID]*blobState),
-		queue:   make(map[string][]pubGroup),
 	}
 }
 
@@ -310,7 +258,6 @@ func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, in WriteIntent
 		Length:    in.Length,
 		SizeAfter: size,
 		CapAfter:  capacityPages(size, b.pageSize),
-		Tenant:    in.Tenant,
 	}
 	// About two borrows per tree level.
 	borrows := b.push(rec, make([]nodeRef, 0, 2*bits.Len64(uint64(rec.CapAfter))))
@@ -320,77 +267,84 @@ func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, in WriteIntent
 
 // PublishBatchAsync marks versions of one blob ready for publication
 // without waiting for visibility — the AwaitPublication(false) path.
-// It returns once the drainer has applied the whole batch: the
-// versions will become visible in ticket order, observable through
+// The versions become visible in ticket order, observable through
 // AwaitPublished or any later read. The first per-member error is
 // returned.
 func (vm *VersionManager) PublishBatchAsync(from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	reqs := make([]*pubReq, len(vs))
-	for i, v := range vs {
-		reqs[i] = &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
-	}
-	vm.enqueue(reqs)
-	var first error
-	for _, req := range reqs {
-		req.done.Wait() // applied by the drainer; bounded, never canceled
-		if req.err != nil && first == nil {
-			first = req.err
-		}
-	}
-	return first
+	return vm.resolve(from, blob, vs, false, nil)
 }
 
 // PublishBatch declares the data and metadata of several versions of
-// one blob fully written, in a single round trip: the whole batch
-// enters the group-commit queue together, so the drainer marks every
-// version ready and advances the frontier in one pass. It blocks until
-// every version in the batch is visible — which happens once every
-// earlier version has been published or aborted, the version manager's
-// total-order guarantee — or resolved as aborted, and returns the first
-// error. Cancellation of ctx cuts the visibility waits short with an
-// error matching cluster.ErrCanceled; every member is still applied
-// before the call returns, stays ready, and will publish in ticket
-// order unless the caller aborts it — the frontier never depends on
-// the canceled waiter.
+// one blob fully written, in a single round trip: every version is
+// marked ready and the frontier advanced under one lock hold. It blocks
+// until every version in the batch is visible — which happens once
+// every earlier version has been published or aborted, the version
+// manager's total-order guarantee — or resolved as aborted, and returns
+// the first error. Cancellation of ctx cuts the visibility waits short
+// with an error matching cluster.ErrCanceled; every member is marked
+// ready before the waits begin, so it stays ready and will publish in
+// ticket order unless the caller aborts it — the frontier never depends
+// on the canceled waiter.
 func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	reqs := make([]*pubReq, len(vs))
-	for i, v := range vs {
-		reqs[i] = &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
-	}
-	vm.enqueue(reqs)
-	var first error
-	for _, req := range reqs {
-		if err := vm.awaitPublishReq(ctx, req); err != nil && first == nil {
+	waits := make([]pubWait, 0, len(vs))
+	first := vm.resolve(from, blob, vs, false, &waits)
+	for _, w := range waits {
+		err := ctx.Wait(w.p.done)
+		if err == nil {
+			err = vm.checkPublished(blob, w.v, w.p)
+		}
+		if err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// awaitPublishReq waits for the drainer to apply a queued publish and
-// then for the version's visibility. The apply wait is bounded (the
-// drainer always drains) and never canceled; only the visibility wait
-// honors ctx, so a canceled publisher still leaves its request fully
-// applied — ready, and published once its predecessors resolve.
-func (vm *VersionManager) awaitPublishReq(ctx *cluster.Ctx, req *pubReq) error {
-	req.done.Wait()
-	if req.err != nil || req.wait == nil {
-		return req.err
+// pubWait is a PublishBatch member still pending once the call has
+// marked it ready: the caller waits for its visibility.
+type pubWait struct {
+	v Version
+	p *pendingWrite
+}
+
+// resolve charges one round trip and, under one hold of vm.mu, marks
+// every member of vs ready (or, with abort, tombstones it), then
+// advances the blob's frontier once. A publish appends each member that
+// is still pending to waits, when waits is non-nil. It returns the
+// first per-member error.
+func (vm *VersionManager) resolve(from cluster.NodeID, blob BlobID, vs []Version, abort bool, waits *[]pubWait) error {
+	vm.env.RTT(from, vm.node)
+	vm.serve()
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	b, ok := vm.blobs[blob]
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
 	}
-	if err := ctx.Wait(req.wait); err != nil {
-		return err
+	var first error
+	for _, v := range vs {
+		var err error
+		if abort {
+			err = vm.applyAbortLocked(b, blob, v)
+		} else {
+			var p *pendingWrite
+			p, err = vm.applyPublishLocked(b, blob, v)
+			if p != nil && waits != nil {
+				*waits = append(*waits, pubWait{v: v, p: p})
+			}
+		}
+		if err != nil && first == nil {
+			first = err
+		}
 	}
-	return vm.checkPublished(req.blob, req.v, req.p)
+	vm.advanceLocked(b)
+	return first
 }
 
 // checkPublished reports whether a version whose visibility signal
@@ -405,42 +359,40 @@ func (vm *VersionManager) checkPublished(blob BlobID, v Version, p *pendingWrite
 	return nil
 }
 
-// applyPublishLocked marks v ready. A nil wait with nil error means
-// the version was already published (idempotent re-publish).
-func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Version) (wait cluster.Signal, p *pendingWrite, err error) {
+// applyPublishLocked marks v ready and returns its pending entry. A nil
+// entry with nil error means the version was already published
+// (idempotent re-publish).
+func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Version) (*pendingWrite, error) {
 	p, ok := b.pending[v]
 	if !ok {
 		if v == 0 || int(v) > len(b.records) {
-			return nil, nil, fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
+			return nil, fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
 		}
 		if b.records[int(v)-1].Aborted {
-			return nil, nil, fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
+			return nil, fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
 		}
-		return nil, nil, nil // already published
+		return nil, nil // already published
 	}
 	if p.aborted {
-		return nil, nil, fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
+		return nil, fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
 	}
 	p.ready = true
-	return p.done, p, nil
+	return p, nil
 }
 
 // applyAbortLocked tombstones v if it is still pending. Its record stays
 // — tickets already issued may name its nodes as borrows — but later
 // borrows, pageOwner and the publication order skip it, and it never
 // becomes the visible snapshot. Aborting an already aborted version is a
-// no-op; an unknown version is ErrNoSuchVersion and a published one
-// errAlreadyPublished.
+// no-op, and so is aborting a published one: a visible snapshot cannot
+// be retracted. An unknown version is ErrNoSuchVersion.
 func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version) error {
 	p, ok := b.pending[v]
 	if !ok {
 		if v == 0 || int(v) > len(b.records) {
 			return fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
 		}
-		if b.records[int(v)-1].Aborted {
-			return nil // already aborted: idempotent
-		}
-		return fmt.Errorf("%w: %d@%d", errAlreadyPublished, blob, v)
+		return nil // already aborted or published
 	}
 	if p.aborted {
 		return nil
@@ -470,148 +422,19 @@ func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version)
 }
 
 // AbortBatch tombstones every still-pending member of one blob's
-// version batch (writer failure) in a single round trip, riding the
-// same group-commit queue as publishes. All members are resolved under
-// one lock acquisition (they enter the drainer queue together, and the
-// drainer applies a whole batch under one lock hold), which yields the
-// guarantee the client's failure reporting relies on: since the
-// publication frontier also only moves under that lock, the members of
-// a contiguously-ticketed batch that remain published afterwards form
-// a contiguous prefix — a canceled batch can never leave a published
-// member stranded past an aborted one. Already-aborted members are
-// skipped idempotently and already-published ones are left alone (a
-// visible snapshot cannot be retracted); the first other error is
-// returned.
+// version batch (writer failure) in a single round trip. All members are
+// resolved under one lock hold, which yields the guarantee the client's
+// failure reporting relies on: since the publication frontier also only
+// moves under that lock, the members of a contiguously-ticketed batch
+// that remain published afterwards form a contiguous prefix — a
+// canceled batch can never leave a published member stranded past an
+// aborted one. Already-aborted members are skipped and already-published
+// ones are left alone; the first other error is returned.
 func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	tolerable := func(err error) bool {
-		return err == nil || errors.Is(err, errAlreadyPublished)
-	}
-	reqs := make([]*pubReq, len(vs))
-	for i, v := range vs {
-		reqs[i] = &pubReq{blob: blob, v: v, abort: true, done: vm.env.NewSignal()}
-	}
-	vm.enqueue(reqs)
-	var first error
-	for _, req := range reqs {
-		req.done.Wait()
-		if !tolerable(req.err) && first == nil {
-			first = req.err
-		}
-	}
-	return first
-}
-
-// enqueue adds one call's requests to the group-commit queue as a
-// single atomic group — filed under the tenant whose ticket produced
-// them — and ensures a drainer is running. The group enters the queue
-// together and is applied in one drainer pass, whole.
-func (vm *VersionManager) enqueue(reqs []*pubReq) {
-	vm.mu.Lock()
-	t := vm.tenantOfLocked(reqs[0])
-	if _, ok := vm.queue[t]; !ok {
-		vm.order = append(vm.order, t)
-	}
-	vm.queue[t] = append(vm.queue[t], pubGroup(reqs))
-	start := !vm.draining
-	if start {
-		vm.draining = true
-	}
-	vm.mu.Unlock()
-	if start {
-		vm.env.Daemon(vm.drainLoop)
-	}
-}
-
-// tenantOfLocked resolves the tenant a request's version was ticketed
-// under (one enqueue group is always one client call on one blob, so
-// the first request speaks for the group). Unknown blobs or versions
-// file under the untenanted bucket.
-func (vm *VersionManager) tenantOfLocked(req *pubReq) string {
-	b, ok := vm.blobs[req.blob]
-	if !ok || req.v == 0 || int(req.v) > len(b.records) {
-		return ""
-	}
-	return b.records[int(req.v)-1].Tenant
-}
-
-// takeBatchLocked assembles the next drainer pass: tenants are visited
-// round-robin (rotating through vm.order), each contributing its
-// oldest queued group per turn, until the queue empties or the pass
-// budget (drainBatch) is met. Groups are never split, so a pass may
-// exceed the budget by at most one group's length.
-func (vm *VersionManager) takeBatchLocked() []*pubReq {
-	var batch []*pubReq
-	for len(vm.order) > 0 {
-		t := vm.order[0]
-		vm.order = vm.order[1:]
-		groups := vm.queue[t]
-		g := groups[0]
-		if len(groups) == 1 {
-			delete(vm.queue, t)
-		} else {
-			vm.queue[t] = groups[1:]
-			vm.order = append(vm.order, t)
-		}
-		batch = append(batch, g...)
-		if vm.drainBatch > 0 && len(batch) >= vm.drainBatch {
-			break
-		}
-	}
-	return batch
-}
-
-// drainLoop is the group-commit drainer: it repeatedly assembles a
-// fair batch (takeBatchLocked), charges the modeled apply occupancy,
-// and applies the batch under a single lock acquisition — every
-// publish marked ready, every abort tombstoned, then one frontier
-// advance (and thus one waiter wake-up sweep) per touched blob. It
-// exits when the queue empties; the next enqueue restarts it.
-func (vm *VersionManager) drainLoop() {
-	for {
-		vm.mu.Lock()
-		batch := vm.takeBatchLocked()
-		if len(batch) == 0 {
-			vm.draining = false
-			vm.mu.Unlock()
-			return
-		}
-		vm.mu.Unlock()
-		if vm.applyTime > 0 {
-			// The commit processor is busy for applyTime per request;
-			// slept outside the lock so ticket requests and reads on
-			// this shard proceed while a batch commits.
-			vm.env.Sleep(vm.applyTime * time.Duration(len(batch)))
-		}
-		vm.mu.Lock()
-		touched := make(map[BlobID]*blobState)
-		for _, req := range batch {
-			b, ok := vm.blobs[req.blob]
-			if !ok {
-				req.err = fmt.Errorf("%w: %d", ErrNoSuchBlob, req.blob)
-				continue
-			}
-			if req.abort {
-				req.err = vm.applyAbortLocked(b, req.blob, req.v)
-			} else {
-				req.wait, req.p, req.err = vm.applyPublishLocked(b, req.blob, req.v)
-			}
-			if req.err == nil {
-				touched[req.blob] = b
-			}
-		}
-		for _, b := range touched {
-			vm.advanceLocked(b)
-		}
-		vm.mu.Unlock()
-		for _, req := range batch {
-			req.done.Fire()
-		}
-	}
+	return vm.resolve(from, blob, vs, true, nil)
 }
 
 // advanceLocked publishes ready versions in order, skipping aborted
@@ -835,9 +658,9 @@ func (vm *VersionManager) Blobs(from cluster.NodeID) []BlobID {
 	return out
 }
 
-// Published returns the highest published version (possibly aborted
+// published returns the highest published version (possibly aborted
 // versions included in the count).
-func (vm *VersionManager) Published(from cluster.NodeID, blob BlobID) (Version, error) {
+func (vm *VersionManager) published(from cluster.NodeID, blob BlobID) (Version, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()

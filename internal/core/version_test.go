@@ -334,10 +334,10 @@ func TestRequestTicketsBatch(t *testing.T) {
 	}
 }
 
-// TestPublishBatchGroupCommit: a whole batch becomes visible in order
+// TestPublishBatchOneCall: a whole batch becomes visible in order
 // through one call, interleaved with a concurrent single publisher,
-// and the frontier advances across the batch in one drainer pass.
-func TestPublishBatchGroupCommit(t *testing.T) {
+// and the frontier advances across the batch under one lock hold.
+func TestPublishBatchOneCall(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(4))
 	env := cluster.NewSim(net)
@@ -362,7 +362,7 @@ func TestPublishBatchGroupCommit(t *testing.T) {
 			if err := publish1(vm, bg, 2, id, single.Record.Version); err != nil {
 				t.Error(err)
 			}
-			pub, _ := vm.Published(2, id)
+			pub, _ := vm.published(2, id)
 			if pub < single.Record.Version {
 				t.Errorf("v4 visible with frontier at %d", pub)
 			}
@@ -373,7 +373,7 @@ func TestPublishBatchGroupCommit(t *testing.T) {
 			if err := vm.PublishBatch(bg, 1, id, vs); err != nil {
 				t.Error(err)
 			}
-			pub, _ := vm.Published(1, id)
+			pub, _ := vm.published(1, id)
 			if pub < vs[2] {
 				t.Errorf("batch returned with frontier at %d, want >= %d", pub, vs[2])
 			}
@@ -449,5 +449,83 @@ func TestEmptyBlobLatest(t *testing.T) {
 	v, size, err := vm.Latest(0, id)
 	if err != nil || v != 0 || size != 0 {
 		t.Fatalf("Latest(empty) = %d/%d, %v", v, size, err)
+	}
+}
+
+// TestPublishNoConvoy: a deep publish backlog on one blob does not
+// delay a single publish on another. Each call resolves under the
+// manager's lock in the caller, so the quiet publish costs its round
+// trip and nothing more, while every backlog version still becomes
+// visible.
+func TestPublishNoConvoy(t *testing.T) {
+	const chunk, chunks, quiets = 8, 25, 6
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(4)))
+	vm := NewVersionManager(env, 0)
+	var rtt time.Duration
+	var quietLat [quiets]time.Duration
+	eng.Go(func() {
+		t0 := env.Now()
+		env.RTT(1, 0)
+		rtt = env.Now() - t0
+		hog, _ := vm.CreateBlob(1, 128)
+		quiet := make([]BlobID, quiets)
+		quietV := make([]Version, quiets)
+		for i := range quiet {
+			quiet[i], _ = vm.CreateBlob(1, 128)
+			tk, err := ticket1(vm, 1, quiet[i], -1, 128)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			quietV[i] = tk.Record.Version
+		}
+		intents := make([]WriteIntent, chunk*chunks)
+		for i := range intents {
+			intents[i] = WriteIntent{Off: -1, Length: 128}
+		}
+		if _, err := vm.RequestTickets(1, hog, intents, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		wg := env.NewWaitGroup()
+		for c := 0; c < chunks; c++ {
+			vs := make([]Version, chunk)
+			for i := range vs {
+				vs[i] = Version(c*chunk + i + 1)
+			}
+			wg.Go(func() {
+				if err := vm.PublishBatchAsync(1, hog, vs); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		for i := 0; i < quiets; i++ {
+			wg.Go(func() {
+				t0 := env.Now()
+				if err := publish1(vm, bg, 1, quiet[i], quietV[i]); err != nil {
+					t.Error(err)
+				}
+				quietLat[i] = env.Now() - t0
+			})
+		}
+		wg.Wait()
+		if err := vm.AwaitPublished(bg, 1, hog, Version(chunk*chunks)); err != nil {
+			t.Error(err)
+		}
+		if v, _, err := vm.Latest(1, hog); err != nil || v != chunk*chunks {
+			t.Errorf("backlog Latest = %d, %v; want %d", v, err, chunk*chunks)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rtt <= 0 {
+		t.Fatalf("round trip to the manager = %s, want > 0", rtt)
+	}
+	for i, lat := range quietLat {
+		if lat > rtt {
+			t.Errorf("quiet publish %d took %s behind a %d-version backlog, want <= its %s round trip", i, lat, chunk*chunks, rtt)
+		}
 	}
 }

@@ -31,13 +31,12 @@
 //
 // # Fairness contract
 //
-// Admission caps each tenant's rate at the ingress edge; fairness at
-// the version manager's group-commit drainer (core, threaded through
-// the WithTenant option into write tickets) keeps the tenants that
-// were admitted from starving each other: publish/abort batches are
-// assembled round-robin across tenants, so a hot tenant's backlog
-// delays a quiet tenant by at most one drain pass, not by the length
-// of the backlog.
+// Admission is the whole contract: it caps each tenant's rate at the
+// ingress edge (core's WithTenant option, rpcnet's request frames), so
+// no tenant can put more than its share of work into the system.
+// Nothing downstream knows tenants: each publish call resolves under
+// the version manager's lock in the caller, so a hot tenant's backlog
+// on one blob does not hold up a publish on another.
 //
 // # Open-loop load
 //
