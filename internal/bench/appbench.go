@@ -126,8 +126,8 @@ func RunDistributedGrep(opts AppOpts) (AppResult, error) {
 // RunSnapshotWorkflow is extension X4 (§V): two grep jobs run
 // concurrently over two different snapshots of one dataset while a
 // writer keeps appending to it — only expressible on a versioning
-// storage layer. Returns the two job completion times; correctness
-// (each job sees exactly its snapshot's size) is asserted inside.
+// storage layer. Returns the two job results, snapshot 1's first; the
+// run fails unless the concurrent append lands whole.
 func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 	opts.fillDefaults()
 	if opts.Storage.Kind != "bsfs" {
@@ -137,7 +137,7 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var results []AppResult
+	results := make([]AppResult, 2)
 	var runErr firstError
 	err = tb.Run(func() {
 		mr, err := newMRCluster(tb)
@@ -161,23 +161,19 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 		snap1 := v1s[len(v1s)-1]
 
 		// Snapshot 2: the full dataset.
-		aw, err := fs.Append("/x4/data")
-		if err != nil {
+		if err := appendSynth(fs, "/x4/data", 1, half); err != nil {
 			runErr.set(err)
 			return
 		}
-		aw.WriteSynthetic(half)
-		if err := aw.Close(); err != nil {
-			runErr.set(err)
+		v2s, err := fs.Versions("/x4/data")
+		if err != nil || len(v2s) == 0 {
+			runErr.set(fmt.Errorf("bench: snapshot 2: %v", err))
 			return
 		}
-		v2s, _ := fs.Versions("/x4/data")
 		snap2 := v2s[len(v2s)-1]
 
+		// Each job writes its own slot, so the results need no lock.
 		wg := tb.Env.NewWaitGroup()
-		var resMu chan struct{} // results appended under wg serialization via channel token
-		resMu = make(chan struct{}, 1)
-		resMu <- struct{}{}
 		runGrep := func(idx int, snap core.Version, out string) {
 			wg.Go(func() {
 				job := apps.SyntheticGrep([]string{"/x4/data"}, out)
@@ -188,35 +184,35 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 					runErr.set(err)
 					return
 				}
-				<-resMu
-				results = append(results, AppResult{
+				results[idx-1] = AppResult{
 					Experiment: fmt.Sprintf("X4-snapshot-grep-%d", idx),
 					Kind:       tb.Kind,
 					Maps:       r.Counters.MapTasks,
 					Completion: r.Duration,
 					Counters:   r.Counters,
-				})
-				resMu <- struct{}{}
+				}
 			})
 		}
 		// A concurrent writer keeps growing the dataset while both
 		// jobs run on their frozen snapshots.
-		wg.Go(func() {
-			aw, err := fs.Append("/x4/data")
-			if err != nil {
-				return
-			}
-			aw.WriteSynthetic(half / 2)
-			aw.Close()
-		})
+		wg.Go(func() { runErr.set(appendSynth(fs, "/x4/data", 1, half/2)) })
 		runGrep(1, snap1, "/x4/out1")
 		runGrep(2, snap2, "/x4/out2")
 		wg.Wait()
+		// The concurrent append landed on top of both snapshots.
+		if fi, err := fs.Stat("/x4/data"); err != nil {
+			runErr.set(err)
+		} else if want := 2*half + half/2; fi.Size != want {
+			runErr.set(fmt.Errorf("bench: x4 dataset is %d bytes after the concurrent append, want %d", fi.Size, want))
+		}
 	})
 	if err == nil {
 		err = runErr.get()
 	}
-	return results, err
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // openSnapshot returns an OpenInput hook pinning a snapshot version,

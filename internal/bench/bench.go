@@ -321,6 +321,31 @@ type Point struct {
 	P99 time.Duration
 }
 
+// phase is the measurement every experiment repeats (§IV): each node
+// runs op at once, one call per client, and the Point summarizes the
+// per-client durations, the makespan and the fabric bytes moved
+// meanwhile. Every client is timed even when its op fails; the first
+// error is returned. Call it from inside Run.
+func (tb *Testbed) phase(label string, perClient int64, nodes []cluster.NodeID, op func(i int, node cluster.NodeID) error) (Point, error) {
+	durations := make([]time.Duration, len(nodes))
+	var opErr firstError
+	net0, disk0 := resourceSnapshot(tb)
+	start := tb.Env.Now()
+	wg := tb.Env.NewWaitGroup()
+	for i, node := range nodes {
+		wg.Go(func() {
+			t0 := tb.Env.Now()
+			opErr.set(op(i, node))
+			durations[i] = tb.Env.Now() - t0
+		})
+	}
+	wg.Wait()
+	p := summarize(label, tb.Kind, perClient, durations, tb.Env.Now()-start)
+	net1, disk1 := resourceSnapshot(tb)
+	p.NetBytes, p.DiskBytes = net1-net0, disk1-disk0
+	return p, opErr.get()
+}
+
 // resourceSnapshot sums the simnet counters.
 func resourceSnapshot(tb *Testbed) (net, disk int64) {
 	s := tb.Net.Stats()

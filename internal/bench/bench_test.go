@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // Reduced-scale versions of the paper's experiments: 60 nodes, 128 MB
@@ -152,6 +155,12 @@ func TestX4SnapshotWorkflow(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("%d results, want 2", len(results))
 	}
+	// Results come in snapshot order. RunSnapshotWorkflow itself fails
+	// unless the dataset ends at 2.5x the first snapshot's size: the
+	// concurrent append landed whole.
+	if results[0].Experiment != "X4-snapshot-grep-1" {
+		t.Fatalf("results[0] is %q, want X4-snapshot-grep-1", results[0].Experiment)
+	}
 	// The snapshot-1 job reads half the data of the snapshot-2 job.
 	var in1, in2 int64
 	for _, r := range results {
@@ -252,11 +261,9 @@ func TestX2PublishThroughputScalesWithWriters(t *testing.T) {
 	// manager off the critical path.
 	run := func(n int) PublishResult {
 		t.Helper()
-		res, err := RunPublishShared(PublishOpts{
-			Clients:         n,
-			BlocksPerClient: 32,
-			Spec:            ClusterSpec{Nodes: 34},
-		})
+		opts := x2Opts(SweepOpts{Spec: ClusterSpec{Nodes: 34}}, n)
+		opts.Blocks = 32
+		res, err := RunPublish(opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -281,12 +288,9 @@ func TestX5ShardedPublishScales(t *testing.T) {
 	// management scales publication past one node.
 	run := func(shards int) PublishResult {
 		t.Helper()
-		res, err := RunShardPublish(ShardOpts{
-			Writers:         24,
-			BlocksPerWriter: 16,
-			Shards:          shards,
-			Spec:            ClusterSpec{Nodes: 50, MetaNodes: 8},
-		})
+		opts := x5Opts(SweepOpts{Spec: ClusterSpec{Nodes: 50, MetaNodes: 8}}, 24)
+		opts.Storage.VMShards = shards
+		res, err := RunPublish(opts)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -310,11 +314,7 @@ func TestA7ShardedNotSlowerThanSingle(t *testing.T) {
 	// RunShardAblation itself errors on a violation; the explicit
 	// comparison here keeps the numbers in the test log.
 	for _, writers := range []int{4, 16, 32} {
-		sharded, single, err := RunShardAblation(ShardOpts{
-			Writers:         writers,
-			BlocksPerWriter: 16,
-			Spec:            ClusterSpec{Nodes: 50, MetaNodes: 8},
-		})
+		sharded, single, err := RunShardAblation(x5Opts(SweepOpts{Spec: ClusterSpec{Nodes: 50, MetaNodes: 8}}, writers))
 		if err != nil {
 			t.Fatalf("writers=%d: %v", writers, err)
 		}
@@ -329,11 +329,9 @@ func TestA6GroupCommitNotSlowerThanSerial(t *testing.T) {
 	// at every tested writer count. RunPublishAblation itself errors
 	// on a violation; the log line keeps the numbers in the test log.
 	for _, n := range []int{1, 4, 16} {
-		batched, unbatched, err := RunPublishAblation(PublishOpts{
-			Clients:         n,
-			BlocksPerClient: 32,
-			Spec:            ClusterSpec{Nodes: 34},
-		})
+		opts := x2Opts(SweepOpts{Spec: ClusterSpec{Nodes: 34}}, n)
+		opts.Blocks = 32
+		batched, unbatched, err := RunPublishAblation(opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -422,5 +420,84 @@ func TestStorageOptsSurface(t *testing.T) {
 		"LocalFirstPlacement", "DisableClientCache", "RAMDatanodes", "MaxInFlightBlocks", "VMShards", "VMServiceTime"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("StorageOpts has fields %v, want exactly %v", got, want)
+	}
+}
+
+// TestPublishOptsSurface pins PublishOpts' exported fields: the publish
+// workload's own knobs are its shape (writers, the writer -> file
+// mapping, versions per writer); block size, pipeline depth and the
+// version-manager tier are StorageOpts fields.
+func TestPublishOptsSurface(t *testing.T) {
+	typ := reflect.TypeOf(PublishOpts{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	want := []string{"Writers", "Files", "Blocks", "Storage", "Spec"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PublishOpts has fields %v, want exactly %v", got, want)
+	}
+}
+
+// TestPhase pins the measurement every experiment shares: the clients
+// run at once, each is timed, the fabric bytes moved meanwhile are
+// counted, and a failing client neither hides its error nor drops the
+// other clients' timings.
+func TestPhase(t *testing.T) {
+	tb, err := NewTestbed(ClusterSpec{Nodes: 4}, StorageOpts{Kind: "bsfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := tb.clientNodes(3)
+	boom := errors.New("boom")
+	var ok, failed Point
+	var okErr, failedErr error
+	err = tb.Run(func() {
+		// Client i sleeps i x 10ms; node 1 (client 0) moves 1 MiB instead.
+		ok, okErr = tb.phase("ok", MB, nodes, func(i int, node cluster.NodeID) error {
+			tb.Env.Sleep(time.Duration(i) * 10 * time.Millisecond)
+			if node == 1 {
+				tb.Env.Unicast(node, 2, MB)
+			}
+			return nil
+		})
+		// Client i sleeps (i+1) x 10ms; client 0 then fails.
+		failed, failedErr = tb.phase("failed", MB, nodes, func(i int, _ cluster.NodeID) error {
+			tb.Env.Sleep(time.Duration(i+1) * 10 * time.Millisecond)
+			if i == 0 {
+				return boom
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if okErr != nil {
+		t.Fatal(okErr)
+	}
+	if ok.Experiment != "ok" || ok.Clients != 3 {
+		t.Fatalf("point %q with %d clients, want \"ok\" with 3", ok.Experiment, ok.Clients)
+	}
+	if ok.Duration < 20*time.Millisecond {
+		t.Fatalf("makespan %s, want >= 20ms", ok.Duration)
+	}
+	// The slowest client is the 20ms sleeper; the fastest moved 1 MiB in
+	// under 10ms.
+	if ok.MinMBps != mbps(MB, 20*time.Millisecond) || ok.MaxMBps <= mbps(MB, 10*time.Millisecond) {
+		t.Fatalf("spread %.1f..%.1f MB/s, want min %.1f and max above %.1f",
+			ok.MinMBps, ok.MaxMBps, mbps(MB, 20*time.Millisecond), mbps(MB, 10*time.Millisecond))
+	}
+	if ok.NetBytes < MB {
+		t.Fatalf("phase counted %d network bytes, want >= %d", ok.NetBytes, MB)
+	}
+	if !errors.Is(failedErr, boom) {
+		t.Fatalf("failing phase returned %v, want %v", failedErr, boom)
+	}
+	if failed.Clients != 3 || failed.Duration != 30*time.Millisecond ||
+		failed.MinMBps != mbps(MB, 30*time.Millisecond) || failed.MaxMBps != mbps(MB, 10*time.Millisecond) {
+		t.Fatalf("failing phase lost timings: %+v", failed)
 	}
 }

@@ -148,39 +148,23 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 	var victims []cluster.NodeID
 	blobs := make([]core.BlobID, opts.Clients)
 	readAll := func(label string) (Point, error) {
-		durations := make([]time.Duration, opts.Clients)
-		var readErr firstError
-		net0, disk0 := resourceSnapshot(tb)
-		start := tb.Env.Now()
-		wg := tb.Env.NewWaitGroup()
-		for i, node := range clients {
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				c := dep.NewClient(node)
-				b, err := c.OpenBlob(blobs[i])
+		return tb.phase(label, opts.BytesPerClient, clients, func(i int, node cluster.NodeID) error {
+			b, err := dep.NewClient(node).OpenBlob(blobs[i])
+			if err != nil {
+				return err
+			}
+			for done := int64(0); done < opts.BytesPerClient; done += opts.RecordSize {
+				want := min(opts.RecordSize, opts.BytesPerClient-done)
+				n, err := b.ReadAt(nil, done, core.Synthetic(want))
 				if err != nil {
-					readErr.set(err)
-					return
+					return err
 				}
-				for done := int64(0); done < opts.BytesPerClient; done += opts.RecordSize {
-					want := opts.RecordSize
-					if done+want > opts.BytesPerClient {
-						want = opts.BytesPerClient - done
-					}
-					n, err := b.ReadAt(nil, done, core.Synthetic(want))
-					readErr.set(err)
-					if n != want {
-						readErr.set(fmt.Errorf("bench: short read: %d of %d at %d", n, want, done))
-					}
+				if n != want {
+					return fmt.Errorf("bench: short read: %d of %d at %d", n, want, done)
 				}
-				durations[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		p := summarize(label, tb.Kind, opts.BytesPerClient, durations, tb.Env.Now()-start)
-		net1, disk1 := resourceSnapshot(tb)
-		p.NetBytes, p.DiskBytes = net1-net0, disk1-disk0
-		return p, readErr.get()
+			}
+			return nil
+		})
 	}
 
 	var loadErr firstError

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fsapi"
 )
 
 // settleTime is the virtual-time pause between the load phase and the
@@ -51,49 +52,21 @@ func RunReadDistinct(opts MicroOpts) (Point, error) {
 		return Point{}, err
 	}
 	clients := tb.clientNodes(opts.Clients)
-	durations := make([]time.Duration, opts.Clients)
-	var makespan time.Duration
-	var netBytes, diskBytes int64
-	var runErr firstError
+	path := func(i int) string { return fmt.Sprintf("/e1/f%04d", i) }
+	var p Point
+	var runErr error
 	err = tb.Run(func() {
-		// Load phase: each file written by the node opposite its
-		// reader on the ring.
-		wg := tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			loader := tb.loaderNode(c)
-			path := fmt.Sprintf("/e1/f%04d", i)
-			wg.Go(func() {
-				runErr.set(writeSynthFile(tb, loader, path, opts.BytesPerClient))
-			})
-		}
-		wg.Wait()
-		if runErr.get() != nil {
+		if runErr = tb.loadFar(clients, path, opts.BytesPerClient); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
-
-		// Measured phase.
-		net0, disk0 := resourceSnapshot(tb)
-		start := tb.Env.Now()
-		wg = tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			path := fmt.Sprintf("/e1/f%04d", i)
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				runErr.set(readSynthFile(tb, c, path, 0, opts.BytesPerClient, opts.RecordSize))
-				durations[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		makespan = tb.Env.Now() - start
-		net1, disk1 := resourceSnapshot(tb)
-		netBytes, diskBytes = net1-net0, disk1-disk0
+		p, runErr = tb.phase("E1-read-distinct", opts.BytesPerClient, clients, func(i int, c cluster.NodeID) error {
+			return readSynthFile(tb, c, path(i), 0, opts.BytesPerClient, opts.RecordSize)
+		})
 	})
 	if err == nil {
-		err = runErr.get()
+		err = runErr
 	}
-	p := summarize("E1-read-distinct", tb.Kind, opts.BytesPerClient, durations, makespan)
-	p.NetBytes, p.DiskBytes = netBytes, diskBytes
 	return p, err
 }
 
@@ -106,40 +79,23 @@ func RunReadShared(opts MicroOpts) (Point, error) {
 		return Point{}, err
 	}
 	clients := tb.clientNodes(opts.Clients)
-	total := opts.BytesPerClient * int64(opts.Clients)
-	durations := make([]time.Duration, opts.Clients)
-	var makespan time.Duration
-	var netBytes, diskBytes int64
-	var runErr firstError
+	var p Point
+	var runErr error
 	err = tb.Run(func() {
 		// Load phase: one huge file written from the master node (not
 		// a storage node, so HDFS places chunks fleet-wide).
-		if err := writeSynthFile(tb, 0, "/e2/huge", total); err != nil {
-			runErr.set(err)
+		total := opts.BytesPerClient * int64(opts.Clients)
+		if runErr = writeSynthFile(tb, 0, "/e2/huge", total); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
-		net0, disk0 := resourceSnapshot(tb)
-		start := tb.Env.Now()
-		wg := tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			off := int64(i) * opts.BytesPerClient
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				runErr.set(readSynthFile(tb, c, "/e2/huge", off, opts.BytesPerClient, opts.RecordSize))
-				durations[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		makespan = tb.Env.Now() - start
-		net1, disk1 := resourceSnapshot(tb)
-		netBytes, diskBytes = net1-net0, disk1-disk0
+		p, runErr = tb.phase("E2-read-shared", opts.BytesPerClient, clients, func(i int, c cluster.NodeID) error {
+			return readSynthFile(tb, c, "/e2/huge", int64(i)*opts.BytesPerClient, opts.BytesPerClient, opts.RecordSize)
+		})
 	})
 	if err == nil {
-		err = runErr.get()
+		err = runErr
 	}
-	p := summarize("E2-read-shared", tb.Kind, opts.BytesPerClient, durations, makespan)
-	p.NetBytes, p.DiskBytes = netBytes, diskBytes
 	return p, err
 }
 
@@ -152,32 +108,16 @@ func RunWriteDistinct(opts MicroOpts) (Point, error) {
 		return Point{}, err
 	}
 	clients := tb.clientNodes(opts.Clients)
-	durations := make([]time.Duration, opts.Clients)
-	var makespan time.Duration
-	var netBytes, diskBytes int64
-	var runErr firstError
+	var p Point
+	var runErr error
 	err = tb.Run(func() {
-		net0, disk0 := resourceSnapshot(tb)
-		start := tb.Env.Now()
-		wg := tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			path := fmt.Sprintf("/e3/out%04d", i)
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				runErr.set(writeSynthFile(tb, c, path, opts.BytesPerClient))
-				durations[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		makespan = tb.Env.Now() - start
-		net1, disk1 := resourceSnapshot(tb)
-		netBytes, diskBytes = net1-net0, disk1-disk0
+		p, runErr = tb.phase("E3-write-distinct", opts.BytesPerClient, clients, func(i int, c cluster.NodeID) error {
+			return writeSynthFile(tb, c, fmt.Sprintf("/e3/out%04d", i), opts.BytesPerClient)
+		})
 	})
 	if err == nil {
-		err = runErr.get()
+		err = runErr
 	}
-	p := summarize("E3-write-distinct", tb.Kind, opts.BytesPerClient, durations, makespan)
-	p.NetBytes, p.DiskBytes = netBytes, diskBytes
 	return p, err
 }
 
@@ -192,56 +132,69 @@ func RunAppendShared(opts MicroOpts) (Point, error) {
 		return Point{}, err
 	}
 	clients := tb.clientNodes(opts.Clients)
-	durations := make([]time.Duration, opts.Clients)
-	var makespan time.Duration
-	var netBytes, diskBytes int64
-	var runErr firstError
+	var p Point
+	var runErr error
 	err = tb.Run(func() {
-		fs := tb.NewFS(0)
-		w, err := fs.Create("/x1/shared")
-		if err != nil {
-			runErr.set(err)
+		if runErr = createEmpty(tb.NewFS(0), "/x1/shared"); runErr != nil {
 			return
 		}
-		if err := w.Close(); err != nil {
-			runErr.set(err)
+		p, runErr = tb.phase("X1-append-shared", opts.BytesPerClient, clients, func(_ int, c cluster.NodeID) error {
+			return appendSynth(tb.NewFS(c), "/x1/shared", 1, opts.BytesPerClient)
+		})
+		if runErr != nil {
 			return
 		}
-		net0, disk0 := resourceSnapshot(tb)
-		start := tb.Env.Now()
-		wg := tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				cfs := tb.NewFS(c)
-				aw, err := cfs.Append("/x1/shared")
-				if err != nil {
-					runErr.set(err)
-					return
-				}
-				_, err = aw.WriteSynthetic(opts.BytesPerClient)
-				runErr.set(err)
-				runErr.set(aw.Close())
-				durations[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		makespan = tb.Env.Now() - start
-		net1, disk1 := resourceSnapshot(tb)
-		netBytes, diskBytes = net1-net0, disk1-disk0
-
 		// Validate the tiling: total size must equal the sum of appends.
 		fi, err := tb.NewFS(0).Stat("/x1/shared")
-		if err == nil && fi.Size != opts.BytesPerClient*int64(opts.Clients) {
-			runErr.set(fmt.Errorf("bench: shared append lost data: size %d", fi.Size))
+		if err != nil {
+			runErr = err
+		} else if fi.Size != opts.BytesPerClient*int64(opts.Clients) {
+			runErr = fmt.Errorf("bench: shared append lost data: size %d", fi.Size)
 		}
 	})
 	if err == nil {
-		err = runErr.get()
+		err = runErr
 	}
-	p := summarize("X1-append-shared", tb.Kind, opts.BytesPerClient, durations, makespan)
-	p.NetBytes, p.DiskBytes = netBytes, diskBytes
 	return p, err
+}
+
+// loadFar writes one file of size bytes per client, path(i) from the
+// loader node of clients[i], so no reader finds its data local. The
+// load is not measured.
+func (tb *Testbed) loadFar(clients []cluster.NodeID, path func(int) string, size int64) error {
+	var loadErr firstError
+	wg := tb.Env.NewWaitGroup()
+	for i, c := range clients {
+		loader := tb.loaderNode(c)
+		wg.Go(func() { loadErr.set(writeSynthFile(tb, loader, path(i), size)) })
+	}
+	wg.Wait()
+	return loadErr.get()
+}
+
+// createEmpty creates an empty file for appenders to extend.
+func createEmpty(fs fsapi.FileSystem, path string) error {
+	w, err := fs.Create(path)
+	if err != nil {
+		return err
+	}
+	return w.Close()
+}
+
+// appendSynth appends blocks synthetic writes of size bytes each to a
+// file through one append stream.
+func appendSynth(fs fsapi.FileSystem, path string, blocks int, size int64) error {
+	aw, err := fs.Append(path)
+	if err != nil {
+		return err
+	}
+	for b := 0; b < blocks; b++ {
+		if _, err := aw.WriteSynthetic(size); err != nil {
+			aw.Close()
+			return err
+		}
+	}
+	return aw.Close()
 }
 
 // writeSynthFile writes a synthetic file of the given size from a node.

@@ -1,60 +1,75 @@
-// publish.go runs the version-manager scaling scenario (X2) and its
-// ablation (A6): N concurrent writers append fixed-size blocks to ONE
-// shared file through the BSFS writer pipeline, and the measured
-// quantity is publish throughput — published versions per second of
-// virtual time. Every block is one version, so the workload is
-// metadata-bound by design: it exposes whether the per-version
-// round trips to the version manager (ticket + publish) scale with
-// writer count or flatten into a serial bottleneck. A6 runs the same
-// workload at the batching pipeline depth and at depth 2 (one block per
-// commit) and asserts batched publication is at least as fast.
+// publish.go runs the version-manager publish workload and the four
+// experiments built on it. N concurrent writers append fixed-size
+// blocks through the BSFS writer pipeline, writer i to file i % Files,
+// and the measured quantity is publish throughput — published versions
+// per second of virtual time. Every block is one version, so the
+// workload is metadata-bound by design: it exposes whether the
+// per-version round trips to the version manager (ticket + publish)
+// scale with writer count or flatten into a serial bottleneck.
+//
+//   - X2 (Files 1): every writer shares one blob, stressing one blob's
+//     total order.
+//   - X5 (Files = Writers): one blob per writer, spread round-robin over
+//     the version-manager shards, stressing the manager tier itself.
+//     Each shard models a per-RPC processing occupancy
+//     (StorageOpts.VMServiceTime), so one centralized shard saturates
+//     and sharding divides its queue.
+//   - A6 runs X2 at the batching pipeline depth and at depth 2 (one
+//     block per commit) and asserts batched publication is at least as
+//     fast.
+//   - A7 runs X5 with the tier sharded and collapsed to one shard and
+//     asserts the sharded tier is at least as fast.
 
 package bench
 
 import (
 	"fmt"
-	"time"
+
+	"repro/internal/cluster"
 )
 
-// PublishOpts parameterizes the shared-blob publish scenario.
+// PublishOpts parameterizes the publish workload. Block size, pipeline
+// depth, shard count and shard service time are the Storage fields
+// BlockSize, MaxInFlightBlocks, VMShards and VMServiceTime.
 type PublishOpts struct {
-	Clients int
-	// BlocksPerClient is the number of versions each writer publishes
-	// (default 64). The workload is sized in versions, not bytes:
-	// publish throughput is the metric.
-	BlocksPerClient int
-	// BlockSize is the BSFS block (and thus per-version payload) size
-	// (default 1 MB — small enough that version-manager round trips
-	// are a visible share of each commit).
-	BlockSize int64
-	// MaxInFlightBlocks is the writer pipeline depth and therefore the
-	// publish batch size ceiling (default 8).
-	MaxInFlightBlocks int
-	Storage           StorageOpts
-	Spec              ClusterSpec
+	// Writers is the number of concurrent writers (default 1).
+	Writers int
+	// Files is the number of files the writers spread over, writer i
+	// appending to file i % Files (default 1: one shared blob).
+	Files int
+	// Blocks is the number of versions each writer publishes (default
+	// 64). The workload is sized in versions, not bytes: publish
+	// throughput is the metric.
+	Blocks  int
+	Storage StorageOpts
+	Spec    ClusterSpec
 }
 
 func (o *PublishOpts) fillDefaults() {
-	if o.Clients <= 0 {
-		o.Clients = 1
+	if o.Writers <= 0 {
+		o.Writers = 1
 	}
-	if o.BlocksPerClient <= 0 {
-		o.BlocksPerClient = 64
+	if o.Files <= 0 {
+		o.Files = 1
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 1 * MB
+	if o.Blocks <= 0 {
+		o.Blocks = 64
 	}
-	if o.MaxInFlightBlocks <= 0 {
-		o.MaxInFlightBlocks = 8
+	o.Storage.Kind = "bsfs" // the workload exercises BlobSeer's version manager
+	if o.Storage.BlockSize <= 0 {
+		// Small enough that version-manager round trips are a visible
+		// share of each commit.
+		o.Storage.BlockSize = 1 * MB
 	}
-	o.Storage.Kind = "bsfs" // the scenario exercises BlobSeer's version manager
-	o.Storage.BlockSize = o.BlockSize
-	o.Storage.MaxInFlightBlocks = o.MaxInFlightBlocks
+	if o.Storage.MaxInFlightBlocks <= 0 {
+		o.Storage.MaxInFlightBlocks = 8
+	}
 }
 
-// PublishResult is the outcome of one shared-blob publish run.
+// PublishResult is the outcome of one publish run.
 type PublishResult struct {
-	// Point carries the usual per-writer data throughput summary.
+	// Point carries the usual per-writer data throughput summary; the
+	// caller names it.
 	Point Point
 	// Versions is the number of versions published (writers x blocks).
 	Versions int
@@ -63,80 +78,58 @@ type PublishResult struct {
 	VersionsPerSec float64
 }
 
-// RunPublishShared is experiment X2: N writers concurrently append
-// BlocksPerClient blocks each to one shared file; every block is one
-// published version. The run fails if any version is lost or
-// duplicated — the count of published snapshots must equal the number
-// of committed blocks exactly.
-func RunPublishShared(opts PublishOpts) (PublishResult, error) {
+// RunPublish runs the publish workload: Writers concurrent writers
+// append Blocks blocks each, writer i to file i % Files; every block is
+// one published version. The run fails if any file ends with a version
+// count other than (writers on that file) x Blocks — no version may be
+// lost or duplicated.
+func RunPublish(opts PublishOpts) (PublishResult, error) {
 	opts.fillDefaults()
 	tb, err := NewTestbed(opts.Spec, opts.Storage)
 	if err != nil {
 		return PublishResult{}, err
 	}
-	clients := tb.clientNodes(opts.Clients)
-	perClient := int64(opts.BlocksPerClient) * opts.BlockSize
-	durations := make([]time.Duration, opts.Clients)
-	var makespan time.Duration
-	var versions int
-	var runErr firstError
+	path := func(f int) string { return fmt.Sprintf("/publish/f%04d", f) }
+	blockSize := opts.Storage.BlockSize
+	var res PublishResult
+	var runErr error
 	err = tb.Run(func() {
-		fs := tb.NewFS(0)
-		w, err := fs.Create("/x2/shared")
-		if err != nil {
-			runErr.set(err)
+		// Create every file first, so the measured phase holds only the
+		// append/publish traffic.
+		fs := tb.bsfsSvc.NewFS(0)
+		for f := 0; f < opts.Files; f++ {
+			if runErr = createEmpty(fs, path(f)); runErr != nil {
+				return
+			}
+		}
+		res.Point, runErr = tb.phase("", int64(opts.Blocks)*blockSize, tb.clientNodes(opts.Writers), func(i int, c cluster.NodeID) error {
+			return appendSynth(tb.NewFS(c), path(i%opts.Files), opts.Blocks, blockSize)
+		})
+		if runErr != nil {
 			return
 		}
-		if err := w.Close(); err != nil {
-			runErr.set(err)
-			return
-		}
-		start := tb.Env.Now()
-		wg := tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				cfs := tb.NewFS(c)
-				aw, err := cfs.Append("/x2/shared")
-				if err != nil {
-					runErr.set(err)
-					return
-				}
-				for b := 0; b < opts.BlocksPerClient; b++ {
-					if _, err := aw.WriteSynthetic(opts.BlockSize); err != nil {
-						runErr.set(err)
-					}
-				}
-				if err := aw.Close(); err != nil {
-					runErr.set(err)
-				}
-				durations[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		makespan = tb.Env.Now() - start
-		if runErr.get() != nil {
-			return
-		}
-		vs, err := tb.bsfsSvc.NewFS(0).Versions("/x2/shared")
-		if err != nil {
-			runErr.set(err)
-			return
-		}
-		versions = len(vs)
-		if want := opts.Clients * opts.BlocksPerClient; versions != want {
-			runErr.set(fmt.Errorf("bench: x2 published %d versions, want %d", versions, want))
+		for f := 0; f < opts.Files; f++ {
+			vs, err := fs.Versions(path(f))
+			if err != nil {
+				runErr = err
+				return
+			}
+			res.Versions += len(vs)
+			writers := opts.Writers / opts.Files
+			if f < opts.Writers%opts.Files {
+				writers++
+			}
+			if want := writers * opts.Blocks; len(vs) != want {
+				runErr = fmt.Errorf("bench: publish file %d has %d versions, want %d", f, len(vs), want)
+				return
+			}
 		}
 	})
 	if err == nil {
-		err = runErr.get()
+		err = runErr
 	}
-	res := PublishResult{
-		Point:    summarize("X2-publish-shared", tb.Kind, perClient, durations, makespan),
-		Versions: versions,
-	}
-	if makespan > 0 {
-		res.VersionsPerSec = float64(versions) / makespan.Seconds()
+	if d := res.Point.Duration; d > 0 {
+		res.VersionsPerSec = float64(res.Versions) / d.Seconds()
 	}
 	return res, err
 }
@@ -149,12 +142,14 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 // versions share a round trip. It errors if the batched arm publishes
 // slower — the sim-level assertion that batching never loses.
 func RunPublishAblation(opts PublishOpts) (batched, unbatched PublishResult, err error) {
-	batched, err = RunPublishShared(opts)
+	batched, err = RunPublish(opts)
+	batched.Point.Experiment = "X2-publish-shared"
 	if err != nil {
 		return batched, unbatched, err
 	}
-	opts.MaxInFlightBlocks = 2
-	unbatched, err = RunPublishShared(opts)
+	opts.Storage.MaxInFlightBlocks = 2
+	unbatched, err = RunPublish(opts)
+	unbatched.Point.Experiment = "A6-unbatched-publish"
 	if err != nil {
 		return batched, unbatched, err
 	}
@@ -165,4 +160,34 @@ func RunPublishAblation(opts PublishOpts) (batched, unbatched PublishResult, err
 			batched.VersionsPerSec, unbatched.VersionsPerSec)
 	}
 	return batched, unbatched, err
+}
+
+// RunShardAblation is ablation A7: the same multi-blob workload with
+// the version-manager tier sharded (VMShards, at least 2; 4 when
+// unset) and collapsed to one shard. It errors if the sharded tier
+// publishes slower than the centralized baseline — the sim-level
+// assertion that partitioning never loses.
+func RunShardAblation(opts PublishOpts) (sharded, single PublishResult, err error) {
+	sh := opts
+	if sh.Storage.VMShards < 2 {
+		sh.Storage.VMShards = 4
+	}
+	sharded, err = RunPublish(sh)
+	sharded.Point.Experiment = fmt.Sprintf("X5-shards-%d", sh.Storage.VMShards)
+	if err != nil {
+		return sharded, single, err
+	}
+	opts.Storage.VMShards = 1
+	single, err = RunPublish(opts)
+	single.Point.Experiment = "A7-single-shard"
+	if err != nil {
+		return sharded, single, err
+	}
+	// Allow sub-percent scheduling jitter; anything beyond means the
+	// sharded tier genuinely regressed.
+	if sharded.VersionsPerSec < single.VersionsPerSec*0.99 {
+		err = fmt.Errorf("bench: a7 sharded tier slower than single shard: %.1f vs %.1f versions/s",
+			sharded.VersionsPerSec, single.VersionsPerSec)
+	}
+	return sharded, single, err
 }

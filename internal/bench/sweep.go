@@ -82,6 +82,23 @@ func (o SweepOpts) appOpts(kind string) AppOpts {
 	}
 }
 
+// x2Opts sizes X2's publish workload from a sweep: n writers sharing
+// one file, each publishing 64 versions of 1 MiB.
+func x2Opts(o SweepOpts, n int) PublishOpts {
+	return PublishOpts{Writers: n, Files: 1, Blocks: 64, Spec: o.Spec,
+		Storage: StorageOpts{BlockSize: 1 * MB, MemCapacity: o.MemCapacity, Replication: o.Replication}}
+}
+
+// x5Opts sizes X5's: n writers with a file each, each publishing 16
+// versions of 256 KiB (one page, so the workload stays metadata-bound),
+// and every version-manager shard busy 400µs per RPC, so one
+// centralized shard is the bottleneck.
+func x5Opts(o SweepOpts, n int) PublishOpts {
+	return PublishOpts{Writers: n, Files: n, Blocks: 16, Spec: o.Spec,
+		Storage: StorageOpts{BlockSize: 256 * KB, VMServiceTime: 400 * time.Microsecond,
+			MemCapacity: o.MemCapacity, Replication: o.Replication}}
+}
+
 // runApp runs an application benchmark with BSFS, then HDFS, underneath.
 func runApp(run func(AppOpts) (AppResult, error), opts SweepOpts) ([]AppResult, error) {
 	var out []AppResult
@@ -178,14 +195,11 @@ var Experiments = []Experiment{
 			opts.fillDefaults()
 			var pts []Point
 			for _, n := range opts.Clients {
-				res, err := RunPublishShared(PublishOpts{
-					Clients: n,
-					Spec:    opts.Spec,
-					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
-				})
+				res, err := RunPublish(x2Opts(opts, n))
 				if err != nil {
 					return fmt.Errorf("bench: x2 n=%d: %w", n, err)
 				}
+				res.Point.Experiment = "X2-publish-shared"
 				fmt.Fprintf(w, "x2 n=%d: %d versions published, %.1f versions/s\n",
 					n, res.Versions, res.VersionsPerSec)
 				recordMetric(w, fmt.Sprintf("publish_rate_n%d", n), "versions/s", res.VersionsPerSec)
@@ -245,14 +259,13 @@ var Experiments = []Experiment{
 			var pts []Point
 			var one, four float64
 			for _, sh := range []int{1, 2, 4, 8} {
-				res, err := RunShardPublish(ShardOpts{
-					Shards:  sh,
-					Spec:    opts.Spec,
-					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
-				})
+				po := x5Opts(opts, 32)
+				po.Storage.VMShards = sh
+				res, err := RunPublish(po)
 				if err != nil {
 					return fmt.Errorf("bench: x5 shards=%d: %w", sh, err)
 				}
+				res.Point.Experiment = fmt.Sprintf("X5-shards-%d", sh)
 				fmt.Fprintf(w, "x5 shards=%d: %d versions published, %.1f versions/s\n",
 					sh, res.Versions, res.VersionsPerSec)
 				recordMetric(w, fmt.Sprintf("publish_rate_shards%d", sh), "versions/s", res.VersionsPerSec)
@@ -447,11 +460,7 @@ var Experiments = []Experiment{
 			opts.fillDefaults()
 			var all []Point
 			for _, n := range opts.Clients {
-				batched, unbatched, err := RunPublishAblation(PublishOpts{
-					Clients: n,
-					Spec:    opts.Spec,
-					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
-				})
+				batched, unbatched, err := RunPublishAblation(x2Opts(opts, n))
 				if err != nil {
 					// Includes the sim assertion: batched publish
 					// throughput must not fall below unbatched.
@@ -461,7 +470,6 @@ var Experiments = []Experiment{
 					n, batched.VersionsPerSec, unbatched.VersionsPerSec,
 					batched.VersionsPerSec/unbatched.VersionsPerSec)
 				recordMetric(w, fmt.Sprintf("group_commit_speedup_n%d", n), "x", batched.VersionsPerSec/unbatched.VersionsPerSec)
-				unbatched.Point.Experiment = "A6-unbatched-publish"
 				all = append(all, batched.Point, unbatched.Point)
 			}
 			WritePointsTable(w, "A6: pipeline-depth ablation (shared-blob publish)", all)
@@ -475,11 +483,7 @@ var Experiments = []Experiment{
 			opts.fillDefaults()
 			var all []Point
 			for _, writers := range []int{8, 32, 64} {
-				sharded, single, err := RunShardAblation(ShardOpts{
-					Writers: writers,
-					Spec:    opts.Spec,
-					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
-				})
+				sharded, single, err := RunShardAblation(x5Opts(opts, writers))
 				if err != nil {
 					// Includes the sim assertion: the sharded tier must
 					// not publish slower than the single-shard baseline.
@@ -489,7 +493,6 @@ var Experiments = []Experiment{
 					writers, sharded.VersionsPerSec, single.VersionsPerSec,
 					sharded.VersionsPerSec/single.VersionsPerSec)
 				recordMetric(w, fmt.Sprintf("sharding_speedup_w%d", writers), "x", sharded.VersionsPerSec/single.VersionsPerSec)
-				single.Point.Experiment = "A7-single-shard"
 				all = append(all, sharded.Point, single.Point)
 			}
 			WritePointsTable(w, "A7: sharding ablation (multi-blob publish)", all)

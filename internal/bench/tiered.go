@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // TieredOpts parameterizes one X7 run.
@@ -95,30 +97,20 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 	defer tb.Close()
 	dep := tb.Deployment()
 	clients := tb.clientNodes(opts.Clients)
+	path := func(i int) string { return fmt.Sprintf("/x7/f%04d", i) }
+	readAll := func(i int, c cluster.NodeID) error {
+		return readSynthFile(tb, c, path(i), 0, opts.BytesPerClient, 0)
+	}
 	var res TieredResult
-	coldDur := make([]time.Duration, opts.Clients)
-	warmDur := make([]time.Duration, opts.Clients)
-	var coldSpan, warmSpan time.Duration
-	var coldNet, coldDisk, warmNet, warmDisk int64
-	var runErr firstError
+	var runErr error
 	err = tb.Run(func() {
 		// Load phase, then let the flush daemons drain.
-		wg := tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			loader := tb.loaderNode(c)
-			path := fmt.Sprintf("/x7/f%04d", i)
-			wg.Go(func() {
-				runErr.set(writeSynthFile(tb, loader, path, opts.BytesPerClient))
-			})
-		}
-		wg.Wait()
-		if runErr.get() != nil {
+		if runErr = tb.loadFar(clients, path, opts.BytesPerClient); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
 		for _, p := range dep.ProviderList() {
-			if err := p.FlushNow(); err != nil {
-				runErr.set(err)
+			if runErr = p.FlushNow(); runErr != nil {
 				return
 			}
 			res.StoredPages += p.Store().Len()
@@ -136,7 +128,7 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 			node := p.Node()
 			n, err := dep.RestartProvider(node)
 			if err != nil {
-				runErr.set(fmt.Errorf("bench: x7 restart node %d: %w", node, err))
+				runErr = fmt.Errorf("bench: x7 restart node %d: %w", node, err)
 				return
 			}
 			res.RecoveredPages += n
@@ -147,48 +139,18 @@ func RunTieredRecovery(opts TieredOpts) (TieredResult, error) {
 
 		// Cold pass: nothing is resident; every page faults in from the
 		// backend and charges the provider's disk.
-		coldNet0, coldDisk0 := resourceSnapshot(tb)
-		start := tb.Env.Now()
-		wg = tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			path := fmt.Sprintf("/x7/f%04d", i)
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				runErr.set(readSynthFile(tb, c, path, 0, opts.BytesPerClient, 0))
-				coldDur[i] = tb.Env.Now() - t0
-			})
+		if res.Cold, runErr = tb.phase("X7-cold-read", opts.BytesPerClient, clients, readAll); runErr != nil {
+			return
 		}
-		wg.Wait()
-		coldSpan = tb.Env.Now() - start
-		coldNet1, coldDisk1 := resourceSnapshot(tb)
-		coldNet, coldDisk = coldNet1-coldNet0, coldDisk1-coldDisk0
-
 		// Warm pass: the cold pass re-populated the RAM tier.
-		start = tb.Env.Now()
-		wg = tb.Env.NewWaitGroup()
-		for i, c := range clients {
-			path := fmt.Sprintf("/x7/f%04d", i)
-			wg.Go(func() {
-				t0 := tb.Env.Now()
-				runErr.set(readSynthFile(tb, c, path, 0, opts.BytesPerClient, 0))
-				warmDur[i] = tb.Env.Now() - t0
-			})
-		}
-		wg.Wait()
-		warmSpan = tb.Env.Now() - start
-		warmNet1, warmDisk1 := resourceSnapshot(tb)
-		warmNet, warmDisk = warmNet1-coldNet1, warmDisk1-coldDisk1
+		res.Warm, runErr = tb.phase("X7-warm-read", opts.BytesPerClient, clients, readAll)
 	})
 	if err == nil {
-		err = runErr.get()
+		err = runErr
 	}
 	if err != nil {
 		return res, err
 	}
-	res.Cold = summarize("X7-cold-read", tb.Kind, opts.BytesPerClient, coldDur, coldSpan)
-	res.Cold.NetBytes, res.Cold.DiskBytes = coldNet, coldDisk
-	res.Warm = summarize("X7-warm-read", tb.Kind, opts.BytesPerClient, warmDur, warmSpan)
-	res.Warm.NetBytes, res.Warm.DiskBytes = warmNet, warmDisk
 	res.LogBytes = dirBytes(dir)
 	if res.RecoveredPages != res.StoredPages {
 		return res, fmt.Errorf("bench: x7 recovery lost pages: stored %d, recovered %d", res.StoredPages, res.RecoveredPages)

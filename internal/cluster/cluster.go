@@ -87,6 +87,23 @@ type Env interface {
 	DiskWrite(node NodeID, size int64)
 }
 
+// Farthest picks the most distant of nodes as seen from from — the
+// first one on another rack, else the first one that is not from — so
+// a single RTT charge covers a parallel fan-out. With no other node it
+// returns from.
+func Farthest(env Env, from NodeID, nodes []NodeID) NodeID {
+	best := from
+	for _, n := range nodes {
+		if n == from {
+			continue
+		}
+		if best == from || (env.Rack(n) != env.Rack(from) && env.Rack(best) == env.Rack(from)) {
+			best = n
+		}
+	}
+	return best
+}
+
 // ---------------------------------------------------------------------
 // Simulation-backed environment.
 

@@ -181,6 +181,24 @@ func TestLocalWaitGroup(t *testing.T) {
 	wg2.Wait()
 }
 
+func TestFarthest(t *testing.T) {
+	env := NewLocal(8, 4) // racks {0..3}, {4..7}
+	for _, tc := range []struct {
+		name  string
+		nodes []NodeID
+		want  NodeID
+	}{
+		{"same rack", []NodeID{0, 2, 1}, 2},
+		{"other rack", []NodeID{1, 5, 2, 6}, 5},
+		{"self only", []NodeID{0}, 0},
+		{"empty", nil, 0},
+	} {
+		if got := Farthest(env, 0, tc.nodes); got != tc.want {
+			t.Errorf("%s: Farthest(0, %v) = %d, want %d", tc.name, tc.nodes, got, tc.want)
+		}
+	}
+}
+
 func TestLocalRackDefaults(t *testing.T) {
 	env := NewLocal(5, 0) // one rack
 	for i := 0; i < 5; i++ {

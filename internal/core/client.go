@@ -50,33 +50,6 @@ type Client struct {
 
 	mu        sync.Mutex
 	pageSizes map[BlobID]int64
-
-	// Routing view: the provider table as of viewEpoch. Re-resolved
-	// whenever the placement epoch advances (a provider joined, left,
-	// or changed health) instead of caching a fixed fleet.
-	viewMu    sync.Mutex
-	viewEpoch uint64
-	view      map[cluster.NodeID]*Provider
-}
-
-// provider resolves a provider through the client's routing view. A
-// nil result means the node is not part of the current membership —
-// callers treat it like an unreachable replica.
-func (c *Client) provider(n cluster.NodeID) *Provider {
-	return c.providerView()[n]
-}
-
-// providerView returns the routing view for the current placement
-// epoch, re-resolving the provider table when the epoch advanced.
-func (c *Client) providerView() map[cluster.NodeID]*Provider {
-	ep := c.d.Placement.Epoch()
-	c.viewMu.Lock()
-	defer c.viewMu.Unlock()
-	if c.view == nil || c.viewEpoch != ep {
-		c.view = c.d.providerSnapshot()
-		c.viewEpoch = ep
-	}
-	return c.view
 }
 
 // cachedMeta caches metadata tree nodes client-side with LRU
@@ -419,7 +392,7 @@ type pagePut struct {
 // caller to abort on.
 func (c *Client) scatterPuts(ctx *cluster.Ctx, perProv map[cluster.NodeID][]pagePut, total int64) error {
 	dests := sortedNodes(perProv)
-	c.d.Env.RTT(c.node, farthestNode(c.d.Env, c.node, dests))
+	c.d.Env.RTT(c.node, cluster.Farthest(c.d.Env, c.node, dests))
 	c.d.Env.Scatter(c.node, dests, total)
 	var scMu sync.Mutex
 	var scErr error
@@ -432,7 +405,7 @@ func (c *Client) scatterPuts(ctx *cluster.Ctx, perProv map[cluster.NodeID][]page
 		return scErr != nil
 	}
 	c.fanOut(dests, func(prov cluster.NodeID) {
-		pr := c.provider(prov)
+		pr := c.d.Provider(prov)
 		var err error
 		if pr == nil {
 			err = fmt.Errorf("core: no provider on node %d", prov)
@@ -658,7 +631,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 		var waiting []cluster.NodeID
 		var kb [48]byte
 		for _, prov := range srcs {
-			pr, batch := c.provider(prov), perProv[prov]
+			pr, batch := c.d.Provider(prov), perProv[prov]
 			rest := batch[:0]
 			for _, idx := range batch {
 				loc := pending[idx].loc
@@ -679,7 +652,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 				return // canceled: the round check below surfaces it
 			}
 			batch := perProv[prov]
-			pr := c.provider(prov)
+			pr := c.d.Provider(prov)
 			var err error
 			var localTotal, localFromDisk int64
 			if pr == nil {
@@ -729,7 +702,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 		if total > 0 {
 			diskFrac = float64(fromDisk) / float64(total)
 		}
-		c.d.Env.RTT(c.node, farthestNode(c.d.Env, c.node, srcs))
+		c.d.Env.RTT(c.node, cluster.Farthest(c.d.Env, c.node, srcs))
 		c.d.Env.Gather(c.node, srcs, total, diskFrac)
 		if err := ctx.Err(); err != nil {
 			return nil, canceled("gather", err)
@@ -749,7 +722,7 @@ func (c *Client) pickReplica(replicas []cluster.NodeID, tried map[cluster.NodeID
 		if tried[r] {
 			return false
 		}
-		pr := c.provider(r)
+		pr := c.d.Provider(r)
 		return pr != nil && !pr.isDown()
 	}
 	for _, r := range replicas {
@@ -819,19 +792,4 @@ func sortedNodes[V any](m map[cluster.NodeID]V) []cluster.NodeID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// farthestNode picks the most distant destination so a single RTT
-// charge covers a parallel fan-out.
-func farthestNode(env cluster.Env, from cluster.NodeID, nodes []cluster.NodeID) cluster.NodeID {
-	best := from
-	for _, n := range nodes {
-		if n == from {
-			continue
-		}
-		if best == from || (env.Rack(n) != env.Rack(from) && env.Rack(best) == env.Rack(from)) {
-			best = n
-		}
-	}
-	return best
 }

@@ -204,9 +204,6 @@ func (d *Deployment) RestartProvider(node cluster.NodeID) (recovered int, err er
 	}
 	d.provs[node] = p
 	d.provMu.Unlock()
-	// Clients cache the provider table per placement epoch; bump it so
-	// they re-resolve to the new instance instead of the dead handle.
-	d.Placement.BumpEpoch()
 	return p.Store().Recovered(), nil
 }
 
@@ -218,8 +215,8 @@ func (d *Deployment) probeProvider(n cluster.NodeID) bool {
 }
 
 // Provider returns the provider on a node (nil if none). The provider
-// table changes under AddProvider/RemoveProvider, so callers must not
-// cache the result across epochs.
+// table changes under AddProvider, RemoveProvider and RestartProvider,
+// so callers look a provider up per use instead of holding it.
 func (d *Deployment) Provider(n cluster.NodeID) *Provider {
 	d.provMu.RLock()
 	defer d.provMu.RUnlock()
@@ -235,18 +232,6 @@ func (d *Deployment) ProviderList() []*Provider {
 	}
 	d.provMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node() < out[j].Node() })
-	return out
-}
-
-// providerSnapshot returns a copy of the provider table for routing
-// views (clients re-resolve it when the placement epoch advances).
-func (d *Deployment) providerSnapshot() map[cluster.NodeID]*Provider {
-	d.provMu.RLock()
-	defer d.provMu.RUnlock()
-	out := make(map[cluster.NodeID]*Provider, len(d.provs))
-	for n, p := range d.provs {
-		out[n] = p
-	}
 	return out
 }
 
@@ -267,9 +252,8 @@ func (d *Deployment) AddProvider(node cluster.NodeID) (*Provider, error) {
 	}
 	d.provs[node] = p
 	d.provMu.Unlock()
-	// Join after the provider is reachable: the epoch bump makes
-	// clients re-resolve routing, and the new member must be servable
-	// by then.
+	// Join after the provider is reachable: placement routes pages to a
+	// member as soon as it joins, so it must be servable by then.
 	if err := d.Placement.Join(node); err != nil {
 		d.provMu.Lock()
 		delete(d.provs, node)

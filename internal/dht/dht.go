@@ -26,15 +26,13 @@ var ErrNotFound = errors.New("dht: key not found")
 // Ring is a consistent-hashing ring with virtual nodes. Membership is
 // mutable: AddNode and RemoveNode insert or delete one node's virtual
 // points, moving only the keys whose clockwise walk crosses the changed
-// points (consistent hashing's minimal-movement property). Every change
-// bumps the ring's epoch so routing layers can detect stale views.
+// points (consistent hashing's minimal-movement property).
 type Ring struct {
 	mu          sync.RWMutex
 	points      []point
 	replication int
 	vnodes      int
 	nodes       []cluster.NodeID
-	epoch       uint64
 }
 
 type point struct {
@@ -99,16 +97,8 @@ func (r *Ring) Size() int {
 	return len(r.nodes)
 }
 
-// Epoch returns the membership epoch; it increments on every AddNode
-// and RemoveNode.
-func (r *Ring) Epoch() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.epoch
-}
-
 // AddNode inserts a node's virtual points. Adding an existing member is
-// a no-op; the epoch only advances on a real change.
+// a no-op.
 func (r *Ring) AddNode(n cluster.NodeID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -120,7 +110,6 @@ func (r *Ring) AddNode(n cluster.NodeID) {
 	r.nodes = append(r.nodes, n)
 	r.points = append(r.points, pointsFor(n, r.vnodes)...)
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	r.epoch++
 }
 
 // RemoveNode deletes a node's virtual points. Removing a non-member is
@@ -149,7 +138,6 @@ func (r *Ring) RemoveNode(n cluster.NodeID) {
 		}
 	}
 	r.points = kept
-	r.epoch++
 }
 
 // Lookup returns the replica set for a key: the first `replication`
@@ -387,7 +375,7 @@ func (c *Client) BatchPut(kvs map[string][]byte) error {
 	}
 	slices.Sort(dests)
 	// One round trip (requests go out in parallel) plus the payload.
-	c.env.RTT(c.from, farthest(c.env, c.from, dests))
+	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, dests))
 	c.env.Scatter(c.from, dests, total*int64(c.dht.Ring.Replication()))
 	ok := false
 	for _, n := range dests {
@@ -444,7 +432,7 @@ func (c *Client) BatchGet(keys []string) (map[string][]byte, error) {
 			total += int64(len(k) + len(v))
 		}
 	}
-	c.env.RTT(c.from, farthest(c.env, c.from, srcs))
+	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, srcs))
 	c.env.Gather(c.from, srcs, total, 0)
 	return out, nil
 }
@@ -462,19 +450,4 @@ func (c *Client) firstUp(replicas []cluster.NodeID) cluster.NodeID {
 		}
 	}
 	return replicas[0]
-}
-
-// farthest picks the highest-latency destination so one RTT charge
-// covers the parallel fan-out.
-func farthest(env cluster.Env, from cluster.NodeID, nodes []cluster.NodeID) cluster.NodeID {
-	best := from
-	bestInter := false
-	for _, n := range nodes {
-		inter := env.Rack(n) != env.Rack(from)
-		if n != from && (best == from || (inter && !bestInter)) {
-			best = n
-			bestInter = inter
-		}
-	}
-	return best
 }

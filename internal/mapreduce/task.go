@@ -262,7 +262,7 @@ func (jt *jobTracker) runReduce(t *task, node cluster.NodeID) error {
 		}
 		sort.Slice(srcs, func(i, k int) bool { return srcs[i] < srcs[k] })
 		// Map outputs sit on their node's local disk (spilled).
-		jt.env.RTT(node, farthest(jt.env, node, srcs))
+		jt.env.RTT(node, cluster.Farthest(jt.env, node, srcs))
 		jt.env.Gather(node, srcs, shuffleBytes, 1.0)
 	}
 
@@ -507,19 +507,4 @@ func forEachRecord(r fsapi.Reader, offset, length int64, fn func(off int64, rec 
 		return fn(recStart, pending)
 	}
 	return nil
-}
-
-// farthest picks the most distant node for one RTT charge over a
-// parallel fan-out.
-func farthest(env cluster.Env, from cluster.NodeID, nodes []cluster.NodeID) cluster.NodeID {
-	best := from
-	for _, n := range nodes {
-		if n == from {
-			continue
-		}
-		if best == from || (env.Rack(n) != env.Rack(from) && env.Rack(best) == env.Rack(from)) {
-			best = n
-		}
-	}
-	return best
 }

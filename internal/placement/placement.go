@@ -5,9 +5,8 @@
 // that both write-time placement and the background rebalancer consult.
 //
 // Membership is epoch-versioned: every join, leave, drain, and health
-// transition bumps the epoch, so routing layers (clients caching a
-// provider view) can detect stale views cheaply and re-resolve. The
-// model follows the distribution rules of invariant-style storage
+// transition bumps the epoch, so observers can tell how far membership
+// has moved. The model follows the distribution rules of invariant-style storage
 // protocols: a node's share of the key space is determined by the ring,
 // data placed before a membership change is migrated toward the ring's
 // current preferred owners by a background loop, and repair (after
@@ -132,22 +131,11 @@ func NewManager(env cluster.Env, node cluster.NodeID, providers []cluster.NodeID
 func (m *Manager) Node() cluster.NodeID { return m.node }
 
 // Epoch returns the membership epoch. It increments on every join,
-// leave, drain, and health transition; clients compare it to decide
-// whether their cached provider view is stale.
+// leave, drain, and health transition.
 func (m *Manager) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.epoch
-}
-
-// BumpEpoch advances the membership epoch without a membership change,
-// invalidating every cached provider view. Used when the object serving
-// a node is replaced in place — a provider restart — so clients route
-// to the new instance instead of a stale handle.
-func (m *Manager) BumpEpoch() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epoch++
 }
 
 // StrategyName reports the write-placement policy in effect.
