@@ -12,12 +12,17 @@
 // with weight 1, making its rate min(network, disk) — exactly the
 // behaviour of a store-and-forward replica pipeline.
 //
+// Rates are solved once per virtual instant that changes the flow set,
+// over flows in arrival order; freezing a bottleneck walks only the
+// flows that cross it. The sums a solve takes depend on nothing but the
+// order in which processes call Transfer.
+//
 // simnet is the repository's stand-in for the paper's Grid'5000 testbed;
 // see Grid5000 for the topology used by the experiments.
 package simnet
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,12 +80,11 @@ func Grid5000(n int) Config {
 
 // link is a shared resource with finite capacity.
 type link struct {
-	name     string
 	capacity float64 // bytes/s; 0 means the link is unconstrained
 	sumW     float64 // Σ weight of unfrozen flows during recompute
 	capRem   float64
-	epoch    uint64 // recompute round the working state belongs to
-	active   int    // flows currently using the link
+	epoch    uint64  // recompute round the working state belongs to
+	flows    []*flow // active flows crossing the link, in arrival order
 	moved    float64
 }
 
@@ -98,10 +102,11 @@ type Network struct {
 	rackDn []*link
 	core   *link
 
-	flows      map[*flow]struct{}
+	flows      []*flow // active flows, in arrival order
 	lastUpdate time.Duration
 	timer      *sim.Timer
-	epoch      uint64
+	solving    bool   // a solve is scheduled for the current instant
+	epoch      uint64 // counts solves
 }
 
 type flow struct {
@@ -123,18 +128,18 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.NodesPerRack <= 0 {
 		cfg.NodesPerRack = cfg.Nodes
 	}
-	n := &Network{eng: eng, cfg: cfg, flows: make(map[*flow]struct{})}
+	n := &Network{eng: eng, cfg: cfg}
 	racks := (cfg.Nodes + cfg.NodesPerRack - 1) / cfg.NodesPerRack
 	for i := 0; i < cfg.Nodes; i++ {
-		n.up = append(n.up, &link{name: fmt.Sprintf("up[%d]", i), capacity: float64(cfg.NICBandwidth)})
-		n.down = append(n.down, &link{name: fmt.Sprintf("down[%d]", i), capacity: float64(cfg.NICBandwidth)})
-		n.disk = append(n.disk, &link{name: fmt.Sprintf("disk[%d]", i), capacity: float64(cfg.DiskBandwidth)})
+		n.up = append(n.up, &link{capacity: float64(cfg.NICBandwidth)})
+		n.down = append(n.down, &link{capacity: float64(cfg.NICBandwidth)})
+		n.disk = append(n.disk, &link{capacity: float64(cfg.DiskBandwidth)})
 	}
 	for r := 0; r < racks; r++ {
-		n.rackUp = append(n.rackUp, &link{name: fmt.Sprintf("rackUp[%d]", r), capacity: float64(cfg.RackUplink)})
-		n.rackDn = append(n.rackDn, &link{name: fmt.Sprintf("rackDn[%d]", r), capacity: float64(cfg.RackUplink)})
+		n.rackUp = append(n.rackUp, &link{capacity: float64(cfg.RackUplink)})
+		n.rackDn = append(n.rackDn, &link{capacity: float64(cfg.RackUplink)})
 	}
-	n.core = &link{name: "core", capacity: float64(cfg.CoreBandwidth)}
+	n.core = &link{capacity: float64(cfg.CoreBandwidth)}
 	return n
 }
 
@@ -318,13 +323,28 @@ func (n *Network) Transfer(p *Path, size int64) {
 	}
 	n.mu.Lock()
 	n.advanceLocked()
-	n.flows[f] = struct{}{}
+	n.flows = append(n.flows, f)
 	for _, l := range f.links {
-		l.active++
+		l.flows = append(l.flows, f)
 	}
-	n.recomputeLocked()
+	if !n.solving {
+		// The first arrival at an instant schedules the solve later ones
+		// join, and cancels the completion timer the solve re-arms.
+		n.solving = true
+		n.timer.Cancel()
+		n.timer = nil
+		n.eng.After(0, n.solve)
+	}
 	n.mu.Unlock()
 	f.done.Wait()
+}
+
+// solve is the one solve an instant's arrivals share (scheduler context).
+func (n *Network) solve() {
+	n.mu.Lock()
+	n.solving = false
+	n.recomputeLocked()
+	n.mu.Unlock()
 }
 
 // transferSmall charges a small payload at the path's uncontended
@@ -360,7 +380,7 @@ func (n *Network) advanceLocked() {
 	if dt <= 0 {
 		return
 	}
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.rate > 0 {
 			moved := f.rate * dt
 			if moved > f.remaining {
@@ -375,13 +395,16 @@ func (n *Network) advanceLocked() {
 }
 
 // recomputeLocked runs weighted max-min progressive filling over all
-// flows, then schedules the next completion event.
+// flows, then schedules the next completion event. It runs once per
+// instant: from solve for the arrivals, from onCompletion for the
+// departures. Flows are visited in arrival order, and freezing a
+// bottleneck walks only its own flows, in the same order.
 func (n *Network) recomputeLocked() {
 	// Gather active links and reset their working state, using an epoch
 	// marker so state left by earlier rounds is ignored.
 	n.epoch++
 	activeLinks := make([]*link, 0, 64)
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.rate = -1 // unfrozen
 		for i, l := range f.links {
 			if l.epoch != n.epoch {
@@ -409,7 +432,7 @@ func (n *Network) recomputeLocked() {
 		}
 		if bottleneck == nil {
 			// Remaining flows traverse only unconstrained links.
-			for f := range n.flows {
+			for _, f := range n.flows {
 				if f.rate < 0 {
 					f.rate = 1e18
 					unfrozen--
@@ -418,18 +441,8 @@ func (n *Network) recomputeLocked() {
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck.
-		for f := range n.flows {
+		for _, f := range bottleneck.flows {
 			if f.rate >= 0 {
-				continue
-			}
-			uses := false
-			for _, l := range f.links {
-				if l == bottleneck {
-					uses = true
-					break
-				}
-			}
-			if !uses {
 				continue
 			}
 			f.rate = best
@@ -450,13 +463,11 @@ func (n *Network) recomputeLocked() {
 // scheduleNextLocked (re)arms the completion timer for the earliest
 // finishing flow.
 func (n *Network) scheduleNextLocked() {
-	if n.timer != nil {
-		n.timer.Cancel()
-		n.timer = nil
-	}
+	n.timer.Cancel()
+	n.timer = nil
 	var next time.Duration
 	found := false
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.rate <= 0 {
 			continue
 		}
@@ -476,16 +487,17 @@ func (n *Network) onCompletion() {
 	const eps = 1.0 // bytes
 	n.mu.Lock()
 	n.advanceLocked()
+	isFinished := func(f *flow) bool { return f.remaining <= eps }
 	var finished []*flow
-	for f := range n.flows {
-		if f.remaining <= eps {
+	for _, f := range n.flows {
+		if isFinished(f) {
 			finished = append(finished, f)
 		}
 	}
+	n.flows = slices.DeleteFunc(n.flows, isFinished)
 	for _, f := range finished {
-		delete(n.flows, f)
 		for _, l := range f.links {
-			l.active--
+			l.flows = slices.DeleteFunc(l.flows, isFinished)
 		}
 	}
 	n.recomputeLocked()
