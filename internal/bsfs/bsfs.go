@@ -23,6 +23,7 @@
 package bsfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -70,6 +71,36 @@ type Service struct {
 	cfg  Config
 	ns   *fsapi.Namespace
 	dep  *core.Deployment
+
+	mu   sync.Mutex
+	free [][]byte // whole blocks whose commits have returned, for writers to refill
+}
+
+// block returns an empty block buffer with room for at least n bytes: a
+// free whole block if there is one, else a fresh one of exactly n.
+func (s *Service) block(n int64) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.free); k > 0 {
+		b := s.free[k-1]
+		s.free = s.free[:k-1]
+		return b[:0]
+	}
+	return make([]byte, 0, n)
+}
+
+// recycle takes back a block whose commit has returned: the providers'
+// caches copied its pages on ingest, so nothing refers to it any more.
+// Only whole blocks are kept, and no more than two writers' windows.
+func (s *Service) recycle(b []byte) {
+	if int64(cap(b)) != s.cfg.BlockSize {
+		return
+	}
+	s.mu.Lock()
+	if len(s.free) < 2*s.cfg.MaxInFlightBlocks {
+		s.free = append(s.free, b)
+	}
+	s.mu.Unlock()
 }
 
 // NewService starts the namespace manager over a BlobSeer deployment,
@@ -368,7 +399,10 @@ func (f *FS) BlockLocations(path string, off, length int64) ([]fsapi.BlockLocati
 // round trips (one ticket request, one batched publish) across
 // every in-flight block. Append order is preserved because the one
 // flusher requests every version ticket; errors are deferred and
-// surfaced by the next Write or by Close.
+// surfaced by the next Write or by Close. Bytes enter the pending block
+// by one copy, from p in Write or from the source in ReadFrom, and a
+// block whose commit has returned goes back to the service for the next
+// one.
 //
 // Error contract: when a commit fails — synchronously or in the
 // background — the writer is failed for good. The failed chunk and
@@ -391,7 +425,7 @@ type writer struct {
 	ctx  *cluster.Ctx // op scope bound at open; cancels pending commits
 
 	mu        sync.Mutex
-	buf       []byte // real buffered bytes
+	buf       []byte // the pending block: real bytes buffered toward the next commit
 	synthBuf  int64  // synthetic buffered bytes
 	synthetic bool
 	written   int64 // bytes committed, queued or buffered
@@ -444,26 +478,18 @@ func (w *writer) dropBufferedLocked() {
 	w.synthBuf = 0
 }
 
-// failWriteLocked settles a failed Write/WriteSynthetic call: it rolls
-// droppedNow bytes (the failed or never-queued chunk plus the call's
-// remaining buffer) out of the accepted count and returns how many of
-// the call's callLen bytes durably reached the blob. base and
-// queuedAtEntry snapshot committed/pending at call entry, pre is the
-// buffered byte count at entry; commits are FIFO, so whatever landed
-// beyond the entry backlog and the pre-existing buffer is the
-// committed prefix of this call's payload. By the time the error is
-// observed every successful commit has already been counted (failures
-// happen after all earlier successes), so the result is exact.
-func (w *writer) failWriteLocked(droppedNow, base, queuedAtEntry, pre, callLen int64) int64 {
-	w.written -= droppedNow
-	consumed := w.committed - base - queuedAtEntry - pre
-	if consumed < 0 {
-		consumed = 0
-	}
-	if consumed > callLen {
-		consumed = callLen
-	}
-	return consumed
+// consumedLocked settles a failed Write, ReadFrom or WriteSynthetic
+// call, once the bytes that will never reach the blob are rolled out of
+// the accepted count: it returns how many of the call's callLen bytes
+// durably reached the blob. base and queuedAtEntry snapshot
+// committed/pending at call entry, pre is the buffered byte count at
+// entry; commits are FIFO, so whatever landed beyond the entry backlog
+// and the pre-existing buffer is the committed prefix of this call's
+// payload. By the time the error is observed every successful commit
+// has already been counted (failures happen after all earlier
+// successes), so the result is exact.
+func (w *writer) consumedLocked(base, queuedAtEntry, pre, callLen int64) int64 {
+	return min(max(w.committed-base-queuedAtEntry-pre, 0), callLen)
 }
 
 // commitLocked hands one block to the commit path. w.mu must be held;
@@ -514,8 +540,9 @@ func (w *writer) commitLocked(b pendingBlock) error {
 // mixed batches) and capped at half the in-flight window, so window
 // slots free up between runs and the application keeps filling blocks
 // while earlier ones commit. It records the first error, rolls failed
-// and skipped blocks back out of the accepted byte count, and exits
-// once the queue drains — commitLocked restarts it with the next
+// and skipped blocks back out of the accepted byte count, hands every
+// block of a run back to the service once the run has returned, and
+// exits once the queue drains — commitLocked restarts it with the next
 // block.
 func (w *writer) flushLoop() {
 	maxRun := w.fs.svc.cfg.MaxInFlightBlocks / 2
@@ -558,6 +585,7 @@ func (w *writer) flushLoop() {
 				}
 				w.inFlight--
 				w.pending -= b.size
+				w.fs.svc.recycle(b.data)
 			}
 			if err != nil {
 				if w.flushErr == nil {
@@ -588,49 +616,138 @@ func (w *writer) commitRun(run []pendingBlock) (int, error) {
 	return len(versions), err
 }
 
-// Write implements io.Writer with block-granular commit through the
-// pipeline. On failure it returns exactly how many bytes of p durably
-// reached the blob — blocks that failed, were skipped behind a
-// failure, or still sat buffered are rolled back — and once any commit
-// has failed, every later call returns that error with n=0.
-func (w *writer) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// realLocked reports why the writer cannot take real bytes now, if it
+// cannot.
+func (w *writer) realLocked() error {
 	if w.closed {
-		return 0, fmt.Errorf("bsfs: write to closed writer")
+		return fmt.Errorf("bsfs: write to closed writer")
 	}
 	if w.synthetic {
-		return 0, fmt.Errorf("bsfs: mixing real and synthetic writes")
+		return fmt.Errorf("bsfs: mixing real and synthetic writes")
 	}
 	if err := w.flushErr; err != nil {
 		w.dropBufferedLocked()
+		return err
+	}
+	return nil
+}
+
+// roomLocked returns the pending block's free space, making some when
+// it has none. A new block is sized for the want more bytes the caller
+// expects, up to BlockSize, and a block that proves too small grows by
+// doubling.
+func (w *writer) roomLocked(want int64) []byte {
+	if len(w.buf) == cap(w.buf) {
+		have := int64(len(w.buf))
+		n := min(w.fs.svc.cfg.BlockSize, max(have+want, 2*have))
+		w.buf = append(w.fs.svc.block(n), w.buf...)
+	}
+	return w.buf[len(w.buf):cap(w.buf)]
+}
+
+// fillLocked accepts the m bytes just placed in the pending block's free
+// space. A whole block goes to the commit path; without a cache every
+// fill commits at once, and the block is refilled after its synchronous
+// commit. A block whose commit fails is rolled out of the accepted
+// count.
+func (w *writer) fillLocked(m int) error {
+	w.buf = w.buf[:len(w.buf)+m]
+	w.written += int64(m)
+	noCache := w.fs.svc.cfg.DisableCache
+	if len(w.buf) == 0 || int64(len(w.buf)) < w.fs.svc.cfg.BlockSize && !noCache {
+		return nil
+	}
+	b := pendingBlock{data: w.buf, size: int64(len(w.buf))}
+	w.buf = nil
+	if err := w.commitLocked(b); err != nil {
+		w.written -= b.size
+		return err
+	}
+	if noCache {
+		w.buf = b.data[:0]
+	}
+	return nil
+}
+
+// Write implements io.Writer with block-granular commit through the
+// pipeline: p is copied into the pending block. Without a cache, p
+// commits as one block before Write returns, with no copy. On failure
+// it returns exactly how many bytes of p durably reached the blob —
+// blocks that failed, were skipped behind a failure, or still sat
+// buffered are rolled back — and once any commit has failed, every
+// later call returns that error with n=0.
+func (w *writer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.realLocked(); err != nil {
 		return 0, err
 	}
-	pre, base, queued := int64(len(w.buf)), w.committed, w.pending
-	w.buf = append(w.buf, p...)
-	w.written += int64(len(p))
-	bs := w.fs.svc.cfg.BlockSize
 	if w.fs.svc.cfg.DisableCache {
-		bs = 1 // flush everything immediately
-	}
-	for int64(len(w.buf)) >= bs {
-		n := bs
-		if w.fs.svc.cfg.DisableCache {
-			n = int64(len(w.buf))
+		if len(p) == 0 {
+			return 0, nil
 		}
-		// The remainder moves to a fresh array, so the chunk keeps
-		// exclusive ownership of the old one — no copy needed.
-		chunk := w.buf[:n:n]
-		w.buf = append([]byte(nil), w.buf[n:]...)
-		if err := w.commitLocked(pendingBlock{data: chunk, size: n}); err != nil {
-			// Neither the chunk nor anything buffered behind it will
-			// reach the blob; report the prefix of p that already did.
-			dropped := n + int64(len(w.buf))
-			w.buf = nil
-			return int(w.failWriteLocked(dropped, base, queued, pre, int64(len(p)))), err
+		w.written += int64(len(p))
+		if err := w.commitLocked(pendingBlock{data: p, size: int64(len(p))}); err != nil {
+			w.written -= int64(len(p))
+			return 0, err
+		}
+		return len(p), nil
+	}
+	pre, base, queued := int64(len(w.buf)), w.committed, w.pending
+	for done := 0; done < len(p); {
+		m := copy(w.roomLocked(int64(len(p)-done)), p[done:])
+		done += m
+		if err := w.fillLocked(m); err != nil {
+			return int(w.consumedLocked(base, queued, pre, int64(len(p)))), err
 		}
 	}
 	return len(p), nil
+}
+
+// ReadFrom implements io.ReaderFrom, so io.Copy into the writer reads
+// the source straight into the pending block, with the commit pipeline
+// and error contract of Write; n counts the bytes read. A block is
+// sized for what the source has left when the source says (an
+// *io.LimitedReader, as an upload body is), so a short upload never
+// allocates a whole block. The source is read without the writer's
+// lock held, so the flusher settles commits meanwhile. A read error
+// other than io.EOF is returned with the bytes read before it still
+// buffered, for Close to commit.
+func (w *writer) ReadFrom(r io.Reader) (n int64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.realLocked(); err != nil {
+		return 0, err
+	}
+	pre, base, queued := int64(len(w.buf)), w.committed, w.pending
+	lr, sized := r.(*io.LimitedReader)
+	for {
+		want := w.fs.svc.cfg.BlockSize
+		if sized {
+			if lr.N <= 0 {
+				return n, nil
+			}
+			want = lr.N
+		}
+		room := w.roomLocked(want)
+		w.mu.Unlock()
+		m, rerr := r.Read(room)
+		w.mu.Lock()
+		n += int64(m)
+		if err := w.fillLocked(m); err != nil {
+			return w.consumedLocked(base, queued, pre, n), err
+		}
+		if err := w.flushErr; err != nil {
+			w.dropBufferedLocked()
+			return w.consumedLocked(base, queued, pre, n), err
+		}
+		if errors.Is(rerr, io.EOF) {
+			return n, nil
+		}
+		if rerr != nil {
+			return n, rerr
+		}
+	}
 }
 
 // WriteSynthetic implements fsapi.Writer, with the same pipeline and
@@ -663,9 +780,9 @@ func (w *writer) WriteSynthetic(n int64) (int64, error) {
 		}
 		w.synthBuf -= chunk
 		if err := w.commitLocked(pendingBlock{size: chunk}); err != nil {
-			dropped := chunk + w.synthBuf
+			w.written -= chunk + w.synthBuf
 			w.synthBuf = 0
-			return w.failWriteLocked(dropped, base, queued, pre, n), err
+			return w.consumedLocked(base, queued, pre, n), err
 		}
 	}
 	return n, nil

@@ -10,10 +10,14 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fsapi"
+	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 func setAllProvidersDown(svc *Service, down bool) {
@@ -424,5 +428,119 @@ func TestWriterPipelineBatchedFailureRollsBackBatch(t *testing.T) {
 	}
 	if len(vs) != 0 {
 		t.Fatalf("%d versions published from failed batches, want 0", len(vs))
+	}
+}
+
+// TestReadFromCommitsWhatWriteWould: io.Copy into a writer goes through
+// ReadFrom, which reads the source straight into the pending block. For
+// a payload that is not a whole number of blocks, a source that tears
+// mid-block, and a writer without a cache, the file it leaves holds
+// exactly the bytes a copy through Write leaves.
+func TestReadFromCommitsWhatWriteWould(t *testing.T) {
+	data := make([]byte, 256*5+100) // five blocks and part of a sixth
+	for i := range data {
+		data[i] = byte(i * 29)
+	}
+	errTorn := errors.New("torn")
+	sized := func(r io.Reader) io.Reader { return &io.LimitedReader{R: r, N: int64(len(data))} }
+	whole := func() io.Reader { return sized(bytes.NewReader(data)) }
+	torn := func() io.Reader { // 2.3 blocks, then the source fails
+		return sized(io.MultiReader(iotest.HalfReader(bytes.NewReader(data[:256*2+77])), iotest.ErrReader(errTorn)))
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		src  func() io.Reader
+		want int
+		err  error
+	}{
+		{"partial-last-block", Config{BlockSize: 256}, whole, len(data), nil},
+		{"unsized-source", Config{BlockSize: 256}, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }, len(data), nil},
+		{"torn-mid-block", Config{BlockSize: 256}, torn, 256*2 + 77, errTorn},
+		{"no-cache", Config{BlockSize: 256, DisableCache: true}, whole, len(data), nil},
+		{"no-cache-torn", Config{BlockSize: 256, DisableCache: true}, torn, 256*2 + 77, errTorn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, fs := newTestFS(t, tc.cfg)
+			for _, via := range []struct {
+				path string
+				dst  func(fsapi.Writer) io.Writer
+			}{
+				{"/readfrom", func(w fsapi.Writer) io.Writer { return w }},
+				{"/write", func(w fsapi.Writer) io.Writer { return struct{ io.Writer }{w} }},
+			} {
+				w, err := fs.Create(via.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, err := io.Copy(via.dst(w), tc.src())
+				if n != int64(tc.want) || !errors.Is(err, tc.err) {
+					t.Fatalf("%s: copy = %d, %v; want %d, %v", via.path, n, err, tc.want, tc.err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := readFile(t, fs, via.path); !bytes.Equal(got, data[:tc.want]) {
+					t.Fatalf("%s holds %d bytes, want the first %d of the source", via.path, len(got), tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentWritersReuseBlocks: writers of one service refill the
+// blocks each other's commits hand back, through Write and through
+// ReadFrom at once. On the simulator a commit takes virtual time, so the
+// other writers run while it is in flight; every file must still read
+// back as written, so no block is handed out while a commit or a writer
+// still holds it.
+func TestConcurrentWritersReuseBlocks(t *testing.T) {
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(8)))
+	dep, err := core.NewDeployment(env, core.Options{PageSize: 64, ProviderNodes: []cluster.NodeID{1, 2, 3, 4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(dep, Config{BlockSize: 256, MaxInFlightBlocks: 2})
+	const writers, rounds, size = 4, 6, 256*7 + 40
+	content := func(g, r int) []byte { return bytes.Repeat([]byte{byte(g*rounds + r)}, size) }
+	eng.Go(func() {
+		wg := env.NewWaitGroup()
+		for g := 0; g < writers; g++ {
+			wg.Go(func() {
+				fs := svc.NewFS(cluster.NodeID(g))
+				for r := 0; r < rounds; r++ {
+					path := fmt.Sprintf("/reuse/w%d-%d", g, r)
+					w, err := fs.Create(path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if g%2 == 0 {
+						_, err = w.Write(content(g, r))
+					} else {
+						_, err = io.Copy(w, &io.LimitedReader{R: iotest.HalfReader(bytes.NewReader(content(g, r))), N: size})
+					}
+					if cerr := w.Close(); err == nil {
+						err = cerr
+					}
+					if err != nil {
+						t.Errorf("%s: %v", path, err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait()
+		for g := 0; g < writers; g++ {
+			for r := 0; r < rounds; r++ {
+				if got := readFile(t, svc.NewFS(0), fmt.Sprintf("/reuse/w%d-%d", g, r)); !bytes.Equal(got, content(g, r)) {
+					t.Errorf("writer %d file %d read back wrong", g, r)
+				}
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

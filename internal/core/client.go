@@ -273,32 +273,46 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 	// predecessor version (page-level read-modify-write), which for
 	// concurrent writers waits for the predecessor's publication, so
 	// interleaved sub-page appends never lose bytes.
+	//
+	// A write with no fragment to merge, whose blocks each start on a
+	// page boundary, takes no buffer at all: each page is a slice of the
+	// caller's block (ext stays nil). That is every page-aligned append
+	// and every whole-page WriteAt. The store copies on ingest, so the
+	// caller may reuse its blocks once this returns.
 	alignedStart := base - base%ps
 	var ext []byte
 	if !synthetic {
 		_, hi := pageSpan(last.Offset, last.Length, ps)
 		extEnd := (hi-1)*ps + pageExtent(hi-1, ps, last.SizeAfter)
-		// Pooled (zeroed — holes in the merged fragments must read as
-		// zeros); the scatter joins every in-flight put (and the store
-		// copies on ingest) before this function returns, so the deferred
-		// recycle is safe on every path.
-		extBuf := getBuf(extEnd - alignedStart)
-		defer putBuf(extBuf)
-		ext = extBuf.b
 		head, tail := base-alignedStart, base+payload-alignedStart
-		if head > 0 {
-			if err := c.mergeFragment(s.ctx, blob, first.Version, ps, alignedStart, ext[:head]); err != nil {
-				return fail(err)
-			}
+		direct := head == 0 && tail == extEnd-alignedStart
+		for _, b := range blocks[:len(blocks)-1] {
+			direct = direct && int64(len(b.Data))%ps == 0
 		}
-		if tail < int64(len(ext)) { // a write inside the blob; appends end at SizeAfter
-			if err := c.mergeFragment(s.ctx, blob, first.Version, ps, base+payload, ext[tail:]); err != nil {
-				return fail(err)
+		if !direct {
+			// Pooled; the scatter joins every in-flight put before this
+			// function returns, so the deferred recycle is safe on every
+			// path. Only the fragments are cleared: where no version wrote,
+			// they must read as zeros.
+			extBuf := getBuf(extEnd - alignedStart)
+			defer putBuf(extBuf)
+			ext = extBuf.b
+			clear(ext[:head])
+			clear(ext[tail:])
+			if head > 0 {
+				if err := c.mergeFragment(s.ctx, blob, first.Version, ps, alignedStart, ext[:head]); err != nil {
+					return fail(err)
+				}
 			}
-		}
-		at := head
-		for _, b := range blocks {
-			at += int64(copy(ext[at:], b.Data))
+			if tail < int64(len(ext)) { // a write inside the blob; appends end at SizeAfter
+				if err := c.mergeFragment(s.ctx, blob, first.Version, ps, base+payload, ext[tail:]); err != nil {
+					return fail(err)
+				}
+			}
+			at := head
+			for _, b := range blocks {
+				at += int64(copy(ext[at:], b.Data))
+			}
 		}
 	}
 
@@ -322,14 +336,18 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 	perProv := make(map[cluster.NodeID][]pagePut)
 	var total int64
 	slot := 0
-	for _, t := range tickets {
+	for i, t := range tickets {
 		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
 		for p := lo; p < hi; p++ {
 			size := pageExtent(p, ps, t.Record.SizeAfter)
 			var content []byte
-			if !synthetic {
+			switch {
+			case ext != nil:
 				from := p*ps - alignedStart
 				content = ext[from : from+size]
+			case !synthetic:
+				from := p*ps - t.Record.Offset
+				content = blocks[i].Data[from : from+size]
 			}
 			total += size * int64(len(sets[slot]))
 			for _, prov := range sets[slot] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -82,6 +83,55 @@ func TestMultiPageWrite(t *testing.T) {
 	}
 	if !bytes.Equal(sub, data[150:350]) {
 		t.Fatal("sub-range mismatch")
+	}
+}
+
+// TestWriteDoesNotAliasCallerBlocks: a page-aligned write hands the
+// providers slices of the caller's blocks, which the stores copy on
+// ingest, so a block overwritten right after the call returns leaves
+// the version it wrote intact.
+func TestWriteDoesNotAliasCallerBlocks(t *testing.T) {
+	d := newLocalDeployment(t, Options{PageSize: 64})
+	blob, err := d.NewClient(0).CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = seed + byte(i%251)
+		}
+		return b
+	}
+	read := func(v Version, n int) []byte {
+		got := make([]byte, n)
+		if _, err := blob.ReadAt(got, 0, AtVersion(v)); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	// Two blocks, the first of whole pages, the second ending mid-page.
+	a, b := fill(256, 1), fill(100, 2)
+	want := slices.Concat(a, b)
+	vs, _, err := blob.Append(Blocks(a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(a)
+	clear(b)
+	// Two whole pages written over the middle of the blob.
+	w := fill(128, 3)
+	over := slices.Concat(want[:64], w, want[192:])
+	v, err := blob.WriteAt(w, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(w)
+	if got := read(vs[1], len(want)); !bytes.Equal(got, want) {
+		t.Fatal("the appended version changed when the caller reused its blocks")
+	}
+	if got := read(v, len(over)); !bytes.Equal(got, over) {
+		t.Fatal("the written version changed when the caller reused its block")
 	}
 }
 

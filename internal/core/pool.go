@@ -19,16 +19,15 @@ type pageBuf struct {
 
 var bufPool = sync.Pool{New: func() any { return new(pageBuf) }}
 
-// getBuf returns a zeroed buffer of length n. Zeroing is part of the
-// contract: the write path's extended buffer relies on untouched
-// bytes reading as zeros (holes).
+// getBuf returns a buffer of length n whose contents are whatever its
+// last user left: every caller overwrites what it reads back (the write
+// path clears the fragments it does not merge or copy over).
 func getBuf(n int64) *pageBuf {
 	pb := bufPool.Get().(*pageBuf)
 	if int64(cap(pb.b)) < n {
 		pb.b = make([]byte, n)
 	} else {
 		pb.b = pb.b[:n]
-		clear(pb.b)
 	}
 	return pb
 }

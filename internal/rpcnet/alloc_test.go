@@ -3,17 +3,13 @@
 package rpcnet
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/bsfs"
 	"repro/internal/core"
 )
-
-// poolMisses is how many of the chunks a served stream takes from the
-// sync.Pool may be fresh allocations: a chunk put back is the next one
-// taken, so only the first (see race_test.go for the race runtime).
-const poolMisses = 1
 
 // TestAllocWireGet pins the bytes the process allocates to return a
 // file over the wire, server and client together: the client's result
@@ -44,4 +40,53 @@ func TestAllocWireGet(t *testing.T) {
 	if perByte > 2.5 {
 		t.Errorf("%.2f bytes allocated per byte returned, want <= 2.5", perByte)
 	}
+}
+
+// TestAllocWirePut pins the bytes the process allocates to take files
+// over the wire, server and client together. The socket is read
+// straight into the writer's pending block, a whole block is reused
+// once its commit returns, the providers are handed slices of it, and
+// the disk log writes each record from the page itself: what is left is
+// each provider cache's own copy of a page, plus small change (1.007
+// bytes per byte). The pin is that figure × 1.25, the rule ROADMAP item
+// 5 sets for large operations. A file smaller than a block gets a
+// buffer of its own size, never a whole block.
+func TestAllocWirePut(t *testing.T) {
+	const size, puts = 8 << 20, 10
+	data := pattern(size)
+	addr, _ := serve(t, core.Options{PageSize: 256 << 10, Provider: core.ProviderConfig{MemCapacity: 16 << 20, Store: "disk:" + t.TempDir()}}, bsfs.Config{BlockSize: 4 << 20})
+	c := dialTest(t, addr)
+	if err := c.Put("/warm", data); err != nil { // fill the free blocks
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < puts; i++ {
+		if err := c.Put(fmt.Sprintf("/f%d", i), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perByte := float64(m1.TotalAlloc-m0.TotalAlloc) / (puts * size)
+	t.Logf("%.3f bytes allocated per byte uploaded", perByte)
+	if perByte > 1.26 {
+		t.Errorf("%.3f bytes allocated per byte uploaded, want <= 1.26", perByte)
+	}
+
+	t.Run("1KiB-file-64MiB-blocks", func(t *testing.T) {
+		addr, _ := serve(t, core.Options{PageSize: 256 << 10}, bsfs.Config{BlockSize: 64 << 20})
+		c := dialTest(t, addr)
+		if _, err := c.Stat("/"); err != nil { // the connection is served
+			t.Fatal(err)
+		}
+		// The first upload: no block of an earlier one is free to take.
+		runtime.ReadMemStats(&m0)
+		if err := c.Put("/small", data[:1<<10]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%d bytes allocated for a 1 KiB upload, want < 1 MiB", grew)
+		}
+	})
 }

@@ -30,17 +30,18 @@
 //	              version = node (join: 0 = pick one)
 //
 // A write is answered by one status; a read by a status, data frames
-// and a closing status (or one error status). An upload passes through
-// one pooled MaxChunk buffer into one fsapi.Writer, so a block commits
-// while the next arrives, and that writer is closed when the stream
-// ends or tears: no server state outlives its connection. A refused
-// request has its payload skipped and leaves the connection usable; a
-// malformed header is answered and hung up on. A read reply comes from
-// one OpenAt: Get returns exactly one published snapshot whatever is
-// appended meanwhile, fetches each page once, and reports a mid-stream
-// read error in the closing status, not as a short file. Ops 5-16 are
-// the control calls: no file bytes, a request payload of at most one
-// path, the reply value as JSON; the server decodes no structured body.
+// and a closing status (or one error status). An upload is read from
+// the socket straight into one fsapi.Writer's pending block, so a
+// block commits while the next arrives, and that writer is closed when
+// the stream ends or tears: no server state outlives its connection. A
+// refused request has its payload skipped and leaves the connection
+// usable; a malformed header is answered and hung up on. A read reply
+// comes from one OpenAt: Get returns exactly one published snapshot
+// whatever is appended meanwhile, fetches each page once, and reports a
+// mid-stream read error in the closing status, not as a short file. Ops
+// 5-16 are the control calls: no file bytes, a request payload of at
+// most one path, the reply value as JSON; the server decodes no
+// structured body.
 //
 // Admission charges the tenant one token per write or read, at its
 // start, before any writer or reader opens, and holds it until the

@@ -20,8 +20,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// MaxChunk is the size of the server's pooled payload buffer: an upload
-// is consumed, and a download framed, in pieces of at most this size.
+// MaxChunk is the size of the server's pooled payload buffer: a
+// download is framed in pieces of at most this size.
 const MaxChunk = 4 << 20
 
 const (
@@ -143,7 +143,7 @@ func writeStatus(conn net.Conn, h header, err error, value []byte) error {
 	return writeFrame(conn, h, msg, "", value)
 }
 
-// chunks pools the MaxChunk payload buffers, one per exchange in flight.
+// chunks pools the MaxChunk payload buffers, one per read in flight.
 var chunks = sync.Pool{New: func() any { return new([MaxChunk]byte) }}
 
 // exchange serves one request. A nil return means the reply is sent and
@@ -185,10 +185,11 @@ func (s *Service) exchange(conn net.Conn, br *bufio.Reader) error {
 	return writeStatus(conn, header{Length: int64(len(value))}, err, value)
 }
 
-// serveWrite feeds the upload to one writer through one pooled chunk.
-// The writer is closed however the stream ends, so a torn upload commits
-// what arrived and leaves nothing behind.
-func (s *Service) serveWrite(body io.Reader, appendTo bool, path string) error {
+// serveWrite copies the upload into one writer; the bsfs writer's
+// ReadFrom reads the socket straight into its pending block. The writer
+// is closed however the stream ends, so a torn upload commits what
+// arrived and leaves nothing behind.
+func (s *Service) serveWrite(body *io.LimitedReader, appendTo bool, path string) error {
 	open := s.fs.Create
 	if appendTo {
 		open = s.fs.Append
@@ -197,17 +198,7 @@ func (s *Service) serveWrite(body io.Reader, appendTo bool, path string) error {
 	if err != nil {
 		return err
 	}
-	buf := chunks.Get().(*[MaxChunk]byte)
-	defer chunks.Put(buf)
-	for {
-		n, rerr := io.ReadFull(body, buf[:])
-		if n > 0 && err == nil {
-			_, err = w.Write(buf[:n])
-		}
-		if rerr != nil { // the payload's end, or a tear
-			break
-		}
-	}
+	_, err = io.Copy(w, body)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}

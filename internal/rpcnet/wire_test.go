@@ -19,6 +19,12 @@ import (
 	"repro/internal/fsapi"
 )
 
+// poolMisses is how many of the chunks a served stream takes from the
+// sync.Pool may be fresh allocations. Only a read takes a chunk, and a
+// stream below reads at most once, so it is one under either runtime,
+// though the race runtime's Pool drops one Put in four at random.
+const poolMisses = 1
+
 // pattern fills n bytes that differ from page to page.
 func pattern(n int) []byte {
 	b := make([]byte, n)

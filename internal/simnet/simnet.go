@@ -103,6 +103,7 @@ type Network struct {
 	core   *link
 
 	flows      []*flow // active flows, in arrival order
+	active     []*link // recompute's scratch: the links those flows cross
 	lastUpdate time.Duration
 	timer      *sim.Timer
 	solving    bool   // a solve is scheduled for the current instant
@@ -403,7 +404,7 @@ func (n *Network) recomputeLocked() {
 	// Gather active links and reset their working state, using an epoch
 	// marker so state left by earlier rounds is ignored.
 	n.epoch++
-	activeLinks := make([]*link, 0, 64)
+	activeLinks := n.active[:0]
 	for _, f := range n.flows {
 		f.rate = -1 // unfrozen
 		for i, l := range f.links {
@@ -416,6 +417,7 @@ func (n *Network) recomputeLocked() {
 			l.sumW += f.weights[i]
 		}
 	}
+	n.active = activeLinks
 	unfrozen := len(n.flows)
 	for unfrozen > 0 {
 		// Find the tightest link.

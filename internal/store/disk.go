@@ -32,6 +32,10 @@ const (
 	recTombstone = 2
 	recSynthetic = 3
 
+	// recFraming is a record's length besides its key and payload: kind,
+	// key length, size, payload length and crc.
+	recFraming = 21
+
 	segMaxBytes = 64 << 20
 )
 
@@ -61,7 +65,9 @@ type diskBackend struct {
 	active   *os.File
 	activeID int
 	activeSz int64
-	garbage  int64 // bytes of superseded records (rough)
+	garbage  int64            // bytes of superseded records (rough)
+	readers  map[int]*os.File // Get's read handle per segment, opened on first use
+	head     []byte           // a record's header, then its trailer: one buffer for every record
 }
 
 func segName(id int) string { return fmt.Sprintf("seg-%06d.wal", id) }
@@ -70,7 +76,7 @@ func openDisk(dir string) (*diskBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &diskBackend{dir: dir, index: make(map[string]diskRec)}
+	w := &diskBackend{dir: dir, index: make(map[string]diskRec), readers: make(map[int]*os.File)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -176,7 +182,7 @@ func (w *diskBackend) replay(id int) error {
 		}
 		rec.seg = id
 		if old, ok := w.index[key]; ok {
-			w.garbage += old.dataLen + int64(len(key)) + 21
+			w.garbage += old.dataLen + int64(len(key)) + recFraming
 		}
 		if rec.size < 0 { // tombstone
 			delete(w.index, key)
@@ -238,18 +244,36 @@ func readRecord(f *os.File, off int64) (diskRec, string, int64, error) {
 	return rec, key, dataOff + dataLen + 4, nil
 }
 
-func encodeRecord(kind byte, key string, size int64, data []byte) []byte {
-	n := 5 + len(key) + 12 + len(data) + 4
-	buf := make([]byte, 0, n)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(size))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
-	buf = append(buf, data...)
-	crc := crc32.ChecksumIEEE(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf
+// appendRecord logs one record at the end of the active segment and
+// returns the offset of its payload. The header and the CRC trailer are
+// built in one reused buffer (a Backend is used by one goroutine at a
+// time) and the payload is written from the caller's slice, so a record
+// costs no allocation and no copy; the CRC runs over header and payload
+// in turn. A record that fails part way is cut off again, so the next
+// one starts where replay expects it.
+func (w *diskBackend) appendRecord(kind byte, key string, size int64, data []byte) (int64, error) {
+	h := append(w.head[:0], kind)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(key)))
+	h = append(h, key...)
+	h = binary.LittleEndian.AppendUint64(h, uint64(size))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(data)))
+	crc := crc32.Update(crc32.ChecksumIEEE(h), crc32.IEEETable, data)
+	w.head = binary.LittleEndian.AppendUint32(h, crc)
+	var err error
+	if len(data) == 0 {
+		_, err = w.active.Write(w.head)
+	} else if _, err = w.active.Write(h); err == nil {
+		if _, err = w.active.Write(data); err == nil {
+			_, err = w.active.Write(w.head[len(h):])
+		}
+	}
+	if err != nil {
+		_ = w.active.Truncate(w.activeSz) // best effort: replay cuts a torn tail anyway
+		return 0, err
+	}
+	dataOff := w.activeSz + int64(len(h))
+	w.activeSz += int64(len(w.head) + len(data))
+	return dataOff, nil
 }
 
 func (w *diskBackend) Spec() string { return "disk:" + w.dir }
@@ -263,21 +287,19 @@ func (w *diskBackend) Put(key string, data []byte, size int64, synthetic bool) e
 		kind = recSynthetic
 		data = nil
 	}
-	rec := encodeRecord(kind, key, size, data)
-	if w.activeSz > 0 && w.activeSz+int64(len(rec)) > segMaxBytes {
+	if w.activeSz > 0 && w.activeSz+int64(len(key)+len(data))+recFraming > segMaxBytes {
 		if err := w.roll(w.activeID + 1); err != nil {
 			return err
 		}
 	}
-	if _, err := w.active.Write(rec); err != nil {
+	dataOff, err := w.appendRecord(kind, key, size, data)
+	if err != nil {
 		return err
 	}
-	dataOff := w.activeSz + 5 + int64(len(key)) + 12
 	if old, ok := w.index[key]; ok {
-		w.garbage += old.dataLen + int64(len(key)) + 21
+		w.garbage += old.dataLen + int64(len(key)) + recFraming
 	}
 	w.index[key] = diskRec{seg: w.activeID, off: dataOff, dataLen: int64(len(data)), size: size, synthetic: synthetic}
-	w.activeSz += int64(len(rec))
 	return nil
 }
 
@@ -289,18 +311,19 @@ func (w *diskBackend) Delete(key string) error {
 	if !ok {
 		return nil // nothing logged, nothing to tombstone
 	}
-	rec := encodeRecord(recTombstone, key, 0, nil)
-	if _, err := w.active.Write(rec); err != nil {
+	if _, err := w.appendRecord(recTombstone, key, 0, nil); err != nil {
 		return err
 	}
-	w.activeSz += int64(len(rec))
-	w.garbage += old.dataLen + int64(len(key)) + 21
+	w.garbage += old.dataLen + int64(len(key)) + recFraming
 	delete(w.index, key)
 	return nil
 }
 
 // Get fetches the payload bytes of the latest record for key.
 func (w *diskBackend) Get(key string) ([]byte, error) {
+	if w.active == nil {
+		return nil, ErrClosed
+	}
 	rec, ok := w.index[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (log)", ErrNotFound, key)
@@ -308,16 +331,32 @@ func (w *diskBackend) Get(key string) ([]byte, error) {
 	if rec.synthetic {
 		return nil, nil
 	}
-	f, err := os.Open(filepath.Join(w.dir, segName(rec.seg)))
-	if err != nil {
-		return nil, err
+	f := w.readers[rec.seg]
+	if f == nil {
+		var err error
+		if f, err = os.Open(filepath.Join(w.dir, segName(rec.seg))); err != nil {
+			return nil, err
+		}
+		w.readers[rec.seg] = f
 	}
-	defer f.Close()
 	buf := make([]byte, rec.dataLen)
 	if _, err := f.ReadAt(buf, rec.off); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// closeReaders closes Get's read handles: before Compact deletes the
+// segments they read, and in Close.
+func (w *diskBackend) closeReaders() error {
+	var err error
+	for seg, f := range w.readers {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		delete(w.readers, seg)
+	}
+	return err
 }
 
 func (w *diskBackend) Stat(key string) (Meta, bool) {
@@ -389,6 +428,9 @@ func (w *diskBackend) Compact() error {
 	if err := w.Sync(); err != nil {
 		return err
 	}
+	if err := w.closeReaders(); err != nil {
+		return err
+	}
 	for _, id := range oldSegs {
 		if err := os.Remove(filepath.Join(w.dir, segName(id))); err != nil {
 			return err
@@ -403,6 +445,9 @@ func (w *diskBackend) Close() error {
 	}
 	err := w.active.Sync()
 	if cerr := w.active.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := w.closeReaders(); err == nil {
 		err = cerr
 	}
 	w.active = nil

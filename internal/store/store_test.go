@@ -333,6 +333,123 @@ func TestDiskTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestLogRecordReuseReplays: every record is built in one reused buffer,
+// so a long record, then a short one, then a tombstone must each replay
+// exactly; and a log cut inside the short record replays the long one
+// alone, cut back to its end.
+func TestLogRecordReuseReplays(t *testing.T) {
+	big := make([]byte, 256<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	short := []byte("ten bytes!")
+	// A record is 21 bytes of framing, its key and its payload.
+	bigEnd := int64(21 + len("big") + len(big))
+	shortEnd := bigEnd + int64(21+len("short")+len(short))
+	logEnd := shortEnd + int64(21+len("big"))
+	write := func() string {
+		dir := t.TempDir()
+		be, err := Open("disk:" + dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, err := range []error{
+			be.Put("big", big, int64(len(big)), false),
+			be.Put("short", short, int64(len(short)), false),
+			be.Delete("big"),
+			be.Close(),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return filepath.Join(dir, segName(1))
+	}
+	reopen := func(seg string, wantSize int64) Backend {
+		t.Helper()
+		be, err := Open("disk:" + filepath.Dir(seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { be.Close() })
+		if fi, err := os.Stat(seg); err != nil || fi.Size() != wantSize {
+			t.Fatalf("log after replay = %v, %v; want %d bytes", fi, err, wantSize)
+		}
+		return be
+	}
+
+	be := reopen(write(), logEnd)
+	if got, err := be.Get("short"); err != nil || !bytes.Equal(got, short) {
+		t.Fatalf("short record = %q, %v", got, err)
+	}
+	if _, ok := be.Stat("big"); ok || be.Len() != 1 {
+		t.Fatalf("tombstoned record replayed: Len = %d", be.Len())
+	}
+
+	seg := write()
+	if err := os.Truncate(seg, bigEnd+(shortEnd-bigEnd)/2); err != nil {
+		t.Fatal(err)
+	}
+	be = reopen(seg, bigEnd)
+	if got, err := be.Get("big"); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("long record before the cut = %d bytes, %v", len(got), err)
+	}
+	if _, ok := be.Stat("short"); ok || be.Len() != 1 {
+		t.Fatalf("cut record replayed: Len = %d", be.Len())
+	}
+}
+
+// TestDiskCompactClosesReadHandles: Get keeps one read handle per
+// segment; Compact closes them before deleting the segments, and Close
+// closes the rest, so no descriptor outlives the backend.
+func TestDiskCompactClosesReadHandles(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor table to count: %v", err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	use := func(be Backend, round int) {
+		for i := 0; i < 4; i++ {
+			key := fmt.Sprintf("k%d", i)
+			if err := be.Put(key, []byte{byte(round), byte(i)}, 2, false); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := be.Get(key); err != nil || !bytes.Equal(got, []byte{byte(round), byte(i)}) {
+				t.Fatalf("round %d %s = %v, %v", round, key, got, err)
+			}
+		}
+	}
+	// One open, use and close first, so whatever the runtime opens once
+	// per process is counted at the start.
+	be, err := Open("disk:" + dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	use(be, 0)
+	be.Close()
+
+	start := fds()
+	if be, err = Open("disk:" + dir); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		use(be, round)
+		if err := be.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	use(be, 4)
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fds(); n != start {
+		t.Fatalf("%d descriptors open after Close, %d before Open", n, start)
+	}
+}
+
 func TestDiskOperationsAfterClose(t *testing.T) {
 	be, err := Open("disk:" + t.TempDir())
 	if err != nil {
