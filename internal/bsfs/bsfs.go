@@ -72,16 +72,24 @@ type Service struct {
 	ns   *fsapi.Namespace
 	dep  *core.Deployment
 
+	// free holds whole blocks whose commits have returned, for the next
+	// writer to refill, for the service's lifetime: at most two writers'
+	// windows, 2 × MaxInFlightBlocks × BlockSize bytes, the in-flight
+	// blocks of two concurrent uploads. That many serves two clients
+	// uploading back to back from the list alone; a list dropped
+	// whenever no writer is open would miss at every gap between one
+	// client's files.
 	mu   sync.Mutex
-	free [][]byte // whole blocks whose commits have returned, for writers to refill
+	free [][]byte
 }
 
 // block returns an empty block buffer with room for at least n bytes: a
-// free whole block if there is one, else a fresh one of exactly n.
+// free whole block if there is one and n fits, else a fresh one of
+// exactly n.
 func (s *Service) block(n int64) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if k := len(s.free); k > 0 {
+	if k := len(s.free); k > 0 && n <= s.cfg.BlockSize {
 		b := s.free[k-1]
 		s.free = s.free[:k-1]
 		return b[:0]
@@ -430,6 +438,7 @@ type writer struct {
 	synthetic bool
 	written   int64 // bytes committed, queued or buffered
 	closed    bool
+	filling   bool // ReadFrom is reading into buf with mu released
 
 	// Commit pipeline state. progSig is a one-shot wakeup re-armed on
 	// use: it parks producers waiting for window space and Close
@@ -616,9 +625,16 @@ func (w *writer) commitRun(run []pendingBlock) (int, error) {
 	return len(versions), err
 }
 
+// errFilling refuses a call that would touch the pending block while
+// ReadFrom reads into it.
+var errFilling = errors.New("bsfs: writer in use by ReadFrom")
+
 // realLocked reports why the writer cannot take real bytes now, if it
 // cannot.
 func (w *writer) realLocked() error {
+	if w.filling {
+		return errFilling
+	}
 	if w.closed {
 		return fmt.Errorf("bsfs: write to closed writer")
 	}
@@ -635,11 +651,16 @@ func (w *writer) realLocked() error {
 // roomLocked returns the pending block's free space, making some when
 // it has none. A new block is sized for the want more bytes the caller
 // expects, up to BlockSize, and a block that proves too small grows by
-// doubling.
+// doubling. Without a cache every fill is one commit, so the block is
+// grown to want even past BlockSize: one Write, one commit.
 func (w *writer) roomLocked(want int64) []byte {
-	if len(w.buf) == cap(w.buf) {
+	noCache := w.fs.svc.cfg.DisableCache
+	if len(w.buf) == cap(w.buf) || noCache && int64(cap(w.buf)) < want {
 		have := int64(len(w.buf))
-		n := min(w.fs.svc.cfg.BlockSize, max(have+want, 2*have))
+		n := max(have+want, 2*have)
+		if !noCache {
+			n = min(n, w.fs.svc.cfg.BlockSize)
+		}
 		w.buf = append(w.fs.svc.block(n), w.buf...)
 	}
 	return w.buf[len(w.buf):cap(w.buf)]
@@ -670,28 +691,17 @@ func (w *writer) fillLocked(m int) error {
 }
 
 // Write implements io.Writer with block-granular commit through the
-// pipeline: p is copied into the pending block. Without a cache, p
-// commits as one block before Write returns, with no copy. On failure
-// it returns exactly how many bytes of p durably reached the blob —
-// blocks that failed, were skipped behind a failure, or still sat
-// buffered are rolled back — and once any commit has failed, every
-// later call returns that error with n=0.
+// pipeline: p is copied into the pending block (without a cache, p
+// commits as one block before Write returns). On failure it returns
+// exactly how many bytes of p durably reached the blob — blocks that
+// failed, were skipped behind a failure, or still sat buffered are
+// rolled back — and once any commit has failed, every later call
+// returns that error with n=0.
 func (w *writer) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.realLocked(); err != nil {
 		return 0, err
-	}
-	if w.fs.svc.cfg.DisableCache {
-		if len(p) == 0 {
-			return 0, nil
-		}
-		w.written += int64(len(p))
-		if err := w.commitLocked(pendingBlock{data: p, size: int64(len(p))}); err != nil {
-			w.written -= int64(len(p))
-			return 0, err
-		}
-		return len(p), nil
 	}
 	pre, base, queued := int64(len(w.buf)), w.committed, w.pending
 	for done := 0; done < len(p); {
@@ -710,9 +720,11 @@ func (w *writer) Write(p []byte) (int, error) {
 // sized for what the source has left when the source says (an
 // *io.LimitedReader, as an upload body is), so a short upload never
 // allocates a whole block. The source is read without the writer's
-// lock held, so the flusher settles commits meanwhile. A read error
-// other than io.EOF is returned with the bytes read before it still
-// buffered, for Close to commit.
+// lock held, so the flusher settles commits meanwhile; a Write,
+// WriteSynthetic, ReadFrom or Close from another goroutine during that
+// read is refused, as it would touch the block being read into. A read
+// error other than io.EOF is returned with the bytes read before it
+// still buffered, for Close to commit.
 func (w *writer) ReadFrom(r io.Reader) (n int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -727,12 +739,14 @@ func (w *writer) ReadFrom(r io.Reader) (n int64, err error) {
 			if lr.N <= 0 {
 				return n, nil
 			}
-			want = lr.N
+			want = min(want, lr.N)
 		}
 		room := w.roomLocked(want)
+		w.filling = true
 		w.mu.Unlock()
 		m, rerr := r.Read(room)
 		w.mu.Lock()
+		w.filling = false
 		n += int64(m)
 		if err := w.fillLocked(m); err != nil {
 			return w.consumedLocked(base, queued, pre, n), err
@@ -755,6 +769,9 @@ func (w *writer) ReadFrom(r io.Reader) (n int64, err error) {
 func (w *writer) WriteSynthetic(n int64) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.filling {
+		return 0, errFilling
+	}
 	if w.closed {
 		return 0, fmt.Errorf("bsfs: write to closed writer")
 	}
@@ -789,12 +806,17 @@ func (w *writer) WriteSynthetic(n int64) (int64, error) {
 }
 
 // Close commits the buffered remainder, drains the pipeline, surfaces
-// the first deferred commit error, and commits the file size.
+// the first deferred commit error, and commits the file size. A Close
+// during a ReadFrom's read is refused and leaves the writer open.
 func (w *writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return nil
+	}
+	if w.filling {
+		w.mu.Unlock()
+		return errFilling
 	}
 	w.closed = true
 	var closeErr error
@@ -826,6 +848,7 @@ func (w *writer) Close() error {
 	if closeErr == nil {
 		closeErr = w.flushErr
 	}
+	w.buf = nil // without a cache, the request-sized block kept for refills
 	w.mu.Unlock()
 	if closeErr != nil {
 		return closeErr

@@ -353,6 +353,11 @@ func TestDisableCacheAblation(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("no-cache round trip mismatch")
 	}
+	// Without a cache a write goes to BlobSeer at request granularity:
+	// one Write, one version, however many blocks it spans.
+	if vs, err := fs.Versions("/nc"); err != nil || len(vs) != 1 {
+		t.Fatalf("versions = %v, %v; want one for one Write", vs, err)
+	}
 }
 
 func TestConcurrentAppendsSameFileSim(t *testing.T) {

@@ -488,6 +488,73 @@ func TestReadFromCommitsWhatWriteWould(t *testing.T) {
 	}
 }
 
+// gateReader reports each Read on entered, then fills it with the next
+// slice from release, or ends the stream once release is closed.
+type gateReader struct {
+	entered chan struct{}
+	release chan []byte
+}
+
+func (g gateReader) Read(p []byte) (int, error) {
+	g.entered <- struct{}{}
+	b, ok := <-g.release
+	if !ok {
+		return 0, io.EOF
+	}
+	return copy(p, b), nil
+}
+
+// TestReadFromRefusesConcurrentCalls: while ReadFrom reads the source
+// into the pending block with the writer's lock released, a Write,
+// WriteSynthetic, ReadFrom or Close from another goroutine is refused
+// instead of touching that block. The writer is unharmed: once the read
+// returns, the file holds exactly what ReadFrom read.
+func TestReadFromRefusesConcurrentCalls(t *testing.T) {
+	_, fs := newTestFS(t, Config{BlockSize: 256})
+	w, err := fs.Create("/busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := gateReader{entered: make(chan struct{}), release: make(chan []byte)}
+	type result struct {
+		n   int64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := w.(io.ReaderFrom).ReadFrom(src)
+		done <- result{n, err}
+	}()
+	data := bytes.Repeat([]byte("r"), 300)
+	for _, part := range [][]byte{data[:200], data[200:256], data[256:]} { // each fits the room it is read into
+		<-src.entered
+		if n, err := w.Write([]byte("w")); n != 0 || !errors.Is(err, errFilling) {
+			t.Errorf("Write during ReadFrom = %d, %v; want 0, errFilling", n, err)
+		}
+		if n, err := w.WriteSynthetic(1); n != 0 || !errors.Is(err, errFilling) {
+			t.Errorf("WriteSynthetic during ReadFrom = %d, %v; want 0, errFilling", n, err)
+		}
+		if n, err := w.(io.ReaderFrom).ReadFrom(bytes.NewReader([]byte("x"))); n != 0 || !errors.Is(err, errFilling) {
+			t.Errorf("ReadFrom during ReadFrom = %d, %v; want 0, errFilling", n, err)
+		}
+		if err := w.Close(); !errors.Is(err, errFilling) {
+			t.Errorf("Close during ReadFrom = %v, want errFilling", err)
+		}
+		src.release <- part
+	}
+	<-src.entered
+	close(src.release)
+	if r := <-done; r.n != int64(len(data)) || r.err != nil {
+		t.Fatalf("ReadFrom = %d, %v; want %d, nil", r.n, r.err, len(data))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, fs, "/busy"); !bytes.Equal(got, data) {
+		t.Fatalf("file holds %q, want what ReadFrom read", got)
+	}
+}
+
 // TestConcurrentWritersReuseBlocks: writers of one service refill the
 // blocks each other's commits hand back, through Write and through
 // ReadFrom at once. On the simulator a commit takes virtual time, so the

@@ -65,9 +65,13 @@ type diskBackend struct {
 	active   *os.File
 	activeID int
 	activeSz int64
-	garbage  int64            // bytes of superseded records (rough)
-	readers  map[int]*os.File // Get's read handle per segment, opened on first use
-	head     []byte           // a record's header, then its trailer: one buffer for every record
+	garbage  int64 // bytes of superseded records (rough)
+	// readers holds Get's read handle per segment, opened on first use
+	// and kept until Compact or Close: one descriptor per segment read
+	// since then, so a 1 GiB log read end to end holds 16 of them, on
+	// every provider in the process.
+	readers map[int]*os.File
+	head    []byte // a record's header, then its trailer: one buffer for every record
 }
 
 func segName(id int) string { return fmt.Sprintf("seg-%06d.wal", id) }

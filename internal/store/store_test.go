@@ -455,9 +455,16 @@ func TestDiskOperationsAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := be.Put("real", []byte("payload"), 7, false); err != nil {
+		t.Fatal(err)
+	}
 	be.Close()
 	if err := be.Put("k", nil, 1, true); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after close = %v, want ErrClosed", err)
+	}
+	// A logged key must not reopen its segment for a read.
+	if data, err := be.Get("real"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after close = %q, %v; want ErrClosed", data, err)
 	}
 	if err := be.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync after close = %v, want ErrClosed", err)
