@@ -12,7 +12,7 @@
 //	blobctl stat /data/input
 //	blobctl shards                           # version-manager tier topology
 //	blobctl shards /data/input               # which shard owns this file
-//	blobctl providers                        # provider fleet: health + occupancy
+//	blobctl providers                        # provider fleet: health + occupancy + last sweep
 //	blobctl tenants                          # per-tenant admission counters
 //	blobctl -tenant team-a put /data/input < local.txt
 //	blobctl join                             # grow the fleet (auto-picks a node)
@@ -41,7 +41,7 @@ commands:
   stat <path>           show file metadata
   versions <path>       list a file's snapshots
   shards [<path>]       show the version-manager tier (and a file's owning shard)
-  providers             show the provider fleet: health, occupancy, backend, epoch
+  providers             show the provider fleet: health, occupancy, backend, epoch, last sweep
   tenants               show per-tenant admission counters (admitted/rejected/inflight)
   join [<node>]         add a provider (no node = auto-allocate)
   drain <node>          migrate a provider's pages away (keeps serving reads)
@@ -166,6 +166,12 @@ func main() {
 				backend = "(ram)"
 			}
 			fmt.Printf("%-6d %-9s %8d %14d %14d %14d %10d %s\n", p.Node, p.Health, p.Entries, p.Resident, p.Dirty, p.Stored, p.Recovered, backend)
+		}
+		s := pr.LastSweep
+		fmt.Printf("last sweep: scanned %d degraded %d lost %d migrated %d added %d dropped %d copied %d\n",
+			s.PagesScanned, s.PagesDegraded, s.PagesLost, s.PagesMigrated, s.ReplicasAdded, s.ReplicasDropped, s.BytesCopied)
+		if pr.SweepError != "" {
+			fmt.Printf("sweep error: %s\n", pr.SweepError)
 		}
 	case "tenants":
 		if len(args) != 0 {

@@ -1,17 +1,20 @@
-// Command bsfs-vet enforces the project's simulation invariants over
-// Go packages: all time through cluster.Env (walltime), all
+// Command bsfs-vet enforces the project's invariants over Go packages
+// with six rules: all time through cluster.Env (walltime), all
 // concurrency through Env.Go/Daemon/WaitGroup (nakedgo), errors.Is
 // instead of sentinel identity (sentinelcmp), end-to-end Ctx
-// forwarding (ctxflow), and no blocking environment call under a held
-// mutex (lockedblock). See internal/analysis for the invariants and
-// the suppression syntax.
+// forwarding (ctxflow), no blocking environment call under a held
+// mutex (lockedblock), and no exported name without a caller outside
+// its package (deadexport). See internal/analysis for the invariants
+// and the suppression syntax.
 //
 // Usage:
 //
 //	bsfs-vet [-rules walltime,nakedgo,...] [packages]
 //
-// Packages default to ./... . The exit status is 1 if any finding
-// survives policy and suppressions, 2 on usage or load errors.
+// Packages default to ./... . The benchmark module under cmd/bsfs-perf
+// is always loaded too; deadexport needs every caller loaded, so run it
+// over ./... . The exit status is 1 if any finding survives policy and
+// suppressions, 2 on usage or load errors.
 package main
 
 import (
@@ -49,7 +52,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := analysis.NewLoader().Load(".", patterns...)
+	pkgs, err := analysis.NewLoader().LoadRepository(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bsfs-vet:", err)
 		os.Exit(2)

@@ -99,8 +99,8 @@ func main() {
 			wg.Go(func() {
 				job := apps.DistributedGrep([]string{"/stream/events"}, fmt.Sprintf("/out/v%d", snap), "batch-", false)
 				job.Name = fmt.Sprintf("grep@v%d", snap)
-				job.OpenInput = func(f fsapi.FileSystem, path string, opts ...fsapi.OpenOption) (fsapi.Reader, error) {
-					return f.OpenAt(path, append(opts, fsapi.AtVersion(uint64(snap)))...)
+				job.OpenInput = func(f fsapi.FileSystem, path string) (fsapi.Reader, error) {
+					return f.OpenAt(path, fsapi.AtVersion(uint64(snap)))
 				}
 				res, err := mr.Submit(job)
 				if err != nil {

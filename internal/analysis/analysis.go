@@ -13,61 +13,63 @@ import (
 // Finding is one rule violation at a source position.
 type Finding struct {
 	Pos     token.Position
-	Rule    string
-	Message string
+	rule    string
+	message string
 }
 
 // String renders the driver's canonical "file:line:col: message [rule]"
 // form.
 func (f Finding) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Rule)
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.message, f.rule)
 }
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path  string // import path
-	Dir   string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Info  *types.Info
-	Types *types.Package
+	path  string // import path
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
 
 	// testFiles marks which source files are _test.go files, keyed by
 	// the filename recorded in the FileSet.
 	testFiles map[string]bool
 }
 
-// IsTestFile reports whether the file at filename (as recorded in the
+// isTestFile reports whether the file at filename (as recorded in the
 // FileSet) is a _test.go file.
-func (p *Package) IsTestFile(filename string) bool { return p.testFiles[filename] }
+func (p *Package) isTestFile(filename string) bool { return p.testFiles[filename] }
 
 // position resolves a token.Pos against the package's FileSet.
-func (p *Package) position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
+func (p *Package) position(pos token.Pos) token.Position { return p.fset.Position(pos) }
 
 // findingf appends a finding at pos.
 func (p *Package) findingf(out *[]Finding, rule string, pos token.Pos, format string, args ...any) {
-	*out = append(*out, Finding{Pos: p.position(pos), Rule: rule, Message: fmt.Sprintf(format, args...)})
+	*out = append(*out, Finding{Pos: p.position(pos), rule: rule, message: fmt.Sprintf(format, args...)})
 }
 
 // Analyzer is one invariant checker.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// SkipTests excludes _test.go files: tests run under the Local
+	// skipTests excludes _test.go files: tests run under the Local
 	// environment, where real time and real goroutines are the
 	// environment rather than a violation of it.
-	SkipTests bool
-	// AllowedPaths are import-path prefixes (whole-segment match)
+	skipTests bool
+	// allowedPaths are import-path prefixes (whole-segment match)
 	// where the rule does not apply — the project policy baked into
 	// the tool, e.g. walltime is legal inside repro/internal/cluster.
-	AllowedPaths []string
-	Run          func(p *Package) []Finding
+	allowedPaths []string
+	// run checks one package; runProgram, set instead by a rule about
+	// references between packages, sees every package at once.
+	run        func(p *Package) []Finding
+	runProgram func(pkgs []*Package) []Finding
 }
 
 // appliesTo reports whether the rule applies to a package path (i.e.
 // the path is not under any allowed prefix).
 func (a *Analyzer) appliesTo(path string) bool {
-	for _, pre := range a.AllowedPaths {
+	for _, pre := range a.allowedPaths {
 		if path == pre || strings.HasPrefix(path, pre+"/") {
 			return false
 		}
@@ -78,11 +80,12 @@ func (a *Analyzer) appliesTo(path string) bool {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		WallTime(),
-		NakedGo(),
-		SentinelCmp(),
-		CtxFlow(),
-		LockedBlock(),
+		wallTime(),
+		nakedGo(),
+		sentinelCmp(),
+		ctxFlow(),
+		lockedBlock(),
+		deadExport(),
 	}
 }
 
@@ -116,13 +119,40 @@ func ruleNames(as []*Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-// Check runs the analyzers over every package, applying path policy,
+// Check runs the analyzers over the packages, applying path policy,
 // test-file policy and inline suppressions, and returns the surviving
 // findings sorted by position.
 func Check(pkgs []*Package, as []*Analyzer) []Finding {
-	var out []Finding
+	sup := make(suppressions)
+	tests := make(map[string]bool)
 	for _, p := range pkgs {
-		out = append(out, CheckPackage(p, as)...)
+		sup.collect(p)
+		for f := range p.testFiles {
+			tests[f] = true
+		}
+	}
+	var out []Finding
+	for _, a := range as {
+		var in []*Package
+		for _, p := range pkgs {
+			if a.appliesTo(p.path) {
+				in = append(in, p)
+			}
+		}
+		var found []Finding
+		if a.runProgram != nil {
+			found = a.runProgram(in)
+		} else {
+			for _, p := range in {
+				found = append(found, a.run(p)...)
+			}
+		}
+		for _, f := range found {
+			if a.skipTests && tests[f.Pos.Filename] || sup.allows(f.Pos.Filename, f.Pos.Line, a.Name) {
+				continue
+			}
+			out = append(out, f)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -135,36 +165,13 @@ func Check(pkgs []*Package, as []*Analyzer) []Finding {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Rule < b.Rule
+		return a.rule < b.rule
 	})
-	return out
-}
-
-// CheckPackage runs the analyzers over one package.
-func CheckPackage(p *Package, as []*Analyzer) []Finding {
-	sup := collectSuppressions(p)
-	var out []Finding
-	for _, a := range as {
-		if !a.appliesTo(p.Path) {
-			continue
-		}
-		for _, f := range a.Run(p) {
-			if a.SkipTests && p.IsTestFile(f.Pos.Filename) {
-				continue
-			}
-			if sup.allows(f.Pos.Filename, f.Pos.Line, a.Name) {
-				continue
-			}
-			out = append(out, f)
-		}
-	}
 	return out
 }
 
 // ---------------------------------------------------------------------
 // Inline suppression: `//bsfs-vet:allow rule1,rule2 -- reason`.
-
-const allowMarker = "bsfs-vet:allow"
 
 var allowRe = regexp.MustCompile(`^bsfs-vet:allow\s+([a-z,\s]+?)\s*(?:--.*)?$`)
 
@@ -180,9 +187,9 @@ func (s suppressions) allows(file string, line int, rule string) bool {
 	return lines[line][rule]
 }
 
-func collectSuppressions(p *Package) suppressions {
-	out := make(suppressions)
-	for _, f := range p.Files {
+// collect adds the suppression comments of p's files.
+func (s suppressions) collect(p *Package) {
+	for _, f := range p.files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
@@ -192,10 +199,10 @@ func collectSuppressions(p *Package) suppressions {
 					continue
 				}
 				pos := p.position(c.Pos())
-				lines := out[pos.Filename]
+				lines := s[pos.Filename]
 				if lines == nil {
 					lines = make(map[int]map[string]bool)
-					out[pos.Filename] = lines
+					s[pos.Filename] = lines
 				}
 				for _, r := range strings.Split(m[1], ",") {
 					r = strings.TrimSpace(r)
@@ -212,7 +219,6 @@ func collectSuppressions(p *Package) suppressions {
 			}
 		}
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------

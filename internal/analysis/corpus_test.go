@@ -18,12 +18,20 @@ type expectation struct {
 	matched bool
 }
 
-// collectWants scans the package's comments for `// want` annotations,
+// collectWants scans the packages' comments for `// want` annotations,
 // keyed by "filename:line".
-func collectWants(t *testing.T, p *Package) map[string][]*expectation {
+func collectWants(t *testing.T, pkgs []*Package) map[string][]*expectation {
 	t.Helper()
 	wants := make(map[string][]*expectation)
-	for _, f := range p.Files {
+	for _, p := range pkgs {
+		collectPackageWants(t, p, wants)
+	}
+	return wants
+}
+
+func collectPackageWants(t *testing.T, p *Package, wants map[string][]*expectation) {
+	t.Helper()
+	for _, f := range p.files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRe.FindStringSubmatch(c.Text)
@@ -40,11 +48,11 @@ func collectWants(t *testing.T, p *Package) map[string][]*expectation {
 			}
 		}
 	}
-	return wants
 }
 
-// TestCorpus runs each analyzer over its golden corpus package under
-// testdata/src/<rule>/ and checks the findings against the `// want`
+// TestCorpus runs each analyzer over its golden corpus packages under
+// testdata/src/<rule>/ (deadexport's has two: one declares, one uses)
+// and checks the findings against the `// want`
 // annotations: every annotated line must produce a matching finding,
 // every finding must be annotated. The corpus includes suppression
 // demos, so this also locks in the //bsfs-vet:allow behaviour.
@@ -52,16 +60,16 @@ func TestCorpus(t *testing.T) {
 	l := NewLoader()
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", a.Name)
-			p, err := l.LoadDir(dir, "corpus/"+a.Name)
+			dir := "./" + filepath.Join("testdata", "src", a.Name)
+			pkgs, err := l.load(".", dir+"/...")
 			if err != nil {
 				t.Fatal(err)
 			}
-			wants := collectWants(t, p)
+			wants := collectWants(t, pkgs)
 			if len(wants) == 0 {
 				t.Fatalf("corpus %s has no want annotations", dir)
 			}
-			findings := CheckPackage(p, []*Analyzer{a})
+			findings := Check(pkgs, []*Analyzer{a})
 			if len(findings) == 0 {
 				t.Errorf("corpus %s produced no findings; want %d annotated lines", dir, len(wants))
 			}
@@ -69,7 +77,7 @@ func TestCorpus(t *testing.T) {
 				key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
 				matched := false
 				for _, w := range wants[key] {
-					if !w.matched && w.re.MatchString(f.Message) {
+					if !w.matched && w.re.MatchString(f.message) {
 						w.matched, matched = true, true
 						break
 					}
@@ -89,8 +97,9 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestRepositoryIsClean is the zero-baseline check: the full module
-// must pass the entire suite, so `go run ./cmd/bsfs-vet ./...` in CI
+// TestRepositoryIsClean is the zero-baseline check: the full module,
+// with the benchmark module as deadexport's extra caller, must pass the
+// entire suite, so `go run ./cmd/bsfs-vet ./...` in CI
 // can only break when a change introduces a real violation (or a
 // deliberate, commented suppression is missing).
 func TestRepositoryIsClean(t *testing.T) {
@@ -98,7 +107,7 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Skip("full-module type-check is slow; skipped with -short")
 	}
 	l := NewLoader()
-	pkgs, err := l.Load(filepath.Join("..", ".."), "./...")
+	pkgs, err := l.LoadRepository(filepath.Join("..", ".."), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 const clusterPath = module + "/internal/cluster"
 
-// CtxFlow returns the analyzer enforcing that cancellation is an
+// ctxFlow returns the analyzer enforcing that cancellation is an
 // end-to-end property. Three shapes are flagged:
 //
 //   - cluster.Background() anywhere in library code: a library
@@ -19,19 +19,19 @@ const clusterPath = module + "/internal/cluster"
 //   - a function that receives a *cluster.Ctx but calls an
 //     option-style API (variadic ...XxxOption whose package provides
 //     WithCtx) without forwarding via WithCtx(ctx).
-func CtxFlow() *Analyzer {
+func ctxFlow() *Analyzer {
 	a := &Analyzer{
 		Name:      "ctxflow",
 		Doc:       "a received cluster.Ctx must be forwarded; cluster.Background() is banned in library code",
-		SkipTests: true, // tests are legitimate operation roots
-		AllowedPaths: []string{
+		skipTests: true, // tests are legitimate operation roots
+		allowedPaths: []string{
 			module + "/cmd",      // mains are where operations start
 			module + "/examples", // likewise
 		},
 	}
-	a.Run = func(p *Package) []Finding {
+	a.run = func(p *Package) []Finding {
 		var out []Finding
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -41,7 +41,7 @@ func CtxFlow() *Analyzer {
 				case *ast.GenDecl:
 					// Package-level var initializers can call Background too.
 					ast.Inspect(d, func(n ast.Node) bool {
-						if call, ok := n.(*ast.CallExpr); ok && isBackgroundCall(p.Info, call) {
+						if call, ok := n.(*ast.CallExpr); ok && isBackgroundCall(p.info, call) {
 							p.findingf(&out, a.Name, call.Pos(),
 								"cluster.Background() in library code detaches the operation from every caller's cancellation scope; thread a Ctx instead")
 						}
@@ -62,7 +62,7 @@ func hasCtxParam(p *Package, ft *ast.FuncType) bool {
 		return false
 	}
 	for _, field := range ft.Params.List {
-		tv, ok := p.Info.Types[field.Type]
+		tv, ok := p.info.Types[field.Type]
 		if !ok || !isNamed(tv.Type, clusterPath, "Ctx") {
 			continue
 		}
@@ -92,7 +92,7 @@ func walkCtxFlow(p *Package, rule string, body *ast.BlockStmt, hasCtx bool, out 
 }
 
 func checkCtxCall(p *Package, rule string, call *ast.CallExpr, hasCtx bool, out *[]Finding) {
-	if isBackgroundCall(p.Info, call) {
+	if isBackgroundCall(p.info, call) {
 		if hasCtx {
 			p.findingf(out, rule, call.Pos(),
 				"function receives a *cluster.Ctx but mints cluster.Background() here; forward the received ctx")
@@ -108,7 +108,7 @@ func checkCtxCall(p *Package, rule string, call *ast.CallExpr, hasCtx bool, out 
 	// Option-style callee: variadic ...XxxOption whose defining package
 	// provides WithCtx. Forwarding is required unless an opaque option
 	// value (variable, spread) is passed — those may already carry ctx.
-	fn := funcObj(p.Info, call)
+	fn := funcObj(p.info, call)
 	if fn == nil {
 		return
 	}
@@ -129,7 +129,7 @@ func checkCtxCall(p *Package, rule string, call *ast.CallExpr, hasCtx bool, out 
 		if !ok {
 			return // opaque option value; assume it may carry ctx
 		}
-		if af := funcObj(p.Info, argCall); af != nil && af.Name() == "WithCtx" {
+		if af := funcObj(p.info, argCall); af != nil && af.Name() == "WithCtx" {
 			return // forwarded
 		}
 	}

@@ -7,7 +7,7 @@
 // type system. This package makes them machine-checkable; the
 // cmd/bsfs-vet driver runs them over the tree on every commit.
 //
-// The five analyzers and the invariants they guard:
+// The six analyzers and the invariants they guard:
 //
 //   - walltime: all time flows through cluster.Env. A time.Now or
 //     time.Sleep in service code reads the host's wall clock, which is
@@ -63,6 +63,25 @@
 //     lock-aware (the "release across the commit, reacquire after"
 //     shape) and is not marked.
 //
+//   - deadexport: nothing is exported without a caller. An exported
+//     function, method, type or struct field of a library package
+//     (every one lives under internal/) that no non-test file outside
+//     its package references is surface no command, example,
+//     experiment or benchmark runs: unexport it, move it into a test,
+//     or delete it with the path it selects. The rule sees the whole
+//     program at once: each package is type-checked on its own, so a
+//     reference is matched to its declaration by package path,
+//     receiver or struct type, and name. cmd/bsfs-perf, a module of its
+//     own, is loaded as a second root and counts as a caller. Exempt
+//     are a method that implements an interface the program uses (an
+//     interface its packages or their direct imports declare, or one
+//     the errors package asserts), a type that an exported member's
+//     signature or field type mentions, a field with a struct tag, and
+//     the fields of a struct handed to an encoding/* function — those
+//     two are read by reflection. Variables and constants are out of
+//     scope: an exported sentinel error is part of its package's
+//     errors.Is contract.
+//
 // # Suppressing a finding
 //
 // Every rule supports inline suppression for the rare case where the
@@ -72,8 +91,9 @@
 //
 // The comment names one or more comma-separated rules and should carry
 // a reason after " -- ". It silences those rules on its own line and
-// the line directly below (so it can sit above a long statement).
-// Path-level policy lives in the analyzers themselves: each Analyzer
+// the line directly below (so it can sit above a long statement); a
+// deadexport suppression is the last line of the declaration's doc
+// comment. Path-level policy lives in the analyzers themselves: each Analyzer
 // lists import-path prefixes where its rule does not apply (for
 // example walltime is off inside repro/internal/cluster, whose Local
 // backend is the real-time implementation), and most rules skip
@@ -83,14 +103,15 @@
 // # Architecture
 //
 // The module has zero dependencies and builds offline, so the driver
-// cannot use golang.org/x/tools. Loader enumerates packages with
-// `go list -json`, parses them with go/parser, and type-checks with
-// go/types using the stdlib source importer (go/importer "source"),
-// which compiles dependencies — including the standard library — from
-// source on demand. Analyzers receive a fully type-checked Package and
-// return Findings; Check applies path policy, test-file policy, and
-// inline suppressions, and cmd/bsfs-vet exits non-zero if anything
-// survives. The golden corpus under testdata/src/<rule>/ pins each
-// analyzer's behavior with `// want` regexp annotations, and the
-// zero-baseline test asserts the repository itself is finding-free.
+// cannot use golang.org/x/tools. Loader.LoadRepository enumerates
+// packages with `go list -json`, parses them with go/parser, and
+// type-checks with go/types using the stdlib source importer
+// (go/importer "source"), which compiles dependencies — including the
+// standard library — from source on demand. Analyzers receive a fully
+// type-checked Package (deadexport: every package at once) and return
+// Findings; Check applies path policy, test-file policy, and inline
+// suppressions, and cmd/bsfs-vet exits non-zero if anything survives.
+// The golden corpus under testdata/src/<rule>/ pins each analyzer's
+// behavior with `// want` regexp annotations, and the zero-baseline
+// test asserts the repository itself is finding-free.
 package analysis

@@ -13,7 +13,6 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -46,15 +45,15 @@ type listedPackage struct {
 	// XTestGoFiles (package foo_test) are listed but not analyzed:
 	// they may reference identifiers declared in in-package test
 	// files, which the source importer cannot see. The repository has
-	// none; Load fails loudly if one appears so the gap is never
+	// none; load fails loudly if one appears so the gap is never
 	// silent.
 	XTestGoFiles []string
 }
 
-// Load enumerates packages matching the patterns (relative to dir,
+// load enumerates packages matching the patterns (relative to dir,
 // e.g. "./...") via `go list -json`, then parses and type-checks each
 // one including its in-package _test.go files.
-func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
+func (l *Loader) load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -97,7 +96,7 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 			files = append(files, abs)
 			tests[abs] = true
 		}
-		p, err := l.loadFiles(lp.ImportPath, lp.Dir, files, tests)
+		p, err := l.loadFiles(lp.ImportPath, files, tests)
 		if err != nil {
 			return nil, err
 		}
@@ -106,22 +105,25 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks every .go file directly inside dir as
-// one package with the given import path. It serves the golden corpus
-// under testdata/, which `go list ./...` deliberately does not reach.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+// perfModule is the benchmark's directory. It is a module of its own,
+// so ./... does not reach it, yet the names it uses are callers.
+const perfModule = "cmd/bsfs-perf"
+
+// LoadRepository loads the packages matching patterns in the module
+// rooted at root, plus the benchmark module under it.
+func (l *Loader) LoadRepository(root string, patterns ...string) ([]*Package, error) {
+	pkgs, err := l.load(root, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
+	perf, err := l.load(filepath.Join(root, perfModule), ".")
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(matches)
-	return l.loadFiles(importPath, dir, matches, nil)
+	return append(pkgs, perf...), nil
 }
 
-func (l *Loader) loadFiles(importPath, dir string, files []string, tests map[string]bool) (*Package, error) {
+func (l *Loader) loadFiles(importPath string, files []string, tests map[string]bool) (*Package, error) {
 	asts := make([]*ast.File, 0, len(files))
 	for _, f := range files {
 		af, err := parser.ParseFile(l.fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -149,12 +151,11 @@ func (l *Loader) loadFiles(importPath, dir string, files []string, tests map[str
 		return nil, fmt.Errorf("type-check %s: %v", importPath, err)
 	}
 	return &Package{
-		Path:      importPath,
-		Dir:       dir,
-		Fset:      l.fset,
-		Files:     asts,
-		Info:      info,
-		Types:     tpkg,
+		path:      importPath,
+		fset:      l.fset,
+		files:     asts,
+		info:      info,
+		pkg:       tpkg,
 		testFiles: tests,
 	}, nil
 }

@@ -29,7 +29,7 @@ var blockingMethods = map[string]map[string]bool{
 	clusterPath + ".Ctx":       {"Wait": true},
 }
 
-// LockedBlock returns the best-effort intraprocedural analyzer that
+// lockedBlock returns the best-effort intraprocedural analyzer that
 // flags blocking environment calls made while a sync.Mutex or
 // sync.RWMutex is held. It tracks Lock/RLock and Unlock/RUnlock pairs
 // (including deferred unlocks, which hold to function end) through
@@ -38,20 +38,20 @@ var blockingMethods = map[string]map[string]bool{
 // marks same-package functions that (transitively) reach a blocking
 // call, so `mu.Lock(); vm.serve()` is flagged even though the Sleep
 // hides one frame down.
-func LockedBlock() *Analyzer {
+func lockedBlock() *Analyzer {
 	a := &Analyzer{
 		Name:      "lockedblock",
 		Doc:       "blocking Env/Signal/WaitGroup call while a mutex is held",
-		SkipTests: true,
-		AllowedPaths: []string{
+		skipTests: true,
+		allowedPaths: []string{
 			module + "/internal/sim",     // the scheduler's own primitives
 			module + "/internal/cluster", // Local's signal/waitgroup shims
 		},
 	}
-	a.Run = func(p *Package) []Finding {
+	a.run = func(p *Package) []Finding {
 		var out []Finding
 		blockers := packageBlockers(p)
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -81,13 +81,13 @@ type lockScan struct {
 // its blocking is that goroutine's business.
 func packageBlockers(p *Package) map[*types.Func]string {
 	bodies := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range p.Files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+			if fn, ok := p.info.Defs[fd.Name].(*types.Func); ok {
 				bodies[fn] = fd
 			}
 		}
@@ -128,7 +128,7 @@ func reachesBlocking(p *Package, fd *ast.FuncDecl, blockers map[*types.Func]stri
 		if !ok {
 			return true
 		}
-		fn := funcObj(p.Info, call)
+		fn := funcObj(p.info, call)
 		if fn == nil {
 			return true
 		}
@@ -146,7 +146,7 @@ func reachesBlocking(p *Package, fd *ast.FuncDecl, blockers map[*types.Func]stri
 			chain = typeName + "." + fn.Name()
 			return false
 		}
-		if sub, ok := blockers[fn]; ok && fn.Pkg() == p.Types {
+		if sub, ok := blockers[fn]; ok && fn.Pkg() == p.pkg {
 			chain = fn.Name() + " -> " + sub
 			return false
 		}
@@ -288,7 +288,7 @@ func (s *lockScan) exprs(n ast.Node, held map[string]token.Pos) {
 
 // call applies one call's effect on the lock state or reports it.
 func (s *lockScan) call(call *ast.CallExpr, held map[string]token.Pos) {
-	fn := funcObj(s.p.Info, call)
+	fn := funcObj(s.p.info, call)
 	if fn == nil {
 		return
 	}
@@ -317,7 +317,7 @@ func (s *lockScan) call(call *ast.CallExpr, held map[string]token.Pos) {
 			typeName, fn.Name(), key, s.p.position(lockPos).Line)
 		return
 	}
-	if chain, ok := s.blockers[fn]; ok && fn.Pkg() == s.p.Types {
+	if chain, ok := s.blockers[fn]; ok && fn.Pkg() == s.p.pkg {
 		key, lockPos := anyHeld(held)
 		s.p.findingf(s.out, s.rule, call.Pos(),
 			"%s blocks in virtual time (%s) while %q is locked (Lock at line %d); release the mutex before blocking or the sim can deadlock",

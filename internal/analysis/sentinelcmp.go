@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// SentinelCmp returns the analyzer banning ==/!= (and switch cases)
+// sentinelCmp returns the analyzer banning ==/!= (and switch cases)
 // against exported package-level error values. The typed error
 // contract — core.ErrNoSuchVersion, cluster.ErrCanceled, io.EOF, ... —
 // only holds through errors.Is: every layer is free to wrap a sentinel
@@ -15,45 +15,45 @@ import (
 // or != or searched with strings.Contains, HasPrefix or HasSuffix — is
 // banned with it: a message is not a contract, and it changes the
 // moment any layer rewords or wraps.
-func SentinelCmp() *Analyzer {
+func sentinelCmp() *Analyzer {
 	a := &Analyzer{
 		Name: "sentinelcmp",
 		Doc:  "==/!= against a sentinel error value, or matching an error by its message; use errors.Is",
 		// Applies everywhere, tests included: test assertions break
 		// just as silently when a sentinel gets wrapped.
 	}
-	a.Run = func(p *Package) []Finding {
+	a.run = func(p *Package) []Finding {
 		var out []Finding
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.BinaryExpr:
 					if n.Op != token.EQL && n.Op != token.NEQ {
 						return true
 					}
-					if isNilExpr(p.Info, n.X) || isNilExpr(p.Info, n.Y) {
+					if isNilExpr(p.info, n.X) || isNilExpr(p.info, n.Y) {
 						return true // err == nil is the one legal identity check
 					}
 					for _, side := range []ast.Expr{n.X, n.Y} {
-						if name, ok := sentinelError(p.Info, side); ok {
+						if name, ok := sentinelError(p.info, side); ok {
 							p.findingf(&out, a.Name, n.Pos(),
 								"%s comparison against sentinel error %s breaks once the error is wrapped; use errors.Is", n.Op, name)
 							break
 						}
-						if isErrorText(p.Info, side) {
+						if isErrorText(p.info, side) {
 							p.findingf(&out, a.Name, n.Pos(),
 								"%s comparison of an error's message; match the error with errors.Is or errors.As", n.Op)
 							break
 						}
 					}
 				case *ast.CallExpr:
-					fn := funcObj(p.Info, n)
+					fn := funcObj(p.info, n)
 					if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "strings" || len(n.Args) == 0 {
 						return true
 					}
 					switch fn.Name() {
 					case "Contains", "HasPrefix", "HasSuffix":
-						if isErrorText(p.Info, n.Args[0]) {
+						if isErrorText(p.info, n.Args[0]) {
 							p.findingf(&out, a.Name, n.Pos(),
 								"strings.%s on an error's message; match the error with errors.Is or errors.As", fn.Name())
 						}
@@ -62,7 +62,7 @@ func SentinelCmp() *Analyzer {
 					if n.Tag == nil {
 						return true
 					}
-					tv, ok := p.Info.Types[n.Tag]
+					tv, ok := p.info.Types[n.Tag]
 					if !ok || tv.Type == nil || !implementsError(tv.Type) {
 						return true
 					}
@@ -72,7 +72,7 @@ func SentinelCmp() *Analyzer {
 							continue
 						}
 						for _, e := range cc.List {
-							if name, ok := sentinelError(p.Info, e); ok {
+							if name, ok := sentinelError(p.info, e); ok {
 								p.findingf(&out, a.Name, e.Pos(),
 									"switch case compares against sentinel error %s by identity; use errors.Is", name)
 							}

@@ -23,29 +23,29 @@ var wallClockFuncs = map[string]bool{
 	"Until":     true,
 }
 
-// WallTime returns the analyzer enforcing that all time flows through
+// wallTime returns the analyzer enforcing that all time flows through
 // cluster.Env: virtual under Sim, real under Local. Wall-clock reads
 // in service code silently desynchronize from virtual time and corrupt
 // every X*/A* experiment.
-func WallTime() *Analyzer {
+func wallTime() *Analyzer {
 	a := &Analyzer{
 		Name:      "walltime",
 		Doc:       "time.Now/Sleep/After/timers outside the real-time backend; use Env.Now/Env.Sleep",
-		SkipTests: true,
-		AllowedPaths: []string{
+		skipTests: true,
+		allowedPaths: []string{
 			module + "/internal/cluster", // the Local real-time backend
 			module + "/cmd",              // mains run outside any Env
 		},
 	}
-	a.Run = func(p *Package) []Finding {
+	a.run = func(p *Package) []Finding {
 		var out []Finding
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				fn := funcObj(p.Info, call)
+				fn := funcObj(p.info, call)
 				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 					return true
 				}

@@ -1,7 +1,5 @@
 // Package apps implements the MapReduce applications the paper
-// evaluates (§IV.C) — Random Text Writer and Distributed Grep — plus
-// WordCount and Sort, the other canonical Hadoop examples, used by
-// tests and the extension experiments.
+// evaluates (§IV.C): Random Text Writer and Distributed Grep.
 //
 // Every application comes in two flavours through one JobConfig: real
 // execution (the map/reduce functions process actual bytes) and
@@ -10,8 +8,6 @@
 package apps
 
 import (
-	"bytes"
-	"fmt"
 	"math/rand"
 	"regexp"
 	"strconv"
@@ -99,62 +95,6 @@ func DistributedGrep(input []string, outputDir, pattern string, synthetic bool) 
 		Reduce: func(key []byte, values [][]byte, emit mapreduce.EmitFunc) error {
 			for _, v := range values {
 				emit(key, v)
-			}
-			return nil
-		},
-	}
-}
-
-// WordCount is the canonical MapReduce example, used by integration
-// tests to validate the full map/shuffle/reduce path on real data.
-func WordCount(input []string, outputDir string, numReduces int) mapreduce.JobConfig {
-	return mapreduce.JobConfig{
-		Name:       "wordcount",
-		Input:      input,
-		OutputDir:  outputDir,
-		NumReduces: numReduces,
-		Map: func(off int64, record []byte, emit mapreduce.EmitFunc) error {
-			for _, w := range bytes.Fields(record) {
-				emit(w, []byte("1"))
-			}
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit mapreduce.EmitFunc) error {
-			total := 0
-			for _, v := range values {
-				n, err := strconv.Atoi(string(v))
-				if err != nil {
-					return fmt.Errorf("wordcount: bad count %q: %w", v, err)
-				}
-				total += n
-			}
-			emit(key, []byte(strconv.Itoa(total)))
-			return nil
-		},
-	}
-}
-
-// Sort globally sorts line records by their content: maps emit the
-// line as key, reducers write keys in order (partitioned sort, one
-// sorted file per reducer).
-func Sort(input []string, outputDir string, numReduces int) mapreduce.JobConfig {
-	return mapreduce.JobConfig{
-		Name:       "sort",
-		Input:      input,
-		OutputDir:  outputDir,
-		NumReduces: numReduces,
-		Synthetic:  false,
-		Profile: mapreduce.Profile{
-			MapOutputRatio:    1.0,
-			ReduceOutputRatio: 1.0,
-		},
-		Map: func(off int64, record []byte, emit mapreduce.EmitFunc) error {
-			emit(append([]byte(nil), record...), []byte{})
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit mapreduce.EmitFunc) error {
-			for range values {
-				emit(key, []byte{})
 			}
 			return nil
 		},

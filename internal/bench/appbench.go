@@ -37,9 +37,9 @@ func (o *AppOpts) fillDefaults() {
 
 // AppResult is one application benchmark measurement.
 type AppResult struct {
-	Experiment string
-	Kind       string
-	Maps       int
+	experiment string
+	kind       string
+	maps       int
 	Completion time.Duration
 	Counters   mapreduce.Counters
 }
@@ -49,16 +49,16 @@ type AppResult struct {
 func newMRCluster(tb *Testbed) (*mapreduce.Cluster, error) {
 	return mapreduce.NewCluster(tb.Env, mapreduce.Config{
 		JobTrackerNode: 0,
-		WorkerNodes:    storageNodes(tb.Spec.Nodes),
+		WorkerNodes:    storageNodes(tb.spec.Nodes),
 		MapSlots:       2,
 		ReduceSlots:    1,
 		NewFS:          tb.NewFS,
 	})
 }
 
-// RunRandomTextWriter is experiment E4: the map-only generator job
+// runRandomTextWriter is experiment E4: the map-only generator job
 // whose access pattern is massively parallel writes to different files.
-func RunRandomTextWriter(opts AppOpts) (AppResult, error) {
+func runRandomTextWriter(opts AppOpts) (AppResult, error) {
 	opts.fillDefaults()
 	tb, err := NewTestbed(opts.Spec, opts.Storage)
 	if err != nil {
@@ -78,7 +78,7 @@ func RunRandomTextWriter(opts AppOpts) (AppResult, error) {
 			runErr = err
 			return
 		}
-		res = AppResult{Experiment: "E4-random-text-writer", Kind: tb.Kind, Maps: opts.Maps, Completion: r.Duration, Counters: r.Counters}
+		res = AppResult{experiment: "E4-random-text-writer", kind: tb.kind, maps: opts.Maps, Completion: r.Duration, Counters: r.Counters}
 	})
 	if err == nil {
 		err = runErr
@@ -115,7 +115,7 @@ func RunDistributedGrep(opts AppOpts) (AppResult, error) {
 			runErr = err
 			return
 		}
-		res = AppResult{Experiment: "E5-distributed-grep", Kind: tb.Kind, Maps: r.Counters.MapTasks, Completion: r.Duration, Counters: r.Counters}
+		res = AppResult{experiment: "E5-distributed-grep", kind: tb.kind, maps: r.Counters.MapTasks, Completion: r.Duration, Counters: r.Counters}
 	})
 	if err == nil {
 		err = runErr
@@ -123,12 +123,12 @@ func RunDistributedGrep(opts AppOpts) (AppResult, error) {
 	return res, err
 }
 
-// RunSnapshotWorkflow is extension X4 (§V): two grep jobs run
+// runSnapshotWorkflow is extension X4 (§V): two grep jobs run
 // concurrently over two different snapshots of one dataset while a
 // writer keeps appending to it — only expressible on a versioning
 // storage layer. Returns the two job results, snapshot 1's first; the
 // run fails unless the concurrent append lands whole.
-func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
+func runSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 	opts.fillDefaults()
 	if opts.Storage.Kind != "bsfs" {
 		return nil, fmt.Errorf("bench: X4 requires versioning storage (bsfs), got %q", opts.Storage.Kind)
@@ -185,9 +185,9 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 					return
 				}
 				results[idx-1] = AppResult{
-					Experiment: fmt.Sprintf("X4-snapshot-grep-%d", idx),
-					Kind:       tb.Kind,
-					Maps:       r.Counters.MapTasks,
+					experiment: fmt.Sprintf("X4-snapshot-grep-%d", idx),
+					kind:       tb.kind,
+					maps:       r.Counters.MapTasks,
 					Completion: r.Duration,
 					Counters:   r.Counters,
 				}
@@ -215,12 +215,11 @@ func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 	return results, nil
 }
 
-// openSnapshot returns an OpenInput hook pinning a snapshot version,
-// forwarding the framework's per-attempt options (ctx) alongside. On a
-// non-versioning file system the AtVersion option surfaces the typed
+// openSnapshot returns an OpenInput hook pinning a snapshot version. On
+// a non-versioning file system the AtVersion option surfaces the typed
 // fsapi.ErrNotSupported.
-func openSnapshot(version core.Version) func(fs fsapi.FileSystem, path string, opts ...fsapi.OpenOption) (fsapi.Reader, error) {
-	return func(fs fsapi.FileSystem, path string, opts ...fsapi.OpenOption) (fsapi.Reader, error) {
-		return fs.OpenAt(path, append(opts, fsapi.AtVersion(uint64(version)))...)
+func openSnapshot(version core.Version) func(fs fsapi.FileSystem, path string) (fsapi.Reader, error) {
+	return func(fs fsapi.FileSystem, path string) (fsapi.Reader, error) {
+		return fs.OpenAt(path, fsapi.AtVersion(uint64(version)))
 	}
 }

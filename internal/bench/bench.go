@@ -36,20 +36,20 @@ const (
 // and nodes 1..269 hosting providers/datanodes and clients.
 type ClusterSpec struct {
 	Nodes int
-	// MetaNodes is the number of metadata (DHT) providers for BSFS,
+	// metaNodes is the number of metadata (DHT) providers for BSFS,
 	// spread evenly over the storage nodes (default 24).
-	MetaNodes int
+	metaNodes int
 }
 
 func (s *ClusterSpec) fillDefaults() {
 	if s.Nodes <= 0 {
 		s.Nodes = 270
 	}
-	if s.MetaNodes <= 0 {
-		s.MetaNodes = 24
+	if s.metaNodes <= 0 {
+		s.metaNodes = 24
 	}
-	if s.MetaNodes > s.Nodes-1 {
-		s.MetaNodes = s.Nodes - 1
+	if s.metaNodes > s.Nodes-1 {
+		s.metaNodes = s.Nodes - 1
 	}
 }
 
@@ -57,59 +57,59 @@ func (s *ClusterSpec) fillDefaults() {
 type StorageOpts struct {
 	// Kind is "bsfs" or "hdfs".
 	Kind string
-	// Replication is the data replica count (default 1, matching the
+	// replication is the data replica count (default 1, matching the
 	// paper's throughput-focused deployment; 3 reproduces HDFS's
 	// default pipeline).
-	Replication int
-	// PageSize is BlobSeer's page size (default 256 KiB).
-	PageSize int64
+	replication int
+	// pageSize is BlobSeer's page size (default 256 KiB).
+	pageSize int64
 	// BlockSize is the BSFS block / HDFS chunk size (default 64 MiB).
 	BlockSize int64
-	// MemCapacity bounds each storage node's RAM cache (default
+	// memCapacity bounds each storage node's RAM cache (default
 	// 512 MiB — the knob that decides how much of a re-read comes off
 	// disk).
-	MemCapacity int64
-	// Store selects the persistent backend tier beneath each storage
+	memCapacity int64
+	// store selects the persistent backend tier beneath each storage
 	// node's RAM cache ("disk:<path>", "mem:", "null:" — see
 	// internal/store), scoped per member. Empty means RAM-only storage
 	// nodes (the default for throughput experiments; the X7 tiered-
 	// recovery experiment sets a disk spec).
-	Store string
-	// LocalFirstPlacement grafts HDFS's placement policy onto BlobSeer
+	store string
+	// localFirstPlacement grafts HDFS's placement policy onto BlobSeer
 	// (ablation A1).
-	LocalFirstPlacement bool
-	// DisableClientCache turns off BSFS's client-side block cache
+	localFirstPlacement bool
+	// disableClientCache turns off BSFS's client-side block cache
 	// (ablation A2).
-	DisableClientCache bool
-	// RAMDatanodes disables HDFS's write-through pipeline (ablation
+	disableClientCache bool
+	// ramDatanodes disables HDFS's write-through pipeline (ablation
 	// A4): datanodes buffer chunks in RAM like BlobSeer providers.
-	RAMDatanodes bool
-	// MaxInFlightBlocks overrides the BSFS writer pipeline depth
+	ramDatanodes bool
+	// maxInFlightBlocks overrides the BSFS writer pipeline depth
 	// (0 keeps the bsfs default).
-	MaxInFlightBlocks int
-	// VMShards is the version-manager shard count (0/1 = the paper's
+	maxInFlightBlocks int
+	// vmShards is the version-manager shard count (0/1 = the paper's
 	// single centralized manager on node 0; more spreads shards over
 	// the storage nodes and partitions blobs across them by id).
-	VMShards int
-	// VMServiceTime models each version-manager shard's per-RPC
+	vmShards int
+	// vmServiceTime models each version-manager shard's per-RPC
 	// processing occupancy (requests to one shard queue for this long
 	// on its processor). 0 disables; the X5/A7 shard experiments set it
 	// to make the version-manager tier the measured bottleneck.
-	VMServiceTime time.Duration
+	vmServiceTime time.Duration
 }
 
 func (o *StorageOpts) fillDefaults() {
-	if o.Replication < 1 {
-		o.Replication = 1
+	if o.replication < 1 {
+		o.replication = 1
 	}
-	if o.PageSize <= 0 {
-		o.PageSize = 256 * KB
+	if o.pageSize <= 0 {
+		o.pageSize = 256 * KB
 	}
 	if o.BlockSize <= 0 {
 		o.BlockSize = 64 * MB
 	}
-	if o.MemCapacity == 0 {
-		o.MemCapacity = 512 * MB
+	if o.memCapacity == 0 {
+		o.memCapacity = 512 * MB
 	}
 }
 
@@ -141,14 +141,14 @@ func (f *firstError) get() error {
 
 // Testbed is one simulated cluster with a storage deployment.
 type Testbed struct {
-	Spec ClusterSpec
-	Eng  *sim.Engine
+	spec ClusterSpec
+	eng  *sim.Engine
 	Net  *simnet.Network
 	Env  *cluster.Sim
 	// NewFS returns a storage client bound to a node.
 	NewFS func(node cluster.NodeID) fsapi.FileSystem
-	// Kind echoes the storage under test.
-	Kind string
+	// kind echoes the storage under test.
+	kind string
 
 	bsfsSvc *bsfs.Service
 	hdfsDep *hdfs.Deployment
@@ -171,27 +171,27 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(spec.Nodes))
 	env := cluster.NewSim(net)
-	tb := &Testbed{Spec: spec, Eng: eng, Net: net, Env: env, Kind: opts.Kind}
+	tb := &Testbed{spec: spec, eng: eng, Net: net, Env: env, kind: opts.Kind}
 
 	nodes := storageNodes(spec.Nodes)
 	switch opts.Kind {
 	case "bsfs":
-		meta := make([]cluster.NodeID, 0, spec.MetaNodes)
-		step := len(nodes) / spec.MetaNodes
+		meta := make([]cluster.NodeID, 0, spec.metaNodes)
+		step := len(nodes) / spec.metaNodes
 		if step < 1 {
 			step = 1
 		}
-		for i := 0; i < len(nodes) && len(meta) < spec.MetaNodes; i += step {
+		for i := 0; i < len(nodes) && len(meta) < spec.metaNodes; i += step {
 			meta = append(meta, nodes[i])
 		}
 		var strategy placement.Strategy
-		if opts.LocalFirstPlacement {
+		if opts.localFirstPlacement {
 			strategy = placement.NewLocalFirst(nodes)
 		}
 		// Version-manager shards: shard 0 on the master node (node 0,
 		// the paper's placement), extra shards spread evenly over the
 		// storage nodes.
-		shards := opts.VMShards
+		shards := opts.vmShards
 		if shards < 1 {
 			shards = 1
 		}
@@ -200,22 +200,22 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 			vmNodes = append(vmNodes, nodes[(i*len(nodes))/shards])
 		}
 		dep, err := core.NewDeployment(env, core.Options{
-			PageSize:      opts.PageSize,
-			Replication:   opts.Replication,
+			PageSize:      opts.pageSize,
+			Replication:   opts.replication,
 			VMNodes:       vmNodes,
-			VMServiceTime: opts.VMServiceTime,
+			VMServiceTime: opts.vmServiceTime,
 			ProviderNodes: nodes,
 			MetaNodes:     meta,
 			Strategy:      strategy,
-			Provider:      core.ProviderConfig{MemCapacity: opts.MemCapacity, Store: opts.Store},
+			Provider:      core.ProviderConfig{MemCapacity: opts.memCapacity, Store: opts.store},
 		})
 		if err != nil {
 			return nil, err
 		}
 		tb.bsfsSvc = bsfs.NewService(dep, bsfs.Config{
 			BlockSize:         opts.BlockSize,
-			DisableCache:      opts.DisableClientCache,
-			MaxInFlightBlocks: opts.MaxInFlightBlocks,
+			DisableCache:      opts.disableClientCache,
+			MaxInFlightBlocks: opts.maxInFlightBlocks,
 		})
 		tb.NewFS = func(n cluster.NodeID) fsapi.FileSystem { return tb.bsfsSvc.NewFS(n) }
 	case "hdfs":
@@ -223,10 +223,10 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 			NameNode:     0,
 			DataNodes:    nodes,
 			ChunkSize:    opts.BlockSize,
-			Replication:  opts.Replication,
-			MemCapacity:  opts.MemCapacity,
-			Store:        opts.Store,
-			WriteThrough: !opts.RAMDatanodes,
+			Replication:  opts.replication,
+			MemCapacity:  opts.memCapacity,
+			Store:        opts.store,
+			WriteThrough: !opts.ramDatanodes,
 		})
 		if err != nil {
 			return nil, err
@@ -239,9 +239,9 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 	return tb, nil
 }
 
-// Deployment returns the BSFS core deployment (nil for hdfs testbeds):
+// deployment returns the BSFS core deployment (nil for hdfs testbeds):
 // experiments that restart providers or inspect stores reach it here.
-func (tb *Testbed) Deployment() *core.Deployment {
+func (tb *Testbed) deployment() *core.Deployment {
 	if tb.bsfsSvc == nil {
 		return nil
 	}
@@ -273,7 +273,7 @@ func (tb *Testbed) Close() error {
 // clientNodes spreads n clients over the storage nodes (clients are
 // colocated with providers/datanodes, as on the paper's testbed).
 func (tb *Testbed) clientNodes(n int) []cluster.NodeID {
-	avail := tb.Spec.Nodes - 1
+	avail := tb.spec.Nodes - 1
 	out := make([]cluster.NodeID, n)
 	for i := range out {
 		out[i] = cluster.NodeID(1 + (i*avail)/n)
@@ -284,41 +284,41 @@ func (tb *Testbed) clientNodes(n int) []cluster.NodeID {
 // loaderNode pairs every client with a distant loader: the node half a
 // ring away, so pre-loaded data is never local to its reader.
 func (tb *Testbed) loaderNode(client cluster.NodeID) cluster.NodeID {
-	avail := tb.Spec.Nodes - 1
+	avail := tb.spec.Nodes - 1
 	return cluster.NodeID(1 + (int(client)-1+avail/2)%avail)
 }
 
 // Run executes body as the simulation's root process and drives the
 // engine to completion.
 func (tb *Testbed) Run(body func()) error {
-	tb.Eng.Go(body)
-	return tb.Eng.Run()
+	tb.eng.Go(body)
+	return tb.eng.Run()
 }
 
 // Point is one measured sweep point of a microbenchmark.
 type Point struct {
-	Experiment string
-	Kind       string
-	Clients    int
-	// PerClientMBps is the mean per-client throughput; Min/Max bound
+	experiment string
+	kind       string
+	clients    int
+	// perClientMBps is the mean per-client throughput; Min/Max bound
 	// the distribution (the paper reports stability under concurrency).
-	PerClientMBps float64
-	MinMBps       float64
-	MaxMBps       float64
-	AggregateMBps float64
-	// Duration is the makespan of the measured phase.
-	Duration time.Duration
-	// NetBytes / DiskBytes are the fabric resources consumed during
+	perClientMBps float64
+	minMBps       float64
+	maxMBps       float64
+	aggregateMBps float64
+	// duration is the makespan of the measured phase.
+	duration time.Duration
+	// netBytes / DiskBytes are the fabric resources consumed during
 	// the measured phase (mechanism evidence: who hit disks, who moved
 	// bytes).
-	NetBytes  int64
-	DiskBytes int64
+	netBytes  int64
+	diskBytes int64
 	// P50/P90/P99 are quantiles of the per-client (or per-op, for
 	// latency-oriented experiments like X8) completion-time
 	// distribution — the tail the throughput means hide.
-	P50 time.Duration
-	P90 time.Duration
-	P99 time.Duration
+	p50 time.Duration
+	p90 time.Duration
+	p99 time.Duration
 }
 
 // phase is the measurement every experiment repeats (§IV): each node
@@ -340,9 +340,9 @@ func (tb *Testbed) phase(label string, perClient int64, nodes []cluster.NodeID, 
 		})
 	}
 	wg.Wait()
-	p := summarize(label, tb.Kind, perClient, durations, tb.Env.Now()-start)
+	p := summarize(label, tb.kind, perClient, durations, tb.Env.Now()-start)
 	net1, disk1 := resourceSnapshot(tb)
-	p.NetBytes, p.DiskBytes = net1-net0, disk1-disk0
+	p.netBytes, p.diskBytes = net1-net0, disk1-disk0
 	return p, opErr.get()
 }
 
@@ -365,7 +365,7 @@ func mbps(bytes int64, d time.Duration) float64 {
 
 // summarize builds a Point from per-client durations.
 func summarize(exp, kind string, perClient int64, durations []time.Duration, makespan time.Duration) Point {
-	p := Point{Experiment: exp, Kind: kind, Clients: len(durations), Duration: makespan}
+	p := Point{experiment: exp, kind: kind, clients: len(durations), duration: makespan}
 	if len(durations) == 0 {
 		return p
 	}
@@ -373,15 +373,15 @@ func summarize(exp, kind string, perClient int64, durations []time.Duration, mak
 	for i, d := range durations {
 		t := mbps(perClient, d)
 		sum += t
-		if i == 0 || t < p.MinMBps {
-			p.MinMBps = t
+		if i == 0 || t < p.minMBps {
+			p.minMBps = t
 		}
-		if i == 0 || t > p.MaxMBps {
-			p.MaxMBps = t
+		if i == 0 || t > p.maxMBps {
+			p.maxMBps = t
 		}
 	}
-	p.PerClientMBps = sum / float64(len(durations))
-	p.AggregateMBps = mbps(perClient*int64(len(durations)), makespan)
-	p.P50, p.P90, p.P99 = traffic.Quantiles(durations)
+	p.perClientMBps = sum / float64(len(durations))
+	p.aggregateMBps = mbps(perClient*int64(len(durations)), makespan)
+	p.p50, p.p90, p.p99 = traffic.Quantiles(durations)
 	return p
 }

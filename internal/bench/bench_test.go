@@ -14,106 +14,106 @@ import (
 // (who wins, and that BSFS sustains throughput under concurrency), not
 // absolute numbers.
 
-func microOpts(kind string, clients int) MicroOpts {
-	return MicroOpts{
-		Clients:        clients,
-		BytesPerClient: 128 * MB,
-		Spec:           ClusterSpec{Nodes: 60, MetaNodes: 8},
+func newMicroOpts(kind string, clients int) microOpts {
+	return microOpts{
+		clients:        clients,
+		bytesPerClient: 128 * MB,
+		spec:           ClusterSpec{Nodes: 60, metaNodes: 8},
 		// The node cache is scaled with the reduced per-client volume
 		// (full-scale runs use 1 GB/client with 512 MB caches; reduced
 		// runs keep the same cache:data ratio so re-reads hit disk the
 		// same way).
-		Storage: StorageOpts{Kind: kind, MemCapacity: 48 * MB},
+		storage: StorageOpts{Kind: kind, memCapacity: 48 * MB},
 	}
 }
 
 func TestE3WriteBSFSBeatsHDFS(t *testing.T) {
-	b, err := RunWriteDistinct(microOpts("bsfs", 20))
+	b, err := runWriteDistinct(newMicroOpts("bsfs", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := RunWriteDistinct(microOpts("hdfs", 20))
+	h, err := runWriteDistinct(newMicroOpts("hdfs", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("E3 writes: bsfs %.1f MB/s vs hdfs %.1f MB/s per client", b.PerClientMBps, h.PerClientMBps)
-	if b.PerClientMBps <= h.PerClientMBps {
-		t.Fatalf("paper claim violated: BSFS writes (%.1f) not faster than HDFS (%.1f)", b.PerClientMBps, h.PerClientMBps)
+	t.Logf("E3 writes: bsfs %.1f MB/s vs hdfs %.1f MB/s per client", b.perClientMBps, h.perClientMBps)
+	if b.perClientMBps <= h.perClientMBps {
+		t.Fatalf("paper claim violated: BSFS writes (%.1f) not faster than HDFS (%.1f)", b.perClientMBps, h.perClientMBps)
 	}
 	// HDFS write-through pipelines are disk-bound (~60 MB/s modelled).
-	if h.PerClientMBps > 70 {
-		t.Fatalf("HDFS write throughput %.1f exceeds disk-bound expectation", h.PerClientMBps)
+	if h.perClientMBps > 70 {
+		t.Fatalf("HDFS write throughput %.1f exceeds disk-bound expectation", h.perClientMBps)
 	}
 }
 
 func TestE1ReadDistinctShapes(t *testing.T) {
-	b, err := RunReadDistinct(microOpts("bsfs", 20))
+	b, err := runReadDistinct(newMicroOpts("bsfs", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := RunReadDistinct(microOpts("hdfs", 20))
+	h, err := runReadDistinct(newMicroOpts("hdfs", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("E1 reads: bsfs %.1f MB/s vs hdfs %.1f MB/s per client", b.PerClientMBps, h.PerClientMBps)
-	if b.PerClientMBps <= h.PerClientMBps {
-		t.Fatalf("paper claim violated: BSFS reads (%.1f) not faster than HDFS (%.1f)", b.PerClientMBps, h.PerClientMBps)
+	t.Logf("E1 reads: bsfs %.1f MB/s vs hdfs %.1f MB/s per client", b.perClientMBps, h.perClientMBps)
+	if b.perClientMBps <= h.perClientMBps {
+		t.Fatalf("paper claim violated: BSFS reads (%.1f) not faster than HDFS (%.1f)", b.perClientMBps, h.perClientMBps)
 	}
 }
 
 func TestE2ReadSharedShapes(t *testing.T) {
-	b, err := RunReadShared(microOpts("bsfs", 16))
+	b, err := runReadShared(newMicroOpts("bsfs", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := RunReadShared(microOpts("hdfs", 16))
+	h, err := runReadShared(newMicroOpts("hdfs", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("E2 shared reads: bsfs %.1f MB/s vs hdfs %.1f MB/s per client", b.PerClientMBps, h.PerClientMBps)
-	if b.PerClientMBps <= h.PerClientMBps {
-		t.Fatalf("paper claim violated: BSFS shared reads (%.1f) not faster than HDFS (%.1f)", b.PerClientMBps, h.PerClientMBps)
+	t.Logf("E2 shared reads: bsfs %.1f MB/s vs hdfs %.1f MB/s per client", b.perClientMBps, h.perClientMBps)
+	if b.perClientMBps <= h.perClientMBps {
+		t.Fatalf("paper claim violated: BSFS shared reads (%.1f) not faster than HDFS (%.1f)", b.perClientMBps, h.perClientMBps)
 	}
 }
 
 func TestBSFSSustainsUnderConcurrency(t *testing.T) {
 	// The paper's headline: BSFS throughput holds as clients scale.
-	lo, err := RunWriteDistinct(microOpts("bsfs", 4))
+	lo, err := runWriteDistinct(newMicroOpts("bsfs", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := RunWriteDistinct(microOpts("bsfs", 40))
+	hi, err := runWriteDistinct(newMicroOpts("bsfs", 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("bsfs writes: 4 clients %.1f MB/s, 40 clients %.1f MB/s", lo.PerClientMBps, hi.PerClientMBps)
-	if hi.PerClientMBps < lo.PerClientMBps*0.5 {
-		t.Fatalf("BSFS did not sustain throughput: %.1f -> %.1f MB/s", lo.PerClientMBps, hi.PerClientMBps)
+	t.Logf("bsfs writes: 4 clients %.1f MB/s, 40 clients %.1f MB/s", lo.perClientMBps, hi.perClientMBps)
+	if hi.perClientMBps < lo.perClientMBps*0.5 {
+		t.Fatalf("BSFS did not sustain throughput: %.1f -> %.1f MB/s", lo.perClientMBps, hi.perClientMBps)
 	}
 }
 
 func TestX1AppendSharedWorksOnlyOnBSFS(t *testing.T) {
-	p, err := RunAppendShared(microOpts("bsfs", 10))
+	p, err := runAppendShared(newMicroOpts("bsfs", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PerClientMBps <= 0 {
+	if p.perClientMBps <= 0 {
 		t.Fatal("no append throughput measured")
 	}
-	if _, err := RunAppendShared(microOpts("hdfs", 10)); err == nil {
+	if _, err := runAppendShared(newMicroOpts("hdfs", 10)); err == nil {
 		t.Fatal("HDFS accepted concurrent appends; it must not (§II.C)")
 	}
 }
 
 func TestE4RandomTextWriter(t *testing.T) {
-	opts := AppOpts{Maps: 20, BytesPerMap: 128 * MB, Spec: ClusterSpec{Nodes: 60, MetaNodes: 8}}
+	opts := AppOpts{Maps: 20, BytesPerMap: 128 * MB, Spec: ClusterSpec{Nodes: 60, metaNodes: 8}}
 	opts.Storage = StorageOpts{Kind: "bsfs"}
-	b, err := RunRandomTextWriter(opts)
+	b, err := runRandomTextWriter(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Storage = StorageOpts{Kind: "hdfs"}
-	h, err := RunRandomTextWriter(opts)
+	h, err := runRandomTextWriter(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestE4RandomTextWriter(t *testing.T) {
 }
 
 func TestE5DistributedGrep(t *testing.T) {
-	opts := AppOpts{Maps: 20, BytesPerMap: 128 * MB, Spec: ClusterSpec{Nodes: 60, MetaNodes: 8}}
-	opts.Storage = StorageOpts{Kind: "bsfs", MemCapacity: 48 * MB}
+	opts := AppOpts{Maps: 20, BytesPerMap: 128 * MB, Spec: ClusterSpec{Nodes: 60, metaNodes: 8}}
+	opts.Storage = StorageOpts{Kind: "bsfs", memCapacity: 48 * MB}
 	b, err := RunDistributedGrep(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Storage = StorageOpts{Kind: "hdfs", MemCapacity: 48 * MB}
+	opts.Storage = StorageOpts{Kind: "hdfs", memCapacity: 48 * MB}
 	h, err := RunDistributedGrep(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +146,9 @@ func TestE5DistributedGrep(t *testing.T) {
 }
 
 func TestX4SnapshotWorkflow(t *testing.T) {
-	opts := AppOpts{Maps: 8, BytesPerMap: 64 * MB, Spec: ClusterSpec{Nodes: 40, MetaNodes: 6}}
+	opts := AppOpts{Maps: 8, BytesPerMap: 64 * MB, Spec: ClusterSpec{Nodes: 40, metaNodes: 6}}
 	opts.Storage = StorageOpts{Kind: "bsfs"}
-	results, err := RunSnapshotWorkflow(opts)
+	results, err := runSnapshotWorkflow(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +158,13 @@ func TestX4SnapshotWorkflow(t *testing.T) {
 	// Results come in snapshot order. RunSnapshotWorkflow itself fails
 	// unless the dataset ends at 2.5x the first snapshot's size: the
 	// concurrent append landed whole.
-	if results[0].Experiment != "X4-snapshot-grep-1" {
-		t.Fatalf("results[0] is %q, want X4-snapshot-grep-1", results[0].Experiment)
+	if results[0].experiment != "X4-snapshot-grep-1" {
+		t.Fatalf("results[0] is %q, want X4-snapshot-grep-1", results[0].experiment)
 	}
 	// The snapshot-1 job reads half the data of the snapshot-2 job.
 	var in1, in2 int64
 	for _, r := range results {
-		if r.Experiment == "X4-snapshot-grep-1" {
+		if r.experiment == "X4-snapshot-grep-1" {
 			in1 = r.Counters.InputBytes
 		} else {
 			in2 = r.Counters.InputBytes
@@ -176,60 +176,60 @@ func TestX4SnapshotWorkflow(t *testing.T) {
 }
 
 func TestX3FaultChurn(t *testing.T) {
-	res, err := RunFaultChurn(FaultOpts{
-		Clients:        12,
-		BytesPerClient: 64 * MB,
-		KillProviders:  2,
-		Spec:           ClusterSpec{Nodes: 60, MetaNodes: 8},
-		Storage:        StorageOpts{MemCapacity: 48 * MB, Replication: 2},
+	res, err := runFaultChurn(faultOpts{
+		clients:        12,
+		bytesPerClient: 64 * MB,
+		killProviders:  2,
+		spec:           ClusterSpec{Nodes: 60, metaNodes: 8},
+		storage:        StorageOpts{memCapacity: 48 * MB, replication: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("X3: healthy %.1f MB/s, degraded %.1f MB/s, repaired %d pages (%d replicas) in %s",
-		res.Healthy.PerClientMBps, res.Degraded.PerClientMBps,
-		res.Repair.PagesDegraded, res.Repair.ReplicasAdded, res.RepairDuration)
+		res.healthy.perClientMBps, res.degraded.perClientMBps,
+		res.repair.PagesDegraded, res.repair.ReplicasAdded, res.repairDuration)
 	// RunFaultChurn itself verifies correctness (no short reads, full
 	// replication after repair); here we assert the scenario's shape.
-	if res.Healthy.PerClientMBps <= 0 || res.Degraded.PerClientMBps <= 0 {
+	if res.healthy.perClientMBps <= 0 || res.degraded.perClientMBps <= 0 {
 		t.Fatal("no throughput measured")
 	}
-	if res.Repair.PagesDegraded == 0 || res.Repair.ReplicasAdded < res.Repair.PagesDegraded {
-		t.Fatalf("killing 2 of 59 providers must degrade pages and repair must re-copy them: %+v", res.Repair)
+	if res.repair.PagesDegraded == 0 || res.repair.ReplicasAdded < res.repair.PagesDegraded {
+		t.Fatalf("killing 2 of 59 providers must degrade pages and repair must re-copy them: %+v", res.repair)
 	}
-	if res.RepairDuration <= 0 {
+	if res.repairDuration <= 0 {
 		t.Fatal("repair consumed no virtual time")
 	}
 }
 
 func TestX6MembershipChurn(t *testing.T) {
-	res, err := RunChurn(ChurnOpts{
-		Writers:    3,
-		Providers:  8,
-		Cycles:     3,
-		BlockBytes: 2 * MB,
+	res, err := runChurn(churnOpts{
+		writers:    3,
+		providers:  8,
+		cycles:     3,
+		blockBytes: 2 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("X6: %d appends (%d retried), epoch %d, sweeps %+v, rebalanced in %s",
-		res.Appends, res.Retries, res.Epoch, res.Sweeps, res.RebalanceDuration)
+		res.appends, res.retries, res.epoch, res.sweeps, res.rebalanceDuration)
 	// RunChurn itself asserts the hard properties (no append or read ever
 	// loses all replicas, convergence to the preferred owners); here we
 	// check the scenario's shape.
-	if res.Appends < res.Cycles {
-		t.Fatalf("writers published only %d blocks across %d churn cycles", res.Appends, res.Cycles)
+	if res.appends < res.cycles {
+		t.Fatalf("writers published only %d blocks across %d churn cycles", res.appends, res.cycles)
 	}
 	// Each cycle is a death (epoch+1 via health), a removal and a join;
 	// the epoch must have moved at least that much.
-	if res.Epoch < uint64(3*res.Cycles) {
-		t.Fatalf("epoch %d after %d churn cycles, want >= %d", res.Epoch, res.Cycles, 3*res.Cycles)
+	if res.epoch < uint64(3*res.cycles) {
+		t.Fatalf("epoch %d after %d churn cycles, want >= %d", res.epoch, res.cycles, 3*res.cycles)
 	}
-	if res.Sweeps.ReplicasAdded == 0 {
-		t.Fatalf("churn repaired no replicas: %+v", res.Sweeps)
+	if res.sweeps.ReplicasAdded == 0 {
+		t.Fatalf("churn repaired no replicas: %+v", res.sweeps)
 	}
-	if res.Sweeps.PagesMigrated == 0 {
-		t.Fatalf("joins migrated no pages onto the new owners: %+v", res.Sweeps)
+	if res.sweeps.PagesMigrated == 0 {
+		t.Fatalf("joins migrated no pages onto the new owners: %+v", res.sweeps)
 	}
 }
 
@@ -238,19 +238,19 @@ func TestA1PlacementAblation(t *testing.T) {
 	// each file on its writer's node; concurrent readers then hammer
 	// single sources. Striping must read faster — evidence for the
 	// paper's claim that the win comes from load-balanced placement.
-	striped, err := RunReadDistinct(microOpts("bsfs", 20))
+	striped, err := runReadDistinct(newMicroOpts("bsfs", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := microOpts("bsfs", 20)
-	o.Storage.LocalFirstPlacement = true
-	local, err := RunReadDistinct(o)
+	o := newMicroOpts("bsfs", 20)
+	o.storage.localFirstPlacement = true
+	local, err := runReadDistinct(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("A1 reads: striped %.1f MB/s vs local-first %.1f MB/s", striped.PerClientMBps, local.PerClientMBps)
-	if local.PerClientMBps >= striped.PerClientMBps {
-		t.Fatalf("local-first placement (%.1f) should not beat striping (%.1f) for concurrent reads", local.PerClientMBps, striped.PerClientMBps)
+	t.Logf("A1 reads: striped %.1f MB/s vs local-first %.1f MB/s", striped.perClientMBps, local.perClientMBps)
+	if local.perClientMBps >= striped.perClientMBps {
+		t.Fatalf("local-first placement (%.1f) should not beat striping (%.1f) for concurrent reads", local.perClientMBps, striped.perClientMBps)
 	}
 }
 
@@ -259,11 +259,11 @@ func TestX2PublishThroughputScalesWithWriters(t *testing.T) {
 	// must grow — not stay flat — from 1 to 16 writers sharing one
 	// blob, because the batched ticket/publish RPCs keep the version
 	// manager off the critical path.
-	run := func(n int) PublishResult {
+	run := func(n int) publishResult {
 		t.Helper()
 		opts := x2Opts(SweepOpts{Spec: ClusterSpec{Nodes: 34}}, n)
-		opts.Blocks = 32
-		res, err := RunPublish(opts)
+		opts.blocks = 32
+		res, err := runPublish(opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -271,12 +271,12 @@ func TestX2PublishThroughputScalesWithWriters(t *testing.T) {
 	}
 	one, sixteen := run(1), run(16)
 	t.Logf("X2: 1 writer %.1f versions/s, 16 writers %.1f versions/s",
-		one.VersionsPerSec, sixteen.VersionsPerSec)
+		one.versionsPerSec, sixteen.versionsPerSec)
 	// "Not flat" with margin: 16 writers must publish at well over
 	// double the single-writer rate (the probe shows ~15x).
-	if sixteen.VersionsPerSec < 2*one.VersionsPerSec {
+	if sixteen.versionsPerSec < 2*one.versionsPerSec {
 		t.Fatalf("publish throughput flat: 1 writer %.1f vs 16 writers %.1f versions/s",
-			one.VersionsPerSec, sixteen.VersionsPerSec)
+			one.versionsPerSec, sixteen.versionsPerSec)
 	}
 }
 
@@ -286,11 +286,11 @@ func TestX5ShardedPublishScales(t *testing.T) {
 	// publish throughput at 4 shards must be strictly greater than at
 	// 1 shard — the tentpole claim that partitioning version
 	// management scales publication past one node.
-	run := func(shards int) PublishResult {
+	run := func(shards int) publishResult {
 		t.Helper()
-		opts := x5Opts(SweepOpts{Spec: ClusterSpec{Nodes: 50, MetaNodes: 8}}, 24)
-		opts.Storage.VMShards = shards
-		res, err := RunPublish(opts)
+		opts := x5Opts(SweepOpts{Spec: ClusterSpec{Nodes: 50, metaNodes: 8}}, 24)
+		opts.storage.vmShards = shards
+		res, err := runPublish(opts)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -298,13 +298,13 @@ func TestX5ShardedPublishScales(t *testing.T) {
 	}
 	one, four := run(1), run(4)
 	t.Logf("X5: 1 shard %.1f versions/s, 4 shards %.1f versions/s (%.2fx)",
-		one.VersionsPerSec, four.VersionsPerSec, four.VersionsPerSec/one.VersionsPerSec)
-	if four.VersionsPerSec <= one.VersionsPerSec {
+		one.versionsPerSec, four.versionsPerSec, four.versionsPerSec/one.versionsPerSec)
+	if four.versionsPerSec <= one.versionsPerSec {
 		t.Fatalf("sharding did not scale publish throughput: 1 shard %.1f vs 4 shards %.1f versions/s",
-			one.VersionsPerSec, four.VersionsPerSec)
+			one.versionsPerSec, four.versionsPerSec)
 	}
-	if one.Versions != four.Versions {
-		t.Fatalf("version counts diverged across shard widths: %d vs %d", one.Versions, four.Versions)
+	if one.versions != four.versions {
+		t.Fatalf("version counts diverged across shard widths: %d vs %d", one.versions, four.versions)
 	}
 }
 
@@ -314,12 +314,12 @@ func TestA7ShardedNotSlowerThanSingle(t *testing.T) {
 	// RunShardAblation itself errors on a violation; the explicit
 	// comparison here keeps the numbers in the test log.
 	for _, writers := range []int{4, 16, 32} {
-		sharded, single, err := RunShardAblation(x5Opts(SweepOpts{Spec: ClusterSpec{Nodes: 50, MetaNodes: 8}}, writers))
+		sharded, single, err := runShardAblation(x5Opts(SweepOpts{Spec: ClusterSpec{Nodes: 50, metaNodes: 8}}, writers))
 		if err != nil {
 			t.Fatalf("writers=%d: %v", writers, err)
 		}
 		t.Logf("A7 writers=%d: sharded %.1f versions/s vs single %.1f versions/s",
-			writers, sharded.VersionsPerSec, single.VersionsPerSec)
+			writers, sharded.versionsPerSec, single.versionsPerSec)
 	}
 }
 
@@ -330,38 +330,38 @@ func TestA6GroupCommitNotSlowerThanSerial(t *testing.T) {
 	// on a violation; the log line keeps the numbers in the test log.
 	for _, n := range []int{1, 4, 16} {
 		opts := x2Opts(SweepOpts{Spec: ClusterSpec{Nodes: 34}}, n)
-		opts.Blocks = 32
-		batched, unbatched, err := RunPublishAblation(opts)
+		opts.blocks = 32
+		batched, unbatched, err := runPublishAblation(opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		t.Logf("A6 n=%d: batched %.1f versions/s vs unbatched %.1f versions/s",
-			n, batched.VersionsPerSec, unbatched.VersionsPerSec)
+			n, batched.versionsPerSec, unbatched.versionsPerSec)
 	}
 }
 
 func TestX7TieredRecovery(t *testing.T) {
-	res, err := RunTieredRecovery(TieredOpts{
-		Clients:        2,
-		BytesPerClient: 16 * MB,
-		Dir:            t.TempDir(),
-		Storage:        StorageOpts{Replication: 2},
+	res, err := runTieredRecovery(tieredOpts{
+		clients:        2,
+		bytesPerClient: 16 * MB,
+		dir:            t.TempDir(),
+		storage:        StorageOpts{replication: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StoredPages == 0 || res.RecoveredPages != res.StoredPages {
-		t.Fatalf("recovered %d of %d pages", res.RecoveredPages, res.StoredPages)
+	if res.storedPages == 0 || res.recoveredPages != res.storedPages {
+		t.Fatalf("recovered %d of %d pages", res.recoveredPages, res.storedPages)
 	}
-	if res.LogBytes == 0 {
+	if res.logBytes == 0 {
 		t.Fatal("no log bytes on disk")
 	}
-	if res.Warm.AggregateMBps < res.Cold.AggregateMBps {
-		t.Fatalf("warm %.1f MB/s < cold %.1f MB/s", res.Warm.AggregateMBps, res.Cold.AggregateMBps)
+	if res.warm.aggregateMBps < res.cold.aggregateMBps {
+		t.Fatalf("warm %.1f MB/s < cold %.1f MB/s", res.warm.aggregateMBps, res.cold.aggregateMBps)
 	}
 	// Cold reads must actually touch disks: the restarted stores serve
 	// nothing from RAM.
-	if res.Cold.DiskBytes == 0 {
+	if res.cold.diskBytes == 0 {
 		t.Fatal("cold pass charged no disk reads")
 	}
 }
@@ -369,75 +369,72 @@ func TestX7TieredRecovery(t *testing.T) {
 // smokeServeOpts is the reduced-scale X8 configuration: a small tenant
 // population and a slow version manager, so 10x offered load is well
 // past saturation inside a short virtual window.
-func smokeServeOpts() ServeOpts {
-	return ServeOpts{
-		Tenants:       50,
-		BaseRate:      200,
-		Duration:      4 * time.Second,
-		VMServiceTime: 500 * time.Microsecond,
-		Nodes:         12,
+func smokeServeOpts() serveOpts {
+	return serveOpts{
+		tenants:       50,
+		baseRate:      200,
+		duration:      4 * time.Second,
+		vmServiceTime: 500 * time.Microsecond,
+		nodes:         12,
 	}
 }
 
 func TestX8GracefulDegradationUnderOverload(t *testing.T) {
-	open, admitted, err := RunServeSweep(smokeServeOpts(), []float64{1, 10})
+	open, admitted, err := runServeSweep(smokeServeOpts(), []float64{1, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range []float64{1, 10} {
 		o, a := open[i], admitted[i]
 		t.Logf("x8 %2.0fx open : offered %d completed %d goodput %.0f/s p99 %s inflight<=%d",
-			m, o.Report.Offered, o.Report.Completed, o.GoodputPerSec, o.Report.P99, o.Report.MaxInflight)
+			m, o.report.Offered, o.report.Completed, o.goodputPerSec, o.report.P99, o.report.MaxInflight)
 		t.Logf("x8 %2.0fx admit: offered %d completed %d rejected %d goodput %.0f/s p99 %s inflight<=%d",
-			m, a.Report.Offered, a.Report.Completed, a.Report.Rejected, a.GoodputPerSec, a.Report.P99, a.Report.MaxInflight)
+			m, a.report.Offered, a.report.Completed, a.report.Rejected, a.goodputPerSec, a.report.P99, a.report.MaxInflight)
 	}
 	// The sweep itself asserts goodput and the admitted tail; the
 	// smoke adds the queue-growth claim: at 10x the open run's
 	// in-flight high-water mark must dwarf the admitted run's.
 	o10, a10 := open[1], admitted[1]
-	if a10.Report.Rejected == 0 {
+	if a10.report.Rejected == 0 {
 		t.Fatal("admission at 10x rejected nothing")
 	}
-	if o10.Report.MaxInflight < 2*a10.Report.MaxInflight {
+	if o10.report.MaxInflight < 2*a10.report.MaxInflight {
 		t.Fatalf("open-loop backlog %d not meaningfully above admitted %d",
-			o10.Report.MaxInflight, a10.Report.MaxInflight)
+			o10.report.MaxInflight, a10.report.MaxInflight)
 	}
 }
 
-// TestStorageOptsSurface pins StorageOpts' exported fields. The
-// admission rule for a new one (see core's TestOptionsSurface): an
-// experiment in this package sets it to a second value — an arm that
-// compares the code with its own past is not an experiment.
+// TestStorageOptsSurface pins StorageOpts' fields, exported or not:
+// each is a settable value. The admission rule for a new one (see
+// core's TestOptionsSurface): an experiment in this package sets it to
+// a second value — an arm that compares the code with its own past is
+// not an experiment.
 func TestStorageOptsSurface(t *testing.T) {
 	typ := reflect.TypeOf(StorageOpts{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); f.IsExported() {
-			got = append(got, f.Name)
-		}
+		got = append(got, typ.Field(i).Name)
 	}
-	want := []string{"Kind", "Replication", "PageSize", "BlockSize", "MemCapacity", "Store",
-		"LocalFirstPlacement", "DisableClientCache", "RAMDatanodes", "MaxInFlightBlocks", "VMShards", "VMServiceTime"}
+	want := []string{"Kind", "replication", "pageSize", "BlockSize", "memCapacity", "store",
+		"localFirstPlacement", "disableClientCache", "ramDatanodes", "maxInFlightBlocks", "vmShards", "vmServiceTime"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("StorageOpts has fields %v, want exactly %v", got, want)
 	}
 }
 
-// TestPublishOptsSurface pins PublishOpts' exported fields: the publish
+// TestPublishOptsSurface pins publishOpts' fields: the publish
 // workload's own knobs are its shape (writers, the writer -> file
 // mapping, versions per writer); block size, pipeline depth and the
 // version-manager tier are StorageOpts fields.
 func TestPublishOptsSurface(t *testing.T) {
-	typ := reflect.TypeOf(PublishOpts{})
+	typ := reflect.TypeOf(publishOpts{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); f.IsExported() {
-			got = append(got, f.Name)
-		}
+		got = append(got, typ.Field(i).Name)
 	}
-	want := []string{"Writers", "Files", "Blocks", "Storage", "Spec"}
+	want := []string{"writers", "files", "blocks", "storage", "spec"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PublishOpts has fields %v, want exactly %v", got, want)
+		t.Errorf("publishOpts has fields %v, want exactly %v", got, want)
 	}
 }
 
@@ -478,26 +475,26 @@ func TestPhase(t *testing.T) {
 	if okErr != nil {
 		t.Fatal(okErr)
 	}
-	if ok.Experiment != "ok" || ok.Clients != 3 {
-		t.Fatalf("point %q with %d clients, want \"ok\" with 3", ok.Experiment, ok.Clients)
+	if ok.experiment != "ok" || ok.clients != 3 {
+		t.Fatalf("point %q with %d clients, want \"ok\" with 3", ok.experiment, ok.clients)
 	}
-	if ok.Duration < 20*time.Millisecond {
-		t.Fatalf("makespan %s, want >= 20ms", ok.Duration)
+	if ok.duration < 20*time.Millisecond {
+		t.Fatalf("makespan %s, want >= 20ms", ok.duration)
 	}
 	// The slowest client is the 20ms sleeper; the fastest moved 1 MiB in
 	// under 10ms.
-	if ok.MinMBps != mbps(MB, 20*time.Millisecond) || ok.MaxMBps <= mbps(MB, 10*time.Millisecond) {
+	if ok.minMBps != mbps(MB, 20*time.Millisecond) || ok.maxMBps <= mbps(MB, 10*time.Millisecond) {
 		t.Fatalf("spread %.1f..%.1f MB/s, want min %.1f and max above %.1f",
-			ok.MinMBps, ok.MaxMBps, mbps(MB, 20*time.Millisecond), mbps(MB, 10*time.Millisecond))
+			ok.minMBps, ok.maxMBps, mbps(MB, 20*time.Millisecond), mbps(MB, 10*time.Millisecond))
 	}
-	if ok.NetBytes < MB {
-		t.Fatalf("phase counted %d network bytes, want >= %d", ok.NetBytes, MB)
+	if ok.netBytes < MB {
+		t.Fatalf("phase counted %d network bytes, want >= %d", ok.netBytes, MB)
 	}
 	if !errors.Is(failedErr, boom) {
 		t.Fatalf("failing phase returned %v, want %v", failedErr, boom)
 	}
-	if failed.Clients != 3 || failed.Duration != 30*time.Millisecond ||
-		failed.MinMBps != mbps(MB, 30*time.Millisecond) || failed.MaxMBps != mbps(MB, 10*time.Millisecond) {
+	if failed.clients != 3 || failed.duration != 30*time.Millisecond ||
+		failed.minMBps != mbps(MB, 30*time.Millisecond) || failed.maxMBps != mbps(MB, 10*time.Millisecond) {
 		t.Fatalf("failing phase lost timings: %+v", failed)
 	}
 }

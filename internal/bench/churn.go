@@ -20,62 +20,62 @@ import (
 	"repro/internal/simnet"
 )
 
-// ChurnOpts parameterizes the X6 membership-churn scenario.
-type ChurnOpts struct {
-	// Writers is the number of concurrent appenders, one blob each
+// churnOpts parameterizes the X6 membership-churn scenario.
+type churnOpts struct {
+	// writers is the number of concurrent appenders, one blob each
 	// (default 4).
-	Writers int
-	// Providers is the initial provider fleet size (default 10).
-	Providers int
-	// Cycles is the number of churn cycles; each kills one provider,
+	writers int
+	// providers is the initial provider fleet size (default 10).
+	providers int
+	// cycles is the number of churn cycles; each kills one provider,
 	// removes it, and joins a fresh spare node (default 3).
-	Cycles int
-	// BlockBytes is the synthetic payload of each append (default 1 MB).
-	BlockBytes int64
-	// Replication is the page replica count (min and default 2: the
+	cycles int
+	// blockBytes is the synthetic payload of each append (default 1 MB).
+	blockBytes int64
+	// replication is the page replica count (min and default 2: the
 	// scenario's liveness claim needs a survivor per page).
-	Replication int
-	// MemCapacity bounds each provider's RAM store (default 512 MB).
-	MemCapacity int64
+	replication int
+	// memCapacity bounds each provider's RAM store (default 512 MB).
+	memCapacity int64
 }
 
-func (o *ChurnOpts) fillDefaults() {
-	if o.Writers <= 0 {
-		o.Writers = 4
+func (o *churnOpts) fillDefaults() {
+	if o.writers <= 0 {
+		o.writers = 4
 	}
-	if o.Providers <= 0 {
-		o.Providers = 10
+	if o.providers <= 0 {
+		o.providers = 10
 	}
-	if o.Cycles <= 0 {
-		o.Cycles = 3
+	if o.cycles <= 0 {
+		o.cycles = 3
 	}
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = 1 * MB
+	if o.blockBytes <= 0 {
+		o.blockBytes = 1 * MB
 	}
-	if o.Replication < 2 {
-		o.Replication = 2
+	if o.replication < 2 {
+		o.replication = 2
 	}
-	if o.MemCapacity == 0 {
-		o.MemCapacity = 512 * MB
+	if o.memCapacity == 0 {
+		o.memCapacity = 512 * MB
 	}
 }
 
-// ChurnResult is the outcome of one churn run.
-type ChurnResult struct {
-	// Appends counts blocks successfully published across all writers;
+// churnResult is the outcome of one churn run.
+type churnResult struct {
+	// appends counts blocks successfully published across all writers;
 	// Retries counts transient write failures (a placement raced a
 	// death) that succeeded on retry.
-	Appends int
-	Retries int
-	// Cycles echoes the churn cycles executed; Epoch is the final
+	appends int
+	retries int
+	// cycles echoes the churn cycles executed; Epoch is the final
 	// membership epoch (every death, removal, and join bumps it).
-	Cycles int
-	Epoch  uint64
-	// RebalanceDuration is the virtual time from the end of churn until
+	cycles int
+	epoch  uint64
+	// rebalanceDuration is the virtual time from the end of churn until
 	// every page sat on its preferred owners at full replication.
-	RebalanceDuration time.Duration
-	// Sweeps aggregates every placement pass of the run.
-	Sweeps core.RepairStats
+	rebalanceDuration time.Duration
+	// sweeps aggregates every placement pass of the run.
+	sweeps core.RepairStats
 }
 
 // maxWriteRetries bounds a writer's retry loop for one block: churn
@@ -83,50 +83,50 @@ type ChurnResult struct {
 // cannot land after this many attempts means the fleet is wedged.
 const maxWriteRetries = 50
 
-// RunChurn executes the scenario: Writers appenders run continuously
+// runChurn executes the scenario: Writers appenders run continuously
 // while Cycles churn cycles each kill a provider (the heartbeat
 // checker marks it down), restore replication with a placement pass,
 // remove the dead node from the membership, and join a fresh spare.
 // No read may ever fail with ErrAllReplicasDown. After the churn
 // stops, placement passes must converge every page of every blob onto
 // its preferred owners at full replication.
-func RunChurn(opts ChurnOpts) (ChurnResult, error) {
+func runChurn(opts churnOpts) (churnResult, error) {
 	opts.fillDefaults()
 	// Node 0 hosts the masters, 1..Providers the initial fleet, and the
 	// next Cycles nodes are the spares that join mid-run.
-	total := 1 + opts.Providers + opts.Cycles
+	total := 1 + opts.providers + opts.cycles
 	eng := sim.NewEngine()
 	netw := simnet.New(eng, simnet.Grid5000(total))
 	env := cluster.NewSim(netw)
-	fleet := make([]cluster.NodeID, opts.Providers)
+	fleet := make([]cluster.NodeID, opts.providers)
 	for i := range fleet {
 		fleet[i] = cluster.NodeID(i + 1)
 	}
 	dep, err := core.NewDeployment(env, core.Options{
 		PageSize:      256 * KB,
-		Replication:   opts.Replication,
+		Replication:   opts.replication,
 		ProviderNodes: fleet,
 		// Pin the metadata DHT to the initial nodes: the DHT tier is
 		// separate from the provider fleet and does not churn.
 		MetaNodes: fleet,
-		Provider:  core.ProviderConfig{MemCapacity: opts.MemCapacity},
+		Provider:  core.ProviderConfig{MemCapacity: opts.memCapacity},
 		// The heartbeat daemon runs on virtual time and flips dead
 		// members to Down, which bumps the epoch and re-routes clients.
 		HeartbeatInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
-		return ChurnResult{}, err
+		return churnResult{}, err
 	}
 
-	var res ChurnResult
-	res.Cycles = opts.Cycles
+	var res churnResult
+	res.cycles = opts.cycles
 	var runErr firstError
 	fail := runErr.set
 
 	var stop atomic.Bool // controller -> writers
-	blobs := make([]core.BlobID, opts.Writers)
-	appends := make([]int, opts.Writers)
-	retries := make([]int, opts.Writers)
+	blobs := make([]core.BlobID, opts.writers)
+	appends := make([]int, opts.writers)
+	retries := make([]int, opts.writers)
 
 	writer := func(i int, node cluster.NodeID) {
 		c := dep.NewClient(node)
@@ -140,7 +140,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 			var off int64
 			var werr error
 			for attempt := 0; ; attempt++ {
-				_, off, werr = b.Append(core.SyntheticBlocks(opts.BlockBytes))
+				_, off, werr = b.Append(core.SyntheticBlocks(opts.blockBytes))
 				if werr == nil {
 					break
 				}
@@ -158,7 +158,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 			appends[i]++
 			// Read the block straight back: replica failover must keep
 			// every published page readable through the churn.
-			if _, rerr := b.ReadAt(nil, off, core.Synthetic(opts.BlockBytes)); rerr != nil {
+			if _, rerr := b.ReadAt(nil, off, core.Synthetic(opts.blockBytes)); rerr != nil {
 				fail(fmt.Errorf("bench: writer %d: read-back at %d: %w", i, off, rerr))
 				return
 			}
@@ -168,7 +168,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 
 	sweep := func() bool {
 		st, err := dep.Rebalance.SweepOnce()
-		res.Sweeps.Add(st)
+		res.sweeps.Add(st)
 		if err != nil {
 			fail(fmt.Errorf("bench: placement sweep: %w", err))
 			return false
@@ -181,7 +181,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 	}
 
 	controller := func() {
-		for cycle := 0; cycle < opts.Cycles && runErr.get() == nil; cycle++ {
+		for cycle := 0; cycle < opts.cycles && runErr.get() == nil; cycle++ {
 			env.Sleep(25 * time.Millisecond) // let writers make progress
 			victim := fleet[cycle%len(fleet)]
 			dep.Provider(victim).SetDown(true)
@@ -195,7 +195,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 				fail(err)
 				return
 			}
-			spare := cluster.NodeID(opts.Providers + 1 + cycle)
+			spare := cluster.NodeID(opts.providers + 1 + cycle)
 			if _, err := dep.AddProvider(spare); err != nil {
 				fail(err)
 				return
@@ -218,7 +218,7 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 			if !sweep() {
 				return
 			}
-			ok, err := allOnPreferredOwners(dep, blobs, opts.Replication)
+			ok, err := allOnPreferredOwners(dep, blobs, opts.replication)
 			if err != nil {
 				fail(err)
 				return
@@ -233,13 +233,13 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 			fail(fmt.Errorf("bench: placement did not converge to the preferred owners after churn"))
 			return
 		}
-		res.RebalanceDuration = env.Now() - t0
+		res.rebalanceDuration = env.Now() - t0
 	}
 
 	eng.Go(func() {
 		wg := env.NewWaitGroup()
 		for i := range blobs {
-			node := cluster.NodeID(1 + i%opts.Providers)
+			node := cluster.NodeID(1 + i%opts.providers)
 			wg.Go(func() { writer(i, node) })
 		}
 		wg.Go(controller)
@@ -250,13 +250,13 @@ func RunChurn(opts ChurnOpts) (ChurnResult, error) {
 		return res, err
 	}
 	for i := range blobs {
-		res.Appends += appends[i]
-		res.Retries += retries[i]
+		res.appends += appends[i]
+		res.retries += retries[i]
 		if appends[i] == 0 {
 			return res, fmt.Errorf("bench: writer %d never published a block", i)
 		}
 	}
-	res.Epoch = dep.Placement.Epoch()
+	res.epoch = dep.Placement.Epoch()
 	return res, dep.Close()
 }
 

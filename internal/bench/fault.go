@@ -15,61 +15,61 @@ import (
 	"repro/internal/core"
 )
 
-// FaultOpts parameterizes the fault/churn scenario.
-type FaultOpts struct {
-	Clients        int
-	BytesPerClient int64
-	// KillProviders is the number of providers killed mid-read
+// faultOpts parameterizes the fault/churn scenario.
+type faultOpts struct {
+	clients        int
+	bytesPerClient int64
+	// killProviders is the number of providers killed mid-read
 	// (default 1). Victims are chosen against the actual page
 	// locations so no page loses every replica; the run fails if no
 	// such victim set exists for the configured replication.
-	KillProviders int
-	// KillDelay is how far into the measured read phase the victims
+	killProviders int
+	// killDelay is how far into the measured read phase the victims
 	// die (default 100ms of virtual time, early enough to land
 	// mid-read even at reduced scale).
-	KillDelay time.Duration
-	// RecordSize splits each client's read into individual requests of
+	killDelay time.Duration
+	// recordSize splits each client's read into individual requests of
 	// this size (default 8 MB). A single huge request fetches all its
 	// pages at one virtual instant, so only record-sized requests give
 	// the failure a mid-read window to land in.
-	RecordSize int64
-	Storage    StorageOpts
-	Spec       ClusterSpec
+	recordSize int64
+	storage    StorageOpts
+	spec       ClusterSpec
 }
 
-func (o *FaultOpts) fillDefaults() {
-	if o.Clients <= 0 {
-		o.Clients = 1
+func (o *faultOpts) fillDefaults() {
+	if o.clients <= 0 {
+		o.clients = 1
 	}
-	if o.BytesPerClient <= 0 {
-		o.BytesPerClient = 1 * GB
+	if o.bytesPerClient <= 0 {
+		o.bytesPerClient = 1 * GB
 	}
-	if o.KillProviders <= 0 {
-		o.KillProviders = 1
+	if o.killProviders <= 0 {
+		o.killProviders = 1
 	}
-	if o.KillDelay <= 0 {
-		o.KillDelay = 100 * time.Millisecond
+	if o.killDelay <= 0 {
+		o.killDelay = 100 * time.Millisecond
 	}
-	if o.RecordSize <= 0 {
-		o.RecordSize = 8 * MB
+	if o.recordSize <= 0 {
+		o.recordSize = 8 * MB
 	}
-	o.Storage.Kind = "bsfs" // the scenario exercises BlobSeer's repair
-	if o.Storage.Replication < 2 {
-		o.Storage.Replication = 2
+	o.storage.Kind = "bsfs" // the scenario exercises BlobSeer's repair
+	if o.storage.replication < 2 {
+		o.storage.replication = 2
 	}
 }
 
-// FaultResult is the outcome of one fault/churn run.
-type FaultResult struct {
-	// Healthy and Degraded are the read throughput before and during
+// faultResult is the outcome of one fault/churn run.
+type faultResult struct {
+	// healthy and Degraded are the read throughput before and during
 	// the failure.
-	Healthy  Point
-	Degraded Point
-	// RepairDuration is the virtual time RepairBlob took to restore
+	healthy  Point
+	degraded Point
+	// repairDuration is the virtual time RepairBlob took to restore
 	// full replication across all blobs.
-	RepairDuration time.Duration
-	// Repair summarizes the repair pass.
-	Repair core.RepairStats
+	repairDuration time.Duration
+	// repair summarizes the repair pass.
+	repair core.RepairStats
 }
 
 // pickVictims chooses k providers to kill such that no page loses
@@ -131,30 +131,30 @@ func pickVictims(fleet []cluster.NodeID, k int, pageSets [][]cluster.NodeID) ([]
 	return out, nil
 }
 
-// RunFaultChurn executes the scenario: load one blob per client with
+// runFaultChurn executes the scenario: load one blob per client with
 // Replication >= 2, read it all (healthy baseline), read it again
 // while k providers die mid-read (degraded), repair, and verify every
 // page is back at full replication.
-func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
+func runFaultChurn(opts faultOpts) (faultResult, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
-		return FaultResult{}, err
+		return faultResult{}, err
 	}
 	dep := tb.bsfsSvc.Deployment()
-	clients := tb.clientNodes(opts.Clients)
+	clients := tb.clientNodes(opts.clients)
 
-	var res FaultResult
+	var res faultResult
 	var victims []cluster.NodeID
-	blobs := make([]core.BlobID, opts.Clients)
+	blobs := make([]core.BlobID, opts.clients)
 	readAll := func(label string) (Point, error) {
-		return tb.phase(label, opts.BytesPerClient, clients, func(i int, node cluster.NodeID) error {
+		return tb.phase(label, opts.bytesPerClient, clients, func(i int, node cluster.NodeID) error {
 			b, err := dep.NewClient(node).OpenBlob(blobs[i])
 			if err != nil {
 				return err
 			}
-			for done := int64(0); done < opts.BytesPerClient; done += opts.RecordSize {
-				want := min(opts.RecordSize, opts.BytesPerClient-done)
+			for done := int64(0); done < opts.bytesPerClient; done += opts.recordSize {
+				want := min(opts.recordSize, opts.bytesPerClient-done)
 				n, err := b.ReadAt(nil, done, core.Synthetic(want))
 				if err != nil {
 					return err
@@ -179,7 +179,7 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 				b, err := c.CreateBlob(0)
 				if err == nil {
 					blobs[i] = b.ID()
-					_, err = b.WriteAt(nil, 0, core.Synthetic(opts.BytesPerClient))
+					_, err = b.WriteAt(nil, 0, core.Synthetic(opts.bytesPerClient))
 				}
 				loadErr.set(err)
 			})
@@ -200,7 +200,7 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 				runErr = err
 				return
 			}
-			locs, err := sb.Locations(0, opts.BytesPerClient)
+			locs, err := sb.Locations(0, opts.bytesPerClient)
 			if err != nil {
 				runErr = err
 				return
@@ -211,26 +211,26 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 				}
 			}
 		}
-		victims, runErr = pickVictims(dep.Placement.Fleet(), opts.KillProviders, pageSets)
+		victims, runErr = pickVictims(dep.Placement.Fleet(), opts.killProviders, pageSets)
 		if runErr != nil {
 			return
 		}
 
 		// Healthy baseline.
-		if res.Healthy, runErr = readAll("X3-healthy"); runErr != nil {
+		if res.healthy, runErr = readAll("X3-healthy"); runErr != nil {
 			return
 		}
 
 		// Degraded phase: the victims die mid-read.
 		wg = tb.Env.NewWaitGroup()
 		wg.Go(func() {
-			tb.Env.Sleep(opts.KillDelay)
+			tb.Env.Sleep(opts.killDelay)
 			for _, v := range victims {
 				dep.Provider(v).SetDown(true)
 			}
 		})
 		var degErr error
-		wg.Go(func() { res.Degraded, degErr = readAll("X3-degraded") })
+		wg.Go(func() { res.degraded, degErr = readAll("X3-degraded") })
 		wg.Wait()
 		if degErr != nil {
 			runErr = degErr
@@ -240,14 +240,14 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 		// Repair: restore full replication, measuring virtual time.
 		t0 := tb.Env.Now()
 		st, err := dep.Rebalance.SweepOnce()
-		res.Repair = st
+		res.repair = st
 		if err != nil {
 			runErr = err
 			return
 		}
-		res.RepairDuration = tb.Env.Now() - t0
-		if res.Repair.PagesLost > 0 {
-			runErr = fmt.Errorf("bench: %d pages lost all replicas", res.Repair.PagesLost)
+		res.repairDuration = tb.Env.Now() - t0
+		if res.repair.PagesLost > 0 {
+			runErr = fmt.Errorf("bench: %d pages lost all replicas", res.repair.PagesLost)
 			return
 		}
 
@@ -260,7 +260,7 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 				runErr = err
 				return
 			}
-			locs, err := vb.Locations(0, opts.BytesPerClient)
+			locs, err := vb.Locations(0, opts.bytesPerClient)
 			if err != nil {
 				runErr = err
 				return
@@ -272,9 +272,9 @@ func RunFaultChurn(opts FaultOpts) (FaultResult, error) {
 						live++
 					}
 				}
-				if live < opts.Storage.Replication {
+				if live < opts.storage.replication {
 					runErr = fmt.Errorf("bench: blob %d page %d has %d live replicas after repair, want %d",
-						blob, loc.Page, live, opts.Storage.Replication)
+						blob, loc.Page, live, opts.storage.replication)
 					return
 				}
 			}

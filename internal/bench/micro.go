@@ -19,49 +19,49 @@ import (
 // was loaded earlier.
 const settleTime = 120 * time.Second
 
-// MicroOpts parameterizes a microbenchmark run.
-type MicroOpts struct {
-	Clients int
-	// BytesPerClient is the data each client reads or writes (the
+// microOpts parameterizes a microbenchmark run.
+type microOpts struct {
+	clients int
+	// bytesPerClient is the data each client reads or writes (the
 	// paper uses 1 GB).
-	BytesPerClient int64
-	// RecordSize splits reads into individual requests of this size
+	bytesPerClient int64
+	// recordSize splits reads into individual requests of this size
 	// (0 = one streaming request). MapReduce reads small records; the
 	// client-cache ablation (A2) depends on this.
-	RecordSize int64
-	Storage    StorageOpts
-	Spec       ClusterSpec
+	recordSize int64
+	storage    StorageOpts
+	spec       ClusterSpec
 }
 
-func (o *MicroOpts) fillDefaults() {
-	if o.Clients <= 0 {
-		o.Clients = 1
+func (o *microOpts) fillDefaults() {
+	if o.clients <= 0 {
+		o.clients = 1
 	}
-	if o.BytesPerClient <= 0 {
-		o.BytesPerClient = 1 * GB
+	if o.bytesPerClient <= 0 {
+		o.bytesPerClient = 1 * GB
 	}
 }
 
-// RunReadDistinct is experiment E1: clients concurrently read from
+// runReadDistinct is experiment E1: clients concurrently read from
 // different files (map phase over distinct inputs). Files are
 // pre-loaded from nodes far from their readers.
-func RunReadDistinct(opts MicroOpts) (Point, error) {
+func runReadDistinct(opts microOpts) (Point, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return Point{}, err
 	}
-	clients := tb.clientNodes(opts.Clients)
+	clients := tb.clientNodes(opts.clients)
 	path := func(i int) string { return fmt.Sprintf("/e1/f%04d", i) }
 	var p Point
 	var runErr error
 	err = tb.Run(func() {
-		if runErr = tb.loadFar(clients, path, opts.BytesPerClient); runErr != nil {
+		if runErr = tb.loadFar(clients, path, opts.bytesPerClient); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
-		p, runErr = tb.phase("E1-read-distinct", opts.BytesPerClient, clients, func(i int, c cluster.NodeID) error {
-			return readSynthFile(tb, c, path(i), 0, opts.BytesPerClient, opts.RecordSize)
+		p, runErr = tb.phase("E1-read-distinct", opts.bytesPerClient, clients, func(i int, c cluster.NodeID) error {
+			return readSynthFile(tb, c, path(i), 0, opts.bytesPerClient, opts.recordSize)
 		})
 	})
 	if err == nil {
@@ -70,27 +70,27 @@ func RunReadDistinct(opts MicroOpts) (Point, error) {
 	return p, err
 }
 
-// RunReadShared is experiment E2: clients concurrently read disjoint
+// runReadShared is experiment E2: clients concurrently read disjoint
 // parts of the same huge file (map phase over one shared input).
-func RunReadShared(opts MicroOpts) (Point, error) {
+func runReadShared(opts microOpts) (Point, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return Point{}, err
 	}
-	clients := tb.clientNodes(opts.Clients)
+	clients := tb.clientNodes(opts.clients)
 	var p Point
 	var runErr error
 	err = tb.Run(func() {
 		// Load phase: one huge file written from the master node (not
 		// a storage node, so HDFS places chunks fleet-wide).
-		total := opts.BytesPerClient * int64(opts.Clients)
+		total := opts.bytesPerClient * int64(opts.clients)
 		if runErr = writeSynthFile(tb, 0, "/e2/huge", total); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
-		p, runErr = tb.phase("E2-read-shared", opts.BytesPerClient, clients, func(i int, c cluster.NodeID) error {
-			return readSynthFile(tb, c, "/e2/huge", int64(i)*opts.BytesPerClient, opts.BytesPerClient, opts.RecordSize)
+		p, runErr = tb.phase("E2-read-shared", opts.bytesPerClient, clients, func(i int, c cluster.NodeID) error {
+			return readSynthFile(tb, c, "/e2/huge", int64(i)*opts.bytesPerClient, opts.bytesPerClient, opts.recordSize)
 		})
 	})
 	if err == nil {
@@ -99,20 +99,20 @@ func RunReadShared(opts MicroOpts) (Point, error) {
 	return p, err
 }
 
-// RunWriteDistinct is experiment E3: clients concurrently write to
+// runWriteDistinct is experiment E3: clients concurrently write to
 // different files (reduce phase writing distinct outputs).
-func RunWriteDistinct(opts MicroOpts) (Point, error) {
+func runWriteDistinct(opts microOpts) (Point, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return Point{}, err
 	}
-	clients := tb.clientNodes(opts.Clients)
+	clients := tb.clientNodes(opts.clients)
 	var p Point
 	var runErr error
 	err = tb.Run(func() {
-		p, runErr = tb.phase("E3-write-distinct", opts.BytesPerClient, clients, func(i int, c cluster.NodeID) error {
-			return writeSynthFile(tb, c, fmt.Sprintf("/e3/out%04d", i), opts.BytesPerClient)
+		p, runErr = tb.phase("E3-write-distinct", opts.bytesPerClient, clients, func(i int, c cluster.NodeID) error {
+			return writeSynthFile(tb, c, fmt.Sprintf("/e3/out%04d", i), opts.bytesPerClient)
 		})
 	})
 	if err == nil {
@@ -121,25 +121,25 @@ func RunWriteDistinct(opts MicroOpts) (Point, error) {
 	return p, err
 }
 
-// RunAppendShared is extension X1 (§V future work): clients
+// runAppendShared is extension X1 (§V future work): clients
 // concurrently append to the same file. Only BSFS supports it; running
 // it against HDFS returns the unsupported error, which is itself the
 // paper's point.
-func RunAppendShared(opts MicroOpts) (Point, error) {
+func runAppendShared(opts microOpts) (Point, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return Point{}, err
 	}
-	clients := tb.clientNodes(opts.Clients)
+	clients := tb.clientNodes(opts.clients)
 	var p Point
 	var runErr error
 	err = tb.Run(func() {
 		if runErr = createEmpty(tb.NewFS(0), "/x1/shared"); runErr != nil {
 			return
 		}
-		p, runErr = tb.phase("X1-append-shared", opts.BytesPerClient, clients, func(_ int, c cluster.NodeID) error {
-			return appendSynth(tb.NewFS(c), "/x1/shared", 1, opts.BytesPerClient)
+		p, runErr = tb.phase("X1-append-shared", opts.bytesPerClient, clients, func(_ int, c cluster.NodeID) error {
+			return appendSynth(tb.NewFS(c), "/x1/shared", 1, opts.bytesPerClient)
 		})
 		if runErr != nil {
 			return
@@ -148,7 +148,7 @@ func RunAppendShared(opts MicroOpts) (Point, error) {
 		fi, err := tb.NewFS(0).Stat("/x1/shared")
 		if err != nil {
 			runErr = err
-		} else if fi.Size != opts.BytesPerClient*int64(opts.Clients) {
+		} else if fi.Size != opts.bytesPerClient*int64(opts.clients) {
 			runErr = fmt.Errorf("bench: shared append lost data: size %d", fi.Size)
 		}
 	})

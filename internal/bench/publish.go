@@ -28,98 +28,98 @@ import (
 	"repro/internal/cluster"
 )
 
-// PublishOpts parameterizes the publish workload. Block size, pipeline
+// publishOpts parameterizes the publish workload. Block size, pipeline
 // depth, shard count and shard service time are the Storage fields
 // BlockSize, MaxInFlightBlocks, VMShards and VMServiceTime.
-type PublishOpts struct {
-	// Writers is the number of concurrent writers (default 1).
-	Writers int
-	// Files is the number of files the writers spread over, writer i
+type publishOpts struct {
+	// writers is the number of concurrent writers (default 1).
+	writers int
+	// files is the number of files the writers spread over, writer i
 	// appending to file i % Files (default 1: one shared blob).
-	Files int
-	// Blocks is the number of versions each writer publishes (default
+	files int
+	// blocks is the number of versions each writer publishes (default
 	// 64). The workload is sized in versions, not bytes: publish
 	// throughput is the metric.
-	Blocks  int
-	Storage StorageOpts
-	Spec    ClusterSpec
+	blocks  int
+	storage StorageOpts
+	spec    ClusterSpec
 }
 
-func (o *PublishOpts) fillDefaults() {
-	if o.Writers <= 0 {
-		o.Writers = 1
+func (o *publishOpts) fillDefaults() {
+	if o.writers <= 0 {
+		o.writers = 1
 	}
-	if o.Files <= 0 {
-		o.Files = 1
+	if o.files <= 0 {
+		o.files = 1
 	}
-	if o.Blocks <= 0 {
-		o.Blocks = 64
+	if o.blocks <= 0 {
+		o.blocks = 64
 	}
-	o.Storage.Kind = "bsfs" // the workload exercises BlobSeer's version manager
-	if o.Storage.BlockSize <= 0 {
+	o.storage.Kind = "bsfs" // the workload exercises BlobSeer's version manager
+	if o.storage.BlockSize <= 0 {
 		// Small enough that version-manager round trips are a visible
 		// share of each commit.
-		o.Storage.BlockSize = 1 * MB
+		o.storage.BlockSize = 1 * MB
 	}
-	if o.Storage.MaxInFlightBlocks <= 0 {
-		o.Storage.MaxInFlightBlocks = 8
+	if o.storage.maxInFlightBlocks <= 0 {
+		o.storage.maxInFlightBlocks = 8
 	}
 }
 
-// PublishResult is the outcome of one publish run.
-type PublishResult struct {
-	// Point carries the usual per-writer data throughput summary; the
+// publishResult is the outcome of one publish run.
+type publishResult struct {
+	// point carries the usual per-writer data throughput summary; the
 	// caller names it.
-	Point Point
-	// Versions is the number of versions published (writers x blocks).
-	Versions int
-	// VersionsPerSec is the aggregate publish throughput over the
+	point Point
+	// versions is the number of versions published (writers x blocks).
+	versions int
+	// versionsPerSec is the aggregate publish throughput over the
 	// measured makespan.
-	VersionsPerSec float64
+	versionsPerSec float64
 }
 
-// RunPublish runs the publish workload: Writers concurrent writers
+// runPublish runs the publish workload: Writers concurrent writers
 // append Blocks blocks each, writer i to file i % Files; every block is
 // one published version. The run fails if any file ends with a version
 // count other than (writers on that file) x Blocks — no version may be
 // lost or duplicated.
-func RunPublish(opts PublishOpts) (PublishResult, error) {
+func runPublish(opts publishOpts) (publishResult, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
-		return PublishResult{}, err
+		return publishResult{}, err
 	}
 	path := func(f int) string { return fmt.Sprintf("/publish/f%04d", f) }
-	blockSize := opts.Storage.BlockSize
-	var res PublishResult
+	blockSize := opts.storage.BlockSize
+	var res publishResult
 	var runErr error
 	err = tb.Run(func() {
 		// Create every file first, so the measured phase holds only the
 		// append/publish traffic.
 		fs := tb.bsfsSvc.NewFS(0)
-		for f := 0; f < opts.Files; f++ {
+		for f := 0; f < opts.files; f++ {
 			if runErr = createEmpty(fs, path(f)); runErr != nil {
 				return
 			}
 		}
-		res.Point, runErr = tb.phase("", int64(opts.Blocks)*blockSize, tb.clientNodes(opts.Writers), func(i int, c cluster.NodeID) error {
-			return appendSynth(tb.NewFS(c), path(i%opts.Files), opts.Blocks, blockSize)
+		res.point, runErr = tb.phase("", int64(opts.blocks)*blockSize, tb.clientNodes(opts.writers), func(i int, c cluster.NodeID) error {
+			return appendSynth(tb.NewFS(c), path(i%opts.files), opts.blocks, blockSize)
 		})
 		if runErr != nil {
 			return
 		}
-		for f := 0; f < opts.Files; f++ {
+		for f := 0; f < opts.files; f++ {
 			vs, err := fs.Versions(path(f))
 			if err != nil {
 				runErr = err
 				return
 			}
-			res.Versions += len(vs)
-			writers := opts.Writers / opts.Files
-			if f < opts.Writers%opts.Files {
+			res.versions += len(vs)
+			writers := opts.writers / opts.files
+			if f < opts.writers%opts.files {
 				writers++
 			}
-			if want := writers * opts.Blocks; len(vs) != want {
+			if want := writers * opts.blocks; len(vs) != want {
 				runErr = fmt.Errorf("bench: publish file %d has %d versions, want %d", f, len(vs), want)
 				return
 			}
@@ -128,66 +128,66 @@ func RunPublish(opts PublishOpts) (PublishResult, error) {
 	if err == nil {
 		err = runErr
 	}
-	if d := res.Point.Duration; d > 0 {
-		res.VersionsPerSec = float64(res.Versions) / d.Seconds()
+	if d := res.point.duration; d > 0 {
+		res.versionsPerSec = float64(res.versions) / d.Seconds()
 	}
 	return res, err
 }
 
-// RunPublishAblation is ablation A6: the same shared-blob workload at
+// runPublishAblation is ablation A6: the same shared-blob workload at
 // the configured pipeline depth (batched: the flusher commits
 // half-window runs, one ticket and one publish round trip per run) and
 // at depth 2 (unbatched: one block, one version, per commit). Both arms
 // take the same publish path; the ablated quantity is how many
 // versions share a round trip. It errors if the batched arm publishes
 // slower — the sim-level assertion that batching never loses.
-func RunPublishAblation(opts PublishOpts) (batched, unbatched PublishResult, err error) {
-	batched, err = RunPublish(opts)
-	batched.Point.Experiment = "X2-publish-shared"
+func runPublishAblation(opts publishOpts) (batched, unbatched publishResult, err error) {
+	batched, err = runPublish(opts)
+	batched.point.experiment = "X2-publish-shared"
 	if err != nil {
 		return batched, unbatched, err
 	}
-	opts.Storage.MaxInFlightBlocks = 2
-	unbatched, err = RunPublish(opts)
-	unbatched.Point.Experiment = "A6-unbatched-publish"
+	opts.storage.maxInFlightBlocks = 2
+	unbatched, err = runPublish(opts)
+	unbatched.point.experiment = "A6-unbatched-publish"
 	if err != nil {
 		return batched, unbatched, err
 	}
 	// Allow sub-percent scheduling jitter; anything beyond means the
 	// batch path genuinely regressed.
-	if batched.VersionsPerSec < unbatched.VersionsPerSec*0.99 {
+	if batched.versionsPerSec < unbatched.versionsPerSec*0.99 {
 		err = fmt.Errorf("bench: a6 batched publish slower than unbatched: %.1f vs %.1f versions/s",
-			batched.VersionsPerSec, unbatched.VersionsPerSec)
+			batched.versionsPerSec, unbatched.versionsPerSec)
 	}
 	return batched, unbatched, err
 }
 
-// RunShardAblation is ablation A7: the same multi-blob workload with
+// runShardAblation is ablation A7: the same multi-blob workload with
 // the version-manager tier sharded (VMShards, at least 2; 4 when
 // unset) and collapsed to one shard. It errors if the sharded tier
 // publishes slower than the centralized baseline — the sim-level
 // assertion that partitioning never loses.
-func RunShardAblation(opts PublishOpts) (sharded, single PublishResult, err error) {
+func runShardAblation(opts publishOpts) (sharded, single publishResult, err error) {
 	sh := opts
-	if sh.Storage.VMShards < 2 {
-		sh.Storage.VMShards = 4
+	if sh.storage.vmShards < 2 {
+		sh.storage.vmShards = 4
 	}
-	sharded, err = RunPublish(sh)
-	sharded.Point.Experiment = fmt.Sprintf("X5-shards-%d", sh.Storage.VMShards)
+	sharded, err = runPublish(sh)
+	sharded.point.experiment = fmt.Sprintf("X5-shards-%d", sh.storage.vmShards)
 	if err != nil {
 		return sharded, single, err
 	}
-	opts.Storage.VMShards = 1
-	single, err = RunPublish(opts)
-	single.Point.Experiment = "A7-single-shard"
+	opts.storage.vmShards = 1
+	single, err = runPublish(opts)
+	single.point.experiment = "A7-single-shard"
 	if err != nil {
 		return sharded, single, err
 	}
 	// Allow sub-percent scheduling jitter; anything beyond means the
 	// sharded tier genuinely regressed.
-	if sharded.VersionsPerSec < single.VersionsPerSec*0.99 {
+	if sharded.versionsPerSec < single.versionsPerSec*0.99 {
 		err = fmt.Errorf("bench: a7 sharded tier slower than single shard: %.1f vs %.1f versions/s",
-			sharded.VersionsPerSec, single.VersionsPerSec)
+			sharded.versionsPerSec, single.versionsPerSec)
 	}
 	return sharded, single, err
 }

@@ -19,7 +19,7 @@ import (
 type Recorder struct {
 	io.Writer
 	Points  []Point
-	Metrics []Metric
+	metrics []Metric
 }
 
 // Metric is one named scalar result of an experiment.
@@ -41,32 +41,32 @@ func recordPoints(w io.Writer, pts []Point) {
 // Recorder.
 func recordMetric(w io.Writer, name, unit string, value float64) {
 	if r, ok := w.(*Recorder); ok {
-		r.Metrics = append(r.Metrics, Metric{Name: name, Unit: unit, Value: value})
+		r.metrics = append(r.metrics, Metric{Name: name, Unit: unit, Value: value})
 	}
 }
 
-// WritePointsTable renders microbenchmark sweep points grouped by
+// writePointsTable renders microbenchmark sweep points grouped by
 // storage kind, one row per (kind, clients) — the series behind the
 // paper's throughput figures.
-func WritePointsTable(w io.Writer, title string, points []Point) {
+func writePointsTable(w io.Writer, title string, points []Point) {
 	recordPoints(w, points)
 	fmt.Fprintf(w, "\n== %s ==\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "experiment\tfs\tclients\tper-client MB/s\tmin\tmax\taggregate MB/s\tmakespan\tnet\tdisk")
 	for _, p := range points {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%s\t%s\t%s\n",
-			p.Experiment, p.Kind, p.Clients, p.PerClientMBps, p.MinMBps, p.MaxMBps, p.AggregateMBps,
-			p.Duration.Round(timeUnit(p.Duration)), size(p.NetBytes), size(p.DiskBytes))
+			p.experiment, p.kind, p.clients, p.perClientMBps, p.minMBps, p.maxMBps, p.aggregateMBps,
+			p.duration.Round(timeUnit(p.duration)), size(p.netBytes), size(p.diskBytes))
 	}
 	tw.Flush()
 }
 
-// WriteAppTable renders application benchmark results — the paper's
+// writeAppTable renders application benchmark results — the paper's
 // job completion time comparison — and records each job's time and
 // byte counts as metrics.
-func WriteAppTable(w io.Writer, title string, results []AppResult) {
+func writeAppTable(w io.Writer, title string, results []AppResult) {
 	for _, r := range results {
-		job := r.Experiment + "_" + r.Kind
+		job := r.experiment + "_" + r.kind
 		recordMetric(w, job+"_completion", "s", r.Completion.Seconds())
 		recordMetric(w, job+"_input", "bytes", float64(r.Counters.InputBytes))
 		recordMetric(w, job+"_shuffle", "bytes", float64(r.Counters.ShuffleBytes))
@@ -77,7 +77,7 @@ func WriteAppTable(w io.Writer, title string, results []AppResult) {
 	fmt.Fprintln(tw, "experiment\tfs\tmaps\tcompletion\tinput\tshuffle\toutput\tlocal/rack/remote")
 	for _, r := range results {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d/%d/%d\n",
-			r.Experiment, r.Kind, r.Maps, r.Completion.Round(timeUnit(r.Completion)),
+			r.experiment, r.kind, r.maps, r.Completion.Round(timeUnit(r.Completion)),
 			size(r.Counters.InputBytes), size(r.Counters.ShuffleBytes), size(r.Counters.OutputBytes),
 			r.Counters.DataLocal, r.Counters.RackLocal, r.Counters.Remote)
 	}
@@ -89,7 +89,7 @@ func WritePointsCSV(w io.Writer, points []Point) {
 	fmt.Fprintln(w, "experiment,fs,clients,per_client_mbps,min_mbps,max_mbps,aggregate_mbps,makespan_s")
 	for _, p := range points {
 		fmt.Fprintf(w, "%s,%s,%d,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-			p.Experiment, p.Kind, p.Clients, p.PerClientMBps, p.MinMBps, p.MaxMBps, p.AggregateMBps, p.Duration.Seconds())
+			p.experiment, p.kind, p.clients, p.perClientMBps, p.minMBps, p.maxMBps, p.aggregateMBps, p.duration.Seconds())
 	}
 }
 
@@ -127,22 +127,22 @@ type ExperimentResult struct {
 // NewExperimentResult pairs an experiment's identity with what its
 // Recorder captured.
 func NewExperimentResult(e Experiment, r *Recorder) ExperimentResult {
-	res := ExperimentResult{ID: e.ID, Title: e.Title, Metrics: r.Metrics}
+	res := ExperimentResult{ID: e.ID, Title: e.Title, Metrics: r.metrics}
 	for _, p := range r.Points {
 		res.Points = append(res.Points, pointJSON{
-			Experiment:    p.Experiment,
-			FS:            p.Kind,
-			Clients:       p.Clients,
-			PerClientMBps: p.PerClientMBps,
-			MinMBps:       p.MinMBps,
-			MaxMBps:       p.MaxMBps,
-			AggregateMBps: p.AggregateMBps,
-			MakespanSec:   p.Duration.Seconds(),
-			NetBytes:      p.NetBytes,
-			DiskBytes:     p.DiskBytes,
-			P50Ms:         ms(p.P50),
-			P90Ms:         ms(p.P90),
-			P99Ms:         ms(p.P99),
+			Experiment:    p.experiment,
+			FS:            p.kind,
+			Clients:       p.clients,
+			PerClientMBps: p.perClientMBps,
+			MinMBps:       p.minMBps,
+			MaxMBps:       p.maxMBps,
+			AggregateMBps: p.aggregateMBps,
+			MakespanSec:   p.duration.Seconds(),
+			NetBytes:      p.netBytes,
+			DiskBytes:     p.diskBytes,
+			P50Ms:         ms(p.p50),
+			P90Ms:         ms(p.p90),
+			P99Ms:         ms(p.p99),
 		})
 	}
 	return res

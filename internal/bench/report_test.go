@@ -10,14 +10,14 @@ import (
 
 func samplePoints() []Point {
 	return []Point{
-		{Experiment: "E3-write-distinct", Kind: "bsfs", Clients: 50, PerClientMBps: 124.2, MinMBps: 124.1, MaxMBps: 124.8, AggregateMBps: 6204.8, Duration: 8250 * time.Millisecond},
-		{Experiment: "E3-write-distinct", Kind: "hdfs", Clients: 50, PerClientMBps: 59.9, MinMBps: 59.9, MaxMBps: 60.0, AggregateMBps: 2996.8, Duration: 17080 * time.Millisecond},
+		{experiment: "E3-write-distinct", kind: "bsfs", clients: 50, perClientMBps: 124.2, minMBps: 124.1, maxMBps: 124.8, aggregateMBps: 6204.8, duration: 8250 * time.Millisecond},
+		{experiment: "E3-write-distinct", kind: "hdfs", clients: 50, perClientMBps: 59.9, minMBps: 59.9, maxMBps: 60.0, aggregateMBps: 2996.8, duration: 17080 * time.Millisecond},
 	}
 }
 
 func TestWritePointsTable(t *testing.T) {
 	var sb strings.Builder
-	WritePointsTable(&sb, "E3", samplePoints())
+	writePointsTable(&sb, "E3", samplePoints())
 	out := sb.String()
 	for _, want := range []string{"== E3 ==", "bsfs", "hdfs", "124.2", "59.9", "clients"} {
 		if !strings.Contains(out, want) {
@@ -47,10 +47,10 @@ func TestWritePointsCSV(t *testing.T) {
 
 func TestWriteAppTable(t *testing.T) {
 	var sb strings.Builder
-	WriteAppTable(&sb, "E4", []AppResult{{
-		Experiment: "E4-random-text-writer",
-		Kind:       "bsfs",
-		Maps:       250,
+	writeAppTable(&sb, "E4", []AppResult{{
+		experiment: "E4-random-text-writer",
+		kind:       "bsfs",
+		maps:       250,
 		Completion: 24480 * time.Millisecond,
 	}})
 	out := sb.String()
@@ -79,24 +79,24 @@ func TestSizeFormatting(t *testing.T) {
 func TestSummarizeStatistics(t *testing.T) {
 	durations := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second}
 	p := summarize("x", "bsfs", 100*MB, durations, 4*time.Second)
-	if p.Clients != 3 {
-		t.Fatalf("clients = %d", p.Clients)
+	if p.clients != 3 {
+		t.Fatalf("clients = %d", p.clients)
 	}
 	// Throughputs: 100, 50, 25 MB/s -> mean 58.33, min 25, max 100.
-	if p.MaxMBps != 100 || p.MinMBps != 25 {
-		t.Fatalf("min/max = %f/%f", p.MinMBps, p.MaxMBps)
+	if p.maxMBps != 100 || p.minMBps != 25 {
+		t.Fatalf("min/max = %f/%f", p.minMBps, p.maxMBps)
 	}
-	if p.PerClientMBps < 58 || p.PerClientMBps > 59 {
-		t.Fatalf("mean = %f", p.PerClientMBps)
+	if p.perClientMBps < 58 || p.perClientMBps > 59 {
+		t.Fatalf("mean = %f", p.perClientMBps)
 	}
-	if p.AggregateMBps != 75 { // 300 MB over 4 s
-		t.Fatalf("aggregate = %f", p.AggregateMBps)
+	if p.aggregateMBps != 75 { // 300 MB over 4 s
+		t.Fatalf("aggregate = %f", p.aggregateMBps)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
 	p := summarize("x", "bsfs", 1, nil, 0)
-	if p.Clients != 0 || p.PerClientMBps != 0 {
+	if p.clients != 0 || p.perClientMBps != 0 {
 		t.Fatalf("empty summary = %+v", p)
 	}
 }
@@ -131,7 +131,7 @@ func TestFindExperiment(t *testing.T) {
 // sweep's largest client count, and every job's completion time and
 // byte counts recorded for -json.
 func TestAppExperimentsRecordMetrics(t *testing.T) {
-	opts := SweepOpts{Clients: []int{2, 6}, BytesPerClient: 16 * MB, Spec: ClusterSpec{Nodes: 30, MetaNodes: 4}}
+	opts := SweepOpts{Clients: []int{2, 6}, BytesPerClient: 16 * MB, Spec: ClusterSpec{Nodes: 30, metaNodes: 4}}
 	const volume = float64(6 * 16 * MB) // what E4's six maps write and E5's read back
 	for id, want := range map[string]map[string]float64{
 		"e4": {"E4-random-text-writer_bsfs_output": volume, "E4-random-text-writer_hdfs_output": volume},
@@ -144,7 +144,7 @@ func TestAppExperimentsRecordMetrics(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		got := map[string]float64{}
-		for _, m := range rec.Metrics {
+		for _, m := range rec.metrics {
 			got[m.Name] = m.Value
 		}
 		// Each job records its completion time and three byte counts.
@@ -169,7 +169,7 @@ func TestTestbedValidation(t *testing.T) {
 }
 
 func TestClientNodeSpread(t *testing.T) {
-	tb, err := NewTestbed(ClusterSpec{Nodes: 61, MetaNodes: 8}, StorageOpts{Kind: "bsfs"})
+	tb, err := NewTestbed(ClusterSpec{Nodes: 61, metaNodes: 8}, StorageOpts{Kind: "bsfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +194,10 @@ func TestClientNodeSpread(t *testing.T) {
 
 func TestWriteResultsJSON(t *testing.T) {
 	rec := &Recorder{Writer: io.Discard}
-	WritePointsTable(rec, "E3", samplePoints())
+	writePointsTable(rec, "E3", samplePoints())
 	recordMetric(rec, "publish_rate_n50", "versions/s", 812.5)
-	if len(rec.Points) != 2 || len(rec.Metrics) != 1 {
-		t.Fatalf("recorder captured %d points, %d metrics", len(rec.Points), len(rec.Metrics))
+	if len(rec.Points) != 2 || len(rec.metrics) != 1 {
+		t.Fatalf("recorder captured %d points, %d metrics", len(rec.Points), len(rec.metrics))
 	}
 	e, _ := FindExperiment("e3")
 	var sb strings.Builder
@@ -242,7 +242,7 @@ func TestWriteResultsJSON(t *testing.T) {
 func TestRecorderTees(t *testing.T) {
 	var sb strings.Builder
 	rec := &Recorder{Writer: &sb}
-	WritePointsTable(rec, "E3", samplePoints())
+	writePointsTable(rec, "E3", samplePoints())
 	if !strings.Contains(sb.String(), "== E3 ==") {
 		t.Fatalf("recorder swallowed output:\n%s", sb.String())
 	}

@@ -28,129 +28,129 @@ import (
 	"repro/internal/traffic"
 )
 
-// ServeOpts parameterizes one heavy-traffic serving run.
-type ServeOpts struct {
-	// Tenants is the simulated tenant population (default 1000).
-	Tenants int
-	// BaseRate is the 1x aggregate offered load in ops/sec (default
+// serveOpts parameterizes one heavy-traffic serving run.
+type serveOpts struct {
+	// tenants is the simulated tenant population (default 1000).
+	tenants int
+	// baseRate is the 1x aggregate offered load in ops/sec (default
 	// 400 — comfortably inside the modeled version-manager capacity, so
 	// 5x approaches saturation and 10x is past it).
-	BaseRate float64
-	// Multiple scales the offered load: Rate = Multiple * BaseRate
+	baseRate float64
+	// multiple scales the offered load: Rate = Multiple * BaseRate
 	// (default 1).
-	Multiple float64
-	// Duration is the offered window of virtual time (default 6s —
+	multiple float64
+	// duration is the offered window of virtual time (default 6s —
 	// long enough for an unadmitted overload's queueing delay to blow
 	// through the SLO); in-flight work is always drained past it.
-	Duration time.Duration
-	// Admission enables per-tenant token-bucket admission at op entry.
-	Admission bool
-	// AdmitHeadroom scales the per-tenant admitted rate over the fair
+	duration time.Duration
+	// admission enables per-tenant token-bucket admission at op entry.
+	admission bool
+	// admitHeadroom scales the per-tenant admitted rate over the fair
 	// share: rate = AdmitHeadroom * BaseRate / Tenants (default 2.5 —
 	// above the 1x fair share, still safely inside the modeled serving
 	// capacity, so admitted work never saturates the bottleneck).
-	AdmitHeadroom float64
-	// ReadFraction / SharedFraction shape the op mix (defaults 0.5 and
+	admitHeadroom float64
+	// readFraction / SharedFraction shape the op mix (defaults 0.5 and
 	// 0.5): reads vs appends, shared blob vs the tenant's private blob.
-	ReadFraction   float64
-	SharedFraction float64
-	// SLO is the completion-latency bound defining goodput (default
+	readFraction   float64
+	sharedFraction float64
+	// slo is the completion-latency bound defining goodput (default
 	// 250ms).
-	SLO time.Duration
-	// VMServiceTime is the modeled per-RPC occupancy of the version
+	slo time.Duration
+	// vmServiceTime is the modeled per-RPC occupancy of the version
 	// manager — the serving bottleneck (default 200µs).
-	VMServiceTime time.Duration
-	// BlockSize sizes each synthetic append and read (default 64 KB).
-	BlockSize int64
-	// Nodes sizes the simulated cluster (default 12).
-	Nodes int
-	// Seed drives the arrival schedule (default 1).
-	Seed int64
+	vmServiceTime time.Duration
+	// blockSize sizes each synthetic append and read (default 64 KB).
+	blockSize int64
+	// nodes sizes the simulated cluster (default 12).
+	nodes int
+	// seed drives the arrival schedule (default 1).
+	seed int64
 }
 
-func (o *ServeOpts) fillDefaults() {
-	if o.Tenants <= 0 {
-		o.Tenants = 1000
+func (o *serveOpts) fillDefaults() {
+	if o.tenants <= 0 {
+		o.tenants = 1000
 	}
-	if o.BaseRate <= 0 {
-		o.BaseRate = 400
+	if o.baseRate <= 0 {
+		o.baseRate = 400
 	}
-	if o.Multiple <= 0 {
-		o.Multiple = 1
+	if o.multiple <= 0 {
+		o.multiple = 1
 	}
-	if o.Duration <= 0 {
-		o.Duration = 6 * time.Second
+	if o.duration <= 0 {
+		o.duration = 6 * time.Second
 	}
-	if o.AdmitHeadroom <= 0 {
-		o.AdmitHeadroom = 2.5
+	if o.admitHeadroom <= 0 {
+		o.admitHeadroom = 2.5
 	}
-	if o.ReadFraction == 0 {
-		o.ReadFraction = 0.5
+	if o.readFraction == 0 {
+		o.readFraction = 0.5
 	}
-	if o.SharedFraction == 0 {
-		o.SharedFraction = 0.5
+	if o.sharedFraction == 0 {
+		o.sharedFraction = 0.5
 	}
-	if o.SLO <= 0 {
-		o.SLO = 250 * time.Millisecond
+	if o.slo <= 0 {
+		o.slo = 250 * time.Millisecond
 	}
-	if o.VMServiceTime <= 0 {
-		o.VMServiceTime = 200 * time.Microsecond
+	if o.vmServiceTime <= 0 {
+		o.vmServiceTime = 200 * time.Microsecond
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 64 * KB
+	if o.blockSize <= 0 {
+		o.blockSize = 64 * KB
 	}
-	if o.Nodes <= 0 {
-		o.Nodes = 12
+	if o.nodes <= 0 {
+		o.nodes = 12
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.seed == 0 {
+		o.seed = 1
 	}
 }
 
-// ServeResult is the outcome of one serving run.
-type ServeResult struct {
-	// Point summarizes the run for tables and the JSON schema: Clients
+// serveResult is the outcome of one serving run.
+type serveResult struct {
+	// point summarizes the run for tables and the JSON schema: Clients
 	// is the tenant population, Duration the makespan (offered window
 	// plus drain), P50/P90/P99 the open-loop latency quantiles.
-	Point Point
-	// Report is the raw generator report (offered/completed/rejected/
+	point Point
+	// report is the raw generator report (offered/completed/rejected/
 	// failed counts, in-flight high-water mark, latency samples).
-	Report *traffic.Report
-	// GoodputPerSec is SLO-compliant completions per second of offered
+	report *traffic.Report
+	// goodputPerSec is SLO-compliant completions per second of offered
 	// window.
-	GoodputPerSec float64
-	// AdmittedStats snapshots the per-tenant admission counters (empty
+	goodputPerSec float64
+	// admittedStats snapshots the per-tenant admission counters (empty
 	// without admission).
-	AdmittedStats []traffic.TenantStats
+	admittedStats []traffic.TenantStats
 }
 
-// RunServe is one X8 point: an open-loop Poisson arrival process over
+// runServe is one X8 point: an open-loop Poisson arrival process over
 // Tenants tenants offers Multiple * BaseRate ops/sec of mixed
 // appends/reads against one shared blob and per-tenant private blobs,
 // with or without token-bucket admission. The run fails if any
 // operation errors for a reason other than admission rejection, or if
 // the publication frontier is left wedged after the drain.
-func RunServe(opts ServeOpts) (ServeResult, error) {
+func runServe(opts serveOpts) (serveResult, error) {
 	opts.fillDefaults()
 	eng := sim.NewEngine()
-	net := simnet.New(eng, simnet.Grid5000(opts.Nodes))
+	net := simnet.New(eng, simnet.Grid5000(opts.nodes))
 	env := cluster.NewSim(net)
-	provs := make([]cluster.NodeID, opts.Nodes-1)
+	provs := make([]cluster.NodeID, opts.nodes-1)
 	for i := range provs {
 		provs[i] = cluster.NodeID(i + 1)
 	}
 	coreOpts := core.Options{
 		PageSize:      64 * KB,
 		ProviderNodes: provs,
-		VMServiceTime: opts.VMServiceTime,
+		VMServiceTime: opts.vmServiceTime,
 	}
-	if opts.Admission {
-		coreOpts.TenantRate = opts.AdmitHeadroom * opts.BaseRate / float64(opts.Tenants)
+	if opts.admission {
+		coreOpts.TenantRate = opts.admitHeadroom * opts.baseRate / float64(opts.tenants)
 		coreOpts.TenantBurst = 2
 	}
 	d, err := core.NewDeployment(env, coreOpts)
 	if err != nil {
-		return ServeResult{}, err
+		return serveResult{}, err
 	}
 	var (
 		rep      *traffic.Report
@@ -167,7 +167,7 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := b.WriteAt(nil, 0, core.Synthetic(opts.BlockSize)); err != nil {
+			if _, err := b.WriteAt(nil, 0, core.Synthetic(opts.blockSize)); err != nil {
 				return nil, err
 			}
 			return b, nil
@@ -190,7 +190,7 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 			}
 			sharedH[i] = bh
 		}
-		private := make([]*core.Blob, opts.Tenants)
+		private := make([]*core.Blob, opts.tenants)
 		for t := range private {
 			bh, err := seed(clients[t%len(clients)])
 			if err != nil {
@@ -202,22 +202,22 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 
 		start := env.Now()
 		rep = traffic.Run(env, traffic.GenConfig{
-			Tenants:        opts.Tenants,
-			Rate:           opts.Multiple * opts.BaseRate,
-			Duration:       opts.Duration,
-			ReadFraction:   opts.ReadFraction,
-			SharedFraction: opts.SharedFraction,
-			Seed:           opts.Seed,
+			Tenants:        opts.tenants,
+			Rate:           opts.multiple * opts.baseRate,
+			Duration:       opts.duration,
+			ReadFraction:   opts.readFraction,
+			SharedFraction: opts.sharedFraction,
+			Seed:           opts.seed,
 		}, func(op traffic.Op) error {
 			bh := private[op.TenantIndex]
 			if op.Shared {
 				bh = sharedH[op.TenantIndex%len(sharedH)]
 			}
 			if op.Kind == traffic.OpRead {
-				_, err := bh.ReadAt(nil, 0, core.Synthetic(opts.BlockSize), core.WithTenant(op.Tenant))
+				_, err := bh.ReadAt(nil, 0, core.Synthetic(opts.blockSize), core.WithTenant(op.Tenant))
 				return err
 			}
-			_, _, err := bh.Append(core.SyntheticBlocks(opts.BlockSize), core.WithTenant(op.Tenant))
+			_, _, err := bh.Append(core.SyntheticBlocks(opts.blockSize), core.WithTenant(op.Tenant))
 			return err
 		})
 		makespan = env.Now() - start
@@ -248,50 +248,50 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 		rep = &traffic.Report{}
 	}
 	mode := "open"
-	if opts.Admission {
+	if opts.admission {
 		mode = "admit"
 	}
-	res := ServeResult{
-		Report: rep,
-		Point: Point{
-			Experiment: fmt.Sprintf("X8-%.0fx-%s", opts.Multiple, mode),
-			Kind:       "bsfs",
-			Clients:    opts.Tenants,
-			Duration:   makespan,
-			P50:        rep.P50,
-			P90:        rep.P90,
-			P99:        rep.P99,
+	res := serveResult{
+		report: rep,
+		point: Point{
+			experiment: fmt.Sprintf("X8-%.0fx-%s", opts.multiple, mode),
+			kind:       "bsfs",
+			clients:    opts.tenants,
+			duration:   makespan,
+			p50:        rep.P50,
+			p90:        rep.P90,
+			p99:        rep.P99,
 		},
-		GoodputPerSec: rep.Goodput(opts.Duration, opts.SLO),
+		goodputPerSec: rep.Goodput(opts.duration, opts.slo),
 	}
 	if lim := d.Admission; lim != nil {
-		res.AdmittedStats = lim.Stats()
+		res.admittedStats = lim.Stats()
 	}
 	return res, runErr
 }
 
-// RunServeSweep runs the full X8 grid — every load multiple with
+// runServeSweep runs the full X8 grid — every load multiple with
 // admission off and on — and asserts graceful degradation: at the
 // highest multiple, admission must deliver at least the SLO goodput of
 // the open (unadmitted) run, and the admitted tail must stay within
 // the SLO.
-func RunServeSweep(opts ServeOpts, multiples []float64) (open, admitted []ServeResult, err error) {
+func runServeSweep(opts serveOpts, multiples []float64) (open, admitted []serveResult, err error) {
 	if len(multiples) == 0 {
 		multiples = []float64{1, 5, 10}
 	}
 	for _, m := range multiples {
 		o := opts
-		o.Multiple = m
-		o.Admission = false
-		ro, err := RunServe(o)
+		o.multiple = m
+		o.admission = false
+		ro, err := runServe(o)
 		if err != nil {
 			return open, admitted, fmt.Errorf("bench: x8 %gx open: %w", m, err)
 		}
 		open = append(open, ro)
 		a := opts
-		a.Multiple = m
-		a.Admission = true
-		ra, err := RunServe(a)
+		a.multiple = m
+		a.admission = true
+		ra, err := runServe(a)
 		if err != nil {
 			return open, admitted, fmt.Errorf("bench: x8 %gx admitted: %w", m, err)
 		}
@@ -300,12 +300,12 @@ func RunServeSweep(opts ServeOpts, multiples []float64) (open, admitted []ServeR
 	last := len(multiples) - 1
 	o := opts
 	o.fillDefaults()
-	if admitted[last].GoodputPerSec < open[last].GoodputPerSec {
+	if admitted[last].goodputPerSec < open[last].goodputPerSec {
 		err = fmt.Errorf("bench: x8 admission lost goodput at %gx: %.1f < %.1f ops/s",
-			multiples[last], admitted[last].GoodputPerSec, open[last].GoodputPerSec)
-	} else if admitted[last].Report.P99 > o.SLO {
+			multiples[last], admitted[last].goodputPerSec, open[last].goodputPerSec)
+	} else if admitted[last].report.P99 > o.slo {
 		err = fmt.Errorf("bench: x8 admitted p99 %s exceeds SLO %s at %gx",
-			admitted[last].Report.P99, o.SLO, multiples[last])
+			admitted[last].report.P99, o.slo, multiples[last])
 	}
 	return open, admitted, err
 }

@@ -38,23 +38,23 @@ func (o *SweepOpts) fillDefaults() {
 }
 
 // microRunner is one of the E1/E2/E3/X1 run functions.
-type microRunner func(MicroOpts) (Point, error)
+type microRunner func(microOpts) (Point, error)
 
 // runSweep executes a microbenchmark over both storage kinds at every
 // client count.
-func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*MicroOpts)) ([]Point, error) {
+func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*microOpts)) ([]Point, error) {
 	opts.fillDefaults()
 	var out []Point
 	for _, kind := range kinds {
 		for _, n := range opts.Clients {
-			mo := MicroOpts{
-				Clients:        n,
-				BytesPerClient: opts.BytesPerClient,
-				Spec:           opts.Spec,
-				Storage: StorageOpts{
+			mo := microOpts{
+				clients:        n,
+				bytesPerClient: opts.BytesPerClient,
+				spec:           opts.Spec,
+				storage: StorageOpts{
 					Kind:        kind,
-					MemCapacity: opts.MemCapacity,
-					Replication: opts.Replication,
+					memCapacity: opts.MemCapacity,
+					replication: opts.Replication,
 				},
 			}
 			if mutate != nil {
@@ -62,7 +62,7 @@ func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*Micr
 			}
 			p, err := run(mo)
 			if err != nil {
-				return out, fmt.Errorf("bench: %s kind=%s n=%d: %w", p.Experiment, kind, n, err)
+				return out, fmt.Errorf("bench: %s kind=%s n=%d: %w", p.experiment, kind, n, err)
 			}
 			out = append(out, p)
 		}
@@ -78,25 +78,25 @@ func (o SweepOpts) appOpts(kind string) AppOpts {
 		Maps:        slices.Max(o.Clients),
 		BytesPerMap: o.BytesPerClient,
 		Spec:        o.Spec,
-		Storage:     StorageOpts{Kind: kind, MemCapacity: o.MemCapacity, Replication: o.Replication},
+		Storage:     StorageOpts{Kind: kind, memCapacity: o.MemCapacity, replication: o.Replication},
 	}
 }
 
 // x2Opts sizes X2's publish workload from a sweep: n writers sharing
 // one file, each publishing 64 versions of 1 MiB.
-func x2Opts(o SweepOpts, n int) PublishOpts {
-	return PublishOpts{Writers: n, Files: 1, Blocks: 64, Spec: o.Spec,
-		Storage: StorageOpts{BlockSize: 1 * MB, MemCapacity: o.MemCapacity, Replication: o.Replication}}
+func x2Opts(o SweepOpts, n int) publishOpts {
+	return publishOpts{writers: n, files: 1, blocks: 64, spec: o.Spec,
+		storage: StorageOpts{BlockSize: 1 * MB, memCapacity: o.MemCapacity, replication: o.Replication}}
 }
 
 // x5Opts sizes X5's: n writers with a file each, each publishing 16
 // versions of 256 KiB (one page, so the workload stays metadata-bound),
 // and every version-manager shard busy 400µs per RPC, so one
 // centralized shard is the bottleneck.
-func x5Opts(o SweepOpts, n int) PublishOpts {
-	return PublishOpts{Writers: n, Files: n, Blocks: 16, Spec: o.Spec,
-		Storage: StorageOpts{BlockSize: 256 * KB, VMServiceTime: 400 * time.Microsecond,
-			MemCapacity: o.MemCapacity, Replication: o.Replication}}
+func x5Opts(o SweepOpts, n int) publishOpts {
+	return publishOpts{writers: n, files: n, blocks: 16, spec: o.Spec,
+		storage: StorageOpts{BlockSize: 256 * KB, vmServiceTime: 400 * time.Microsecond,
+			memCapacity: o.MemCapacity, replication: o.Replication}}
 }
 
 // runApp runs an application benchmark with BSFS, then HDFS, underneath.
@@ -126,8 +126,8 @@ var Experiments = []Experiment{
 		ID:    "e1",
 		Title: "E1 §IV.B: concurrent reads from different files (throughput vs clients)",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunReadDistinct, opts, []string{"bsfs", "hdfs"}, nil)
-			WritePointsTable(w, "E1: concurrent reads, distinct files", pts)
+			pts, err := runSweep(runReadDistinct, opts, []string{"bsfs", "hdfs"}, nil)
+			writePointsTable(w, "E1: concurrent reads, distinct files", pts)
 			return err
 		},
 	},
@@ -135,8 +135,8 @@ var Experiments = []Experiment{
 		ID:    "e2",
 		Title: "E2 §IV.B: concurrent reads of disjoint parts of one huge file",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunReadShared, opts, []string{"bsfs", "hdfs"}, nil)
-			WritePointsTable(w, "E2: concurrent reads, one shared file", pts)
+			pts, err := runSweep(runReadShared, opts, []string{"bsfs", "hdfs"}, nil)
+			writePointsTable(w, "E2: concurrent reads, one shared file", pts)
 			return err
 		},
 	},
@@ -144,8 +144,8 @@ var Experiments = []Experiment{
 		ID:    "e3",
 		Title: "E3 §IV.B: concurrent writes to different files",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunWriteDistinct, opts, []string{"bsfs", "hdfs"}, nil)
-			WritePointsTable(w, "E3: concurrent writes, distinct files", pts)
+			pts, err := runSweep(runWriteDistinct, opts, []string{"bsfs", "hdfs"}, nil)
+			writePointsTable(w, "E3: concurrent writes, distinct files", pts)
 			return err
 		},
 	},
@@ -153,8 +153,8 @@ var Experiments = []Experiment{
 		ID:    "e4",
 		Title: "E4 §IV.C: Random Text Writer through MapReduce (job completion time)",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			res, err := runApp(RunRandomTextWriter, opts)
-			WriteAppTable(w, "E4: Random Text Writer (job completion time)", res)
+			res, err := runApp(runRandomTextWriter, opts)
+			writeAppTable(w, "E4: Random Text Writer (job completion time)", res)
 			return err
 		},
 	},
@@ -163,7 +163,7 @@ var Experiments = []Experiment{
 		Title: "E5 §IV.C: Distributed Grep through MapReduce (job completion time)",
 		Run: func(opts SweepOpts, w io.Writer) error {
 			res, err := runApp(RunDistributedGrep, opts)
-			WriteAppTable(w, "E5: Distributed Grep (job completion time)", res)
+			writeAppTable(w, "E5: Distributed Grep (job completion time)", res)
 			return err
 		},
 	},
@@ -171,18 +171,18 @@ var Experiments = []Experiment{
 		ID:    "x1",
 		Title: "X1 §V: concurrent appends to one file (BSFS only; HDFS rejects)",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunAppendShared, opts, []string{"bsfs"}, nil)
-			WritePointsTable(w, "X1: concurrent appends, one shared file (bsfs)", pts)
+			pts, err := runSweep(runAppendShared, opts, []string{"bsfs"}, nil)
+			writePointsTable(w, "X1: concurrent appends, one shared file (bsfs)", pts)
 			if err != nil {
 				return err
 			}
 			// Demonstrate the HDFS refusal at one point.
 			opts.fillDefaults()
-			_, herr := RunAppendShared(MicroOpts{
-				Clients:        opts.Clients[0],
-				BytesPerClient: opts.BytesPerClient,
-				Spec:           opts.Spec,
-				Storage:        StorageOpts{Kind: "hdfs", MemCapacity: opts.MemCapacity},
+			_, herr := runAppendShared(microOpts{
+				clients:        opts.Clients[0],
+				bytesPerClient: opts.BytesPerClient,
+				spec:           opts.Spec,
+				storage:        StorageOpts{Kind: "hdfs", memCapacity: opts.MemCapacity},
 			})
 			fmt.Fprintf(w, "hdfs: concurrent append rejected as expected: %v\n", herr)
 			return nil
@@ -195,17 +195,17 @@ var Experiments = []Experiment{
 			opts.fillDefaults()
 			var pts []Point
 			for _, n := range opts.Clients {
-				res, err := RunPublish(x2Opts(opts, n))
+				res, err := runPublish(x2Opts(opts, n))
 				if err != nil {
 					return fmt.Errorf("bench: x2 n=%d: %w", n, err)
 				}
-				res.Point.Experiment = "X2-publish-shared"
+				res.point.experiment = "X2-publish-shared"
 				fmt.Fprintf(w, "x2 n=%d: %d versions published, %.1f versions/s\n",
-					n, res.Versions, res.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("publish_rate_n%d", n), "versions/s", res.VersionsPerSec)
-				pts = append(pts, res.Point)
+					n, res.versions, res.versionsPerSec)
+				recordMetric(w, fmt.Sprintf("publish_rate_n%d", n), "versions/s", res.versionsPerSec)
+				pts = append(pts, res.point)
 			}
-			WritePointsTable(w, "X2: shared-blob publish throughput (batched ticket/publish)", pts)
+			writePointsTable(w, "X2: shared-blob publish throughput (batched ticket/publish)", pts)
 			return nil
 		},
 	},
@@ -217,24 +217,24 @@ var Experiments = []Experiment{
 			var pts []Point
 			for _, n := range opts.Clients {
 				// FaultOpts.fillDefaults forces bsfs and Replication >= 2.
-				res, err := RunFaultChurn(FaultOpts{
-					Clients:        n,
-					BytesPerClient: opts.BytesPerClient,
-					Spec:           opts.Spec,
-					Storage:        StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
+				res, err := runFaultChurn(faultOpts{
+					clients:        n,
+					bytesPerClient: opts.BytesPerClient,
+					spec:           opts.Spec,
+					storage:        StorageOpts{memCapacity: opts.MemCapacity, replication: opts.Replication},
 				})
 				if err != nil {
 					return fmt.Errorf("bench: x3 n=%d: %w", n, err)
 				}
-				pts = append(pts, res.Healthy, res.Degraded)
+				pts = append(pts, res.healthy, res.degraded)
 				fmt.Fprintf(w, "x3 n=%d: repaired %d/%d degraded pages (%d replicas, %s copied) in %s\n",
-					n, res.Repair.PagesDegraded, res.Repair.PagesScanned,
-					res.Repair.ReplicasAdded, size(res.Repair.BytesCopied),
-					res.RepairDuration.Round(timeUnit(res.RepairDuration)))
-				recordMetric(w, fmt.Sprintf("pages_repaired_n%d", n), "pages", float64(res.Repair.PagesDegraded))
-				recordMetric(w, fmt.Sprintf("repair_duration_n%d", n), "s", res.RepairDuration.Seconds())
+					n, res.repair.PagesDegraded, res.repair.PagesScanned,
+					res.repair.ReplicasAdded, size(res.repair.BytesCopied),
+					res.repairDuration.Round(timeUnit(res.repairDuration)))
+				recordMetric(w, fmt.Sprintf("pages_repaired_n%d", n), "pages", float64(res.repair.PagesDegraded))
+				recordMetric(w, fmt.Sprintf("repair_duration_n%d", n), "s", res.repairDuration.Seconds())
 			}
-			WritePointsTable(w, "X3: reads under provider failure (healthy vs degraded)", pts)
+			writePointsTable(w, "X3: reads under provider failure (healthy vs degraded)", pts)
 			return nil
 		},
 	},
@@ -242,8 +242,8 @@ var Experiments = []Experiment{
 		ID:    "x4",
 		Title: "X4 §V: concurrent MapReduce jobs on different snapshots of a growing file (bsfs)",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			res, err := RunSnapshotWorkflow(opts.appOpts("bsfs"))
-			WriteAppTable(w, "X4: concurrent MapReduce jobs on different snapshots (bsfs)", res)
+			res, err := runSnapshotWorkflow(opts.appOpts("bsfs"))
+			writeAppTable(w, "X4: concurrent MapReduce jobs on different snapshots (bsfs)", res)
 			return err
 		},
 	},
@@ -260,27 +260,27 @@ var Experiments = []Experiment{
 			var one, four float64
 			for _, sh := range []int{1, 2, 4, 8} {
 				po := x5Opts(opts, 32)
-				po.Storage.VMShards = sh
-				res, err := RunPublish(po)
+				po.storage.vmShards = sh
+				res, err := runPublish(po)
 				if err != nil {
 					return fmt.Errorf("bench: x5 shards=%d: %w", sh, err)
 				}
-				res.Point.Experiment = fmt.Sprintf("X5-shards-%d", sh)
+				res.point.experiment = fmt.Sprintf("X5-shards-%d", sh)
 				fmt.Fprintf(w, "x5 shards=%d: %d versions published, %.1f versions/s\n",
-					sh, res.Versions, res.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("publish_rate_shards%d", sh), "versions/s", res.VersionsPerSec)
+					sh, res.versions, res.versionsPerSec)
+				recordMetric(w, fmt.Sprintf("publish_rate_shards%d", sh), "versions/s", res.versionsPerSec)
 				switch sh {
 				case 1:
-					one = res.VersionsPerSec
+					one = res.versionsPerSec
 				case 4:
-					four = res.VersionsPerSec
+					four = res.versionsPerSec
 				}
-				pts = append(pts, res.Point)
+				pts = append(pts, res.point)
 			}
 			if four <= one {
 				return fmt.Errorf("bench: x5 sharding did not scale: 4 shards %.1f <= 1 shard %.1f versions/s", four, one)
 			}
-			WritePointsTable(w, "X5: multi-blob publish throughput vs version-manager shards", pts)
+			writePointsTable(w, "X5: multi-blob publish throughput vs version-manager shards", pts)
 			return nil
 		},
 	},
@@ -289,21 +289,21 @@ var Experiments = []Experiment{
 		Title: "X6: membership churn (writers survive join/leave cycles, time-to-rebalance, bsfs)",
 		Run: func(opts SweepOpts, w io.Writer) error {
 			opts.fillDefaults()
-			res, err := RunChurn(ChurnOpts{Replication: opts.Replication})
+			res, err := runChurn(churnOpts{replication: opts.Replication})
 			if err != nil {
 				return fmt.Errorf("bench: x6: %w", err)
 			}
 			fmt.Fprintf(w, "x6: %d appends (%d retried) across %d churn cycles, final epoch %d\n",
-				res.Appends, res.Retries, res.Cycles, res.Epoch)
+				res.appends, res.retries, res.cycles, res.epoch)
 			fmt.Fprintf(w, "x6: placement moved %d replicas / migrated %d pages (%s copied); rebalanced to preferred owners in %s\n",
-				res.Sweeps.ReplicasAdded, res.Sweeps.PagesMigrated, size(res.Sweeps.BytesCopied),
-				res.RebalanceDuration.Round(timeUnit(res.RebalanceDuration)))
-			recordMetric(w, "appends", "ops", float64(res.Appends))
-			recordMetric(w, "append_retries", "ops", float64(res.Retries))
-			recordMetric(w, "final_epoch", "epoch", float64(res.Epoch))
-			recordMetric(w, "replicas_added", "pages", float64(res.Sweeps.ReplicasAdded))
-			recordMetric(w, "pages_migrated", "pages", float64(res.Sweeps.PagesMigrated))
-			recordMetric(w, "rebalance_duration", "s", res.RebalanceDuration.Seconds())
+				res.sweeps.ReplicasAdded, res.sweeps.PagesMigrated, size(res.sweeps.BytesCopied),
+				res.rebalanceDuration.Round(timeUnit(res.rebalanceDuration)))
+			recordMetric(w, "appends", "ops", float64(res.appends))
+			recordMetric(w, "append_retries", "ops", float64(res.retries))
+			recordMetric(w, "final_epoch", "epoch", float64(res.epoch))
+			recordMetric(w, "replicas_added", "pages", float64(res.sweeps.ReplicasAdded))
+			recordMetric(w, "pages_migrated", "pages", float64(res.sweeps.PagesMigrated))
+			recordMetric(w, "rebalance_duration", "s", res.rebalanceDuration.Seconds())
 			return nil
 		},
 	},
@@ -315,30 +315,30 @@ var Experiments = []Experiment{
 			// fleet must recover after a restart.
 			var all []Point
 			for _, mb := range []int64{64, 256, 1024} {
-				res, err := RunTieredRecovery(TieredOpts{
-					BytesPerClient: mb * MB,
-					Storage:        StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
+				res, err := runTieredRecovery(tieredOpts{
+					bytesPerClient: mb * MB,
+					storage:        StorageOpts{memCapacity: opts.MemCapacity, replication: opts.Replication},
 				})
 				if err != nil {
 					return fmt.Errorf("bench: x7 size=%dMB: %w", mb, err)
 				}
 				fmt.Fprintf(w, "x7 size=%dMB: %d pages recovered in %s wall / %s sim (%s of logs); cold %.1f MB/s, warm %.1f MB/s (%.1fx)\n",
-					mb, res.RecoveredPages,
-					res.RecoveryWall.Round(timeUnit(res.RecoveryWall)),
-					res.RecoverySim.Round(timeUnit(res.RecoverySim)),
-					size(res.LogBytes),
-					res.Cold.AggregateMBps, res.Warm.AggregateMBps,
-					res.Warm.AggregateMBps/res.Cold.AggregateMBps)
-				recordMetric(w, fmt.Sprintf("recovered_pages_%dmb", mb), "pages", float64(res.RecoveredPages))
-				recordMetric(w, fmt.Sprintf("recovery_wall_%dmb", mb), "ms", float64(res.RecoveryWall.Milliseconds()))
-				recordMetric(w, fmt.Sprintf("recovery_sim_%dmb", mb), "s", res.RecoverySim.Seconds())
-				recordMetric(w, fmt.Sprintf("cold_read_%dmb", mb), "MB/s", res.Cold.AggregateMBps)
-				recordMetric(w, fmt.Sprintf("warm_read_%dmb", mb), "MB/s", res.Warm.AggregateMBps)
-				res.Cold.Experiment = fmt.Sprintf("X7-cold-%dMB", mb)
-				res.Warm.Experiment = fmt.Sprintf("X7-warm-%dMB", mb)
-				all = append(all, res.Cold, res.Warm)
+					mb, res.recoveredPages,
+					res.recoveryWall.Round(timeUnit(res.recoveryWall)),
+					res.recoverySim.Round(timeUnit(res.recoverySim)),
+					size(res.logBytes),
+					res.cold.aggregateMBps, res.warm.aggregateMBps,
+					res.warm.aggregateMBps/res.cold.aggregateMBps)
+				recordMetric(w, fmt.Sprintf("recovered_pages_%dmb", mb), "pages", float64(res.recoveredPages))
+				recordMetric(w, fmt.Sprintf("recovery_wall_%dmb", mb), "ms", float64(res.recoveryWall.Milliseconds()))
+				recordMetric(w, fmt.Sprintf("recovery_sim_%dmb", mb), "s", res.recoverySim.Seconds())
+				recordMetric(w, fmt.Sprintf("cold_read_%dmb", mb), "MB/s", res.cold.aggregateMBps)
+				recordMetric(w, fmt.Sprintf("warm_read_%dmb", mb), "MB/s", res.warm.aggregateMBps)
+				res.cold.experiment = fmt.Sprintf("X7-cold-%dMB", mb)
+				res.warm.experiment = fmt.Sprintf("X7-warm-%dMB", mb)
+				all = append(all, res.cold, res.warm)
 			}
-			WritePointsTable(w, "X7: tiered recovery (cold vs warm reads by store size)", all)
+			writePointsTable(w, "X7: tiered recovery (cold vs warm reads by store size)", all)
 			return nil
 		},
 	},
@@ -347,7 +347,7 @@ var Experiments = []Experiment{
 		Title: "X8: heavy-traffic serving (open-loop multi-tenant load; admission on/off at 1x/5x/10x)",
 		Run: func(opts SweepOpts, w io.Writer) error {
 			multiples := []float64{1, 5, 10}
-			open, admitted, err := RunServeSweep(ServeOpts{}, multiples)
+			open, admitted, err := runServeSweep(serveOpts{}, multiples)
 			// The sweep itself asserts graceful degradation (admission
 			// goodput >= open at 10x, admitted p99 within the SLO);
 			// render whatever completed before reporting the error.
@@ -356,19 +356,19 @@ var Experiments = []Experiment{
 				m := multiples[i]
 				o, a := open[i], admitted[i]
 				fmt.Fprintf(w, "x8 %2.0fx open : offered %d completed %d goodput %.0f ops/s p50 %s p99 %s inflight<=%d\n",
-					m, o.Report.Offered, o.Report.Completed, o.GoodputPerSec,
-					o.Report.P50.Round(time.Microsecond), o.Report.P99.Round(time.Microsecond), o.Report.MaxInflight)
+					m, o.report.Offered, o.report.Completed, o.goodputPerSec,
+					o.report.P50.Round(time.Microsecond), o.report.P99.Round(time.Microsecond), o.report.MaxInflight)
 				fmt.Fprintf(w, "x8 %2.0fx admit: offered %d completed %d rejected %d goodput %.0f ops/s p50 %s p99 %s inflight<=%d\n",
-					m, a.Report.Offered, a.Report.Completed, a.Report.Rejected, a.GoodputPerSec,
-					a.Report.P50.Round(time.Microsecond), a.Report.P99.Round(time.Microsecond), a.Report.MaxInflight)
-				recordMetric(w, fmt.Sprintf("goodput_open_%gx", m), "ops/s", o.GoodputPerSec)
-				recordMetric(w, fmt.Sprintf("goodput_admit_%gx", m), "ops/s", a.GoodputPerSec)
-				recordMetric(w, fmt.Sprintf("p99_open_%gx", m), "ms", ms(o.Report.P99))
-				recordMetric(w, fmt.Sprintf("p99_admit_%gx", m), "ms", ms(a.Report.P99))
-				recordMetric(w, fmt.Sprintf("rejected_admit_%gx", m), "ops", float64(a.Report.Rejected))
-				recordMetric(w, fmt.Sprintf("max_inflight_open_%gx", m), "ops", float64(o.Report.MaxInflight))
-				recordMetric(w, fmt.Sprintf("max_inflight_admit_%gx", m), "ops", float64(a.Report.MaxInflight))
-				pts = append(pts, o.Point, a.Point)
+					m, a.report.Offered, a.report.Completed, a.report.Rejected, a.goodputPerSec,
+					a.report.P50.Round(time.Microsecond), a.report.P99.Round(time.Microsecond), a.report.MaxInflight)
+				recordMetric(w, fmt.Sprintf("goodput_open_%gx", m), "ops/s", o.goodputPerSec)
+				recordMetric(w, fmt.Sprintf("goodput_admit_%gx", m), "ops/s", a.goodputPerSec)
+				recordMetric(w, fmt.Sprintf("p99_open_%gx", m), "ms", ms(o.report.P99))
+				recordMetric(w, fmt.Sprintf("p99_admit_%gx", m), "ms", ms(a.report.P99))
+				recordMetric(w, fmt.Sprintf("rejected_admit_%gx", m), "ops", float64(a.report.Rejected))
+				recordMetric(w, fmt.Sprintf("max_inflight_open_%gx", m), "ops", float64(o.report.MaxInflight))
+				recordMetric(w, fmt.Sprintf("max_inflight_admit_%gx", m), "ops", float64(a.report.MaxInflight))
+				pts = append(pts, o.point, a.point)
 			}
 			recordPoints(w, pts)
 			return err
@@ -378,17 +378,17 @@ var Experiments = []Experiment{
 		ID:    "a1",
 		Title: "A1 ablation: BlobSeer striping vs HDFS-style local-first placement (read side)",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			striped, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, nil)
+			striped, err := runSweep(runReadDistinct, opts, []string{"bsfs"}, nil)
 			if err != nil {
 				return err
 			}
-			local, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, func(m *MicroOpts) {
-				m.Storage.LocalFirstPlacement = true
+			local, err := runSweep(runReadDistinct, opts, []string{"bsfs"}, func(m *microOpts) {
+				m.storage.localFirstPlacement = true
 			})
 			for i := range local {
-				local[i].Experiment = "A1-local-first"
+				local[i].experiment = "A1-local-first"
 			}
-			WritePointsTable(w, "A1: placement ablation (striped vs local-first, reads)", append(striped, local...))
+			writePointsTable(w, "A1: placement ablation (striped vs local-first, reads)", append(striped, local...))
 			return err
 		},
 	},
@@ -398,19 +398,19 @@ var Experiments = []Experiment{
 		Run: func(opts SweepOpts, w io.Writer) error {
 			// MapReduce-style record reads (1 MB requests) are where the
 			// §III.B client cache earns its keep.
-			withRecords := func(m *MicroOpts) { m.RecordSize = 1 * MB }
-			on, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, withRecords)
+			withRecords := func(m *microOpts) { m.recordSize = 1 * MB }
+			on, err := runSweep(runReadDistinct, opts, []string{"bsfs"}, withRecords)
 			if err != nil {
 				return err
 			}
-			off, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, func(m *MicroOpts) {
-				m.RecordSize = 1 * MB
-				m.Storage.DisableClientCache = true
+			off, err := runSweep(runReadDistinct, opts, []string{"bsfs"}, func(m *microOpts) {
+				m.recordSize = 1 * MB
+				m.storage.disableClientCache = true
 			})
 			for i := range off {
-				off[i].Experiment = "A2-no-client-cache"
+				off[i].experiment = "A2-no-client-cache"
 			}
-			WritePointsTable(w, "A2: client cache ablation (1 MB record reads)", append(on, off...))
+			writePointsTable(w, "A2: client cache ablation (1 MB record reads)", append(on, off...))
 			return err
 		},
 	},
@@ -420,18 +420,18 @@ var Experiments = []Experiment{
 		Run: func(opts SweepOpts, w io.Writer) error {
 			var all []Point
 			for _, ps := range []int64{64 * KB, 256 * KB, 1 * MB, 4 * MB} {
-				pts, err := runSweep(RunReadShared, opts, []string{"bsfs"}, func(m *MicroOpts) {
-					m.Storage.PageSize = ps
+				pts, err := runSweep(runReadShared, opts, []string{"bsfs"}, func(m *microOpts) {
+					m.storage.pageSize = ps
 				})
 				if err != nil {
 					return err
 				}
 				for i := range pts {
-					pts[i].Experiment = fmt.Sprintf("A3-page-%s", size(ps))
+					pts[i].experiment = fmt.Sprintf("A3-page-%s", size(ps))
 				}
 				all = append(all, pts...)
 			}
-			WritePointsTable(w, "A3: page size ablation (shared-file reads)", all)
+			writePointsTable(w, "A3: page size ablation (shared-file reads)", all)
 			return nil
 		},
 	},
@@ -439,17 +439,17 @@ var Experiments = []Experiment{
 		ID:    "a4",
 		Title: "A4 ablation: HDFS with RAM-buffered datanodes (write-through off)",
 		Run: func(opts SweepOpts, w io.Writer) error {
-			wt, err := runSweep(RunWriteDistinct, opts, []string{"hdfs"}, nil)
+			wt, err := runSweep(runWriteDistinct, opts, []string{"hdfs"}, nil)
 			if err != nil {
 				return err
 			}
-			ram, err := runSweep(RunWriteDistinct, opts, []string{"hdfs"}, func(m *MicroOpts) {
-				m.Storage.RAMDatanodes = true
+			ram, err := runSweep(runWriteDistinct, opts, []string{"hdfs"}, func(m *microOpts) {
+				m.storage.ramDatanodes = true
 			})
 			for i := range ram {
-				ram[i].Experiment = "A4-ram-datanodes"
+				ram[i].experiment = "A4-ram-datanodes"
 			}
-			WritePointsTable(w, "A4: HDFS write-through ablation (writes)", append(wt, ram...))
+			writePointsTable(w, "A4: HDFS write-through ablation (writes)", append(wt, ram...))
 			return err
 		},
 	},
@@ -460,19 +460,19 @@ var Experiments = []Experiment{
 			opts.fillDefaults()
 			var all []Point
 			for _, n := range opts.Clients {
-				batched, unbatched, err := RunPublishAblation(x2Opts(opts, n))
+				batched, unbatched, err := runPublishAblation(x2Opts(opts, n))
 				if err != nil {
 					// Includes the sim assertion: batched publish
 					// throughput must not fall below unbatched.
 					return fmt.Errorf("bench: a6 n=%d: %w", n, err)
 				}
 				fmt.Fprintf(w, "a6 n=%d: batched %.1f versions/s, unbatched (depth 2) %.1f versions/s (%.2fx)\n",
-					n, batched.VersionsPerSec, unbatched.VersionsPerSec,
-					batched.VersionsPerSec/unbatched.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("group_commit_speedup_n%d", n), "x", batched.VersionsPerSec/unbatched.VersionsPerSec)
-				all = append(all, batched.Point, unbatched.Point)
+					n, batched.versionsPerSec, unbatched.versionsPerSec,
+					batched.versionsPerSec/unbatched.versionsPerSec)
+				recordMetric(w, fmt.Sprintf("group_commit_speedup_n%d", n), "x", batched.versionsPerSec/unbatched.versionsPerSec)
+				all = append(all, batched.point, unbatched.point)
 			}
-			WritePointsTable(w, "A6: pipeline-depth ablation (shared-blob publish)", all)
+			writePointsTable(w, "A6: pipeline-depth ablation (shared-blob publish)", all)
 			return nil
 		},
 	},
@@ -483,19 +483,19 @@ var Experiments = []Experiment{
 			opts.fillDefaults()
 			var all []Point
 			for _, writers := range []int{8, 32, 64} {
-				sharded, single, err := RunShardAblation(x5Opts(opts, writers))
+				sharded, single, err := runShardAblation(x5Opts(opts, writers))
 				if err != nil {
 					// Includes the sim assertion: the sharded tier must
 					// not publish slower than the single-shard baseline.
 					return fmt.Errorf("bench: a7 writers=%d: %w", writers, err)
 				}
 				fmt.Fprintf(w, "a7 writers=%d: sharded %.1f versions/s, single %.1f versions/s (%.2fx)\n",
-					writers, sharded.VersionsPerSec, single.VersionsPerSec,
-					sharded.VersionsPerSec/single.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("sharding_speedup_w%d", writers), "x", sharded.VersionsPerSec/single.VersionsPerSec)
-				all = append(all, sharded.Point, single.Point)
+					writers, sharded.versionsPerSec, single.versionsPerSec,
+					sharded.versionsPerSec/single.versionsPerSec)
+				recordMetric(w, fmt.Sprintf("sharding_speedup_w%d", writers), "x", sharded.versionsPerSec/single.versionsPerSec)
+				all = append(all, sharded.point, single.point)
 			}
-			WritePointsTable(w, "A7: sharding ablation (multi-blob publish)", all)
+			writePointsTable(w, "A7: sharding ablation (multi-blob publish)", all)
 			return nil
 		},
 	},

@@ -17,9 +17,7 @@
 // what the paper's future-work section asks for: concurrent appends to
 // a single file and snapshot reads (OpenAt with fsapi.AtVersion) that
 // let workflows run on frozen views of a dataset while it keeps
-// changing. Every open accepts an fsapi.WithCtx option scoping the
-// returned reader or writer to an op-scoped cluster.Ctx, so deadlines
-// and cancellation propagate down through the blob client's fan-outs.
+// changing.
 package bsfs
 
 import (
@@ -141,15 +139,12 @@ func (f *FS) Name() string { return "bsfs" }
 // BlockSize implements fsapi.FileSystem.
 func (f *FS) BlockSize() int64 { return f.svc.cfg.BlockSize }
 
-// Node returns the client's node.
-func (f *FS) Node() cluster.NodeID { return f.node }
-
 // rtt charges one namespace-manager round trip.
 func (f *FS) rtt() { f.svc.env.RTT(f.node, f.svc.node) }
 
 // Create registers a new file backed by a fresh blob and returns a
-// block-buffered writer. An fsapi.WithCtx option scopes the writer's
-// commits; fsapi.AtVersion is not meaningful here and is rejected.
+// block-buffered writer. fsapi.AtVersion is not meaningful here and is
+// rejected.
 func (f *FS) Create(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error) {
 	s := fsapi.ApplyOpenOptions(opts)
 	if s.HasVersion {
@@ -163,12 +158,12 @@ func (f *FS) Create(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error)
 	if err := f.svc.ns.CreateFile(path, b.ID()); err != nil {
 		return nil, fmt.Errorf("bsfs: create %s: %w", path, err)
 	}
-	return f.newWriter(path, b, s.Ctx), nil
+	return f.newWriter(path, b), nil
 }
 
 // Append opens an existing file for appending; multiple clients may
 // append to the same file concurrently (BlobSeer serializes the
-// versions). An fsapi.WithCtx option scopes the writer's commits.
+// versions).
 func (f *FS) Append(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error) {
 	s := fsapi.ApplyOpenOptions(opts)
 	if s.HasVersion {
@@ -178,7 +173,7 @@ func (f *FS) Append(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error)
 	if err != nil {
 		return nil, err
 	}
-	return f.newWriter(path, b, s.Ctx), nil
+	return f.newWriter(path, b), nil
 }
 
 // VMShardNodes describes the version-manager tier behind this file
@@ -224,8 +219,7 @@ func (f *FS) Open(path string) (fsapi.Reader, error) { return f.OpenAt(path) }
 // snapshot by default, or a frozen one pinned with fsapi.AtVersion —
 // the versioning integration of the paper's future-work section (§V),
 // expressed through the shared fsapi contract so frameworks need no
-// BSFS-specific side door. An fsapi.WithCtx option makes every read
-// through the returned reader cancellable.
+// BSFS-specific side door.
 func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error) {
 	s := fsapi.ApplyOpenOptions(opts)
 	b, err := f.blobOf(path)
@@ -238,38 +232,13 @@ func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error)
 		if err != nil {
 			return nil, err
 		}
-		return f.newReader(b, v, rec.SizeAfter, s.Ctx), nil
+		return f.newReader(b, v, rec.SizeAfter), nil
 	}
-	v, size, err := b.Latest(core.WithCtx(s.Ctx))
+	v, size, err := b.Latest()
 	if err != nil {
 		return nil, err
 	}
-	return f.newReader(b, v, size, s.Ctx), nil
-}
-
-// SnapshotFile registers newPath as a copy-on-write branch of path at
-// snapshot v (core.LatestVersion for the current one): an O(1)
-// metadata operation sharing all data with the source — the "easy
-// roll-back to previous snapshots" capability the paper motivates
-// (§II.B), made writable.
-func (f *FS) SnapshotFile(path string, v core.Version, newPath string) error {
-	b, err := f.blobOf(path)
-	if err != nil {
-		return err
-	}
-	clone, err := b.Snapshot(core.AtVersion(v))
-	if err != nil {
-		return err
-	}
-	f.rtt()
-	if err := f.svc.ns.CreateFile(newPath, clone.ID()); err != nil {
-		return err
-	}
-	_, size, err := clone.Latest()
-	if err != nil {
-		return err
-	}
-	return f.svc.ns.SetSize(newPath, size)
+	return f.newReader(b, v, size), nil
 }
 
 // Versions lists the published snapshots of a file in one batched
@@ -430,7 +399,6 @@ type writer struct {
 	fs   *FS
 	path string
 	b    *core.Blob
-	ctx  *cluster.Ctx // op scope bound at open; cancels pending commits
 
 	mu        sync.Mutex
 	buf       []byte // the pending block: real bytes buffered toward the next commit
@@ -458,18 +426,8 @@ type writer struct {
 	pending   int64
 }
 
-func (f *FS) newWriter(path string, b *core.Blob, ctx *cluster.Ctx) *writer {
-	return &writer{fs: f, path: path, b: b, ctx: ctx}
-}
-
-// Written reports the bytes this writer has accepted: committed to the
-// blob, queued in the pipeline, or still buffered. After a commit
-// failure it reflects only bytes that reached (or can still reach) the
-// blob — the rollback side of Write's partial-consumption contract.
-func (w *writer) Written() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.written
+func (f *FS) newWriter(path string, b *core.Blob) *writer {
+	return &writer{fs: f, path: path, b: b}
 }
 
 func (w *writer) progSigLocked() cluster.Signal {
@@ -621,7 +579,7 @@ func (w *writer) commitRun(run []pendingBlock) (int, error) {
 	for i, b := range run {
 		blocks[i] = core.AppendBlock{Data: b.data, Size: b.size}
 	}
-	versions, _, err := w.b.Append(blocks, core.WithCtx(w.ctx))
+	versions, _, err := w.b.Append(blocks)
 	return len(versions), err
 }
 
@@ -873,7 +831,6 @@ type reader struct {
 	b    *core.Blob
 	ver  core.Version
 	size int64
-	ctx  *cluster.Ctx // op scope bound at open; cancels fetches
 
 	mu       sync.Mutex
 	pos      int64
@@ -884,9 +841,9 @@ type reader struct {
 	inflight map[int64]cluster.Signal // fetches in progress, fired on completion
 }
 
-func (f *FS) newReader(b *core.Blob, v core.Version, size int64, ctx *cluster.Ctx) *reader {
+func (f *FS) newReader(b *core.Blob, v core.Version, size int64) *reader {
 	return &reader{
-		fs: f, b: b, ver: v, size: size, ctx: ctx,
+		fs: f, b: b, ver: v, size: size,
 		lastBi:   -1,
 		blocks:   map[int64][]byte{},
 		inflight: map[int64]cluster.Signal{},
@@ -921,7 +878,7 @@ func (r *reader) ReadAt(p []byte, off int64) (int, error) {
 		want = r.size - off
 	}
 	if r.fs.svc.cfg.DisableCache {
-		n, err := r.b.ReadAt(p[:want], off, core.AtVersion(r.ver), core.WithCtx(r.ctx))
+		n, err := r.b.ReadAt(p[:want], off, core.AtVersion(r.ver))
 		if err != nil {
 			return 0, err
 		}
@@ -961,7 +918,7 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 		length = r.size - off
 	}
 	if r.fs.svc.cfg.DisableCache {
-		return r.b.ReadAt(nil, off, core.AtVersion(r.ver), core.Synthetic(length), core.WithCtx(r.ctx))
+		return r.b.ReadAt(nil, off, core.AtVersion(r.ver), core.Synthetic(length))
 	}
 	bs := r.fs.svc.cfg.BlockSize
 	var done int64
@@ -1038,11 +995,11 @@ func (r *reader) fetch(bi int64, synthetic bool) ([]byte, error) {
 		blockLen = r.size - start
 	}
 	if synthetic {
-		_, err := r.b.ReadAt(nil, start, core.AtVersion(r.ver), core.Synthetic(blockLen), core.WithCtx(r.ctx))
+		_, err := r.b.ReadAt(nil, start, core.AtVersion(r.ver), core.Synthetic(blockLen))
 		return nil, err
 	}
 	data := make([]byte, blockLen)
-	if _, err := r.b.ReadAt(data, start, core.AtVersion(r.ver), core.WithCtx(r.ctx)); err != nil {
+	if _, err := r.b.ReadAt(data, start, core.AtVersion(r.ver)); err != nil {
 		return nil, err
 	}
 	return data, nil

@@ -154,51 +154,3 @@ func TestBlockLocationsRangeClamping(t *testing.T) {
 		t.Fatalf("tail block = %+v", got)
 	}
 }
-
-func TestSnapshotFileBranches(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 64})
-	writeFile(t, fs, "/data", bytes.Repeat([]byte("v1"), 32))
-	if err := fs.SnapshotFile("/data", core.LatestVersion, "/branch"); err != nil {
-		t.Fatal(err)
-	}
-	// The branch reads identically.
-	if got := readFile(t, fs, "/branch"); !bytes.Equal(got, bytes.Repeat([]byte("v1"), 32)) {
-		t.Fatalf("branch = %q", got[:8])
-	}
-	// Appends to the branch do not touch the original, and vice versa.
-	w, _ := fs.Append("/branch")
-	w.Write([]byte("BRANCH"))
-	w.Close()
-	w2, _ := fs.Append("/data")
-	w2.Write([]byte("MAIN"))
-	w2.Close()
-	branch := readFile(t, fs, "/branch")
-	main := readFile(t, fs, "/data")
-	if !bytes.HasSuffix(branch, []byte("BRANCH")) || bytes.Contains(branch, []byte("MAIN")) {
-		t.Fatalf("branch tail = %q", branch[len(branch)-10:])
-	}
-	if !bytes.HasSuffix(main, []byte("MAIN")) || bytes.Contains(main, []byte("BRANCH")) {
-		t.Fatalf("main tail = %q", main[len(main)-10:])
-	}
-	// Sizes visible through the namespace.
-	bi, _ := fs.Stat("/branch")
-	mi, _ := fs.Stat("/data")
-	if bi.Size != 70 || mi.Size != 68 {
-		t.Fatalf("sizes: branch %d, main %d", bi.Size, mi.Size)
-	}
-}
-
-func TestSnapshotFileOfOldVersion(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 64})
-	writeFile(t, fs, "/f", []byte("first"))
-	versions, _ := fs.Versions("/f")
-	w, _ := fs.Append("/f")
-	w.Write([]byte("-second"))
-	w.Close()
-	if err := fs.SnapshotFile("/f", versions[0], "/asof-v1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, fs, "/asof-v1"); string(got) != "first" {
-		t.Fatalf("old snapshot branch = %q", got)
-	}
-}

@@ -611,3 +611,13 @@ func TestConcurrentWritersReuseBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Written reports the bytes this writer has accepted: committed to the
+// blob, queued in the pipeline, or still buffered. After a commit
+// failure it reflects only bytes that reached (or can still reach) the
+// blob — the rollback side of Write's partial-consumption contract.
+func (w *writer) Written() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.written
+}

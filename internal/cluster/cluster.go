@@ -118,12 +118,6 @@ func NewSim(net *simnet.Network) *Sim {
 	return &Sim{net: net, eng: net.Engine()}
 }
 
-// Network exposes the underlying simnet for stats collection.
-func (s *Sim) Network() *simnet.Network { return s.net }
-
-// Engine exposes the underlying engine.
-func (s *Sim) Engine() *sim.Engine { return s.eng }
-
 func (s *Sim) Nodes() int              { return s.net.NumNodes() }
 func (s *Sim) Rack(n NodeID) int       { return s.net.Rack(n) }
 func (s *Sim) Now() time.Duration      { return s.eng.Now() }

@@ -1,24 +1,20 @@
-// ctx.go implements op-scoped cancellation and deadlines for cluster
-// services. The standard library's context.Context cannot be used here:
-// its deadlines are wall-clock timers, while this repository's services
-// run in *virtual* time under the Sim environment — a context.WithTimeout
-// would fire after real milliseconds even though the simulation moved
-// hours, or never fire at all while simulated transfers crawl. Ctx
-// rebuilds the same contract (cancel propagation, deadlines, a typed
-// error) on the environment's own primitives: Signal for the done
-// channel and Sleep for the deadline timer, so one implementation is
-// correct under both the Sim and Local environments.
+// ctx.go implements op-scoped cancellation for cluster services. The
+// standard library's context.Context cannot be used here: its
+// deadlines are wall-clock timers, while this repository's services
+// run in *virtual* time under the Sim environment, and its Done channel
+// is a channel the sim scheduler cannot see. Ctx rebuilds the
+// cancellation contract on the environment's own primitives (Signal for
+// the done channel), so one implementation is correct under both the
+// Sim and Local environments. A deadline is a daemon that sleeps in the
+// environment's time and then calls cancel.
 //
 // The contract mirrors context.Context where it matters:
 //
 //   - Background() is the never-canceled root, valid in any environment.
-//   - WithCancel / WithTimeout return the Ctx and a cancel function; the
-//     caller must call cancel when the operation completes to release
-//     the watcher resources promptly (the deadline daemon is bounded
-//     regardless).
-//   - Err() is nil until cancellation, then ErrCanceled (deadline expiry
-//     reports ErrDeadlineExceeded, which wraps ErrCanceled, so
-//     errors.Is(err, ErrCanceled) identifies both).
+//   - WithCancel returns the Ctx and a cancel function; the caller must
+//     call cancel when the operation completes to release the watcher
+//     resources promptly.
+//   - Err() is nil until cancellation, then ErrCanceled.
 //   - Wait(sig) parks until sig fires or the Ctx is canceled, whichever
 //     comes first — the one blocking primitive services need to make
 //     every await path cancellable.
@@ -27,9 +23,7 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrCanceled is the typed error every canceled operation surfaces.
@@ -37,15 +31,9 @@ import (
 // errors.Is.
 var ErrCanceled = errors.New("cluster: operation canceled")
 
-// ErrDeadlineExceeded reports a deadline expiry. It wraps ErrCanceled:
-// code that only cares whether the operation was cut short matches
-// ErrCanceled, code that distinguishes timeouts matches this.
-var ErrDeadlineExceeded = fmt.Errorf("%w: deadline exceeded", ErrCanceled)
-
-// Ctx scopes one operation: it carries a cancellation signal and an
-// optional deadline, both expressed in the owning environment's notion
-// of time. A nil or Background Ctx is never canceled. Ctx is safe for
-// concurrent use.
+// Ctx scopes one operation: it carries a cancellation signal in the
+// owning environment. A nil or Background Ctx is never canceled. Ctx
+// is safe for concurrent use.
 type Ctx struct {
 	env  Env
 	done Signal // nil for Background: never canceled
@@ -70,28 +58,16 @@ func Background() *Ctx { return background }
 // on the Ctx are released when the operation completes.
 func WithCancel(env Env) (*Ctx, func()) {
 	c := &Ctx{env: env, done: env.NewSignal()}
-	return c, func() { c.cancel(ErrCanceled) }
+	return c, c.cancel
 }
 
-// WithTimeout derives a Ctx that cancels itself with ErrDeadlineExceeded
-// after d of the environment's time (virtual under Sim, real under
-// Local). The returned cancel function cancels it earlier.
-func WithTimeout(env Env, d time.Duration) (*Ctx, func()) {
-	c := &Ctx{env: env, done: env.NewSignal()}
-	env.Daemon(func() {
-		env.Sleep(d)
-		c.cancel(ErrDeadlineExceeded)
-	})
-	return c, func() { c.cancel(ErrCanceled) }
-}
-
-func (c *Ctx) cancel(cause error) {
+func (c *Ctx) cancel() {
 	if c == nil || c.done == nil {
 		return // Background is never canceled
 	}
 	c.mu.Lock()
 	if c.err == nil {
-		c.err = cause
+		c.err = ErrCanceled
 	}
 	ws := c.waiters
 	c.waiters = nil
@@ -102,8 +78,8 @@ func (c *Ctx) cancel(cause error) {
 	}
 }
 
-// Err returns nil while the operation may proceed, ErrCanceled after
-// cancellation, or ErrDeadlineExceeded after deadline expiry.
+// Err returns nil while the operation may proceed and ErrCanceled after
+// cancellation.
 func (c *Ctx) Err() error {
 	if c == nil || c.done == nil {
 		return nil

@@ -87,25 +87,28 @@ func TestWaitPrefersFiredSignal(t *testing.T) {
 	}
 }
 
-// TestWithTimeoutVirtualTime: the deadline runs on the environment's
-// clock — in the simulator it fires after d of *virtual* time, exactly
-// what context.Context cannot express.
-func TestWithTimeoutVirtualTime(t *testing.T) {
+// TestCancelWakesWaitInVirtualTime: a deadline is a daemon that sleeps
+// in the environment's time and then cancels. In the simulator the
+// parked Wait wakes after exactly d of *virtual* time, which
+// context.Context cannot express.
+func TestCancelWakesWaitInVirtualTime(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(4))
 	env := NewSim(net)
 	const d = 5 * time.Millisecond
 	eng.Go(func() {
-		ctx, cancel := WithTimeout(env, d)
-		defer cancel()
+		ctx, cancel := WithCancel(env)
+		env.Daemon(func() {
+			env.Sleep(d)
+			cancel()
+		})
 		if ctx.Err() != nil {
-			t.Error("deadline fired before any time passed")
+			t.Error("canceled before any time passed")
 		}
 		// Waiting on a never-fired signal wakes exactly at the deadline.
 		start := env.Now()
-		err := ctx.Wait(env.NewSignal())
-		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, ErrCanceled) {
-			t.Errorf("Wait = %v, want ErrDeadlineExceeded (matching ErrCanceled)", err)
+		if err := ctx.Wait(env.NewSignal()); !errors.Is(err, ErrCanceled) {
+			t.Errorf("Wait = %v, want ErrCanceled", err)
 		}
 		if woke := env.Now() - start; woke != d {
 			t.Errorf("woke after %v of virtual time, want %v", woke, d)
@@ -113,14 +116,5 @@ func TestWithTimeoutVirtualTime(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWithTimeoutCancelBeatsDeadline(t *testing.T) {
-	env := NewLocal(2, 0)
-	ctx, cancel := WithTimeout(env, time.Hour)
-	cancel()
-	if err := ctx.Err(); !errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Err = %v, want plain ErrCanceled", err)
 	}
 }

@@ -52,7 +52,7 @@ func TestAllocFirstWriteFreshClient(t *testing.T) {
 func TestAllocPublishOne(t *testing.T) {
 	const runs = 1000
 	vm := NewVersionManager(cluster.NewLocal(2, 0), 0)
-	blob, err := vm.CreateBlob(1, 128)
+	blob, err := vm.createBlob(1, 128)
 	if err != nil {
 		t.Fatal(err)
 	}

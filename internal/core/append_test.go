@@ -111,7 +111,7 @@ func TestAwaitPublished(t *testing.T) {
 	env := cluster.NewSim(net)
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
-		id, _ := vm.CreateBlob(1, 100)
+		id, _ := vm.createBlob(1, 100)
 		ticket1(vm, 1, id, 0, 100)  // v1
 		ticket1(vm, 1, id, -1, 100) // v2
 		wg := env.NewWaitGroup()
@@ -123,7 +123,7 @@ func TestAwaitPublished(t *testing.T) {
 			mu.Unlock()
 		}
 		wg.Go(func() {
-			if err := vm.AwaitPublished(bg, 2, id, 2); err != nil {
+			if err := vm.awaitPublished(bg, 2, id, 2); err != nil {
 				t.Error(err)
 			}
 			add("awaited")
@@ -139,11 +139,11 @@ func TestAwaitPublished(t *testing.T) {
 			t.Errorf("order = %v", order)
 		}
 		// Await on an already published version returns immediately.
-		if err := vm.AwaitPublished(bg, 2, id, 1); err != nil {
+		if err := vm.awaitPublished(bg, 2, id, 1); err != nil {
 			t.Error(err)
 		}
 		// Await on a never-assigned version errors.
-		if err := vm.AwaitPublished(bg, 2, id, 99); err == nil {
+		if err := vm.awaitPublished(bg, 2, id, 99); err == nil {
 			t.Error("await on unassigned version succeeded")
 		}
 	})
@@ -160,12 +160,12 @@ func TestAwaitPublishedUnblockedByAbort(t *testing.T) {
 	env := cluster.NewSim(net)
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
-		id, _ := vm.CreateBlob(1, 100)
+		id, _ := vm.createBlob(1, 100)
 		ticket1(vm, 1, id, 0, 100)
 		done := false
 		wg := env.NewWaitGroup()
 		wg.Go(func() {
-			vm.AwaitPublished(bg, 2, id, 1)
+			vm.awaitPublished(bg, 2, id, 1)
 			done = true
 		})
 		wg.Go(func() {
@@ -216,7 +216,7 @@ func TestHeadOwnerAbortsMidMerge(t *testing.T) {
 					return
 				}
 				// v2: 50 bytes inside page 1, ticketed and never written.
-				stuck, err := ticket1(vm, vm.Node(), id, -1, 50)
+				stuck, err := ticket1(vm, vm.node, id, -1, 50)
 				if err != nil {
 					t.Error(err)
 					return
@@ -230,7 +230,7 @@ func TestHeadOwnerAbortsMidMerge(t *testing.T) {
 					if !parked {
 						t.Error("the append is not waiting on its head page's owner")
 					}
-					if err := abort1(vm, vm.Node(), id, stuck.Record.Version); err != nil {
+					if err := abort1(vm, vm.node, id, stuck.Record.Version); err != nil {
 						t.Error(err)
 					}
 				})

@@ -142,7 +142,7 @@ func BenchmarkWalkTree(b *testing.B) {
 		length := int64(64 << 20)
 		rec := WriteRecord{
 			Version: v, Offset: size, Length: length,
-			SizeAfter: size + length, CapAfter: capacityPages(size+length, ps),
+			SizeAfter: size + length, capAfter: capacityPages(size+length, ps),
 		}
 		size += length
 		h = append(h, rec)
@@ -152,7 +152,7 @@ func BenchmarkWalkTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := int64(i%200) * 256
-		leaves, err := walkTree(1, last.Version, last.CapAfter, lo, lo+256, store, nil)
+		leaves, err := walkTree(1, last.Version, last.capAfter, lo, lo+256, store, nil)
 		if err != nil || len(leaves) != 256 {
 			b.Fatalf("%d leaves, %v", len(leaves), err)
 		}
@@ -300,7 +300,7 @@ func BenchmarkCachedReadReal(b *testing.B) {
 func BenchmarkVersionManagerTicket(b *testing.B) {
 	env := cluster.NewLocal(4, 0)
 	vm := NewVersionManager(env, 0)
-	id, _ := vm.CreateBlob(1, 256<<10)
+	id, _ := vm.createBlob(1, 256<<10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk, err := ticket1(vm, 1, id, -1, 64<<20)
@@ -315,8 +315,8 @@ func BenchmarkVersionManagerTicket(b *testing.B) {
 
 // BenchmarkNodeEncoding measures the metadata wire codec.
 func BenchmarkNodeEncoding(b *testing.B) {
-	leaf := Leaf{Providers: []cluster.NodeID{1, 2, 3}}
-	inner := Inner{LeftVersion: 12, RightVersion: 9}
+	leaf := leafNode{providers: []cluster.NodeID{1, 2, 3}}
+	inner := innerNode{leftVersion: 12, rightVersion: 9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lb := encodeLeaf(leaf)
@@ -334,7 +334,7 @@ func BenchmarkNodeEncoding(b *testing.B) {
 func BenchmarkPageKeyFormat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = pageKey(BlobID(i%100), Version(i%1000), int64(i))
-		_ = NodeKey{Blob: 1, Version: Version(i), Range: PageRange{Off: int64(i) &^ 7, Count: 8}}.String()
+		_ = nodeKey{blob: 1, version: Version(i), pages: pageRange{off: int64(i) &^ 7, count: 8}}.String()
 	}
 	_ = fmt.Sprint()
 }

@@ -33,7 +33,7 @@ func (b *Blob) Latest(opts ...ReadOption) (Version, int64, error) {
 	if err := s.ctx.Err(); err != nil {
 		return 0, 0, canceled("latest", err)
 	}
-	return b.c.vm(b.id).Latest(b.c.node, b.id)
+	return b.c.vm(b.id).latest(b.c.node, b.id)
 }
 
 // ReadAt fills p with bytes at offset off of the addressed snapshot
@@ -117,7 +117,7 @@ func (b *Blob) Snapshot(opts ...ReadOption) (*Blob, error) {
 	}
 	v := s.version
 	if v == LatestVersion {
-		rec, ok, err := b.c.vm(b.id).LatestRecord(b.c.node, b.id)
+		rec, ok, err := b.c.vm(b.id).latestRecord(b.c.node, b.id)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func (b *Blob) Snapshot(opts ...ReadOption) (*Blob, error) {
 		}
 		v = rec.Version
 	}
-	id, err := b.c.vm(b.id).Clone(b.c.node, b.id, v)
+	id, err := b.c.vm(b.id).clone(b.c.node, b.id, v)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func (b *Blob) History(opts ...ReadOption) ([]WriteRecord, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, canceled("history", err)
 	}
-	return b.c.vm(b.id).Records(b.c.node, b.id)
+	return b.c.vm(b.id).records(b.c.node, b.id)
 }
 
 // Locations exposes the page-to-provider distribution of a byte range
@@ -157,7 +157,7 @@ func (b *Blob) Locations(off, length int64, opts ...ReadOption) ([]PageLoc, erro
 // cancellable.
 func (b *Blob) AwaitPublished(v Version, opts ...ReadOption) error {
 	s := resolveReadOpts(opts)
-	return b.c.vm(b.id).AwaitPublished(s.ctx, b.c.node, b.id, v)
+	return b.c.vm(b.id).awaitPublished(s.ctx, b.c.node, b.id, v)
 }
 
 // canceled wraps a cancellation cause with operation context; the

@@ -59,9 +59,10 @@ type Client struct {
 // is never modified), so the cache needs no invalidation — the
 // original BlobSeer client caches metadata the same way. The one
 // exception is the placement loop: the Rebalancer rewrites leaves it
-// re-replicates or migrates, writing through its own cache; other
-// clients' stale leaves still name surviving replicas, so reads keep
-// working via failover.
+// re-replicates or migrates, writing through its own cache. Another
+// client's stale leaf still names the old holders; after a migration
+// drops their copies, a read through that leaf fails with
+// ErrAllReplicasDown.
 type cachedMeta struct {
 	cl    *dht.Client
 	cache *stripecache.Cache
@@ -101,8 +102,8 @@ func (c *cachedMeta) BatchGet(keys []string) (map[string][]byte, error) {
 	return out, nil
 }
 
-// BatchPut writes through to the DHT and populates the cache.
-func (c *cachedMeta) BatchPut(kvs map[string][]byte) error {
+// batchPut writes through to the DHT and populates the cache.
+func (c *cachedMeta) batchPut(kvs map[string][]byte) error {
 	if err := c.cl.BatchPut(kvs); err != nil {
 		return err
 	}
@@ -111,9 +112,6 @@ func (c *cachedMeta) BatchPut(kvs map[string][]byte) error {
 	}
 	return nil
 }
-
-// Node returns the node this client runs on.
-func (c *Client) Node() cluster.NodeID { return c.node }
 
 // vm resolves the version-manager shard owning a blob. The shard index
 // is encoded in the blob id (id mod shard count), so routing is local
@@ -126,7 +124,7 @@ func (c *Client) CreateBlob(pageSize int64) (*Blob, error) {
 	if pageSize <= 0 {
 		pageSize = c.d.Opts.PageSize
 	}
-	id, err := c.d.VM.CreateBlob(c.node, pageSize)
+	id, err := c.d.VM.createBlob(c.node, pageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +153,7 @@ func (c *Client) pageSize(blob BlobID) (int64, error) {
 	if ok {
 		return ps, nil
 	}
-	ps, err := c.vm(blob).PageSize(c.node, blob)
+	ps, err := c.vm(blob).pageSize(c.node, blob)
 	if err != nil {
 		return 0, err
 	}
@@ -245,7 +243,7 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 	// exact (nothing published lies past it) and backs the caller's FIFO
 	// byte accounting.
 	fail := func(cause error) ([]Version, int64, error) {
-		if abortErr := vm.AbortBatch(c.node, blob, versions); abortErr != nil {
+		if abortErr := vm.abortBatch(c.node, blob, versions); abortErr != nil {
 			cause = fmt.Errorf("%w (abort also failed: %v)", cause, abortErr)
 		}
 		n := 0
@@ -323,7 +321,7 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 	for _, t := range tickets {
 		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
 		for p := lo; p < hi; p++ {
-			keys = append(keys, pageKey(t.Record.Blob, t.Record.Version, p))
+			keys = append(keys, pageKey(t.Record.blob, t.Record.Version, p))
 		}
 	}
 	sets, err := c.d.Placement.Place(c.node, keys, c.d.Opts.Replication)
@@ -374,22 +372,16 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 		tb.buildNodes(t, ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
 		slot += int(hi - lo)
 	}
-	if err := c.meta.BatchPut(tb.out); err != nil {
+	if err := c.meta.batchPut(tb.out); err != nil {
 		return fail(err)
 	}
 
 	// 6. One publish round trip; the manager marks every version ready
-	// and advances the frontier under one lock hold. The default blocks
-	// until every version is globally visible; AwaitPublication(false)
-	// returns once they are marked ready. A cancellation while awaiting
-	// visibility leaves the members ready-but-unconfirmed, which fail
-	// resolves like any other failure.
-	if s.await {
-		err = vm.PublishBatch(s.ctx, c.node, blob, versions)
-	} else {
-		err = vm.PublishBatchAsync(c.node, blob, versions)
-	}
-	if err != nil {
+	// and advances the frontier under one lock hold, and the write
+	// blocks until every version is globally visible. A cancellation
+	// while awaiting visibility leaves the members ready-but-unconfirmed,
+	// which fail resolves like any other failure.
+	if err := vm.PublishBatch(s.ctx, c.node, blob, versions); err != nil {
 		return fail(err)
 	}
 	return versions, base, nil
@@ -432,7 +424,7 @@ func (c *Client) scatterPuts(ctx *cluster.Ctx, perProv map[cluster.NodeID][]page
 				if failed() {
 					return
 				}
-				if err = pr.PutPage(pt.key, pt.data, pt.size); err != nil {
+				if err = pr.putPage(pt.key, pt.data, pt.size); err != nil {
 					break
 				}
 			}
@@ -515,7 +507,7 @@ func (c *Client) readCommon(s opSettings, blob BlobID, ps, off, length int64, ds
 	// the key space of the version's owning blob (differs after
 	// Snapshot branching).
 	lo, hi := pageSpan(off, length, ps)
-	leaves, err := walkTree(rec.Blob, v, capPages, lo, hi, c.meta, c.abortedProbe)
+	leaves, err := walkTree(rec.blob, v, capPages, lo, hi, c.meta, c.abortedProbe)
 	if err != nil {
 		return 0, err
 	}
@@ -552,12 +544,12 @@ func (c *Client) readCommon(s opSettings, blob BlobID, ps, off, length int64, ds
 				continue
 			}
 			it := fetched[leaf.Page-lo]
-			if it.Data == nil {
+			if it.data == nil {
 				return 0, fmt.Errorf("%w: page %d", ErrSynthetic, leaf.Page)
 			}
 			pageOff := from - pStart
-			if pageOff < int64(len(it.Data)) {
-				copy(window, it.Data[pageOff:])
+			if pageOff < int64(len(it.data)) {
+				copy(window, it.data[pageOff:])
 			}
 		}
 	}
@@ -597,7 +589,7 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 // page-lo (holes stay zero entries). Real page bytes are staged in
 // arena's pooled buffers — the caller releases the arena once done
 // with the fetched data.
-func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, arena *bufArena) ([]PageFetch, error) {
+func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, arena *bufArena) ([]pageFetch, error) {
 	type pendingPage struct {
 		loc     PageLoc
 		tried   map[cluster.NodeID]bool // replicas that already failed
@@ -618,7 +610,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 		active = append(active, i)
 	}
 	next := make([]int, 0, len(active))
-	fetched := make([]PageFetch, hi-lo) // index: page - lo
+	fetched := make([]pageFetch, hi-lo) // index: page - lo
 	for len(active) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, canceled("gather", err)
@@ -632,9 +624,9 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 				// with every provider up means the store itself failed,
 				// and that cause must not be lost.
 				if pp.lastErr != nil {
-					return nil, fmt.Errorf("%w: page %d of blob %d@%d (last replica error: %v)", err, pp.loc.Page, pp.loc.Blob, pp.loc.Version, pp.lastErr)
+					return nil, fmt.Errorf("%w: page %d of blob %d@%d (last replica error: %v)", err, pp.loc.Page, pp.loc.blob, pp.loc.Version, pp.lastErr)
 				}
-				return nil, fmt.Errorf("%w: page %d of blob %d@%d", err, pp.loc.Page, pp.loc.Blob, pp.loc.Version)
+				return nil, fmt.Errorf("%w: page %d of blob %d@%d", err, pp.loc.Page, pp.loc.blob, pp.loc.Version)
 			}
 			perProv[prov] = append(perProv[prov], idx)
 		}
@@ -653,9 +645,9 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 			rest := batch[:0]
 			for _, idx := range batch {
 				loc := pending[idx].loc
-				if it, ok := pr.residentPageInto(appendPageKey(kb[:0], loc.Blob, loc.Version, loc.Page), arena.alloc); ok {
+				if it, ok := pr.residentPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), arena.alloc); ok {
 					fetched[loc.Page-lo] = it
-					total += it.Size
+					total += it.size
 					continue
 				}
 				rest = append(rest, idx)
@@ -682,15 +674,15 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 				var kb [48]byte
 				for _, idx := range batch {
 					loc := pending[idx].loc
-					it, gerr := pr.getPageInto(appendPageKey(kb[:0], loc.Blob, loc.Version, loc.Page), arena.alloc)
+					it, gerr := pr.getPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), arena.alloc)
 					if gerr != nil {
 						err = gerr
 						break
 					}
 					fetched[loc.Page-lo] = it
-					localTotal += it.Size
-					if it.FromDisk {
-						localFromDisk += it.Size
+					localTotal += it.size
+					if it.fromDisk {
+						localFromDisk += it.size
 					}
 				}
 			}
@@ -777,7 +769,7 @@ func (c *Client) locations(s opSettings, blob BlobID, off, length int64) ([]Page
 		length = size - off
 	}
 	lo, hi := pageSpan(off, length, ps)
-	return walkTree(rec.Blob, rec.Version, capacityPages(size, ps), lo, hi, c.meta, c.abortedProbe)
+	return walkTree(rec.blob, rec.Version, capacityPages(size, ps), lo, hi, c.meta, c.abortedProbe)
 }
 
 // abortedProbe is walkTree's tombstone oracle: it asks the owning
@@ -786,7 +778,7 @@ func (c *Client) locations(s opSettings, blob BlobID, off, length int64) ([]Page
 // corruption). Errors report false — the walk then fails with the
 // honest missing-node error.
 func (c *Client) abortedProbe(blob BlobID, v Version) bool {
-	ab, err := c.vm(blob).IsAborted(c.node, blob, v)
+	ab, err := c.vm(blob).isAborted(c.node, blob, v)
 	return err == nil && ab
 }
 
@@ -794,7 +786,7 @@ func (c *Client) abortedProbe(blob BlobID, v Version) bool {
 // version); ok is false when the blob is empty.
 func (c *Client) resolveVersion(blob BlobID, v Version) (WriteRecord, bool, error) {
 	if v == LatestVersion {
-		return c.vm(blob).LatestRecord(c.node, blob)
+		return c.vm(blob).latestRecord(c.node, blob)
 	}
 	rec, err := c.vm(blob).GetVersion(c.node, blob, v)
 	if err != nil {

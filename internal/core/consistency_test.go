@@ -307,7 +307,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 				for _, v := range targets {
 					awaited := false
 					for !awaited {
-						if err := d.VM.Shard(blob).AwaitPublished(bg, node, blob, v); err == nil {
+						if err := d.VM.Shard(blob).awaitPublished(bg, node, blob, v); err == nil {
 							awaited = true
 							break
 						}
@@ -355,7 +355,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 			if rejected == 0 {
 				t.Errorf("seed %d: overload mix rejected nothing; tighten tenantRate", seed)
 			}
-			recs, err := d.VM.Shard(blob).Records(0, blob)
+			recs, err := d.VM.Shard(blob).records(0, blob)
 			if err != nil {
 				t.Error(err)
 			} else if !withCancels && len(recs) != totalTickets-rejected {
@@ -429,7 +429,7 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 	if int(pub) != assigned || unresolved != 0 {
 		t.Fatalf("frontier at %d with %d tickets assigned and %d pending: ticket leaked", pub, assigned, unresolved)
 	}
-	recs, err := d.VM.Shard(blob).Records(0, blob)
+	recs, err := d.VM.Shard(blob).records(0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +449,8 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 		if rec.SizeAfter < prevSize {
 			t.Fatalf("v%d shrank the blob: %d -> %d", rec.Version, prevSize, rec.SizeAfter)
 		}
-		if rec.CapAfter != capacityPages(rec.SizeAfter, d.Opts.PageSize) {
-			t.Fatalf("v%d capacity %d inconsistent with size %d", rec.Version, rec.CapAfter, rec.SizeAfter)
+		if rec.capAfter != capacityPages(rec.SizeAfter, d.Opts.PageSize) {
+			t.Fatalf("v%d capacity %d inconsistent with size %d", rec.Version, rec.capAfter, rec.SizeAfter)
 		}
 		prevSize = rec.SizeAfter
 		if data, ok := versionData[rec.Version]; ok {
@@ -478,11 +478,11 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 		if _, err := rdr.ReadAt(make([]byte, 1), 0, AtVersion(rec.Version)); !errors.Is(err, ErrAborted) {
 			t.Fatalf("Read(aborted v%d) = %v, want ErrAborted", rec.Version, err)
 		}
-		if _, err := d.VM.Shard(blob).Clone(0, blob, rec.Version); !errors.Is(err, ErrAborted) {
+		if _, err := d.VM.Shard(blob).clone(0, blob, rec.Version); !errors.Is(err, ErrAborted) {
 			t.Fatalf("Clone(aborted v%d) = %v, want ErrAborted", rec.Version, err)
 		}
 	}
-	if rec, ok, err := d.VM.Shard(blob).LatestRecord(0, blob); err != nil {
+	if rec, ok, err := d.VM.Shard(blob).latestRecord(0, blob); err != nil {
 		t.Fatal(err)
 	} else if ok && rec.Aborted {
 		t.Fatalf("Latest resolved to tombstoned v%d", rec.Version)
@@ -704,7 +704,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 				for _, v := range targets {
 					awaited := false
 					for !awaited {
-						if err := d.VM.Shard(blob).AwaitPublished(bg, node, blob, v); err == nil {
+						if err := d.VM.Shard(blob).awaitPublished(bg, node, blob, v); err == nil {
 							awaited = true
 							break
 						}

@@ -42,20 +42,18 @@ type Options struct {
 	ProviderNodes []cluster.NodeID
 	// MetaNodes host the metadata DHT (defaults to ProviderNodes).
 	MetaNodes []cluster.NodeID
-	// MetaReplication is the DHT replica count (default 1).
-	MetaReplication int
 	// Provider configures every provider's local store.
 	Provider ProviderConfig
-	// Strategy overrides the write-time page placement (the ablation
-	// arms: round-robin striping, local-first). Default: every page
-	// goes to its ring-preferred owners, so placement, repair and
-	// rebalance agree on where data should live.
+	// Strategy overrides the write-time page placement (the A1
+	// ablation's local-first arm). Default: every page goes to its
+	// ring-preferred owners, so placement, repair and rebalance agree
+	// on where data should live.
 	Strategy placement.Strategy
 	// PlacementInterval enables the background placement loop: every
 	// interval the Rebalancer re-evaluates every page of every blob's
 	// latest snapshot against the membership, re-replicating degraded
 	// pages and migrating misplaced ones. 0 disables the sweep;
-	// RepairBlob stays available on demand.
+	// SweepOnce stays available on demand.
 	PlacementInterval time.Duration
 	// HeartbeatInterval enables the placement manager's background
 	// health checker: every interval each provider is probed and
@@ -73,6 +71,10 @@ type Options struct {
 	// TenantBurst is the admission bucket depth in operations
 	// (default max(TenantRate, 1)).
 	TenantBurst float64
+
+	// metaReplication is the DHT replica count (default 1). No command
+	// or experiment replicates metadata; the fault tests set it.
+	metaReplication int
 }
 
 const (
@@ -97,8 +99,8 @@ func (o *Options) fillDefaults() {
 	if len(o.MetaNodes) == 0 {
 		o.MetaNodes = o.ProviderNodes
 	}
-	if o.MetaReplication < 1 {
-		o.MetaReplication = 1
+	if o.metaReplication < 1 {
+		o.metaReplication = 1
 	}
 }
 
@@ -134,8 +136,8 @@ func NewDeployment(env cluster.Env, opts Options) (*Deployment, error) {
 	d := &Deployment{
 		Env:   env,
 		Opts:  opts,
-		VM:    NewVersionRouter(env, opts),
-		Meta:  dht.NewCluster(opts.MetaNodes, metaVNodes, opts.MetaReplication),
+		VM:    newVersionRouter(env, opts),
+		Meta:  dht.NewCluster(opts.MetaNodes, metaVNodes, opts.metaReplication),
 		provs: make(map[cluster.NodeID]*Provider, len(opts.ProviderNodes)),
 	}
 	if opts.TenantRate > 0 {
@@ -171,7 +173,7 @@ func (d *Deployment) startProvider(n cluster.NodeID) (*Provider, error) {
 	// owns its own directory under a disk spec, so a restarted provider
 	// reopens exactly the pages it persisted.
 	cfg.Store = store.SubSpec(cfg.Store, fmt.Sprintf("provider-%d", n))
-	p, err := NewProvider(d.Env, n, cfg)
+	p, err := newProvider(d.Env, n, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: provider on node %d: %w", n, err)
 	}
@@ -289,13 +291,6 @@ func (d *Deployment) RemoveProvider(node cluster.NodeID) error {
 // to the remaining preferred owners. Call RemoveProvider once drained.
 func (d *Deployment) DrainProvider(node cluster.NodeID) error {
 	return d.Placement.Drain(node)
-}
-
-// RepairBlob re-evaluates the placement of every page of version v of
-// a blob (LatestVersion for the newest snapshot): degraded pages are
-// re-replicated, misplaced ones migrated. See Rebalancer.
-func (d *Deployment) RepairBlob(blob BlobID, v Version) (RepairStats, error) {
-	return d.Rebalance.RepairBlob(blob, v)
 }
 
 // NewClient returns a client bound to a node.

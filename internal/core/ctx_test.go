@@ -157,18 +157,21 @@ func TestPublicationBeatsCancel(t *testing.T) {
 				vm := d.VM.Shard(id)
 				// v1 stuck: one full page, so the call under test starts
 				// page-aligned and waits nowhere but in its publish.
-				stuck, err := ticket1(vm, vm.Node(), id, -1, 128)
+				stuck, err := ticket1(vm, vm.node, id, -1, 128)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				ctx, cancel := cluster.WithTimeout(env, deadline)
+				t0 := env.Now()
+				env.OneWay(4, vm.node)
+				oneWay := env.Now() - t0
+				ctx, cancel := withDeadline(env, deadline)
 				defer cancel()
 				start := env.Now()
 				wg := env.NewWaitGroup()
 				wg.Go(func() {
-					env.Sleep(deadline + net.Latency(4, vm.Node())/2)
-					if err := abort1(vm, vm.Node(), id, stuck.Record.Version); err != nil {
+					env.Sleep(deadline + oneWay/2)
+					if err := abort1(vm, vm.node, id, stuck.Record.Version); err != nil {
 						t.Error(err)
 					}
 				})
@@ -229,7 +232,7 @@ func TestDeadlineExpiredReadMidGather(t *testing.T) {
 		}
 		// A 64 MB gather takes far longer than 1ms of virtual time, so
 		// the deadline fires while provider pages are in flight.
-		ctx, cancel := cluster.WithTimeout(env, time.Millisecond)
+		ctx, cancel := withDeadline(env, time.Millisecond)
 		defer cancel()
 		start := env.Now()
 		if _, err := blob.ReadAt(nil, 0, Synthetic(size), WithCtx(ctx)); !errors.Is(err, ErrCanceled) {
@@ -259,73 +262,4 @@ func TestDeadlineExpiredReadMidGather(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestAwaitPublicationFalse: a write with AwaitPublication(false)
-// returns once staged — even while an unpublished predecessor blocks
-// visibility — and the version still publishes in ticket order once
-// the predecessor resolves.
-func TestAwaitPublicationFalse(t *testing.T) {
-	env := cluster.NewLocal(8, 4)
-	d, err := NewDeployment(env, Options{PageSize: 128, ProviderNodes: []cluster.NodeID{1, 2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	blob, err := d.NewClient(0).CreateBlob(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := blob.ID()
-
-	// v1 pending forever (until aborted below) — one full page, so the
-	// staged append starts page-aligned and needs no boundary merge.
-	stuck, err := ticket1(d.VM.Shard(id), 1, id, -1, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The fire-and-forget write returns although v1 blocks visibility.
-	data := []byte("published eventually")
-	type res struct {
-		v   Version
-		off int64
-		err error
-	}
-	done := make(chan res, 1)
-	go func() {
-		vs, off, err := blob.Append(Blocks(data), AwaitPublication(false))
-		r := res{off: off, err: err}
-		if len(vs) > 0 {
-			r.v = vs[0]
-		}
-		done <- r
-	}()
-	var v Version
-	var off int64
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatalf("async append: %v", r.err)
-		}
-		v, off = r.v, r.off
-	case <-time.After(5 * time.Second):
-		t.Fatal("AwaitPublication(false) write blocked on visibility")
-	}
-	if pub, _ := d.VM.Shard(id).published(0, id); pub != 0 {
-		t.Fatalf("frontier at %d before the predecessor resolved", pub)
-	}
-
-	// Resolve v1; the staged version becomes visible in order.
-	if err := abort1(d.VM.Shard(id), 1, id, stuck.Record.Version); err != nil {
-		t.Fatal(err)
-	}
-	if err := blob.AwaitPublished(v); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, err := blob.ReadAt(got, off, AtVersion(v)); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read staged version: %q, %v", got, err)
-	}
-	frontierIntact(t, d, id)
 }

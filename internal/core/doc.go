@@ -34,7 +34,6 @@
 //	b.ReadAt(nil, off, core.Synthetic(n))      // size-only traversal
 //	b.WriteAt(data, off)                       // new published version (a batch of one)
 //	b.Append(core.Blocks(p1, p2))              // batched append, one version per block
-//	b.Append(bs, core.AwaitPublication(false)) // return once staged
 //	b.Snapshot(core.AtVersion(v))              // O(1) copy-on-write branch
 //	b.History()                                // every version's WriteRecord
 //	b.Locations(off, n)                        // page→provider map (scheduler locality)
@@ -46,8 +45,8 @@
 // # Cancellation
 //
 // Every operation accepts core.WithCtx(ctx) with a cluster.Ctx —
-// cancellation and deadlines expressed in the environment's (possibly
-// virtual) time. A canceled operation returns an error matching
+// cancellation expressed in the environment's (possibly virtual) time.
+// A canceled operation returns an error matching
 // ErrCanceled promptly: scatter/gather fan-outs stop issuing provider
 // work and join what is in flight, await paths wake, and a write whose
 // ticket was already assigned aborts it, so the publication frontier

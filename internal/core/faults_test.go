@@ -20,7 +20,7 @@ func TestMetadataReplicationSurvivesMetaServerFailure(t *testing.T) {
 		PageSize:        64,
 		ProviderNodes:   provs,
 		MetaNodes:       meta,
-		MetaReplication: 3,
+		metaReplication: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestUnreplicatedMetadataFailsLoudly(t *testing.T) {
 		PageSize:        64,
 		ProviderNodes:   []cluster.NodeID{1, 2},
 		MetaNodes:       []cluster.NodeID{3},
-		MetaReplication: 1,
+		metaReplication: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,13 +85,14 @@ func TestUnreplicatedMetadataFailsLoudly(t *testing.T) {
 // and later writes proceed past the tombstone.
 func TestWriteAbortsWhenProviderDiesBeforePublish(t *testing.T) {
 	env := cluster.NewLocal(8, 4)
-	// Pin round-robin striping: the test scripts which provider each
-	// page of each write lands on.
+	// Pin round-robin striping (local-first from node 0, which hosts no
+	// provider): the test scripts which provider each page of each
+	// write lands on.
 	provs := []cluster.NodeID{1, 2, 3}
 	d, err := NewDeployment(env, Options{
 		PageSize:      64,
 		ProviderNodes: provs,
-		Strategy:      placement.NewRoundRobin(provs),
+		Strategy:      placement.NewLocalFirst(provs),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 )
@@ -9,6 +10,17 @@ import (
 // bg is the never-canceled op scope used wherever a test has no
 // cancellation of its own.
 var bg = cluster.Background()
+
+// withDeadline derives a Ctx that a daemon cancels after d of env's
+// time.
+func withDeadline(env cluster.Env, d time.Duration) (*cluster.Ctx, func()) {
+	ctx, cancel := cluster.WithCancel(env)
+	env.Daemon(func() {
+		env.Sleep(d)
+		cancel()
+	})
+	return ctx, cancel
+}
 
 // openB opens a handle for an existing blob, failing the test on error.
 func openB(t testing.TB, c *Client, id BlobID) *Blob {
@@ -45,5 +57,5 @@ func publish1(vm *VersionManager, ctx *cluster.Ctx, from cluster.NodeID, blob Bl
 }
 
 func abort1(vm *VersionManager, from cluster.NodeID, blob BlobID, v Version) error {
-	return vm.AbortBatch(from, blob, []Version{v})
+	return vm.abortBatch(from, blob, []Version{v})
 }

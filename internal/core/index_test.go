@@ -27,7 +27,7 @@ func (h history) record(v Version) (WriteRecord, bool) {
 // borrow returns the identity (blob, version) of the newest non-aborted
 // node with exactly range r among versions <= v, or (0, 0) if no version
 // ever created it (hole) — O(v) per call.
-func (h history) borrow(v Version, r PageRange, pageSize int64) (BlobID, Version) {
+func (h history) borrow(v Version, r pageRange, pageSize int64) (BlobID, Version) {
 	for w := v; w >= 1; w-- {
 		rec, ok := h.record(w)
 		if !ok {
@@ -37,7 +37,7 @@ func (h history) borrow(v Version, r PageRange, pageSize int64) (BlobID, Version
 			if rec.Aborted {
 				continue
 			}
-			return rec.Blob, w
+			return rec.blob, w
 		}
 	}
 	return 0, 0
@@ -67,12 +67,12 @@ func buildNodesFromHistory(out map[string][]byte, rec WriteRecord, h history, pa
 
 // lookup answers one borrow from the index (blobState.creator) with the
 // key space the scan reports.
-func (b *blobState) lookup(v Version, r PageRange) (BlobID, Version) {
+func (b *blobState) lookup(v Version, r pageRange) (BlobID, Version) {
 	w := b.creator(v, r)
 	if w == 0 {
 		return 0, 0
 	}
-	return b.records[w-1].Blob, w
+	return b.records[w-1].blob, w
 }
 
 // randomHistory mixes appends, overwrites, writes far past the end
@@ -102,8 +102,8 @@ func randomHistory(rng *rand.Rand, n int, ps int64) history {
 			blob = 3
 		}
 		h = append(h, WriteRecord{
-			Blob: blob, Version: Version(v), Offset: off, Length: length,
-			SizeAfter: size, CapAfter: capacityPages(size, ps), Aborted: v > 1 && rng.Intn(7) == 0,
+			blob: blob, Version: Version(v), Offset: off, Length: length,
+			SizeAfter: size, capAfter: capacityPages(size, ps), Aborted: v > 1 && rng.Intn(7) == 0,
 		})
 	}
 	return h
@@ -119,15 +119,15 @@ func TestIndexBorrowMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHistory(rng, 300, ps)
 		bi := indexOf(h, ps)
-		top := h[len(h)-1].CapAfter
+		top := h[len(h)-1].capAfter
 		for i := 0; i < 4000; i++ {
 			v := Version(rng.Intn(len(h) + 1))
 			count := int64(1) << rng.Intn(bits.Len64(uint64(top)))
-			r := PageRange{Off: rng.Int63n(top/count) * count, Count: count}
+			r := pageRange{off: rng.Int63n(top/count) * count, count: count}
 			if i%3 == 0 { // bias towards ranges something wrote
 				rec := h[rng.Intn(len(h))]
 				lo, _ := pageSpan(rec.Offset, rec.Length, ps)
-				r.Off = lo &^ (count - 1)
+				r.off = lo &^ (count - 1)
 			}
 			wb, wv := h.borrow(v, r, ps)
 			gb, gv := bi.lookup(v, r)
@@ -141,12 +141,12 @@ func TestIndexBorrowMatchesScan(t *testing.T) {
 		for _, rec := range h {
 			borrows := inc.push(rec, nil)
 			s := spanOf(rec, capBefore(h, rec.Version), ps)
-			var check func(r PageRange)
-			check = func(r PageRange) {
+			var check func(r pageRange)
+			check = func(r pageRange) {
 				if r.leaf() {
 					return
 				}
-				for _, half := range [2]PageRange{r.left(), r.right()} {
+				for _, half := range [2]pageRange{r.left(), r.right()} {
 					if s.creates(half) {
 						check(half)
 						continue
@@ -158,7 +158,7 @@ func TestIndexBorrowMatchesScan(t *testing.T) {
 					borrows = borrows[1:]
 				}
 			}
-			check(PageRange{Count: rec.CapAfter})
+			check(pageRange{count: rec.capAfter})
 			if len(borrows) != 0 {
 				t.Fatalf("seed %d v%d: %d borrows nobody consumes", seed, rec.Version, len(borrows))
 			}
@@ -172,7 +172,7 @@ func TestIndexBorrowMatchesScan(t *testing.T) {
 func TestIndexEntriesPerRecordIsLogarithmic(t *testing.T) {
 	const ps = 64
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, ps)
+	id, _ := vm.createBlob(0, ps)
 	if _, err := ticket1(vm, 0, id, 0, int64(1<<20)*ps); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestIndexEntriesPerRecordIsLogarithmic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := 4*bits.Len64(uint64(tk.Record.CapAfter)-1) + 4
+		bound := 4*bits.Len64(uint64(tk.Record.capAfter)-1) + 4
 		if got := log() - before; got > bound {
 			t.Errorf("%d-page write at page %d added %d index entries, want <= %d", w.pages, w.page, got, bound)
 		}

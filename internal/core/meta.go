@@ -67,57 +67,57 @@ const LatestVersion = ^Version(0)
 // (copy-on-write sharing), while its new writes are keyed under the
 // clone.
 type WriteRecord struct {
-	Blob      BlobID
+	blob      BlobID
 	Version   Version
 	Offset    int64 // byte offset of the write
 	Length    int64 // byte length of the write
 	SizeAfter int64 // blob size after this write
-	CapAfter  int64 // tree capacity (pages) after this write
+	capAfter  int64 // tree capacity (pages) after this write
 	Aborted   bool  // version tombstoned by the version manager
 }
 
-// PageRange is a canonical tree range measured in pages: Count is a
+// pageRange is a canonical tree range measured in pages: Count is a
 // power of two and Off a multiple of Count.
-type PageRange struct {
-	Off   int64
-	Count int64
+type pageRange struct {
+	off   int64
+	count int64
 }
 
-func (r PageRange) end() int64 { return r.Off + r.Count }
-func (r PageRange) leaf() bool { return r.Count == 1 }
-func (r PageRange) left() PageRange {
-	return PageRange{Off: r.Off, Count: r.Count / 2}
+func (r pageRange) end() int64 { return r.off + r.count }
+func (r pageRange) leaf() bool { return r.count == 1 }
+func (r pageRange) left() pageRange {
+	return pageRange{off: r.off, count: r.count / 2}
 }
-func (r PageRange) right() PageRange {
-	return PageRange{Off: r.Off + r.Count/2, Count: r.Count / 2}
+func (r pageRange) right() pageRange {
+	return pageRange{off: r.off + r.count/2, count: r.count / 2}
 }
 
-func (r PageRange) intersects(lo, hi int64) bool { return r.Off < hi && lo < r.end() }
+func (r pageRange) intersects(lo, hi int64) bool { return r.off < hi && lo < r.end() }
 
-// NodeKey identifies a metadata tree node in the DHT.
-type NodeKey struct {
-	Blob    BlobID
-	Version Version
-	Range   PageRange
+// nodeKey identifies a metadata tree node in the DHT.
+type nodeKey struct {
+	blob    BlobID
+	version Version
+	pages   pageRange
 }
 
 // appendTo appends the DHT key rendering ("m/blob/version/off/count")
 // to dst. The format is pinned by TestKeyFormatsPinned: node keys are
 // durable DHT content, so changing it orphans every stored tree.
-func (k NodeKey) appendTo(dst []byte) []byte {
+func (k nodeKey) appendTo(dst []byte) []byte {
 	dst = append(dst, 'm', '/')
-	dst = strconv.AppendUint(dst, uint64(k.Blob), 10)
+	dst = strconv.AppendUint(dst, uint64(k.blob), 10)
 	dst = append(dst, '/')
-	dst = strconv.AppendUint(dst, uint64(k.Version), 10)
+	dst = strconv.AppendUint(dst, uint64(k.version), 10)
 	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, k.Range.Off, 10)
+	dst = strconv.AppendInt(dst, k.pages.off, 10)
 	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, k.Range.Count, 10)
+	dst = strconv.AppendInt(dst, k.pages.count, 10)
 	return dst
 }
 
 // String renders the DHT key.
-func (k NodeKey) String() string {
+func (k nodeKey) String() string {
 	var buf [64]byte
 	return string(k.appendTo(buf[:0]))
 }
@@ -141,19 +141,19 @@ func pageKey(blob BlobID, v Version, page int64) string {
 	return string(appendPageKey(buf[:0], blob, v, page))
 }
 
-// Leaf is the payload of a leaf node: where one page's data lives.
-type Leaf struct {
-	Providers []cluster.NodeID // replica set, primary first
+// leafNode is the payload of a leaf node: where one page's data lives.
+type leafNode struct {
+	providers []cluster.NodeID // replica set, primary first
 }
 
-// Inner is the payload of an inner node: the identities of its two
+// innerNode is the payload of an inner node: the identities of its two
 // children (ranges are implied halves). Version 0 means hole (zeros).
 // Children may live in a different blob's key space after cloning.
-type Inner struct {
-	LeftBlob     BlobID
-	LeftVersion  Version
-	RightBlob    BlobID
-	RightVersion Version
+type innerNode struct {
+	leftBlob     BlobID
+	leftVersion  Version
+	rightBlob    BlobID
+	rightVersion Version
 }
 
 // pageSpan converts a byte span to the page span it covers.
@@ -183,20 +183,20 @@ type span struct {
 
 func spanOf(rec WriteRecord, capBefore, pageSize int64) span {
 	lo, hi := pageSpan(rec.Offset, rec.Length, pageSize)
-	return span{lo: lo, hi: hi, capBefore: capBefore, capAfter: rec.CapAfter}
+	return span{lo: lo, hi: hi, capBefore: capBefore, capAfter: rec.capAfter}
 }
 
 // creates reports whether the write created the node with range r.
-func (s span) creates(r PageRange) bool {
+func (s span) creates(r pageRange) bool {
 	if r.intersects(s.lo, s.hi) && r.end() <= s.capAfter {
 		return true
 	}
 	// Spine: capacity-growth prefixes [0, c), capBefore < c <= capAfter.
-	return r.Off == 0 && r.Count > s.capBefore && r.Count <= s.capAfter
+	return r.off == 0 && r.count > s.capBefore && r.count <= s.capAfter
 }
 
 // covers reports whether the write's span contains r whole.
-func (s span) covers(r PageRange) bool { return s.lo <= r.Off && r.end() <= s.hi }
+func (s span) covers(r pageRange) bool { return s.lo <= r.off && r.end() <= s.hi }
 
 // capBefore returns the tree capacity in effect before version v, given
 // records contiguous from version 1 (before the first write there is
@@ -205,7 +205,7 @@ func capBefore(records []WriteRecord, v Version) int64 {
 	if v < 2 || int(v-1) > len(records) {
 		return 0
 	}
-	return records[v-2].CapAfter
+	return records[v-2].capAfter
 }
 
 // nodeRef identifies a borrowed child: the key space (the source blob's,
@@ -222,8 +222,8 @@ type nodeRef struct {
 // ticket is assigned, so the answer is the chain's head unless the
 // newest creators aborted.
 type creatorIndex struct {
-	exact map[PageRange]int // created by touching part of the range, or as spine
-	full  map[PageRange]int // span covers the range: created it and all beneath
+	exact map[pageRange]int // created by touching part of the range, or as spine
+	full  map[pageRange]int // span covers the range: created it and all beneath
 	log   []creator         // chain heads and links are positions+1; 0 ends a chain
 }
 
@@ -232,7 +232,7 @@ type creator struct {
 	prev int
 }
 
-func (ix *creatorIndex) list(m map[PageRange]int, r PageRange, v Version) {
+func (ix *creatorIndex) list(m map[pageRange]int, r pageRange, v Version) {
 	ix.log = append(ix.log, creator{ver: v, prev: m[r]})
 	m[r] = len(ix.log)
 }
@@ -247,7 +247,7 @@ func (ix *creatorIndex) list(m map[PageRange]int, r PageRange, v Version) {
 func (b *blobState) push(rec WriteRecord, borrows []nodeRef) []nodeRef {
 	b.records = append(b.records, rec)
 	d := descent{b: b, s: spanOf(rec, capBefore(b.records, rec.Version), b.pageSize), v: rec.Version, borrows: borrows}
-	d.visit(PageRange{Count: rec.CapAfter}, 0)
+	d.visit(pageRange{count: rec.capAfter}, 0)
 	return d.borrows
 }
 
@@ -270,12 +270,12 @@ func (b *blobState) newest(head int, v Version) Version {
 // creator returns the newest non-aborted version at or below v that
 // created range r, 0 if none: exact[r], and full[a] for r and every
 // ancestor within the capacity at v.
-func (b *blobState) creator(v Version, r PageRange) Version {
+func (b *blobState) creator(v Version, r pageRange) Version {
 	if v == 0 {
 		return 0
 	}
 	w := b.newest(b.index.exact[r], v)
-	for a := r; a.Count <= b.records[v-1].CapAfter; a = (PageRange{Off: a.Off &^ (2*a.Count - 1), Count: 2 * a.Count}) {
+	for a := r; a.count <= b.records[v-1].capAfter; a = (pageRange{off: a.off &^ (2*a.count - 1), count: 2 * a.count}) {
 		w = max(w, b.newest(b.index.full[a], v))
 	}
 	return w
@@ -291,7 +291,7 @@ type descent struct {
 // visit lists d.v under r and resolves r's borrowed children. Listing
 // first is safe: a borrow reads only entries below d.v, and d.v lists
 // itself in no range it borrows.
-func (d *descent) visit(r PageRange, inherited Version) {
+func (d *descent) visit(r pageRange, inherited Version) {
 	ix := &d.b.index
 	if d.s.covers(r) {
 		ix.list(ix.full, r, d.v)
@@ -302,7 +302,7 @@ func (d *descent) visit(r PageRange, inherited Version) {
 	if r.leaf() {
 		return // a spine leaf: nothing beneath
 	}
-	for _, half := range [2]PageRange{r.left(), r.right()} {
+	for _, half := range [2]pageRange{r.left(), r.right()} {
 		if d.s.creates(half) {
 			d.visit(half, inherited)
 			continue
@@ -310,7 +310,7 @@ func (d *descent) visit(r PageRange, inherited Version) {
 		w := max(inherited, d.b.newest(ix.exact[half], d.v-1), d.b.newest(ix.full[half], d.v-1))
 		ref := nodeRef{ver: w}
 		if w != 0 {
-			ref.blob = d.b.records[w-1].Blob
+			ref.blob = d.b.records[w-1].blob
 		}
 		d.borrows = append(d.borrows, ref)
 	}
@@ -322,27 +322,27 @@ const (
 	tagLeaf  = 2
 )
 
-func encodeInner(n Inner) []byte {
+func encodeInner(n innerNode) []byte {
 	buf := make([]byte, 33)
 	buf[0] = tagInner
-	binary.LittleEndian.PutUint64(buf[1:], uint64(n.LeftBlob))
-	binary.LittleEndian.PutUint64(buf[9:], uint64(n.LeftVersion))
-	binary.LittleEndian.PutUint64(buf[17:], uint64(n.RightBlob))
-	binary.LittleEndian.PutUint64(buf[25:], uint64(n.RightVersion))
+	binary.LittleEndian.PutUint64(buf[1:], uint64(n.leftBlob))
+	binary.LittleEndian.PutUint64(buf[9:], uint64(n.leftVersion))
+	binary.LittleEndian.PutUint64(buf[17:], uint64(n.rightBlob))
+	binary.LittleEndian.PutUint64(buf[25:], uint64(n.rightVersion))
 	return buf
 }
 
-func encodeLeaf(l Leaf) []byte {
-	buf := make([]byte, 2+8*len(l.Providers))
+func encodeLeaf(l leafNode) []byte {
+	buf := make([]byte, 2+8*len(l.providers))
 	buf[0] = tagLeaf
-	buf[1] = byte(len(l.Providers))
-	for i, p := range l.Providers {
+	buf[1] = byte(len(l.providers))
+	for i, p := range l.providers {
 		binary.LittleEndian.PutUint64(buf[2+8*i:], uint64(p))
 	}
 	return buf
 }
 
-func decodeNode(b []byte) (inner Inner, leaf Leaf, isLeaf bool, err error) {
+func decodeNode(b []byte) (inner innerNode, leaf leafNode, isLeaf bool, err error) {
 	if len(b) < 1 {
 		return inner, leaf, false, fmt.Errorf("core: empty metadata node")
 	}
@@ -351,19 +351,19 @@ func decodeNode(b []byte) (inner Inner, leaf Leaf, isLeaf bool, err error) {
 		if len(b) < 33 {
 			return inner, leaf, false, fmt.Errorf("core: short inner node (%d bytes)", len(b))
 		}
-		inner.LeftBlob = BlobID(binary.LittleEndian.Uint64(b[1:]))
-		inner.LeftVersion = Version(binary.LittleEndian.Uint64(b[9:]))
-		inner.RightBlob = BlobID(binary.LittleEndian.Uint64(b[17:]))
-		inner.RightVersion = Version(binary.LittleEndian.Uint64(b[25:]))
+		inner.leftBlob = BlobID(binary.LittleEndian.Uint64(b[1:]))
+		inner.leftVersion = Version(binary.LittleEndian.Uint64(b[9:]))
+		inner.rightBlob = BlobID(binary.LittleEndian.Uint64(b[17:]))
+		inner.rightVersion = Version(binary.LittleEndian.Uint64(b[25:]))
 		return inner, leaf, false, nil
 	case tagLeaf:
 		if len(b) < 2 || len(b) < 2+8*int(b[1]) {
 			return inner, leaf, false, fmt.Errorf("core: short leaf node (%d bytes)", len(b))
 		}
 		n := int(b[1])
-		leaf.Providers = make([]cluster.NodeID, n)
+		leaf.providers = make([]cluster.NodeID, n)
 		for i := 0; i < n; i++ {
-			leaf.Providers[i] = cluster.NodeID(binary.LittleEndian.Uint64(b[2+8*i:]))
+			leaf.providers[i] = cluster.NodeID(binary.LittleEndian.Uint64(b[2+8*i:]))
 		}
 		return inner, leaf, true, nil
 	default:
@@ -406,7 +406,7 @@ type treeBuild struct {
 func (b *treeBuild) buildNodes(t Ticket, pageSize int64, placement pagePlacement) {
 	rec := t.Record
 	b.rec, b.s, b.borrows, b.placement = rec, spanOf(rec, t.capBefore, pageSize), t.borrows, placement
-	root := PageRange{Off: 0, Count: rec.CapAfter}
+	root := pageRange{off: 0, count: rec.capAfter}
 	if !b.s.creates(root) {
 		// Cannot happen for a non-empty write: the root always
 		// intersects the span or is a spine prefix.
@@ -415,24 +415,24 @@ func (b *treeBuild) buildNodes(t Ticket, pageSize int64, placement pagePlacement
 	b.node(root)
 }
 
-func (b *treeBuild) node(r PageRange) {
-	key := NodeKey{Blob: b.rec.Blob, Version: b.rec.Version, Range: r}.String()
+func (b *treeBuild) node(r pageRange) {
+	key := nodeKey{blob: b.rec.blob, version: b.rec.Version, pages: r}.String()
 	if r.leaf() {
-		b.out[key] = encodeLeaf(Leaf{Providers: b.placement.at(r.Off)})
+		b.out[key] = encodeLeaf(leafNode{providers: b.placement.at(r.off)})
 		return
 	}
-	var inner Inner
-	for _, half := range [2]PageRange{r.left(), r.right()} {
-		child := nodeRef{blob: b.rec.Blob, ver: b.rec.Version}
+	var inner innerNode
+	for _, half := range [2]pageRange{r.left(), r.right()} {
+		child := nodeRef{blob: b.rec.blob, ver: b.rec.Version}
 		if b.s.creates(half) {
 			b.node(half)
 		} else {
 			child, b.borrows = b.borrows[0], b.borrows[1:]
 		}
-		if half.Off == r.Off {
-			inner.LeftBlob, inner.LeftVersion = child.blob, child.ver
+		if half.off == r.off {
+			inner.leftBlob, inner.leftVersion = child.blob, child.ver
 		} else {
-			inner.RightBlob, inner.RightVersion = child.blob, child.ver
+			inner.rightBlob, inner.rightVersion = child.blob, child.ver
 		}
 	}
 	b.out[key] = encodeInner(inner)
@@ -443,7 +443,7 @@ func (b *treeBuild) node(r PageRange) {
 // pages of a clone).
 type PageLoc struct {
 	Page      int64 // page index within the reading blob
-	Blob      BlobID
+	blob      BlobID
 	Version   Version
 	Providers []cluster.NodeID // empty for holes (zero pages)
 }
@@ -453,7 +453,7 @@ func (p PageLoc) Key() string {
 	if len(p.Providers) == 0 {
 		return ""
 	}
-	return pageKey(p.Blob, p.Version, p.Page)
+	return pageKey(p.blob, p.Version, p.Page)
 }
 
 // nodeFetcher abstracts the metadata DHT for the tree walk (batched
@@ -492,9 +492,9 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, fetc
 	type item struct {
 		blob BlobID
 		ver  Version
-		r    PageRange
+		r    pageRange
 	}
-	frontier := []item{{blob: rootMetaBlob, ver: v, r: PageRange{Off: 0, Count: capPages}}}
+	frontier := []item{{blob: rootMetaBlob, ver: v, r: pageRange{off: 0, count: capPages}}}
 	getter, _ := fetch.(nodeGetter)
 	// The frontier at most doubles per level and is bounded by the page
 	// span; reuse the level buffers across the walk instead of
@@ -512,7 +512,7 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, fetc
 		missKeys = missKeys[:0]
 		missIdx = missIdx[:0]
 		for i, it := range frontier {
-			nk := NodeKey{Blob: it.blob, Version: it.ver, Range: it.r}
+			nk := nodeKey{blob: it.blob, version: it.ver, pages: it.r}
 			if getter != nil {
 				keyBuf = nk.appendTo(keyBuf[:0])
 				if raw, ok := getter.getNode(keyBuf); ok {
@@ -545,23 +545,23 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, fetc
 					appendHoles(&leaves, it.r, lo, hi)
 					continue
 				}
-				return nil, fmt.Errorf("core: missing metadata node %s", NodeKey{Blob: it.blob, Version: it.ver, Range: it.r})
+				return nil, fmt.Errorf("core: missing metadata node %s", nodeKey{blob: it.blob, version: it.ver, pages: it.r})
 			}
 			inner, leaf, isLeaf, err := decodeNode(raw)
 			if err != nil {
-				return nil, fmt.Errorf("core: node %s: %w", NodeKey{Blob: it.blob, Version: it.ver, Range: it.r}, err)
+				return nil, fmt.Errorf("core: node %s: %w", nodeKey{blob: it.blob, version: it.ver, pages: it.r}, err)
 			}
 			if isLeaf {
-				leaves = append(leaves, PageLoc{Page: it.r.Off, Blob: it.blob, Version: it.ver, Providers: leaf.Providers})
+				leaves = append(leaves, PageLoc{Page: it.r.off, blob: it.blob, Version: it.ver, Providers: leaf.providers})
 				continue
 			}
-			for _, half := range [2]PageRange{it.r.left(), it.r.right()} {
+			for _, half := range [2]pageRange{it.r.left(), it.r.right()} {
 				if !half.intersects(lo, hi) {
 					continue
 				}
-				childBlob, childVer := inner.LeftBlob, inner.LeftVersion
-				if half.Off != it.r.Off {
-					childBlob, childVer = inner.RightBlob, inner.RightVersion
+				childBlob, childVer := inner.leftBlob, inner.leftVersion
+				if half.off != it.r.off {
+					childBlob, childVer = inner.rightBlob, inner.rightVersion
 				}
 				if childVer == 0 {
 					appendHoles(&leaves, half, lo, hi)
@@ -577,8 +577,8 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, fetc
 
 // appendHoles adds zero-page leaves for the portion of r within
 // [lo, hi).
-func appendHoles(leaves *[]PageLoc, r PageRange, lo, hi int64) {
-	from, to := r.Off, r.end()
+func appendHoles(leaves *[]PageLoc, r pageRange, lo, hi int64) {
+	from, to := r.off, r.end()
 	if from < lo {
 		from = lo
 	}

@@ -47,14 +47,14 @@ func TestCapacityPages(t *testing.T) {
 }
 
 func TestNodeEncodingRoundTrip(t *testing.T) {
-	in := Inner{LeftBlob: 3, LeftVersion: 7, RightBlob: 0, RightVersion: 0}
+	in := innerNode{leftBlob: 3, leftVersion: 7, rightBlob: 0, rightVersion: 0}
 	inner, _, isLeaf, err := decodeNode(encodeInner(in))
 	if err != nil || isLeaf || inner != in {
 		t.Fatalf("inner round trip: %+v, leaf=%v, %v", inner, isLeaf, err)
 	}
-	lf := Leaf{Providers: []cluster.NodeID{3, 9, 12}}
+	lf := leafNode{providers: []cluster.NodeID{3, 9, 12}}
 	_, leaf, isLeaf, err := decodeNode(encodeLeaf(lf))
-	if err != nil || !isLeaf || len(leaf.Providers) != 3 || leaf.Providers[2] != 12 {
+	if err != nil || !isLeaf || len(leaf.providers) != 3 || leaf.providers[2] != 12 {
 		t.Fatalf("leaf round trip: %+v, %v", leaf, err)
 	}
 	if _, _, _, err := decodeNode(nil); err == nil {
@@ -87,14 +87,14 @@ func (m mapFetcher) BatchGet(keys []string) (map[string][]byte, error) {
 // applyWrite runs the pure metadata build for one write and merges the
 // nodes into store; placement assigns page i to provider (base+i)%np.
 func applyWrite(store mapFetcher, blob BlobID, rec WriteRecord, h history, ps int64) {
-	if rec.Blob == 0 {
-		rec.Blob = blob
+	if rec.blob == 0 {
+		rec.blob = blob
 	}
 	// Tests build records without Blob; normalize the shared history in
 	// place so borrow() resolves to the same key space.
 	for i := range h {
-		if h[i].Blob == 0 {
-			h[i].Blob = blob
+		if h[i].blob == 0 {
+			h[i].blob = blob
 		}
 	}
 	lo, hi := pageSpan(rec.Offset, rec.Length, ps)
@@ -125,7 +125,7 @@ func (m *refModel) apply(rec WriteRecord, ps int64) {
 func checkAgainstRef(t *testing.T, store mapFetcher, ref *refModel, blob BlobID, v Version, h history, ps int64, lo, hi int64) {
 	t.Helper()
 	rec, _ := h.record(v)
-	leaves, err := walkTree(blob, v, rec.CapAfter, lo, hi, store, nil)
+	leaves, err := walkTree(blob, v, rec.capAfter, lo, hi, store, nil)
 	if err != nil {
 		t.Fatalf("walkTree(v=%d, [%d,%d)): %v", v, lo, hi, err)
 	}
@@ -138,8 +138,8 @@ func checkAgainstRef(t *testing.T, store mapFetcher, ref *refModel, blob BlobID,
 		}
 	}
 	end := hi
-	if rec.CapAfter < end {
-		end = rec.CapAfter
+	if rec.capAfter < end {
+		end = rec.capAfter
 	}
 	for p := lo; p < end; p++ {
 		want := ref.pages[p]
@@ -157,7 +157,7 @@ func TestTreeSingleWrite(t *testing.T) {
 	const ps = 100
 	store := mapFetcher{}
 	var h history
-	rec := WriteRecord{Version: 1, Offset: 0, Length: 300, SizeAfter: 300, CapAfter: capacityPages(300, ps)}
+	rec := WriteRecord{Version: 1, Offset: 0, Length: 300, SizeAfter: 300, capAfter: capacityPages(300, ps)}
 	h = append(h, rec)
 	applyWrite(store, 1, rec, h, ps)
 	ref := &refModel{pages: map[int64]Version{}}
@@ -175,14 +175,14 @@ func TestTreeSequentialAppends(t *testing.T) {
 		length := int64(150)
 		rec := WriteRecord{
 			Version: v, Offset: size, Length: length,
-			SizeAfter: size + length, CapAfter: capacityPages(size+length, ps),
+			SizeAfter: size + length, capAfter: capacityPages(size+length, ps),
 		}
 		size += length
 		h = append(h, rec)
 		applyWrite(store, 1, rec, h, ps)
 		ref.apply(rec, ps)
 		// Every version must read consistently right after its write.
-		checkAgainstRef(t, store, ref, 1, v, h, ps, 0, rec.CapAfter)
+		checkAgainstRef(t, store, ref, 1, v, h, ps, 0, rec.capAfter)
 	}
 }
 
@@ -194,20 +194,20 @@ func TestTreeSparseWriteCreatesSpine(t *testing.T) {
 	store := mapFetcher{}
 	var h history
 	ref := &refModel{pages: map[int64]Version{}}
-	r1 := WriteRecord{Version: 1, Offset: 0, Length: 200, SizeAfter: 200, CapAfter: capacityPages(200, ps)}
+	r1 := WriteRecord{Version: 1, Offset: 0, Length: 200, SizeAfter: 200, capAfter: capacityPages(200, ps)}
 	h = append(h, r1)
 	applyWrite(store, 1, r1, h, ps)
 	ref.apply(r1, ps)
 
-	r2 := WriteRecord{Version: 2, Offset: 100 * ps, Length: ps, SizeAfter: 101 * ps, CapAfter: capacityPages(101*ps, ps)}
+	r2 := WriteRecord{Version: 2, Offset: 100 * ps, Length: ps, SizeAfter: 101 * ps, capAfter: capacityPages(101*ps, ps)}
 	h = append(h, r2)
 	applyWrite(store, 1, r2, h, ps)
 	ref.apply(r2, ps)
 
 	// Old data readable through the new tree; the hole reads as zeros.
-	checkAgainstRef(t, store, ref, 1, 2, h, ps, 0, r2.CapAfter)
+	checkAgainstRef(t, store, ref, 1, 2, h, ps, 0, r2.capAfter)
 	// Old version still intact.
-	checkAgainstRef(t, store, ref, 1, 1, h, ps, 0, r1.CapAfter)
+	checkAgainstRef(t, store, ref, 1, 1, h, ps, 0, r1.capAfter)
 }
 
 func TestTreeOldVersionsImmutable(t *testing.T) {
@@ -225,7 +225,7 @@ func TestTreeOldVersionsImmutable(t *testing.T) {
 		if off+length > sz {
 			sz = off + length
 		}
-		rec := WriteRecord{Version: v, Offset: off, Length: length, SizeAfter: sz, CapAfter: capacityPages(sz, ps)}
+		rec := WriteRecord{Version: v, Offset: off, Length: length, SizeAfter: sz, capAfter: capacityPages(sz, ps)}
 		size = sz
 		h = append(h, rec)
 		applyWrite(store, 1, rec, h, ps)
@@ -240,7 +240,7 @@ func TestTreeOldVersionsImmutable(t *testing.T) {
 	// Every historical version still reads exactly as it did when
 	// published (versioning = immutable snapshots).
 	for i, rec := range recs {
-		checkAgainstRef(t, store, ref[i], 1, rec.Version, h, ps, 0, rec.CapAfter)
+		checkAgainstRef(t, store, ref[i], 1, rec.Version, h, ps, 0, rec.capAfter)
 	}
 }
 
@@ -270,7 +270,7 @@ func TestTreeRandomizedAgainstReference(t *testing.T) {
 			if off+length > sz {
 				sz = off + length
 			}
-			rec := WriteRecord{Version: v, Offset: off, Length: length, SizeAfter: sz, CapAfter: capacityPages(sz, ps)}
+			rec := WriteRecord{Version: v, Offset: off, Length: length, SizeAfter: sz, capAfter: capacityPages(sz, ps)}
 			size = sz
 			h = append(h, rec)
 			applyWrite(store, 1, rec, h, ps)
@@ -278,10 +278,10 @@ func TestTreeRandomizedAgainstReference(t *testing.T) {
 		}
 		last := h[len(h)-1]
 		// Whole-range check plus a few random sub-ranges.
-		checkAgainstRef(t, store, ref, 1, last.Version, h, ps, 0, last.CapAfter)
+		checkAgainstRef(t, store, ref, 1, last.Version, h, ps, 0, last.capAfter)
 		for i := 0; i < 5; i++ {
-			lo := rng.Int63n(last.CapAfter)
-			hi := lo + 1 + rng.Int63n(last.CapAfter-lo)
+			lo := rng.Int63n(last.capAfter)
+			hi := lo + 1 + rng.Int63n(last.capAfter-lo)
 			checkAgainstRef(t, store, ref, 1, last.Version, h, ps, lo, hi)
 		}
 	}
@@ -294,7 +294,7 @@ func TestBorrowPrefersLatestIntersecting(t *testing.T) {
 	add := func(v Version, offPages, lenPages, sizePages int64) {
 		h = append(h, WriteRecord{
 			Version: v, Offset: offPages * ps, Length: lenPages * ps,
-			SizeAfter: sizePages * ps, CapAfter: capacityPages(sizePages*ps, ps),
+			SizeAfter: sizePages * ps, capAfter: capacityPages(sizePages*ps, ps),
 		})
 	}
 	add(1, 0, 4, 4)
@@ -303,11 +303,11 @@ func TestBorrowPrefersLatestIntersecting(t *testing.T) {
 	// For v3, child [0,4) must borrow from v2 (latest intersecting),
 	// not v1.
 	bi := indexOf(h, ps)
-	if _, got := bi.lookup(2, PageRange{Off: 0, Count: 4}); got != 2 {
+	if _, got := bi.lookup(2, pageRange{off: 0, count: 4}); got != 2 {
 		t.Fatalf("borrow([0,4)) = %d, want 2", got)
 	}
 	// Child [4,6) was never written: hole.
-	if _, got := bi.lookup(2, PageRange{Off: 4, Count: 2}); got != 0 {
+	if _, got := bi.lookup(2, pageRange{off: 4, count: 2}); got != 0 {
 		t.Fatalf("borrow([4,2)) = %d, want 0 (hole)", got)
 	}
 }
@@ -321,7 +321,7 @@ func TestWalkTreeMissingNode(t *testing.T) {
 }
 
 func TestNodeKeyFormat(t *testing.T) {
-	k := NodeKey{Blob: 3, Version: 9, Range: PageRange{Off: 16, Count: 8}}
+	k := nodeKey{blob: 3, version: 9, pages: pageRange{off: 16, count: 8}}
 	if k.String() != "m/3/9/16/8" {
 		t.Fatalf("key = %q", k.String())
 	}
@@ -340,11 +340,11 @@ func TestCreatedNodeCountIsLogarithmic(t *testing.T) {
 	const ps = 100
 	var h history
 	size := int64(1 << 20 * ps) // 2^20 pages
-	h = append(h, WriteRecord{Version: 1, Offset: 0, Length: size, SizeAfter: size, CapAfter: capacityPages(size, ps)})
-	rec := WriteRecord{Version: 2, Offset: size, Length: ps, SizeAfter: size + ps, CapAfter: capacityPages(size+ps, ps)}
+	h = append(h, WriteRecord{Version: 1, Offset: 0, Length: size, SizeAfter: size, capAfter: capacityPages(size, ps)})
+	rec := WriteRecord{Version: 2, Offset: size, Length: ps, SizeAfter: size + ps, capAfter: capacityPages(size+ps, ps)}
 	h = append(h, rec)
 	placement := pagePlacement{lo: 1 << 20, sets: [][]cluster.NodeID{{0}}}
-	rec.Blob = 1
+	rec.blob = 1
 	nodes := make(map[string][]byte)
 	buildNodesFromHistory(nodes, rec, h, ps, placement)
 	if len(nodes) > 64 {
@@ -364,14 +364,14 @@ func TestCreatedNodeCountIsLogarithmic(t *testing.T) {
 // stores — so a rendering change silently orphans everything stored
 // under the old format.
 func TestKeyFormatsPinned(t *testing.T) {
-	nodeKeys := []NodeKey{
+	nodeKeys := []nodeKey{
 		{},
-		{Blob: 1, Version: 1, Range: PageRange{Off: 0, Count: 1}},
-		{Blob: 7, Version: 42, Range: PageRange{Off: 512, Count: 128}},
-		{Blob: 1<<63 + 9, Version: 1<<64 - 1, Range: PageRange{Off: 1 << 40, Count: 1 << 20}},
+		{blob: 1, version: 1, pages: pageRange{off: 0, count: 1}},
+		{blob: 7, version: 42, pages: pageRange{off: 512, count: 128}},
+		{blob: 1<<63 + 9, version: 1<<64 - 1, pages: pageRange{off: 1 << 40, count: 1 << 20}},
 	}
 	for _, k := range nodeKeys {
-		want := fmt.Sprintf("m/%d/%d/%d/%d", uint64(k.Blob), uint64(k.Version), k.Range.Off, k.Range.Count)
+		want := fmt.Sprintf("m/%d/%d/%d/%d", uint64(k.blob), uint64(k.version), k.pages.off, k.pages.count)
 		if got := k.String(); got != want {
 			t.Errorf("NodeKey%+v.String() = %q, want %q", k, got, want)
 		}

@@ -32,11 +32,11 @@ func TestMetaCacheTrimKeepsJustInserted(t *testing.T) {
 	c := newTestMetaCache(t, 4)
 	for i := 0; i < 4; i++ {
 		k := fmt.Sprintf("filler-%d", i)
-		if err := c.BatchPut(map[string][]byte{k: []byte(k)}); err != nil {
+		if err := c.batchPut(map[string][]byte{k: []byte(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.BatchPut(map[string][]byte{"root": []byte("hot")}); err != nil {
+	if err := c.batchPut(map[string][]byte{"root": []byte("hot")}); err != nil {
 		t.Fatal(err)
 	}
 	if !cached(c, "root") {
@@ -58,14 +58,14 @@ func TestMetaCacheGetRefreshesRecency(t *testing.T) {
 	c := newTestMetaCache(t, 3)
 	for i := 0; i < 3; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if err := c.BatchPut(map[string][]byte{k: []byte(k)}); err != nil {
+		if err := c.batchPut(map[string][]byte{k: []byte(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := c.BatchGet([]string{"k0"}); err != nil { // touch the oldest
 		t.Fatal(err)
 	}
-	if err := c.BatchPut(map[string][]byte{"k3": []byte("k3")}); err != nil {
+	if err := c.batchPut(map[string][]byte{"k3": []byte("k3")}); err != nil {
 		t.Fatal(err)
 	}
 	if !cached(c, "k0") {
@@ -112,7 +112,7 @@ func TestMetaCacheConcurrentStress(t *testing.T) {
 					kvs[k] = []byte(k)
 					keys = append(keys, k, fmt.Sprintf("m/1/%d/%d/1", (w+r+1)%workers, i))
 				}
-				if err := c.BatchPut(kvs); err != nil {
+				if err := c.batchPut(kvs); err != nil {
 					t.Error(err)
 					return
 				}

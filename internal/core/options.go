@@ -1,8 +1,8 @@
 // options.go defines the functional options of the blob-handle API.
 // One write path (Client.writeBlocks) and one read path
 // (Client.readCommon) serve every variant — single writes and batched
-// appends, synthetic traffic, pinned versions, fire-and-forget
-// publication, op-scoped cancellation — selected per call instead of
+// appends, synthetic traffic, pinned versions, op-scoped cancellation
+// — selected per call instead of
 // per method, which is what keeps the Client surface small enough to
 // stay a coherent storage contract (see doc.go).
 
@@ -17,13 +17,12 @@ type opSettings struct {
 	ctx      *cluster.Ctx
 	version  Version // reads: snapshot to address (LatestVersion default)
 	synthLen int64   // > 0: synthetic (size-only) operation of this length
-	await    bool    // writes: block until the new version is visible
 	tenant   string  // admission tenant ("" = untenanted: bypasses admission)
 }
 
 func defaultSettings() opSettings {
 	//bsfs-vet:allow ctxflow -- the options default: an op with no WithCtx is deliberately uncancellable
-	return opSettings{ctx: cluster.Background(), version: LatestVersion, await: true}
+	return opSettings{ctx: cluster.Background(), version: LatestVersion}
 }
 
 func resolveReadOpts(opts []ReadOption) opSettings {
@@ -60,13 +59,8 @@ type readOption func(*opSettings)
 
 func (o readOption) applyRead(s *opSettings) { o(s) }
 
-// writeOption applies to writes only.
-type writeOption func(*opSettings)
-
-func (o writeOption) applyWrite(s *opSettings) { o(s) }
-
-// WithCtx scopes the operation to ctx: cancellation or deadline expiry
-// makes the operation return an error matching ErrCanceled promptly —
+// WithCtx scopes the operation to ctx: cancellation makes the
+// operation return an error matching ErrCanceled promptly —
 // in-flight provider fan-outs stop issuing work, await paths wake, and
 // a write's version ticket is aborted so the publication frontier never
 // wedges. A nil ctx means Background (never canceled).
@@ -113,16 +107,6 @@ func Synthetic(n int64) interface {
 	WriteOption
 } {
 	return bothOption(func(s *opSettings) { s.synthLen = n })
-}
-
-// AwaitPublication(false) makes a write return as soon as its version
-// is durably staged and queued for publication, without blocking until
-// the version becomes globally visible. The version manager still
-// publishes it in ticket order; use Blob.AwaitPublished (or any later
-// read) to observe visibility. The default (true) blocks like the
-// paper's write protocol.
-func AwaitPublication(await bool) WriteOption {
-	return writeOption(func(s *opSettings) { s.await = await })
 }
 
 // Blocks wraps byte payloads as real append blocks, one version each.

@@ -45,7 +45,7 @@ type bufArena struct {
 	bufs []*pageBuf
 }
 
-// alloc is the staging allocator handed to Provider.GetPagesInto. Safe
+// alloc is the staging allocator handed to Provider.getPagesInto. Safe
 // for concurrent use.
 func (a *bufArena) alloc(n int64) []byte {
 	pb := getBuf(n)

@@ -68,8 +68,8 @@ type ProviderConfig struct {
 	Store string
 }
 
-// NewProvider creates a provider on node and starts its flush daemon.
-func NewProvider(env cluster.Env, node cluster.NodeID, cfg ProviderConfig) (*Provider, error) {
+// newProvider creates a provider on node and starts its flush daemon.
+func newProvider(env cluster.Env, node cluster.NodeID, cfg ProviderConfig) (*Provider, error) {
 	st, err := pagestore.Open(pagestore.Config{MemCapacity: cfg.MemCapacity, Spec: cfg.Store})
 	if err != nil {
 		return nil, err
@@ -162,8 +162,8 @@ func (p *Provider) FlushNow() error {
 	}
 }
 
-// PutPage stores one page (data nil means synthetic of the given size).
-func (p *Provider) PutPage(key string, data []byte, size int64) error {
+// putPage stores one page (data nil means synthetic of the given size).
+func (p *Provider) putPage(key string, data []byte, size int64) error {
 	if p.isDown() {
 		return fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
@@ -189,36 +189,36 @@ func (p *Provider) PutPage(key string, data []byte, size int64) error {
 	return nil
 }
 
-// PageFetch is one page read result.
-type PageFetch struct {
-	Key      string
-	Data     []byte // nil for synthetic pages
-	Size     int64
-	FromDisk bool // the page was not RAM-resident
+// pageFetch is one page read result.
+type pageFetch struct {
+	key      string
+	data     []byte // nil for synthetic pages
+	size     int64
+	fromDisk bool // the page was not RAM-resident
 }
 
-// GetPages reads a batch of pages, reporting per-page residency so the
+// getPages reads a batch of pages, reporting per-page residency so the
 // caller can charge disk time for the misses.
-func (p *Provider) GetPages(keys []string) ([]PageFetch, error) {
-	return p.GetPagesInto(keys, nil)
+func (p *Provider) getPages(keys []string) ([]pageFetch, error) {
+	return p.getPagesInto(keys, nil)
 }
 
-// GetPagesInto is GetPages with caller-controlled staging: each page's
+// getPagesInto is GetPages with caller-controlled staging: each page's
 // bytes are copied into alloc(size)'s buffer instead of a fresh heap
 // slice (see pagestore.GetInto). alloc must be safe for whatever
 // concurrency the caller uses across providers; a nil alloc behaves
 // like GetPages.
-func (p *Provider) GetPagesInto(keys []string, alloc func(int64) []byte) ([]PageFetch, error) {
+func (p *Provider) getPagesInto(keys []string, alloc func(int64) []byte) ([]pageFetch, error) {
 	if p.isDown() {
 		return nil, fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
-	out := make([]PageFetch, 0, len(keys))
+	out := make([]pageFetch, 0, len(keys))
 	for _, k := range keys {
 		data, meta, err := p.store.GetInto(k, alloc)
 		if err != nil {
 			return nil, fmt.Errorf("provider %d: %w", p.node, err)
 		}
-		out = append(out, PageFetch{Key: k, Data: data, Size: meta.Size, FromDisk: !meta.Resident})
+		out = append(out, pageFetch{key: k, data: data, size: meta.Size, fromDisk: !meta.Resident})
 	}
 	return out, nil
 }
@@ -226,32 +226,32 @@ func (p *Provider) GetPagesInto(keys []string, alloc func(int64) []byte) ([]Page
 // getPageInto fetches one page by its byte-rendered key — the gather
 // hot path: no key string, no batch slices. The result's Key field is
 // left empty (no caller reads it back).
-func (p *Provider) getPageInto(key []byte, alloc func(int64) []byte) (PageFetch, error) {
+func (p *Provider) getPageInto(key []byte, alloc func(int64) []byte) (pageFetch, error) {
 	if p.isDown() {
-		return PageFetch{}, fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
+		return pageFetch{}, fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
 	data, meta, err := p.store.GetBytesInto(key, alloc)
 	if err != nil {
-		return PageFetch{}, fmt.Errorf("provider %d: %w", p.node, err)
+		return pageFetch{}, fmt.Errorf("provider %d: %w", p.node, err)
 	}
-	return PageFetch{Data: data, Size: meta.Size, FromDisk: !meta.Resident}, nil
+	return pageFetch{data: data, size: meta.Size, fromDisk: !meta.Resident}, nil
 }
 
 // residentPageInto is getPageInto for a page resident in the provider's
 // RAM; ok false (no provider, down, missing, or a read that must wait
 // for the backend) changes nothing and leaves the page to getPageInto.
-func (p *Provider) residentPageInto(key []byte, alloc func(int64) []byte) (PageFetch, bool) {
+func (p *Provider) residentPageInto(key []byte, alloc func(int64) []byte) (pageFetch, bool) {
 	if p == nil || p.isDown() {
-		return PageFetch{}, false
+		return pageFetch{}, false
 	}
 	data, meta, ok := p.store.GetResidentInto(key, alloc)
-	return PageFetch{Data: data, Size: meta.Size}, ok
+	return pageFetch{data: data, size: meta.Size}, ok
 }
 
-// DeletePage removes a page copy from the provider's store (rebalance:
+// deletePage removes a page copy from the provider's store (rebalance:
 // the copy migrated to a preferred owner). Deleting a missing key is
 // not an error; deleting on a down provider is.
-func (p *Provider) DeletePage(key string) error {
+func (p *Provider) deletePage(key string) error {
 	if p.isDown() {
 		return fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}

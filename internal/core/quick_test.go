@@ -61,19 +61,19 @@ func TestQuickCapacityMonotonic(t *testing.T) {
 func TestQuickCanonicalRangeTree(t *testing.T) {
 	f := func(offMul uint16, lvl uint8) bool {
 		count := int64(1) << (lvl%20 + 1) // >= 2, so halves exist
-		r := PageRange{Off: int64(offMul) * count, Count: count}
+		r := pageRange{off: int64(offMul) * count, count: count}
 		l, h := r.left(), r.right()
-		if l.Count != h.Count || l.Count*2 != r.Count {
+		if l.count != h.count || l.count*2 != r.count {
 			return false
 		}
-		if l.Off != r.Off || h.Off != r.Off+l.Count {
+		if l.off != r.off || h.off != r.off+l.count {
 			return false
 		}
-		if l.end() != h.Off || h.end() != r.end() {
+		if l.end() != h.off || h.end() != r.end() {
 			return false
 		}
 		// Canonical: offset a multiple of count.
-		return l.Off%l.Count == 0 && h.Off%h.Count == 0
+		return l.off%l.count == 0 && h.off%h.count == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(23))}); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestQuickBorrowAlwaysResolvable(t *testing.T) {
 			if off+length > sz {
 				sz = off + length
 			}
-			rec := WriteRecord{Version: v, Offset: off, Length: length, SizeAfter: sz, CapAfter: capacityPages(sz, ps)}
+			rec := WriteRecord{Version: v, Offset: off, Length: length, SizeAfter: sz, capAfter: capacityPages(sz, ps)}
 			size = sz
 			h = append(h, rec)
 			applyWrite(store, 1, rec, h, ps)
@@ -249,13 +249,13 @@ func TestQuickBorrowAlwaysResolvable(t *testing.T) {
 		// Walk the final version over its whole capacity: every node
 		// reference must resolve (walkTree errors on a missing node).
 		last := h[len(h)-1]
-		if _, err := walkTree(1, last.Version, last.CapAfter, 0, last.CapAfter, store, nil); err != nil {
+		if _, err := walkTree(1, last.Version, last.capAfter, 0, last.capAfter, store, nil); err != nil {
 			t.Fatalf("trial %d: unresolvable reference: %v", trial, err)
 		}
 		// And the same for every intermediate version.
 		for v := Version(1); v < last.Version; v++ {
 			rec := h[int(v)-1]
-			if _, err := walkTree(1, v, rec.CapAfter, 0, rec.CapAfter, store, nil); err != nil {
+			if _, err := walkTree(1, v, rec.capAfter, 0, rec.capAfter, store, nil); err != nil {
 				t.Fatalf("trial %d v%d: %v", trial, v, err)
 			}
 		}

@@ -68,12 +68,12 @@ type Rebalancer struct {
 
 	mu sync.Mutex
 	// passBusy serializes passes (the background sweep and on-demand
-	// RepairBlob calls share one client and would otherwise race to
+	// repairBlob calls share one client and would otherwise race to
 	// copy the same pages). It is an engine-visible latch, not a
 	// mutex held across the pass: a pass blocks in virtual time
 	// (Env.RTT/Scatter inside copyTo), and a goroutine parked on a
 	// real sync.Mutex still counts as runnable to the sim engine, so
-	// a second RepairBlob waiting on a mutex while the holder sleeps
+	// a second repairBlob waiting on a mutex while the holder sleeps
 	// in virtual time would wedge Engine.Run forever. Contenders
 	// instead park on a Signal (passWait) and are woken by
 	// releasePass — blocking the engine can see and schedule around.
@@ -127,7 +127,7 @@ func newRebalancer(d *Deployment, node cluster.NodeID) *Rebalancer {
 	return &Rebalancer{d: d, cl: d.NewClient(node)}
 }
 
-// RepairBlob evaluates every page of version v of a blob
+// repairBlob evaluates every page of version v of a blob
 // (LatestVersion for the newest snapshot) against the current
 // membership and acts on the decisions: degraded pages gain copies on
 // their preferred owners, misplaced pages migrate there, and fully
@@ -135,7 +135,7 @@ func newRebalancer(d *Deployment, node cluster.NodeID) *Rebalancer {
 // replica is counted in PagesLost, not treated as a fatal error, so
 // one dead page does not stop the rest of the blob from being
 // processed.
-func (r *Rebalancer) RepairBlob(blob BlobID, v Version) (RepairStats, error) {
+func (r *Rebalancer) repairBlob(blob BlobID, v Version) (RepairStats, error) {
 	var st RepairStats
 	if err := r.acquirePass(); err != nil {
 		return st, err
@@ -160,6 +160,13 @@ func (r *Rebalancer) RepairBlob(blob BlobID, v Version) (RepairStats, error) {
 
 	target := r.d.Opts.Replication
 	updates := make(map[string][]byte)
+	// A migrated page's old copies are dropped only once its rewritten
+	// leaf is stored: until then the leaf still names them.
+	type drop struct {
+		key       string
+		old, kept []cluster.NodeID
+	}
+	var drops []drop
 	for _, loc := range locs {
 		if len(loc.Providers) == 0 {
 			continue // hole: zeros need no replicas
@@ -192,14 +199,17 @@ func (r *Rebalancer) RepairBlob(blob BlobID, v Version) (RepairStats, error) {
 		if dropped {
 			st.PagesMigrated++
 		}
-		leafKey := NodeKey{Blob: loc.Blob, Version: loc.Version, Range: PageRange{Off: loc.Page, Count: 1}}.String()
-		updates[leafKey] = encodeLeaf(Leaf{Providers: newSet})
-		st.ReplicasDropped += r.dropExtras(key, loc.Providers, newSet)
+		leafKey := nodeKey{blob: loc.blob, version: loc.Version, pages: pageRange{off: loc.Page, count: 1}}.String()
+		updates[leafKey] = encodeLeaf(leafNode{providers: newSet})
+		drops = append(drops, drop{key, loc.Providers, newSet})
 	}
 	if len(updates) > 0 {
-		if err := r.cl.meta.BatchPut(updates); err != nil {
+		if err := r.cl.meta.batchPut(updates); err != nil {
 			return st, fmt.Errorf("core: placement pass over blob %d: leaf rewrite: %w", blob, err)
 		}
+	}
+	for _, d := range drops {
+		st.ReplicasDropped += r.dropExtras(d.key, d.old, d.kept)
 	}
 	return st, nil
 }
@@ -266,7 +276,7 @@ func (r *Rebalancer) copyTo(key string, sources, targets []cluster.NodeID) ([]cl
 	if len(targets) == 0 {
 		return nil, 0, nil
 	}
-	var fetch PageFetch
+	var fetch pageFetch
 	var src cluster.NodeID
 	fetchErr := error(nil)
 	found := false
@@ -275,7 +285,7 @@ func (r *Rebalancer) copyTo(key string, sources, targets []cluster.NodeID) ([]cl
 		if pr == nil {
 			continue
 		}
-		items, err := pr.GetPages([]string{key})
+		items, err := pr.getPages([]string{key})
 		if err != nil {
 			fetchErr = err
 			continue
@@ -297,14 +307,14 @@ func (r *Rebalancer) copyTo(key string, sources, targets []cluster.NodeID) ([]cl
 		if pr == nil {
 			continue
 		}
-		if err := pr.PutPage(key, fetch.Data, fetch.Size); err != nil {
+		if err := pr.putPage(key, fetch.data, fetch.size); err != nil {
 			continue // destination died between pick and put: next pass retries
 		}
 		// Charge the provider-to-provider copy.
 		r.d.Env.RTT(src, dst)
-		r.d.Env.Scatter(src, []cluster.NodeID{dst}, fetch.Size)
+		r.d.Env.Scatter(src, []cluster.NodeID{dst}, fetch.size)
 		added = append(added, dst)
-		copied += fetch.Size
+		copied += fetch.size
 	}
 	return added, copied, nil
 }
@@ -324,7 +334,7 @@ func (r *Rebalancer) dropExtras(key string, old, kept []cluster.NodeID) int {
 			continue
 		}
 		if pr := r.d.Provider(n); pr != nil && !pr.isDown() {
-			if pr.DeletePage(key) == nil {
+			if pr.deletePage(key) == nil {
 				dropped++
 			}
 		}
@@ -368,8 +378,8 @@ func (r *Rebalancer) LastSweep() (RepairStats, error) {
 // reported in the stats).
 func (r *Rebalancer) SweepOnce() (RepairStats, error) {
 	var st RepairStats
-	for _, blob := range r.d.VM.Blobs(r.cl.node) {
-		s, err := r.RepairBlob(blob, LatestVersion)
+	for _, blob := range r.d.VM.blobIDs(r.cl.node) {
+		s, err := r.repairBlob(blob, LatestVersion)
 		st.Add(s)
 		if err != nil {
 			return st, err

@@ -45,7 +45,7 @@ func TestRepairBlobRestoresReplication(t *testing.T) {
 	}
 
 	d.Provider(2).SetDown(true)
-	st, err := d.RepairBlob(blob.ID(), LatestVersion)
+	st, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRepairBlobRestoresReplication(t *testing.T) {
 	}
 
 	// A second repair pass heals the second failure too.
-	if _, err := d.RepairBlob(blob.ID(), LatestVersion); err != nil {
+	if _, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion); err != nil {
 		t.Fatal(err)
 	}
 	locs, err = openB(t, d.NewClient(6), blob.ID()).Locations(0, int64(len(data)))
@@ -99,6 +99,51 @@ func TestRepairBlobRestoresReplication(t *testing.T) {
 		if got := liveReplicas(d, loc); got != 2 {
 			t.Fatalf("page %d has %d live replicas after second repair, want 2", loc.Page, got)
 		}
+	}
+}
+
+// TestFailedLeafRewriteKeepsOldCopies: a pass that migrates pages
+// onto a new provider but cannot store the rewritten leaves (every
+// metadata server down) must not drop the old copies, which the
+// unchanged leaves still name. Once the servers are back, a fresh
+// client reads every page.
+func TestFailedLeafRewriteKeepsOldCopies(t *testing.T) {
+	env := cluster.NewLocal(10, 5)
+	d, err := NewDeployment(env, Options{PageSize: 64, ProviderNodes: []cluster.NodeID{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	blob, _ := d.NewClient(0).CreateBlob(0)
+	data := bytes.Repeat([]byte("leaf-rewrite-fails!!"), 64) // 20 pages
+	if _, err := blob.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	// A pass that changes nothing warms the rebalancer's metadata
+	// cache, so the next pass reaches its leaf rewrite.
+	if _, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddProvider(4); err != nil {
+		t.Fatal(err)
+	}
+	setMetaDown := func(down bool) {
+		for _, n := range d.Opts.MetaNodes {
+			d.Meta.Server(n).SetDown(down)
+		}
+	}
+	setMetaDown(true)
+	st, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion)
+	if err == nil || st.ReplicasAdded == 0 {
+		t.Fatalf("pass with the metadata tier down: %+v, %v; want copies added and a failed rewrite", st, err)
+	}
+	if st.ReplicasDropped != 0 {
+		t.Fatalf("pass dropped %d copies whose leaves were never rewritten", st.ReplicasDropped)
+	}
+	setMetaDown(false)
+	buf := make([]byte, len(data))
+	if _, err := openB(t, d.NewClient(5), blob.ID()).ReadAt(buf, 0); err != nil || !bytes.Equal(buf, data) {
+		t.Fatalf("read after the failed pass: %v", err)
 	}
 }
 
@@ -126,7 +171,7 @@ func TestRepairClampsToSurvivingFleet(t *testing.T) {
 
 	// One survivor: target clamps to 1, nothing to copy, no error.
 	d.Provider(2).SetDown(true)
-	st, err := d.RepairBlob(blob.ID(), LatestVersion)
+	st, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +194,7 @@ func TestRepairClampsToSurvivingFleet(t *testing.T) {
 	// No survivors: every page is reported lost, still no error.
 	d.Provider(1).SetDown(true)
 	d.Provider(2).SetDown(true)
-	st, err = d.RepairBlob(blob.ID(), LatestVersion)
+	st, err = d.Rebalance.repairBlob(blob.ID(), LatestVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +289,7 @@ func TestConcurrentRepairPassesSim(t *testing.T) {
 		wg := env.NewWaitGroup()
 		for i := range stats {
 			wg.Go(func() {
-				st, err := d.RepairBlob(blob.ID(), LatestVersion)
+				st, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion)
 				if err != nil {
 					t.Error(err)
 					return
@@ -294,7 +339,7 @@ func TestRepairRaisesReplicationFactor(t *testing.T) {
 	}
 
 	d.Opts.Replication = 3
-	st, err := d.RepairBlob(blob.ID(), LatestVersion)
+	st, err := d.Rebalance.repairBlob(blob.ID(), LatestVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

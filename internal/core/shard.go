@@ -32,38 +32,32 @@ import (
 type VersionRouter struct {
 	shards []*VersionManager
 
-	// next is the round-robin cursor CreateBlob uses to spread new
+	// next is the round-robin cursor createBlob uses to spread new
 	// blobs over the shards.
 	mu   sync.Mutex
 	next int
 }
 
-// NewVersionRouter builds the version-manager tier: one shard per
+// newVersionRouter builds the version-manager tier: one shard per
 // entry of opts.VMNodes, hosted on that node, with opts.VMServiceTime as
 // its occupancy model (see NewVersionManagerShard).
-func NewVersionRouter(env cluster.Env, opts Options) *VersionRouter {
+func newVersionRouter(env cluster.Env, opts Options) *VersionRouter {
 	nodes := opts.VMNodes
 	if len(nodes) == 0 {
 		panic("core: version-manager tier needs at least one node")
 	}
 	r := &VersionRouter{shards: make([]*VersionManager, len(nodes))}
 	for i, n := range nodes {
-		r.shards[i] = NewVersionManagerShard(env, n, i, len(nodes), opts.VMServiceTime)
+		r.shards[i] = newVersionManagerShard(env, n, i, len(nodes), opts.VMServiceTime)
 	}
 	return r
 }
-
-// NumShards returns the shard count.
-func (r *VersionRouter) NumShards() int { return len(r.shards) }
-
-// Shards returns the shard managers in shard-index order.
-func (r *VersionRouter) Shards() []*VersionManager { return r.shards }
 
 // Nodes returns the shard hosting nodes in shard-index order.
 func (r *VersionRouter) Nodes() []cluster.NodeID {
 	out := make([]cluster.NodeID, len(r.shards))
 	for i, s := range r.shards {
-		out[i] = s.Node()
+		out[i] = s.node
 	}
 	return out
 }
@@ -79,23 +73,23 @@ func (r *VersionRouter) Shard(blob BlobID) *VersionManager {
 	return r.shards[r.ShardIndex(blob)]
 }
 
-// CreateBlob registers a new blob on the next shard of the round-robin
+// createBlob registers a new blob on the next shard of the round-robin
 // rotation and returns its id (which encodes the shard).
-func (r *VersionRouter) CreateBlob(from cluster.NodeID, pageSize int64) (BlobID, error) {
+func (r *VersionRouter) createBlob(from cluster.NodeID, pageSize int64) (BlobID, error) {
 	r.mu.Lock()
 	s := r.shards[r.next]
 	r.next = (r.next + 1) % len(r.shards)
 	r.mu.Unlock()
-	return s.CreateBlob(from, pageSize)
+	return s.createBlob(from, pageSize)
 }
 
-// Blobs lists every registered blob id across all shards in ascending
+// blobIDs lists every registered blob id across all shards in ascending
 // id order — the repair sweep's merged cross-shard work list. One
 // round trip per shard.
-func (r *VersionRouter) Blobs(from cluster.NodeID) []BlobID {
+func (r *VersionRouter) blobIDs(from cluster.NodeID) []BlobID {
 	var out []BlobID
 	for _, s := range r.shards {
-		out = append(out, s.Blobs(from)...)
+		out = append(out, s.blobIDs(from)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

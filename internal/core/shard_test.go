@@ -38,9 +38,9 @@ func localShardedDeployment(t *testing.T, shards int) *Deployment {
 	return d
 }
 
-// TestRouterOnlyRoutes pins the router's exported surface: the tier-wide
-// operations and the routing function, nothing per-blob (callers reach
-// those through Shard(blob)), and no post-construction Set* knob on the
+// TestRouterOnlyRoutes pins the router's exported surface: the routing
+// function and the shard hosts, nothing per-blob (callers reach those
+// through Shard(blob)), and no post-construction Set* knob on the
 // router or the shards — so the mirror of the VersionManager API cannot
 // grow back.
 func TestRouterOnlyRoutes(t *testing.T) {
@@ -52,7 +52,7 @@ func TestRouterOnlyRoutes(t *testing.T) {
 		}
 		return out // reflect lists exported methods sorted by name
 	}
-	want := []string{"Blobs", "CreateBlob", "Nodes", "NumShards", "Shard", "ShardIndex", "Shards"}
+	want := []string{"Nodes", "Shard", "ShardIndex"}
 	if got := methods(&VersionRouter{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("VersionRouter exports %v, want exactly %v", got, want)
 	}
@@ -66,16 +66,16 @@ func TestRouterOnlyRoutes(t *testing.T) {
 }
 
 // TestVersionManagerSurface pins the manager's exported methods: the
-// per-blob RPCs a client reaches through Shard(blob), and the two
-// accessors naming the shard. A new export needs a non-test caller.
+// per-blob RPCs another package reaches through Shard(blob). A new
+// export needs a non-test caller outside core (bsfs-vet's deadexport
+// rule enforces it).
 func TestVersionManagerSurface(t *testing.T) {
 	typ := reflect.TypeOf(&VersionManager{})
 	got := make([]string, typ.NumMethod())
 	for i := range got {
 		got[i] = typ.Method(i).Name
 	}
-	want := []string{"AbortBatch", "AwaitPublished", "Blobs", "Clone", "CreateBlob", "GetVersion", "IsAborted", "Latest",
-		"LatestRecord", "Node", "PageSize", "PublishBatch", "PublishBatchAsync", "Records", "RequestTickets", "ShardIndex"}
+	want := []string{"GetVersion", "PublishBatch", "RequestTickets"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("VersionManager exports %v, want exactly %v", got, want)
 	}
@@ -99,7 +99,7 @@ func TestOptionsSurface(t *testing.T) {
 		return out
 	}
 	want := []string{"PageSize", "Replication", "VMNodes", "VMServiceTime", "ProviderNodes", "MetaNodes",
-		"MetaReplication", "Provider", "Strategy", "PlacementInterval", "HeartbeatInterval", "TenantRate", "TenantBurst"}
+		"Provider", "Strategy", "PlacementInterval", "HeartbeatInterval", "TenantRate", "TenantBurst"}
 	if got := fields(Options{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("Options has fields %v, want exactly %v", got, want)
 	}
@@ -114,14 +114,14 @@ func TestOptionsSurface(t *testing.T) {
 // as the dense sequence 1, 2, 3, ...
 func TestSingleShardRoutingIdentity(t *testing.T) {
 	d := localShardedDeployment(t, 1)
-	if n := d.VM.NumShards(); n != 1 {
+	if n := len(d.VM.shards); n != 1 {
 		t.Fatalf("NumShards = %d, want 1", n)
 	}
 	for _, id := range []BlobID{1, 2, 3, 17, 1 << 40} {
 		if s := d.VM.ShardIndex(id); s != 0 {
 			t.Fatalf("ShardIndex(%d) = %d in a single-shard tier", id, s)
 		}
-		if d.VM.Shard(id) != d.VM.Shards()[0] {
+		if d.VM.Shard(id) != d.VM.shards[0] {
 			t.Fatalf("Shard(%d) is not the sole shard", id)
 		}
 	}
@@ -155,8 +155,8 @@ func TestShardStrideAllocation(t *testing.T) {
 		if got := int(id % shards); got != idx {
 			t.Fatalf("blob %d: ShardIndex %d but id mod %d = %d", id, idx, shards, got)
 		}
-		if d.VM.Shard(id).ShardIndex() != idx {
-			t.Fatalf("blob %d routed to shard %d, want %d", id, d.VM.Shard(id).ShardIndex(), idx)
+		if d.VM.Shard(id).shard != idx {
+			t.Fatalf("blob %d routed to shard %d, want %d", id, d.VM.Shard(id).shard, idx)
 		}
 		perShard[idx] = append(perShard[idx], id)
 	}
@@ -255,7 +255,7 @@ func TestBlobsMergedAcrossShards(t *testing.T) {
 		}
 		want = append(want, b.ID())
 	}
-	got := d.VM.Blobs(0)
+	got := d.VM.blobIDs(0)
 	if len(got) != len(want) {
 		t.Fatalf("Blobs returned %d ids, want %d", len(got), len(want))
 	}
@@ -287,16 +287,16 @@ func TestBlobsMergedAcrossShards(t *testing.T) {
 // allocation the range would skip every foreign id and, worse, any id
 // past a gap.
 func TestVersionManagerBlobsSparseIDs(t *testing.T) {
-	vm := NewVersionManagerShard(cluster.NewLocal(4, 0), 0, 2, 5, 0)
+	vm := newVersionManagerShard(cluster.NewLocal(4, 0), 0, 2, 5, 0)
 	var want []BlobID
 	for i := 0; i < 4; i++ {
-		id, err := vm.CreateBlob(1, 128)
+		id, err := vm.createBlob(1, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, id)
 	}
-	got := vm.Blobs(1)
+	got := vm.blobIDs(1)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Blobs = %v, want %v", got, want)
 	}
@@ -310,10 +310,10 @@ func TestServiceTimeQueuesRequests(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(4))
 	env := cluster.NewSim(net)
-	vm := NewVersionManagerShard(env, 0, 0, 1, svc)
+	vm := newVersionManagerShard(env, 0, 0, 1, svc)
 	var elapsed time.Duration
 	eng.Go(func() {
-		id, err := vm.CreateBlob(1, 128)
+		id, err := vm.createBlob(1, 128)
 		if err != nil {
 			t.Error(err)
 			return
@@ -322,7 +322,7 @@ func TestServiceTimeQueuesRequests(t *testing.T) {
 		wg := env.NewWaitGroup()
 		for i := 0; i < 4; i++ {
 			wg.Go(func() {
-				if _, err := vm.PageSize(1, id); err != nil {
+				if _, err := vm.pageSize(1, id); err != nil {
 					t.Error(err)
 				}
 			})

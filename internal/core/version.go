@@ -12,10 +12,10 @@
 // behaves exactly like the paper's centralized one.
 //
 // The write-side RPCs are batched — RequestTickets, PublishBatch,
-// PublishBatchAsync, AbortBatch — and a single write is a batch of one:
+// AbortBatch — and a single write is a batch of one:
 // there is no per-version variant. A publish or abort call resolves all
 // its members under one hold of vm.mu and advances the blob's published
-// frontier once, waking publishers and AwaitPublished waiters in one
+// frontier once, waking publishers and awaitPublished waiters in one
 // sweep, so clients amortize the manager round trip across many
 // in-flight writes. The frontier moves only under vm.mu: that is the
 // one step the manager serializes.
@@ -94,13 +94,13 @@ type blobState struct {
 	index     creatorIndex  // over records, extended by push
 	published Version       // latest published version
 	pending   map[Version]*pendingWrite
-	// pubWaiters are AwaitPublished and pageOwner callers parked until
+	// pubWaiters are awaitPublished and pageOwner callers parked until
 	// the publication frontier reaches their version.
 	pubWaiters []pubWaiter
 }
 
 func newBlobState(pageSize int64) *blobState {
-	ix := creatorIndex{exact: make(map[PageRange]int), full: make(map[PageRange]int)}
+	ix := creatorIndex{exact: make(map[pageRange]int), full: make(map[pageRange]int)}
 	return &blobState{pageSize: pageSize, pending: make(map[Version]*pendingWrite), index: ix}
 }
 
@@ -115,21 +115,14 @@ type pendingWrite struct {
 	done    cluster.Signal // fired when published or aborted
 }
 
-// NewVersionManager creates a standalone (single-shard) version
-// manager hosted on node: shard 0 of stride 1, allocating the dense id
-// sequence 1, 2, 3, ... exactly as the paper's centralized manager.
-func NewVersionManager(env cluster.Env, node cluster.NodeID) *VersionManager {
-	return NewVersionManagerShard(env, node, 0, 1, 0)
-}
-
-// NewVersionManagerShard creates shard `shard` of a `stride`-shard
+// newVersionManagerShard creates shard `shard` of a `stride`-shard
 // version-manager tier, hosted on node. The shard allocates blob ids
 // congruent to shard modulo stride (starting at the smallest such id
 // >= 1), so the owning shard of any blob is the pure function
 // id mod stride — no lookup table, no routing RPC. serviceTime is the
 // sim occupancy model (Options.VMServiceTime), fixed for the manager's
 // lifetime.
-func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int, serviceTime time.Duration) *VersionManager {
+func newVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride int, serviceTime time.Duration) *VersionManager {
 	if stride < 1 || shard < 0 || shard >= stride {
 		panic(fmt.Sprintf("core: invalid version-manager shard %d of %d", shard, stride))
 	}
@@ -147,12 +140,6 @@ func NewVersionManagerShard(env cluster.Env, node cluster.NodeID, shard, stride 
 		blobs:   make(map[BlobID]*blobState),
 	}
 }
-
-// Node returns the hosting node.
-func (vm *VersionManager) Node() cluster.NodeID { return vm.node }
-
-// ShardIndex returns this manager's shard index within its tier.
-func (vm *VersionManager) ShardIndex() int { return vm.shard }
 
 // serve charges the modeled request-processing occupancy: the caller
 // queues behind every earlier request's slot and holds the processor
@@ -175,11 +162,11 @@ func (vm *VersionManager) serve() {
 	vm.env.Sleep(end - now)
 }
 
-// CreateBlob registers a new blob with the given page size and returns
+// createBlob registers a new blob with the given page size and returns
 // its id — the next id of this shard's stride sequence, so the id
 // itself encodes the owning shard. Version 0 (empty) is immediately
 // readable.
-func (vm *VersionManager) CreateBlob(from cluster.NodeID, pageSize int64) (BlobID, error) {
+func (vm *VersionManager) createBlob(from cluster.NodeID, pageSize int64) (BlobID, error) {
 	if pageSize <= 0 {
 		return 0, fmt.Errorf("%w: page size %d", ErrBadWrite, pageSize)
 	}
@@ -193,8 +180,8 @@ func (vm *VersionManager) CreateBlob(from cluster.NodeID, pageSize int64) (BlobI
 	return id, nil
 }
 
-// PageSize returns the blob's page size.
-func (vm *VersionManager) PageSize(from cluster.NodeID, blob BlobID) (int64, error) {
+// pageSize returns the blob's page size.
+func (vm *VersionManager) pageSize(from cluster.NodeID, blob BlobID) (int64, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()
@@ -252,29 +239,17 @@ func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, in WriteIntent
 	}
 	size := max(prevSize, off+in.Length)
 	rec := WriteRecord{
-		Blob:      blob,
+		blob:      blob,
 		Version:   Version(len(b.records)) + 1,
 		Offset:    off,
 		Length:    in.Length,
 		SizeAfter: size,
-		CapAfter:  capacityPages(size, b.pageSize),
+		capAfter:  capacityPages(size, b.pageSize),
 	}
 	// About two borrows per tree level.
-	borrows := b.push(rec, make([]nodeRef, 0, 2*bits.Len64(uint64(rec.CapAfter))))
+	borrows := b.push(rec, make([]nodeRef, 0, 2*bits.Len64(uint64(rec.capAfter))))
 	b.pending[rec.Version] = &pendingWrite{done: vm.env.NewSignal()}
 	return Ticket{Record: rec, borrows: borrows, capBefore: capBefore(b.records, rec.Version)}
-}
-
-// PublishBatchAsync marks versions of one blob ready for publication
-// without waiting for visibility — the AwaitPublication(false) path.
-// The versions become visible in ticket order, observable through
-// AwaitPublished or any later read. The first per-member error is
-// returned.
-func (vm *VersionManager) PublishBatchAsync(from cluster.NodeID, blob BlobID, vs []Version) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	return vm.resolve(from, blob, vs, false, nil)
 }
 
 // PublishBatch declares the data and metadata of several versions of
@@ -316,8 +291,7 @@ type pubWait struct {
 // resolve charges one round trip and, under one hold of vm.mu, marks
 // every member of vs ready (or, with abort, tombstones it), then
 // advances the blob's frontier once. A publish appends each member that
-// is still pending to waits, when waits is non-nil. It returns the
-// first per-member error.
+// is still pending to waits. It returns the first per-member error.
 func (vm *VersionManager) resolve(from cluster.NodeID, blob BlobID, vs []Version, abort bool, waits *[]pubWait) error {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
@@ -335,7 +309,7 @@ func (vm *VersionManager) resolve(from cluster.NodeID, blob BlobID, vs []Version
 		} else {
 			var p *pendingWrite
 			p, err = vm.applyPublishLocked(b, blob, v)
-			if p != nil && waits != nil {
+			if p != nil {
 				*waits = append(*waits, pubWait{v: v, p: p})
 			}
 		}
@@ -403,10 +377,10 @@ func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version)
 	return nil
 }
 
-// IsAborted reports whether version v of a blob has been tombstoned.
+// isAborted reports whether version v of a blob has been tombstoned.
 // Readers use it to distinguish a dangling metadata link left by an
 // aborted writer (a hole) from genuine metadata loss (an error).
-func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version) (bool, error) {
+func (vm *VersionManager) isAborted(from cluster.NodeID, blob BlobID, v Version) (bool, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()
@@ -421,7 +395,7 @@ func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version)
 	return b.records[int(v)-1].Aborted, nil
 }
 
-// AbortBatch tombstones every still-pending member of one blob's
+// abortBatch tombstones every still-pending member of one blob's
 // version batch (writer failure) in a single round trip. All members are
 // resolved under one lock hold, which yields the guarantee the client's
 // failure reporting relies on: since the publication frontier also only
@@ -430,7 +404,7 @@ func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version)
 // canceled batch can never leave a published member stranded past an
 // aborted one. Already-aborted members are skipped and already-published
 // ones are left alone; the first other error is returned.
-func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Version) error {
+func (vm *VersionManager) abortBatch(from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
@@ -476,14 +450,14 @@ func (vm *VersionManager) advanceLocked(b *blobState) {
 	}
 }
 
-// AwaitPublished blocks until the publication frontier reaches v
+// awaitPublished blocks until the publication frontier reaches v
 // (published or aborted): after it returns nil, reads of any
 // non-aborted version <= v are valid. Concurrent writers use it to
 // merge boundary pages against their true predecessor instead of
 // racing it. A canceled ctx wakes the wait early with an error
 // matching cluster.ErrCanceled; the abandoned waiter entry is swept
 // when the frontier eventually passes v.
-func (vm *VersionManager) AwaitPublished(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
+func (vm *VersionManager) awaitPublished(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	_, sig, err := vm.watch(blob, v, func(*blobState) Version { return v })
@@ -495,7 +469,7 @@ func (vm *VersionManager) AwaitPublished(ctx *cluster.Ctx, from cluster.NodeID, 
 
 // pageOwner returns the newest non-aborted version below v that created
 // page's leaf, once the frontier has reached it (one round trip, like
-// AwaitPublished), or 0 for a hole; a creator that aborts meanwhile is
+// awaitPublished), or 0 for a hole; a creator that aborts meanwhile is
 // passed over for the next older one. Every writer merges the pages it
 // touches, so the page's bytes as of v-1 read the same at its leaf
 // creator as at the newest version whose byte span covers them.
@@ -503,7 +477,7 @@ func (vm *VersionManager) pageOwner(ctx *cluster.Ctx, from cluster.NodeID, blob 
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	for {
-		w, sig, err := vm.watch(blob, v, func(b *blobState) Version { return b.creator(v-1, PageRange{Off: page, Count: 1}) })
+		w, sig, err := vm.watch(blob, v, func(b *blobState) Version { return b.creator(v-1, pageRange{off: page, count: 1}) })
 		if err != nil || sig == nil {
 			return w, err
 		}
@@ -535,19 +509,19 @@ func (vm *VersionManager) watch(blob BlobID, v Version, target func(*blobState) 
 	return w, sig, nil
 }
 
-// Latest returns the newest published, non-aborted version and its
+// latest returns the newest published, non-aborted version and its
 // size. An empty blob reports version 0, size 0.
-func (vm *VersionManager) Latest(from cluster.NodeID, blob BlobID) (Version, int64, error) {
-	rec, ok, err := vm.LatestRecord(from, blob)
+func (vm *VersionManager) latest(from cluster.NodeID, blob BlobID) (Version, int64, error) {
+	rec, ok, err := vm.latestRecord(from, blob)
 	if err != nil || !ok {
 		return 0, 0, err
 	}
 	return rec.Version, rec.SizeAfter, nil
 }
 
-// LatestRecord returns the newest published, non-aborted version's
+// latestRecord returns the newest published, non-aborted version's
 // record. ok is false for an empty blob.
-func (vm *VersionManager) LatestRecord(from cluster.NodeID, blob BlobID) (WriteRecord, bool, error) {
+func (vm *VersionManager) latestRecord(from cluster.NodeID, blob BlobID) (WriteRecord, bool, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()
@@ -565,13 +539,13 @@ func (vm *VersionManager) LatestRecord(from cluster.NodeID, blob BlobID) (WriteR
 	return WriteRecord{}, false, nil
 }
 
-// Clone creates a new blob sharing everything up to (and including)
+// clone creates a new blob sharing everything up to (and including)
 // published version v of the source: an O(published-versions) copy of
 // the records, indexed afresh, and zero data movement — the cheap
 // branching the lineage systems (GFS, BlobSeer) advertise. The clone's
 // own writes continue from version v+1 in its private key space;
 // source and clone never see each other's subsequent writes.
-func (vm *VersionManager) Clone(from cluster.NodeID, source BlobID, v Version) (BlobID, error) {
+func (vm *VersionManager) clone(from cluster.NodeID, source BlobID, v Version) (BlobID, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()
@@ -622,11 +596,11 @@ func (vm *VersionManager) GetVersion(from cluster.NodeID, blob BlobID, v Version
 	return rec, nil
 }
 
-// Records returns the write records of every version up to the
+// records returns the write records of every version up to the
 // publication frontier — aborted ones included, tagged as such — in a
 // single round trip: the batched alternative to calling GetVersion once
 // per version.
-func (vm *VersionManager) Records(from cluster.NodeID, blob BlobID) ([]WriteRecord, error) {
+func (vm *VersionManager) records(from cluster.NodeID, blob BlobID) ([]WriteRecord, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()
@@ -640,12 +614,12 @@ func (vm *VersionManager) Records(from cluster.NodeID, blob BlobID) ([]WriteReco
 	return out, nil
 }
 
-// Blobs lists every registered blob id of this shard in ascending
+// blobIDs lists every registered blob id of this shard in ascending
 // order (the repair sweep's work list). The blobs map — not the dense
 // range up to nextID — is the source of truth: with per-shard stride
 // allocation the id space is sparse, and a range scan would silently
 // skip every id owned by another shard.
-func (vm *VersionManager) Blobs(from cluster.NodeID) []BlobID {
+func (vm *VersionManager) blobIDs(from cluster.NodeID) []BlobID {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()

@@ -17,25 +17,25 @@ func localVM() *VersionManager {
 
 func TestCreateBlobAndPageSize(t *testing.T) {
 	vm := localVM()
-	id, err := vm.CreateBlob(1, 4096)
+	id, err := vm.createBlob(1, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := vm.PageSize(1, id)
+	ps, err := vm.pageSize(1, id)
 	if err != nil || ps != 4096 {
 		t.Fatalf("PageSize = %d, %v", ps, err)
 	}
-	if _, err := vm.CreateBlob(1, 0); err == nil {
+	if _, err := vm.createBlob(1, 0); err == nil {
 		t.Fatal("zero page size accepted")
 	}
-	if _, err := vm.PageSize(1, 999); !errors.Is(err, ErrNoSuchBlob) {
+	if _, err := vm.pageSize(1, 999); !errors.Is(err, ErrNoSuchBlob) {
 		t.Fatalf("err = %v, want ErrNoSuchBlob", err)
 	}
 }
 
 func TestTicketAssignsOrderedVersions(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	t1, err := ticket1(vm, 0, id, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func assertBorrows(t *testing.T, tk Ticket, capBefore int64, want ...nodeRef) {
 
 func TestTicketRejectsBadLength(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	if _, err := ticket1(vm, 0, id, 0, 0); !errors.Is(err, ErrBadWrite) {
 		t.Fatalf("err = %v", err)
 	}
@@ -87,7 +87,7 @@ func TestPublishInOrder(t *testing.T) {
 
 	var v2Visible, v1Published time.Duration
 	eng.Go(func() {
-		id, _ = vm.CreateBlob(1, 100)
+		id, _ = vm.createBlob(1, 100)
 		ticket1(vm, 1, id, 0, 100)  // v1
 		ticket1(vm, 1, id, -1, 100) // v2
 
@@ -108,7 +108,7 @@ func TestPublishInOrder(t *testing.T) {
 		})
 		wg.Wait()
 
-		v, size, err := vm.Latest(1, id)
+		v, size, err := vm.latest(1, id)
 		if err != nil || v != 2 || size != 200 {
 			t.Errorf("Latest = %d/%d, %v", v, size, err)
 		}
@@ -127,7 +127,7 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 	env := cluster.NewSim(net)
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
-		id, _ := vm.CreateBlob(1, 100)
+		id, _ := vm.createBlob(1, 100)
 		ticket1(vm, 1, id, 0, 100)  // v1 (will abort)
 		ticket1(vm, 1, id, -1, 100) // v2
 
@@ -144,7 +144,7 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 			}
 		})
 		wg.Wait()
-		v, _, _ := vm.Latest(1, id)
+		v, _, _ := vm.latest(1, id)
 		if v != 2 {
 			t.Errorf("Latest = %d, want 2 (v1 aborted)", v)
 		}
@@ -164,7 +164,7 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 
 func TestLatestSkipsTrailingAborted(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	ticket1(vm, 0, id, 0, 100)
 	ticket1(vm, 0, id, -1, 100)
 	if err := publish1(vm, bg, 0, id, 1); err != nil {
@@ -173,7 +173,7 @@ func TestLatestSkipsTrailingAborted(t *testing.T) {
 	if err := abort1(vm, 0, id, 2); err != nil {
 		t.Fatal(err)
 	}
-	v, size, err := vm.Latest(0, id)
+	v, size, err := vm.latest(0, id)
 	if err != nil || v != 1 || size != 100 {
 		t.Fatalf("Latest = %d/%d, %v", v, size, err)
 	}
@@ -181,7 +181,7 @@ func TestLatestSkipsTrailingAborted(t *testing.T) {
 
 func TestGetVersionBounds(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	if _, err := vm.GetVersion(0, id, 0); !errors.Is(err, ErrNoSuchVersion) {
 		t.Fatalf("v0: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestAbortTypedErrors(t *testing.T) {
 	setup := func(t *testing.T) (*VersionManager, BlobID) {
 		t.Helper()
 		vm := localVM()
-		id, err := vm.CreateBlob(0, 100)
+		id, err := vm.createBlob(0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestAbortTypedErrors(t *testing.T) {
 // intent fails the whole batch before any version is burned.
 func TestRequestTicketsBatch(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	if _, err := ticket1(vm, 0, id, 0, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestPublishBatchOneCall(t *testing.T) {
 	env := cluster.NewSim(net)
 	vm := NewVersionManager(env, 0)
 	eng.Go(func() {
-		id, _ := vm.CreateBlob(1, 100)
+		id, _ := vm.createBlob(1, 100)
 		ts, err := vm.RequestTickets(1, id, []WriteIntent{
 			{Off: -1, Length: 10}, {Off: -1, Length: 10}, {Off: -1, Length: 10},
 		}, 0)
@@ -379,7 +379,7 @@ func TestPublishBatchOneCall(t *testing.T) {
 			}
 		})
 		wg.Wait()
-		v, size, err := vm.Latest(1, id)
+		v, size, err := vm.latest(1, id)
 		if err != nil || v != 4 || size != 40 {
 			t.Errorf("Latest = %d/%d, %v", v, size, err)
 		}
@@ -401,7 +401,7 @@ func TestPublishBatchOneCall(t *testing.T) {
 // version reports the abort while still publishing the live members.
 func TestPublishBatchWithAbortedMember(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	for i := 0; i < 3; i++ {
 		ticket1(vm, 0, id, -1, 10)
 	}
@@ -411,7 +411,7 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 	if err := vm.PublishBatch(bg, 0, id, []Version{1, 2, 3}); !errors.Is(err, ErrAborted) {
 		t.Fatalf("batch with aborted member = %v, want ErrAborted", err)
 	}
-	v, _, err := vm.Latest(0, id)
+	v, _, err := vm.latest(0, id)
 	if err != nil || v != 3 {
 		t.Fatalf("Latest = %d, %v; want 3 (live members published)", v, err)
 	}
@@ -423,7 +423,7 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 // version is tolerated and retracts nothing.
 func TestPublishBatchReverseOrder(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
+	id, _ := vm.createBlob(0, 100)
 	ts, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 25}, {Off: -1, Length: 25}}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +431,7 @@ func TestPublishBatchReverseOrder(t *testing.T) {
 	if err := vm.PublishBatch(bg, 0, id, []Version{ts[1].Record.Version, ts[0].Record.Version}); err != nil {
 		t.Fatal(err)
 	}
-	v, size, err := vm.Latest(0, id)
+	v, size, err := vm.latest(0, id)
 	if err != nil || v != 2 || size != 50 {
 		t.Fatalf("Latest = %d/%d, %v", v, size, err)
 	}
@@ -445,8 +445,8 @@ func TestPublishBatchReverseOrder(t *testing.T) {
 
 func TestEmptyBlobLatest(t *testing.T) {
 	vm := localVM()
-	id, _ := vm.CreateBlob(0, 100)
-	v, size, err := vm.Latest(0, id)
+	id, _ := vm.createBlob(0, 100)
+	v, size, err := vm.latest(0, id)
 	if err != nil || v != 0 || size != 0 {
 		t.Fatalf("Latest(empty) = %d/%d, %v", v, size, err)
 	}
@@ -468,11 +468,11 @@ func TestPublishNoConvoy(t *testing.T) {
 		t0 := env.Now()
 		env.RTT(1, 0)
 		rtt = env.Now() - t0
-		hog, _ := vm.CreateBlob(1, 128)
+		hog, _ := vm.createBlob(1, 128)
 		quiet := make([]BlobID, quiets)
 		quietV := make([]Version, quiets)
 		for i := range quiet {
-			quiet[i], _ = vm.CreateBlob(1, 128)
+			quiet[i], _ = vm.createBlob(1, 128)
 			tk, err := ticket1(vm, 1, quiet[i], -1, 128)
 			if err != nil {
 				t.Error(err)
@@ -495,7 +495,7 @@ func TestPublishNoConvoy(t *testing.T) {
 				vs[i] = Version(c*chunk + i + 1)
 			}
 			wg.Go(func() {
-				if err := vm.PublishBatchAsync(1, hog, vs); err != nil {
+				if err := vm.PublishBatch(bg, 1, hog, vs); err != nil {
 					t.Error(err)
 				}
 			})
@@ -510,10 +510,10 @@ func TestPublishNoConvoy(t *testing.T) {
 			})
 		}
 		wg.Wait()
-		if err := vm.AwaitPublished(bg, 1, hog, Version(chunk*chunks)); err != nil {
+		if err := vm.awaitPublished(bg, 1, hog, Version(chunk*chunks)); err != nil {
 			t.Error(err)
 		}
-		if v, _, err := vm.Latest(1, hog); err != nil || v != chunk*chunks {
+		if v, _, err := vm.latest(1, hog); err != nil || v != chunk*chunks {
 			t.Errorf("backlog Latest = %d, %v; want %d", v, err, chunk*chunks)
 		}
 	})
@@ -528,4 +528,11 @@ func TestPublishNoConvoy(t *testing.T) {
 			t.Errorf("quiet publish %d took %s behind a %d-version backlog, want <= its %s round trip", i, lat, chunk*chunks, rtt)
 		}
 	}
+}
+
+// NewVersionManager creates a standalone (single-shard) version
+// manager hosted on node: shard 0 of stride 1, allocating the dense id
+// sequence 1, 2, 3, ... exactly as the paper's centralized manager.
+func NewVersionManager(env cluster.Env, node cluster.NodeID) *VersionManager {
+	return newVersionManagerShard(env, node, 0, 1, 0)
 }

@@ -12,7 +12,7 @@ func BenchmarkRingLookup(b *testing.B) {
 	r := NewRing(nodes(24), 32, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.Lookup(fmt.Sprintf("m/1/%d/0/8", i))
+		_ = r.lookup(fmt.Sprintf("m/1/%d/0/8", i))
 	}
 }
 
@@ -68,7 +68,7 @@ func BenchmarkRingLookupAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key = append(key[:0], 'p', '/')
 		key = appendInt(key, i)
-		scratch = r.LookupBytesAppend(scratch[:0], key, 3)
+		scratch = r.lookupHash(scratch[:0], hash64Bytes(key), 3)
 		if len(scratch) != 3 {
 			b.Fatal("short lookup")
 		}

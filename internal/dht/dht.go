@@ -80,16 +80,6 @@ func pointsFor(n cluster.NodeID, vnodes int) []point {
 	return pts
 }
 
-// Nodes returns a snapshot of the ring's member nodes.
-func (r *Ring) Nodes() []cluster.NodeID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]cluster.NodeID(nil), r.nodes...)
-}
-
-// Replication returns the replica count.
-func (r *Ring) Replication() int { return r.replication }
-
 // Size returns the current member count.
 func (r *Ring) Size() int {
 	r.mu.RLock()
@@ -140,34 +130,22 @@ func (r *Ring) RemoveNode(n cluster.NodeID) {
 	r.points = kept
 }
 
-// Lookup returns the replica set for a key: the first `replication`
-// distinct nodes walking clockwise from the key's hash.
-func (r *Ring) Lookup(key string) []cluster.NodeID {
-	return r.LookupN(key, r.replication)
-}
-
-// LookupN is Lookup with an explicit replica count (clamped to the
+// LookupN returns the replica set for a key: the first n distinct
+// nodes walking clockwise from the key's hash (n clamped to the
 // current membership size).
 func (r *Ring) LookupN(key string, n int) []cluster.NodeID {
-	return r.LookupAppend(make([]cluster.NodeID, 0, n), key, n)
+	return r.lookupAppend(make([]cluster.NodeID, 0, n), key, n)
 }
 
-// LookupAppend appends the replica set for key to dst and returns the
+// lookupAppend appends the replica set for key to dst and returns the
 // extended slice. It is LookupN without the per-call allocation:
 // callers looping over many keys pass the same backing slice (or a
 // slice re-sliced to length 0) and reuse its capacity.
-func (r *Ring) LookupAppend(dst []cluster.NodeID, key string, n int) []cluster.NodeID {
-	return r.lookupAppend(dst, hash64(key), n)
+func (r *Ring) lookupAppend(dst []cluster.NodeID, key string, n int) []cluster.NodeID {
+	return r.lookupHash(dst, hash64(key), n)
 }
 
-// LookupBytesAppend is LookupAppend for keys rendered into byte
-// buffers (strconv.Append* style), so routing an appended key costs no
-// intermediate string.
-func (r *Ring) LookupBytesAppend(dst []cluster.NodeID, key []byte, n int) []cluster.NodeID {
-	return r.lookupAppend(dst, hash64Bytes(key), n)
-}
-
-func (r *Ring) lookupAppend(dst []cluster.NodeID, h uint64, n int) []cluster.NodeID {
+func (r *Ring) lookupHash(dst []cluster.NodeID, h uint64, n int) []cluster.NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if n > len(r.nodes) {
@@ -244,22 +222,14 @@ func mix64(x uint64) uint64 {
 
 // Server is the metadata store hosted on one node.
 type Server struct {
-	node cluster.NodeID
-
 	mu   sync.Mutex
 	m    map[string][]byte
 	down bool
 }
 
-// NewServer returns an empty metadata server for a node.
-func NewServer(node cluster.NodeID) *Server {
-	return &Server{node: node, m: make(map[string][]byte)}
-}
-
-// Node returns the hosting node.
-func (s *Server) Node() cluster.NodeID { return s.node }
-
 // SetDown marks the server unreachable (failure injection).
+//
+// bsfs-vet:allow deadexport -- no non-test caller: it is failure injection, which core's and rpcnet's tests use to take metadata servers down
 func (s *Server) SetDown(down bool) {
 	s.mu.Lock()
 	s.down = down
@@ -295,8 +265,8 @@ func (s *Server) get(keys []string) (map[string][]byte, bool) {
 	return out, true
 }
 
-// Len returns the number of keys stored on this server.
-func (s *Server) Len() int {
+// keys returns the number of keys stored on this server.
+func (s *Server) keys() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
@@ -305,27 +275,29 @@ func (s *Server) Len() int {
 // Cluster is the fleet of metadata servers plus the ring that routes to
 // them. It is shared by all clients of one deployment.
 type Cluster struct {
-	Ring    *Ring
+	ring    *Ring
 	servers map[cluster.NodeID]*Server
 }
 
 // NewCluster creates servers on the given nodes.
 func NewCluster(nodes []cluster.NodeID, vnodes, replication int) *Cluster {
-	c := &Cluster{Ring: NewRing(nodes, vnodes, replication), servers: make(map[cluster.NodeID]*Server)}
+	c := &Cluster{ring: NewRing(nodes, vnodes, replication), servers: make(map[cluster.NodeID]*Server)}
 	for _, n := range nodes {
-		c.servers[n] = NewServer(n)
+		c.servers[n] = &Server{m: make(map[string][]byte)}
 	}
 	return c
 }
 
 // Server returns the server on a node (nil if none).
+//
+// bsfs-vet:allow deadexport -- no non-test caller: core's and rpcnet's failure-injection tests reach servers through it
 func (c *Cluster) Server(n cluster.NodeID) *Server { return c.servers[n] }
 
 // TotalKeys sums stored keys across servers (incl. replicas).
 func (c *Cluster) TotalKeys() int {
 	total := 0
 	for _, s := range c.servers {
-		total += s.Len()
+		total += s.keys()
 	}
 	return total
 }
@@ -343,23 +315,18 @@ func (c *Cluster) NewClient(env cluster.Env, from cluster.NodeID) *Client {
 	return &Client{env: env, dht: c, from: from}
 }
 
-// Put stores one key on its replica set.
-func (c *Client) Put(key string, val []byte) error {
-	return c.BatchPut(map[string][]byte{key: val})
-}
-
 // BatchPut stores many keys, grouped per destination server, as one
 // parallel round of messages plus one scatter transfer for the payload.
 func (c *Client) BatchPut(kvs map[string][]byte) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	groups := make(map[cluster.NodeID]map[string][]byte, c.dht.Ring.Replication())
+	groups := make(map[cluster.NodeID]map[string][]byte, c.dht.ring.replication)
 	var total int64
 	var replicas []cluster.NodeID // reused across keys
 	for k, v := range kvs {
 		total += int64(len(k) + len(v))
-		replicas = c.dht.Ring.LookupAppend(replicas[:0], k, c.dht.Ring.Replication())
+		replicas = c.dht.ring.lookupAppend(replicas[:0], k, c.dht.ring.replication)
 		for _, n := range replicas {
 			g := groups[n]
 			if g == nil {
@@ -376,7 +343,7 @@ func (c *Client) BatchPut(kvs map[string][]byte) error {
 	slices.Sort(dests)
 	// One round trip (requests go out in parallel) plus the payload.
 	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, dests))
-	c.env.Scatter(c.from, dests, total*int64(c.dht.Ring.Replication()))
+	c.env.Scatter(c.from, dests, total*int64(c.dht.ring.replication))
 	ok := false
 	for _, n := range dests {
 		if c.dht.servers[n].put(groups[n]) {
@@ -411,7 +378,7 @@ func (c *Client) BatchGet(keys []string) (map[string][]byte, error) {
 	groups := make(map[cluster.NodeID][]string)
 	var replicas []cluster.NodeID // reused across keys
 	for _, k := range keys {
-		replicas = c.dht.Ring.LookupAppend(replicas[:0], k, c.dht.Ring.Replication())
+		replicas = c.dht.ring.lookupAppend(replicas[:0], k, c.dht.ring.replication)
 		n := c.firstUp(replicas)
 		groups[n] = append(groups[n], k)
 	}

@@ -20,8 +20,8 @@ func nodes(n int) []cluster.NodeID {
 
 func TestRingLookupDeterministic(t *testing.T) {
 	r := NewRing(nodes(10), 32, 3)
-	a := r.Lookup("some/key")
-	b := r.Lookup("some/key")
+	a := r.lookup("some/key")
+	b := r.lookup("some/key")
 	if len(a) != 3 {
 		t.Fatalf("replica set size = %d", len(a))
 	}
@@ -41,7 +41,7 @@ func TestRingLookupDeterministic(t *testing.T) {
 
 func TestRingReplicationClamped(t *testing.T) {
 	r := NewRing(nodes(2), 8, 5)
-	if got := len(r.Lookup("k")); got != 2 {
+	if got := len(r.lookup("k")); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[cluster.NodeID]int{}
 	const keys = 20000
 	for i := 0; i < keys; i++ {
-		counts[r.Lookup(fmt.Sprintf("key-%d", i))[0]]++
+		counts[r.lookup(fmt.Sprintf("key-%d", i))[0]]++
 	}
 	want := keys / 16
 	for n, c := range counts {
@@ -69,7 +69,7 @@ func TestRingStabilityUnderGrowth(t *testing.T) {
 	const keys = 10000
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if r1.Lookup(k)[0] != r2.Lookup(k)[0] {
+		if r1.lookup(k)[0] != r2.lookup(k)[0] {
 			moved++
 		}
 	}
@@ -97,7 +97,7 @@ func TestRingAddRemoveNode(t *testing.T) {
 	fresh := NewRing(want, 64, 2)
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		a, b := r.Lookup(k), fresh.Lookup(k)
+		a, b := r.lookup(k), fresh.lookup(k)
 		if len(a) != len(b) {
 			t.Fatalf("key %s: %v vs fresh %v", k, a, b)
 		}
@@ -115,12 +115,12 @@ func TestRingAddNodeMinimalMovement(t *testing.T) {
 	const keys = 10000
 	before := make([]cluster.NodeID, keys)
 	for i := range before {
-		before[i] = r.Lookup(fmt.Sprintf("key-%d", i))[0]
+		before[i] = r.lookup(fmt.Sprintf("key-%d", i))[0]
 	}
 	r.AddNode(cluster.NodeID(10))
 	moved := 0
 	for i := range before {
-		after := r.Lookup(fmt.Sprintf("key-%d", i))[0]
+		after := r.lookup(fmt.Sprintf("key-%d", i))[0]
 		if after != before[i] {
 			moved++
 			if after != cluster.NodeID(10) {
@@ -139,7 +139,7 @@ func TestRingAddNodeMinimalMovement(t *testing.T) {
 func TestRingRemoveNodeKeepsLast(t *testing.T) {
 	r := NewRing(nodes(1), 8, 1)
 	r.RemoveNode(cluster.NodeID(0))
-	if got := r.Lookup("k"); len(got) != 1 || got[0] != 0 {
+	if got := r.lookup("k"); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("lookup after removing last node = %v", got)
 	}
 }
@@ -313,43 +313,45 @@ func TestPointsForFormatPinned(t *testing.T) {
 	}
 }
 
-// TestHash64BytesMatchesString: the byte-key lookup path must route
-// exactly like the string path.
+// TestHash64BytesMatchesString: a key hashes alike as bytes and as a
+// string.
 func TestHash64BytesMatchesString(t *testing.T) {
 	for _, s := range []string{"", "p/1/2/3", "m/9/42/128/8", "x"} {
 		if hb, hs := hash64Bytes([]byte(s)), hash64(s); hb != hs {
 			t.Fatalf("hash64Bytes(%q) = %#x, hash64 = %#x", s, hb, hs)
 		}
 	}
-	r := NewRing(nodes(8), 16, 3)
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("p/1/%d/%d", i%7, i)
-		want := r.LookupN(k, 3)
-		got := r.LookupBytesAppend(nil, []byte(k), 3)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("LookupBytesAppend(%q) = %v, LookupN = %v", k, got, want)
-		}
-	}
 }
 
-// TestLookupAppendReusesBuffer: LookupAppend appends after the given
+// TestLookupAppendReusesBuffer: lookupAppend appends after the given
 // prefix and reuses capacity.
 func TestLookupAppendReusesBuffer(t *testing.T) {
 	r := NewRing(nodes(8), 16, 3)
 	buf := make([]cluster.NodeID, 0, 8)
-	first := append([]cluster.NodeID(nil), r.LookupAppend(buf, "a", 3)...)
-	buf = r.LookupAppend(buf[:0], "a", 3)
+	first := append([]cluster.NodeID(nil), r.lookupAppend(buf, "a", 3)...)
+	buf = r.lookupAppend(buf[:0], "a", 3)
 	if fmt.Sprint(buf) != fmt.Sprint(first) {
 		t.Fatalf("reused buffer lookup %v != %v", buf, first)
 	}
 	if got, want := fmt.Sprint(buf), fmt.Sprint(r.LookupN("a", 3)); got != want {
-		t.Fatalf("LookupAppend = %s, LookupN = %s", got, want)
+		t.Fatalf("lookupAppend = %s, LookupN = %s", got, want)
 	}
 	// Appending after a non-empty prefix keeps the prefix intact and
 	// dedups only within the appended portion.
 	pre := []cluster.NodeID{buf[0]}
-	out := r.LookupAppend(pre, "a", 3)
+	out := r.lookupAppend(pre, "a", 3)
 	if out[0] != pre[0] || fmt.Sprint(out[1:]) != fmt.Sprint(first) {
 		t.Fatalf("prefixed append = %v (first=%v)", out, first)
 	}
+}
+
+// Put stores one key on its replica set.
+func (c *Client) Put(key string, val []byte) error {
+	return c.BatchPut(map[string][]byte{key: val})
+}
+
+// lookup returns the replica set for a key: the first `replication`
+// distinct nodes walking clockwise from the key's hash.
+func (r *Ring) lookup(key string) []cluster.NodeID {
+	return r.LookupN(key, r.replication)
 }

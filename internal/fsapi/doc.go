@@ -15,18 +15,11 @@
 // benchmarks move volumes without materializing them.
 //
 // Create, OpenAt and Append take functional OpenOptions shared by
-// every implementation:
-//
-//   - AtVersion(v) pins an OpenAt to a published snapshot. Versioning
-//     file systems (BSFS) serve the frozen view; others return an
-//     error wrapping ErrNotSupported — typed, so callers can fall back
-//     deliberately instead of silently reading the wrong data.
-//   - WithCtx(ctx) scopes every operation performed through the
-//     returned handle to a cluster.Ctx: cancellation or deadline
-//     expiry makes in-flight and subsequent operations fail promptly
-//     with an error matching cluster.ErrCanceled. The MapReduce task
-//     runner uses this for straggler kill — speculative losers and
-//     deadline-overrunning attempts die mid-I/O.
+// every implementation. The one option, AtVersion(v), pins an OpenAt
+// to a published snapshot. Versioning file systems (BSFS) serve the
+// frozen view; others return an error wrapping ErrNotSupported —
+// typed, so callers can fall back deliberately instead of silently
+// reading the wrong data.
 //
 // Implementations signal unsupported operations with errors wrapping
 // the package's typed sentinels (ErrNotSupported, ErrNotFound, ...);

@@ -51,18 +51,12 @@ type OpenSettings struct {
 	// set; otherwise the latest content is addressed.
 	Version    uint64
 	HasVersion bool
-	// Ctx scopes every operation performed through the returned Reader
-	// or Writer: cancellation or deadline expiry makes in-flight and
-	// subsequent operations fail promptly with an error matching
-	// cluster.ErrCanceled. Never nil (defaults to cluster.Background).
-	Ctx *cluster.Ctx
 }
 
 // ApplyOpenOptions resolves opts over the defaults; implementations
 // call it at the top of Create/OpenAt/Append.
 func ApplyOpenOptions(opts []OpenOption) OpenSettings {
-	//bsfs-vet:allow ctxflow -- the options default: an open with no WithCtx is deliberately uncancellable
-	s := OpenSettings{Ctx: cluster.Background()}
+	var s OpenSettings
 	for _, o := range opts {
 		o(&s)
 	}
@@ -73,19 +67,6 @@ func ApplyOpenOptions(opts []OpenOption) OpenSettings {
 // systems without versioning return ErrNotSupported.
 func AtVersion(v uint64) OpenOption {
 	return func(s *OpenSettings) { s.Version, s.HasVersion = v, true }
-}
-
-// WithCtx scopes the handle returned by Create/OpenAt/Append to ctx:
-// reads and writes through it become cancellable. A nil ctx means
-// Background (never canceled).
-func WithCtx(ctx *cluster.Ctx) OpenOption {
-	return func(s *OpenSettings) {
-		if ctx == nil {
-			//bsfs-vet:allow ctxflow -- WithCtx(nil) documents "explicitly uncancellable"
-			ctx = cluster.Background()
-		}
-		s.Ctx = ctx
-	}
 }
 
 // Writer is a sequential file writer.
@@ -122,10 +103,9 @@ type FileSystem interface {
 	// Open returns a reader over the file's latest content — shorthand
 	// for OpenAt with no options.
 	Open(path string) (Reader, error)
-	// OpenAt opens a file for reading, parameterized by options: an
-	// op-scoped Ctx (WithCtx) and, on versioning file systems, a pinned
-	// snapshot (AtVersion). File systems without versioning return
-	// ErrNotSupported when a snapshot is requested.
+	// OpenAt opens a file for reading, on versioning file systems at a
+	// pinned snapshot (AtVersion). File systems without versioning
+	// return ErrNotSupported when a snapshot is requested.
 	OpenAt(path string, opts ...OpenOption) (Reader, error)
 	// Append opens an existing file for appending. File systems
 	// without append support return ErrNotSupported (HDFS, §II.C).
@@ -141,8 +121,8 @@ type FileSystem interface {
 	BlockLocations(path string, off, length int64) ([]BlockLocation, error)
 }
 
-// CleanPath normalizes a path to the canonical /a/b/c form.
-func CleanPath(p string) (string, error) {
+// cleanPath normalizes a path to the canonical /a/b/c form.
+func cleanPath(p string) (string, error) {
 	if p == "" {
 		return "", ErrBadPath
 	}
@@ -161,8 +141,8 @@ func CleanPath(p string) (string, error) {
 	return "/" + strings.Join(out, "/"), nil
 }
 
-// SplitPath returns the parent directory and base name of a clean path.
-func SplitPath(clean string) (dir, base string) {
+// splitPath returns the parent directory and base name of a clean path.
+func splitPath(clean string) (dir, base string) {
 	i := strings.LastIndexByte(clean, '/')
 	if i <= 0 {
 		return "/", clean[1:]

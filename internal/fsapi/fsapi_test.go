@@ -17,13 +17,13 @@ func TestCleanPath(t *testing.T) {
 		{"./a/./b", "/a/b"},
 	}
 	for _, c := range cases {
-		got, err := CleanPath(c.in)
+		got, err := cleanPath(c.in)
 		if err != nil || got != c.want {
 			t.Errorf("CleanPath(%q) = %q, %v; want %q", c.in, got, err, c.want)
 		}
 	}
 	for _, bad := range []string{"", "../x", "/a/../b"} {
-		if _, err := CleanPath(bad); err == nil {
+		if _, err := cleanPath(bad); err == nil {
 			t.Errorf("CleanPath(%q) accepted", bad)
 		}
 	}
@@ -36,7 +36,7 @@ func TestSplitPath(t *testing.T) {
 		{"/a/b/c", "/a/b", "c"},
 	}
 	for _, c := range cases {
-		dir, base := SplitPath(c.in)
+		dir, base := splitPath(c.in)
 		if dir != c.dir || base != c.base {
 			t.Errorf("SplitPath(%q) = %q, %q", c.in, dir, base)
 		}
@@ -252,4 +252,40 @@ func TestNamespaceQuickAgainstMap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Walk visits every file (not directory) under a clean path, calling fn
+// with the full path and payload.
+func (ns *Namespace) Walk(path string, fn func(path string, size int64, payload any)) error {
+	clean, err := cleanPath(path)
+	if err != nil {
+		return err
+	}
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	start := ns.lookup(clean)
+	if start == nil {
+		return ErrNotFound
+	}
+	var rec func(prefix string, n *nsNode)
+	rec = func(prefix string, n *nsNode) {
+		if !n.dir {
+			fn(prefix, n.size, n.payload)
+			return
+		}
+		names := make([]string, 0, len(n.children))
+		for name := range n.children {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			childPrefix := prefix + "/" + name
+			if prefix == "/" {
+				childPrefix = "/" + name
+			}
+			rec(childPrefix, n.children[name])
+		}
+	}
+	rec(clean, start)
+	return nil
 }

@@ -65,7 +65,7 @@ func indexByte(s string, b byte) int {
 // CreateFile registers a file with a payload. Parent directories are
 // created implicitly (Hadoop semantics).
 func (ns *Namespace) CreateFile(path string, payload any) error {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return err
 	}
@@ -74,7 +74,7 @@ func (ns *Namespace) CreateFile(path string, payload any) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	dir, base := SplitPath(clean)
+	dir, base := splitPath(clean)
 	parent, err := ns.mkdirAllLocked(dir)
 	if err != nil {
 		return err
@@ -113,7 +113,7 @@ func (ns *Namespace) mkdirAllLocked(clean string) (*nsNode, error) {
 
 // Mkdir creates a directory (and parents).
 func (ns *Namespace) Mkdir(path string) error {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func (ns *Namespace) Mkdir(path string) error {
 
 // Payload returns a file's payload.
 func (ns *Namespace) Payload(path string) (any, error) {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (ns *Namespace) Payload(path string) (any, error) {
 // SetSize records a file's size (kept in the namespace so Stat needs no
 // storage round trip).
 func (ns *Namespace) SetSize(path string, size int64) error {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return err
 	}
@@ -165,7 +165,7 @@ func (ns *Namespace) SetSize(path string, size int64) error {
 
 // Stat describes a path.
 func (ns *Namespace) Stat(path string) (FileInfo, error) {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -180,7 +180,7 @@ func (ns *Namespace) Stat(path string) (FileInfo, error) {
 
 // List returns the entries of a directory, sorted by name.
 func (ns *Namespace) List(path string) ([]FileInfo, error) {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return nil, err
 	}
@@ -214,11 +214,11 @@ func (ns *Namespace) List(path string) ([]FileInfo, error) {
 
 // Rename moves a file or directory. The destination must not exist.
 func (ns *Namespace) Rename(oldPath, newPath string) error {
-	oldClean, err := CleanPath(oldPath)
+	oldClean, err := cleanPath(oldPath)
 	if err != nil {
 		return err
 	}
-	newClean, err := CleanPath(newPath)
+	newClean, err := cleanPath(newPath)
 	if err != nil {
 		return err
 	}
@@ -227,7 +227,7 @@ func (ns *Namespace) Rename(oldPath, newPath string) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	oldDir, oldBase := SplitPath(oldClean)
+	oldDir, oldBase := splitPath(oldClean)
 	src := ns.lookup(oldDir)
 	if src == nil || !src.dir {
 		return ErrNotFound
@@ -236,7 +236,7 @@ func (ns *Namespace) Rename(oldPath, newPath string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	newDir, newBase := SplitPath(newClean)
+	newDir, newBase := splitPath(newClean)
 	dst, err := ns.mkdirAllLocked(newDir)
 	if err != nil {
 		return err
@@ -253,7 +253,7 @@ func (ns *Namespace) Rename(oldPath, newPath string) error {
 // Delete removes a file or empty directory. The payload is returned so
 // callers can release storage.
 func (ns *Namespace) Delete(path string) (any, error) {
-	clean, err := CleanPath(path)
+	clean, err := cleanPath(path)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func (ns *Namespace) Delete(path string) (any, error) {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	dir, base := SplitPath(clean)
+	dir, base := splitPath(clean)
 	parent := ns.lookup(dir)
 	if parent == nil || !parent.dir {
 		return nil, ErrNotFound
@@ -276,40 +276,4 @@ func (ns *Namespace) Delete(path string) (any, error) {
 	}
 	delete(parent.children, base)
 	return n.payload, nil
-}
-
-// Walk visits every file (not directory) under a clean path, calling fn
-// with the full path and payload.
-func (ns *Namespace) Walk(path string, fn func(path string, size int64, payload any)) error {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	start := ns.lookup(clean)
-	if start == nil {
-		return ErrNotFound
-	}
-	var rec func(prefix string, n *nsNode)
-	rec = func(prefix string, n *nsNode) {
-		if !n.dir {
-			fn(prefix, n.size, n.payload)
-			return
-		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			childPrefix := prefix + "/" + name
-			if prefix == "/" {
-				childPrefix = "/" + name
-			}
-			rec(childPrefix, n.children[name])
-		}
-	}
-	rec(clean, start)
-	return nil
 }

@@ -89,10 +89,10 @@ type fileMeta struct {
 
 // Deployment is a running HDFS fleet.
 type Deployment struct {
-	Env cluster.Env
-	Cfg Config
-	NN  *NameNode
-	DNs map[cluster.NodeID]*DataNode
+	env cluster.Env
+	cfg Config
+	nn  *nameNode
+	dns map[cluster.NodeID]*dataNode
 }
 
 // NewDeployment starts a namenode and datanodes.
@@ -102,10 +102,10 @@ func NewDeployment(env cluster.Env, cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("hdfs: deployment needs datanodes")
 	}
 	d := &Deployment{
-		Env: env,
-		Cfg: cfg,
-		NN:  newNameNode(env, cfg),
-		DNs: make(map[cluster.NodeID]*DataNode, len(cfg.DataNodes)),
+		env: env,
+		cfg: cfg,
+		nn:  newNameNode(env, cfg),
+		dns: make(map[cluster.NodeID]*dataNode, len(cfg.DataNodes)),
 	}
 	for _, n := range cfg.DataNodes {
 		st, err := pagestore.Open(pagestore.Config{
@@ -115,7 +115,7 @@ func NewDeployment(env cluster.Env, cfg Config) (*Deployment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hdfs: datanode on node %d: %w", n, err)
 		}
-		d.DNs[n] = &DataNode{env: env, node: n, store: st}
+		d.dns[n] = &dataNode{env: env, node: n, store: st}
 	}
 	return d, nil
 }
@@ -124,7 +124,7 @@ func NewDeployment(env cluster.Env, cfg Config) (*Deployment, error) {
 // disk Config.Store). In-memory deployments need no Close.
 func (d *Deployment) Close() error {
 	var first error
-	for _, dn := range d.DNs {
+	for _, dn := range d.dns {
 		if err := dn.store.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -137,8 +137,8 @@ func (d *Deployment) NewFS(node cluster.NodeID) *FS {
 	return &FS{d: d, node: node}
 }
 
-// NameNode keeps the namespace and chunk locations (GFS/HDFS master).
-type NameNode struct {
+// nameNode keeps the namespace and chunk locations (GFS/HDFS master).
+type nameNode struct {
 	env  cluster.Env
 	node cluster.NodeID
 	cfg  Config
@@ -150,12 +150,12 @@ type NameNode struct {
 	isDN      map[cluster.NodeID]bool
 }
 
-func newNameNode(env cluster.Env, cfg Config) *NameNode {
+func newNameNode(env cluster.Env, cfg Config) *nameNode {
 	isDN := make(map[cluster.NodeID]bool, len(cfg.DataNodes))
 	for _, n := range cfg.DataNodes {
 		isDN[n] = true
 	}
-	return &NameNode{
+	return &nameNode{
 		env:  env,
 		node: cfg.NameNode,
 		cfg:  cfg,
@@ -167,7 +167,7 @@ func newNameNode(env cluster.Env, cfg Config) *NameNode {
 
 // allocateChunk picks replica locations per the paper's description of
 // HDFS placement: local first, then same rack, then a different rack.
-func (nn *NameNode) allocateChunk(client cluster.NodeID, size int64) chunkMeta {
+func (nn *nameNode) allocateChunk(client cluster.NodeID, size int64) chunkMeta {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	id := nn.nextChunk
@@ -201,7 +201,7 @@ func (nn *NameNode) allocateChunk(client cluster.NodeID, size int64) chunkMeta {
 // randomDNLocked picks a random datanode. rack >= 0 restricts to that
 // rack; rack <= -2 excludes rack (-2 - rack); rack == -1 is unrestricted.
 // Falls back to any unused datanode when the constraint is unsatisfiable.
-func (nn *NameNode) randomDNLocked(used map[cluster.NodeID]bool, rack int) cluster.NodeID {
+func (nn *nameNode) randomDNLocked(used map[cluster.NodeID]bool, rack int) cluster.NodeID {
 	var pool []cluster.NodeID
 	for _, n := range nn.cfg.DataNodes {
 		if used[n] {
@@ -229,18 +229,12 @@ func (nn *NameNode) randomDNLocked(used map[cluster.NodeID]bool, rack int) clust
 	return pool[nn.rng.Intn(len(pool))]
 }
 
-// DataNode stores chunk replicas on one node.
-type DataNode struct {
+// dataNode stores chunk replicas on one node.
+type dataNode struct {
 	env   cluster.Env
 	node  cluster.NodeID
 	store *pagestore.Store
 }
-
-// Node returns the hosting node.
-func (dn *DataNode) Node() cluster.NodeID { return dn.node }
-
-// Store exposes the chunk store (stats, tests).
-func (dn *DataNode) Store() *pagestore.Store { return dn.store }
 
 // chunkKey renders a chunk's store key. It sits on the per-chunk hot
 // path (every replica put, get and delete), so it formats with
@@ -255,7 +249,7 @@ func chunkKey(id uint64) string {
 // put stores a chunk replica; write-through deployments persist
 // immediately (the pipeline already charged the disk), so the entry is
 // committed clean to keep cache accounting consistent.
-func (dn *DataNode) put(id uint64, data []byte, size int64, writeThrough bool) error {
+func (dn *dataNode) put(id uint64, data []byte, size int64, writeThrough bool) error {
 	key := chunkKey(id)
 	var err error
 	if data == nil {
@@ -274,7 +268,7 @@ func (dn *DataNode) put(id uint64, data []byte, size int64, writeThrough bool) e
 }
 
 // get reads a chunk replica, reporting whether it came from disk.
-func (dn *DataNode) get(id uint64) ([]byte, int64, bool, error) {
+func (dn *dataNode) get(id uint64) ([]byte, int64, bool, error) {
 	data, meta, err := dn.store.Get(chunkKey(id))
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("datanode %d: %w", dn.node, err)
@@ -294,16 +288,12 @@ var _ fsapi.FileSystem = (*FS)(nil)
 func (f *FS) Name() string { return "hdfs" }
 
 // BlockSize implements fsapi.FileSystem.
-func (f *FS) BlockSize() int64 { return f.d.Cfg.ChunkSize }
+func (f *FS) BlockSize() int64 { return f.d.cfg.ChunkSize }
 
-// Node returns the client's node.
-func (f *FS) Node() cluster.NodeID { return f.node }
+func (f *FS) rtt() { f.d.env.RTT(f.node, f.d.nn.node) }
 
-func (f *FS) rtt() { f.d.Env.RTT(f.node, f.d.NN.node) }
-
-// Create registers a new file; HDFS files are write-once. Options:
-// fsapi.WithCtx is accepted (HDFS commits are synchronous, so the ctx
-// only gates new chunk commits); fsapi.AtVersion is rejected.
+// Create registers a new file; HDFS files are write-once.
+// fsapi.AtVersion is rejected.
 func (f *FS) Create(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error) {
 	s := fsapi.ApplyOpenOptions(opts)
 	if s.HasVersion {
@@ -311,13 +301,13 @@ func (f *FS) Create(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error)
 	}
 	f.rtt()
 	meta := &fileMeta{}
-	if err := f.d.NN.ns.CreateFile(path, meta); err != nil {
+	if err := f.d.nn.ns.CreateFile(path, meta); err != nil {
 		if errors.Is(err, fsapi.ErrExists) {
 			return nil, fmt.Errorf("%w: %s", ErrSingleWriter, path)
 		}
 		return nil, err
 	}
-	return &writer{fs: f, path: path, meta: meta, ctx: s.Ctx}, nil
+	return &writer{fs: f, path: path, meta: meta}, nil
 }
 
 // Append implements fsapi.FileSystem: HDFS has no append (§II.C —
@@ -329,7 +319,7 @@ func (f *FS) Append(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error)
 
 func (f *FS) fileMeta(path string) (*fileMeta, error) {
 	f.rtt()
-	payload, err := f.d.NN.ns.Payload(path)
+	payload, err := f.d.nn.ns.Payload(path)
 	if err != nil {
 		return nil, err
 	}
@@ -358,37 +348,37 @@ func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error)
 		return nil, fmt.Errorf("%w: %s", ErrNotClosed, path)
 	}
 	chunks := append([]chunkMeta(nil), meta.chunks...)
-	return &reader{fs: f, chunks: chunks, size: meta.size, ctx: s.Ctx, curIdx: -1}, nil
+	return &reader{fs: f, chunks: chunks, size: meta.size, curIdx: -1}, nil
 }
 
 // Stat implements fsapi.FileSystem.
 func (f *FS) Stat(path string) (fsapi.FileInfo, error) {
 	f.rtt()
-	return f.d.NN.ns.Stat(path)
+	return f.d.nn.ns.Stat(path)
 }
 
 // List implements fsapi.FileSystem.
 func (f *FS) List(path string) ([]fsapi.FileInfo, error) {
 	f.rtt()
-	return f.d.NN.ns.List(path)
+	return f.d.nn.ns.List(path)
 }
 
 // Mkdir implements fsapi.FileSystem.
 func (f *FS) Mkdir(path string) error {
 	f.rtt()
-	return f.d.NN.ns.Mkdir(path)
+	return f.d.nn.ns.Mkdir(path)
 }
 
 // Rename implements fsapi.FileSystem.
 func (f *FS) Rename(oldPath, newPath string) error {
 	f.rtt()
-	return f.d.NN.ns.Rename(oldPath, newPath)
+	return f.d.nn.ns.Rename(oldPath, newPath)
 }
 
 // Delete implements fsapi.FileSystem; chunk replicas are released.
 func (f *FS) Delete(path string) error {
 	f.rtt()
-	payload, err := f.d.NN.ns.Delete(path)
+	payload, err := f.d.nn.ns.Delete(path)
 	if err != nil {
 		return err
 	}
@@ -397,7 +387,7 @@ func (f *FS) Delete(path string) error {
 		defer meta.mu.Unlock()
 		for _, c := range meta.chunks {
 			for _, loc := range c.locs {
-				f.d.DNs[loc].store.Delete(chunkKey(c.id))
+				f.d.dns[loc].store.Delete(chunkKey(c.id))
 			}
 		}
 	}
@@ -435,7 +425,6 @@ type writer struct {
 	fs   *FS
 	path string
 	meta *fileMeta
-	ctx  *cluster.Ctx
 
 	mu        sync.Mutex
 	buf       []byte
@@ -455,7 +444,7 @@ func (w *writer) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("hdfs: mixing real and synthetic writes")
 	}
 	w.buf = append(w.buf, p...)
-	cs := w.fs.d.Cfg.ChunkSize
+	cs := w.fs.d.cfg.ChunkSize
 	for int64(len(w.buf)) >= cs {
 		//bsfs-vet:allow lockedblock -- w.mu models HDFS's single-writer lease: one goroutine per handle, never contended across the pipeline
 		if err := w.commitChunk(w.buf[:cs], cs); err != nil {
@@ -478,7 +467,7 @@ func (w *writer) WriteSynthetic(n int64) (int64, error) {
 	}
 	w.synthetic = true
 	w.synthBuf += n
-	cs := w.fs.d.Cfg.ChunkSize
+	cs := w.fs.d.cfg.ChunkSize
 	for w.synthBuf >= cs {
 		//bsfs-vet:allow lockedblock -- w.mu models HDFS's single-writer lease: one goroutine per handle, never contended across the pipeline
 		if err := w.commitChunk(nil, cs); err != nil {
@@ -490,28 +479,23 @@ func (w *writer) WriteSynthetic(n int64) (int64, error) {
 }
 
 // commitChunk allocates a chunk at the namenode and pushes the payload
-// down the replica pipeline. A canceled op scope stops before the next
-// allocation (the pipeline itself is synchronous and uncancellable,
-// matching HDFS's whole-chunk commit semantics).
+// down the replica pipeline.
 func (w *writer) commitChunk(data []byte, size int64) error {
-	if err := w.ctx.Err(); err != nil {
-		return fmt.Errorf("hdfs: write: %w", err)
-	}
 	w.fs.rtt() // namenode round trip for allocation
-	c := w.fs.d.NN.allocateChunk(w.fs.node, size)
+	c := w.fs.d.nn.allocateChunk(w.fs.node, size)
 	// Pipeline: client -> dn1 -> dn2 -> ...; disks included when
 	// write-through (HDFS's effective behaviour).
-	w.fs.d.Env.Pipeline(w.fs.node, c.locs, size, w.fs.d.Cfg.WriteThrough)
+	w.fs.d.env.Pipeline(w.fs.node, c.locs, size, w.fs.d.cfg.WriteThrough)
 	var cp []byte
 	if data != nil {
 		cp = append([]byte(nil), data...)
 	}
 	for _, loc := range c.locs {
-		dn := w.fs.d.DNs[loc]
+		dn := w.fs.d.dns[loc]
 		if dn == nil {
 			return fmt.Errorf("hdfs: no datanode on %d", loc)
 		}
-		if err := dn.put(c.id, cp, size, w.fs.d.Cfg.WriteThrough); err != nil {
+		if err := dn.put(c.id, cp, size, w.fs.d.cfg.WriteThrough); err != nil {
 			return err
 		}
 	}
@@ -550,7 +534,7 @@ func (w *writer) Close() error {
 	w.meta.complete = true
 	size := w.meta.size
 	w.meta.mu.Unlock()
-	return w.fs.d.NN.ns.SetSize(w.path, size)
+	return w.fs.d.nn.ns.SetSize(w.path, size)
 }
 
 // ---------------------------------------------------------------------
@@ -560,7 +544,6 @@ type reader struct {
 	fs     *FS
 	chunks []chunkMeta
 	size   int64
-	ctx    *cluster.Ctx
 
 	mu      sync.Mutex
 	pos     int64
@@ -592,7 +575,7 @@ func (r *reader) pickReplica(locs []cluster.NodeID) cluster.NodeID {
 		}
 	}
 	for _, l := range locs {
-		if r.fs.d.Env.Rack(l) == r.fs.d.Env.Rack(r.fs.node) {
+		if r.fs.d.env.Rack(l) == r.fs.d.env.Rack(r.fs.node) {
 			return l
 		}
 	}
@@ -600,15 +583,11 @@ func (r *reader) pickReplica(locs []cluster.NodeID) cluster.NodeID {
 }
 
 // fetchChunk pulls one whole chunk from a replica, charging the
-// network and the replica's disk on a cache miss. A canceled op scope
-// fails before the next chunk fetch.
+// network and the replica's disk on a cache miss.
 func (r *reader) fetchChunk(idx int, materialize bool) ([]byte, error) {
-	if err := r.ctx.Err(); err != nil {
-		return nil, fmt.Errorf("hdfs: read: %w", err)
-	}
 	c := r.chunks[idx]
 	src := r.pickReplica(c.locs)
-	dn := r.fs.d.DNs[src]
+	dn := r.fs.d.dns[src]
 	data, size, fromDisk, err := dn.get(c.id)
 	if err != nil {
 		return nil, err
@@ -617,8 +596,8 @@ func (r *reader) fetchChunk(idx int, materialize bool) ([]byte, error) {
 	if fromDisk {
 		diskFrac = 1.0
 	}
-	r.fs.d.Env.RTT(r.fs.node, src)
-	r.fs.d.Env.Gather(r.fs.node, []cluster.NodeID{src}, size, diskFrac)
+	r.fs.d.env.RTT(r.fs.node, src)
+	r.fs.d.env.Gather(r.fs.node, []cluster.NodeID{src}, size, diskFrac)
 	if materialize && data == nil {
 		return nil, fmt.Errorf("hdfs: chunk %d is synthetic; use ReadSyntheticAt", c.id)
 	}

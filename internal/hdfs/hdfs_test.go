@@ -100,8 +100,8 @@ func TestChunking(t *testing.T) {
 		t.Fatalf("tail chunk size = %d", meta.chunks[3].size)
 	}
 	for _, c := range meta.chunks {
-		if len(c.locs) != d.Cfg.Replication {
-			t.Fatalf("chunk has %d replicas, want %d", len(c.locs), d.Cfg.Replication)
+		if len(c.locs) != d.cfg.Replication {
+			t.Fatalf("chunk has %d replicas, want %d", len(c.locs), d.cfg.Replication)
 		}
 	}
 	// Sub-range read across chunk boundaries.
@@ -129,11 +129,11 @@ func TestLocalFirstPlacement(t *testing.T) {
 			t.Fatalf("first replica on %d, want 1 (local)", c.locs[0])
 		}
 		// Second replica in the same rack as the first (nodes 0-3).
-		if d.Env.Rack(c.locs[1]) != d.Env.Rack(c.locs[0]) {
-			t.Fatalf("second replica rack %d != first rack", d.Env.Rack(c.locs[1]))
+		if d.env.Rack(c.locs[1]) != d.env.Rack(c.locs[0]) {
+			t.Fatalf("second replica rack %d != first rack", d.env.Rack(c.locs[1]))
 		}
 		// Third replica in a different rack.
-		if d.Env.Rack(c.locs[2]) == d.Env.Rack(c.locs[0]) {
+		if d.env.Rack(c.locs[2]) == d.env.Rack(c.locs[0]) {
 			t.Fatal("third replica in the same rack")
 		}
 	}
@@ -158,7 +158,7 @@ func TestReplicationOnDataNodes(t *testing.T) {
 	w.Write([]byte("replicated"))
 	w.Close()
 	copies := 0
-	for _, dn := range d.DNs {
+	for _, dn := range d.dns {
 		copies += dn.store.Len()
 	}
 	if copies != 3 {
@@ -241,7 +241,7 @@ func TestDeleteReleasesChunks(t *testing.T) {
 	w.Close()
 	stored := func() int {
 		total := 0
-		for _, dn := range d.DNs {
+		for _, dn := range d.dns {
 			total += dn.store.Len()
 		}
 		return total
@@ -308,7 +308,7 @@ func TestDurableDataNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var evicted uint64
-	for _, dn := range d.DNs {
+	for _, dn := range d.dns {
 		evicted += dn.store.Stats().Evictions
 	}
 	if evicted == 0 {
@@ -346,7 +346,7 @@ func TestDataNodeStoreSpecRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var chunks int
-	for _, dn := range d.DNs {
+	for _, dn := range d.dns {
 		chunks += dn.store.Len()
 	}
 	if chunks == 0 {
@@ -356,13 +356,13 @@ func TestDataNodeStoreSpecRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := NewDeployment(d.Env, d.Cfg) // d.Cfg: with defaults filled
+	d2, err := NewDeployment(d.env, d.cfg) // d.Cfg: with defaults filled
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
 	var recovered int
-	for _, dn := range d2.DNs {
+	for _, dn := range d2.dns {
 		recovered += dn.store.Recovered()
 	}
 	if recovered != chunks {

@@ -70,10 +70,6 @@ type JobConfig struct {
 	Map      MapFunc
 	Reduce   ReduceFunc
 	Generate GenerateFunc
-	// Combine, when set, is applied to each map task's output per
-	// partition before the spill (Hadoop's combiner): it must be
-	// associative and commutative, and it shrinks the shuffle.
-	Combine ReduceFunc
 
 	// Synthetic switches the job to volume-only execution using
 	// Profile (required when inputs are synthetic files).
@@ -81,49 +77,47 @@ type JobConfig struct {
 	Profile   Profile
 
 	// OpenInput overrides how input readers are obtained (e.g. pinning
-	// a snapshot version by appending fsapi.AtVersion). The framework
-	// passes each attempt's op-scoped options — notably fsapi.WithCtx
-	// carrying the task's cancellation scope — which overrides must
-	// forward. Defaults to fs.OpenAt.
-	OpenInput func(fs fsapi.FileSystem, path string, opts ...fsapi.OpenOption) (fsapi.Reader, error)
+	// a snapshot version with fsapi.AtVersion). Defaults to fs.OpenAt.
+	OpenInput func(fs fsapi.FileSystem, path string) (fsapi.Reader, error)
 
-	// MaxAttempts bounds per-task retries (default 3).
-	MaxAttempts int
-	// FaultInjector, when set, is consulted before each task attempt;
-	// a non-nil error fails that attempt (tests, chaos experiments).
-	FaultInjector func(kind TaskKind, task, attempt int) error
+	// faultInjector, when set, is consulted before each task attempt;
+	// a non-nil error fails that attempt. Tests set it.
+	faultInjector func(kind taskKind, task, attempt int) error
 }
 
-// TaskKind distinguishes map from reduce tasks.
-type TaskKind int
+// maxAttempts bounds the attempts of one task: a task whose attempts
+// all fail fails its job.
+const maxAttempts = 3
+
+// taskKind distinguishes map from reduce tasks.
+type taskKind int
 
 // Task kinds.
 const (
-	MapTask TaskKind = iota
-	ReduceTask
+	mapTask taskKind = iota
+	reduceTask
 )
 
-func (k TaskKind) String() string {
-	if k == MapTask {
+func (k taskKind) String() string {
+	if k == mapTask {
 		return "map"
 	}
 	return "reduce"
 }
 
-// Locality classifies where a map task ran relative to its input.
-type Locality int
+// locality classifies where a map task ran relative to its input.
+type locality int
 
 // Locality classes.
 const (
-	DataLocal Locality = iota
-	RackLocal
-	Remote
+	dataLocal locality = iota
+	rackLocal
+	remote
 )
 
 // Counters aggregates job execution statistics.
 type Counters struct {
 	MapTasks     int
-	ReduceTasks  int
 	FailedTasks  int
 	DataLocal    int
 	RackLocal    int
@@ -135,7 +129,6 @@ type Counters struct {
 
 // JobResult reports a finished job.
 type JobResult struct {
-	Name     string
 	Duration time.Duration
 	Counters Counters
 }
@@ -152,21 +145,6 @@ type Config struct {
 	// NewFS builds the storage client a node's tasks use — the single
 	// point where BSFS or HDFS is plugged in.
 	NewFS func(node cluster.NodeID) fsapi.FileSystem
-	// Speculative enables backup execution of straggling attempts on
-	// idle slots (Hadoop's speculative execution): once a task has run
-	// for SpeculativeDelay without finishing and no other work is
-	// pending, a duplicate attempt is launched. The first completion
-	// wins — and cancels the losing attempt's op scope, so speculative
-	// losers stop issuing storage I/O instead of running to completion.
-	Speculative bool
-	// SpeculativeDelay is the straggler threshold (default 10s).
-	SpeculativeDelay time.Duration
-	// TaskTimeout, when > 0, bounds every task attempt with an
-	// op-scoped deadline (cluster.WithTimeout): an attempt that
-	// overruns is killed mid-I/O — its storage operations fail with an
-	// error matching cluster.ErrCanceled — and rescheduled like any
-	// failed attempt, up to the job's MaxAttempts.
-	TaskTimeout time.Duration
 }
 
 func (c *Config) fillDefaults() error {

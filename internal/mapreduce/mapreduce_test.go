@@ -6,13 +6,17 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bsfs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/hdfs"
+	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // testEnv bundles a local environment with a storage factory.
@@ -138,7 +142,7 @@ func testWordCount(t *testing.T, te testEnv) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.MapTasks < 1 || res.Counters.ReduceTasks != 2 {
+	if res.Counters.MapTasks < 1 {
 		t.Fatalf("counters = %+v", res.Counters)
 	}
 	out := readOutputs(t, fs, "/out")
@@ -255,8 +259,8 @@ func TestTaskRetrySucceeds(t *testing.T) {
 	putFile(t, fs, "/in/f", "data here\n")
 	failures := 0
 	job := wordCountJob("/in/f", "/out", 1)
-	job.FaultInjector = func(kind TaskKind, task, attempt int) error {
-		if kind == MapTask && attempt == 0 {
+	job.faultInjector = func(kind taskKind, task, attempt int) error {
+		if kind == mapTask && attempt == 0 {
 			failures++
 			return errors.New("injected fault")
 		}
@@ -280,9 +284,8 @@ func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	fs := te.newFS(0)
 	putFile(t, fs, "/in/f", "x\n")
 	job := wordCountJob("/in/f", "/out", 1)
-	job.MaxAttempts = 2
-	job.FaultInjector = func(kind TaskKind, task, attempt int) error {
-		if kind == MapTask {
+	job.faultInjector = func(kind taskKind, task, attempt int) error {
+		if kind == mapTask {
 			return errors.New("always fails")
 		}
 		return nil
@@ -292,23 +295,47 @@ func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestReduceFailureRetries fails a reduce twice: attempt 0 before it
+// starts, attempt 1 after it has written part of its attempt-private
+// file. Attempt 2 commits, and no .attempt-N file is left behind.
 func TestReduceFailureRetries(t *testing.T) {
 	te := newBSFSEnv(t, 256)
 	mr := newMR(t, te)
 	fs := te.newFS(0)
 	putFile(t, fs, "/in/f", "k v\n")
 	job := wordCountJob("/in/f", "/out", 1)
-	job.FaultInjector = func(kind TaskKind, task, attempt int) error {
-		if kind == ReduceTask && attempt == 0 {
+	job.faultInjector = func(kind taskKind, task, attempt int) error {
+		if kind == reduceTask && attempt == 0 {
 			return errors.New("reduce hiccup")
 		}
 		return nil
 	}
-	if _, err := mr.Submit(job); err != nil {
+	reduce, calls := job.Reduce, 0
+	job.Reduce = func(key []byte, values [][]byte, emit EmitFunc) error {
+		if calls++; calls == 1 {
+			emit(key, []byte("partial"))
+			return errors.New("reduce fails mid-output")
+		}
+		return reduce(key, values, emit)
+	}
+	res, err := mr.Submit(job)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(readOutputs(t, fs, "/out"), "k\t1") {
-		t.Fatal("reduce retry lost output")
+	if res.Counters.FailedTasks != 2 {
+		t.Fatalf("FailedTasks = %d, want 2", res.Counters.FailedTasks)
+	}
+	infos, err := fs.List("/out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fi := range infos {
+		if strings.Contains(fi.Path, ".attempt-") {
+			t.Errorf("attempt-private file left behind: %s", fi.Path)
+		}
+	}
+	if out := readOutputs(t, fs, "/out"); !strings.Contains(out, "k\t1") || strings.Contains(out, "partial") {
+		t.Fatalf("reduce retry output %q, want k\t1 and no partial output", out)
 	}
 }
 
@@ -393,5 +420,152 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := NewCluster(te.env, Config{}); err == nil {
 		t.Fatal("cluster without workers accepted")
+	}
+}
+
+// simMR builds a simulated BSFS + MapReduce stack: providers and
+// tasktrackers on nodes 1..nodes-1, the jobtracker on node 0.
+func simMR(t *testing.T, nodes int) (*sim.Engine, *cluster.Sim, *Cluster) {
+	t.Helper()
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(nodes)))
+	provs := make([]cluster.NodeID, nodes-1)
+	for i := range provs {
+		provs[i] = cluster.NodeID(i + 1)
+	}
+	dep, err := core.NewDeployment(env, core.Options{PageSize: 64 << 10, ProviderNodes: provs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := bsfs.NewService(dep, bsfs.Config{BlockSize: 1 << 20})
+	mr, err := NewCluster(env, Config{
+		WorkerNodes: provs,
+		NewFS:       func(n cluster.NodeID) fsapi.FileSystem { return svc.NewFS(n) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, env, mr
+}
+
+func TestWithoutSpeculationStragglerDominates(t *testing.T) {
+	eng, env, mr := simMR(t, 12)
+	const straggle = 60 * time.Second
+	var completion time.Duration
+	eng.Go(func() {
+		job := JobConfig{
+			Name:      "straggler-no-spec",
+			OutputDir: "/out",
+			NumMaps:   4,
+			Synthetic: true,
+			Profile:   Profile{GenerateBytesPerMap: 1 << 20},
+			faultInjector: func(kind taskKind, task, attempt int) error {
+				if kind == mapTask && task == 0 && attempt == 0 {
+					env.Sleep(straggle)
+				}
+				return nil
+			},
+		}
+		res, err := mr.Submit(job)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		completion = res.Duration
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if completion < straggle {
+		t.Fatalf("job took %v < straggler %v without speculation?", completion, straggle)
+	}
+}
+
+// TestFailedMapAttemptLeavesNoAttemptFile: a map attempt that dies
+// halfway through its output counts as one failed task, its
+// attempt-private file is deleted, and the retry commits a full part
+// file — the output directory holds exactly the committed parts.
+func TestFailedMapAttemptLeavesNoAttemptFile(t *testing.T) {
+	const perMap = int64(8 << 20)
+	eng, _, mr := simMR(t, 12)
+	var task2Calls atomic.Int32
+	eng.Go(func() {
+		job := JobConfig{
+			Name:      "half-written",
+			OutputDir: "/half",
+			NumMaps:   4,
+			Generate: func(task int, w fsapi.Writer) error {
+				if task == 2 && task2Calls.Add(1) == 1 {
+					if _, err := w.WriteSynthetic(perMap / 2); err != nil {
+						return err
+					}
+					return errors.New("map dies mid-output")
+				}
+				_, err := w.WriteSynthetic(perMap)
+				return err
+			},
+		}
+		res, err := mr.Submit(job)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if res.Counters.FailedTasks != 1 {
+			t.Errorf("FailedTasks = %d, want 1", res.Counters.FailedTasks)
+		}
+		infos, err := mr.cfg.NewFS(0).List("/half")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var parts int
+		for _, fi := range infos {
+			if strings.Contains(fi.Path, ".attempt-") {
+				t.Errorf("attempt-private file left behind: %s", fi.Path)
+				continue
+			}
+			parts++
+			if fi.Size != perMap {
+				t.Errorf("%s has %d bytes, want %d", fi.Path, fi.Size, perMap)
+			}
+		}
+		if parts != 4 {
+			t.Errorf("%d part files, want 4", parts)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMapReduceOverSimulatedClusterEndToEnd(t *testing.T) {
+	// Full-stack smoke: a reduce job with real shuffle volumes over the
+	// simulated fabric.
+	eng, _, mr := simMR(t, 20)
+	eng.Go(func() {
+		job := JobConfig{
+			Name:       "synthetic-shuffle",
+			OutputDir:  "/out",
+			NumMaps:    10,
+			NumReduces: 4,
+			Synthetic:  true,
+			Profile: Profile{
+				GenerateBytesPerMap: 32 << 20,
+			},
+		}
+		res, err := mr.Submit(job)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if res.Counters.OutputBytes != 10*32<<20 {
+			t.Errorf("output = %d", res.Counters.OutputBytes)
+		}
+		if res.Duration <= 0 {
+			t.Error("no virtual time elapsed")
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

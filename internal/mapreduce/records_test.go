@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -147,60 +146,5 @@ func TestPartitionStable(t *testing.T) {
 	}
 	if len(seen) < 6 {
 		t.Fatalf("poor partition spread: %d of 8", len(seen))
-	}
-}
-
-func TestCombinerShrinksShuffle(t *testing.T) {
-	// WordCount with and without a combiner: identical output, smaller
-	// shuffle volume with the combiner.
-	run := func(withCombiner bool) (string, int64) {
-		te := newBSFSEnv(t, 256)
-		mr := newMR(t, te)
-		fs := te.newFS(0)
-		putFile(t, fs, "/in/text", strings.Repeat("alpha beta alpha\n", 50))
-		sum := func(key []byte, values [][]byte, emit EmitFunc) error {
-			total := 0
-			for _, v := range values {
-				n, err := strconv.Atoi(string(v))
-				if err != nil {
-					return err
-				}
-				total += n
-			}
-			emit(key, []byte(strconv.Itoa(total)))
-			return nil
-		}
-		job := JobConfig{
-			Name:       "wc-combine",
-			Input:      []string{"/in/text"},
-			OutputDir:  "/out",
-			NumReduces: 1,
-			Map: func(off int64, rec []byte, emit EmitFunc) error {
-				for _, w := range strings.Fields(string(rec)) {
-					emit([]byte(w), []byte("1"))
-				}
-				return nil
-			},
-			Reduce: sum,
-		}
-		if withCombiner {
-			job.Combine = sum
-		}
-		res, err := mr.Submit(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return readOutputs(t, fs, "/out"), res.Counters.ShuffleBytes
-	}
-	plainOut, plainShuffle := run(false)
-	combOut, combShuffle := run(true)
-	if !strings.Contains(combOut, "alpha\t100") || !strings.Contains(combOut, "beta\t50") {
-		t.Fatalf("combined output wrong:\n%s", combOut)
-	}
-	if !strings.Contains(plainOut, "alpha\t100") {
-		t.Fatalf("plain output wrong:\n%s", plainOut)
-	}
-	if combShuffle >= plainShuffle {
-		t.Fatalf("combiner did not shrink shuffle: %d vs %d", combShuffle, plainShuffle)
 	}
 }

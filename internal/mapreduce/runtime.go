@@ -30,32 +30,14 @@ func NewCluster(env cluster.Env, cfg Config) (*Cluster, error) {
 	c := &Cluster{env: env, cfg: cfg}
 	c.jt = &jobTracker{env: env, cfg: cfg, node: cfg.JobTrackerNode}
 	c.jt.workSig = env.NewSignal()
-	if cfg.Speculative {
-		// Periodically wake idle slots so they can notice stragglers
-		// that crossed the speculation threshold.
-		delay := cfg.SpeculativeDelay
-		if delay <= 0 {
-			delay = 10 * time.Second
-		}
-		env.Daemon(func() {
-			for {
-				env.Sleep(delay)
-				c.jt.mu.Lock()
-				if len(c.jt.jobs) > 0 {
-					c.jt.wakeLocked()
-				}
-				c.jt.mu.Unlock()
-			}
-		})
-	}
 	for _, n := range cfg.WorkerNodes {
 		for s := 0; s < cfg.MapSlots; s++ {
 			node := n
-			env.Daemon(func() { c.jt.slotLoop(node, MapTask) })
+			env.Daemon(func() { c.jt.slotLoop(node, mapTask) })
 		}
 		for s := 0; s < cfg.ReduceSlots; s++ {
 			node := n
-			env.Daemon(func() { c.jt.slotLoop(node, ReduceTask) })
+			env.Daemon(func() { c.jt.slotLoop(node, reduceTask) })
 		}
 	}
 	return c, nil
@@ -65,12 +47,9 @@ func NewCluster(env cluster.Env, cfg Config) (*Cluster, error) {
 // jobs may run concurrently (each Submit from its own goroutine or
 // simulated process).
 func (c *Cluster) Submit(cfg JobConfig) (*JobResult, error) {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
 	if cfg.OpenInput == nil {
-		cfg.OpenInput = func(fs fsapi.FileSystem, path string, opts ...fsapi.OpenOption) (fsapi.Reader, error) {
-			return fs.OpenAt(path, opts...)
+		cfg.OpenInput = func(fs fsapi.FileSystem, path string) (fsapi.Reader, error) {
+			return fs.OpenAt(path)
 		}
 	}
 	j, err := c.jt.prepare(cfg)
@@ -82,7 +61,7 @@ func (c *Cluster) Submit(cfg JobConfig) (*JobResult, error) {
 	if j.err != nil {
 		return nil, j.err
 	}
-	return &JobResult{Name: cfg.Name, Duration: c.env.Now() - j.start, Counters: j.counters}, nil
+	return &JobResult{Duration: c.env.Now() - j.start, Counters: j.counters}, nil
 }
 
 // jobTracker holds the global task queue across concurrent jobs.
@@ -95,24 +74,6 @@ type jobTracker struct {
 	pending []*task
 	workSig cluster.Signal
 	nextJob int
-	jobs    []*job // active jobs (speculation scans them)
-}
-
-// runKey identifies a logical task within a job.
-type runKey struct {
-	kind  TaskKind
-	index int
-}
-
-// runInfo tracks in-flight attempts of one logical task.
-type runInfo struct {
-	attempts int
-	started  time.Duration // virtual time of the first attempt
-	// cancels holds each in-flight attempt's op-scope cancel function,
-	// keyed by attempt number. When one attempt wins, the others'
-	// scopes are canceled so speculative losers die mid-I/O instead of
-	// running to completion.
-	cancels map[int]func()
 }
 
 // job is one submitted job's runtime state.
@@ -127,13 +88,6 @@ type job struct {
 	reducesLeft int
 	counters    Counters
 	err         error
-	// completed marks logical tasks whose first successful attempt
-	// already counted (speculative duplicates are discarded).
-	completed map[runKey]bool
-	// running tracks in-flight attempts for the speculator.
-	running map[runKey]*runInfo
-	// speculated counts backup attempts launched (reported in tests).
-	speculated int
 	// mapOut[m][r] holds map m's partition for reducer r (real mode);
 	// mapOutBytes[m][r] the corresponding volume; mapNode[m] where the
 	// map ran (shuffle sources).
@@ -148,13 +102,9 @@ type job struct {
 // task is one schedulable attempt unit.
 type task struct {
 	j       *job
-	kind    TaskKind
+	kind    taskKind
 	index   int
 	attempt int
-	// ctx scopes this attempt's storage I/O: it expires after
-	// Config.TaskTimeout and is canceled when another attempt of the
-	// same logical task completes first. Set by the slot loop.
-	ctx *cluster.Ctx
 }
 
 // prepare computes splits and allocates runtime state.
@@ -167,8 +117,6 @@ func (jt *jobTracker) prepare(cfg JobConfig) (*job, error) {
 	j := &job{
 		id: id, cfg: cfg, fsFor: jt.cfg.NewFS,
 		done: jt.env.NewSignal(), start: jt.env.Now(),
-		completed: make(map[runKey]bool),
-		running:   make(map[runKey]*runInfo),
 	}
 	fs := jt.cfg.NewFS(jt.node)
 
@@ -228,7 +176,6 @@ func (jt *jobTracker) prepare(cfg JobConfig) (*job, error) {
 	j.mapOutBytes = make([][]int64, len(j.splits))
 	j.mapNode = make([]cluster.NodeID, len(j.splits))
 	j.counters.MapTasks = len(j.splits)
-	j.counters.ReduceTasks = cfg.NumReduces
 	if cfg.OutputDir != "" {
 		if err := fs.Mkdir(cfg.OutputDir); err != nil && !errorsIsExists(err) {
 			return nil, err
@@ -244,23 +191,10 @@ func errorsIsExists(err error) bool { return err == nil || errors.Is(err, fsapi.
 // launch enqueues the job's map tasks.
 func (jt *jobTracker) launch(j *job) {
 	jt.mu.Lock()
-	jt.jobs = append(jt.jobs, j)
 	for i := range j.splits {
-		jt.pending = append(jt.pending, &task{j: j, kind: MapTask, index: i})
+		jt.pending = append(jt.pending, &task{j: j, kind: mapTask, index: i})
 	}
 	jt.wakeLocked()
-	jt.mu.Unlock()
-}
-
-// finishJob removes a completed job from the active list.
-func (jt *jobTracker) finishJob(j *job) {
-	jt.mu.Lock()
-	for i, other := range jt.jobs {
-		if other == j {
-			jt.jobs = append(jt.jobs[:i], jt.jobs[i+1:]...)
-			break
-		}
-	}
 	jt.mu.Unlock()
 }
 
@@ -273,90 +207,48 @@ func (jt *jobTracker) wakeLocked() {
 
 // pickTaskLocked chooses the best pending task for a node: data-local
 // maps, then rack-local, then any map, then any reduce.
-func (jt *jobTracker) pickTaskLocked(node cluster.NodeID, kind TaskKind) (*task, Locality) {
+func (jt *jobTracker) pickTaskLocked(node cluster.NodeID, kind taskKind) (*task, locality) {
 	bestIdx := -1
-	bestClass := Locality(3)
+	bestClass := locality(3)
 	for i, t := range jt.pending {
 		if t.kind != kind {
 			continue
 		}
-		if kind == ReduceTask {
+		if kind == reduceTask {
 			jt.pending = append(jt.pending[:i], jt.pending[i+1:]...)
-			return t, Remote
+			return t, remote
 		}
-		class := Remote
+		class := remote
 		sp := t.j.splits[t.index]
 		for _, h := range sp.hosts {
 			if h == node {
-				class = DataLocal
+				class = dataLocal
 				break
 			}
-			if jt.env.Rack(h) == jt.env.Rack(node) && class > RackLocal {
-				class = RackLocal
+			if jt.env.Rack(h) == jt.env.Rack(node) && class > rackLocal {
+				class = rackLocal
 			}
 		}
 		if sp.path == "" {
-			class = DataLocal // generator maps have no input affinity
+			class = dataLocal // generator maps have no input affinity
 		}
 		if class < bestClass {
 			bestClass, bestIdx = class, i
-			if class == DataLocal {
+			if class == dataLocal {
 				break
 			}
 		}
 	}
 	if bestIdx < 0 {
-		return jt.speculateLocked(kind), Remote
+		return nil, remote
 	}
 	t := jt.pending[bestIdx]
 	jt.pending = append(jt.pending[:bestIdx], jt.pending[bestIdx+1:]...)
 	return t, bestClass
 }
 
-// speculateLocked picks a straggling in-flight task to duplicate on an
-// otherwise idle slot (first completion wins). Returns nil when
-// speculation is off or nothing qualifies.
-func (jt *jobTracker) speculateLocked(kind TaskKind) *task {
-	if !jt.cfg.Speculative {
-		return nil
-	}
-	delay := jt.cfg.SpeculativeDelay
-	if delay <= 0 {
-		delay = 10 * time.Second
-	}
-	now := jt.env.Now()
-	var bestJob *job
-	var bestKey runKey
-	var bestStart time.Duration
-	for _, j := range jt.jobs {
-		j.mu.Lock()
-		for key, ri := range j.running {
-			if key.kind != kind || ri.attempts != 1 || j.completed[key] {
-				continue
-			}
-			if now-ri.started < delay {
-				continue
-			}
-			if bestJob == nil || ri.started < bestStart {
-				bestJob, bestKey, bestStart = j, key, ri.started
-			}
-		}
-		j.mu.Unlock()
-	}
-	if bestJob == nil {
-		return nil
-	}
-	bestJob.mu.Lock()
-	if ri, ok := bestJob.running[bestKey]; ok {
-		ri.attempts++
-	}
-	bestJob.speculated++
-	bestJob.mu.Unlock()
-	return &task{j: bestJob, kind: bestKey.kind, index: bestKey.index, attempt: 1}
-}
-
 // slotLoop is one tasktracker slot: fetch a task, run it, repeat.
-func (jt *jobTracker) slotLoop(node cluster.NodeID, kind TaskKind) {
+func (jt *jobTracker) slotLoop(node cluster.NodeID, kind taskKind) {
 	for {
 		jt.mu.Lock()
 		t, class := jt.pickTaskLocked(node, kind)
@@ -368,68 +260,20 @@ func (jt *jobTracker) slotLoop(node cluster.NodeID, kind TaskKind) {
 		}
 		jt.mu.Unlock()
 
-		// Every attempt runs under its own op scope: a deadline when
-		// TaskTimeout is configured (straggler kill), a plain cancelable
-		// scope otherwise (so a winning duplicate can kill this one).
-		var cancel func()
-		if jt.cfg.TaskTimeout > 0 {
-			t.ctx, cancel = cluster.WithTimeout(jt.env, jt.cfg.TaskTimeout)
-		} else {
-			t.ctx, cancel = cluster.WithCancel(jt.env)
-		}
-
-		key := runKey{kind: t.kind, index: t.index}
-		t.j.mu.Lock()
-		ri, ok := t.j.running[key]
-		if !ok {
-			ri = &runInfo{attempts: 1, started: jt.env.Now()}
-			t.j.running[key] = ri
-		}
-		// (speculative duplicates were already counted by the picker)
-		if ri.cancels == nil {
-			ri.cancels = make(map[int]func())
-		}
-		ri.cancels[t.attempt] = cancel
-		t.j.mu.Unlock()
-
 		// Task assignment heartbeat.
 		jt.env.RTT(jt.node, node)
-		err := jt.runTask(t, node, class)
-
-		t.j.mu.Lock()
-		if ri, ok := t.j.running[key]; ok {
-			delete(ri.cancels, t.attempt)
-			ri.attempts--
-			if ri.attempts <= 0 {
-				delete(t.j.running, key)
-			}
-		}
-		t.j.mu.Unlock()
-		cancel() // release the scope's watchers/deadline
-		jt.taskDone(t, node, err)
+		jt.taskDone(t, jt.runTask(t, node, class))
 	}
 }
 
 // taskDone handles completion, retry, and job-phase transitions.
-func (jt *jobTracker) taskDone(t *task, node cluster.NodeID, err error) {
+func (jt *jobTracker) taskDone(t *task, err error) {
 	j := t.j
-	key := runKey{kind: t.kind, index: t.index}
 	if err != nil {
-		// A failed attempt of an already-completed logical task is a
-		// duplicate whose work is moot — typically a speculative loser
-		// the winner killed (cluster.ErrCanceled), or one that lost the
-		// output-commit rename race. Expected, not a failure: no
-		// counter bump, no retry.
-		j.mu.Lock()
-		done := j.completed[key]
-		j.mu.Unlock()
-		if done {
-			return
-		}
 		j.mu.Lock()
 		j.counters.FailedTasks++
 		j.mu.Unlock()
-		if t.attempt+1 < j.cfg.MaxAttempts {
+		if t.attempt+1 < maxAttempts {
 			retry := &task{j: j, kind: t.kind, index: t.index, attempt: t.attempt + 1}
 			jt.mu.Lock()
 			jt.pending = append(jt.pending, retry)
@@ -437,82 +281,34 @@ func (jt *jobTracker) taskDone(t *task, node cluster.NodeID, err error) {
 			jt.mu.Unlock()
 			return
 		}
-		jt.finishJob(j)
-		j.fail(errf("%s task %d failed after %d attempts: %w", t.kind, t.index, j.cfg.MaxAttempts, err))
+		j.fail(errf("%s task %d failed after %d attempts: %w", t.kind, t.index, maxAttempts, err))
 		return
 	}
-	switch t.kind {
-	case MapTask:
-		j.mu.Lock()
-		if j.completed[key] {
-			j.mu.Unlock()
-			return // a speculative duplicate already finished this task
-		}
-		j.completed[key] = true
-		losers := j.loserCancelsLocked(key)
+	j.mu.Lock()
+	var phaseDone bool
+	if t.kind == mapTask {
 		j.mapsLeft--
-		mapsDone := j.mapsLeft == 0
-		failed := j.err != nil
-		j.mu.Unlock()
-		killAttempts(losers)
-		if !mapsDone || failed {
-			return
-		}
-		if j.cfg.NumReduces == 0 {
-			jt.finishJob(j)
-			j.finish()
-			return
-		}
-		// Maps complete: release the reduce phase.
-		jt.mu.Lock()
-		for r := 0; r < j.cfg.NumReduces; r++ {
-			jt.pending = append(jt.pending, &task{j: j, kind: ReduceTask, index: r})
-		}
-		jt.wakeLocked()
-		jt.mu.Unlock()
-	case ReduceTask:
-		j.mu.Lock()
-		if j.completed[key] {
-			j.mu.Unlock()
-			return
-		}
-		j.completed[key] = true
-		losers := j.loserCancelsLocked(key)
+		phaseDone = j.mapsLeft == 0
+	} else {
 		j.reducesLeft--
-		reducesDone := j.reducesLeft == 0
-		failed := j.err != nil
-		j.mu.Unlock()
-		killAttempts(losers)
-		if reducesDone && !failed {
-			jt.finishJob(j)
-			j.finish()
-		}
+		phaseDone = j.reducesLeft == 0
 	}
-}
-
-// loserCancelsLocked snapshots the cancel functions of every attempt
-// of key still in flight — the speculative losers of the attempt that
-// just completed. Called with j.mu held; the cancels are invoked after
-// the lock drops.
-func (j *job) loserCancelsLocked(key runKey) []func() {
-	ri, ok := j.running[key]
-	if !ok {
-		return nil
+	failed := j.err != nil
+	j.mu.Unlock()
+	if !phaseDone || failed {
+		return
 	}
-	out := make([]func(), 0, len(ri.cancels))
-	for _, c := range ri.cancels {
-		out = append(out, c)
+	if t.kind == reduceTask || j.cfg.NumReduces == 0 {
+		j.finish()
+		return
 	}
-	return out
-}
-
-// killAttempts cancels the op scopes of losing attempts: their storage
-// I/O fails promptly with cluster.ErrCanceled and taskDone discards
-// them as benign.
-func killAttempts(cancels []func()) {
-	for _, c := range cancels {
-		c()
+	// Maps complete: release the reduce phase.
+	jt.mu.Lock()
+	for r := 0; r < j.cfg.NumReduces; r++ {
+		jt.pending = append(jt.pending, &task{j: j, kind: reduceTask, index: r})
 	}
+	jt.wakeLocked()
+	jt.mu.Unlock()
 }
 
 func (j *job) fail(err error) {
@@ -530,18 +326,18 @@ func (j *job) fail(err error) {
 func (j *job) finish() { j.done.Fire() }
 
 // runTask dispatches one attempt.
-func (jt *jobTracker) runTask(t *task, node cluster.NodeID, class Locality) error {
-	if inj := t.j.cfg.FaultInjector; inj != nil {
+func (jt *jobTracker) runTask(t *task, node cluster.NodeID, class locality) error {
+	if inj := t.j.cfg.faultInjector; inj != nil {
 		if err := inj(t.kind, t.index, t.attempt); err != nil {
 			return err
 		}
 	}
-	if t.kind == MapTask {
+	if t.kind == mapTask {
 		t.j.mu.Lock()
 		switch class {
-		case DataLocal:
+		case dataLocal:
 			t.j.counters.DataLocal++
-		case RackLocal:
+		case rackLocal:
 			t.j.counters.RackLocal++
 		default:
 			t.j.counters.Remote++

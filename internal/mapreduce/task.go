@@ -38,7 +38,7 @@ func (jt *jobTracker) runMap(t *task, node cluster.NodeID) error {
 		return jt.runSyntheticMap(t, node, fs, sp)
 	}
 
-	r, err := j.cfg.OpenInput(fs, sp.path, fsapi.WithCtx(t.ctx))
+	r, err := j.cfg.OpenInput(fs, sp.path)
 	if err != nil {
 		return err
 	}
@@ -71,23 +71,6 @@ func (jt *jobTracker) runMap(t *task, node cluster.NodeID) error {
 		return err
 	}
 	jt.cpuCharge(j.cfg.Profile.MapCPUPerMB, inBytes)
-
-	// Combiner: fold each partition locally before the spill.
-	if j.cfg.Combine != nil && numR > 0 {
-		for pidx := range parts {
-			combined, cerr := combinePartition(parts[pidx], j.cfg.Combine)
-			if cerr != nil {
-				return cerr
-			}
-			parts[pidx] = combined
-		}
-		emitted = 0
-		for _, p := range parts {
-			for _, e := range p {
-				emitted += int64(len(e.key) + len(e.value))
-			}
-		}
-	}
 
 	if numR == 0 {
 		// Map-only: write this task's emissions to its attempt-private
@@ -138,7 +121,7 @@ func (jt *jobTracker) runMap(t *task, node cluster.NodeID) error {
 // runSyntheticMap moves the volumes a real map of this shape would.
 func (jt *jobTracker) runSyntheticMap(t *task, node cluster.NodeID, fs fsapi.FileSystem, sp split) error {
 	j := t.j
-	r, err := j.cfg.OpenInput(fs, sp.path, fsapi.WithCtx(t.ctx))
+	r, err := j.cfg.OpenInput(fs, sp.path)
 	if err != nil {
 		return err
 	}
@@ -348,60 +331,26 @@ func (jt *jobTracker) runReduce(t *task, node cluster.NodeID) error {
 	return nil
 }
 
-// combinePartition sorts, groups and folds one partition through the
-// combiner function.
-func combinePartition(pairs []kv, combine ReduceFunc) ([]kv, error) {
-	if len(pairs) == 0 {
-		return pairs, nil
-	}
-	sort.SliceStable(pairs, func(a, b int) bool { return bytes.Compare(pairs[a].key, pairs[b].key) < 0 })
-	out := make([]kv, 0, len(pairs))
-	emit := func(key, value []byte) {
-		out = append(out, kv{
-			key:   append([]byte(nil), key...),
-			value: append([]byte(nil), value...),
-		})
-	}
-	for i := 0; i < len(pairs); {
-		k := i
-		for k < len(pairs) && bytes.Equal(pairs[k].key, pairs[i].key) {
-			k++
-		}
-		values := make([][]byte, 0, k-i)
-		for _, p := range pairs[i:k] {
-			values = append(values, p.value)
-		}
-		if err := combine(pairs[i].key, values, emit); err != nil {
-			return nil, err
-		}
-		i = k
-	}
-	return out, nil
-}
-
 // partName renders an output part file path.
 func partName(dir, phase string, idx int) string {
 	return fmt.Sprintf("%s/part-%s-%05d", dir, phase, idx)
 }
 
 // openAttemptOutput creates the attempt-private output file of one
-// task attempt (part name + ".attempt-N"), scoped to the attempt's
-// cancellation Ctx. Attempts never write the final part name directly:
-// a killed or failed attempt — in particular a speculative loser
-// canceled after the winner finished — must not clobber committed
-// output, so promotion happens only in commitOutput on success.
+// task attempt (part name + ".attempt-N"). Attempts never write the
+// final part name directly: a failed attempt must not clobber the
+// output of an earlier one, so promotion happens only in commitOutput
+// on success.
 func openAttemptOutput(fs fsapi.FileSystem, t *task, phase string) (fsapi.Writer, string, string, error) {
 	final := partName(t.j.cfg.OutputDir, phase, t.index)
 	tmp := fmt.Sprintf("%s.attempt-%d", final, t.attempt)
 	fs.Delete(tmp) // leftover of an earlier same-numbered attempt
-	w, err := fs.Create(tmp, fsapi.WithCtx(t.ctx))
+	w, err := fs.Create(tmp)
 	return w, tmp, final, err
 }
 
 // commitOutput promotes a successful attempt's private file to the
-// final part name, replacing any previous attempt's output. A lost
-// rename race against a concurrent duplicate is benign: the task is
-// complete either way and taskDone discards the loser.
+// final part name, replacing any previous attempt's output.
 func commitOutput(fs fsapi.FileSystem, tmp, final string) error {
 	fs.Delete(final)
 	return fs.Rename(tmp, final)

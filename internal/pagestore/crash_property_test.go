@@ -100,7 +100,7 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 				t.Fatalf("op %d: Get(%q): %v (live model has it)", i, k, err)
 			}
 			if want.synthetic {
-				if data != nil || !m.Synthetic || m.Size != want.size {
+				if data != nil || !m.synthetic || m.Size != want.size {
 					t.Fatalf("op %d: Get(%q) = %v, %+v, want synthetic size %d", i, k, data, m, want.size)
 				}
 			} else if !bytes.Equal(data, want.data) {
@@ -189,7 +189,7 @@ func checkRecovered(t *testing.T, dir string, want map[string]modelEntry) {
 			t.Fatalf("recovered store lost %q: %v", k, err)
 		}
 		if m.synthetic {
-			if data != nil || !meta.Synthetic || meta.Size != m.size {
+			if data != nil || !meta.synthetic || meta.Size != m.size {
 				t.Fatalf("recovered %q = %v, %+v, want synthetic size %d", k, data, meta, m.size)
 			}
 			continue

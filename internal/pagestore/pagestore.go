@@ -39,9 +39,9 @@ type Config struct {
 // Meta describes an entry without touching its data.
 type Meta struct {
 	Size      int64
-	Synthetic bool
+	synthetic bool
 	Resident  bool // counted against RAM right now
-	Dirty     bool // not yet flushed
+	dirty     bool // not yet flushed
 }
 
 type entry struct {
@@ -104,16 +104,6 @@ func Open(cfg Config) (*Store, error) {
 		s.recovered = len(s.items)
 	}
 	return s, nil
-}
-
-// MustOpen is Open for configurations that cannot fail (no durable
-// backend; mem: and null: are fine).
-func MustOpen(cfg Config) *Store {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("pagestore: MustOpen(%q): %v — use Open for durable backends", cfg.Spec, err))
-	}
-	return s
 }
 
 // Close flushes every unflushed entry to the backend — both entries
@@ -222,18 +212,6 @@ func (s *Store) put(key string, data []byte, size int64, synthetic bool) error {
 	return nil
 }
 
-// Peek returns entry metadata without changing cache state. The second
-// result reports presence.
-func (s *Store) Peek(key string) (Meta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.items[key]
-	if !ok {
-		return Meta{}, false
-	}
-	return e.meta(), true
-}
-
 // Get returns a copy of the entry's data (nil for synthetic entries)
 // and its metadata as seen *before* the call: callers use Meta.Resident
 // to charge a disk read on a miss. A miss makes the entry resident
@@ -301,7 +279,7 @@ func (s *Store) GetResidentInto(key []byte, alloc func(size int64) []byte) (data
 }
 
 func (e *entry) meta() Meta {
-	return Meta{Size: e.size, Synthetic: e.synthetic, Resident: e.resident, Dirty: e.dirty}
+	return Meta{Size: e.size, synthetic: e.synthetic, Resident: e.resident, dirty: e.dirty}
 }
 
 // hitLocked counts a read of a resident entry and refreshes its LRU
@@ -505,25 +483,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.items)
-}
-
-// Sync flushes the backend to stable storage (no-op without one).
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.backend == nil || s.closed {
-		return nil
-	}
-	return s.backend.Sync()
-}
-
-// Compact reclaims backend space held by overwrites and tombstones.
-// No-op without a backend.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.backend == nil || s.closed {
-		return nil
-	}
-	return s.backend.Compact()
 }

@@ -22,7 +22,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(data) != "hello" {
 		t.Fatalf("data = %q", data)
 	}
-	if meta.Size != 5 || meta.Synthetic || !meta.Resident || !meta.Dirty {
+	if meta.Size != 5 || meta.synthetic || !meta.Resident || !meta.dirty {
 		t.Fatalf("meta = %+v", meta)
 	}
 }
@@ -60,7 +60,7 @@ func TestSyntheticEntry(t *testing.T) {
 	if data != nil {
 		t.Fatal("synthetic entry returned data")
 	}
-	if meta.Size != 1<<20 || !meta.Synthetic {
+	if meta.Size != 1<<20 || !meta.synthetic {
 		t.Fatalf("meta = %+v", meta)
 	}
 	if err := s.PutSynthetic("neg", -1); err == nil {
@@ -112,7 +112,7 @@ func TestFlushLifecycle(t *testing.T) {
 	if got := s.DirtyBytes(); got != 0 {
 		t.Fatalf("DirtyBytes after flush = %d", got)
 	}
-	if _, m, _ := s.Get("a"); m.Dirty {
+	if _, m, _ := s.Get("a"); m.dirty {
 		t.Fatal("entry still dirty after CommitFlush")
 	}
 }
@@ -241,7 +241,7 @@ func TestWALPersistenceAndRecovery(t *testing.T) {
 		t.Fatal("recovered entry claimed resident before first read")
 	}
 	_, meta, err = s2.Get("y")
-	if err != nil || !meta.Synthetic || meta.Size != 12345 {
+	if err != nil || !meta.synthetic || meta.Size != 12345 {
 		t.Fatalf("synthetic recovery: %+v, %v", meta, err)
 	}
 	if _, ok := s2.Peek("gone"); ok {
@@ -574,7 +574,7 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 					t.Fatalf("complete record k%d lost: %v, %v", i, data, err)
 				}
 			}
-			if _, m, err := s2.Get("syn"); err != nil || !m.Synthetic || m.Size != 999 {
+			if _, m, err := s2.Get("syn"); err != nil || !m.synthetic || m.Size != 999 {
 				t.Fatalf("synthetic record lost: %+v, %v", m, err)
 			}
 			if _, ok := s2.Peek("torn"); ok {

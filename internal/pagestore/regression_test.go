@@ -51,7 +51,7 @@ func TestCloseFlushesDirty(t *testing.T) {
 			t.Fatalf("%q recovered as %q, want %q", key, data, want)
 		}
 	}
-	if _, m, err := s2.Get("queued-syn"); err != nil || !m.Synthetic || m.Size != 4096 {
+	if _, m, err := s2.Get("queued-syn"); err != nil || !m.synthetic || m.Size != 4096 {
 		t.Fatalf("clean shutdown lost synthetic entry: %+v, %v", m, err)
 	}
 }

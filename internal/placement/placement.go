@@ -102,6 +102,7 @@ const ringVNodes = 64
 
 // NewManager creates the placement authority on node over an initial
 // provider fleet, and starts the heartbeat daemon when configured.
+// Placement RPCs are charged against node.
 func NewManager(env cluster.Env, node cluster.NodeID, providers []cluster.NodeID, cfg Config) *Manager {
 	if len(providers) == 0 {
 		panic("placement: manager needs at least one provider")
@@ -127,23 +128,12 @@ func NewManager(env cluster.Env, node cluster.NodeID, providers []cluster.NodeID
 	return m
 }
 
-// Node returns the hosting node (placement RPCs are charged against it).
-func (m *Manager) Node() cluster.NodeID { return m.node }
-
 // Epoch returns the membership epoch. It increments on every join,
 // leave, drain, and health transition.
 func (m *Manager) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.epoch
-}
-
-// StrategyName reports the write-placement policy in effect.
-func (m *Manager) StrategyName() string {
-	if m.cfg.Strategy != nil {
-		return m.cfg.Strategy.Name()
-	}
-	return "ring-preferred"
 }
 
 // Members returns the membership view, sorted by node.
@@ -170,22 +160,8 @@ func (m *Manager) Fleet() []cluster.NodeID {
 	return out
 }
 
-// Live returns the Up members, sorted.
-func (m *Manager) Live() []cluster.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]cluster.NodeID, 0, len(m.members))
-	for n, st := range m.members {
-		if st.health == Up {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// liveCount counts Up members without materializing the sorted
-// snapshot Live builds — Place consults it on every write batch.
+// liveCount counts Up members — Place consults it on every write
+// batch.
 func (m *Manager) liveCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -196,17 +172,6 @@ func (m *Manager) liveCount() int {
 		}
 	}
 	return n
-}
-
-// Health reports a member's state; ok is false for non-members.
-func (m *Manager) Health(n cluster.NodeID) (Health, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.members[n]
-	if !ok {
-		return 0, false
-	}
-	return st.health, true
 }
 
 // Join adds a provider to the membership and the ring. The new member
@@ -273,15 +238,6 @@ func (m *Manager) Drain(n cluster.NodeID) error {
 	m.ring.RemoveNode(n)
 	m.epoch++
 	return nil
-}
-
-// SetHealth records a probe verdict for a member, bypassing the miss
-// threshold (failure injection, RPC-level evidence). Transitions bump
-// the epoch. Draining members are not resurrected by a passing probe.
-func (m *Manager) SetHealth(n cluster.NodeID, up bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.setHealthLocked(n, up, true)
 }
 
 func (m *Manager) setHealthLocked(n cluster.NodeID, up, force bool) {

@@ -240,15 +240,13 @@ func TestPlaceUsesPreferredOwners(t *testing.T) {
 
 func TestPlaceStrategyOverride(t *testing.T) {
 	fleet := ids(1, 2, 3)
-	m := newMgr(t, fleet, Config{Strategy: NewRoundRobin(fleet)})
-	if m.StrategyName() != "load-balanced" {
-		t.Fatalf("strategy name = %q", m.StrategyName())
-	}
+	m := newMgr(t, fleet, Config{Strategy: NewLocalFirst(fleet)})
 	sets, err := m.Place(0, []string{"a", "b", "c"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin striping: consecutive keys hit consecutive providers.
+	// Node 0 hosts no provider, so local-first stripes: consecutive
+	// keys hit consecutive providers.
 	if sets[0][0] != 1 || sets[1][0] != 2 || sets[2][0] != 3 {
 		t.Fatalf("striped placement = %v", sets)
 	}
@@ -279,4 +277,24 @@ func TestHeartbeatDaemonMarksDown(t *testing.T) {
 		env.Sleep(1e6)
 	}
 	t.Fatal("heartbeat daemon never marked the dead member down")
+}
+
+// Health reports a member's state; ok is false for non-members.
+func (m *Manager) Health(n cluster.NodeID) (Health, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.members[n]
+	if !ok {
+		return 0, false
+	}
+	return st.health, true
+}
+
+// SetHealth records a probe verdict for a member, bypassing the miss
+// threshold. Transitions bump the epoch. Draining members are not
+// resurrected by a passing probe.
+func (m *Manager) SetHealth(n cluster.NodeID, up bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.setHealthLocked(n, up, true)
 }

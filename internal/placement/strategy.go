@@ -8,53 +8,18 @@ import (
 
 // Strategy decides which providers hold each page of a write. The
 // default (no Strategy) places every key on its ring-preferred owners;
-// explicit strategies exist for the paper's ablation arms and assume a
-// fixed fleet — they bypass dynamic membership.
+// an explicit strategy is an ablation arm and assumes a fixed fleet — it
+// bypasses dynamic membership.
 type Strategy interface {
 	// Place returns, for each page key, a replica set of `replication`
 	// distinct provider nodes. client is the writing node.
 	Place(client cluster.NodeID, keys []string, replication int) [][]cluster.NodeID
-	// Name identifies the strategy in reports.
-	Name() string
-}
-
-// RoundRobin is the paper's load-balanced striping: consecutive pages
-// go to consecutive providers off a global cursor, so concurrent
-// writers interleave across the whole fleet and no provider becomes a
-// hotspot.
-type RoundRobin struct {
-	mu        sync.Mutex
-	providers []cluster.NodeID
-	cursor    int
-}
-
-// NewRoundRobin builds the strategy over a provider fleet.
-func NewRoundRobin(providers []cluster.NodeID) *RoundRobin {
-	return &RoundRobin{providers: providers}
-}
-
-// Name implements Strategy.
-func (r *RoundRobin) Name() string { return "load-balanced" }
-
-// Place implements Strategy.
-func (r *RoundRobin) Place(_ cluster.NodeID, keys []string, replication int) [][]cluster.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([][]cluster.NodeID, len(keys))
-	for i := range out {
-		set := make([]cluster.NodeID, replication)
-		for j := 0; j < replication; j++ {
-			set[j] = r.providers[(r.cursor+j)%len(r.providers)]
-		}
-		r.cursor = (r.cursor + 1) % len(r.providers)
-		out[i] = set
-	}
-	return out
 }
 
 // LocalFirst mimics HDFS's placement inside BlobSeer for the ablation
 // experiment: the primary replica of every page is the writer's own
-// node when it hosts a provider; further replicas follow the cursor.
+// node when it hosts a provider; further replicas follow the cursor. A
+// writer that hosts no provider stripes its pages round-robin.
 type LocalFirst struct {
 	mu        sync.Mutex
 	providers []cluster.NodeID
@@ -70,9 +35,6 @@ func NewLocalFirst(providers []cluster.NodeID) *LocalFirst {
 	}
 	return &LocalFirst{providers: providers, isProv: m}
 }
-
-// Name implements Strategy.
-func (l *LocalFirst) Name() string { return "local-first" }
 
 // Place implements Strategy.
 func (l *LocalFirst) Place(client cluster.NodeID, keys []string, replication int) [][]cluster.NodeID {

@@ -16,11 +16,11 @@
 //	                wanted, and its first status: bytes to come as data
 //
 //	 1 write      flags; payload: the file        Put, Append
-//	 2 read       version, offset, length         Get, ReadRange
+//	 2 read       version, offset, length         Get
 //	 3 data       reply; payload: file bytes
 //	 4 status     reply; code, message, offset; payload: the value at right
-//	 5 stat                                       StatReply
-//	 6 list                                       []StatReply
+//	 5 stat                                       fsapi.FileInfo
+//	 6 list                                       []fsapi.FileInfo
 //	 7 mkdir, 8 delete
 //	 9 rename     payload: the new path
 //	10 versions                                   []uint64
@@ -124,9 +124,6 @@ func (s *Service) control(h header, path string, body io.Reader) (_ []byte, err 
 	return json.Marshal(v)
 }
 
-// StatReply describes a file.
-type StatReply = fsapi.FileInfo
-
 // ShardsReply describes the server's version-manager tier and, when a
 // path was given, the file's owning shard.
 type ShardsReply struct {
@@ -174,17 +171,27 @@ type ProviderInfo struct {
 	Recovered int
 }
 
-// ProvidersReply lists the provider fleet as of a membership epoch.
+// ProvidersReply lists the provider fleet as of a membership epoch,
+// with the outcome of the most recent background placement sweep.
 type ProvidersReply struct {
 	Epoch     uint64
 	Providers []ProviderInfo
+	// LastSweep and SweepError report the last completed sweep (zero
+	// and "" before the first one, or with the sweep off).
+	LastSweep  core.RepairStats
+	SweepError string
 }
 
 // providers reports the provider membership with per-node health and
-// store occupancy — the operator's view of the placement subsystem.
+// store occupancy, and the last placement sweep — the operator's view
+// of the placement subsystem.
 func (s *Service) providers() (reply ProvidersReply) {
 	dep := s.fs.Deployment()
 	reply.Epoch = dep.Placement.Epoch()
+	var err error
+	if reply.LastSweep, err = dep.Rebalance.LastSweep(); err != nil {
+		reply.SweepError = err.Error()
+	}
 	for _, m := range dep.Placement.Members() {
 		info := ProviderInfo{Node: uint64(m.Node), Health: m.Health.String()}
 		if p := dep.Provider(m.Node); p != nil {
@@ -201,9 +208,6 @@ func (s *Service) providers() (reply ProvidersReply) {
 	return reply
 }
 
-// TenantInfo is one tenant's admission counters.
-type TenantInfo = traffic.TenantStats
-
 // TenantsReply describes the server's admission configuration and
 // every tenant the limiter has seen.
 type TenantsReply struct {
@@ -212,7 +216,7 @@ type TenantsReply struct {
 	Enabled bool
 	Rate    float64 // admitted ops/sec per tenant
 	Burst   float64 // bucket depth
-	Tenants []TenantInfo
+	Tenants []traffic.TenantStats
 }
 
 // tenants reports per-tenant admitted/rejected/inflight counters from
@@ -281,7 +285,7 @@ func Serve(l net.Listener, svc *Service) error {
 }
 
 // Client is one remote user of a server. Tenant, when set, attributes
-// every subsequent data operation (Put, Append, Get, ReadRange) to that
+// every subsequent data operation (Put, Append, Get) to that
 // admission tenant; over-rate calls fail with an error matching
 // core.ErrOverloaded. The calls of one Client run one at a time, in the
 // order they take its connection.
@@ -321,17 +325,17 @@ func (c *Client) Append(path string, data []byte) error {
 
 // Get reads a whole file (or snapshot version; 0 = latest).
 func (c *Client) Get(path string, version uint64) ([]byte, error) {
-	return c.ReadRange(path, version, 0, math.MaxInt64)
+	return c.readRange(path, version, 0, math.MaxInt64)
 }
 
 // Stat describes a path.
-func (c *Client) Stat(path string) (StatReply, error) {
-	return call[StatReply](c, header{Op: opStat}, path, nil)
+func (c *Client) Stat(path string) (fsapi.FileInfo, error) {
+	return call[fsapi.FileInfo](c, header{Op: opStat}, path, nil)
 }
 
 // List enumerates a directory.
-func (c *Client) List(path string) ([]StatReply, error) {
-	return call[[]StatReply](c, header{Op: opList}, path, nil)
+func (c *Client) List(path string) ([]fsapi.FileInfo, error) {
+	return call[[]fsapi.FileInfo](c, header{Op: opList}, path, nil)
 }
 
 // Mkdir creates a directory.

@@ -152,7 +152,7 @@ func TestNamespaceOverWire(t *testing.T) {
 func TestRangeRead(t *testing.T) {
 	c := startServer(t)
 	c.Put("/r", []byte("0123456789"))
-	got, err := c.ReadRange("/r", 0, 3, 4)
+	got, err := c.readRange("/r", 0, 3, 4)
 	if err != nil || string(got) != "3456" {
 		t.Fatalf("range = %q, %v", got, err)
 	}
@@ -167,17 +167,17 @@ func TestErrorsPropagate(t *testing.T) {
 		t.Fatal("append to missing file succeeded")
 	}
 	// A range longer than a wire chunk streams as several data frames.
-	if _, err := c.ReadRange("/missing", 0, 0, MaxChunk+1); err == nil {
+	if _, err := c.readRange("/missing", 0, 0, MaxChunk+1); err == nil {
 		t.Fatal("oversized read of a missing file succeeded")
 	}
 	data := bytes.Repeat([]byte{7}, MaxChunk+4097)
 	if err := c.Put("/wide", data); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.ReadRange("/wide", 0, 1, MaxChunk+4096); err != nil || !bytes.Equal(got, data[1:]) {
+	if got, err := c.readRange("/wide", 0, 1, MaxChunk+4096); err != nil || !bytes.Equal(got, data[1:]) {
 		t.Fatalf("oversized read: %d bytes, %v", len(got), err)
 	}
-	if _, err := c.ReadRange("/wide", 0, -1, 1); err == nil {
+	if _, err := c.readRange("/wide", 0, -1, 1); err == nil {
 		t.Fatal("negative offset accepted")
 	}
 }
@@ -304,6 +304,52 @@ func TestMembershipOverWire(t *testing.T) {
 	got, err := c.Get("/m/f", 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after churn: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestSweepErrorOverWire: a failing background placement sweep is
+// visible in the providers reply, not silent. With every metadata
+// server down, a join makes the next sweep migrate pages onto the new
+// node and fail to rewrite their leaves; once the servers are back, a
+// sweep completes, clears the error and reports what it scanned.
+func TestSweepErrorOverWire(t *testing.T) {
+	addr, dep := serve(t, core.Options{PageSize: 4 << 10, PlacementInterval: time.Millisecond}, bsfs.Config{BlockSize: 64 << 10})
+	c := dialTest(t, addr)
+	if err := c.Put("/s/f", bytes.Repeat([]byte("sweep-"), 50000)); err != nil { // 74 pages
+		t.Fatal(err)
+	}
+	setMetaDown := func(down bool) {
+		for _, n := range dep.Opts.MetaNodes {
+			dep.Meta.Server(n).SetDown(down)
+		}
+	}
+	waitSweep := func(what string, ok func(ProvidersReply) bool) ProvidersReply {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			pr, err := c.Providers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok(pr) {
+				return pr
+			}
+		}
+		pr, _ := c.Providers()
+		t.Fatalf("no sweep %s within 10s: %+v", what, pr)
+		return ProvidersReply{}
+	}
+
+	setMetaDown(true)
+	if _, err := c.Join(0); err != nil {
+		t.Fatal(err)
+	}
+	pr := waitSweep("error", func(pr ProvidersReply) bool { return pr.SweepError != "" })
+	t.Logf("sweep error over the wire: %s", pr.SweepError)
+
+	setMetaDown(false)
+	pr = waitSweep("recovery", func(pr ProvidersReply) bool { return pr.SweepError == "" })
+	if pr.LastSweep.PagesScanned != 74 {
+		t.Fatalf("recovered sweep stats %+v, want all 74 pages scanned", pr.LastSweep)
 	}
 }
 

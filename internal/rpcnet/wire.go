@@ -277,10 +277,10 @@ func (c *Client) reply() (header, error) {
 	return h, werr
 }
 
-// ReadRange reads length bytes at off (fewer at the end of the file) of
+// readRange reads length bytes at off (fewer at the end of the file) of
 // a snapshot: the first status frame sizes the result, the data frames
 // fill it in place, the closing status vouches for it.
-func (c *Client) ReadRange(path string, version uint64, off, length int64) ([]byte, error) {
+func (c *Client) readRange(path string, version uint64, off, length int64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, err := c.exchange(header{Op: opRead, Version: version, Offset: off, Length: length}, path, nil)

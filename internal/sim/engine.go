@@ -41,7 +41,6 @@ type Engine struct {
 	// primitive. Run advances the clock only when it reaches zero.
 	runnable int
 	running  bool
-	stopped  bool
 }
 
 type event struct {
@@ -130,19 +129,10 @@ func (e *Engine) Sleep(d time.Duration) {
 	<-ch
 }
 
-// At schedules fn to run at absolute virtual time t (clamped to now). fn
-// executes in the scheduler's context: it must not block, but it may call
-// At, Cancel, and Signal.Fire. It must not call Sleep or Signal.Wait.
-func (e *Engine) At(t time.Duration, fn func()) *Timer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if t < e.now {
-		t = e.now
-	}
-	return &Timer{e: e, ev: e.scheduleLocked(t, fn)}
-}
-
-// After schedules fn to run d from now; see At.
+// After schedules fn to run d from now (a negative d means now). fn
+// executes in the scheduler's context: it must not block, but it may
+// call After, Cancel, and Signal.Fire. It must not call Sleep or
+// Signal.Wait.
 func (e *Engine) After(d time.Duration, fn func()) *Timer {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -169,9 +159,6 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// When returns the virtual time the timer is scheduled for.
-func (t *Timer) When() time.Duration { return t.ev.at }
-
 func (e *Engine) scheduleLocked(at time.Duration, fn func()) *event {
 	ev := &event{at: at, seq: e.seq, fn: fn}
 	e.seq++
@@ -187,8 +174,8 @@ func (e *Engine) block() {
 	}
 }
 
-// Run drives the simulation until every non-daemon process has finished,
-// a deadlock is detected, or Stop is called. It must be invoked from the
+// Run drives the simulation until every non-daemon process has finished
+// or a deadlock is detected. It must be invoked from the
 // host (non-simulated) goroutine, exactly once.
 func (e *Engine) Run() error {
 	e.mu.Lock()
@@ -201,7 +188,7 @@ func (e *Engine) Run() error {
 		for e.runnable > 0 {
 			e.idle.Wait()
 		}
-		if e.stopped || e.procs == 0 {
+		if e.procs == 0 {
 			e.mu.Unlock()
 			return nil
 		}
@@ -215,22 +202,13 @@ func (e *Engine) Run() error {
 			e.now = ev.at
 		}
 		// Run the callback without the lock so it can use the public
-		// API (At, Fire, ...). The scheduler owns the clock meanwhile:
+		// API (After, Fire, ...). The scheduler owns the clock meanwhile:
 		// runnable may rise above zero while fn wakes processes, and
 		// the top of the loop waits for quiescence again.
 		e.mu.Unlock()
 		ev.fn()
 		e.mu.Lock()
 	}
-}
-
-// Stop makes Run return after the current event completes. Safe to call
-// from simulated processes.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	e.stopped = true
-	e.idle.Signal()
-	e.mu.Unlock()
 }
 
 // Signal is a one-shot wake-up that simulated processes can Wait on.

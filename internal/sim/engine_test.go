@@ -236,28 +236,6 @@ func TestNestedSpawn(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	reached := false
-	e.Go(func() {
-		e.Sleep(time.Second)
-		e.Stop()
-	})
-	e.Go(func() {
-		e.Sleep(time.Hour)
-		reached = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if reached {
-		t.Fatal("process past Stop deadline ran")
-	}
-	if e.Now() != time.Second {
-		t.Fatalf("clock = %v, want 1s", e.Now())
-	}
-}
-
 func TestRunTwiceFails(t *testing.T) {
 	e := NewEngine()
 	e.Go(func() {})

@@ -73,7 +73,7 @@ func BenchmarkPathConstruction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := n.PathScatter(NodeID(i%9+1), dests)
-		if p.Empty() {
+		if len(p.links) == 0 {
 			b.Fatal("empty path")
 		}
 	}

@@ -11,7 +11,7 @@ func TestSmallTransferFastPath(t *testing.T) {
 	// A transfer at the cutoff bypasses the solver but still takes the
 	// bottleneck-rate time: 100 KB at 100 MB/s = ~1 ms.
 	cfg := testConfig(4)
-	cfg.SmallTransferCutoff = 256 * KB
+	cfg.smallTransferCutoff = 256 * KB
 	d := runNet(t, cfg, func(n *Network) {
 		n.Transfer(n.PathUnicast(0, 1), 100*KB)
 	})
@@ -24,7 +24,7 @@ func TestSmallTransferFastPath(t *testing.T) {
 
 func TestSmallTransferCountsStats(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.SmallTransferCutoff = 256 * KB
+	cfg.smallTransferCutoff = 256 * KB
 	eng := sim.NewEngine()
 	n := New(eng, cfg)
 	eng.Go(func() {
@@ -43,9 +43,9 @@ func TestSmallTransferDisabled(t *testing.T) {
 	// Negative cutoff forces even tiny transfers through the solver;
 	// results must agree with the fast path within rounding.
 	slow := testConfig(4)
-	slow.SmallTransferCutoff = -1
+	slow.smallTransferCutoff = -1
 	fast := testConfig(4)
-	fast.SmallTransferCutoff = 256 * KB
+	fast.smallTransferCutoff = 256 * KB
 	dSlow := runNet(t, slow, func(n *Network) { n.Transfer(n.PathUnicast(0, 1), 128*KB) })
 	dFast := runNet(t, fast, func(n *Network) { n.Transfer(n.PathUnicast(0, 1), 128*KB) })
 	diff := dSlow - dFast
@@ -61,7 +61,7 @@ func TestSmallTransferRespectsDiskWeight(t *testing.T) {
 	// A disk-weighted fast-path transfer is charged at the disk's
 	// effective rate, not the NIC's.
 	cfg := testConfig(4)
-	cfg.SmallTransferCutoff = 256 * KB
+	cfg.smallTransferCutoff = 256 * KB
 	d := runNet(t, cfg, func(n *Network) {
 		p := n.PathUnicast(0, 1).WithDisk(0, 1)
 		n.Transfer(p, 200*KB)
@@ -115,11 +115,11 @@ func TestPathWeightMerging(t *testing.T) {
 
 func TestConfigDefaultsApplied(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, Config{Nodes: 2, NICBandwidth: MB})
-	if n.Config().SmallTransferCutoff != 256*KB {
-		t.Fatalf("default cutoff = %d", n.Config().SmallTransferCutoff)
+	n := New(eng, Config{nodes: 2, nicBandwidth: MB})
+	if n.cfg.smallTransferCutoff != 256*KB {
+		t.Fatalf("default cutoff = %d", n.cfg.smallTransferCutoff)
 	}
-	if n.Config().NodesPerRack != 2 {
-		t.Fatalf("default rack size = %d", n.Config().NodesPerRack)
+	if n.cfg.nodesPerRack != 2 {
+		t.Fatalf("default rack size = %d", n.cfg.nodesPerRack)
 	}
 }

@@ -39,25 +39,25 @@ const (
 	GB int64 = 1 << 30
 )
 
-// Config describes a cluster fabric.
+// Config describes a cluster fabric; Grid5000 builds the paper's.
 type Config struct {
-	Nodes        int
-	NodesPerRack int
+	nodes        int
+	nodesPerRack int
 
-	NICBandwidth  int64 // bytes/s, per direction, per node
-	RackUplink    int64 // bytes/s, per direction, per rack; 0 = unlimited
-	CoreBandwidth int64 // bytes/s, aggregate inter-rack; 0 = unlimited
-	DiskBandwidth int64 // bytes/s, per node, shared by reads and writes
+	nicBandwidth  int64 // bytes/s, per direction, per node
+	rackUplink    int64 // bytes/s, per direction, per rack; 0 = unlimited
+	coreBandwidth int64 // bytes/s, aggregate inter-rack; 0 = unlimited
+	diskBandwidth int64 // bytes/s, per node, shared by reads and writes
 
-	LatencyIntraRack time.Duration
-	LatencyInterRack time.Duration
+	latencyIntraRack time.Duration
+	latencyInterRack time.Duration
 
-	// SmallTransferCutoff routes transfers at or below this size around
+	// smallTransferCutoff routes transfers at or below this size around
 	// the max-min solver: they are charged at the path's uncontended
 	// bottleneck rate. Metadata and control payloads dominate event
 	// counts but not bandwidth; this keeps large simulations tractable.
 	// 0 means the 256 KiB default; negative disables the fast path.
-	SmallTransferCutoff int64
+	smallTransferCutoff int64
 }
 
 // Grid5000 returns a topology modelled on the paper's testbed: n nodes
@@ -67,14 +67,14 @@ type Config struct {
 // backbone, were the published bottleneck).
 func Grid5000(n int) Config {
 	return Config{
-		Nodes:            n,
-		NodesPerRack:     30,
-		NICBandwidth:     125 * MB,
-		RackUplink:       2500 * MB,
-		CoreBandwidth:    20000 * MB,
-		DiskBandwidth:    60 * MB,
-		LatencyIntraRack: 100 * time.Microsecond,
-		LatencyInterRack: 500 * time.Microsecond,
+		nodes:            n,
+		nodesPerRack:     30,
+		nicBandwidth:     125 * MB,
+		rackUplink:       2500 * MB,
+		coreBandwidth:    20000 * MB,
+		diskBandwidth:    60 * MB,
+		latencyIntraRack: 100 * time.Microsecond,
+		latencyInterRack: 500 * time.Microsecond,
 	}
 }
 
@@ -120,56 +120,53 @@ type flow struct {
 
 // New builds a network on the engine. Panics on invalid configuration.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.Nodes <= 0 {
+	if cfg.nodes <= 0 {
 		panic("simnet: config needs at least one node")
 	}
-	if cfg.SmallTransferCutoff == 0 {
-		cfg.SmallTransferCutoff = 256 << 10
+	if cfg.smallTransferCutoff == 0 {
+		cfg.smallTransferCutoff = 256 << 10
 	}
-	if cfg.NodesPerRack <= 0 {
-		cfg.NodesPerRack = cfg.Nodes
+	if cfg.nodesPerRack <= 0 {
+		cfg.nodesPerRack = cfg.nodes
 	}
 	n := &Network{eng: eng, cfg: cfg}
-	racks := (cfg.Nodes + cfg.NodesPerRack - 1) / cfg.NodesPerRack
-	for i := 0; i < cfg.Nodes; i++ {
-		n.up = append(n.up, &link{capacity: float64(cfg.NICBandwidth)})
-		n.down = append(n.down, &link{capacity: float64(cfg.NICBandwidth)})
-		n.disk = append(n.disk, &link{capacity: float64(cfg.DiskBandwidth)})
+	racks := (cfg.nodes + cfg.nodesPerRack - 1) / cfg.nodesPerRack
+	for i := 0; i < cfg.nodes; i++ {
+		n.up = append(n.up, &link{capacity: float64(cfg.nicBandwidth)})
+		n.down = append(n.down, &link{capacity: float64(cfg.nicBandwidth)})
+		n.disk = append(n.disk, &link{capacity: float64(cfg.diskBandwidth)})
 	}
 	for r := 0; r < racks; r++ {
-		n.rackUp = append(n.rackUp, &link{capacity: float64(cfg.RackUplink)})
-		n.rackDn = append(n.rackDn, &link{capacity: float64(cfg.RackUplink)})
+		n.rackUp = append(n.rackUp, &link{capacity: float64(cfg.rackUplink)})
+		n.rackDn = append(n.rackDn, &link{capacity: float64(cfg.rackUplink)})
 	}
-	n.core = &link{capacity: float64(cfg.CoreBandwidth)}
+	n.core = &link{capacity: float64(cfg.coreBandwidth)}
 	return n
 }
 
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Config returns the fabric configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // NumNodes returns the number of nodes.
-func (n *Network) NumNodes() int { return n.cfg.Nodes }
+func (n *Network) NumNodes() int { return n.cfg.nodes }
 
 // Rack returns the rack index of a node.
-func (n *Network) Rack(id NodeID) int { return int(id) / n.cfg.NodesPerRack }
+func (n *Network) Rack(id NodeID) int { return int(id) / n.cfg.nodesPerRack }
 
-// Latency returns the one-way message latency between two nodes.
-func (n *Network) Latency(from, to NodeID) time.Duration {
+// latency returns the one-way message latency between two nodes.
+func (n *Network) latency(from, to NodeID) time.Duration {
 	if from == to {
 		return 0
 	}
 	if n.Rack(from) == n.Rack(to) {
-		return n.cfg.LatencyIntraRack
+		return n.cfg.latencyIntraRack
 	}
-	return n.cfg.LatencyInterRack
+	return n.cfg.latencyInterRack
 }
 
 // Delay sleeps one message latency between the nodes.
 func (n *Network) Delay(from, to NodeID) {
-	if d := n.Latency(from, to); d > 0 {
+	if d := n.latency(from, to); d > 0 {
 		n.eng.Sleep(d)
 	}
 }
@@ -287,8 +284,8 @@ func (n *Network) PathPipeline(src NodeID, chain []NodeID) *Path {
 	return p
 }
 
-// PathDisk models a local disk access on a node.
-func (n *Network) PathDisk(node NodeID) *Path {
+// pathDisk models a local disk access on a node.
+func (n *Network) pathDisk(node NodeID) *Path {
 	p := &Path{n: n}
 	p.add(n.disk[node], 1)
 	return p
@@ -302,17 +299,14 @@ func (p *Path) WithDisk(node NodeID, w float64) *Path {
 	return p
 }
 
-// Empty reports whether the path occupies no constrained resource.
-func (p *Path) Empty() bool { return len(p.links) == 0 }
-
 // Transfer moves size bytes along the path, blocking the calling process
 // in virtual time until the flow completes. A path with no constrained
 // resources completes instantly.
 func (n *Network) Transfer(p *Path, size int64) {
-	if size <= 0 || p.Empty() {
+	if size <= 0 || len(p.links) == 0 {
 		return
 	}
-	if size <= n.cfg.SmallTransferCutoff {
+	if size <= n.cfg.smallTransferCutoff {
 		n.transferSmall(p, size)
 		return
 	}
@@ -368,10 +362,10 @@ func (n *Network) transferSmall(p *Path, size int64) {
 }
 
 // DiskRead charges a local disk read of size bytes on the node.
-func (n *Network) DiskRead(node NodeID, size int64) { n.Transfer(n.PathDisk(node), size) }
+func (n *Network) DiskRead(node NodeID, size int64) { n.Transfer(n.pathDisk(node), size) }
 
 // DiskWrite charges a local disk write of size bytes on the node.
-func (n *Network) DiskWrite(node NodeID, size int64) { n.Transfer(n.PathDisk(node), size) }
+func (n *Network) DiskWrite(node NodeID, size int64) { n.Transfer(n.pathDisk(node), size) }
 
 // advanceLocked progresses every flow to the current virtual time.
 func (n *Network) advanceLocked() {
@@ -512,7 +506,7 @@ func (n *Network) onCompletion() {
 // Stats is a utilization snapshot.
 type Stats struct {
 	BytesUp   []int64 // per node
-	BytesDown []int64
+	bytesDown []int64
 	BytesDisk []int64
 	BytesCore int64
 }
@@ -523,14 +517,14 @@ func (n *Network) Stats() Stats {
 	defer n.mu.Unlock()
 	n.advanceLocked()
 	s := Stats{
-		BytesUp:   make([]int64, n.cfg.Nodes),
-		BytesDown: make([]int64, n.cfg.Nodes),
-		BytesDisk: make([]int64, n.cfg.Nodes),
+		BytesUp:   make([]int64, n.cfg.nodes),
+		bytesDown: make([]int64, n.cfg.nodes),
+		BytesDisk: make([]int64, n.cfg.nodes),
 		BytesCore: int64(n.core.moved),
 	}
-	for i := 0; i < n.cfg.Nodes; i++ {
+	for i := 0; i < n.cfg.nodes; i++ {
 		s.BytesUp[i] = int64(n.up[i].moved)
-		s.BytesDown[i] = int64(n.down[i].moved)
+		s.bytesDown[i] = int64(n.down[i].moved)
 		s.BytesDisk[i] = int64(n.disk[i].moved)
 	}
 	return s

@@ -12,14 +12,14 @@ import (
 // NIC 100 MB/s, rack uplink 400 MB/s, core 1 GB/s, disk 50 MB/s.
 func testConfig(nodes int) Config {
 	return Config{
-		Nodes:            nodes,
-		NodesPerRack:     4,
-		NICBandwidth:     100 * MB,
-		RackUplink:       400 * MB,
-		CoreBandwidth:    1000 * MB,
-		DiskBandwidth:    50 * MB,
-		LatencyIntraRack: 100 * time.Microsecond,
-		LatencyInterRack: 500 * time.Microsecond,
+		nodes:            nodes,
+		nodesPerRack:     4,
+		nicBandwidth:     100 * MB,
+		rackUplink:       400 * MB,
+		coreBandwidth:    1000 * MB,
+		diskBandwidth:    50 * MB,
+		latencyIntraRack: 100 * time.Microsecond,
+		latencyInterRack: 500 * time.Microsecond,
 	}
 }
 
@@ -223,7 +223,7 @@ func TestRackUplinkContention(t *testing.T) {
 	// 400 MB/s so each flow gets 50 MB/s -> 2 s. (Need nodes-per-rack
 	// large enough; use a custom config.)
 	cfg := testConfig(16)
-	cfg.NodesPerRack = 8
+	cfg.nodesPerRack = 8
 	d := runNet(t, cfg, func(n *Network) {
 		wg := n.Engine().NewWaitGroup()
 		for i := NodeID(0); i < 8; i++ {
@@ -282,13 +282,13 @@ func TestLatency(t *testing.T) {
 	cfg := testConfig(8) // racks of 4
 	eng := sim.NewEngine()
 	n := New(eng, cfg)
-	if n.Latency(0, 0) != 0 {
+	if n.latency(0, 0) != 0 {
 		t.Error("self latency not 0")
 	}
-	if n.Latency(0, 3) != cfg.LatencyIntraRack {
+	if n.latency(0, 3) != cfg.latencyIntraRack {
 		t.Error("intra-rack latency wrong")
 	}
-	if n.Latency(0, 4) != cfg.LatencyInterRack {
+	if n.latency(0, 4) != cfg.latencyInterRack {
 		t.Error("inter-rack latency wrong")
 	}
 	if n.Rack(3) != 0 || n.Rack(4) != 1 {
@@ -310,7 +310,7 @@ func TestStatsAccounting(t *testing.T) {
 	if got := s.BytesUp[0]; math.Abs(float64(got-100*MB)) > float64(MB) {
 		t.Errorf("BytesUp[0] = %d, want ~%d", got, 100*MB)
 	}
-	if got := s.BytesDown[1]; math.Abs(float64(got-100*MB)) > float64(MB) {
+	if got := s.bytesDown[1]; math.Abs(float64(got-100*MB)) > float64(MB) {
 		t.Errorf("BytesDown[1] = %d, want ~%d", got, 100*MB)
 	}
 	if got := s.BytesDisk[2]; math.Abs(float64(got-50*MB)) > float64(MB) {
@@ -320,7 +320,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestGrid5000Topology(t *testing.T) {
 	cfg := Grid5000(270)
-	if cfg.Nodes != 270 || cfg.NodesPerRack != 30 {
+	if cfg.nodes != 270 || cfg.nodesPerRack != 30 {
 		t.Fatalf("unexpected grid5000 shape: %+v", cfg)
 	}
 	eng := sim.NewEngine()
@@ -337,7 +337,7 @@ func TestManyFlowsStress(t *testing.T) {
 	// 200 concurrent scatters over a 100-node fabric; checks that the
 	// allocator terminates and conserves reasonable time bounds.
 	cfg := testConfig(100)
-	cfg.NodesPerRack = 25
+	cfg.nodesPerRack = 25
 	d := runNet(t, cfg, func(n *Network) {
 		dests := make([]NodeID, 50)
 		for i := range dests {

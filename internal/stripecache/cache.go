@@ -56,15 +56,9 @@ func New(shards, capacity int) *Cache {
 	return c
 }
 
-// Shards returns the shard (lock stripe) count.
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// ShardCap returns the per-shard entry capacity.
-func (c *Cache) ShardCap() int { return c.shards[0].cap }
-
 // shardFor routes a key to its lock stripe.
 func (c *Cache) shardFor(key string) *shard {
-	return &c.shards[Hash64(key)&c.mask]
+	return &c.shards[hash64(key)&c.mask]
 }
 
 // Get returns the cached value for key and marks it most recently used
@@ -87,7 +81,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // style): no key string is materialized — the compiler recognizes
 // map[string(key)] lookups — so a hot-path hit costs zero allocations.
 func (c *Cache) GetBytes(key []byte) ([]byte, bool) {
-	s := &c.shards[Hash64Bytes(key)&c.mask]
+	s := &c.shards[hash64Bytes(key)&c.mask]
 	s.mu.Lock()
 	e, ok := s.m[string(key)]
 	if !ok {
@@ -102,6 +96,8 @@ func (c *Cache) GetBytes(key []byte) ([]byte, bool) {
 
 // Contains reports whether key is cached without touching recency
 // (tests and diagnostics; reads should use Get).
+//
+// bsfs-vet:allow deadexport -- no non-test caller: core's metadata-cache tests check residency with it, which Get cannot do without touching recency
 func (c *Cache) Contains(key string) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -133,18 +129,6 @@ func (c *Cache) Put(key string, val []byte) {
 	s.mu.Unlock()
 }
 
-// Len returns the cached entry count across all shards.
-func (c *Cache) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
-	}
-	return total
-}
-
 func (s *shard) pushFront(e *entry) {
 	e.prev = &s.root
 	e.next = s.root.next
@@ -174,10 +158,10 @@ const (
 	prime64  = 1099511628211
 )
 
-// Hash64 hashes a key without allocating: an inlined FNV-1a pass plus
+// hash64 hashes a key without allocating: an inlined FNV-1a pass plus
 // a splitmix64 finalizer to spread short, similar keys (page and tree
 // node keys differ only in a few digits) uniformly over the shards.
-func Hash64(s string) uint64 {
+func hash64(s string) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -186,10 +170,10 @@ func Hash64(s string) uint64 {
 	return mix64(h)
 }
 
-// Hash64Bytes is Hash64 for keys rendered into byte buffers; it
-// produces the same hash as Hash64 on the equivalent string, so both
+// hash64Bytes is hash64 for keys rendered into byte buffers; it
+// produces the same hash as hash64 on the equivalent string, so both
 // key forms route to the same shard.
-func Hash64Bytes(b []byte) uint64 {
+func hash64Bytes(b []byte) uint64 {
 	h := uint64(offset64)
 	for _, c := range b {
 		h ^= uint64(c)

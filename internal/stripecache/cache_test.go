@@ -69,7 +69,7 @@ func TestPerShardEvictionDeterminism(t *testing.T) {
 	byShard := make(map[uint64][]string)
 	for i := 0; len(byShard[0]) < 5; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		sh := Hash64(k) & c.mask
+		sh := hash64(k) & c.mask
 		byShard[sh] = append(byShard[sh], k)
 	}
 	victim := byShard[0]
@@ -97,7 +97,7 @@ func TestPerShardEvictionDeterminism(t *testing.T) {
 	}
 }
 
-// TestHash64MatchesFNV pins Hash64 to the FNV-1a + splitmix64 pipeline
+// TestHash64MatchesFNV pins hash64 to the FNV-1a + splitmix64 pipeline
 // the DHT uses, via hard-coded vectors (a silent change would reshuffle
 // every key to a different shard AND desynchronize dht ring layouts).
 func TestHash64MatchesFNV(t *testing.T) {
@@ -107,13 +107,13 @@ func TestHash64MatchesFNV(t *testing.T) {
 		"p/7/42/513": 0x865f65e44540f2ff,
 	}
 	for s, want := range vectors {
-		if got := Hash64(s); got != want {
-			t.Fatalf("Hash64(%q) = %#x, want %#x", s, got, want)
+		if got := hash64(s); got != want {
+			t.Fatalf("hash64(%q) = %#x, want %#x", s, got, want)
 		}
 		h := fnv.New64a()
 		h.Write([]byte(s))
-		if got, lib := Hash64(s), mix64(h.Sum64()); got != lib {
-			t.Fatalf("Hash64(%q) = %#x, hash/fnv pipeline = %#x", s, got, lib)
+		if got, lib := hash64(s), mix64(h.Sum64()); got != lib {
+			t.Fatalf("hash64(%q) = %#x, hash/fnv pipeline = %#x", s, got, lib)
 		}
 	}
 }
@@ -167,4 +167,22 @@ func TestCapacityClamp(t *testing.T) {
 	if v, ok := c.Get("x"); !ok || string(v) != "y" {
 		t.Fatalf("Get(x) = %q, %v", v, ok)
 	}
+}
+
+// Shards returns the shard (lock stripe) count.
+func (c *Cache) Shards() int { return len(c.shards) }
+
+// ShardCap returns the per-shard entry capacity.
+func (c *Cache) ShardCap() int { return c.shards[0].cap }
+
+// Len returns the cached entry count across all shards.
+func (c *Cache) Len() int {
+	total := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		total += len(s.m)
+		s.mu.Unlock()
+	}
+	return total
 }

@@ -34,7 +34,6 @@ type Op struct {
 	TenantIndex int    // 0-based index behind Tenant
 	Kind        OpKind
 	Shared      bool // target the shared blob instead of the tenant's private one
-	Seq         int  // arrival index, 0-based
 }
 
 // GenConfig parameterizes one open-loop run.
@@ -63,13 +62,12 @@ type Report struct {
 	Offered   int // arrivals dispatched
 	Completed int // finished without error
 	Rejected  int // failed with ErrOverloaded (fast admission rejects)
-	Failed    int // failed with any other error
 	// MaxInflight is the in-flight high-water mark: bounded when
 	// admission sheds over-rate work, growing with the backlog when it
 	// does not.
 	MaxInflight int
-	// Latencies holds one sample per completed operation.
-	Latencies     []time.Duration
+	// latencies holds one sample per completed operation.
+	latencies     []time.Duration
 	P50, P90, P99 time.Duration
 	// FirstErr is the first non-overload failure, if any.
 	FirstErr error
@@ -82,7 +80,7 @@ func (r *Report) Goodput(window time.Duration, slo time.Duration) float64 {
 		return 0
 	}
 	n := 0
-	for _, l := range r.Latencies {
+	for _, l := range r.latencies {
 		if slo <= 0 || l <= slo {
 			n++
 		}
@@ -109,7 +107,7 @@ func Run(env cluster.Env, cfg GenConfig, do func(Op) error) *Report {
 	inflight := 0
 	wg := env.NewWaitGroup()
 	elapsed := time.Duration(0)
-	for seq := 0; ; seq++ {
+	for {
 		gap := time.Duration(rng.ExpFloat64() / cfg.Rate * float64(time.Second))
 		elapsed += gap
 		if elapsed > cfg.Duration {
@@ -119,7 +117,6 @@ func Run(env cluster.Env, cfg GenConfig, do func(Op) error) *Report {
 		op := Op{
 			Tenant:      fmt.Sprintf("t%d", ti),
 			TenantIndex: ti,
-			Seq:         seq,
 		}
 		if rng.Float64() < cfg.ReadFraction {
 			op.Kind = OpRead
@@ -145,11 +142,10 @@ func Run(env cluster.Env, cfg GenConfig, do func(Op) error) *Report {
 			switch {
 			case err == nil:
 				rep.Completed++
-				rep.Latencies = append(rep.Latencies, lat)
+				rep.latencies = append(rep.latencies, lat)
 			case errors.Is(err, ErrOverloaded):
 				rep.Rejected++
 			default:
-				rep.Failed++
 				if rep.FirstErr == nil {
 					rep.FirstErr = err
 				}
@@ -157,6 +153,6 @@ func Run(env cluster.Env, cfg GenConfig, do func(Op) error) *Report {
 		})
 	}
 	wg.Wait()
-	rep.P50, rep.P90, rep.P99 = Quantiles(rep.Latencies)
+	rep.P50, rep.P90, rep.P99 = Quantiles(rep.latencies)
 	return rep
 }

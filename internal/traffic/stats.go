@@ -8,20 +8,10 @@ import (
 	"time"
 )
 
-// Quantile returns the q-quantile (0 <= q <= 1) of samples using the
-// nearest-rank method. It does not modify samples; an empty input
-// reports 0.
-func Quantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantileSorted(sorted, q)
-}
-
-// Quantiles returns the p50/p90/p99 latency points of samples in one
-// sort — the distribution triple the bench JSON schema records.
+// Quantiles returns the p50/p90/p99 latency points of samples, by the
+// nearest-rank method, in one sort — the distribution triple the bench
+// JSON schema records. It does not modify samples; an empty input
+// reports zeros.
 func Quantiles(samples []time.Duration) (p50, p90, p99 time.Duration) {
 	if len(samples) == 0 {
 		return 0, 0, 0
