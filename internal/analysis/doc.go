@@ -52,13 +52,13 @@
 //     WaitGroup.Wait and Ctx.Wait park the goroutine until virtual
 //     time advances; any other goroutine that needs the held mutex to
 //     produce the wake-up event deadlocks the simulation — and worse:
-//     a goroutine parked on a real mutex still counts as runnable to
-//     the engine, so Engine.Run waits for quiescence that never comes
-//     instead of reporting sim.ErrDeadlock. The check is best-effort:
-//     it tracks Lock/Unlock pairs (including deferred unlocks) through
-//     straight-line code and flags blocking calls made in the held
-//     region, plus a package-local fixpoint that marks same-package
-//     callees which transitively reach a blocking call. A callee that
+//     a process parked on a real mutex keeps the baton, so Engine.Run
+//     never regains control and cannot report sim.ErrDeadlock. The
+//     check is best-effort: it tracks Lock/Unlock pairs (including
+//     deferred unlocks) through straight-line code and flags blocking
+//     calls made in the held region, plus a package-local fixpoint
+//     that marks same-package callees which transitively reach a
+//     blocking call. A callee that
 //     unlocks a mutex before its first blocking call is treated as
 //     lock-aware (the "release across the commit, reacquire after"
 //     shape) and is not marked.

@@ -153,9 +153,7 @@ func runPublishAblation(opts publishOpts) (batched, unbatched publishResult, err
 	if err != nil {
 		return batched, unbatched, err
 	}
-	// Allow sub-percent scheduling jitter; anything beyond means the
-	// batch path genuinely regressed.
-	if batched.versionsPerSec < unbatched.versionsPerSec*0.99 {
+	if batched.versionsPerSec < unbatched.versionsPerSec {
 		err = fmt.Errorf("bench: a6 batched publish slower than unbatched: %.1f vs %.1f versions/s",
 			batched.versionsPerSec, unbatched.versionsPerSec)
 	}
@@ -183,9 +181,7 @@ func runShardAblation(opts publishOpts) (sharded, single publishResult, err erro
 	if err != nil {
 		return sharded, single, err
 	}
-	// Allow sub-percent scheduling jitter; anything beyond means the
-	// sharded tier genuinely regressed.
-	if sharded.versionsPerSec < single.versionsPerSec*0.99 {
+	if sharded.versionsPerSec < single.versionsPerSec {
 		err = fmt.Errorf("bench: a7 sharded tier slower than single shard: %.1f vs %.1f versions/s",
 			sharded.versionsPerSec, single.versionsPerSec)
 	}

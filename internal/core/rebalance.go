@@ -71,10 +71,10 @@ type Rebalancer struct {
 	// repairBlob calls share one client and would otherwise race to
 	// copy the same pages). It is an engine-visible latch, not a
 	// mutex held across the pass: a pass blocks in virtual time
-	// (Env.RTT/Scatter inside copyTo), and a goroutine parked on a
-	// real sync.Mutex still counts as runnable to the sim engine, so
-	// a second repairBlob waiting on a mutex while the holder sleeps
-	// in virtual time would wedge Engine.Run forever. Contenders
+	// (Env.RTT/Scatter inside copyTo), and a process parked on a real
+	// sync.Mutex keeps the sim engine's baton, so a second repairBlob
+	// waiting on a mutex while the holder sleeps in virtual time would
+	// wedge Engine.Run forever: Run never regains control. Contenders
 	// instead park on a Signal (passWait) and are woken by
 	// releasePass — blocking the engine can see and schedule around.
 	passBusy  bool

@@ -250,14 +250,14 @@ func TestRepairSweepBackground(t *testing.T) {
 
 // TestConcurrentRepairPassesSim: two RepairBlob calls racing in the
 // simulator must serialize without wedging the engine. A pass blocks
-// in virtual time (page copies charge RTT/Scatter), and a goroutine
-// parked on a real sync.Mutex still counts as runnable to the engine;
-// when passes were serialized by a plain mutex, the second caller
-// parked on it while the holder slept in virtual time, so Engine.Run
-// waited for quiescence that never came and the simulation hung. The
-// Signal-based pass latch (acquirePass/releasePass) parks contenders
-// in virtual time instead; the real-time watchdog here catches any
-// regression to the mutex shape.
+// in virtual time (page copies charge RTT/Scatter), and a process
+// parked on a real sync.Mutex keeps the engine's baton; when passes
+// were serialized by a plain mutex, the second caller parked on it
+// while the holder slept in virtual time, so Engine.Run never regained
+// control and the simulation hung. The Signal-based pass latch
+// (acquirePass/releasePass) parks contenders in virtual time instead;
+// the real-time watchdog here catches any regression to the mutex
+// shape.
 func TestConcurrentRepairPassesSim(t *testing.T) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(12))

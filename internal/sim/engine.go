@@ -1,18 +1,21 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine multiplexes simulated processes (ordinary goroutines spawned
-// with Engine.Go) over a virtual clock. Virtual time advances only when
-// every live process is blocked on a simulation primitive (Sleep, Signal,
-// or a timer); the engine then pops the earliest pending event and resumes
-// the processes it wakes. Code running between blocking points is treated
-// as instantaneous in virtual time, which matches the modelling assumption
-// of this repository: network and disk transfers consume time, CPU does
-// not.
+// The engine multiplexes simulated processes (goroutines spawned with
+// Engine.Go) over a virtual clock. Exactly one process, or the
+// scheduler, runs at any moment: it holds the baton. A process keeps it
+// until it blocks on a simulation primitive (Sleep, Signal.Wait) or
+// exits, then hands it to the next ready process in FIFO order, or to
+// the scheduler when none is ready. The scheduler pops the earliest
+// pending event and readies the process it wakes. Order within one
+// virtual instant is thus event time, event sequence, then ready order:
+// a function of the program alone. Code running between blocking points
+// is instantaneous in virtual time, which matches the modelling
+// assumption of this repository: network and disk transfers consume
+// time, CPU does not.
 //
-// Processes may freely use real sync primitives (mutexes, channels) to
-// coordinate with other *currently runnable* processes; such coordination
-// is instantaneous in virtual time. Blocking across virtual time must go
-// through the engine, otherwise Run reports a deadlock.
+// With one runner a real mutex is never contended, and a real channel
+// is fine as long as it never blocks: a process parked on a real mutex
+// or channel keeps the baton, so Run never regains control.
 package sim
 
 import (
@@ -31,23 +34,33 @@ var ErrDeadlock = errors.New("sim: deadlock: processes blocked with no pending e
 // NewEngine.
 type Engine struct {
 	mu      sync.Mutex
-	idle    *sync.Cond // signalled when runnable drops to zero
 	now     time.Duration
 	queue   eventQueue
 	seq     uint64
-	procs   int // live non-daemon processes
-	daemons int // live daemon processes
-	// runnable counts processes that are not blocked on an engine
-	// primitive. Run advances the clock only when it reaches zero.
-	runnable int
-	running  bool
+	procs   int           // live non-daemon processes
+	ready   []*proc       // FIFO of processes waiting for the baton
+	head    int           // ready[head] is next
+	cur     *proc         // holder of the baton; nil while the scheduler holds it
+	sched   chan struct{} // the scheduler's park channel
+	spare   []*proc       // exited processes whose goroutines await reuse
+	running bool
+}
+
+// proc is a simulated process: one goroutine that runs only while it
+// holds the baton, parked on its own channel otherwise.
+type proc struct {
+	park   chan struct{} // capacity 1: the baton may arrive before the park
+	fn     func()        // nil tells a spare goroutine to exit
+	daemon bool
+	wake   event // Sleep's event; a process sleeps at most once at a time
 }
 
 type event struct {
 	at    time.Duration
 	seq   uint64
-	fn    func()
-	index int // heap index, -1 once removed
+	fn    func() // an After callback
+	p     *proc  // or, for a Sleep, the process to wake
+	index int    // heap index, -1 once removed
 }
 
 // Timer is a cancellable scheduled callback.
@@ -58,9 +71,7 @@ type Timer struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.idle = sync.NewCond(&e.mu)
-	return e
+	return &Engine{sched: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time (elapsed since engine start).
@@ -71,7 +82,9 @@ func (e *Engine) Now() time.Duration {
 }
 
 // Go spawns fn as a simulated process. Run returns once all non-daemon
-// processes have finished.
+// processes have finished. The new process joins the back of the ready
+// queue; the caller keeps running until it blocks. fn must return: one
+// that ends its goroutine (runtime.Goexit, t.FailNow) keeps the baton.
 func (e *Engine) Go(fn func()) {
 	e.spawn(fn, false)
 }
@@ -85,62 +98,93 @@ func (e *Engine) GoDaemon(fn func()) {
 
 func (e *Engine) spawn(fn func(), daemon bool) {
 	e.mu.Lock()
-	if daemon {
-		e.daemons++
+	defer e.mu.Unlock()
+	var p *proc
+	if n := len(e.spare); n > 0 {
+		p, e.spare = e.spare[n-1], e.spare[:n-1]
 	} else {
+		p = &proc{park: make(chan struct{}, 1)}
+		p.wake.p = p
+		go e.loop(p)
+	}
+	p.fn, p.daemon = fn, daemon
+	if !daemon {
 		e.procs++
 	}
-	e.runnable++
+	e.ready = append(e.ready, p)
+}
+
+// loop is the goroutine behind p. It runs one process body per baton
+// it is given, and returns once it is handed the baton with no body.
+func (e *Engine) loop(p *proc) {
+	for <-p.park; p.fn != nil; <-p.park {
+		p.fn()
+		e.mu.Lock()
+		if !p.daemon {
+			e.procs--
+		}
+		p.fn = nil
+		e.spare = append(e.spare, p)
+		e.handOffLocked()
+	}
+}
+
+// parkLocked blocks the process holding the baton, after op has
+// registered what wakes it: the baton passes on and p waits for its
+// return. Callers hold e.mu. The scheduler (in an After callback) and
+// the host goroutine have nothing to park, so op panics there.
+func (e *Engine) parkLocked(op string, register func(p *proc)) {
+	p := e.cur
+	if p == nil {
+		e.mu.Unlock()
+		panic("sim: " + op + " called outside a simulated process (from an After callback or the host goroutine)")
+	}
+	register(p)
+	e.handOffLocked()
+	<-p.park
+}
+
+// handOffLocked releases e.mu and passes the baton to the head of the
+// ready queue, or to the scheduler when no process is ready.
+func (e *Engine) handOffLocked() {
+	var next *proc
+	if e.head < len(e.ready) {
+		next, e.ready[e.head] = e.ready[e.head], nil
+		e.head++
+		if e.head == len(e.ready) {
+			e.ready, e.head = e.ready[:0], 0
+		}
+	}
+	e.cur = next
 	e.mu.Unlock()
-	go func() {
-		defer func() {
-			e.mu.Lock()
-			if daemon {
-				e.daemons--
-			} else {
-				e.procs--
-			}
-			e.runnable--
-			if e.runnable == 0 {
-				e.idle.Signal()
-			}
-			e.mu.Unlock()
-		}()
-		fn()
-	}()
+	if next == nil {
+		e.sched <- struct{}{}
+	} else {
+		next.park <- struct{}{}
+	}
 }
 
 // Sleep blocks the calling process for d of virtual time. Non-positive
-// durations yield without advancing the clock.
+// durations yield without advancing the clock. It panics outside a
+// simulated process.
 func (e *Engine) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	ch := make(chan struct{})
 	e.mu.Lock()
-	e.scheduleLocked(e.now+d, func() {
-		e.mu.Lock()
-		e.runnable++
-		e.mu.Unlock()
-		close(ch)
+	e.parkLocked("Sleep", func(p *proc) {
+		p.wake.at = e.now + max(d, 0)
+		e.pushLocked(&p.wake)
 	})
-	e.block()
-	e.mu.Unlock()
-	<-ch
 }
 
 // After schedules fn to run d from now (a negative d means now). fn
-// executes in the scheduler's context: it must not block, but it may
-// call After, Cancel, and Signal.Fire. It must not call Sleep or
-// Signal.Wait.
+// executes in the scheduler's context, while no process runs: it must
+// not block, but it may call After, Cancel, Go and Signal.Fire. Sleep
+// and Signal.Wait panic there.
 func (e *Engine) After(d time.Duration, fn func()) *Timer {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	at := e.now + d
-	if d < 0 {
-		at = e.now
-	}
-	return &Timer{e: e, ev: e.scheduleLocked(at, fn)}
+	ev := &event{at: e.now + max(d, 0), fn: fn}
+	e.pushLocked(ev)
+	return &Timer{e: e, ev: ev}
 }
 
 // Cancel removes the timer if it has not fired. It reports whether the
@@ -159,24 +203,16 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-func (e *Engine) scheduleLocked(at time.Duration, fn func()) *event {
-	ev := &event{at: at, seq: e.seq, fn: fn}
+func (e *Engine) pushLocked(ev *event) {
+	ev.seq = e.seq
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// block marks the calling process as blocked; callers hold e.mu.
-func (e *Engine) block() {
-	e.runnable--
-	if e.runnable == 0 {
-		e.idle.Signal()
-	}
 }
 
 // Run drives the simulation until every non-daemon process has finished
 // or a deadlock is detected. It must be invoked from the
-// host (non-simulated) goroutine, exactly once.
+// host (non-simulated) goroutine, exactly once. When it returns, the
+// goroutines of finished processes have exited or are exiting.
 func (e *Engine) Run() error {
 	e.mu.Lock()
 	if e.running {
@@ -185,26 +221,36 @@ func (e *Engine) Run() error {
 	}
 	e.running = true
 	for {
-		for e.runnable > 0 {
-			e.idle.Wait()
+		if e.head < len(e.ready) {
+			e.handOffLocked()
+			<-e.sched // back once no process is ready
+			e.mu.Lock()
+			continue
 		}
-		if e.procs == 0 {
+		if e.procs == 0 || e.queue.Len() == 0 {
+			var err error
+			if e.procs > 0 {
+				err = fmt.Errorf("%w (%d processes)", ErrDeadlock, e.procs)
+			}
+			// Blocked processes (abandoned daemons, a deadlock) keep
+			// their goroutines; spare ones exit.
+			spare := e.spare
+			e.spare = nil
 			e.mu.Unlock()
-			return nil
-		}
-		if e.queue.Len() == 0 {
-			e.mu.Unlock()
-			return fmt.Errorf("%w (%d processes)", ErrDeadlock, e.procs)
+			for _, p := range spare {
+				p.park <- struct{}{}
+			}
+			return err
 		}
 		ev := heap.Pop(&e.queue).(*event)
 		ev.index = -1
-		if ev.at > e.now {
-			e.now = ev.at
+		e.now = max(e.now, ev.at)
+		if ev.p != nil {
+			e.ready = append(e.ready, ev.p)
+			continue
 		}
 		// Run the callback without the lock so it can use the public
-		// API (After, Fire, ...). The scheduler owns the clock meanwhile:
-		// runnable may rise above zero while fn wakes processes, and
-		// the top of the loop waits for quiescence again.
+		// API (After, Fire, ...); it runs alone, as the scheduler.
 		e.mu.Unlock()
 		ev.fn()
 		e.mu.Lock()
@@ -213,31 +259,29 @@ func (e *Engine) Run() error {
 
 // Signal is a one-shot wake-up that simulated processes can Wait on.
 // Fire may be called before, during, or after Wait, from processes or
-// timer callbacks. Multiple waiters are all released by one Fire.
+// timer callbacks. Multiple waiters are all released by one Fire, in
+// the order they called Wait.
 type Signal struct {
 	e       *Engine
-	fired   bool // guarded by e.mu
-	waiters int  // guarded by e.mu
-	ch      chan struct{}
+	fired   bool    // guarded by e.mu
+	waiters []*proc // guarded by e.mu
 }
 
 // NewSignal returns an unfired signal bound to the engine.
 func (e *Engine) NewSignal() *Signal {
-	return &Signal{e: e, ch: make(chan struct{})}
+	return &Signal{e: e}
 }
 
 // Wait blocks the calling process until the signal fires. Returns
-// immediately if it already fired.
+// immediately if it already fired; otherwise it panics outside a
+// simulated process.
 func (s *Signal) Wait() {
 	s.e.mu.Lock()
 	if s.fired {
 		s.e.mu.Unlock()
 		return
 	}
-	s.waiters++
-	s.e.block()
-	s.e.mu.Unlock()
-	<-s.ch
+	s.e.parkLocked("Signal.Wait", func(p *proc) { s.waiters = append(s.waiters, p) })
 }
 
 // Fired reports whether the signal has fired.
@@ -248,17 +292,15 @@ func (s *Signal) Fired() bool {
 }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
+// The waiters join the back of the ready queue; the caller keeps running.
 func (s *Signal) Fire() {
 	s.e.mu.Lock()
-	if s.fired {
-		s.e.mu.Unlock()
-		return
+	defer s.e.mu.Unlock()
+	if !s.fired {
+		s.fired = true
+		s.e.ready = append(s.e.ready, s.waiters...)
+		s.waiters = nil
 	}
-	s.fired = true
-	close(s.ch)
-	s.e.runnable += s.waiters
-	s.waiters = 0
-	s.e.mu.Unlock()
 }
 
 type eventQueue []*event

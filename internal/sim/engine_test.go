@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
-	"sort"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,7 +213,6 @@ func TestTimerReschedulingFromCallback(t *testing.T) {
 
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
-	var mu sync.Mutex
 	var ends []time.Duration
 	e.Go(func() {
 		e.Sleep(time.Second)
@@ -218,16 +220,13 @@ func TestNestedSpawn(t *testing.T) {
 			d := time.Duration(i) * time.Second
 			e.Go(func() {
 				e.Sleep(d)
-				mu.Lock()
 				ends = append(ends, e.Now())
-				mu.Unlock()
 			})
 		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
 	want := []time.Duration{2 * time.Second, 3 * time.Second, 4 * time.Second}
 	for i := range want {
 		if ends[i] != want[i] {
@@ -270,10 +269,10 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
-func TestRealSyncBetweenRunnableProcs(t *testing.T) {
-	// Processes may hand off through real channels as long as the
-	// counterpart is runnable: the handoff is instantaneous in virtual
-	// time.
+func TestRealChannelFineWhenItNeverBlocks(t *testing.T) {
+	// Processes may hand off through a real channel as long as no send
+	// or receive blocks: a process parked on it would keep the baton.
+	// The handoff is instantaneous in virtual time.
 	e := NewEngine()
 	ch := make(chan int, 1)
 	var got int
@@ -290,5 +289,102 @@ func TestRealSyncBetweenRunnableProcs(t *testing.T) {
 	}
 	if got != 42 {
 		t.Fatalf("got %d, want 42", got)
+	}
+}
+
+// The tests below append to slices guarded by no mutex: one process runs
+// at a time, and the baton hands over through channels, so -race sees
+// every append ordered after the last.
+
+func TestSignalWakesInWaitOrder(t *testing.T) {
+	e := NewEngine()
+	s := e.NewSignal()
+	const n = 8
+	var waited, woken []int
+	for i := 0; i < n; i++ {
+		e.Go(func() {
+			e.Sleep(time.Duration(n-i) * time.Millisecond) // Wait in reverse spawn order
+			waited = append(waited, i)
+			s.Wait()
+			woken = append(woken, i)
+		})
+	}
+	e.Go(func() {
+		e.Sleep(time.Second)
+		s.Fire()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woken) != n || !slices.Equal(woken, waited) {
+		t.Fatalf("woken in order %v, want the Wait order %v", woken, waited)
+	}
+}
+
+func TestSameInstantSpawnsRunInSpawnOrder(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	e.Go(func() {
+		e.Sleep(time.Second)
+		for i := 0; i < 8; i++ {
+			e.Go(func() { order = append(order, i) })
+		}
+		order = append(order, -1) // the spawner runs on until it blocks
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{-1, 0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(order, want) {
+		t.Fatalf("run order %v, want %v", order, want)
+	}
+}
+
+func TestSleepOutsideProcessPanics(t *testing.T) {
+	e := NewEngine()
+	var host, msg string
+	func() {
+		defer func() { host = fmt.Sprint(recover()) }()
+		e.Sleep(time.Second)
+	}()
+	if !strings.Contains(host, "sim: Sleep called outside a simulated process") {
+		t.Fatalf("Sleep on the host goroutine: recovered %q, want the engine's panic", host)
+	}
+	e.Go(func() {
+		e.After(time.Second, func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			e.Sleep(time.Second)
+		})
+		e.Sleep(2 * time.Second)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg, "sim: Sleep called outside a simulated process") {
+		t.Fatalf("Sleep in an After callback: recovered %q, want the engine's panic", msg)
+	}
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	// Waves of short processes, so later waves reuse earlier goroutines.
+	e.Go(func() {
+		for wave := 0; wave < 5; wave++ {
+			wg := e.NewWaitGroup()
+			for i := 0; i < 50; i++ {
+				wg.Go(func() { e.Sleep(time.Duration(i) * time.Millisecond) })
+			}
+			wg.Wait()
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
