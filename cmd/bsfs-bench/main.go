@@ -9,7 +9,7 @@
 // and the ablation studies (A1-A4, A6's batched-vs-unbatched publish,
 // A7's sharded-vs-centralized version management) on a simulated
 // Grid'5000-style cluster. bench.Experiments is the registry; -list
-// prints it.
+// prints it, and bench.RunExperiments is the loop that runs it.
 //
 // Usage:
 //
@@ -18,14 +18,17 @@
 //	bsfs-bench -clients 1,50,250        # custom sweep
 //	bsfs-bench -size 256 -nodes 90      # reduced scale (MB per client)
 //	bsfs-bench -replicas 3              # replicated deployments
-//	bsfs-bench -exp a3 -csv             # the sweep points that ran, as CSV
 //	bsfs-bench -json results.json       # record results (name, params, metrics)
+//
+// The committed golden, BENCH_sim.json, is this command's -json output
+// at -exp all -nodes 60 -clients 1,4,16 -size 64 -cache 48. The golden
+// test in internal/bench (TestGolden) runs the same loop in process and
+// checks it byte for byte.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -46,7 +49,6 @@ func main() {
 		nodes    = flag.Int("nodes", 270, "cluster size (paper: 270)")
 		cacheMB  = flag.Int64("cache", 512, "storage-node RAM cache in MB")
 		replicas = flag.Int("replicas", 1, "data replication factor for both systems")
-		csv      = flag.Bool("csv", false, "emit CSV instead of tables")
 		jsonPath = flag.String("json", "", "also write results (name, params, metrics) as JSON to this path")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
@@ -83,16 +85,8 @@ func main() {
 		Replication:    *replicas,
 	}
 
-	// -csv replaces the tables with the sweep points of whatever ran.
-	out := io.Writer(os.Stdout)
-	if *csv {
-		out = io.Discard
-	}
-
-	var todo []bench.Experiment
-	if *exp == "all" {
-		todo = bench.Experiments
-	} else {
+	todo := bench.Experiments
+	if *exp != "all" {
 		e, ok := bench.FindExperiment(*exp)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "bsfs-bench: unknown experiment %q (have %s, or 'all')\n", *exp, idList)
@@ -101,20 +95,10 @@ func main() {
 		todo = []bench.Experiment{e}
 	}
 
-	var results []bench.ExperimentResult
-	var points []bench.Point
-	for _, e := range todo {
-		fmt.Fprintf(out, "\n--- %s ---\n", e.Title)
-		rec := &bench.Recorder{Writer: out}
-		if err := e.Run(opts, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		results = append(results, bench.NewExperimentResult(e, rec))
-		points = append(points, rec.Points...)
-	}
-	if *csv {
-		bench.WritePointsCSV(os.Stdout, points)
+	results, err := bench.RunExperiments(os.Stdout, opts, todo)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bsfs-bench: %v\n", err)
+		os.Exit(1)
 	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
@@ -128,6 +112,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bsfs-bench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
+		fmt.Printf("\nwrote %s\n", *jsonPath)
 	}
 }

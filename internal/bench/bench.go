@@ -295,8 +295,8 @@ func (tb *Testbed) Run(body func()) error {
 	return tb.eng.Run()
 }
 
-// Point is one measured sweep point of a microbenchmark.
-type Point struct {
+// point is one measured sweep point of a microbenchmark.
+type point struct {
 	experiment string
 	kind       string
 	clients    int
@@ -322,11 +322,11 @@ type Point struct {
 }
 
 // phase is the measurement every experiment repeats (§IV): each node
-// runs op at once, one call per client, and the Point summarizes the
+// runs op at once, one call per client, and the point summarizes the
 // per-client durations, the makespan and the fabric bytes moved
 // meanwhile. Every client is timed even when its op fails; the first
 // error is returned. Call it from inside Run.
-func (tb *Testbed) phase(label string, perClient int64, nodes []cluster.NodeID, op func(i int, node cluster.NodeID) error) (Point, error) {
+func (tb *Testbed) phase(label string, perClient int64, nodes []cluster.NodeID, op func(i int, node cluster.NodeID) error) (point, error) {
 	durations := make([]time.Duration, len(nodes))
 	var opErr firstError
 	net0, disk0 := resourceSnapshot(tb)
@@ -363,9 +363,9 @@ func mbps(bytes int64, d time.Duration) float64 {
 	return float64(bytes) / d.Seconds() / float64(MB)
 }
 
-// summarize builds a Point from per-client durations.
-func summarize(exp, kind string, perClient int64, durations []time.Duration, makespan time.Duration) Point {
-	p := Point{experiment: exp, kind: kind, clients: len(durations), duration: makespan}
+// summarize builds a point from per-client durations.
+func summarize(exp, kind string, perClient int64, durations []time.Duration, makespan time.Duration) point {
+	p := point{experiment: exp, kind: kind, clients: len(durations), duration: makespan}
 	if len(durations) == 0 {
 		return p
 	}

@@ -63,8 +63,8 @@ func (o *faultOpts) fillDefaults() {
 type faultResult struct {
 	// healthy and Degraded are the read throughput before and during
 	// the failure.
-	healthy  Point
-	degraded Point
+	healthy  point
+	degraded point
 	// repairDuration is the virtual time RepairBlob took to restore
 	// full replication across all blobs.
 	repairDuration time.Duration
@@ -147,7 +147,7 @@ func runFaultChurn(opts faultOpts) (faultResult, error) {
 	var res faultResult
 	var victims []cluster.NodeID
 	blobs := make([]core.BlobID, opts.clients)
-	readAll := func(label string) (Point, error) {
+	readAll := func(label string) (point, error) {
 		return tb.phase(label, opts.bytesPerClient, clients, func(i int, node cluster.NodeID) error {
 			b, err := dep.NewClient(node).OpenBlob(blobs[i])
 			if err != nil {

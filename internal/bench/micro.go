@@ -45,15 +45,15 @@ func (o *microOpts) fillDefaults() {
 // runReadDistinct is experiment E1: clients concurrently read from
 // different files (map phase over distinct inputs). Files are
 // pre-loaded from nodes far from their readers.
-func runReadDistinct(opts microOpts) (Point, error) {
+func runReadDistinct(opts microOpts) (point, error) {
 	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
-		return Point{}, err
+		return point{}, err
 	}
 	clients := tb.clientNodes(opts.clients)
 	path := func(i int) string { return fmt.Sprintf("/e1/f%04d", i) }
-	var p Point
+	var p point
 	var runErr error
 	err = tb.Run(func() {
 		if runErr = tb.loadFar(clients, path, opts.bytesPerClient); runErr != nil {
@@ -72,14 +72,14 @@ func runReadDistinct(opts microOpts) (Point, error) {
 
 // runReadShared is experiment E2: clients concurrently read disjoint
 // parts of the same huge file (map phase over one shared input).
-func runReadShared(opts microOpts) (Point, error) {
+func runReadShared(opts microOpts) (point, error) {
 	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
-		return Point{}, err
+		return point{}, err
 	}
 	clients := tb.clientNodes(opts.clients)
-	var p Point
+	var p point
 	var runErr error
 	err = tb.Run(func() {
 		// Load phase: one huge file written from the master node (not
@@ -101,14 +101,14 @@ func runReadShared(opts microOpts) (Point, error) {
 
 // runWriteDistinct is experiment E3: clients concurrently write to
 // different files (reduce phase writing distinct outputs).
-func runWriteDistinct(opts microOpts) (Point, error) {
+func runWriteDistinct(opts microOpts) (point, error) {
 	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
-		return Point{}, err
+		return point{}, err
 	}
 	clients := tb.clientNodes(opts.clients)
-	var p Point
+	var p point
 	var runErr error
 	err = tb.Run(func() {
 		p, runErr = tb.phase("E3-write-distinct", opts.bytesPerClient, clients, func(i int, c cluster.NodeID) error {
@@ -125,14 +125,14 @@ func runWriteDistinct(opts microOpts) (Point, error) {
 // concurrently append to the same file. Only BSFS supports it; running
 // it against HDFS returns the unsupported error, which is itself the
 // paper's point.
-func runAppendShared(opts microOpts) (Point, error) {
+func runAppendShared(opts microOpts) (point, error) {
 	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
-		return Point{}, err
+		return point{}, err
 	}
 	clients := tb.clientNodes(opts.clients)
-	var p Point
+	var p point
 	var runErr error
 	err = tb.Run(func() {
 		if runErr = createEmpty(tb.NewFS(0), "/x1/shared"); runErr != nil {

@@ -15,10 +15,11 @@
 //     (StorageOpts.VMServiceTime), so one centralized shard saturates
 //     and sharding divides its queue.
 //   - A6 runs X2 at the batching pipeline depth and at depth 2 (one
-//     block per commit) and asserts batched publication is at least as
-//     fast.
-//   - A7 runs X5 with the tier sharded and collapsed to one shard and
-//     asserts the sharded tier is at least as fast.
+//     block per commit).
+//   - A7 runs X5 with the tier sharded and collapsed to one shard.
+//
+// Which arm wins is a claim over the results, checked by the claims
+// table of this package's tests, not by the runs.
 
 package bench
 
@@ -70,7 +71,7 @@ func (o *publishOpts) fillDefaults() {
 type publishResult struct {
 	// point carries the usual per-writer data throughput summary; the
 	// caller names it.
-	point Point
+	point point
 	// versions is the number of versions published (writers x blocks).
 	versions int
 	// versionsPerSec is the aggregate publish throughput over the
@@ -139,8 +140,7 @@ func runPublish(opts publishOpts) (publishResult, error) {
 // half-window runs, one ticket and one publish round trip per run) and
 // at depth 2 (unbatched: one block, one version, per commit). Both arms
 // take the same publish path; the ablated quantity is how many
-// versions share a round trip. It errors if the batched arm publishes
-// slower — the sim-level assertion that batching never loses.
+// versions share a round trip.
 func runPublishAblation(opts publishOpts) (batched, unbatched publishResult, err error) {
 	batched, err = runPublish(opts)
 	batched.point.experiment = "X2-publish-shared"
@@ -150,21 +150,12 @@ func runPublishAblation(opts publishOpts) (batched, unbatched publishResult, err
 	opts.storage.maxInFlightBlocks = 2
 	unbatched, err = runPublish(opts)
 	unbatched.point.experiment = "A6-unbatched-publish"
-	if err != nil {
-		return batched, unbatched, err
-	}
-	if batched.versionsPerSec < unbatched.versionsPerSec {
-		err = fmt.Errorf("bench: a6 batched publish slower than unbatched: %.1f vs %.1f versions/s",
-			batched.versionsPerSec, unbatched.versionsPerSec)
-	}
 	return batched, unbatched, err
 }
 
 // runShardAblation is ablation A7: the same multi-blob workload with
 // the version-manager tier sharded (VMShards, at least 2; 4 when
-// unset) and collapsed to one shard. It errors if the sharded tier
-// publishes slower than the centralized baseline — the sim-level
-// assertion that partitioning never loses.
+// unset) and collapsed to one shard.
 func runShardAblation(opts publishOpts) (sharded, single publishResult, err error) {
 	sh := opts
 	if sh.storage.vmShards < 2 {
@@ -178,12 +169,5 @@ func runShardAblation(opts publishOpts) (sharded, single publishResult, err erro
 	opts.storage.vmShards = 1
 	single, err = runPublish(opts)
 	single.point.experiment = "A7-single-shard"
-	if err != nil {
-		return sharded, single, err
-	}
-	if sharded.versionsPerSec < single.versionsPerSec {
-		err = fmt.Errorf("bench: a7 sharded tier slower than single shard: %.1f vs %.1f versions/s",
-			sharded.versionsPerSec, single.versionsPerSec)
-	}
 	return sharded, single, err
 }

@@ -11,15 +11,32 @@ import (
 	"time"
 )
 
-// Recorder tees an experiment's rendered output while capturing the
-// structured results behind it. Pass one as the writer to
-// Experiment.Run: WritePointsTable feeds it every sweep point, and
-// experiments with scalar results (e4, e5, x2-x6, a6, a7) record
-// named metrics. Serialize with WriteResultsJSON (bsfs-bench -json).
-type Recorder struct {
+// recorder tees an experiment's rendered output while capturing the
+// structured results behind it. RunExperiments passes one as the writer
+// to Experiment.run: writePointsTable feeds it every sweep point, and
+// experiments with scalar results (e4, e5, x2-x8, a6, a7) record named
+// metrics.
+type recorder struct {
 	io.Writer
-	Points  []Point
+	points  []point
 	metrics []Metric
+}
+
+// RunExperiments runs exps in order at opts, rendering each one's
+// tables to w, and returns what each recorded: the one loop behind
+// bsfs-bench and the golden test. It stops at the first experiment that
+// fails.
+func RunExperiments(w io.Writer, opts SweepOpts, exps []Experiment) ([]ExperimentResult, error) {
+	var results []ExperimentResult
+	for _, e := range exps {
+		fmt.Fprintf(w, "\n--- %s ---\n", e.Title)
+		rec := &recorder{Writer: w}
+		if err := e.run(opts, rec); err != nil {
+			return results, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		results = append(results, newExperimentResult(e, rec))
+	}
+	return results, nil
 }
 
 // Metric is one named scalar result of an experiment.
@@ -30,17 +47,17 @@ type Metric struct {
 }
 
 // recordPoints hands structured points to the writer when it is a
-// Recorder; plain writers just get the rendered table.
-func recordPoints(w io.Writer, pts []Point) {
-	if r, ok := w.(*Recorder); ok {
-		r.Points = append(r.Points, pts...)
+// recorder; plain writers just get the rendered table.
+func recordPoints(w io.Writer, pts []point) {
+	if r, ok := w.(*recorder); ok {
+		r.points = append(r.points, pts...)
 	}
 }
 
 // recordMetric captures one scalar result when the writer is a
-// Recorder.
+// recorder.
 func recordMetric(w io.Writer, name, unit string, value float64) {
-	if r, ok := w.(*Recorder); ok {
+	if r, ok := w.(*recorder); ok {
 		r.metrics = append(r.metrics, Metric{Name: name, Unit: unit, Value: value})
 	}
 }
@@ -48,7 +65,7 @@ func recordMetric(w io.Writer, name, unit string, value float64) {
 // writePointsTable renders microbenchmark sweep points grouped by
 // storage kind, one row per (kind, clients) — the series behind the
 // paper's throughput figures.
-func writePointsTable(w io.Writer, title string, points []Point) {
+func writePointsTable(w io.Writer, title string, points []point) {
 	recordPoints(w, points)
 	fmt.Fprintf(w, "\n== %s ==\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -84,15 +101,6 @@ func writeAppTable(w io.Writer, title string, results []AppResult) {
 	tw.Flush()
 }
 
-// WritePointsCSV emits machine-readable sweep data.
-func WritePointsCSV(w io.Writer, points []Point) {
-	fmt.Fprintln(w, "experiment,fs,clients,per_client_mbps,min_mbps,max_mbps,aggregate_mbps,makespan_s")
-	for _, p := range points {
-		fmt.Fprintf(w, "%s,%s,%d,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-			p.experiment, p.kind, p.clients, p.perClientMBps, p.minMBps, p.maxMBps, p.aggregateMBps, p.duration.Seconds())
-	}
-}
-
 func size(n int64) string {
 	switch {
 	case n >= GB:
@@ -124,11 +132,11 @@ type ExperimentResult struct {
 	Metrics []Metric    `json:"metrics,omitempty"`
 }
 
-// NewExperimentResult pairs an experiment's identity with what its
-// Recorder captured.
-func NewExperimentResult(e Experiment, r *Recorder) ExperimentResult {
+// newExperimentResult pairs an experiment's identity with what its
+// recorder captured.
+func newExperimentResult(e Experiment, r *recorder) ExperimentResult {
 	res := ExperimentResult{ID: e.ID, Title: e.Title, Metrics: r.metrics}
-	for _, p := range r.Points {
+	for _, p := range r.points {
 		res.Points = append(res.Points, pointJSON{
 			Experiment:    p.experiment,
 			FS:            p.kind,
@@ -148,7 +156,7 @@ func NewExperimentResult(e Experiment, r *Recorder) ExperimentResult {
 	return res
 }
 
-// pointJSON is Point in stable machine-readable form (durations as
+// pointJSON is point in stable machine-readable form (durations as
 // seconds, not nanosecond ints).
 type pointJSON struct {
 	Experiment    string  `json:"experiment"`

@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
-	"io"
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 )
 
-func samplePoints() []Point {
-	return []Point{
+func samplePoints() []point {
+	return []point{
 		{experiment: "E3-write-distinct", kind: "bsfs", clients: 50, perClientMBps: 124.2, minMBps: 124.1, maxMBps: 124.8, aggregateMBps: 6204.8, duration: 8250 * time.Millisecond},
 		{experiment: "E3-write-distinct", kind: "hdfs", clients: 50, perClientMBps: 59.9, minMBps: 59.9, maxMBps: 60.0, aggregateMBps: 2996.8, duration: 17080 * time.Millisecond},
 	}
@@ -27,21 +26,6 @@ func TestWritePointsTable(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // title + header + 2 rows
 		t.Fatalf("table has %d lines:\n%s", len(lines), out)
-	}
-}
-
-func TestWritePointsCSV(t *testing.T) {
-	var sb strings.Builder
-	WritePointsCSV(&sb, samplePoints())
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "experiment,fs,clients") {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "E3-write-distinct,bsfs,50,124.20") {
-		t.Fatalf("csv row = %q", lines[1])
 	}
 }
 
@@ -102,65 +86,20 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestFindExperiment(t *testing.T) {
-	if _, ok := FindExperiment("e1"); !ok {
-		t.Fatal("e1 not registered")
-	}
 	if _, ok := FindExperiment("nope"); ok {
 		t.Fatal("bogus experiment found")
 	}
-	// Every registry entry has an id, title and runner.
-	ids := map[string]bool{}
+	// Every registry entry has an id, title and runner, and its id finds it.
 	for _, e := range Experiments {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
-			t.Fatalf("incomplete experiment %+v", e)
-		}
-		if ids[e.ID] {
-			t.Fatalf("duplicate id %s", e.ID)
-		}
-		ids[e.ID] = true
-	}
-	for _, want := range []string{"e1", "e2", "e3", "e4", "e5", "x1", "x4", "a1", "a2", "a3", "a4"} {
-		if !ids[want] {
-			t.Fatalf("experiment %s missing from registry", want)
+		if got, ok := FindExperiment(e.ID); !ok || got.Title != e.Title || e.run == nil {
+			t.Fatalf("experiment %q: found %v, registered %+v", e.ID, ok, e)
 		}
 	}
 }
 
-// TestAppExperimentsRecordMetrics runs the application benchmarks the way
-// bsfs-bench does, through the registry: one map per client at the
-// sweep's largest client count, and every job's completion time and
-// byte counts recorded for -json.
-func TestAppExperimentsRecordMetrics(t *testing.T) {
-	opts := SweepOpts{Clients: []int{2, 6}, BytesPerClient: 16 * MB, Spec: ClusterSpec{Nodes: 30, metaNodes: 4}}
-	const volume = float64(6 * 16 * MB) // what E4's six maps write and E5's read back
-	for id, want := range map[string]map[string]float64{
-		"e4": {"E4-random-text-writer_bsfs_output": volume, "E4-random-text-writer_hdfs_output": volume},
-		"e5": {"E5-distributed-grep_bsfs_input": volume, "E5-distributed-grep_hdfs_input": volume},
-		"x4": {"X4-snapshot-grep-1_bsfs_input": volume / 2, "X4-snapshot-grep-2_bsfs_input": volume},
-	} {
-		e, _ := FindExperiment(id)
-		rec := &Recorder{Writer: io.Discard}
-		if err := e.Run(opts, rec); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got := map[string]float64{}
-		for _, m := range rec.metrics {
-			got[m.Name] = m.Value
-		}
-		// Each job records its completion time and three byte counts.
-		if len(got) != 4*len(want) {
-			t.Errorf("%s recorded %d metrics, want %d: %v", id, len(got), 4*len(want), got)
-		}
-		for name, bytes := range want {
-			if got[name] != bytes {
-				t.Errorf("%s: %s = %v, want %v", id, name, got[name], bytes)
-			}
-			if job := name[:strings.LastIndex(name, "_")]; got[job+"_completion"] <= 0 {
-				t.Errorf("%s: %s_completion = %v s", id, job, got[job+"_completion"])
-			}
-		}
-	}
-}
+// TestAppExperimentsRecordMetrics checks its rows of the claims table:
+// the application benchmarks record each job's byte counts for -json.
+func TestAppExperimentsRecordMetrics(t *testing.T) { checkClaims(t) }
 
 func TestTestbedValidation(t *testing.T) {
 	if _, err := NewTestbed(ClusterSpec{Nodes: 10}, StorageOpts{Kind: "ceph"}); err == nil {
@@ -192,58 +131,27 @@ func TestClientNodeSpread(t *testing.T) {
 	}
 }
 
+// TestWriteResultsJSON checks the schema loses nothing: the parsed
+// golden, written back with its own parameters, is the same bytes.
 func TestWriteResultsJSON(t *testing.T) {
-	rec := &Recorder{Writer: io.Discard}
-	writePointsTable(rec, "E3", samplePoints())
-	recordMetric(rec, "publish_rate_n50", "versions/s", 812.5)
-	if len(rec.Points) != 2 || len(rec.metrics) != 1 {
-		t.Fatalf("recorder captured %d points, %d metrics", len(rec.Points), len(rec.metrics))
-	}
-	e, _ := FindExperiment("e3")
-	var sb strings.Builder
-	err := WriteResultsJSON(&sb, SweepOpts{Clients: []int{50}, Spec: ClusterSpec{Nodes: 90}},
-		[]ExperimentResult{NewExperimentResult(e, rec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Params struct {
-			Clients []int `json:"clients"`
-			Nodes   int   `json:"nodes"`
-		} `json:"params"`
-		Experiments []struct {
-			ID     string `json:"id"`
-			Points []struct {
-				FS          string  `json:"fs"`
-				MakespanSec float64 `json:"makespan_s"`
-			} `json:"points"`
-			Metrics []Metric `json:"metrics"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if doc.Params.Nodes != 90 || len(doc.Params.Clients) != 1 {
-		t.Fatalf("params = %+v", doc.Params)
-	}
-	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "e3" {
-		t.Fatalf("experiments = %+v", doc.Experiments)
-	}
-	got := doc.Experiments[0]
-	if len(got.Points) != 2 || got.Points[0].FS != "bsfs" || got.Points[0].MakespanSec != 8.25 {
-		t.Fatalf("points = %+v", got.Points)
-	}
-	if len(got.Metrics) != 1 || got.Metrics[0].Name != "publish_rate_n50" || got.Metrics[0].Value != 812.5 {
-		t.Fatalf("metrics = %+v", got.Metrics)
+	raw, doc := readGolden(t)
+	p := doc.Params
+	opts := SweepOpts{Clients: p.Clients, BytesPerClient: p.BytesPerClient, Spec: ClusterSpec{Nodes: p.Nodes},
+		MemCapacity: p.MemCapacity, Replication: p.Replication}
+	var b bytes.Buffer
+	if err := WriteResultsJSON(&b, opts, doc.Experiments); err != nil || !bytes.Equal(b.Bytes(), raw) {
+		t.Fatalf("re-encoding %s changes it (%v)", goldenPath, err)
 	}
 }
 
-// Recorder passes rendered output through to the wrapped writer.
+// TestRecorderTees checks a recorder passes rendered output through to
+// the wrapped writer while it captures the points and metrics behind it.
 func TestRecorderTees(t *testing.T) {
 	var sb strings.Builder
-	rec := &Recorder{Writer: &sb}
+	rec := &recorder{Writer: &sb}
 	writePointsTable(rec, "E3", samplePoints())
-	if !strings.Contains(sb.String(), "== E3 ==") {
-		t.Fatalf("recorder swallowed output:\n%s", sb.String())
+	recordMetric(rec, "publish_rate_n50", "versions/s", 812.5)
+	if !strings.Contains(sb.String(), "== E3 ==") || len(rec.points) != 2 || len(rec.metrics) != 1 {
+		t.Fatalf("recorder kept %d points and %d metrics, and wrote:\n%s", len(rec.points), len(rec.metrics), sb.String())
 	}
 }

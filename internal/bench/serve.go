@@ -13,7 +13,8 @@
 // admission, over-rate arrivals are rejected at op entry with
 // ErrOverloaded — before any version ticket exists — so the admitted
 // work keeps completing within the SLO and goodput degrades gracefully
-// instead of collapsing. That comparison is the X8 assertion.
+// instead of collapsing. That comparison is X8's claim, checked over the
+// results by the claims table of this package's tests.
 
 package bench
 
@@ -112,7 +113,7 @@ type serveResult struct {
 	// point summarizes the run for tables and the JSON schema: Clients
 	// is the tenant population, Duration the makespan (offered window
 	// plus drain), P50/P90/P99 the open-loop latency quantiles.
-	point Point
+	point point
 	// report is the raw generator report (offered/completed/rejected/
 	// failed counts, in-flight high-water mark, latency samples).
 	report *traffic.Report
@@ -253,7 +254,7 @@ func runServe(opts serveOpts) (serveResult, error) {
 	}
 	res := serveResult{
 		report: rep,
-		point: Point{
+		point: point{
 			experiment: fmt.Sprintf("X8-%.0fx-%s", opts.multiple, mode),
 			kind:       "bsfs",
 			clients:    opts.tenants,
@@ -270,11 +271,8 @@ func runServe(opts serveOpts) (serveResult, error) {
 	return res, runErr
 }
 
-// runServeSweep runs the full X8 grid — every load multiple with
-// admission off and on — and asserts graceful degradation: at the
-// highest multiple, admission must deliver at least the SLO goodput of
-// the open (unadmitted) run, and the admitted tail must stay within
-// the SLO.
+// runServeSweep runs the full X8 grid: every load multiple with
+// admission off and on.
 func runServeSweep(opts serveOpts, multiples []float64) (open, admitted []serveResult, err error) {
 	if len(multiples) == 0 {
 		multiples = []float64{1, 5, 10}
@@ -297,15 +295,5 @@ func runServeSweep(opts serveOpts, multiples []float64) (open, admitted []serveR
 		}
 		admitted = append(admitted, ra)
 	}
-	last := len(multiples) - 1
-	o := opts
-	o.fillDefaults()
-	if admitted[last].goodputPerSec < open[last].goodputPerSec {
-		err = fmt.Errorf("bench: x8 admission lost goodput at %gx: %.1f < %.1f ops/s",
-			multiples[last], admitted[last].goodputPerSec, open[last].goodputPerSec)
-	} else if admitted[last].report.P99 > o.slo {
-		err = fmt.Errorf("bench: x8 admitted p99 %s exceeds SLO %s at %gx",
-			admitted[last].report.P99, o.slo, multiples[last])
-	}
-	return open, admitted, err
+	return open, admitted, nil
 }

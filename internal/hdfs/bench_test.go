@@ -15,17 +15,6 @@ func BenchmarkChunkKey(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkChunkKeySprintf is the previous fmt.Sprintf implementation,
-// kept as the baseline the strconv version is measured against
-// (~4x faster, zero reflection).
-func BenchmarkChunkKeySprintf(b *testing.B) {
-	var sink string
-	for i := 0; i < b.N; i++ {
-		sink = fmt.Sprintf("c/%d", uint64(i))
-	}
-	_ = sink
-}
-
 // TestChunkKeyMatchesSprintf pins the strconv rendering to the old
 // format — store keys are persistent (WAL-backed deployments), so the
 // representation must not drift.
