@@ -70,20 +70,21 @@ type Service struct {
 	ns   *fsapi.Namespace
 	dep  *core.Deployment
 
-	// free holds whole blocks whose commits have returned, for the next
-	// writer to refill, for the service's lifetime: at most two writers'
-	// windows, 2 × MaxInFlightBlocks × BlockSize bytes, the in-flight
-	// blocks of two concurrent uploads. That many serves two clients
-	// uploading back to back from the list alone; a list dropped
-	// whenever no writer is open would miss at every gap between one
-	// client's files.
+	// free holds whole blocks whose commits have returned or that a
+	// reader has let go of, for the next writer or reader to refill, for
+	// the service's lifetime: at most two writers' windows, 2 ×
+	// MaxInFlightBlocks × BlockSize bytes, the in-flight blocks of two
+	// concurrent uploads (or the cached blocks of two readers). That many
+	// serves two clients uploading or downloading back to back from the
+	// list alone; a list dropped whenever no writer is open would miss at
+	// every gap between one client's files.
 	mu   sync.Mutex
 	free [][]byte
 }
 
 // block returns an empty block buffer with room for at least n bytes: a
 // free whole block if there is one and n fits, else a fresh one of
-// exactly n.
+// exactly n. A free block holds whatever its last user left in it.
 func (s *Service) block(n int64) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -95,9 +96,10 @@ func (s *Service) block(n int64) []byte {
 	return make([]byte, 0, n)
 }
 
-// recycle takes back a block whose commit has returned: the providers'
-// caches copied its pages on ingest, so nothing refers to it any more.
-// Only whole blocks are kept, and no more than two writers' windows.
+// recycle takes back a block nothing refers to any more: a writer's
+// whose commit has returned (the providers' caches copied its pages on
+// ingest), or a reader's once evicted and no longer borrowed. Only
+// whole blocks are kept, and no more than two writers' windows.
 func (s *Service) recycle(b []byte) {
 	if int64(cap(b)) != s.cfg.BlockSize {
 		return
@@ -824,7 +826,20 @@ func (w *writer) Close() error {
 // block when the requested data is not already cached"), plus
 // background readahead: a sequential scan that reaches block bi kicks
 // off a concurrent fetch of block bi+1, overlapping the next block's
-// provider I/O with consumption of the current one.
+// provider I/O with consumption of the current one. Blocks are filled
+// from the service's free list, gathered straight from the providers'
+// caches, and handed out whole: ReadAt copies from them, WriteTo passes
+// them to its writer as they are. Each is borrowed for that copy or
+// write and goes back to the free list once it has left the cache and
+// its last borrower is done.
+
+// cached is one block the reader holds: its bytes (nil for a synthetic
+// placeholder) and its holds — one while it is in the cache, one per
+// borrower.
+type cached struct {
+	data []byte
+	refs int
+}
 
 type reader struct {
 	fs   *FS
@@ -836,7 +851,7 @@ type reader struct {
 	pos      int64
 	closed   bool
 	lastBi   int64                    // last block accessed (-1 before any)
-	blocks   map[int64][]byte         // block index -> data (nil entry = synthetic fetched)
+	blocks   map[int64]*cached        // block index -> cached block
 	order    []int64                  // LRU, most recent last
 	inflight map[int64]cluster.Signal // fetches in progress, fired on completion
 }
@@ -845,7 +860,7 @@ func (f *FS) newReader(b *core.Blob, v core.Version, size int64) *reader {
 	return &reader{
 		fs: f, b: b, ver: v, size: size,
 		lastBi:   -1,
-		blocks:   map[int64][]byte{},
+		blocks:   map[int64]*cached{},
 		inflight: map[int64]cluster.Signal{},
 	}
 }
@@ -865,6 +880,53 @@ func (r *reader) Read(p []byte) (int, error) {
 	if err == nil && n == 0 && len(p) > 0 {
 		return 0, io.EOF
 	}
+	return n, err
+}
+
+// Seek implements io.Seeker: it sets where Read and WriteTo go on from.
+func (r *reader) Seek(offset int64, whence int) (int64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch whence {
+	case io.SeekCurrent:
+		offset += r.pos
+	case io.SeekEnd:
+		offset += r.size
+	case io.SeekStart:
+	default:
+		return r.pos, fmt.Errorf("bsfs: seek whence %d", whence)
+	}
+	if offset < 0 {
+		return r.pos, fmt.Errorf("bsfs: seek to %d", offset)
+	}
+	r.pos = offset
+	return offset, nil
+}
+
+// WriteTo implements io.WriterTo, so io.Copy from the reader hands w
+// each block from the read position to the end of the snapshot as one
+// slice of the cached block: no copy on the way. w must not keep the
+// slice past its Write. The position advances by what w took.
+func (r *reader) WriteTo(w io.Writer) (n int64, err error) {
+	r.mu.Lock()
+	pos := r.pos
+	r.mu.Unlock()
+	bs := r.fs.svc.cfg.BlockSize
+	for pos < r.size && err == nil {
+		bi := pos / bs
+		var c *cached
+		if c, err = r.block(bi, false); err != nil {
+			break
+		}
+		var m int
+		m, err = w.Write(c.data[pos-bi*bs:])
+		r.release(c)
+		pos += int64(m)
+		n += int64(m)
+	}
+	r.mu.Lock()
+	r.pos = pos
+	r.mu.Unlock()
 	return n, err
 }
 
@@ -892,12 +954,12 @@ func (r *reader) ReadAt(p []byte, off int64) (int, error) {
 	for done < want {
 		at := off + done
 		bi := at / bs
-		data, err := r.block(bi, false)
+		c, err := r.block(bi, false)
 		if err != nil {
 			return int(done), err
 		}
-		from := at - bi*bs
-		n := copy(p[done:want], data[from:])
+		n := copy(p[done:want], c.data[at-bi*bs:])
+		r.release(c)
 		if n == 0 {
 			break
 		}
@@ -924,9 +986,11 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 	var done int64
 	for done < length {
 		bi := (off + done) / bs
-		if _, err := r.block(bi, true); err != nil {
+		c, err := r.block(bi, true)
+		if err != nil {
 			return done, err
 		}
+		r.release(c)
 		next := (bi + 1) * bs
 		if next > off+length {
 			next = off + length
@@ -936,23 +1000,25 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 	return length, nil
 }
 
-// block returns block bi, fetching (prefetching the whole block) on
-// miss. synthetic fetches cover the block without materializing. A
-// miss that finds a readahead of bi already in flight waits for it
-// instead of fetching the same bytes twice.
-func (r *reader) block(bi int64, synthetic bool) ([]byte, error) {
+// block returns block bi borrowed, fetching (prefetching the whole
+// block) on miss; the caller releases it. synthetic fetches cover the
+// block without materializing. A miss that finds a readahead of bi
+// already in flight waits for it instead of fetching the same bytes
+// twice. Without a cache the block is fetched for this borrower alone.
+func (r *reader) block(bi int64, synthetic bool) (*cached, error) {
 	r.mu.Lock()
 	for {
-		if data, ok := r.blocks[bi]; ok {
+		if c, ok := r.blocks[bi]; ok {
 			// A nil entry is a synthetic placeholder: it covers the
 			// block for synthetic traversal but holds no bytes, so a
 			// real read must drop it and fetch the data for real
 			// (synthetic readahead would otherwise poison later reads).
-			if data != nil || synthetic {
+			if c.data != nil || synthetic {
+				c.refs++
 				r.touch(bi)
 				r.noteAccessLocked(bi, synthetic)
 				r.mu.Unlock()
-				return data, nil
+				return c, nil
 			}
 			r.dropLocked(bi)
 			break
@@ -972,55 +1038,82 @@ func (r *reader) block(bi int64, synthetic bool) ([]byte, error) {
 	r.inflight[bi] = sig
 	r.noteAccessLocked(bi, synthetic)
 	r.mu.Unlock()
+	return r.load(bi, synthetic, sig)
+}
+
+// load fetches block bi, whose fetch sig announces, and caches it if
+// the reader is open and has a cache. The block comes back borrowed by
+// the caller.
+func (r *reader) load(bi int64, synthetic bool, sig cluster.Signal) (*cached, error) {
 	data, err := r.fetch(bi, synthetic)
+	defer sig.Fire()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.inflight, bi)
-	if err == nil && !r.closed {
-		r.insertLocked(bi, data)
-	}
-	r.mu.Unlock()
-	sig.Fire()
 	if err != nil {
 		return nil, err
 	}
-	return data, nil
+	c := &cached{data: data, refs: 1}
+	if !r.closed && !r.fs.svc.cfg.DisableCache {
+		r.insertLocked(bi, c)
+	}
+	return c, nil
 }
 
-// fetch reads one whole block from BlobSeer (no reader locks held).
+// fetch reads one whole block from BlobSeer (no reader locks held) into
+// a block from the service's free list; the read writes every byte of
+// it, zeros where the snapshot has holes.
 func (r *reader) fetch(bi int64, synthetic bool) ([]byte, error) {
 	bs := r.fs.svc.cfg.BlockSize
 	start := bi * bs
-	blockLen := bs
-	if start+blockLen > r.size {
-		blockLen = r.size - start
-	}
+	blockLen := min(bs, r.size-start)
 	if synthetic {
 		_, err := r.b.ReadAt(nil, start, core.AtVersion(r.ver), core.Synthetic(blockLen))
 		return nil, err
 	}
-	data := make([]byte, blockLen)
+	data := r.fs.svc.block(blockLen)[:blockLen]
 	if _, err := r.b.ReadAt(data, start, core.AtVersion(r.ver)); err != nil {
+		r.fs.svc.recycle(data)
 		return nil, err
 	}
 	return data, nil
 }
 
+// release returns a borrowed block.
+func (r *reader) release(c *cached) {
+	r.mu.Lock()
+	r.releaseLocked(c)
+	r.mu.Unlock()
+}
+
+// releaseLocked drops one hold on c; the last one sends its bytes back
+// to the service's free list.
+func (r *reader) releaseLocked(c *cached) {
+	if c.refs--; c.refs == 0 {
+		r.fs.svc.recycle(c.data)
+	}
+}
+
 // insertLocked caches a fetched block with LRU eviction. A synthetic
-// placeholder (nil) already present is upgraded to real bytes.
-func (r *reader) insertLocked(bi int64, data []byte) {
+// placeholder already present is upgraded to real bytes.
+func (r *reader) insertLocked(bi int64, c *cached) {
 	if old, ok := r.blocks[bi]; ok {
-		if old == nil && data != nil {
-			r.blocks[bi] = data
+		if old.data == nil && c.data != nil {
+			r.releaseLocked(old)
+			c.refs++
+			r.blocks[bi] = c
 		}
 		return
 	}
-	r.blocks[bi] = data
+	c.refs++
+	r.blocks[bi] = c
 	r.order = append(r.order, bi)
 	// Two slots: the block being consumed and its readahead.
 	const cacheBlocks = 2
 	for len(r.order) > cacheBlocks {
 		evict := r.order[0]
 		r.order = r.order[1:]
+		r.releaseLocked(r.blocks[evict])
 		delete(r.blocks, evict)
 	}
 }
@@ -1048,19 +1141,15 @@ func (r *reader) noteAccessLocked(bi int64, synthetic bool) {
 	sig := r.fs.svc.env.NewSignal()
 	r.inflight[next] = sig
 	r.fs.svc.env.Daemon(func() {
-		data, err := r.fetch(next, synthetic)
-		r.mu.Lock()
-		delete(r.inflight, next)
-		if err == nil && !r.closed {
-			r.insertLocked(next, data)
+		if c, err := r.load(next, synthetic, sig); err == nil {
+			r.release(c)
 		}
-		r.mu.Unlock()
-		sig.Fire()
 	})
 }
 
 // dropLocked evicts one block from the cache.
 func (r *reader) dropLocked(bi int64) {
+	r.releaseLocked(r.blocks[bi])
 	delete(r.blocks, bi)
 	for i, b := range r.order {
 		if b == bi {
@@ -1079,10 +1168,16 @@ func (r *reader) touch(bi int64) {
 	}
 }
 
-// Close implements fsapi.Reader. In-flight readahead completes in the
+// Close implements fsapi.Reader: cached blocks go back to the free list
+// as their borrowers finish. In-flight readahead completes in the
 // background and discards its result.
 func (r *reader) Close() error {
 	r.mu.Lock()
+	if !r.closed {
+		for _, c := range r.blocks {
+			r.releaseLocked(c)
+		}
+	}
 	r.closed = true
 	r.blocks = nil
 	r.order = nil

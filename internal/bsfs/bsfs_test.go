@@ -358,6 +358,16 @@ func TestDisableCacheAblation(t *testing.T) {
 	if vs, err := fs.Versions("/nc"); err != nil || len(vs) != 1 {
 		t.Fatalf("versions = %v, %v; want one for one Write", vs, err)
 	}
+	// WriteTo still hands out whole blocks, each fetched for its Write.
+	r, err := fs.Open("/nc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var buf bytes.Buffer
+	if n, err := r.(io.WriterTo).WriteTo(&buf); n != 600 || err != nil || !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("no-cache WriteTo = %d, %v, match=%v", n, err, bytes.Equal(buf.Bytes(), data))
+	}
 }
 
 func TestConcurrentAppendsSameFileSim(t *testing.T) {

@@ -512,48 +512,66 @@ func (c *Client) readCommon(s opSettings, blob BlobID, ps, off, length int64, ds
 		return 0, err
 	}
 
-	// Gather staging lives in pooled buffers; they recycle after the
-	// copy-out below (nothing retains the staged bytes past this call).
-	var arena bufArena
-	defer arena.release()
-	fetched, err := c.gatherPages(s.ctx, leaves, lo, hi, &arena)
+	// A page wholly inside the read is copied out straight into its
+	// window of dst; only partial head and tail pages are staged, in
+	// pooled buffers that recycle after the copy below.
+	pd := pageDst{off: off, ps: ps}
+	if dst != nil {
+		pd.dst = dst[:length]
+	}
+	defer pd.arena.release()
+	fetched, err := c.gatherPages(s.ctx, leaves, lo, hi, &pd)
 	if err != nil {
 		return 0, err
 	}
 
-	// Materialize.
+	// Materialize. Every byte of every window is written here: dst may
+	// be a recycled buffer, so what a hole or a short page does not
+	// cover is zeroed, not left as it was.
 	if dst != nil {
 		for _, leaf := range leaves {
 			pStart := leaf.Page * ps
 			// Destination window of this page.
-			from, to := pStart, pStart+ps
-			if from < off {
-				from = off
-			}
-			if to > off+length {
-				to = off + length
-			}
+			from, to := max(pStart, off), min(pStart+ps, off+length)
 			if from >= to {
 				continue
 			}
 			window := dst[from-off : to-off]
-			if len(leaf.Providers) == 0 {
-				for i := range window {
-					window[i] = 0
+			n := 0
+			if len(leaf.Providers) > 0 {
+				it := fetched[leaf.Page-lo]
+				if it.data == nil {
+					return 0, fmt.Errorf("%w: page %d", ErrSynthetic, leaf.Page)
 				}
-				continue
+				if pageOff := from - pStart; pageOff < int64(len(it.data)) {
+					src := it.data[pageOff:]
+					if n = len(src); &src[0] != &window[0] {
+						n = copy(window, src) // staged, not already in place
+					}
+				}
 			}
-			it := fetched[leaf.Page-lo]
-			if it.data == nil {
-				return 0, fmt.Errorf("%w: page %d", ErrSynthetic, leaf.Page)
-			}
-			pageOff := from - pStart
-			if pageOff < int64(len(it.data)) {
-				copy(window, it.data[pageOff:])
-			}
+			clear(window[n:])
 		}
 	}
 	return length, nil
+}
+
+// pageDst is where a gather copies pages out to: a page whose stored
+// bytes lie wholly inside the read goes straight into its window of dst
+// (nil for a read that materializes nothing); any other is staged in
+// the arena.
+type pageDst struct {
+	arena   bufArena
+	dst     []byte
+	off, ps int64
+}
+
+// alloc returns the buffer for page p's n stored bytes.
+func (d *pageDst) alloc(p, n int64) []byte {
+	if at := p*d.ps - d.off; at >= 0 && at+n <= int64(len(d.dst)) {
+		return d.dst[at : at+n]
+	}
+	return d.arena.alloc(n)
 }
 
 // fanOut runs fn once per node, concurrently through the environment's
@@ -586,10 +604,10 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 // returns an error matching ErrCanceled.
 //
 // Leaves cover the page span [lo, hi); the result is indexed by
-// page-lo (holes stay zero entries). Real page bytes are staged in
-// arena's pooled buffers — the caller releases the arena once done
-// with the fetched data.
-func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, arena *bufArena) ([]pageFetch, error) {
+// page-lo (holes stay zero entries). Real page bytes are copied out to
+// where pd puts them: a refetched page lands where its first copy did.
+// The caller releases pd's arena once done with the fetched data.
+func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, pd *pageDst) ([]pageFetch, error) {
 	type pendingPage struct {
 		loc     PageLoc
 		tried   map[cluster.NodeID]bool // replicas that already failed
@@ -645,7 +663,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 			rest := batch[:0]
 			for _, idx := range batch {
 				loc := pending[idx].loc
-				if it, ok := pr.residentPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), arena.alloc); ok {
+				if it, ok := pr.residentPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), func(n int64) []byte { return pd.alloc(loc.Page, n) }); ok {
 					fetched[loc.Page-lo] = it
 					total += it.size
 					continue
@@ -674,7 +692,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, a
 				var kb [48]byte
 				for _, idx := range batch {
 					loc := pending[idx].loc
-					it, gerr := pr.getPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), arena.alloc)
+					it, gerr := pr.getPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), func(n int64) []byte { return pd.alloc(loc.Page, n) })
 					if gerr != nil {
 						err = gerr
 						break

@@ -185,6 +185,69 @@ func TestGatherFailoverBetweenStages(t *testing.T) {
 	}
 }
 
+// TestGatherFailoverIntoCallerBuffer: pages wholly inside a read are
+// copied out straight into the caller's buffer, so a provider that fails
+// partway through its batch has already written some of them there. The
+// batch is refetched from the second replicas into the same windows,
+// and the buffer, filled with junk beforehand, reads back exactly the
+// data, partial head and tail pages included.
+func TestGatherFailoverIntoCallerBuffer(t *testing.T) {
+	const ps = 128
+	d, err := NewDeployment(cluster.NewLocal(8, 4), Options{
+		PageSize:      ps,
+		Replication:   2,
+		ProviderNodes: []cluster.NodeID{1, 2, 3, 4},
+		Provider:      ProviderConfig{Store: "disk:" + t.TempDir()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	blob, err := d.NewClient(0).CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 64*ps)
+	for i := range data {
+		data[i] = byte(i/ps) ^ byte(i*7)
+	}
+	if _, err := blob.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Every page waits for a backend read, so each provider's batch is
+	// fetched page by page in the fan-out.
+	for _, p := range d.ProviderList() {
+		if _, err := d.RestartProvider(p.Node()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off, length := int64(ps/2), int64(len(data)-ps)
+	locs, err := blob.Locations(off, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim serves the pages it is first replica of; it loses the
+	// last of them, so it fails after copying out the others.
+	var victim cluster.NodeID = 2
+	var batch []PageLoc
+	for _, l := range locs {
+		if l.Providers[0] == victim {
+			batch = append(batch, l)
+		}
+	}
+	if len(batch) < 3 {
+		t.Fatalf("provider %d is first replica of %d pages, want at least 3", victim, len(batch))
+	}
+	d.Provider(victim).Store().Delete(batch[len(batch)-1].Key())
+	buf := bytes.Repeat([]byte{0xEE}, int(length))
+	if n, err := blob.ReadAt(buf, off); err != nil || n != length || !bytes.Equal(buf, data[off:off+length]) {
+		t.Fatalf("read %d bytes, %v, match=%v", n, err, bytes.Equal(buf, data[off:off+length]))
+	}
+	if st := d.Provider(victim).Store().Stats(); st.Misses != uint64(len(batch)-1) {
+		t.Fatalf("provider %d read %d pages before failing, want %d", victim, st.Misses, len(batch)-1)
+	}
+}
+
 // dieOnFanOut marks victim down the first time a WaitGroup is made.
 type dieOnFanOut struct {
 	cluster.Env

@@ -1,10 +1,12 @@
 // pool.go pools the scratch buffers of the client data path: the write
-// path's extended assembly buffer and the read gather's page staging.
-// Buffers cycle strictly within one operation — taken at the start,
-// handed to provider/store calls that copy out of them (pagestore.Put
-// copies on ingest; gather staging is copied into the caller's
-// destination), and returned before the operation completes — so
-// nothing long-lived ever aliases a pooled buffer.
+// path's extended assembly buffer and the read gather's staging of
+// partial pages (the head and tail pages a read covers only in part; a
+// page wholly inside the read is copied out straight into the caller's
+// destination). Buffers cycle strictly within one operation — taken at
+// the start, handed to provider/store calls that copy out of them
+// (pagestore.Put copies on ingest; staged bytes are copied into the
+// caller's destination), and returned before the operation completes —
+// so nothing long-lived ever aliases a pooled buffer.
 
 package core
 

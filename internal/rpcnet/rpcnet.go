@@ -38,7 +38,8 @@
 // usable; a malformed header is answered and hung up on. A read reply
 // comes from one OpenAt: Get returns exactly one published snapshot
 // whatever is appended meanwhile, fetches each page once, and reports a
-// mid-stream read error in the closing status, not as a short file. Ops
+// mid-stream read error in the closing status, not as a short file; its
+// data frames are the reader's cached blocks, up to BlockSize each. Ops
 // 5-16 are the control calls: no file bytes, a request payload of at
 // most one path, the reply value as JSON; the server decodes no
 // structured body.
@@ -76,16 +77,6 @@ type Service struct{ fs *bsfs.FS }
 
 // NewService wraps a BSFS client (typically node 0 of a Local env).
 func NewService(fs *bsfs.FS) *Service { return &Service{fs: fs} }
-
-// admit charges one write or read to the deployment's per-tenant
-// admission limiter, failing fast with the typed overload error. Control
-// calls, untenanted requests and servers without admission pass through.
-func (s *Service) admit(op uint8, tenant string) (func(), error) {
-	if lim := s.fs.Deployment().Admission; lim != nil && op < opStat {
-		return lim.Admit(tenant)
-	}
-	return func() {}, nil
-}
 
 // control serves one control call and encodes the value its status
 // frame carries, if any. The payload, Rename's new path, is read whole

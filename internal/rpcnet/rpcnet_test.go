@@ -83,7 +83,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestLargeFileChunkedTransfer(t *testing.T) {
 	c := startServer(t)
-	data := make([]byte, 9<<20) // crosses two 4 MB wire chunks
+	data := make([]byte, 9<<20) // 144 reader blocks, one data frame each
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
@@ -166,15 +166,16 @@ func TestErrorsPropagate(t *testing.T) {
 	if err := c.Append("/missing", []byte("x")); err == nil {
 		t.Fatal("append to missing file succeeded")
 	}
-	// A range longer than a wire chunk streams as several data frames.
-	if _, err := c.readRange("/missing", 0, 0, MaxChunk+1); err == nil {
+	// A range over many reader blocks streams as one data frame each.
+	const wide = 4 << 20
+	if _, err := c.readRange("/missing", 0, 0, wide+1); err == nil {
 		t.Fatal("oversized read of a missing file succeeded")
 	}
-	data := bytes.Repeat([]byte{7}, MaxChunk+4097)
+	data := bytes.Repeat([]byte{7}, wide+4097)
 	if err := c.Put("/wide", data); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.readRange("/wide", 0, 1, MaxChunk+4096); err != nil || !bytes.Equal(got, data[1:]) {
+	if got, err := c.readRange("/wide", 0, 1, wide+4096); err != nil || !bytes.Equal(got, data[1:]) {
 		t.Fatalf("oversized read: %d bytes, %v", len(got), err)
 	}
 	if _, err := c.readRange("/wide", 0, -1, 1); err == nil {

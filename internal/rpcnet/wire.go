@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -20,9 +19,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// MaxChunk is the size of the server's pooled payload buffer: a
-// download is framed in pieces of at most this size.
-const MaxChunk = 4 << 20
+// maxReply bounds the value a control call's status frame carries.
+const maxReply = 4 << 20
 
 const (
 	opWrite  = 1 // request: create (flagAppend: append to) path from Length payload bytes
@@ -143,9 +141,6 @@ func writeStatus(conn net.Conn, h header, err error, value []byte) error {
 	return writeFrame(conn, h, msg, "", value)
 }
 
-// chunks pools the MaxChunk payload buffers, one per read in flight.
-var chunks = sync.Pool{New: func() any { return new([MaxChunk]byte) }}
-
 // exchange serves one request. A nil return means the reply is sent and
 // the stream stands at the next request.
 func (s *Service) exchange(conn net.Conn, br *bufio.Reader) error {
@@ -162,9 +157,11 @@ func (s *Service) exchange(conn net.Conn, br *bufio.Reader) error {
 		body.N = h.Length
 	}
 	var value []byte
-	// One admission token per exchange, taken before any writer or
-	// reader exists and held until the reply is complete.
-	release, err := s.admit(h.Op, tenant)
+	// Admission, as the package comment has it: writes and reads only.
+	release := func() {}
+	if lim := s.fs.Deployment().Admission; lim != nil && h.Op < opStat {
+		release, err = lim.Admit(tenant)
+	}
 	if err == nil {
 		defer release()
 		switch h.Op {
@@ -206,8 +203,8 @@ func (s *Service) serveWrite(body *io.LimitedReader, appendTo bool, path string)
 }
 
 // serveRead streams one snapshot through one reader: a status frame
-// announcing the byte count, then data frames. The caller's status
-// frame closes the reply.
+// announcing the byte count, then the reader's WriteTo into frames. The
+// caller's status frame closes the reply.
 func (s *Service) serveRead(conn net.Conn, h header, path string) error {
 	var opts []fsapi.OpenOption
 	if h.Version != 0 {
@@ -219,19 +216,37 @@ func (s *Service) serveRead(conn net.Conn, h header, path string) error {
 	}
 	defer r.Close()
 	off := min(h.Offset, r.Size())
-	left := min(h.Length, r.Size()-off)
-	if err := writeStatus(conn, header{Length: left}, nil, nil); err != nil {
-		return err
-	}
-	buf := chunks.Get().(*[MaxChunk]byte)
-	defer chunks.Put(buf)
-	for ; left > 0 && err == nil; off, left = off+MaxChunk, left-MaxChunk {
-		b := buf[:min(left, MaxChunk)]
-		if _, err = r.ReadAt(b, off); err == nil {
-			err = writeFrame(conn, header{Op: opData, Length: int64(len(b))}, "", "", b)
+	fw := &frames{conn: conn, left: min(h.Length, r.Size()-off)}
+	if err = writeStatus(conn, header{Length: fw.left}, nil, nil); err == nil && fw.left > 0 {
+		if _, err = r.(io.Seeker).Seek(off, io.SeekStart); err == nil {
+			_, err = io.Copy(fw, r)
 		}
 	}
+	if errors.Is(err, errSent) {
+		return nil
+	}
 	return err
+}
+
+// errSent stops a read reply's copy once its announced bytes are out.
+var errSent = errors.New("rpcnet: reply sent")
+
+// frames sends each Write, a block of the reader's cache, as one data
+// frame until left bytes are out, and then returns errSent.
+type frames struct {
+	conn net.Conn
+	left int64
+}
+
+func (f *frames) Write(p []byte) (n int, err error) {
+	p = p[:min(int64(len(p)), f.left)]
+	if err = writeFrame(f.conn, header{Op: opData, Length: int64(len(p))}, "", "", p); err == nil {
+		n, f.left = len(p), f.left-int64(len(p))
+	}
+	if f.left == 0 {
+		err = errSent
+	}
+	return n, err
 }
 
 // fail closes the connection after a transport or framing error:
@@ -317,7 +332,7 @@ func call[Reply any](c *Client, h header, path string, payload []byte) (reply Re
 	if h, err = c.exchange(h, path, payload); err != nil || h.Length == 0 {
 		return reply, err
 	}
-	if h.Length > MaxChunk {
+	if h.Length > maxReply {
 		return reply, c.fail(errBadFrame)
 	}
 	value := make([]byte, h.Length)
