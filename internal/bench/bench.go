@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,11 +77,12 @@ type StorageOpts struct {
 	// recovery experiment sets a disk spec).
 	store string
 	// localFirstPlacement grafts HDFS's placement policy onto BlobSeer
-	// (ablation A1).
+	// (ablation A1): see localFirst.
 	localFirstPlacement bool
-	// disableClientCache turns off BSFS's client-side block cache
-	// (ablation A2).
-	disableClientCache bool
+	// noClientCache reads around the BSFS client, through the file's
+	// core.Blob at request granularity: BSFS without its client block
+	// cache (ablation A2). See readSynthFile.
+	noClientCache bool
 	// ramDatanodes disables HDFS's write-through pipeline (ablation
 	// A4): datanodes buffer chunks in RAM like BlobSeer providers.
 	ramDatanodes bool
@@ -149,6 +151,8 @@ type Testbed struct {
 	NewFS func(node cluster.NodeID) fsapi.FileSystem
 	// kind echoes the storage under test.
 	kind string
+	// noClientCache is StorageOpts.noClientCache.
+	noClientCache bool
 
 	bsfsSvc *bsfs.Service
 	hdfsDep *hdfs.Deployment
@@ -171,7 +175,7 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng, simnet.Grid5000(spec.Nodes))
 	env := cluster.NewSim(net)
-	tb := &Testbed{spec: spec, eng: eng, Net: net, Env: env, kind: opts.Kind}
+	tb := &Testbed{spec: spec, eng: eng, Net: net, Env: env, kind: opts.Kind, noClientCache: opts.noClientCache}
 
 	nodes := storageNodes(spec.Nodes)
 	switch opts.Kind {
@@ -186,7 +190,7 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 		}
 		var strategy placement.Strategy
 		if opts.localFirstPlacement {
-			strategy = placement.NewLocalFirst(nodes)
+			strategy = &localFirst{providers: nodes}
 		}
 		// Version-manager shards: shard 0 on the master node (node 0,
 		// the paper's placement), extra shards spread evenly over the
@@ -214,7 +218,6 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 		}
 		tb.bsfsSvc = bsfs.NewService(dep, bsfs.Config{
 			BlockSize:         opts.BlockSize,
-			DisableCache:      opts.disableClientCache,
 			MaxInFlightBlocks: opts.maxInFlightBlocks,
 		})
 		tb.NewFS = func(n cluster.NodeID) fsapi.FileSystem { return tb.bsfsSvc.NewFS(n) }
@@ -237,6 +240,39 @@ func NewTestbed(spec ClusterSpec, opts StorageOpts) (*Testbed, error) {
 		return nil, fmt.Errorf("bench: unknown storage kind %q", opts.Kind)
 	}
 	return tb, nil
+}
+
+// localFirst is A1's arm, HDFS's placement policy grafted onto
+// BlobSeer: the primary replica of every page is the writer's own node
+// when it hosts a provider; further replicas follow a cursor that
+// advances one provider per page, so a writer that hosts no provider
+// stripes its pages round-robin.
+type localFirst struct {
+	mu        sync.Mutex
+	providers []cluster.NodeID
+	cursor    int
+}
+
+// Place implements placement.Strategy.
+func (l *localFirst) Place(client cluster.NodeID, keys []string, replication int) [][]cluster.NodeID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	local := slices.Contains(l.providers, client)
+	out := make([][]cluster.NodeID, len(keys))
+	for i := range out {
+		set := make([]cluster.NodeID, 0, replication)
+		if local {
+			set = append(set, client)
+		}
+		for j := 0; len(set) < replication && j < len(l.providers); j++ {
+			if p := l.providers[(l.cursor+j)%len(l.providers)]; !slices.Contains(set, p) {
+				set = append(set, p)
+			}
+		}
+		l.cursor = (l.cursor + 1) % len(l.providers)
+		out[i] = set
+	}
+	return out
 }
 
 // deployment returns the BSFS core deployment (nil for hdfs testbeds):

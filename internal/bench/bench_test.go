@@ -24,6 +24,7 @@ func TestX4SnapshotWorkflow(t *testing.T)                   { checkClaims(t) }
 func TestX3FaultChurn(t *testing.T)                         { checkClaims(t) }
 func TestX6MembershipChurn(t *testing.T)                    { checkClaims(t) }
 func TestA1PlacementAblation(t *testing.T)                  { checkClaims(t) }
+func TestA2ClientCacheAblation(t *testing.T)                { checkClaims(t) }
 func TestX2PublishThroughputScalesWithWriters(t *testing.T) { checkClaims(t) }
 func TestX5ShardedPublishScales(t *testing.T)               { checkClaims(t) }
 func TestA7ShardedNotSlowerThanSingle(t *testing.T)         { checkClaims(t) }
@@ -43,7 +44,7 @@ func TestStorageOptsSurface(t *testing.T) {
 		got = append(got, typ.Field(i).Name)
 	}
 	want := []string{"Kind", "replication", "pageSize", "BlockSize", "memCapacity", "store",
-		"localFirstPlacement", "disableClientCache", "ramDatanodes", "maxInFlightBlocks", "vmShards", "vmServiceTime"}
+		"localFirstPlacement", "noClientCache", "ramDatanodes", "maxInFlightBlocks", "vmShards", "vmServiceTime"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("StorageOpts has fields %v, want exactly %v", got, want)
 	}

@@ -82,6 +82,11 @@ var claims = []claim{
 			s, l := r.series("a1", "E1-read-distinct", "bsfs"), r.series("a1", "A1-local-first", "bsfs")
 			return len(l) == len(s) && all(l, func(i int, x float64) bool { return x < s[i] || r.clients()[i] == 1 && x == s[i] })
 		}},
+	{"TestA2ClientCacheAblation", "§III.B", "A2: with its client block cache, BSFS reads 1 MB records faster per client than request-granular BlobSeer reads, at every client count",
+		func(r *reading) bool {
+			c, n := r.series("a2", "E1-read-distinct", "bsfs"), r.series("a2", "A2-no-client-cache", "bsfs")
+			return len(n) == len(c) && all(c, func(i int, x float64) bool { return x > n[i] })
+		}},
 	{"TestX2PublishThroughputScalesWithWriters", "ext.", "X2: the most writers on one blob publish at least twice the versions/s of the fewest",
 		func(r *reading) bool {
 			v := over(r.metric, "x2", "publish_rate_n%d", r.clients())

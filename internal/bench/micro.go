@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fsapi"
 )
 
@@ -212,14 +213,32 @@ func writeSynthFile(tb *Testbed, node cluster.NodeID, path string, size int64) e
 }
 
 // readSynthFile streams length bytes at off of a file from a node,
-// optionally as a sequence of record-sized requests.
+// optionally as a sequence of record-sized requests. A testbed with
+// noClientCache sends each request to BlobSeer as it is, through the
+// file's blob at its latest version when the read starts: A2's arm,
+// which pays the same namespace and version-manager round trips as Open.
 func readSynthFile(tb *Testbed, node cluster.NodeID, path string, off, length, recordSize int64) error {
-	fs := tb.NewFS(node)
-	r, err := fs.Open(path)
-	if err != nil {
-		return err
+	var readAt func(off, n int64) (int64, error)
+	if tb.noClientCache {
+		b, err := tb.bsfsSvc.NewFS(node).Blob(path)
+		if err != nil {
+			return err
+		}
+		v, _, err := b.Latest()
+		if err != nil {
+			return err
+		}
+		readAt = func(off, n int64) (int64, error) {
+			return b.ReadAt(nil, off, core.AtVersion(v), core.Synthetic(n))
+		}
+	} else {
+		r, err := tb.NewFS(node).Open(path)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		readAt = r.ReadSyntheticAt
 	}
-	defer r.Close()
 	if recordSize <= 0 {
 		recordSize = length
 	}
@@ -229,7 +248,7 @@ func readSynthFile(tb *Testbed, node cluster.NodeID, path string, off, length, r
 		if done+want > length {
 			want = length - done
 		}
-		n, err := r.ReadSyntheticAt(off+done, want)
+		n, err := readAt(off+done, want)
 		if err != nil {
 			return err
 		}

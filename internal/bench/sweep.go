@@ -397,7 +397,7 @@ var Experiments = []Experiment{
 			}
 			off, err := runSweep(runReadDistinct, opts, []string{"bsfs"}, func(m *microOpts) {
 				m.recordSize = 1 * MB
-				m.storage.disableClientCache = true
+				m.storage.noClientCache = true
 			})
 			for i := range off {
 				off[i].experiment = "A2-no-client-cache"

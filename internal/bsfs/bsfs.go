@@ -47,10 +47,6 @@ type Config struct {
 	// of the window keeps filling; the default depth 2 is classic
 	// double-buffering (single-block commits).
 	MaxInFlightBlocks int
-	// DisableCache bypasses the client cache entirely (ablation A2):
-	// every read and write goes straight to BlobSeer at request
-	// granularity, and writes commit synchronously in the caller.
-	DisableCache bool
 }
 
 func (c *Config) fillDefaults() {
@@ -82,13 +78,13 @@ type Service struct {
 	free [][]byte
 }
 
-// block returns an empty block buffer with room for at least n bytes: a
-// free whole block if there is one and n fits, else a fresh one of
-// exactly n. A free block holds whatever its last user left in it.
+// block returns an empty block buffer with room for n ≤ BlockSize bytes:
+// a free whole block if there is one, else a fresh one of exactly n. A
+// free block holds whatever its last user left in it.
 func (s *Service) block(n int64) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if k := len(s.free); k > 0 && n <= s.cfg.BlockSize {
+	if k := len(s.free); k > 0 {
 		b := s.free[k-1]
 		s.free = s.free[:k-1]
 		return b[:0]
@@ -171,7 +167,7 @@ func (f *FS) Append(path string, opts ...fsapi.OpenOption) (fsapi.Writer, error)
 	if s.HasVersion {
 		return nil, fmt.Errorf("%w: bsfs append at a pinned version", fsapi.ErrNotSupported)
 	}
-	b, err := f.blobOf(path)
+	b, err := f.Blob(path)
 	if err != nil {
 		return nil, err
 	}
@@ -187,18 +183,10 @@ func (f *FS) VMShardNodes() []cluster.NodeID { return f.svc.dep.VM.Nodes() }
 // (membership operations, provider introspection).
 func (f *FS) Deployment() *core.Deployment { return f.svc.dep }
 
-// ShardOf reports which version-manager shard owns a file: the blob id
-// behind the path and its shard index (id mod shard count — the same
-// pure routing function every client uses).
-func (f *FS) ShardOf(path string) (core.BlobID, int, error) {
-	b, err := f.blobOf(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	return b.ID(), f.svc.dep.VM.ShardIndex(b.ID()), nil
-}
-
-func (f *FS) blobOf(path string) (*core.Blob, error) {
+// Blob returns the blob behind a file, at the cost of one namespace
+// round trip and, on this client's first open of the blob, a page-size
+// lookup: what Open pays before it reads.
+func (f *FS) Blob(path string) (*core.Blob, error) {
 	f.rtt()
 	payload, err := f.svc.ns.Payload(path)
 	if err != nil {
@@ -224,7 +212,7 @@ func (f *FS) Open(path string) (fsapi.Reader, error) { return f.OpenAt(path) }
 // BSFS-specific side door.
 func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error) {
 	s := fsapi.ApplyOpenOptions(opts)
-	b, err := f.blobOf(path)
+	b, err := f.Blob(path)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +235,7 @@ func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error)
 // version-manager round trip (Blob.History), instead of one GetVersion
 // RTT per version.
 func (f *FS) Versions(path string) ([]core.Version, error) {
-	b, err := f.blobOf(path)
+	b, err := f.Blob(path)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +305,7 @@ func (f *FS) Delete(path string) error {
 // BlockLocations aggregates page-level placement into per-block host
 // lists, best-covered host first (§III.B data-layout exposure).
 func (f *FS) BlockLocations(path string, off, length int64) ([]fsapi.BlockLocation, error) {
-	b, err := f.blobOf(path)
+	b, err := f.Blob(path)
 	if err != nil {
 		return nil, err
 	}
@@ -383,12 +371,12 @@ func (f *FS) BlockLocations(path string, off, length int64) ([]fsapi.BlockLocati
 // block whose commit has returned goes back to the service for the next
 // one.
 //
-// Error contract: when a commit fails — synchronously or in the
-// background — the writer is failed for good. The failed chunk and
-// everything still buffered or queued behind it are rolled back out of
-// the accepted byte count (committing bytes after a hole would corrupt
-// the file), Write reports how many bytes of its argument were actually
-// consumed, and every later Write/Close returns the original error.
+// Error contract: when a commit fails the writer is failed for good.
+// The failed chunk and everything still buffered or queued behind it
+// are rolled back out of the accepted byte count (committing bytes
+// after a hole would corrupt the file), Write reports how many bytes of
+// its argument were actually consumed, and every later Write/Close
+// returns the original error.
 
 // pendingBlock is one block handed to the commit path. data nil means
 // a synthetic (size-only) block.
@@ -466,21 +454,6 @@ func (w *writer) consumedLocked(base, queuedAtEntry, pre, callLen int64) int64 {
 // A non-nil error means the block did not — and never will — reach the
 // blob; the caller owns rolling its bytes back.
 func (w *writer) commitLocked(b pendingBlock) error {
-	if w.fs.svc.cfg.DisableCache {
-		// No cache, no pipeline: the block commits synchronously in
-		// the caller.
-		w.mu.Unlock()
-		_, err := w.commitRun([]pendingBlock{b})
-		w.mu.Lock()
-		if err != nil {
-			if w.flushErr == nil {
-				w.flushErr = err
-			}
-		} else {
-			w.committed += b.size
-		}
-		return err
-	}
 	for w.flushErr == nil && w.inFlight >= w.fs.svc.cfg.MaxInFlightBlocks {
 		sig := w.progSigLocked()
 		w.mu.Unlock()
@@ -539,15 +512,21 @@ func (w *writer) flushLoop() {
 			run := batch[start:end]
 			start = end
 
-			committed := 0
+			// One batch, no writer locks held; versions counts the
+			// blocks that committed.
+			var versions []core.Version
 			var err error
 			if !skip {
-				committed, err = w.commitRun(run)
+				blocks := make([]core.AppendBlock, len(run))
+				for i, b := range run {
+					blocks[i] = core.AppendBlock{Data: b.data, Size: b.size}
+				}
+				versions, _, err = w.b.Append(blocks)
 			}
 
 			w.mu.Lock()
 			for i, b := range run {
-				if !skip && i < committed {
+				if i < len(versions) {
 					w.committed += b.size
 				} else {
 					w.written -= b.size
@@ -570,19 +549,6 @@ func (w *writer) flushLoop() {
 			}
 		}
 	}
-}
-
-// commitRun appends one homogeneous run of blocks to the blob as one
-// batch (no writer locks held) and returns how many of them committed.
-// It is the single commit site shared by the cache-less synchronous
-// path and the background flusher.
-func (w *writer) commitRun(run []pendingBlock) (int, error) {
-	blocks := make([]core.AppendBlock, len(run))
-	for i, b := range run {
-		blocks[i] = core.AppendBlock{Data: b.data, Size: b.size}
-	}
-	versions, _, err := w.b.Append(blocks)
-	return len(versions), err
 }
 
 // errFilling refuses a call that would touch the pending block while
@@ -611,31 +577,23 @@ func (w *writer) realLocked() error {
 // roomLocked returns the pending block's free space, making some when
 // it has none. A new block is sized for the want more bytes the caller
 // expects, up to BlockSize, and a block that proves too small grows by
-// doubling. Without a cache every fill is one commit, so the block is
-// grown to want even past BlockSize: one Write, one commit.
+// doubling.
 func (w *writer) roomLocked(want int64) []byte {
-	noCache := w.fs.svc.cfg.DisableCache
-	if len(w.buf) == cap(w.buf) || noCache && int64(cap(w.buf)) < want {
+	if len(w.buf) == cap(w.buf) {
 		have := int64(len(w.buf))
-		n := max(have+want, 2*have)
-		if !noCache {
-			n = min(n, w.fs.svc.cfg.BlockSize)
-		}
+		n := min(max(have+want, 2*have), w.fs.svc.cfg.BlockSize)
 		w.buf = append(w.fs.svc.block(n), w.buf...)
 	}
 	return w.buf[len(w.buf):cap(w.buf)]
 }
 
 // fillLocked accepts the m bytes just placed in the pending block's free
-// space. A whole block goes to the commit path; without a cache every
-// fill commits at once, and the block is refilled after its synchronous
-// commit. A block whose commit fails is rolled out of the accepted
-// count.
+// space. A whole block goes to the commit path, and one whose commit
+// fails is rolled out of the accepted count.
 func (w *writer) fillLocked(m int) error {
 	w.buf = w.buf[:len(w.buf)+m]
 	w.written += int64(m)
-	noCache := w.fs.svc.cfg.DisableCache
-	if len(w.buf) == 0 || int64(len(w.buf)) < w.fs.svc.cfg.BlockSize && !noCache {
+	if int64(len(w.buf)) < w.fs.svc.cfg.BlockSize {
 		return nil
 	}
 	b := pendingBlock{data: w.buf, size: int64(len(w.buf))}
@@ -644,15 +602,11 @@ func (w *writer) fillLocked(m int) error {
 		w.written -= b.size
 		return err
 	}
-	if noCache {
-		w.buf = b.data[:0]
-	}
 	return nil
 }
 
 // Write implements io.Writer with block-granular commit through the
-// pipeline: p is copied into the pending block (without a cache, p
-// commits as one block before Write returns). On failure it returns
+// pipeline: p is copied into the pending block. On failure it returns
 // exactly how many bytes of p durably reached the blob — blocks that
 // failed, were skipped behind a failure, or still sat buffered are
 // rolled back — and once any commit has failed, every later call
@@ -746,18 +700,10 @@ func (w *writer) WriteSynthetic(n int64) (int64, error) {
 	pre, base, queued := w.synthBuf, w.committed, w.pending
 	w.synthBuf += n
 	w.written += n
-	bs := w.fs.svc.cfg.BlockSize
-	if w.fs.svc.cfg.DisableCache {
-		bs = 1
-	}
-	for w.synthBuf >= bs {
-		chunk := bs
-		if w.fs.svc.cfg.DisableCache {
-			chunk = w.synthBuf
-		}
-		w.synthBuf -= chunk
-		if err := w.commitLocked(pendingBlock{size: chunk}); err != nil {
-			w.written -= chunk + w.synthBuf
+	for bs := w.fs.svc.cfg.BlockSize; w.synthBuf >= bs; {
+		w.synthBuf -= bs
+		if err := w.commitLocked(pendingBlock{size: bs}); err != nil {
+			w.written -= bs + w.synthBuf
 			w.synthBuf = 0
 			return w.consumedLocked(base, queued, pre, n), err
 		}
@@ -808,7 +754,6 @@ func (w *writer) Close() error {
 	if closeErr == nil {
 		closeErr = w.flushErr
 	}
-	w.buf = nil // without a cache, the request-sized block kept for refills
 	w.mu.Unlock()
 	if closeErr != nil {
 		return closeErr
@@ -939,16 +884,6 @@ func (r *reader) ReadAt(p []byte, off int64) (int, error) {
 	if off+want > r.size {
 		want = r.size - off
 	}
-	if r.fs.svc.cfg.DisableCache {
-		n, err := r.b.ReadAt(p[:want], off, core.AtVersion(r.ver))
-		if err != nil {
-			return 0, err
-		}
-		if n < int64(len(p)) {
-			return int(n), io.EOF
-		}
-		return int(n), nil
-	}
 	bs := r.fs.svc.cfg.BlockSize
 	var done int64
 	for done < want {
@@ -979,9 +914,6 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 	if off+length > r.size {
 		length = r.size - off
 	}
-	if r.fs.svc.cfg.DisableCache {
-		return r.b.ReadAt(nil, off, core.AtVersion(r.ver), core.Synthetic(length))
-	}
 	bs := r.fs.svc.cfg.BlockSize
 	var done int64
 	for done < length {
@@ -1004,7 +936,7 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 // block) on miss; the caller releases it. synthetic fetches cover the
 // block without materializing. A miss that finds a readahead of bi
 // already in flight waits for it instead of fetching the same bytes
-// twice. Without a cache the block is fetched for this borrower alone.
+// twice.
 func (r *reader) block(bi int64, synthetic bool) (*cached, error) {
 	r.mu.Lock()
 	for {
@@ -1042,7 +974,7 @@ func (r *reader) block(bi int64, synthetic bool) (*cached, error) {
 }
 
 // load fetches block bi, whose fetch sig announces, and caches it if
-// the reader is open and has a cache. The block comes back borrowed by
+// the reader is still open. The block comes back borrowed by
 // the caller.
 func (r *reader) load(bi int64, synthetic bool, sig cluster.Signal) (*cached, error) {
 	data, err := r.fetch(bi, synthetic)
@@ -1054,7 +986,7 @@ func (r *reader) load(bi int64, synthetic bool, sig cluster.Signal) (*cached, er
 		return nil, err
 	}
 	c := &cached{data: data, refs: 1}
-	if !r.closed && !r.fs.svc.cfg.DisableCache {
+	if !r.closed {
 		r.insertLocked(bi, c)
 	}
 	return c, nil
@@ -1125,7 +1057,7 @@ func (r *reader) insertLocked(bi int64, c *cached) {
 func (r *reader) noteAccessLocked(bi int64, synthetic bool) {
 	seq := bi == r.lastBi+1
 	r.lastBi = bi
-	if !seq || r.closed || r.fs.svc.cfg.DisableCache {
+	if !seq || r.closed {
 		return
 	}
 	next := bi + 1

@@ -344,32 +344,6 @@ func TestSyntheticFileLifecycle(t *testing.T) {
 	}
 }
 
-func TestDisableCacheAblation(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 256, DisableCache: true})
-	data := make([]byte, 600)
-	rand.New(rand.NewSource(7)).Read(data)
-	writeFile(t, fs, "/nc", data)
-	got := readFile(t, fs, "/nc")
-	if !bytes.Equal(got, data) {
-		t.Fatal("no-cache round trip mismatch")
-	}
-	// Without a cache a write goes to BlobSeer at request granularity:
-	// one Write, one version, however many blocks it spans.
-	if vs, err := fs.Versions("/nc"); err != nil || len(vs) != 1 {
-		t.Fatalf("versions = %v, %v; want one for one Write", vs, err)
-	}
-	// WriteTo still hands out whole blocks, each fetched for its Write.
-	r, err := fs.Open("/nc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var buf bytes.Buffer
-	if n, err := r.(io.WriterTo).WriteTo(&buf); n != 600 || err != nil || !bytes.Equal(buf.Bytes(), data) {
-		t.Fatalf("no-cache WriteTo = %d, %v, match=%v", n, err, bytes.Equal(buf.Bytes(), data))
-	}
-}
-
 func TestConcurrentAppendsSameFileSim(t *testing.T) {
 	// Future work §V: many clients appending to the same file through
 	// BSFS; HDFS cannot express this at all.
@@ -452,7 +426,7 @@ func TestConfigSurface(t *testing.T) {
 			got = append(got, f.Name)
 		}
 	}
-	want := []string{"BlockSize", "MaxInFlightBlocks", "DisableCache"}
+	want := []string{"BlockSize", "MaxInFlightBlocks"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Config has fields %v, want exactly %v", got, want)
 	}

@@ -5,60 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/sim"
-	"repro/internal/simnet"
 )
-
-// TestCacheAmortizesRecordReads quantifies §III.B on the simulator:
-// reading a file in small records must cost roughly one block fetch
-// per block with the cache, and much more without it.
-func TestCacheAmortizesRecordReads(t *testing.T) {
-	run := func(disable bool) time.Duration {
-		eng := sim.NewEngine()
-		net := simnet.New(eng, simnet.Grid5000(12))
-		env := cluster.NewSim(net)
-		provs := make([]cluster.NodeID, 11)
-		for i := range provs {
-			provs[i] = cluster.NodeID(i + 1)
-		}
-		dep, err := core.NewDeployment(env, core.Options{PageSize: 256 << 10, ProviderNodes: provs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc := NewService(dep, Config{BlockSize: 8 << 20, DisableCache: disable})
-		var took time.Duration
-		eng.Go(func() {
-			w, _ := svc.NewFS(1).Create("/f")
-			w.WriteSynthetic(32 << 20)
-			w.Close()
-			r, _ := svc.NewFS(2).Open("/f")
-			defer r.Close()
-			t0 := env.Now()
-			// 4 KB records over the whole file — the paper's workload.
-			for off := int64(0); off < 32<<20; off += 64 << 10 {
-				if _, err := r.ReadSyntheticAt(off, 64<<10); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			took = env.Now() - t0
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return took
-	}
-	withCache := run(false)
-	withoutCache := run(true)
-	t.Logf("record reads: cache %v vs no-cache %v", withCache, withoutCache)
-	if withoutCache <= withCache {
-		t.Fatalf("client cache gave no benefit: %v vs %v", withCache, withoutCache)
-	}
-}
 
 func TestReaderSnapshotUnaffectedByLaterWrites(t *testing.T) {
 	// A reader opened before an overwrite keeps reading the old
@@ -74,7 +21,7 @@ func TestReaderSnapshotUnaffectedByLaterWrites(t *testing.T) {
 	r.ReadAt(buf, 0) // touch only block 0
 
 	// Overwrite block 2 through a fresh writer (Write via core client).
-	blob, err := fs.blobOf("/f")
+	blob, err := fs.Blob("/f")
 	if err != nil {
 		t.Fatal(err)
 	}

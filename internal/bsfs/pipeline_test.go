@@ -98,41 +98,70 @@ func TestWriterPipelineDeferredError(t *testing.T) {
 	}
 }
 
-// TestWriterSyncFlushRollback (the seed bug): a failed synchronous
-// flush must consume nothing — n=0, buffered state rolled back — so the
-// caller's view never double-counts, and later calls keep returning the
-// error instead of silently re-buffering.
-func TestWriterSyncFlushRollback(t *testing.T) {
-	svc, fs := newTestFS(t, Config{BlockSize: 128, DisableCache: true})
-	w, err := fs.Create("/pipe/rollback")
+// TestWriterFailureReturnsCommittedPrefix: every provider dies while
+// one Write is partway through its blocks. The Write that surfaces the
+// failure returns exactly the bytes of its argument that reached the
+// blob, the accepted-byte count agrees with the blob's size, nothing
+// stays buffered, and every later call returns the same error with n=0
+// instead of silently re-buffering. On the simulator the commits take
+// virtual time, so the outage lands at the same block on every run.
+func TestWriterFailureReturnsCommittedPrefix(t *testing.T) {
+	const bs = 64 << 10
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(8)))
+	dep, err := core.NewDeployment(env, core.Options{PageSize: 4 << 10, ProviderNodes: []cluster.NodeID{1, 2, 3, 4, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	setAllProvidersDown(svc, true)
-	defer setAllProvidersDown(svc, false)
-	n, err := w.Write(make([]byte, 200)) // no cache: flushes inline
-	if !errors.Is(err, core.ErrProviderDown) {
-		t.Fatalf("err = %v, want ErrProviderDown", err)
-	}
-	if n != 0 {
-		t.Fatalf("failed Write consumed %d bytes, want 0", n)
-	}
-	ww := w.(*writer)
-	if written := ww.Written(); written != 0 {
-		t.Fatalf("accepted-byte count not rolled back: Written() = %d", written)
-	}
-	ww.mu.Lock()
-	buffered := len(ww.buf)
-	ww.mu.Unlock()
-	if buffered != 0 {
-		t.Fatalf("buffered state not rolled back: buf=%d", buffered)
-	}
-	// Poisoned: the next write fails with the same error, consuming 0.
-	if n, err := w.Write([]byte("more")); n != 0 || !errors.Is(err, core.ErrProviderDown) {
-		t.Fatalf("post-failure Write = %d, %v", n, err)
-	}
-	if err := w.Close(); !errors.Is(err, core.ErrProviderDown) {
-		t.Fatalf("Close = %v, want ErrProviderDown", err)
+	svc := NewService(dep, Config{BlockSize: bs, MaxInFlightBlocks: 2})
+	eng.Go(func() {
+		w, err := svc.NewFS(6).Create("/pipe/prefix")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ww := w.(*writer)
+		env.Go(func() { // bounded, so a writer that fails early cannot hang the run
+			for i := 0; i < 10000 && ww.committedBytes() < 2*bs; i++ {
+				env.Sleep(time.Millisecond)
+			}
+			setAllProvidersDown(svc, true)
+		})
+		p := make([]byte, 20*bs+100)
+		n, err := w.Write(p)
+		if !errors.Is(err, core.ErrProviderDown) {
+			t.Errorf("Write = %d, %v; want the outage to surface mid-Write", n, err)
+			return
+		}
+		_, size, lerr := ww.b.Latest()
+		if lerr != nil {
+			t.Error(lerr)
+			return
+		}
+		if n == 0 || int64(n) != size {
+			t.Errorf("failed Write consumed %d bytes; the blob holds %d, all from this Write", n, size)
+		}
+		if written := ww.Written(); written != size {
+			t.Errorf("Written() = %d after the failure, want the blob's size %d", written, size)
+		}
+		ww.mu.Lock()
+		buffered := int64(len(ww.buf)) + ww.synthBuf
+		ww.mu.Unlock()
+		if buffered != 0 {
+			t.Errorf("%d bytes still buffered after the failure", buffered)
+		}
+		if n, err := w.Write([]byte("more")); n != 0 || !errors.Is(err, core.ErrProviderDown) {
+			t.Errorf("post-failure Write = %d, %v", n, err)
+		}
+		if err := w.Close(); !errors.Is(err, core.ErrProviderDown) {
+			t.Errorf("Close = %v, want ErrProviderDown", err)
+		}
+		if written := ww.Written(); written != size {
+			t.Errorf("Written() = %d after Close, want %d", written, size)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -433,9 +462,9 @@ func TestWriterPipelineBatchedFailureRollsBackBatch(t *testing.T) {
 
 // TestReadFromCommitsWhatWriteWould: io.Copy into a writer goes through
 // ReadFrom, which reads the source straight into the pending block. For
-// a payload that is not a whole number of blocks, a source that tears
-// mid-block, and a writer without a cache, the file it leaves holds
-// exactly the bytes a copy through Write leaves.
+// a payload that is not a whole number of blocks, a source that reads
+// one byte at a time, and a source that tears mid-block, the file it
+// leaves holds exactly the bytes a copy through Write leaves.
 func TestReadFromCommitsWhatWriteWould(t *testing.T) {
 	data := make([]byte, 256*5+100) // five blocks and part of a sixth
 	for i := range data {
@@ -457,8 +486,6 @@ func TestReadFromCommitsWhatWriteWould(t *testing.T) {
 		{"partial-last-block", Config{BlockSize: 256}, whole, len(data), nil},
 		{"unsized-source", Config{BlockSize: 256}, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }, len(data), nil},
 		{"torn-mid-block", Config{BlockSize: 256}, torn, 256*2 + 77, errTorn},
-		{"no-cache", Config{BlockSize: 256, DisableCache: true}, whole, len(data), nil},
-		{"no-cache-torn", Config{BlockSize: 256, DisableCache: true}, torn, 256*2 + 77, errTorn},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, fs := newTestFS(t, tc.cfg)
@@ -620,4 +647,11 @@ func (w *writer) Written() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.written
+}
+
+// committedBytes reports the bytes this writer has appended to the blob.
+func (w *writer) committedBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.committed
 }

@@ -30,11 +30,7 @@ func TestRecycledBlocksNeverLeakBytes(t *testing.T) {
 
 	// 100 bytes end mid-page; 50 more at 700 leave pages 2-9 unwritten.
 	writeFile(t, fs, "/sparse", bytes.Repeat([]byte{0x11}, 100))
-	id, _, err := fs.ShardOf("/sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := svc.Deployment().NewClient(0).OpenBlob(id)
+	b, err := fs.Blob("/sparse")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -320,10 +319,10 @@ func TestSyntheticWriteRead(t *testing.T) {
 }
 
 func TestPageLocationsExposeDistribution(t *testing.T) {
-	// Pin round-robin striping (local-first from node 0, which hosts no
-	// provider): the test asserts the exact page distribution.
+	// Pin round-robin striping: the test asserts the exact page
+	// distribution.
 	provs := []cluster.NodeID{1, 2, 3, 4, 5}
-	d := newLocalDeployment(t, Options{PageSize: 100, Strategy: placement.NewLocalFirst(provs)})
+	d := newLocalDeployment(t, Options{PageSize: 100, Strategy: &roundRobin{provs: provs}})
 	c := d.NewClient(0)
 	blob, _ := c.CreateBlob(0)
 	blob.WriteAt(nil, 0, Synthetic(1000)) // 10 pages over 5 providers

@@ -44,10 +44,10 @@ type Options struct {
 	MetaNodes []cluster.NodeID
 	// Provider configures every provider's local store.
 	Provider ProviderConfig
-	// Strategy overrides the write-time page placement (the A1
-	// ablation's local-first arm). Default: every page goes to its
-	// ring-preferred owners, so placement, repair and rebalance agree
-	// on where data should live.
+	// Strategy overrides the write-time page placement. Its one setter
+	// is the A1 ablation's local-first arm in internal/bench. Default:
+	// every page goes to its ring-preferred owners, so placement,
+	// repair and rebalance agree on where data should live.
 	Strategy placement.Strategy
 	// PlacementInterval enables the background placement loop: every
 	// interval the Rebalancer re-evaluates every page of every blob's

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/placement"
 )
 
 // TestMetadataReplicationSurvivesMetaServerFailure: with DHT
@@ -85,14 +84,13 @@ func TestUnreplicatedMetadataFailsLoudly(t *testing.T) {
 // and later writes proceed past the tombstone.
 func TestWriteAbortsWhenProviderDiesBeforePublish(t *testing.T) {
 	env := cluster.NewLocal(8, 4)
-	// Pin round-robin striping (local-first from node 0, which hosts no
-	// provider): the test scripts which provider each page of each
-	// write lands on.
+	// Pin round-robin striping: the test scripts which provider each
+	// page of each write lands on.
 	provs := []cluster.NodeID{1, 2, 3}
 	d, err := NewDeployment(env, Options{
 		PageSize:      64,
 		ProviderNodes: provs,
-		Strategy:      placement.NewLocalFirst(provs),
+		Strategy:      &roundRobin{provs: provs},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,3 +59,22 @@ func publish1(vm *VersionManager, ctx *cluster.Ctx, from cluster.NodeID, blob Bl
 func abort1(vm *VersionManager, from cluster.NodeID, blob BlobID, v Version) error {
 	return vm.abortBatch(from, blob, []Version{v})
 }
+
+// roundRobin is a placement.Strategy that stripes consecutive pages
+// over provs, replicas on the providers that follow: tests that script
+// which provider holds which page pin it.
+type roundRobin struct {
+	provs []cluster.NodeID
+	next  int
+}
+
+func (r *roundRobin) Place(_ cluster.NodeID, keys []string, replication int) [][]cluster.NodeID {
+	out := make([][]cluster.NodeID, len(keys))
+	for i := range out {
+		for j := range replication {
+			out[i] = append(out[i], r.provs[(r.next+j)%len(r.provs)])
+		}
+		r.next = (r.next + 1) % len(r.provs)
+	}
+	return out
+}

@@ -59,10 +59,22 @@ type Member struct {
 	Health Health
 }
 
+// Strategy decides which providers hold each page of a write. The
+// default (no Strategy) places every key on its ring-preferred owners;
+// an explicit strategy is an ablation arm and assumes a fixed fleet — it
+// bypasses dynamic membership.
+type Strategy interface {
+	// Place returns, for each page key, a replica set of `replication`
+	// distinct provider nodes. client is the writing node.
+	Place(client cluster.NodeID, keys []string, replication int) [][]cluster.NodeID
+}
+
 // Config parameterizes a Manager.
 type Config struct {
-	// Strategy overrides write-time placement (ablations). The ring
-	// remains the authority for preferred owners and rebalancing.
+	// Strategy overrides write-time placement. Its one setter is the
+	// A1 ablation's local-first arm in internal/bench, through
+	// core.Options.Strategy. The ring remains the authority for
+	// preferred owners and rebalancing.
 	Strategy Strategy
 	// Probe reports whether a provider currently responds. Required
 	// for health checking (CheckNow and the heartbeat daemon).

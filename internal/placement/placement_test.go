@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -238,17 +239,23 @@ func TestPlaceUsesPreferredOwners(t *testing.T) {
 	}
 }
 
+// fixed is a Strategy that gives every write the same answer.
+type fixed [][]cluster.NodeID
+
+func (f fixed) Place(cluster.NodeID, []string, int) [][]cluster.NodeID { return f }
+
+// TestPlaceStrategyOverride: a Strategy's answer is the placement, in
+// place of the ring's preferred owners.
 func TestPlaceStrategyOverride(t *testing.T) {
 	fleet := ids(1, 2, 3)
-	m := newMgr(t, fleet, Config{Strategy: NewLocalFirst(fleet)})
+	want := fixed{ids(3), ids(3), ids(1)}
+	m := newMgr(t, fleet, Config{Strategy: want})
 	sets, err := m.Place(0, []string{"a", "b", "c"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 0 hosts no provider, so local-first stripes: consecutive
-	// keys hit consecutive providers.
-	if sets[0][0] != 1 || sets[1][0] != 2 || sets[2][0] != 3 {
-		t.Fatalf("striped placement = %v", sets)
+	if !reflect.DeepEqual(fixed(sets), want) {
+		t.Fatalf("placement = %v, want the strategy's %v", sets, want)
 	}
 }
 

@@ -138,9 +138,11 @@ func (s *Service) shards(path string) (reply ShardsReply, err error) {
 		reply.Nodes = append(reply.Nodes, uint64(n))
 	}
 	if path != "" {
-		var blob core.BlobID
-		blob, reply.Shard, err = s.fs.ShardOf(path)
-		reply.Blob = uint64(blob)
+		var b *core.Blob
+		if b, err = s.fs.Blob(path); err == nil {
+			reply.Blob = uint64(b.ID())
+			reply.Shard = s.fs.Deployment().VM.ShardIndex(b.ID())
+		}
 	}
 	return reply, err
 }
