@@ -1,0 +1,466 @@
+//go:build !race
+
+package bench
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/bsfs"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/rpcnet"
+	"repro/internal/sim"
+)
+
+// BENCH_counts.json holds the counters that do not depend on the host:
+// allocations per operation, bytes allocated per byte moved, DHT keys
+// per append. TestCounts measures each at a fixed shape, through
+// exported API only, and compares it with its row. A rise beyond the
+// row's tolerance is a regression. A fall beyond it is a win that must
+// be recorded with -update, so `git log BENCH_counts.json` is the
+// per-layer history. The tolerance is 0 where the count is exact and the
+// spread measured over repeated runs where it jitters. The race runtime
+// inflates allocation counts, so the file is built without it.
+const countsPath = "../../BENCH_counts.json"
+
+// A countRow is one counter at one shape.
+type countRow struct {
+	Name      string  `json:"name"`
+	Shape     string  `json:"shape"`
+	Value     float64 `json:"value"`
+	Tolerance float64 `json:"tolerance"`
+}
+
+// counters is what TestCounts measures, one row each.
+var counters = []struct {
+	name, shape string
+	measure     func(t *testing.T) float64
+}{
+	{"core.append_synthetic_allocs", "1 RAM provider, flush daemon stopped, 256 KiB pages; one 1 MiB synthetic Append (4 pages); AllocsPerRun(300)",
+		func(t *testing.T) float64 {
+			blob := oneProviderBlob(t, 256<<10)
+			blocks := core.SyntheticBlocks(1 << 20)
+			return testing.AllocsPerRun(300, func() { mustAppend(t, blob, blocks) })
+		}},
+	{"core.append_real_allocs", "1 RAM provider, flush daemon stopped, 64 KiB pages; one 256 KiB Append of real bytes (4 pages); AllocsPerRun(300)",
+		func(t *testing.T) float64 {
+			blob := oneProviderBlob(t, 64<<10)
+			blocks := core.Blocks(make([]byte, 256<<10))
+			return testing.AllocsPerRun(300, func() { mustAppend(t, blob, blocks) })
+		}},
+	{"core.cached_read_synthetic_allocs", "1 RAM provider, flush daemon stopped, 256 KiB pages, a 64 MiB synthetic version; a 16 MiB synthetic ReadAt of it, metadata cached; AllocsPerRun(300)",
+		func(t *testing.T) float64 {
+			blob := oneProviderBlob(t, 256<<10)
+			v := mustAppend(t, blob, core.SyntheticBlocks(64<<20))
+			return testing.AllocsPerRun(300, func() { mustRead(t, blob, nil, 0, 16<<20, core.AtVersion(v), core.Synthetic(16<<20)) })
+		}},
+	{"core.cached_read_real_allocs", "1 RAM provider, flush daemon stopped, 64 KiB pages, a 1 MiB version of real bytes; a 1 MiB ReadAt of it, metadata cached; AllocsPerRun(300)",
+		func(t *testing.T) float64 {
+			blob := oneProviderBlob(t, 64<<10)
+			v := mustAppend(t, blob, core.Blocks(make([]byte, 1<<20)))
+			buf := make([]byte, 1<<20)
+			return testing.AllocsPerRun(300, func() { mustRead(t, blob, buf, 0, len(buf), core.AtVersion(v)) })
+		}},
+	{"core.first_write_fresh_client_bytes", "1 RAM provider, 4 KiB pages, 20000 one-page versions, then the flush daemon stopped; bytes allocated by a fresh client's first one-page synthetic Append, least of 8 clients",
+		measureFirstWrite},
+	{"vm.publish_one_allocs", "a blob's version-manager shard, 1000 tickets taken; a one-version PublishBatch; AllocsPerRun(1000)",
+		measurePublishOne},
+	{"dht.keys_per_append", sharedAppendShape + "; DHT keys stored per append over the first 2000 appends, as bsfs-perf traces it",
+		func(t *testing.T) float64 {
+			dep, blob := sharedAppendBlob(t, 0)
+			keys0 := dep.Meta.TotalKeys()
+			block := core.Blocks(make([]byte, 16<<10))
+			for i := 0; i < 2000; i++ {
+				mustAppend(t, blob, block)
+			}
+			return float64(dep.Meta.TotalKeys()-keys0) / 2000
+		}},
+	{"core.shared_append_allocs", sharedAppendShape + "; one 16 KiB Append onto 2000; AllocsPerRun(100)",
+		func(t *testing.T) float64 {
+			_, blob := sharedAppendBlob(t, 2000)
+			block := core.Blocks(make([]byte, 16<<10))
+			return testing.AllocsPerRun(100, func() { mustAppend(t, blob, block) })
+		}},
+	{"core.shared_read_allocs", sharedAppendShape + "; a second client's 64 KiB ReadAt at version 1000, offset 8 MiB, of 2000 appends, metadata cached; AllocsPerRun(100)",
+		func(t *testing.T) float64 {
+			dep, blob := sharedAppendBlob(t, 2000)
+			reader, err := dep.NewClient(0).OpenBlob(blob.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64<<10)
+			return testing.AllocsPerRun(100, func() { mustRead(t, reader, buf, 8<<20, len(buf), core.AtVersion(1000)) })
+		}},
+	{"rpcnet.get_bytes_per_byte", "bsfsd's stack over loopback TCP: 3 RAM providers, 256 KiB pages, 4 MiB blocks; bytes allocated, server and client, per byte of ten 8 MiB Gets",
+		func(t *testing.T) float64 {
+			c, _ := serveWire(t, core.ProviderConfig{}, 4<<20)
+			put(t, c, "/f", make([]byte, 8<<20))
+			return getBytesPerByte(t, c)
+		}},
+	{"rpcnet.get_disk_miss_bytes_per_byte", "rpcnet.get_bytes_per_byte with disk-backed providers caching one 256 KiB page each, flushed, so at least 90 % of page reads miss",
+		func(t *testing.T) float64 {
+			c, dep := serveWire(t, core.ProviderConfig{MemCapacity: 256 << 10, Store: "disk:" + t.TempDir()}, 4<<20)
+			put(t, c, "/f", make([]byte, 8<<20))
+			misses := func() (n uint64) {
+				for _, p := range dep.ProviderList() {
+					n += p.Store().Stats().Misses
+				}
+				return n
+			}
+			for _, p := range dep.ProviderList() { // clean pages are evictable
+				if err := p.FlushNow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := misses()
+			perByte := getBytesPerByte(t, c)
+			if missed, pages := misses()-before, uint64(11*32); missed*10 < pages*9 {
+				t.Fatalf("%d of %d page reads missed the providers' caches, want at least 90 %%", missed, pages)
+			}
+			return perByte
+		}},
+	{"rpcnet.put_bytes_per_byte", "bsfsd's stack over loopback TCP: 3 disk-backed providers with 16 MiB caches, 256 KiB pages, 4 MiB blocks; bytes allocated, server and client, per byte of ten 8 MiB Puts",
+		func(t *testing.T) float64 {
+			c, _ := serveWire(t, core.ProviderConfig{MemCapacity: 16 << 20, Store: "disk:" + t.TempDir()}, 4<<20)
+			data := make([]byte, 8<<20)
+			put(t, c, "/warm", data) // fill the free blocks
+			return bytesPerByte(len(data), 10, func(i int) { put(t, c, fmt.Sprintf("/f%d", i), data) })
+		}},
+	{"rpcnet.put_small_file_bytes", "bsfsd's stack over loopback TCP, 64 MiB blocks; bytes allocated by the first Put, of a 1 KiB file",
+		func(t *testing.T) float64 {
+			c, _ := serveWire(t, core.ProviderConfig{}, 64<<20)
+			if _, err := c.Stat("/"); err != nil { // the connection is served
+				t.Fatal(err)
+			}
+			return bytesPerByte(1, 1, func(int) { put(t, c, "/small", make([]byte, 1<<10)) })
+		}},
+	{"sim.sleep_allocs", "one process's Sleep(1 µs); AllocsPerRun(100)",
+		func(t *testing.T) float64 {
+			var allocs float64
+			runSim(t, func(e *sim.Engine) {
+				allocs = testing.AllocsPerRun(100, func() { e.Sleep(time.Microsecond) })
+			})
+			return allocs
+		}},
+	{"sim.signal_wait_allocs", "one process's Wait on a fresh Signal that a second process fires 1 ns later; AllocsPerRun(100)",
+		func(t *testing.T) float64 {
+			var allocs float64
+			runSim(t, func(e *sim.Engine) {
+				sigs := make([]*sim.Signal, 101) // AllocsPerRun adds one warm-up run
+				for i := range sigs {
+					sigs[i] = e.NewSignal()
+				}
+				e.Go(func() {
+					for _, s := range sigs {
+						e.Sleep(time.Nanosecond)
+						s.Fire()
+					}
+				})
+				i := 0
+				allocs = testing.AllocsPerRun(100, func() {
+					sigs[i].Wait()
+					i++
+				})
+			})
+			return allocs
+		}},
+}
+
+// sharedAppendShape is the core stack of bsfs-perf's shared-append
+// workload.
+const sharedAppendShape = "4 RAM providers, 4 KiB pages, replication 1, flush daemons stopped after the preload"
+
+// TestCounts measures every counter and compares it with its row of
+// BENCH_counts.json; with -update it rewrites the file from this run,
+// keeping each row's tolerance.
+func TestCounts(t *testing.T) {
+	var rows, got []countRow
+	raw, err := os.ReadFile(countsPath)
+	if err == nil {
+		err = json.Unmarshal(raw, &rows)
+	}
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	for _, c := range counters {
+		t.Run(c.name, func(t *testing.T) {
+			v := c.measure(t)
+			t.Logf("%v", v)
+			got = append(got, countRow{Name: c.name, Shape: c.shape, Value: v})
+		})
+	}
+	if !*update {
+		for _, msg := range compareCounts(rows, got) {
+			t.Error(msg)
+		}
+		return
+	}
+	for i := range got {
+		for _, r := range rows {
+			if r.Name == got[i].Name {
+				got[i].Tolerance = r.Tolerance
+			}
+		}
+	}
+	out, err := json.MarshalIndent(got, "", "  ")
+	if err == nil {
+		err = os.WriteFile(countsPath, append(out, '\n'), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compareCounts returns one complaint per committed row that this run's
+// measurement leaves outside its tolerance or at another shape, and per
+// counter that has a row on one side only.
+func compareCounts(rows, got []countRow) []string {
+	var out []string
+	measured := map[string]countRow{}
+	for _, g := range got {
+		measured[g.Name] = g
+	}
+	for _, r := range rows {
+		g, ok := measured[r.Name]
+		delete(measured, r.Name)
+		switch {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s: a row, but nothing measured it", r.Name))
+		case g.Shape != r.Shape:
+			out = append(out, fmt.Sprintf("%s: measured at %q, but the row is at %q; %s", r.Name, g.Shape, r.Shape, updateHint))
+		case g.Value > r.Value+r.Tolerance:
+			out = append(out, fmt.Sprintf("%s: %v, above the row's %v + %v", r.Name, g.Value, r.Value, r.Tolerance))
+		case g.Value < r.Value-r.Tolerance:
+			out = append(out, fmt.Sprintf("%s: %v, below the row's %v - %v; record the win: %s", r.Name, g.Value, r.Value, r.Tolerance, updateHint))
+		}
+	}
+	for _, g := range got {
+		if _, ok := measured[g.Name]; ok {
+			out = append(out, fmt.Sprintf("%s: measured %v, but it has no row; %s", g.Name, g.Value, updateHint))
+		}
+	}
+	return out
+}
+
+const updateHint = "go test ./internal/bench -run TestCounts -update"
+
+// TestCompareCounts pins the comparison TestCounts applies: a counter
+// outside its tolerance fails either way, a fall asks for -update, and
+// a row or a measurement on one side only fails.
+func TestCompareCounts(t *testing.T) {
+	row := []countRow{{Name: "c", Shape: "s", Value: 100, Tolerance: 2}}
+	at := func(v float64) []countRow { return []countRow{{Name: "c", Shape: "s", Value: v}} }
+	for _, tc := range []struct {
+		name      string
+		rows, got []countRow
+		want      string // in the one complaint; none if empty
+		hint      bool   // the complaint asks for -update
+	}{
+		{"within", row, at(98), "", false},
+		{"rise", row, at(102.5), "above the row's 100 + 2", false},
+		{"fall", row, at(97), "below the row's 100 - 2", true},
+		{"other shape", row, []countRow{{Name: "c", Shape: "t", Value: 100}}, "measured at", true},
+		{"row only", row, nil, "nothing measured it", false},
+		{"measurement only", nil, at(100), "has no row", true},
+	} {
+		out := compareCounts(tc.rows, tc.got)
+		switch {
+		case tc.want == "" && len(out) != 0, tc.want != "" && len(out) != 1:
+			t.Errorf("%s: %q", tc.name, out)
+		case tc.want != "" && (!strings.Contains(out[0], tc.want) || strings.Contains(out[0], updateHint) != tc.hint):
+			t.Errorf("%s: %q, want %q, hint %v", tc.name, out[0], tc.want, tc.hint)
+		}
+	}
+}
+
+// bytesPerByte is the bytes the process allocates over n calls of f,
+// per byte of size moved by each, to three decimals.
+func bytesPerByte(size, n int, f func(i int)) float64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&m1)
+	return math.Round(1000*float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n*size)) / 1000
+}
+
+// oneProviderBlob is a fresh blob of a Local deployment with one
+// provider, so every fan-out takes its inline single-node case and no
+// goroutine spawn enters the count.
+func oneProviderBlob(t *testing.T, pageSize int64) *core.Blob {
+	dep := newDeployment(t, cluster.NewLocal(4, 2), core.Options{PageSize: pageSize, ProviderNodes: []cluster.NodeID{1}})
+	blob, err := dep.NewClient(0).CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopFlushers(dep)
+	return blob
+}
+
+// stopFlushers stops dep's flush daemons. Each wake-up allocates, and
+// how many land inside a measurement depends on the scheduler, so only
+// the operation's own allocations are counted. The pages stay dirty in
+// RAM.
+func stopFlushers(dep *core.Deployment) {
+	for _, p := range dep.ProviderList() {
+		p.Stop()
+	}
+}
+
+// sharedAppendBlob is a blob on sharedAppendShape's deployment, after
+// the given number of 16 KiB appends.
+func sharedAppendBlob(t *testing.T, appends int) (*core.Deployment, *core.Blob) {
+	dep := newDeployment(t, cluster.NewLocal(5, 0), core.Options{PageSize: 4 << 10, Replication: 1, ProviderNodes: []cluster.NodeID{1, 2, 3, 4}})
+	blob, err := dep.NewClient(0).CreateBlob(4 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := core.Blocks(make([]byte, 16<<10))
+	for i := 0; i < appends; i++ {
+		mustAppend(t, blob, block)
+	}
+	stopFlushers(dep)
+	return dep, blob
+}
+
+func newDeployment(t *testing.T, env cluster.Env, opts core.Options) *core.Deployment {
+	t.Helper()
+	dep, err := core.NewDeployment(env, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dep.Close() })
+	return dep
+}
+
+// mustAppend appends blocks as one version and returns it.
+func mustAppend(t *testing.T, blob *core.Blob, blocks []core.AppendBlock) core.Version {
+	vs, _, err := blob.Append(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs[0]
+}
+
+func mustRead(t *testing.T, blob *core.Blob, buf []byte, off int64, want int, opts ...core.ReadOption) {
+	if n, err := blob.ReadAt(buf, off, opts...); err != nil || n != int64(want) {
+		t.Fatalf("read %d, %v", n, err)
+	}
+}
+
+// measureFirstWrite: a client's first write to a blob costs no more for
+// a long history. The client holds no history (its ticket carries the
+// borrows), so it copies and indexes nothing; a copy of 20 000 write
+// records alone would be 1.4 MB. The least of several clients is
+// taken: a stray allocation by another goroutine lands in one of them.
+func measureFirstWrite(t *testing.T) float64 {
+	const ps, versions, clients = 4 << 10, 20_000, 8
+	dep := newDeployment(t, cluster.NewLocal(4, 2), core.Options{PageSize: ps, ProviderNodes: []cluster.NodeID{1}})
+	blob, err := dep.NewClient(0).CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]core.AppendBlock, 500)
+	for i := range batch {
+		batch[i] = core.AppendBlock{Size: ps}
+	}
+	for done := 0; done < versions; done += len(batch) {
+		mustAppend(t, blob, batch)
+	}
+	stopFlushers(dep)
+	fresh := make([]*core.Blob, clients)
+	for i := range fresh {
+		if fresh[i], err = dep.NewClient(0).OpenBlob(blob.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	least := math.Inf(1)
+	for _, b := range fresh {
+		least = min(least, bytesPerByte(1, 1, func(int) { mustAppend(t, b, core.SyntheticBlocks(ps)) }))
+	}
+	return least
+}
+
+// measurePublishOne: a one-version PublishBatch resolves under the
+// manager's lock in the caller and allocates only its wait list.
+func measurePublishOne(t *testing.T) float64 {
+	const runs = 1000
+	dep := newDeployment(t, cluster.NewLocal(2, 0), core.Options{ProviderNodes: []cluster.NodeID{1}})
+	blob, err := dep.NewClient(1).CreateBlob(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := dep.VM.Shard(blob.ID())
+	intents := make([]core.WriteIntent, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range intents {
+		intents[i] = core.WriteIntent{Off: -1, Length: 128}
+	}
+	if _, err := vm.RequestTickets(1, blob.ID(), intents, 0); err != nil {
+		t.Fatal(err)
+	}
+	vs := make([]core.Version, 1)
+	allocs := testing.AllocsPerRun(runs, func() {
+		vs[0]++
+		if err := vm.PublishBatch(cluster.Background(), 1, blob.ID(), vs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if v, _, err := blob.Latest(); err != nil || v != runs+1 {
+		t.Fatalf("frontier at %d after %d publishes: %v", v, runs+1, err)
+	}
+	return allocs
+}
+
+// serveWire serves a BSFS file system over loopback TCP, as bsfsd
+// does, on three providers, and dials it.
+func serveWire(t *testing.T, prov core.ProviderConfig, blockSize int64) (*rpcnet.Client, *core.Deployment) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	dep := newDeployment(t, cluster.NewLocal(4, 0), core.Options{PageSize: 256 << 10, Provider: prov, ProviderNodes: []cluster.NodeID{1, 2, 3}})
+	go rpcnet.Serve(l, rpcnet.NewService(bsfs.NewService(dep, bsfs.Config{BlockSize: blockSize}).NewFS(0)))
+	c, err := rpcnet.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, dep
+}
+
+func put(t *testing.T, c *rpcnet.Client, path string, data []byte) {
+	if err := c.Put(path, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getBytesPerByte gets the 8 MiB file /f once to fill the free blocks,
+// then measures ten more gets.
+func getBytesPerByte(t *testing.T, c *rpcnet.Client) float64 {
+	get := func(int) {
+		if got, err := c.Get("/f", 0); err != nil || len(got) != 8<<20 {
+			t.Fatalf("get: %d bytes, %v", len(got), err)
+		}
+	}
+	get(0)
+	return bytesPerByte(8<<20, 10, get)
+}
+
+// runSim runs body as one process of a fresh engine.
+func runSim(t *testing.T, body func(e *sim.Engine)) {
+	e := sim.NewEngine()
+	e.Go(func() { body(e) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite BENCH_sim.json and RESULTS.md from this run")
+var update = flag.Bool("update", false, "rewrite BENCH_sim.json and RESULTS.md, or BENCH_counts.json, from this run")
 
 const (
 	goldenPath  = "../../BENCH_sim.json"

@@ -751,7 +751,7 @@ func (c *Client) pickReplica(replicas []cluster.NodeID, tried map[cluster.NodeID
 			return false
 		}
 		pr := c.d.Provider(r)
-		return pr != nil && !pr.isDown()
+		return pr != nil && !pr.IsDown()
 	}
 	for _, r := range replicas {
 		if r == c.node && live(r) {

@@ -47,7 +47,7 @@ type bufArena struct {
 	bufs []*pageBuf
 }
 
-// alloc is the staging allocator handed to Provider.getPagesInto. Safe
+// alloc is the staging allocator handed to Provider.getPageInto. Safe
 // for concurrent use.
 func (a *bufArena) alloc(n int64) []byte {
 	pb := getBuf(n)

@@ -2,8 +2,8 @@
 // pages in a RAM-first store and persist them asynchronously. Which
 // provider holds which page is decided by the placement subsystem
 // (internal/placement): by default every page goes to its ring-
-// preferred owners; the striping and local-first strategies of the
-// ablation experiments live there too.
+// preferred owners. The A1 ablation's local-first strategy lives in
+// internal/bench and reaches placement through Options.Strategy.
 
 package core
 
@@ -55,8 +55,6 @@ func (p *Provider) IsDown() bool {
 	defer p.mu.Unlock()
 	return p.down
 }
-
-func (p *Provider) isDown() bool { return p.IsDown() }
 
 // ProviderConfig parameterizes one provider.
 type ProviderConfig struct {
@@ -164,7 +162,7 @@ func (p *Provider) FlushNow() error {
 
 // putPage stores one page (data nil means synthetic of the given size).
 func (p *Provider) putPage(key string, data []byte, size int64) error {
-	if p.isDown() {
+	if p.IsDown() {
 		return fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
 	p.mu.Lock()
@@ -191,43 +189,15 @@ func (p *Provider) putPage(key string, data []byte, size int64) error {
 
 // pageFetch is one page read result.
 type pageFetch struct {
-	key      string
 	data     []byte // nil for synthetic pages
 	size     int64
 	fromDisk bool // the page was not RAM-resident
 }
 
-// getPages reads a batch of pages, reporting per-page residency so the
-// caller can charge disk time for the misses.
-func (p *Provider) getPages(keys []string) ([]pageFetch, error) {
-	return p.getPagesInto(keys, nil)
-}
-
-// getPagesInto is GetPages with caller-controlled staging: each page's
-// bytes are copied into alloc(size)'s buffer instead of a fresh heap
-// slice (see pagestore.GetInto). alloc must be safe for whatever
-// concurrency the caller uses across providers; a nil alloc behaves
-// like GetPages.
-func (p *Provider) getPagesInto(keys []string, alloc func(int64) []byte) ([]pageFetch, error) {
-	if p.isDown() {
-		return nil, fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
-	}
-	out := make([]pageFetch, 0, len(keys))
-	for _, k := range keys {
-		data, meta, err := p.store.GetInto(k, alloc)
-		if err != nil {
-			return nil, fmt.Errorf("provider %d: %w", p.node, err)
-		}
-		out = append(out, pageFetch{key: k, data: data, size: meta.Size, fromDisk: !meta.Resident})
-	}
-	return out, nil
-}
-
-// getPageInto fetches one page by its byte-rendered key — the gather
-// hot path: no key string, no batch slices. The result's Key field is
-// left empty (no caller reads it back).
+// getPageInto fetches one page by its byte-rendered key: no key
+// string on the gather's hot path. A nil alloc returns a fresh copy.
 func (p *Provider) getPageInto(key []byte, alloc func(int64) []byte) (pageFetch, error) {
-	if p.isDown() {
+	if p.IsDown() {
 		return pageFetch{}, fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
 	data, meta, err := p.store.GetBytesInto(key, alloc)
@@ -241,7 +211,7 @@ func (p *Provider) getPageInto(key []byte, alloc func(int64) []byte) (pageFetch,
 // RAM; ok false (no provider, down, missing, or a read that must wait
 // for the backend) changes nothing and leaves the page to getPageInto.
 func (p *Provider) residentPageInto(key []byte, alloc func(int64) []byte) (pageFetch, bool) {
-	if p == nil || p.isDown() {
+	if p == nil || p.IsDown() {
 		return pageFetch{}, false
 	}
 	data, meta, ok := p.store.GetResidentInto(key, alloc)
@@ -252,7 +222,7 @@ func (p *Provider) residentPageInto(key []byte, alloc func(int64) []byte) (pageF
 // the copy migrated to a preferred owner). Deleting a missing key is
 // not an error; deleting on a down provider is.
 func (p *Provider) deletePage(key string) error {
-	if p.isDown() {
+	if p.IsDown() {
 		return fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
 	p.store.Delete(key)

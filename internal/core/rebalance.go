@@ -260,7 +260,7 @@ func (r *Rebalancer) newLeafSet(loc PageLoc, desired, live, added []cluster.Node
 	newSet = append(append([]cluster.NodeID(nil), live...), added...)
 	if len(newSet) < target {
 		for _, p := range loc.Providers {
-			if pr := r.d.Provider(p); pr == nil || pr.isDown() {
+			if pr := r.d.Provider(p); pr == nil || pr.IsDown() {
 				newSet = append(newSet, p)
 			}
 		}
@@ -285,12 +285,12 @@ func (r *Rebalancer) copyTo(key string, sources, targets []cluster.NodeID) ([]cl
 		if pr == nil {
 			continue
 		}
-		items, err := pr.getPages([]string{key})
+		f, err := pr.getPageInto([]byte(key), nil)
 		if err != nil {
 			fetchErr = err
 			continue
 		}
-		fetch, src, found = items[0], prov, true
+		fetch, src, found = f, prov, true
 		break
 	}
 	if !found {
@@ -333,7 +333,7 @@ func (r *Rebalancer) dropExtras(key string, old, kept []cluster.NodeID) int {
 		if inKept[n] {
 			continue
 		}
-		if pr := r.d.Provider(n); pr != nil && !pr.isDown() {
+		if pr := r.d.Provider(n); pr != nil && !pr.IsDown() {
 			if pr.deletePage(key) == nil {
 				dropped++
 			}

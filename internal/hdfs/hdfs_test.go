@@ -3,6 +3,7 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -367,5 +368,16 @@ func TestDataNodeStoreSpecRecovery(t *testing.T) {
 	}
 	if recovered != chunks {
 		t.Fatalf("recovered %d chunks, stored %d", recovered, chunks)
+	}
+}
+
+// TestChunkKeyMatchesSprintf pins the strconv rendering to the old
+// format — store keys are persistent (WAL-backed deployments), so the
+// representation must not drift.
+func TestChunkKeyMatchesSprintf(t *testing.T) {
+	for _, id := range []uint64{0, 1, 9, 10, 12345, 1<<63 + 7, ^uint64(0)} {
+		if got, want := chunkKey(id), fmt.Sprintf("c/%d", id); got != want {
+			t.Fatalf("chunkKey(%d) = %q, want %q", id, got, want)
+		}
 	}
 }

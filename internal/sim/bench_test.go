@@ -19,45 +19,3 @@ func BenchmarkEventThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkManyProcesses measures context-switch-heavy workloads:
-// 1000 processes interleaving sleeps.
-func BenchmarkManyProcesses(b *testing.B) {
-	e := NewEngine()
-	const procs = 1000
-	rounds := b.N/procs + 1
-	for p := 0; p < procs; p++ {
-		d := time.Duration(p%13+1) * time.Microsecond
-		e.Go(func() {
-			for i := 0; i < rounds; i++ {
-				e.Sleep(d)
-			}
-		})
-	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSignalFanout measures waking many waiters at once.
-func BenchmarkSignalFanout(b *testing.B) {
-	e := NewEngine()
-	const waiters = 256
-	e.Go(func() {
-		for i := 0; i < b.N; i++ {
-			sig := e.NewSignal()
-			wg := e.NewWaitGroup()
-			for w := 0; w < waiters; w++ {
-				wg.Go(sig.Wait)
-			}
-			e.Sleep(time.Microsecond)
-			sig.Fire()
-			wg.Wait()
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

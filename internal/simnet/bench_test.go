@@ -61,20 +61,3 @@ func BenchmarkMaxMinSolver(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPathConstruction measures building wide scatter paths.
-func BenchmarkPathConstruction(b *testing.B) {
-	eng := sim.NewEngine()
-	n := New(eng, Grid5000(270))
-	dests := make([]NodeID, 250)
-	for i := range dests {
-		dests[i] = NodeID(i + 10)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := n.PathScatter(NodeID(i%9+1), dests)
-		if len(p.links) == 0 {
-			b.Fatal("empty path")
-		}
-	}
-}
