@@ -16,6 +16,7 @@ import (
 	"repro/internal/bsfs"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fsapi"
 	"repro/internal/rpcnet"
 	"repro/internal/sim"
 )
@@ -142,6 +143,8 @@ var counters = []struct {
 			}
 			return bytesPerByte(1, 1, func(int) { put(t, c, "/small", make([]byte, 1<<10)) })
 		}},
+	{"sim.live_heap_bytes_per_page", "a 20-node BSFS testbed, 256 KiB pages: 8 clients each write a 256 MiB synthetic file, then 8 fresh clients each read one; every client kept; bytes of live heap after two GCs per page written",
+		measureLiveHeap},
 	{"sim.sleep_allocs", "one process's Sleep(1 µs); AllocsPerRun(100)",
 		func(t *testing.T) float64 {
 			var allocs float64
@@ -463,4 +466,69 @@ func runSim(t *testing.T, body func(e *sim.Engine)) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// measureLiveHeap: what a simulated deployment and its clients keep per
+// page written, once GC has dropped everything else. That is the
+// metadata DHT, the providers' page tables and the clients' metadata
+// caches: the state that bounds how large a simulation fits in memory.
+// Two cycles also drop what scratch pools hold.
+func measureLiveHeap(t *testing.T) float64 {
+	const clients, size = 8, 256 << 20
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	tb, err := NewTestbed(ClusterSpec{Nodes: 20}, StorageOpts{Kind: "bsfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tb.Close() })
+	fss := make([]fsapi.FileSystem, 2*clients)
+	each := func(fn func(i int) error) {
+		wg := tb.Env.NewWaitGroup()
+		for i := range clients {
+			wg.Go(func() {
+				if err := fn(i); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		wg.Wait()
+	}
+	err = tb.Run(func() {
+		each(func(i int) error {
+			fss[i] = tb.NewFS(cluster.NodeID(1 + i))
+			w, err := fss[i].Create(fmt.Sprintf("/f%d", i))
+			if err != nil {
+				return err
+			}
+			if _, err := w.WriteSynthetic(size); err != nil {
+				return err
+			}
+			return w.Close()
+		})
+		each(func(i int) error {
+			fss[clients+i] = tb.NewFS(cluster.NodeID(1 + clients + i))
+			r, err := fss[clients+i].Open(fmt.Sprintf("/f%d", i))
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			if n, err := r.ReadSyntheticAt(0, size); err != nil || n != size {
+				return fmt.Errorf("read %d of %d bytes: %v", n, size, err)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := live()
+	runtime.KeepAlive(fss)
+	return math.Round(float64(after-before) / (clients * size / (256 << 10)))
 }

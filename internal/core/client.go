@@ -16,8 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/dht"
-	"repro/internal/stripecache"
 )
 
 // ErrSynthetic is returned when a caller asks for real bytes from a
@@ -50,67 +48,6 @@ type Client struct {
 
 	mu        sync.Mutex
 	pageSizes map[BlobID]int64
-}
-
-// cachedMeta caches metadata tree nodes client-side with LRU
-// eviction, sharded across lock stripes (internal/stripecache) so
-// concurrent readers and writers on different keys never serialize on
-// one mutex. Tree nodes are immutable once written (a version's tree
-// is never modified), so the cache needs no invalidation — the
-// original BlobSeer client caches metadata the same way. The one
-// exception is the placement loop: the Rebalancer rewrites leaves it
-// re-replicates or migrates, writing through its own cache. Another
-// client's stale leaf still names the old holders; after a migration
-// drops their copies, a read through that leaf fails with
-// ErrAllReplicasDown.
-type cachedMeta struct {
-	cl    *dht.Client
-	cache *stripecache.Cache
-}
-
-func newCachedMeta(cl *dht.Client, shards, capacity int) *cachedMeta {
-	return &cachedMeta{cl: cl, cache: stripecache.New(shards, capacity)}
-}
-
-// getNode implements the tree walk's nodeGetter fast path: a cache hit
-// by byte-rendered key, with no key string or result map materialized.
-func (c *cachedMeta) getNode(key []byte) ([]byte, bool) {
-	return c.cache.GetBytes(key)
-}
-
-// BatchGet serves hits locally and fetches only the misses.
-func (c *cachedMeta) BatchGet(keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	var missing []string
-	for _, k := range keys {
-		if v, ok := c.cache.Get(k); ok {
-			out[k] = v
-		} else {
-			missing = append(missing, k)
-		}
-	}
-	if len(missing) > 0 {
-		got, err := c.cl.BatchGet(missing)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range got {
-			out[k] = v
-			c.cache.Put(k, v)
-		}
-	}
-	return out, nil
-}
-
-// batchPut writes through to the DHT and populates the cache.
-func (c *cachedMeta) batchPut(kvs map[string][]byte) error {
-	if err := c.cl.BatchPut(kvs); err != nil {
-		return err
-	}
-	for k, v := range kvs {
-		c.cache.Put(k, v)
-	}
-	return nil
 }
 
 // vm resolves the version-manager shard owning a blob. The shard index
@@ -362,17 +299,16 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 	if err := s.ctx.Err(); err != nil {
 		return fail(canceled("write", err))
 	}
-	// A span of n pages creates about 2n nodes (leaves plus intersecting
-	// inners) and up to a log-factor spine; presize so hot appends never
-	// regrow the map.
-	tb := treeBuild{out: make(map[string][]byte, 2*len(keys)+8*len(tickets))}
+	tb := buildPool.Get().(*treeBuild)
 	slot = 0
 	for _, t := range tickets {
 		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
 		tb.buildNodes(t, ps, pagePlacement{lo: lo, sets: sets[slot : slot+int(hi-lo)]})
 		slot += int(hi - lo)
 	}
-	if err := c.meta.batchPut(tb.out); err != nil {
+	err = c.meta.put(tb.out)
+	tb.release()
+	if err != nil {
 		return fail(err)
 	}
 
@@ -598,7 +534,10 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 // the rest fetched concurrently — with per-page replica failover: a
 // provider that fails mid-fetch only requeues its own pages onto their
 // surviving replicas instead of aborting the whole read. A page none of
-// whose replicas can serve fails with ErrAllReplicasDown. Cancellation
+// whose listed replicas can serve has its leaf re-read from the DHT
+// once, bypassing the cache (a migration may have moved it since the
+// leaf was cached); if the fresh leaf lists no holder that can serve
+// either, the read fails with ErrAllReplicasDown. Cancellation
 // is honored between rounds and before each concurrent batch: a canceled
 // gather stops issuing fetches, joins its in-flight workers, and
 // returns an error matching ErrCanceled.
@@ -609,9 +548,10 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 // The caller releases pd's arena once done with the fetched data.
 func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, pd *pageDst) ([]pageFetch, error) {
 	type pendingPage struct {
-		loc     PageLoc
-		tried   map[cluster.NodeID]bool // replicas that already failed
-		lastErr error                   // most recent fetch failure
+		loc      PageLoc
+		tried    map[cluster.NodeID]bool // replicas that already failed
+		lastErr  error                   // most recent fetch failure
+		reloaded bool                    // the leaf was re-read from the DHT
 	}
 	// Pages are tracked by value and rounds pass index slices around, so
 	// the per-page bookkeeping of a clean single-round gather (the hot
@@ -637,6 +577,15 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 		for _, idx := range active {
 			pp := &pending[idx]
 			prov, err := c.pickReplica(pp.loc.Providers, pp.tried)
+			if err != nil && !pp.reloaded {
+				// The cached leaf may predate a migration that moved the
+				// page: re-read it from the DHT, once.
+				pp.reloaded = true
+				if n, ok, rerr := c.meta.reload(pp.loc.leafKey()); rerr == nil && ok {
+					pp.loc.Providers = n.providers
+					prov, err = c.pickReplica(pp.loc.Providers, pp.tried)
+				}
+			}
 			if err != nil {
 				// Keep the underlying fetch error: "all replicas down"
 				// with every provider up means the store itself failed,

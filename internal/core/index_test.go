@@ -58,10 +58,13 @@ func indexOf(h history, pageSize int64) *blobState {
 // ticket is assigned, and the nodes built from those.
 func buildNodesFromHistory(out map[string][]byte, rec WriteRecord, h history, pageSize int64, placement pagePlacement) {
 	below := h[:min(len(h), int(rec.Version)-1)]
-	tb := treeBuild{out: out}
+	var tb treeBuild
 	tb.buildNodes(Ticket{Record: rec, borrows: indexOf(below, pageSize).push(rec, nil), capBefore: capBefore(below, rec.Version)}, pageSize, placement)
 	if len(tb.borrows) != 0 {
 		panic(fmt.Sprintf("build left %d borrows unconsumed", len(tb.borrows)))
+	}
+	for _, kn := range tb.out {
+		out[kn.key.String()] = kn.node.encode(kn.key.pages.leaf())
 	}
 }
 

@@ -41,7 +41,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/cluster"
 )
@@ -141,19 +143,19 @@ func pageKey(blob BlobID, v Version, page int64) string {
 	return string(appendPageKey(buf[:0], blob, v, page))
 }
 
-// leafNode is the payload of a leaf node: where one page's data lives.
-type leafNode struct {
-	providers []cluster.NodeID // replica set, primary first
+// treeNode is a decoded metadata node, a leaf or an inner node as its
+// range says: a leaf names where its page's data lives, an inner node
+// its two children (ranges are implied halves; version 0 means hole).
+// Children may live in a different blob's key space after cloning.
+type treeNode struct {
+	providers   []cluster.NodeID // leaf: replica set, primary first
+	left, right nodeRef          // inner
 }
 
-// innerNode is the payload of an inner node: the identities of its two
-// children (ranges are implied halves). Version 0 means hole (zeros).
-// Children may live in a different blob's key space after cloning.
-type innerNode struct {
-	leftBlob     BlobID
-	leftVersion  Version
-	rightBlob    BlobID
-	rightVersion Version
+// keyedNode is a node under its key, as a write builds it.
+type keyedNode struct {
+	key  nodeKey
+	node treeNode
 }
 
 // pageSpan converts a byte span to the page span it covers.
@@ -316,59 +318,62 @@ func (d *descent) visit(r pageRange, inherited Version) {
 	}
 }
 
-// encodeInner / decodeNode wire formats: 1-byte tag then fixed fields.
+// encode / decodeNode wire formats: 1-byte tag then fixed fields.
 const (
 	tagInner = 1
 	tagLeaf  = 2
 )
 
-func encodeInner(n innerNode) []byte {
+// encode renders the node as the DHT stores it.
+func (n treeNode) encode(leaf bool) []byte {
+	if leaf {
+		buf := make([]byte, 2+8*len(n.providers))
+		buf[0] = tagLeaf
+		buf[1] = byte(len(n.providers))
+		for i, p := range n.providers {
+			binary.LittleEndian.PutUint64(buf[2+8*i:], uint64(p))
+		}
+		return buf
+	}
 	buf := make([]byte, 33)
 	buf[0] = tagInner
-	binary.LittleEndian.PutUint64(buf[1:], uint64(n.leftBlob))
-	binary.LittleEndian.PutUint64(buf[9:], uint64(n.leftVersion))
-	binary.LittleEndian.PutUint64(buf[17:], uint64(n.rightBlob))
-	binary.LittleEndian.PutUint64(buf[25:], uint64(n.rightVersion))
+	binary.LittleEndian.PutUint64(buf[1:], uint64(n.left.blob))
+	binary.LittleEndian.PutUint64(buf[9:], uint64(n.left.ver))
+	binary.LittleEndian.PutUint64(buf[17:], uint64(n.right.blob))
+	binary.LittleEndian.PutUint64(buf[25:], uint64(n.right.ver))
 	return buf
 }
 
-func encodeLeaf(l leafNode) []byte {
-	buf := make([]byte, 2+8*len(l.providers))
-	buf[0] = tagLeaf
-	buf[1] = byte(len(l.providers))
-	for i, p := range l.providers {
-		binary.LittleEndian.PutUint64(buf[2+8*i:], uint64(p))
+// decodeNode decodes a node of the kind its range implies. A leaf's
+// replica set is appended to ids, and the node keeps that window of it,
+// so the leaves of one fetch can share one array.
+func decodeNode(b []byte, leaf bool, ids []cluster.NodeID) (treeNode, []cluster.NodeID, error) {
+	var n treeNode
+	want := byte(tagInner)
+	if leaf {
+		want = tagLeaf
 	}
-	return buf
-}
-
-func decodeNode(b []byte) (inner innerNode, leaf leafNode, isLeaf bool, err error) {
-	if len(b) < 1 {
-		return inner, leaf, false, fmt.Errorf("core: empty metadata node")
-	}
-	switch b[0] {
-	case tagInner:
+	switch {
+	case len(b) < 1:
+		return n, ids, fmt.Errorf("core: empty metadata node")
+	case b[0] != want:
+		return n, ids, fmt.Errorf("core: metadata node tag %d, want %d", b[0], want)
+	case !leaf:
 		if len(b) < 33 {
-			return inner, leaf, false, fmt.Errorf("core: short inner node (%d bytes)", len(b))
+			return n, ids, fmt.Errorf("core: short inner node (%d bytes)", len(b))
 		}
-		inner.leftBlob = BlobID(binary.LittleEndian.Uint64(b[1:]))
-		inner.leftVersion = Version(binary.LittleEndian.Uint64(b[9:]))
-		inner.rightBlob = BlobID(binary.LittleEndian.Uint64(b[17:]))
-		inner.rightVersion = Version(binary.LittleEndian.Uint64(b[25:]))
-		return inner, leaf, false, nil
-	case tagLeaf:
-		if len(b) < 2 || len(b) < 2+8*int(b[1]) {
-			return inner, leaf, false, fmt.Errorf("core: short leaf node (%d bytes)", len(b))
-		}
-		n := int(b[1])
-		leaf.providers = make([]cluster.NodeID, n)
-		for i := 0; i < n; i++ {
-			leaf.providers[i] = cluster.NodeID(binary.LittleEndian.Uint64(b[2+8*i:]))
-		}
-		return inner, leaf, true, nil
-	default:
-		return inner, leaf, false, fmt.Errorf("core: unknown metadata node tag %d", b[0])
+		n.left = nodeRef{blob: BlobID(binary.LittleEndian.Uint64(b[1:])), ver: Version(binary.LittleEndian.Uint64(b[9:]))}
+		n.right = nodeRef{blob: BlobID(binary.LittleEndian.Uint64(b[17:])), ver: Version(binary.LittleEndian.Uint64(b[25:]))}
+		return n, ids, nil
+	case len(b) < 2 || len(b) < 2+8*int(b[1]):
+		return n, ids, fmt.Errorf("core: short leaf node (%d bytes)", len(b))
 	}
+	from := len(ids)
+	for i := range int(b[1]) {
+		ids = append(ids, cluster.NodeID(binary.LittleEndian.Uint64(b[2+8*i:])))
+	}
+	n.providers = ids[from:len(ids):len(ids)]
+	return n, ids, nil
 }
 
 // pagePlacement is the replica-set view buildNodes consumes: sets[i]
@@ -388,10 +393,12 @@ func (pl pagePlacement) at(page int64) []cluster.NodeID {
 	return pl.sets[i]
 }
 
-// treeBuild builds the metadata trees of one call's versions into out,
-// DHT key -> encoded value.
+// buildPool recycles the write path's tree builders.
+var buildPool = sync.Pool{New: func() any { return new(treeBuild) }}
+
+// treeBuild builds the metadata trees of one call's versions into out.
 type treeBuild struct {
-	out       map[string][]byte
+	out       []keyedNode
 	borrows   []nodeRef // the current version's, consumed in visit order
 	rec       WriteRecord
 	s         span
@@ -416,26 +423,34 @@ func (b *treeBuild) buildNodes(t Ticket, pageSize int64, placement pagePlacement
 }
 
 func (b *treeBuild) node(r pageRange) {
-	key := nodeKey{blob: b.rec.blob, version: b.rec.Version, pages: r}.String()
+	var n treeNode
 	if r.leaf() {
-		b.out[key] = encodeLeaf(leafNode{providers: b.placement.at(r.off)})
-		return
+		n.providers = b.placement.at(r.off)
+	} else {
+		n.left = b.child(r.left())
+		n.right = b.child(r.right())
 	}
-	var inner innerNode
-	for _, half := range [2]pageRange{r.left(), r.right()} {
-		child := nodeRef{blob: b.rec.blob, ver: b.rec.Version}
-		if b.s.creates(half) {
-			b.node(half)
-		} else {
-			child, b.borrows = b.borrows[0], b.borrows[1:]
-		}
-		if half.off == r.off {
-			inner.leftBlob, inner.leftVersion = child.blob, child.ver
-		} else {
-			inner.rightBlob, inner.rightVersion = child.blob, child.ver
-		}
+	b.out = append(b.out, keyedNode{key: nodeKey{blob: b.rec.blob, version: b.rec.Version, pages: r}, node: n})
+}
+
+// release returns b to buildPool, keeping only the capacity of its
+// node list: the replica sets the list named now belong to the cache.
+func (b *treeBuild) release() {
+	clear(b.out)
+	*b = treeBuild{out: b.out[:0]}
+	buildPool.Put(b)
+}
+
+// child builds the child range half if the write creates it, and
+// otherwise takes the next borrow; it returns the child's reference.
+func (b *treeBuild) child(half pageRange) nodeRef {
+	if !b.s.creates(half) {
+		ref := b.borrows[0]
+		b.borrows = b.borrows[1:]
+		return ref
 	}
-	b.out[key] = encodeInner(inner)
+	b.node(half)
+	return nodeRef{blob: b.rec.blob, ver: b.rec.Version}
 }
 
 // PageLoc describes where one page of a snapshot lives. Blob names the
@@ -445,7 +460,12 @@ type PageLoc struct {
 	Page      int64 // page index within the reading blob
 	blob      BlobID
 	Version   Version
-	Providers []cluster.NodeID // empty for holes (zero pages)
+	Providers []cluster.NodeID // empty for holes (zero pages); shared with the metadata cache, so read-only
+}
+
+// leafKey names the tree leaf that lists the page's holders.
+func (p PageLoc) leafKey() nodeKey {
+	return nodeKey{blob: p.blob, version: p.Version, pages: pageRange{off: p.Page, count: 1}}
 }
 
 // Key returns the provider-store key for the page ("" for holes).
@@ -456,24 +476,19 @@ func (p PageLoc) Key() string {
 	return pageKey(p.blob, p.Version, p.Page)
 }
 
-// nodeFetcher abstracts the metadata DHT for the tree walk (batched
-// get of encoded nodes by key).
-type nodeFetcher interface {
-	BatchGet(keys []string) (map[string][]byte, error)
-}
-
-// nodeGetter is the walk's optional fast path: a fetcher that can
-// answer single-node lookups from a local cache with byte-rendered
-// keys pays no key-string or result-map allocations on a hit. Misses
-// fall back to BatchGet.
-type nodeGetter interface {
-	getNode(key []byte) ([]byte, bool)
+// nodeSource is the metadata DHT as the tree walk reads it: decoded
+// nodes cached by key (cached, remember), in front of a batched fetch
+// of encoded ones that returns values by position (fetch).
+type nodeSource interface {
+	cached(k nodeKey) (treeNode, bool)
+	remember(k nodeKey, n treeNode)
+	fetch(keys, vals [][]byte)
 }
 
 // walkTree resolves the leaves covering pages [lo, hi) of version v of
 // rootBlob (whose root tree node lives under rootMetaBlob after
-// cloning), issuing one batched DHT get per tree level. Holes are
-// reported with empty provider sets.
+// cloning), issuing one batched DHT get per tree level for the nodes
+// src has not cached. Holes are reported with empty provider sets.
 //
 // aborted (optional) resolves whether a version was tombstoned. A tree
 // may legitimately link a subtree of a version that later aborted: the
@@ -482,97 +497,121 @@ type nodeGetter interface {
 // DHT. Such a missing subtree is a hole (the aborted write was never
 // visible), not corruption — but only the version manager can tell the
 // two apart, so without a probe a missing node stays a hard error.
-func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, fetch nodeFetcher, aborted func(BlobID, Version) bool) ([]PageLoc, error) {
+func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, src nodeSource, aborted func(BlobID, Version) bool) ([]PageLoc, error) {
 	if hi > capPages {
 		hi = capPages
 	}
 	if lo >= hi {
 		return nil, nil
 	}
-	type item struct {
-		blob BlobID
-		ver  Version
-		r    pageRange
-	}
-	frontier := []item{{blob: rootMetaBlob, ver: v, r: pageRange{off: 0, count: capPages}}}
-	getter, _ := fetch.(nodeGetter)
-	// The frontier at most doubles per level and is bounded by the page
-	// span; reuse the level buffers across the walk instead of
-	// reallocating them per level. A hot walk (every node a getter hit)
-	// renders keys into keyBuf and allocates nothing per node; only
-	// misses materialize key strings for the BatchGet fallback.
-	next := make([]item, 0, len(frontier))
-	vals := make([][]byte, 0, hi-lo)
-	var keyBuf []byte
-	var missKeys []string
-	var missIdx []int
+	b := walkPool.Get().(*walkBufs)
+	defer b.release()
+	b.frontier = append(b.frontier[:0], nodeKey{blob: rootMetaBlob, version: v, pages: pageRange{count: capPages}})
 	leaves := make([]PageLoc, 0, hi-lo)
-	for len(frontier) > 0 {
-		vals = vals[:0]
-		missKeys = missKeys[:0]
-		missIdx = missIdx[:0]
-		for i, it := range frontier {
-			nk := nodeKey{blob: it.blob, version: it.ver, pages: it.r}
-			if getter != nil {
-				keyBuf = nk.appendTo(keyBuf[:0])
-				if raw, ok := getter.getNode(keyBuf); ok {
-					vals = append(vals, raw)
-					continue
-				}
-			}
-			vals = append(vals, nil)
-			missKeys = append(missKeys, nk.String())
-			missIdx = append(missIdx, i)
-		}
-		if len(missKeys) > 0 {
-			got, err := fetch.BatchGet(missKeys)
-			if err != nil {
-				return nil, err
-			}
-			for j, k := range missKeys {
-				if raw, ok := got[k]; ok {
-					vals[missIdx[j]] = raw
-				}
+	for len(b.frontier) > 0 {
+		b.slots, b.keyBuf, b.keys, b.missed = b.slots[:0], b.keyBuf[:0], b.keys[:0], b.missed[:0]
+		for i, k := range b.frontier {
+			n, ok := src.cached(k)
+			b.slots = append(b.slots, walkSlot{n, ok})
+			if !ok {
+				// A key keeps its bytes when keyBuf grows: they stay in
+				// the old array, which nothing writes again.
+				from := len(b.keyBuf)
+				b.keyBuf = k.appendTo(b.keyBuf)
+				b.keys = append(b.keys, b.keyBuf[from:])
+				b.missed = append(b.missed, i)
 			}
 		}
-		next = next[:0]
-		for i, it := range frontier {
-			raw := vals[i]
-			if raw == nil {
-				// Cold path: the node is genuinely absent from the DHT
-				// (nodes are non-empty by encoding, so nil means missing).
-				if aborted != nil && aborted(it.blob, it.ver) {
-					appendHoles(&leaves, it.r, lo, hi)
+		if len(b.missed) > 0 {
+			b.vals = slices.Grow(b.vals[:0], len(b.keys))[:len(b.keys)]
+			src.fetch(b.keys, b.vals)
+			// Every range of a level has the same size: the level is all
+			// leaves or all inner nodes, and its leaves share one array.
+			leaf := b.frontier[0].pages.leaf()
+			var ids []cluster.NodeID
+			if leaf {
+				count := 0
+				for _, v := range b.vals {
+					if len(v) > 1 {
+						count += int(v[1])
+					}
+				}
+				ids = make([]cluster.NodeID, 0, count)
+			}
+			for j, i := range b.missed {
+				if b.vals[j] == nil {
+					continue // absent: resolved in frontier order below
+				}
+				k := b.frontier[i]
+				n, rest, err := decodeNode(b.vals[j], leaf, ids)
+				if err != nil {
+					return nil, fmt.Errorf("core: node %s: %w", k, err)
+				}
+				ids = rest
+				src.remember(k, n)
+				b.slots[i] = walkSlot{n, true}
+			}
+		}
+		b.next = b.next[:0]
+		for i, k := range b.frontier {
+			s := b.slots[i]
+			if !s.ok {
+				// The node is genuinely absent from the DHT.
+				if aborted != nil && aborted(k.blob, k.version) {
+					appendHoles(&leaves, k.pages, lo, hi)
 					continue
 				}
-				return nil, fmt.Errorf("core: missing metadata node %s", nodeKey{blob: it.blob, version: it.ver, pages: it.r})
+				return nil, fmt.Errorf("core: missing metadata node %s", k)
 			}
-			inner, leaf, isLeaf, err := decodeNode(raw)
-			if err != nil {
-				return nil, fmt.Errorf("core: node %s: %w", nodeKey{blob: it.blob, version: it.ver, pages: it.r}, err)
-			}
-			if isLeaf {
-				leaves = append(leaves, PageLoc{Page: it.r.off, blob: it.blob, Version: it.ver, Providers: leaf.providers})
+			if k.pages.leaf() {
+				leaves = append(leaves, PageLoc{Page: k.pages.off, blob: k.blob, Version: k.version, Providers: s.n.providers})
 				continue
 			}
-			for _, half := range [2]pageRange{it.r.left(), it.r.right()} {
+			for _, half := range [2]pageRange{k.pages.left(), k.pages.right()} {
 				if !half.intersects(lo, hi) {
 					continue
 				}
-				childBlob, childVer := inner.leftBlob, inner.leftVersion
-				if half.off != it.r.off {
-					childBlob, childVer = inner.rightBlob, inner.rightVersion
+				child := s.n.left
+				if half.off != k.pages.off {
+					child = s.n.right
 				}
-				if childVer == 0 {
+				if child.ver == 0 {
 					appendHoles(&leaves, half, lo, hi)
 					continue
 				}
-				next = append(next, item{blob: childBlob, ver: childVer, r: half})
+				b.next = append(b.next, nodeKey{blob: child.blob, version: child.ver, pages: half})
 			}
 		}
-		frontier, next = next, frontier
+		b.frontier, b.next = b.next, b.frontier
 	}
 	return leaves, nil
+}
+
+// walkBufs is a tree walk's scratch, pooled across walks: the level
+// buffers, and the keys of one level's misses (their frontier positions
+// in missed) rendered into one buffer, with their values fetched by
+// position.
+type walkBufs struct {
+	frontier, next []nodeKey
+	slots          []walkSlot // the frontier's nodes, ok if cached or fetched
+	keyBuf         []byte
+	missed         []int
+	keys, vals     [][]byte
+}
+
+type walkSlot struct {
+	n  treeNode
+	ok bool
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walkBufs) }}
+
+// release returns b to the pool without the nodes and values it points
+// at.
+func (b *walkBufs) release() {
+	clear(b.slots[:cap(b.slots)])
+	clear(b.vals[:cap(b.vals)])
+	walkPool.Put(b)
 }
 
 // appendHoles adds zero-page leaves for the portion of r within

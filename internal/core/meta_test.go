@@ -47,41 +47,44 @@ func TestCapacityPages(t *testing.T) {
 }
 
 func TestNodeEncodingRoundTrip(t *testing.T) {
-	in := innerNode{leftBlob: 3, leftVersion: 7, rightBlob: 0, rightVersion: 0}
-	inner, _, isLeaf, err := decodeNode(encodeInner(in))
-	if err != nil || isLeaf || inner != in {
-		t.Fatalf("inner round trip: %+v, leaf=%v, %v", inner, isLeaf, err)
+	in := treeNode{left: nodeRef{blob: 3, ver: 7}}
+	inner, _, err := decodeNode(in.encode(false), false, nil)
+	if err != nil || inner.left != in.left || inner.right != in.right || inner.providers != nil {
+		t.Fatalf("inner round trip: %+v, %v", inner, err)
 	}
-	lf := leafNode{providers: []cluster.NodeID{3, 9, 12}}
-	_, leaf, isLeaf, err := decodeNode(encodeLeaf(lf))
-	if err != nil || !isLeaf || len(leaf.providers) != 3 || leaf.providers[2] != 12 {
-		t.Fatalf("leaf round trip: %+v, %v", leaf, err)
+	lf := treeNode{providers: []cluster.NodeID{3, 9, 12}}
+	ids := []cluster.NodeID{1}
+	leaf, ids, err := decodeNode(lf.encode(true), true, ids)
+	if err != nil || len(leaf.providers) != 3 || leaf.providers[2] != 12 || len(ids) != 4 {
+		t.Fatalf("leaf round trip: %+v, %v, %v", leaf, ids, err)
 	}
-	if _, _, _, err := decodeNode(nil); err == nil {
+	if _, _, err := decodeNode(nil, false, nil); err == nil {
 		t.Fatal("empty node decoded")
 	}
-	if _, _, _, err := decodeNode([]byte{9}); err == nil {
+	if _, _, err := decodeNode([]byte{9}, false, nil); err == nil {
 		t.Fatal("bad tag decoded")
 	}
-	if _, _, _, err := decodeNode(make([]byte, 17)); err == nil {
+	if _, _, err := decodeNode(lf.encode(true), false, nil); err == nil {
+		t.Fatal("leaf decoded at an inner range")
+	}
+	if _, _, err := decodeNode([]byte{tagInner, 0}, false, nil); err == nil {
 		t.Fatal("short inner decoded")
 	}
-	if _, _, _, err := decodeNode([]byte{tagLeaf, 2, 0}); err == nil {
+	if _, _, err := decodeNode([]byte{tagLeaf, 2, 0}, true, nil); err == nil {
 		t.Fatal("short leaf decoded")
 	}
 }
 
-// mapFetcher adapts a plain map to the nodeFetcher interface.
+// mapFetcher is a plain map of encoded nodes as a nodeSource that
+// caches nothing.
 type mapFetcher map[string][]byte
 
-func (m mapFetcher) BatchGet(keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, ok := m[k]; ok {
-			out[k] = v
-		}
+func (m mapFetcher) cached(nodeKey) (treeNode, bool) { return treeNode{}, false }
+func (m mapFetcher) remember(nodeKey, treeNode)      {}
+func (m mapFetcher) fetch(keys, vals [][]byte) {
+	for i, k := range keys {
+		vals[i] = m[string(k)]
 	}
-	return out, nil
 }
 
 // applyWrite runs the pure metadata build for one write and merges the

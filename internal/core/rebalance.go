@@ -14,8 +14,9 @@
 // changes the provider set, never the page contents or the tree
 // shape: a client holding the stale leaf still reads correct bytes
 // through any surviving old replica (a copy dropped by migration just
-// looks like one more failed replica and fails over), and a fresh tree
-// walk sees the new set.
+// looks like one more failed replica and fails over), a gather that
+// finds no listed holder re-reads the leaf, and a fresh tree walk sees
+// the new set.
 
 package core
 
@@ -159,7 +160,7 @@ func (r *Rebalancer) repairBlob(blob BlobID, v Version) (RepairStats, error) {
 	}
 
 	target := r.d.Opts.Replication
-	updates := make(map[string][]byte)
+	var updates []keyedNode
 	// A migrated page's old copies are dropped only once its rewritten
 	// leaf is stored: until then the leaf still names them.
 	type drop struct {
@@ -199,12 +200,11 @@ func (r *Rebalancer) repairBlob(blob BlobID, v Version) (RepairStats, error) {
 		if dropped {
 			st.PagesMigrated++
 		}
-		leafKey := nodeKey{blob: loc.blob, version: loc.Version, pages: pageRange{off: loc.Page, count: 1}}.String()
-		updates[leafKey] = encodeLeaf(leafNode{providers: newSet})
+		updates = append(updates, keyedNode{key: loc.leafKey(), node: treeNode{providers: newSet}})
 		drops = append(drops, drop{key, loc.Providers, newSet})
 	}
 	if len(updates) > 0 {
-		if err := r.cl.meta.batchPut(updates); err != nil {
+		if err := r.cl.meta.put(updates); err != nil {
 			return st, fmt.Errorf("core: placement pass over blob %d: leaf rewrite: %w", blob, err)
 		}
 	}

@@ -249,20 +249,14 @@ func (s *Server) put(kvs map[string][]byte) bool {
 	return true
 }
 
-// get reads values for keys; missing keys are absent from the result.
-func (s *Server) get(keys []string) (map[string][]byte, bool) {
+// lookup reads one key; up is false if the server is down.
+func (s *Server) lookup(key []byte) (v []byte, up bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
 		return nil, false
 	}
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, ok := s.m[k]; ok {
-			out[k] = v
-		}
-	}
-	return out, true
+	return s.m[string(key)], true
 }
 
 // keys returns the number of keys stored on this server.
@@ -358,63 +352,44 @@ func (c *Client) BatchPut(kvs map[string][]byte) error {
 
 // Get fetches one key, trying replicas in order.
 func (c *Client) Get(key string) ([]byte, error) {
-	res, err := c.BatchGet([]string{key})
-	if err != nil {
-		return nil, err
-	}
-	v, ok := res[key]
-	if !ok {
+	vals := [][]byte{nil}
+	c.Fetch([][]byte{[]byte(key)}, vals)
+	if vals[0] == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	return v, nil
+	return vals[0], nil
 }
 
-// BatchGet fetches many keys in one parallel round; replica failover is
-// per key. Missing keys are simply absent from the result map.
-func (c *Client) BatchGet(keys []string) (map[string][]byte, error) {
+// Fetch reads many keys in one parallel round, one message per server
+// it touches: each key from the first live server of its replica set
+// (the primary if all are down, which then answers nothing). The value
+// of keys[i] lands in vals[i], nil if absent, so a caller that renders
+// its keys into one buffer pays for no key string and no result map.
+func (c *Client) Fetch(keys, vals [][]byte) {
 	if len(keys) == 0 {
-		return map[string][]byte{}, nil
+		return
 	}
-	groups := make(map[cluster.NodeID][]string)
-	var replicas []cluster.NodeID // reused across keys
-	for _, k := range keys {
-		replicas = c.dht.ring.lookupAppend(replicas[:0], k, c.dht.ring.replication)
-		n := c.firstUp(replicas)
-		groups[n] = append(groups[n], k)
-	}
-	srcs := make([]cluster.NodeID, 0, len(groups))
-	for n := range groups {
-		srcs = append(srcs, n)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	out := make(map[string][]byte, len(keys))
+	var srcs []cluster.NodeID // the servers asked, ascending
 	var total int64
-	for _, n := range srcs {
-		res, ok := c.dht.servers[n].get(groups[n])
-		if !ok {
-			continue
+	var buf [4]cluster.NodeID
+	for i, k := range keys {
+		replicas := c.dht.ring.lookupHash(buf[:0], hash64Bytes(k), c.dht.ring.replication)
+		n, v := replicas[0], []byte(nil)
+		for _, r := range replicas {
+			var up bool
+			if v, up = c.dht.servers[r].lookup(k); up {
+				n = r
+				break
+			}
 		}
-		for k, v := range res {
-			out[k] = v
+		if at, found := slices.BinarySearch(srcs, n); !found {
+			srcs = slices.Insert(srcs, at, n)
+		}
+		if v != nil {
 			total += int64(len(k) + len(v))
 		}
+		vals[i] = v
 	}
 	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, srcs))
 	c.env.Gather(c.from, srcs, total, 0)
-	return out, nil
-}
-
-// firstUp returns the first live node of a replica set (or the primary
-// if all are down; the read will then fail per key).
-func (c *Client) firstUp(replicas []cluster.NodeID) cluster.NodeID {
-	for _, n := range replicas {
-		s := c.dht.servers[n]
-		s.mu.Lock()
-		down := s.down
-		s.mu.Unlock()
-		if !down {
-			return n
-		}
-	}
-	return replicas[0]
 }

@@ -183,18 +183,26 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err := cl.BatchPut(kvs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.BatchGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("got %d keys", len(got))
-	}
-	for k, v := range kvs {
-		if string(got[k]) != string(v) {
-			t.Fatalf("key %s: got %q want %q", k, got[k], v)
+	got := fetch(cl, append(keys, "absent"))
+	for i, k := range keys {
+		if string(got[i]) != string(kvs[k]) {
+			t.Fatalf("key %s: got %q want %q", k, got[i], kvs[k])
 		}
 	}
+	if got[len(keys)] != nil {
+		t.Fatalf("absent key: got %q", got[len(keys)])
+	}
+}
+
+// fetch is Fetch over string keys.
+func fetch(cl *Client, keys []string) [][]byte {
+	bk := make([][]byte, len(keys))
+	for i, k := range keys {
+		bk[i] = []byte(k)
+	}
+	vals := make([][]byte, len(keys))
+	cl.Fetch(bk, vals)
+	return vals
 }
 
 func TestEmptyBatches(t *testing.T) {
@@ -202,10 +210,7 @@ func TestEmptyBatches(t *testing.T) {
 	if err := cl.BatchPut(nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.BatchGet(nil)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("BatchGet(nil) = %v, %v", res, err)
-	}
+	cl.Fetch(nil, nil)
 }
 
 func TestReplicationSurvivesFailure(t *testing.T) {
@@ -223,12 +228,9 @@ func TestReplicationSurvivesFailure(t *testing.T) {
 	// Kill two of six servers: with replication 3, every key survives.
 	c.Server(0).SetDown(true)
 	c.Server(3).SetDown(true)
-	got, err := cl.BatchGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if v, ok := got[k]; !ok || v[0] != kvs[k][0] {
+	got := fetch(cl, keys)
+	for i, k := range keys {
+		if v := got[i]; v == nil || v[0] != kvs[k][0] {
 			t.Fatalf("key %s lost after 2 failures", k)
 		}
 	}

@@ -354,6 +354,52 @@ func TestSweepErrorOverWire(t *testing.T) {
 	}
 }
 
+// TestReadAfterMigration: the server's one file-system client keeps the
+// leaves it wrote in its metadata cache. After a join, a background
+// sweep migrates pages to the new provider and drops the old copies, so
+// those cached leaves name holders that no longer have the pages. A
+// read must still return the file: the gather re-reads a leaf whose
+// listed holders all fail.
+func TestReadAfterMigration(t *testing.T) {
+	addr, _ := serve(t, core.Options{PageSize: 4 << 10, PlacementInterval: time.Millisecond}, bsfs.Config{BlockSize: 64 << 10})
+	c := dialTest(t, addr)
+	data := bytes.Repeat([]byte("moved-"), 50000) // 74 pages
+	if err := c.Put("/mig/f", data); err != nil {
+		t.Fatal(err)
+	}
+	nr, err := c.Join(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A migrating sweep copies pages onto the new node, rewrites their
+	// leaves, then drops the old copies; the sweep after it reports no
+	// migration. So wait for the fleet to hold one copy of each page
+	// again, some of them on the new node.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		pr, err := c.Providers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, joined := 0, 0
+		for _, p := range pr.Providers {
+			total += p.Entries
+			if p.Node == nr.Node {
+				joined = p.Entries
+			}
+		}
+		if joined > 0 && total == 74 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no sweep migrated pages within 10s: %+v", pr)
+		}
+	}
+	got, err := c.Get("/mig/f", 0)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after migration: %d bytes, %v", len(got), err)
+	}
+}
+
 // TestWriteVecBatchedChunks drives a write exchange by hand: the header
 // and a payload that arrives in many small pieces land as one file, in
 // order, whatever the sizes of the writes that carried them.
