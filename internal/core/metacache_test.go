@@ -96,6 +96,36 @@ func TestMetaCacheGetRefreshesRecency(t *testing.T) {
 	}
 }
 
+// TestMetaCacheSingleShardLRUSemantics: with one shard the cache is a
+// single LRU over its whole capacity. Inserts go to the front, a hit
+// refreshes recency, and an insert at capacity evicts exactly the
+// least-recently-used node.
+func TestMetaCacheSingleShardLRUSemantics(t *testing.T) {
+	c := newCachedMeta(nil, 1, 3)
+	if len(c.shards) != 1 || c.shards[0].cap != 3 {
+		t.Fatalf("%d shards of %d entries, want 1 of 3", len(c.shards), c.shards[0].cap)
+	}
+	for v := Version(1); v <= 3; v++ {
+		c.remember(testLeaf(v).key, testLeaf(v).node)
+	}
+	if _, ok := c.cached(testLeaf(1).key); !ok { // touch the oldest
+		t.Fatal("v1's leaf missing")
+	}
+	c.remember(testLeaf(4).key, testLeaf(4).node)
+	if !cached(c, testLeaf(1).key) {
+		t.Fatal("recently-read v1 leaf was evicted")
+	}
+	if cached(c, testLeaf(2).key) {
+		t.Fatal("v2's leaf should have been the LRU victim")
+	}
+	if !cached(c, testLeaf(3).key) || !cached(c, testLeaf(4).key) {
+		t.Fatal("the v3 and v4 leaves should survive")
+	}
+	if n := c.shards[0].n; n != 3 {
+		t.Fatalf("%d entries, want 3", n)
+	}
+}
+
 // TestMetaCacheOverwriteRefreshes: remembering a cached key (the
 // rebalancer's leaf rewrite) replaces the node in place and protects it
 // from the next eviction.
@@ -206,6 +236,59 @@ func TestMetaCacheConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	checkMetaCacheConsistent(t, c)
+}
+
+// TestMetaCacheShardedStress hammers 16 shards from many goroutines
+// under -race through remember and cached alone: overlapping writes
+// and hits on a shared key set plus keys of each goroutine's own,
+// which overflow every shard. Hits must return the node stored under
+// their key, and every shard must stay within capacity and agree with
+// itself.
+func TestMetaCacheShardedStress(t *testing.T) {
+	const (
+		workers = 16
+		rounds  = 400
+		shared  = 64
+	)
+	c := newCachedMeta(nil, 16, 256)
+	node := func(blob BlobID, v Version) keyedNode {
+		return keyedNode{key: nodeKey{blob: blob, version: v, pages: pageRange{count: 1}}, node: treeNode{providers: []cluster.NodeID{cluster.NodeID(blob), cluster.NodeID(v)}}}
+	}
+	check := func(want keyedNode) bool {
+		if n, ok := c.cached(want.key); ok && !slices.Equal(n.providers, want.node.providers) {
+			t.Errorf("%s = %v, want %v", want.key, n.providers, want.node.providers)
+			return false
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				sk := node(1, Version((w+i)%shared+1))
+				if !check(sk) {
+					return
+				}
+				c.remember(sk.key, sk.node)
+				own := node(BlobID(w+2), Version(i+1))
+				c.remember(own.key, own.node)
+				if !check(own) {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkMetaCacheConsistent(t, c)
+}
+
+// checkMetaCacheConsistent checks that every shard of c holds at most
+// its capacity and that its table, slots and LRU list agree.
+func checkMetaCacheConsistent(t *testing.T, c *cachedMeta) {
+	t.Helper()
 	for si := range c.shards {
 		s := &c.shards[si]
 		entries := int(s.n)
