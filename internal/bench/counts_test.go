@@ -143,7 +143,7 @@ var counters = []struct {
 			}
 			return bytesPerByte(1, 1, func(int) { put(t, c, "/small", make([]byte, 1<<10)) })
 		}},
-	{"sim.live_heap_bytes_per_page", "a 20-node BSFS testbed, 256 KiB pages: 8 clients each write a 256 MiB synthetic file, then 8 fresh clients each read one; every client kept; bytes of live heap after two GCs per page written",
+	{"sim.live_heap_bytes_per_page", "a 20-node BSFS testbed, 256 KiB pages: 8 clients each write a 256 MiB synthetic file, then 8 fresh clients each read one; every client kept; bytes of live heap after two GCs per page written, least of 3 runs",
 		measureLiveHeap},
 	{"sim.sleep_allocs", "one process's Sleep(1 µs); AllocsPerRun(100)",
 		func(t *testing.T) float64 {
@@ -472,8 +472,19 @@ func runSim(t *testing.T, body func(e *sim.Engine)) {
 // page written, once GC has dropped everything else. That is the
 // metadata DHT, the providers' page tables and the clients' metadata
 // caches: the state that bounds how large a simulation fits in memory.
-// Two cycles also drop what scratch pools hold.
+// Two cycles also drop what scratch pools hold. The first run in a
+// process leaves runtime state behind that later runs reuse, so the
+// count is the least of three runs, whatever ran before them.
 func measureLiveHeap(t *testing.T) float64 {
+	least := math.Inf(1)
+	for range 3 {
+		least = min(least, liveHeapPerPage(t))
+	}
+	return least
+}
+
+// liveHeapPerPage is one run of measureLiveHeap.
+func liveHeapPerPage(t *testing.T) float64 {
 	const clients, size = 8, 256 << 20
 	live := func() uint64 {
 		var m runtime.MemStats

@@ -536,8 +536,9 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 // surviving replicas instead of aborting the whole read. A page none of
 // whose listed replicas can serve has its leaf re-read from the DHT
 // once, bypassing the cache (a migration may have moved it since the
-// leaf was cached); if the fresh leaf lists no holder that can serve
-// either, the read fails with ErrAllReplicasDown. Cancellation
+// leaf was cached), with the other such leaves of its round in one
+// fetch; if the fresh leaf lists no holder that can serve either, the
+// read fails with ErrAllReplicasDown. Cancellation
 // is honored between rounds and before each concurrent batch: a canceled
 // gather stops issuing fetches, joins its in-flight workers, and
 // returns an error matching ErrCanceled.
@@ -574,28 +575,36 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 			return nil, canceled("gather", err)
 		}
 		perProv := make(map[cluster.NodeID][]int)
-		for _, idx := range active {
-			pp := &pending[idx]
-			prov, err := c.pickReplica(pp.loc.Providers, pp.tried)
-			if err != nil && !pp.reloaded {
-				// The cached leaf may predate a migration that moved the
-				// page: re-read it from the DHT, once.
-				pp.reloaded = true
-				if n, ok, rerr := c.meta.reload(pp.loc.leafKey()); rerr == nil && ok {
-					pp.loc.Providers = n.providers
-					prov, err = c.pickReplica(pp.loc.Providers, pp.tried)
+		for pick := active; len(pick) > 0; {
+			var stale []int // pages none of whose listed holders can serve
+			var locs []*PageLoc
+			for _, idx := range pick {
+				pp := &pending[idx]
+				prov, err := c.pickReplica(pp.loc.Providers, pp.tried)
+				if err != nil && !pp.reloaded {
+					pp.reloaded = true
+					stale, locs = append(stale, idx), append(locs, &pp.loc)
+					continue
 				}
-			}
-			if err != nil {
-				// Keep the underlying fetch error: "all replicas down"
-				// with every provider up means the store itself failed,
-				// and that cause must not be lost.
-				if pp.lastErr != nil {
-					return nil, fmt.Errorf("%w: page %d of blob %d@%d (last replica error: %v)", err, pp.loc.Page, pp.loc.blob, pp.loc.Version, pp.lastErr)
+				if err != nil {
+					// Keep the underlying fetch error: "all replicas down"
+					// with every provider up means the store itself failed,
+					// and that cause must not be lost.
+					if pp.lastErr != nil {
+						return nil, fmt.Errorf("%w: page %d of blob %d@%d (last replica error: %v)", err, pp.loc.Page, pp.loc.blob, pp.loc.Version, pp.lastErr)
+					}
+					return nil, fmt.Errorf("%w: page %d of blob %d@%d", err, pp.loc.Page, pp.loc.blob, pp.loc.Version)
 				}
-				return nil, fmt.Errorf("%w: page %d of blob %d@%d", err, pp.loc.Page, pp.loc.blob, pp.loc.Version)
+				perProv[prov] = append(perProv[prov], idx)
 			}
-			perProv[prov] = append(perProv[prov], idx)
+			// Their cached leaves may predate a migration that moved the
+			// pages: re-read them from the DHT in one fetch, once per
+			// page, and pick again. A page whose holders are merely down
+			// pays that round trip before it fails.
+			if err := c.meta.reloadLeaves(locs); err != nil {
+				return nil, err
+			}
+			pick = stale
 		}
 		srcs := sortedNodes(perProv)
 

@@ -4,6 +4,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 
@@ -17,7 +18,7 @@ import (
 // the placement loop: the Rebalancer rewrites leaves it re-replicates
 // or migrates, through its own cache. Another client's stale leaf still
 // names the old holders, so a gather that finds none of them holding
-// the page reloads that one leaf (reload) before it gives up.
+// the page re-reads that leaf (reloadLeaves) before it gives up.
 //
 // The cache is split over lock stripes, so concurrent readers and
 // writers of different nodes never serialize on one mutex. A key routes
@@ -230,18 +231,25 @@ func (c *cachedMeta) put(nodes []keyedNode) error {
 	return nil
 }
 
-// reload re-reads the node under k from the DHT, bypassing the cache,
-// and caches what it finds; ok is false if the DHT has no such node.
-func (c *cachedMeta) reload(k nodeKey) (n treeNode, ok bool, err error) {
-	var kb [64]byte
-	vals := [][]byte{nil}
-	c.fetch([][]byte{k.appendTo(kb[:0])}, vals)
-	if vals[0] == nil {
-		return n, false, nil
+// reloadLeaves re-reads the leaves of locs from the DHT in one fetch,
+// bypassing the cache, caches the ones it finds and points each of
+// those locs at its fresh replica set.
+func (c *cachedMeta) reloadLeaves(locs []*PageLoc) error {
+	keys, vals := make([][]byte, len(locs)), make([][]byte, len(locs))
+	for i, l := range locs {
+		keys[i] = l.leafKey().appendTo(nil)
 	}
-	if n, _, err = decodeNode(vals[0], k.pages.leaf(), nil); err != nil {
-		return n, false, err
+	c.fetch(keys, vals)
+	for i, v := range vals {
+		if v == nil {
+			continue
+		}
+		n, _, err := decodeNode(v, true, nil)
+		if err != nil {
+			return fmt.Errorf("core: node %s: %w", locs[i].leafKey(), err)
+		}
+		c.remember(locs[i].leafKey(), n)
+		locs[i].Providers = n.providers
 	}
-	c.remember(k, n)
-	return n, true, nil
+	return nil
 }

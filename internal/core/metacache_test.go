@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 	"testing"
@@ -221,11 +222,12 @@ func TestMetaCacheConcurrentStress(t *testing.T) {
 				for _, want := range reads {
 					n, ok := c.cached(want.key)
 					if !ok {
-						var err error
-						if n, ok, err = c.reload(want.key); err != nil {
+						loc := PageLoc{Page: want.key.pages.off, blob: want.key.blob, Version: want.key.version}
+						if err := c.reloadLeaves([]*PageLoc{&loc}); err != nil {
 							t.Error(err)
 							return
 						}
+						n, ok = treeNode{providers: loc.Providers}, loc.Providers != nil
 					}
 					if ok && !slices.Equal(n.providers, want.node.providers) {
 						t.Errorf("%s = %v, want %v", want.key, n.providers, want.node.providers)
@@ -398,4 +400,63 @@ func TestWalkDHTTraffic(t *testing.T) {
 	check("narrow walk", keys, bytes, []int{1, 1, 1, 1, 1, 2}, []int64{43, 43, 42, 42, 42, 38})
 	keys, bytes = walk(part, 0, 20)
 	check("walk after a narrower one", keys, bytes, []int{1, 2, 4, 9, 18}, []int64{44, 85, 170, 383, 352})
+}
+
+// metaGatherEnv counts the gathers from one metadata node: with every
+// provider elsewhere, those are the DHT fetches.
+type metaGatherEnv struct {
+	cluster.Env
+	meta    cluster.NodeID
+	mu      sync.Mutex
+	fetches int
+}
+
+func (e *metaGatherEnv) Gather(to cluster.NodeID, srcs []cluster.NodeID, size int64, diskFraction float64) {
+	if slices.Equal(srcs, []cluster.NodeID{e.meta}) {
+		e.mu.Lock()
+		e.fetches++
+		e.mu.Unlock()
+	}
+	e.Env.Gather(to, srcs, size, diskFraction)
+}
+
+// TestStaleLeavesReloadInOneFetch: the writer caches the leaves it
+// wrote; a drain then migrates the pages of provider 1 and drops its
+// copies. The writer's read finds no listed holder for those pages and
+// re-reads all their leaves from the DHT in one fetch, then reads the
+// pages from where they moved.
+func TestStaleLeavesReloadInOneFetch(t *testing.T) {
+	const ps, pages = 64, 16
+	env := &metaGatherEnv{Env: cluster.NewLocal(10, 5), meta: 9}
+	d, err := NewDeployment(env, Options{PageSize: ps, ProviderNodes: []cluster.NodeID{1, 2}, MetaNodes: []cluster.NodeID{9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	blob, err := d.NewClient(0).CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, pages*ps)
+	for i := range data {
+		data[i] = byte(i / ps)
+	}
+	if _, err := blob.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DrainProvider(1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.Rebalance.SweepOnce()
+	if err != nil || st.PagesMigrated < 2 || st.ReplicasDropped != st.PagesMigrated {
+		t.Fatalf("sweep: %+v, %v", st, err)
+	}
+	env.fetches = 0
+	buf := make([]byte, len(data))
+	if _, err := blob.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, data) {
+		t.Fatalf("read after the drain: %v", err)
+	}
+	if env.fetches != 1 {
+		t.Fatalf("%d DHT fetches for %d stale leaves, want 1", env.fetches, st.PagesMigrated)
+	}
 }
