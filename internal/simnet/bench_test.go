@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -12,7 +13,9 @@ import (
 // experiments. The flows-N cases all share the same 200 downlinks, so
 // every bottleneck carries every flow; unicast-400 spreads 400 flows
 // over 30 source and 30 sink NICs and the core, so a bottleneck
-// carries a few of them.
+// carries a few of them. paper-shape is the mix a write phase of the
+// paper-scale runs solves: one-link disk flushes, each a bottleneck of
+// its own, beside block scatters that cross 64 downlinks each.
 func BenchmarkMaxMinSolver(b *testing.B) {
 	for _, flows := range []int{16, 64, 250} {
 		b.Run(fmt.Sprintf("flows-%d", flows), func(b *testing.B) {
@@ -51,6 +54,39 @@ func BenchmarkMaxMinSolver(b *testing.B) {
 					wg.Go(func() {
 						n.Transfer(n.PathUnicast(from, to), 4*MB)
 					})
+				}
+				wg.Wait()
+			}
+		})
+		b.ResetTimer()
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("paper-shape", func(b *testing.B) {
+		const nodes = 150
+		rng := rand.New(rand.NewSource(1))
+		size := func() int64 { return 8*MB + rng.Int63n(8*MB+1) }
+		eng := sim.NewEngine()
+		n := New(eng, Grid5000(nodes))
+		var transfers []func()
+		for _, node := range rng.Perm(nodes)[:140] {
+			sz := size()
+			transfers = append(transfers, func() { n.DiskWrite(NodeID(node), sz) })
+		}
+		for i := 0; i < 50; i++ {
+			src, sz := NodeID(rng.Intn(nodes)), size()
+			dests := make([]NodeID, 64)
+			for j, d := range rng.Perm(nodes)[:64] {
+				dests[j] = NodeID(d)
+			}
+			transfers = append(transfers, func() { n.Transfer(n.PathScatter(src, dests), sz) })
+		}
+		eng.Go(func() {
+			for round := 0; round < b.N; round++ {
+				wg := eng.NewWaitGroup()
+				for _, transfer := range transfers {
+					wg.Go(transfer)
 				}
 				wg.Wait()
 			}

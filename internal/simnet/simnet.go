@@ -13,9 +13,10 @@
 // behaviour of a store-and-forward replica pipeline.
 //
 // Rates are solved once per virtual instant that changes the flow set,
-// over flows in arrival order; freezing a bottleneck walks only the
-// flows that cross it. The sums a solve takes depend on nothing but the
-// order in which processes call Transfer.
+// over flows in arrival order. Each bottleneck comes off a binary heap
+// of the round's links, and freezing it walks only the flows that cross
+// it. The sums a solve takes depend on nothing but the order in which
+// processes call Transfer.
 //
 // simnet is the repository's stand-in for the paper's Grid'5000 testbed;
 // see Grid5000 for the topology used by the experiments.
@@ -86,6 +87,66 @@ type link struct {
 	epoch    uint64  // recompute round the working state belongs to
 	flows    []*flow // active flows crossing the link, in arrival order
 	moved    float64
+
+	// The link's entry in recompute's heap.
+	share float64 // heap key: capRem/sumW when last computed
+	stale bool    // share may be below capRem/sumW
+	pos   int     // first-visit position in the round, the tie-break
+	at    int     // index in the heap; -1 once popped
+}
+
+// before orders recompute's heap: lower share first, then earlier first
+// visit, the order a scan keeping the first strict minimum picks.
+func (l *link) before(o *link) bool {
+	return l.share < o.share || l.share == o.share && l.pos < o.pos
+}
+
+func siftUp(h []*link, i int) {
+	l := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !l.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].at = i
+		i = p
+	}
+	h[i] = l
+	l.at = i
+}
+
+func siftDown(h []*link, i int) {
+	l := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(l) {
+			break
+		}
+		h[i] = h[c]
+		h[i].at = i
+		i = c
+	}
+	h[i] = l
+	l.at = i
+}
+
+// popHeap removes the heap's top link.
+func popHeap(h []*link) []*link {
+	h[0].at = -1
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	if len(h) > 0 {
+		h[0] = last
+		siftDown(h, 0)
+	}
+	return h
 }
 
 // Network is the simulated fabric. All methods that move data must be
@@ -103,7 +164,7 @@ type Network struct {
 	core   *link
 
 	flows      []*flow // active flows, in arrival order
-	active     []*link // recompute's scratch: the links those flows cross
+	heap       []*link // recompute's scratch: the links those flows cross
 	lastUpdate time.Duration
 	timer      *sim.Timer
 	solving    bool   // a solve is scheduled for the current instant
@@ -394,11 +455,23 @@ func (n *Network) advanceLocked() {
 // instant: from solve for the arrivals, from onCompletion for the
 // departures. Flows are visited in arrival order, and freezing a
 // bottleneck walks only its own flows, in the same order.
+//
+// The round's links sit in a min-heap on (share, first-visit position),
+// so the top is the link a scan for the first strict minimum share
+// would pick. Keys are lazy: a stored share never exceeds the link's
+// current capRem/sumW, and equals it unless the link is marked stale. In
+// exact arithmetic freezing a flow of weight w at the bottleneck's share
+// b raises the share s of each other link it crosses by
+// w·(s−b)/(sumW−w) ≥ 0, so those links are marked stale and re-keyed
+// only when they reach the top. Rounding, or the clamp of capRem at 0, can lower a share, and a
+// lowered key moves up at once; without that the heap could pick a
+// different bottleneck from the scan. The bottleneck, the freeze order
+// and every float operation are the scan's, so the rates are too.
 func (n *Network) recomputeLocked() {
 	// Gather active links and reset their working state, using an epoch
 	// marker so state left by earlier rounds is ignored.
 	n.epoch++
-	activeLinks := n.active[:0]
+	h := n.heap[:0]
 	for _, f := range n.flows {
 		f.rate = -1 // unfrozen
 		for i, l := range f.links {
@@ -406,27 +479,19 @@ func (n *Network) recomputeLocked() {
 				l.epoch = n.epoch
 				l.sumW = 0
 				l.capRem = l.capacity
-				activeLinks = append(activeLinks, l)
+				l.stale, l.pos = false, len(h)
+				h = append(h, l)
 			}
 			l.sumW += f.weights[i]
 		}
 	}
-	n.active = activeLinks
+	for i := len(h) - 1; i >= 0; i-- { // heapify, keying each link first
+		h[i].share = h[i].capRem / h[i].sumW
+		siftDown(h, i)
+	}
 	unfrozen := len(n.flows)
 	for unfrozen > 0 {
-		// Find the tightest link.
-		var bottleneck *link
-		best := 0.0
-		for _, l := range activeLinks {
-			if l.sumW <= 0 {
-				continue
-			}
-			share := l.capRem / l.sumW
-			if bottleneck == nil || share < best {
-				bottleneck, best = l, share
-			}
-		}
-		if bottleneck == nil {
+		if len(h) == 0 {
 			// Remaining flows traverse only unconstrained links.
 			for _, f := range n.flows {
 				if f.rate < 0 {
@@ -436,6 +501,18 @@ func (n *Network) recomputeLocked() {
 			}
 			break
 		}
+		bottleneck := h[0]
+		if bottleneck.stale {
+			if bottleneck.sumW <= 0 {
+				h = popHeap(h) // every flow crossing it is frozen
+			} else {
+				bottleneck.share, bottleneck.stale = bottleneck.capRem/bottleneck.sumW, false
+				siftDown(h, 0)
+			}
+			continue
+		}
+		h = popHeap(h)
+		best := bottleneck.share
 		// Freeze every unfrozen flow crossing the bottleneck.
 		for _, f := range bottleneck.flows {
 			if f.rate >= 0 {
@@ -449,10 +526,20 @@ func (n *Network) recomputeLocked() {
 				if l.capRem < 0 {
 					l.capRem = 0
 				}
+				if l.at < 0 {
+					continue // popped
+				}
+				if s := l.capRem / l.sumW; l.sumW > 0 && s < l.share {
+					l.share, l.stale = s, false
+					siftUp(h, l.at)
+				} else {
+					l.stale = true
+				}
 			}
 		}
 		bottleneck.sumW = 0 // fully allocated
 	}
+	n.heap = h
 	n.scheduleNextLocked()
 }
 

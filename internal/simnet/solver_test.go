@@ -125,27 +125,30 @@ func (c *solverChecker) check() {
 }
 
 // randomPath draws one of the shapes the storage layers build:
-// unicast, scatter, gather, pipeline, each optionally disk-weighted.
-func randomPath(rng *rand.Rand, n *Network) *Path {
+// unicast, scatter, gather, pipeline, each optionally disk-weighted, or
+// a one-disk flush. Node sets hold 1 to width nodes.
+func randomPath(rng *rand.Rand, n *Network, width int) *Path {
 	nodes := n.NumNodes()
 	node := func() NodeID { return NodeID(rng.Intn(nodes)) }
 	set := func() []NodeID {
-		s := make([]NodeID, 1+rng.Intn(6))
+		s := make([]NodeID, 1+rng.Intn(width))
 		for i := range s {
 			s[i] = node()
 		}
 		return s
 	}
 	var p *Path
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		p = n.PathUnicast(node(), node())
 	case 1:
 		p = n.PathScatter(node(), set())
 	case 2:
 		p = n.PathGather(node(), set())
-	default:
+	case 3:
 		p = n.PathPipeline(node(), set())
+	default:
+		return n.pathDisk(node())
 	}
 	if rng.Intn(3) == 0 {
 		for _, d := range set() {
@@ -155,19 +158,34 @@ func randomPath(rng *rand.Rand, n *Network) *Path {
 	return p
 }
 
-// TestSolverMatchesReference runs random flow sets on Grid5000(60) with
-// arrivals bunched onto a few instants, equal sizes that finish
-// together, and processes that start their next transfer at the instant
-// the last one completes; after every solve each rate must equal the
-// reference's exactly.
+// TestSolverMatchesReference runs random flow sets with arrivals bunched
+// onto a few instants, equal sizes that finish together, and processes
+// that start their next transfer at the instant the last one completes;
+// after every solve each rate must equal the reference's exactly. The
+// narrow seeds draw node sets of up to 6 on Grid5000(60). The wide seeds
+// draw them up to 64 wide on Grid5000(150), the scatters and gathers of
+// the paper-scale runs, and add equal flushes on distinct disks at t = 0,
+// so that many links tie on share and first-visit order picks the
+// bottleneck.
 func TestSolverMatchesReference(t *testing.T) {
 	starts := []time.Duration{0, 0, time.Millisecond, 5 * time.Millisecond, 40 * time.Millisecond}
 	sizes := []int64{MB, 2 * MB, 4 * MB, 16 * MB}
-	for seed := int64(1); seed <= 20; seed++ {
+	for seed := int64(1); seed <= 40; seed++ {
+		nodes, width, flushes := 60, 6, 0
+		if seed > 20 {
+			nodes, width, flushes = 150, 64, 20
+		}
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
-		n := New(eng, Grid5000(60))
+		n := New(eng, Grid5000(nodes))
 		c := &solverChecker{t: t, n: n, checked: map[uint64]bool{}}
+		for _, node := range rng.Perm(nodes)[:flushes] {
+			eng.Go(func() {
+				eng.After(0, c.check)
+				n.DiskWrite(NodeID(node), 8*MB)
+				c.check()
+			})
+		}
 		for p := 0; p < 40; p++ {
 			start := starts[rng.Intn(len(starts))]
 			type step struct {
@@ -176,7 +194,7 @@ func TestSolverMatchesReference(t *testing.T) {
 			}
 			steps := make([]step, 1+rng.Intn(3))
 			for i := range steps {
-				steps[i] = step{randomPath(rng, n), sizes[rng.Intn(len(sizes))]}
+				steps[i] = step{randomPath(rng, n, width), sizes[rng.Intn(len(sizes))]}
 			}
 			eng.Go(func() {
 				eng.Sleep(start)
