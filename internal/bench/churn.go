@@ -11,11 +11,13 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -260,10 +262,17 @@ func runChurn(opts churnOpts) (churnResult, error) {
 	return res, dep.Close()
 }
 
-// allOnPreferredOwners reports whether every page of every blob's
-// latest snapshot sits on exactly its ring-preferred owners at the
-// replication target.
+// allOnPreferredOwners reports whether, among the serving providers,
+// exactly each page's ring-preferred owners at the replication target
+// hold it, for every page of every blob's latest snapshot. It counts
+// the copies the providers' stores hold, not what the leaves name.
 func allOnPreferredOwners(dep *core.Deployment, blobs []core.BlobID, target int) (bool, error) {
+	var serving []*core.Provider
+	for _, m := range dep.Placement.Members() {
+		if pr := dep.Provider(m.Node); m.Health != placement.Down && pr != nil && !pr.IsDown() {
+			serving = append(serving, pr)
+		}
+	}
 	c := dep.NewClient(0)
 	for _, id := range blobs {
 		b, err := c.OpenBlob(id)
@@ -283,17 +292,18 @@ func allOnPreferredOwners(dep *core.Deployment, blobs []core.BlobID, target int)
 				continue // hole
 			}
 			want := dep.Placement.PreferredOwners(loc.Key(), target)
-			if len(loc.Providers) != len(want) {
-				return false, nil
-			}
-			have := make(map[cluster.NodeID]bool, len(loc.Providers))
-			for _, n := range loc.Providers {
-				have[n] = true
-			}
-			for _, n := range want {
-				if !have[n] {
+			held := 0
+			for _, pr := range serving {
+				has := pr.Store().Has(loc.Key())
+				if has != slices.Contains(want, pr.Node()) {
 					return false, nil
 				}
+				if has {
+					held++
+				}
+			}
+			if held != len(want) {
+				return false, nil
 			}
 		}
 	}

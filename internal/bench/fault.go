@@ -252,7 +252,7 @@ func runFaultChurn(opts faultOpts) (faultResult, error) {
 		}
 
 		// Verify: every page of every blob is back at full replication,
-		// counting only live providers.
+		// counting the copies live providers' stores actually hold.
 		verifier := dep.NewClient(0)
 		for _, blob := range blobs {
 			vb, err := verifier.OpenBlob(blob)
@@ -267,8 +267,8 @@ func runFaultChurn(opts faultOpts) (faultResult, error) {
 			}
 			for _, loc := range locs {
 				live := 0
-				for _, n := range loc.Providers {
-					if pr := dep.Provider(n); pr != nil && !pr.IsDown() {
+				for _, pr := range dep.ProviderList() {
+					if !pr.IsDown() && pr.Store().Has(loc.Key()) {
 						live++
 					}
 				}

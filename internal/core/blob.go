@@ -146,7 +146,9 @@ func (b *Blob) History(opts ...ReadOption) ([]WriteRecord, error) {
 
 // Locations exposes the page-to-provider distribution of a byte range
 // of the addressed snapshot, the primitive the MapReduce scheduler's
-// locality decisions consume (paper §III.B).
+// locality decisions consume (paper §III.B). It returns the holders
+// named when each page was written: a locality hint that a later
+// migration may make stale. Reads stay correct either way.
 func (b *Blob) Locations(off, length int64, opts ...ReadOption) ([]PageLoc, error) {
 	s := resolveReadOpts(opts)
 	return b.c.locations(s, b.id, off, length)

@@ -16,6 +16,8 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/pagestore"
+	"repro/internal/placement"
 )
 
 // ErrSynthetic is returned when a caller asks for real bytes from a
@@ -531,29 +533,20 @@ func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
 
 // gatherPages fetches every non-hole leaf's page in rounds of
 // per-provider batches — pages resident in provider RAM copied inline,
-// the rest fetched concurrently — with per-page replica failover: a
-// provider that fails mid-fetch only requeues its own pages onto their
-// surviving replicas instead of aborting the whole read. A page none of
-// whose listed replicas can serve has its leaf re-read from the DHT
-// once, bypassing the cache (a migration may have moved it since the
-// leaf was cached), with the other such leaves of its round in one
-// fetch; if the fresh leaf lists no holder that can serve either, the
-// read fails with ErrAllReplicasDown. Cancellation
-// is honored between rounds and before each concurrent batch: a canceled
-// gather stops issuing fetches, joins its in-flight workers, and
-// returns an error matching ErrCanceled.
+// the rest fetched concurrently — with per-page failover: a provider
+// that fails mid-fetch only requeues its own pages, and a live provider
+// without a copy (it migrated away) requeues only that page. Each page
+// tries its leaf's holders, then every serving member (pickReplica); a
+// page no candidate can serve fails the read with ErrAllReplicasDown.
+// Cancellation is honored between rounds and before each concurrent
+// batch: a canceled gather stops issuing fetches, joins its in-flight
+// workers, and returns an error matching ErrCanceled.
 //
 // Leaves cover the page span [lo, hi); the result is indexed by
 // page-lo (holes stay zero entries). Real page bytes are copied out to
 // where pd puts them: a refetched page lands where its first copy did.
 // The caller releases pd's arena once done with the fetched data.
 func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, pd *pageDst) ([]pageFetch, error) {
-	type pendingPage struct {
-		loc      PageLoc
-		tried    map[cluster.NodeID]bool // replicas that already failed
-		lastErr  error                   // most recent fetch failure
-		reloaded bool                    // the leaf was re-read from the DHT
-	}
 	// Pages are tracked by value and rounds pass index slices around, so
 	// the per-page bookkeeping of a clean single-round gather (the hot
 	// path) is three slice allocations, not one per page.
@@ -575,36 +568,26 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 			return nil, canceled("gather", err)
 		}
 		perProv := make(map[cluster.NodeID][]int)
-		for pick := active; len(pick) > 0; {
-			var stale []int // pages none of whose listed holders can serve
-			var locs []*PageLoc
-			for _, idx := range pick {
-				pp := &pending[idx]
-				prov, err := c.pickReplica(pp.loc.Providers, pp.tried)
-				if err != nil && !pp.reloaded {
-					pp.reloaded = true
-					stale, locs = append(stale, idx), append(locs, &pp.loc)
-					continue
+		lookup := false
+		for _, idx := range active {
+			pp := &pending[idx]
+			prov, looked, err := c.pickReplica(pp)
+			lookup = lookup || looked
+			if err != nil {
+				// Keep the underlying fetch error: "all replicas down"
+				// with every provider up means the store itself failed,
+				// and that cause must not be lost.
+				if pp.lastErr != nil {
+					return nil, fmt.Errorf("%w: page %d of blob %d@%d (last replica error: %v)", err, pp.loc.Page, pp.loc.blob, pp.loc.Version, pp.lastErr)
 				}
-				if err != nil {
-					// Keep the underlying fetch error: "all replicas down"
-					// with every provider up means the store itself failed,
-					// and that cause must not be lost.
-					if pp.lastErr != nil {
-						return nil, fmt.Errorf("%w: page %d of blob %d@%d (last replica error: %v)", err, pp.loc.Page, pp.loc.blob, pp.loc.Version, pp.lastErr)
-					}
-					return nil, fmt.Errorf("%w: page %d of blob %d@%d", err, pp.loc.Page, pp.loc.blob, pp.loc.Version)
-				}
-				perProv[prov] = append(perProv[prov], idx)
+				return nil, fmt.Errorf("%w: page %d of blob %d@%d", err, pp.loc.Page, pp.loc.blob, pp.loc.Version)
 			}
-			// Their cached leaves may predate a migration that moved the
-			// pages: re-read them from the DHT in one fetch, once per
-			// page, and pick again. A page whose holders are merely down
-			// pays that round trip before it fails.
-			if err := c.meta.reloadLeaves(locs); err != nil {
-				return nil, err
-			}
-			pick = stale
+			perProv[prov] = append(perProv[prov], idx)
+		}
+		if lookup {
+			// The membership is a service call on the placement node, as
+			// it is for Place: one per round, whatever it served.
+			c.d.Env.RTT(c.node, c.d.Opts.VMNodes[0])
 		}
 		srcs := sortedNodes(perProv)
 
@@ -632,7 +615,7 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 				waiting = append(waiting, prov)
 			}
 		}
-		var gmu sync.Mutex // guards next, total, fromDisk, pending[i].tried/lastErr
+		var gmu sync.Mutex // guards next, total, fromDisk
 		c.fanOut(waiting, func(prov cluster.NodeID) {
 			if ctx.Done() {
 				return // canceled: the round check below surfaces it
@@ -640,17 +623,25 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 			batch := perProv[prov]
 			pr := c.d.Provider(prov)
 			var err error
+			var missing []int // pages this provider holds no copy of
 			var localTotal, localFromDisk int64
 			if pr == nil {
 				err = fmt.Errorf("core: no provider on node %d", prov)
 			} else {
 				// Keys render into a stack buffer per page; each page
 				// belongs to exactly one provider batch per round, so
-				// writing its fetched slot needs no lock.
+				// writing its fetched slot or its pending entry needs no
+				// lock.
 				var kb [48]byte
 				for _, idx := range batch {
 					loc := pending[idx].loc
 					it, gerr := pr.getPageInto(appendPageKey(kb[:0], loc.blob, loc.Version, loc.Page), func(n int64) []byte { return pd.alloc(loc.Page, n) })
+					if errors.Is(gerr, pagestore.ErrNotFound) {
+						pp := &pending[idx]
+						pp.tried, pp.lastErr = append(pp.tried, prov), gerr
+						missing = append(missing, idx)
+						continue
+					}
 					if gerr != nil {
 						err = gerr
 						break
@@ -662,23 +653,19 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 					}
 				}
 			}
-			gmu.Lock()
-			defer gmu.Unlock()
 			if err != nil {
 				// Provider failed mid-read: requeue its whole waiting batch
-				// onto the pages' remaining replicas (pages this stage fetched
+				// onto the pages' other candidates (pages this stage fetched
 				// before the failure are refetched, their bytes not charged).
 				for _, idx := range batch {
 					pp := &pending[idx]
-					if pp.tried == nil {
-						pp.tried = make(map[cluster.NodeID]bool)
-					}
-					pp.tried[prov] = true
-					pp.lastErr = err
-					next = append(next, idx)
+					pp.tried, pp.lastErr = append(pp.tried, prov), err
 				}
-				return
+				missing, localTotal, localFromDisk = batch, 0, 0
 			}
+			gmu.Lock()
+			defer gmu.Unlock()
+			next = append(next, missing...)
 			total += localTotal
 			fromDisk += localFromDisk
 		})
@@ -698,30 +685,65 @@ func (c *Client) gatherPages(ctx *cluster.Ctx, leaves []PageLoc, lo, hi int64, p
 	return fetched, nil
 }
 
-// pickReplica chooses the replica to read a page from: the local node
-// if it holds a live copy, otherwise the first live replica not yet
-// tried. With every replica down (or already failed) it returns
-// ErrAllReplicasDown at selection time instead of handing back a dead
-// node whose fetch would fail with a misleading generic error.
-func (c *Client) pickReplica(replicas []cluster.NodeID, tried map[cluster.NodeID]bool) (cluster.NodeID, error) {
+// pendingPage is one page a gather has yet to fetch.
+type pendingPage struct {
+	loc     PageLoc
+	tried   []cluster.NodeID // candidates that failed this pass
+	lastErr error            // most recent fetch failure
+	members []cluster.NodeID // candidates once the leaf's holders fail
+	passes  int              // passes over members begun
+}
+
+// pickReplica chooses the node to read a page from next: the local node
+// if it is one of the leaf's holders and live, otherwise the first live
+// holder not yet tried. Leaves keep the holders named at write time, and
+// a migration may have moved the page since, so next come the serving
+// members in servingMembers' order; lookup reports that their list was
+// fetched. A second pass over a fresh list catches a copy that moved
+// past the first, from a node not yet probed onto one already probed.
+// With no live candidate left it returns ErrAllReplicasDown instead of
+// a dead node whose fetch would fail with a misleading generic error.
+func (c *Client) pickReplica(pp *pendingPage) (n cluster.NodeID, lookup bool, err error) {
 	live := func(r cluster.NodeID) bool {
-		if tried[r] {
-			return false
-		}
 		pr := c.d.Provider(r)
-		return pr != nil && !pr.IsDown()
+		return pr != nil && !pr.IsDown() && !slices.Contains(pp.tried, r)
 	}
-	for _, r := range replicas {
-		if r == c.node && live(r) {
-			return r, nil
+	if pp.passes == 0 && slices.Contains(pp.loc.Providers, c.node) && live(c.node) {
+		return c.node, false, nil
+	}
+	for {
+		cands := pp.members
+		if pp.passes == 0 {
+			cands = pp.loc.Providers
+		}
+		for _, r := range cands {
+			if live(r) {
+				return r, lookup, nil
+			}
+		}
+		if pp.passes == 2 {
+			return 0, lookup, ErrAllReplicasDown
+		}
+		if pp.passes++; pp.passes == 2 {
+			pp.tried = pp.tried[:0]
+		}
+		pp.members, lookup = c.servingMembers(pp.loc.Key()), true
+	}
+}
+
+// servingMembers lists the providers that serve reads, in the order a
+// page missing from its leaf's holders probes them: Up members along the
+// key's ring, where a migration puts its copies, then Draining members,
+// which keep theirs until every preferred owner holds one.
+func (c *Client) servingMembers(key string) []cluster.NodeID {
+	ms := c.d.Placement.Members()
+	out := c.d.Placement.PreferredOwners(key, len(ms))
+	for _, m := range ms {
+		if m.Health == placement.Draining {
+			out = append(out, m.Node)
 		}
 	}
-	for _, r := range replicas {
-		if live(r) {
-			return r, nil
-		}
-	}
-	return 0, ErrAllReplicasDown
+	return out
 }
 
 // locations implements Blob.Locations.

@@ -7,7 +7,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -260,5 +262,97 @@ func TestAppendBatchFailureDoesNotPoisonClient(t *testing.T) {
 	want = append(want, bytes.Repeat([]byte{0x44}, 100)...)
 	if !bytes.Equal(buf, want) {
 		t.Fatal("content after recovery does not match (aborted batch leaked or merge lost bytes)")
+	}
+}
+
+// TestReadsDuringMigratingSweep: readers loop over every published
+// version on real goroutines while sweeps migrate pages under them — a
+// join, then drains of an original provider and of the joiner, so some
+// pages move twice. Leaves keep their write-time holders, so many reads
+// find a page only by probing the serving members, some while its copy
+// is moving. Every read, through a long-lived client or a fresh one,
+// must return its version's bytes.
+func TestReadsDuringMigratingSweep(t *testing.T) {
+	const ps, pages, readers = 64, 48, 4
+	d, err := NewDeployment(cluster.NewLocal(12, 4), Options{PageSize: ps, ProviderNodes: []cluster.NodeID{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	blob, err := d.NewClient(0).CreateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := make([]byte, pages*ps)
+	var versions [][]byte
+	for v := range 4 {
+		off, n := 0, pages*ps // v1 writes every page, later versions a third
+		if v > 0 {
+			off, n = v*9*ps, pages/3*ps
+		}
+		for i := off; i < off+n; i++ {
+			cur[i] = byte(v*pages + i/ps)
+		}
+		if _, err := blob.WriteAt(cur[off:off+n], int64(off)); err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, slices.Clone(cur))
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			long := d.NewClient(cluster.NodeID(6 + r))
+			buf := make([]byte, pages*ps)
+			// Loop until the migrations are over, then once more.
+			for i, done := 0, false; !done; i++ {
+				done = stop.Load()
+				c := long
+				if i%2 == 1 {
+					c = d.NewClient(cluster.NodeID(6 + r))
+				}
+				b, err := c.OpenBlob(blob.ID())
+				if err != nil {
+					errs <- err
+					return
+				}
+				for v, want := range versions {
+					if _, err := b.ReadAt(buf, 0, AtVersion(Version(v+1))); err != nil || !bytes.Equal(buf, want) {
+						errs <- fmt.Errorf("reader %d, pass %d, version %d: %v, match=%v", r, i, v+1, err, bytes.Equal(buf, want))
+						return
+					}
+				}
+			}
+		}()
+	}
+	migrated := 0
+	for _, step := range []func() error{
+		func() error { _, err := d.AddProvider(5); return err },
+		func() error { return d.DrainProvider(2) },
+		func() error { return d.DrainProvider(5) },
+	} {
+		if err := step(); err != nil {
+			t.Error(err)
+			break
+		}
+		st, err := d.Rebalance.SweepOnce()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		migrated += st.PagesMigrated
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if migrated == 0 {
+		t.Error("no sweep migrated a page")
 	}
 }

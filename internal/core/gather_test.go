@@ -186,11 +186,11 @@ func TestGatherFailoverBetweenStages(t *testing.T) {
 }
 
 // TestGatherFailoverIntoCallerBuffer: pages wholly inside a read are
-// copied out straight into the caller's buffer, so a provider that fails
-// partway through its batch has already written some of them there. The
-// batch is refetched from the second replicas into the same windows,
-// and the buffer, filled with junk beforehand, reads back exactly the
-// data, partial head and tail pages included.
+// copied out straight into the caller's buffer, so a provider missing
+// one page of its batch has already written the others there. That page
+// alone is refetched from its second replica into its own window, and
+// the buffer, filled with junk beforehand, reads back exactly the data,
+// partial head and tail pages included.
 func TestGatherFailoverIntoCallerBuffer(t *testing.T) {
 	const ps = 128
 	d, err := NewDeployment(cluster.NewLocal(8, 4), Options{
@@ -227,7 +227,7 @@ func TestGatherFailoverIntoCallerBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The victim serves the pages it is first replica of; it loses the
-	// last of them, so it fails after copying out the others.
+	// last of them, and copies out the others.
 	var victim cluster.NodeID = 2
 	var batch []PageLoc
 	for _, l := range locs {

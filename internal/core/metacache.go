@@ -4,7 +4,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -12,13 +11,11 @@ import (
 )
 
 // cachedMeta caches metadata tree nodes client-side, decoded, with LRU
-// eviction. Tree nodes are immutable once written (a version's tree is
-// never modified), so the cache needs no invalidation — the original
-// BlobSeer client caches metadata the same way. The one exception is
-// the placement loop: the Rebalancer rewrites leaves it re-replicates
-// or migrates, through its own cache. Another client's stale leaf still
-// names the old holders, so a gather that finds none of them holding
-// the page re-reads that leaf (reloadLeaves) before it gives up.
+// eviction. Tree nodes are put once and never modified — a version's
+// tree never changes, and a migration moves pages without rewriting the
+// leaves that name their write-time holders — so the cache needs no
+// invalidation. The original BlobSeer client caches metadata the same
+// way.
 //
 // The cache is split over lock stripes, so concurrent readers and
 // writers of different nodes never serialize on one mutex. A key routes
@@ -227,29 +224,6 @@ func (c *cachedMeta) put(nodes []keyedNode) error {
 	}
 	for _, kn := range nodes {
 		c.remember(kn.key, kn.node)
-	}
-	return nil
-}
-
-// reloadLeaves re-reads the leaves of locs from the DHT in one fetch,
-// bypassing the cache, caches the ones it finds and points each of
-// those locs at its fresh replica set.
-func (c *cachedMeta) reloadLeaves(locs []*PageLoc) error {
-	keys, vals := make([][]byte, len(locs)), make([][]byte, len(locs))
-	for i, l := range locs {
-		keys[i] = l.leafKey().appendTo(nil)
-	}
-	c.fetch(keys, vals)
-	for i, v := range vals {
-		if v == nil {
-			continue
-		}
-		n, _, err := decodeNode(v, true, nil)
-		if err != nil {
-			return fmt.Errorf("core: node %s: %w", locs[i].leafKey(), err)
-		}
-		c.remember(locs[i].leafKey(), n)
-		locs[i].Providers = n.providers
 	}
 	return nil
 }

@@ -6,45 +6,46 @@
 // are two outcomes of the same evaluation: placement.Manager.Evaluate
 // compares a page's current holders against the membership's preferred
 // owners, and the Rebalancer acts on the decision by copying pages onto
-// the nodes that should hold them, rewriting the metadata leaves, and
-// dropping copies that migrated away.
+// the nodes that should hold them and dropping copies that migrated
+// away.
 //
-// Leaf rewrites are the one deliberate exception to the "tree nodes
-// are immutable" rule. They are safe because a leaf rewrite only
-// changes the provider set, never the page contents or the tree
-// shape: a client holding the stale leaf still reads correct bytes
-// through any surviving old replica (a copy dropped by migration just
-// looks like one more failed replica and fails over), a gather that
-// finds no listed holder re-reads the leaf, and a fresh tree walk sees
-// the new set.
+// The loop never writes metadata. A leaf keeps the holders named at
+// write time for ever, so a pass learns where each page actually is by
+// asking the serving providers' stores, and a reader that finds no copy
+// on its leaf's holders probes the serving members (gatherPages). A
+// copy on a node outside the preferred owners is dropped only once every
+// preferred owner holds one, so at every instant some serving member
+// holds each page that had a serving copy.
 
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/placement"
 )
 
 // RepairStats summarizes one placement pass.
 type RepairStats struct {
 	// PagesScanned counts metadata leaves examined (holes excluded).
 	PagesScanned int
-	// PagesDegraded counts pages found below the replication target.
+	// PagesDegraded counts pages held by fewer Up providers than the
+	// replication target (clamped to the Up fleet).
 	PagesDegraded int
-	// PagesLost counts pages with no live replica at all; they cannot
-	// be repaired and stay in the leaf untouched (their replicas may
-	// come back).
+	// PagesLost counts pages no serving provider holds; they cannot be
+	// repaired (a Down holder's copy may come back).
 	PagesLost int
-	// PagesMigrated counts pages whose replica set was realigned to
-	// the preferred owners (a reachable copy sat on a wrong node).
+	// PagesMigrated counts pages whose copy on a node outside the
+	// preferred owners was dropped once every preferred owner held one.
 	PagesMigrated int
 	// ReplicasAdded counts new page copies created.
 	ReplicasAdded int
-	// ReplicasDropped counts reachable copies deleted after their page
-	// was fully re-established on its preferred owners.
+	// ReplicasDropped counts copies deleted from providers that held
+	// them.
 	ReplicasDropped int
 	// BytesCopied is the payload moved onto new providers.
 	BytesCopied int64
@@ -131,11 +132,10 @@ func newRebalancer(d *Deployment, node cluster.NodeID) *Rebalancer {
 // repairBlob evaluates every page of version v of a blob
 // (LatestVersion for the newest snapshot) against the current
 // membership and acts on the decisions: degraded pages gain copies on
-// their preferred owners, misplaced pages migrate there, and fully
-// realigned leaves drop the stale holders. A page with no surviving
-// replica is counted in PagesLost, not treated as a fatal error, so
-// one dead page does not stop the rest of the blob from being
-// processed.
+// their preferred owners, and misplaced pages migrate there. A page
+// with no surviving copy is counted in PagesLost, not treated as a
+// fatal error, so one dead page does not stop the rest of the blob from
+// being processed.
 func (r *Rebalancer) repairBlob(blob BlobID, v Version) (RepairStats, error) {
 	var st RepairStats
 	if err := r.acquirePass(); err != nil {
@@ -158,23 +158,26 @@ func (r *Rebalancer) repairBlob(blob BlobID, v Version) (RepairStats, error) {
 	if err != nil {
 		return st, err
 	}
+	// Holes are zeros and need no replicas.
+	pages := slices.DeleteFunc(locs, func(l PageLoc) bool { return len(l.Providers) == 0 })
+	keys := make([]string, len(pages))
+	for i, loc := range pages {
+		keys[i] = loc.Key()
+	}
+	held, asked := r.holders(keys)
 
 	target := r.d.Opts.Replication
-	var updates []keyedNode
-	// A migrated page's old copies are dropped only once its rewritten
-	// leaf is stored: until then the leaf still names them.
-	type drop struct {
-		key       string
-		old, kept []cluster.NodeID
-	}
-	var drops []drop
-	for _, loc := range locs {
-		if len(loc.Providers) == 0 {
-			continue // hole: zeros need no replicas
-		}
+	for i, loc := range pages {
 		st.PagesScanned++
-		key := loc.Key()
-		dec := r.d.Placement.Evaluate(key, loc.Providers, target)
+		// A leaf holder nobody could ask (Down or gone) still counts as
+		// one: its copy may come back.
+		current := held[i]
+		for _, n := range loc.Providers {
+			if !slices.Contains(asked, n) {
+				current = append(current, n)
+			}
+		}
+		dec := r.d.Placement.Evaluate(keys[i], current, target)
 		if dec.Lost {
 			st.PagesLost++
 			continue
@@ -182,90 +185,48 @@ func (r *Rebalancer) repairBlob(blob BlobID, v Version) (RepairStats, error) {
 		if dec.Degraded {
 			st.PagesDegraded++
 		}
-		if len(dec.Add) == 0 && !dec.Misplaced {
-			continue // already where it should be
-		}
-
-		added, copied, err := r.copyTo(key, dec.Live, dec.Add)
+		added, copied, err := r.copyTo(keys[i], dec.Live, dec.Add)
 		if err != nil {
 			return st, err
 		}
 		st.ReplicasAdded += len(added)
 		st.BytesCopied += copied
-
-		newSet, dropped, changed := r.newLeafSet(loc, dec.Desired, dec.Live, added, target, key)
-		if !changed {
-			continue
+		// A misplaced copy goes only once every preferred owner, at the
+		// full target, holds one.
+		if dec.Misplaced && len(dec.Desired) == target && len(added) == len(dec.Add) {
+			if n := r.dropExtras(keys[i], dec.Live, dec.Desired); n > 0 {
+				st.PagesMigrated++
+				st.ReplicasDropped += n
+			}
 		}
-		if dropped {
-			st.PagesMigrated++
-		}
-		updates = append(updates, keyedNode{key: loc.leafKey(), node: treeNode{providers: newSet}})
-		drops = append(drops, drop{key, loc.Providers, newSet})
-	}
-	if len(updates) > 0 {
-		if err := r.cl.meta.put(updates); err != nil {
-			return st, fmt.Errorf("core: placement pass over blob %d: leaf rewrite: %w", blob, err)
-		}
-	}
-	for _, d := range drops {
-		st.ReplicasDropped += r.dropExtras(d.key, d.old, d.kept)
 	}
 	return st, nil
 }
 
-// newLeafSet decides the rewritten replica set for one page after
-// copies were added. When every desired owner holds a copy and the
-// desired set is at the full configured target, the leaf becomes
-// exactly the preferred owners — stale holders (dead nodes, migrated-
-// away copies) are dropped. Below that, the rule stays conservative:
-// surviving replicas first, new copies appended, and dead holders kept
-// listed while the page is under the full target (their copies may
-// come back; dropping them would turn a transient outage into data
-// loss).
-func (r *Rebalancer) newLeafSet(loc PageLoc, desired, live, added []cluster.NodeID, target int, key string) (newSet []cluster.NodeID, dropped, changed bool) {
-	holds := make(map[cluster.NodeID]bool, len(loc.Providers)+len(added))
-	for _, n := range live {
-		holds[n] = true
+// holders asks every serving provider (Up or Draining) which of keys
+// its store holds, as one fan-out charged a round trip to the farthest
+// provider asked. It returns each key's holders and the nodes asked.
+func (r *Rebalancer) holders(keys []string) (held [][]cluster.NodeID, asked []cluster.NodeID) {
+	if len(keys) == 0 {
+		return nil, nil
 	}
-	for _, n := range added {
-		holds[n] = true
-	}
-	complete := len(desired) == target
-	for _, n := range desired {
-		if !holds[n] {
-			complete = false
-			break
+	held = make([][]cluster.NodeID, len(keys))
+	for _, m := range r.d.Placement.Members() {
+		pr := r.d.Provider(m.Node)
+		if m.Health == placement.Down || pr == nil || pr.IsDown() {
+			continue
 		}
-	}
-	if complete {
-		for _, n := range loc.Providers {
-			found := false
-			for _, m := range desired {
-				if m == n {
-					found = true
-					break
-				}
-			}
-			if !found {
-				dropped = true
-				break
-			}
-		}
-		return desired, dropped, dropped || len(added) > 0
-	}
-	if len(added) == 0 {
-		return nil, false, false // nothing gained: keep the old leaf untouched
-	}
-	newSet = append(append([]cluster.NodeID(nil), live...), added...)
-	if len(newSet) < target {
-		for _, p := range loc.Providers {
-			if pr := r.d.Provider(p); pr == nil || pr.IsDown() {
-				newSet = append(newSet, p)
+		asked = append(asked, m.Node)
+		for i, k := range keys {
+			if pr.store.Has(k) {
+				held[i] = append(held[i], m.Node)
 			}
 		}
 	}
-	return newSet, false, true
+	if len(asked) > 0 {
+		r.d.Env.RTT(r.cl.node, cluster.Farthest(r.d.Env, r.cl.node, asked))
+	}
+	return held, asked
 }
 
 // copyTo replicates one page from a surviving holder onto each target
@@ -319,24 +280,17 @@ func (r *Rebalancer) copyTo(key string, sources, targets []cluster.NodeID) ([]cl
 	return added, copied, nil
 }
 
-// dropExtras deletes the page's copies on reachable old holders that
-// are no longer in the new replica set (the migration's second half).
-// Unreachable holders are left alone — their orphaned copies are
-// harmless and the node may never come back anyway.
-func (r *Rebalancer) dropExtras(key string, old, kept []cluster.NodeID) int {
-	inKept := make(map[cluster.NodeID]bool, len(kept))
-	for _, n := range kept {
-		inKept[n] = true
-	}
+// dropExtras deletes the page's copies on the holders outside keep
+// (the migration's second half) and returns how many it deleted.
+// holders are the nodes the pass found holding the page.
+func (r *Rebalancer) dropExtras(key string, holders, keep []cluster.NodeID) int {
 	dropped := 0
-	for _, n := range old {
-		if inKept[n] {
+	for _, n := range holders {
+		if slices.Contains(keep, n) {
 			continue
 		}
-		if pr := r.d.Provider(n); pr != nil && !pr.IsDown() {
-			if pr.deletePage(key) == nil {
-				dropped++
-			}
+		if pr := r.d.Provider(n); pr != nil && pr.deletePage(key) == nil {
+			dropped++
 		}
 	}
 	return dropped

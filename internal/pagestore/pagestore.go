@@ -338,6 +338,15 @@ func copyOut(b []byte, alloc func(int64) []byte) []byte {
 	return dst
 }
 
+// Has reports whether an entry is stored under key, resident or not. It
+// reads no page and counts no hit or miss.
+func (s *Store) Has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.items[key]
+	return ok && !s.closed
+}
+
 // Delete removes an entry. Deleting a missing key is not an error.
 func (s *Store) Delete(key string) {
 	s.mu.Lock()

@@ -309,12 +309,13 @@ func TestMembershipOverWire(t *testing.T) {
 }
 
 // TestSweepErrorOverWire: a failing background placement sweep is
-// visible in the providers reply, not silent. With every metadata
-// server down, a join makes the next sweep migrate pages onto the new
-// node and fail to rewrite their leaves; once the servers are back, a
-// sweep completes, clears the error and reports what it scanned.
+// visible in the providers reply, not silent. The first sweep runs only
+// after the file is written and every metadata server is down, so its
+// walk of the file's tree, which no sweep has cached yet, fails; once
+// the servers are back, a sweep completes, clears the error and reports
+// what it scanned.
 func TestSweepErrorOverWire(t *testing.T) {
-	addr, dep := serve(t, core.Options{PageSize: 4 << 10, PlacementInterval: time.Millisecond}, bsfs.Config{BlockSize: 64 << 10})
+	addr, dep := serve(t, core.Options{PageSize: 4 << 10, PlacementInterval: 500 * time.Millisecond}, bsfs.Config{BlockSize: 64 << 10})
 	c := dialTest(t, addr)
 	if err := c.Put("/s/f", bytes.Repeat([]byte("sweep-"), 50000)); err != nil { // 74 pages
 		t.Fatal(err)
@@ -341,8 +342,8 @@ func TestSweepErrorOverWire(t *testing.T) {
 	}
 
 	setMetaDown(true)
-	if _, err := c.Join(0); err != nil {
-		t.Fatal(err)
+	if pr, err := c.Providers(); err != nil || pr.LastSweep != (core.RepairStats{}) || pr.SweepError != "" {
+		t.Fatalf("a sweep ran before the metadata tier went down: %+v, %v", pr, err)
 	}
 	pr := waitSweep("error", func(pr ProvidersReply) bool { return pr.SweepError != "" })
 	t.Logf("sweep error over the wire: %s", pr.SweepError)
@@ -355,11 +356,12 @@ func TestSweepErrorOverWire(t *testing.T) {
 }
 
 // TestReadAfterMigration: the server's one file-system client keeps the
-// leaves it wrote in its metadata cache. After a join, a background
-// sweep migrates pages to the new provider and drops the old copies, so
-// those cached leaves name holders that no longer have the pages. A
-// read must still return the file: the gather re-reads a leaf whose
-// listed holders all fail.
+// leaves it wrote in its metadata cache, and leaves keep the holders
+// named at write time for ever. After a join, a background sweep
+// migrates pages to the new provider and drops the old copies, so those
+// leaves name holders that no longer have the pages. A read must still
+// return the file: a page missing from its leaf's holders is found by
+// probing the serving members.
 func TestReadAfterMigration(t *testing.T) {
 	addr, _ := serve(t, core.Options{PageSize: 4 << 10, PlacementInterval: time.Millisecond}, bsfs.Config{BlockSize: 64 << 10})
 	c := dialTest(t, addr)
@@ -371,10 +373,10 @@ func TestReadAfterMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A migrating sweep copies pages onto the new node, rewrites their
-	// leaves, then drops the old copies; the sweep after it reports no
-	// migration. So wait for the fleet to hold one copy of each page
-	// again, some of them on the new node.
+	// A migrating sweep copies pages onto the new node, then drops the
+	// old copies; the sweep after it reports no migration. So wait for
+	// the fleet to hold one copy of each page again, some of them on the
+	// new node.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		pr, err := c.Providers()
 		if err != nil {
