@@ -773,11 +773,12 @@ func (c *Client) locations(s opSettings, blob BlobID, off, length int64) ([]Page
 // abortedProbe is walkTree's tombstone oracle: it asks the owning
 // version-manager shard whether a version whose metadata node is
 // missing was aborted (in which case the subtree is a hole, not
-// corruption). Errors report false — the walk then fails with the
-// honest missing-node error.
+// corruption). A tree links only versions at or below the frontier, so
+// GetVersion answers. Other errors report false — the walk then fails
+// with the honest missing-node error.
 func (c *Client) abortedProbe(blob BlobID, v Version) bool {
-	ab, err := c.vm(blob).isAborted(c.node, blob, v)
-	return err == nil && ab
+	_, err := c.vm(blob).GetVersion(c.node, blob, v)
+	return errors.Is(err, ErrAborted)
 }
 
 // resolveVersion fetches the record of v (or of the latest published

@@ -319,7 +319,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 					if !awaited {
 						continue
 					}
-					pub, err := d.VM.Shard(blob).published(node, blob)
+					pub, err := frontier(d.VM.Shard(blob), node, blob)
 					if err != nil {
 						t.Error(err)
 						return
@@ -369,7 +369,7 @@ func runConsistencySeed(t *testing.T, seed int64, withAborts, withCancels, overl
 				t.Errorf("rejected ops leaked tickets: %d records, want <= %d (%d planned - %d rejected)",
 					len(recs), totalTickets-rejected, totalTickets, rejected)
 			}
-			pub, err := d.VM.Shard(blob).published(0, blob)
+			pub, err := frontier(d.VM.Shard(blob), 0, blob)
 			if err != nil {
 				t.Error(err)
 			} else if int(pub) != len(recs) {
@@ -417,17 +417,16 @@ func verifyConsistency(t *testing.T, d *Deployment, blob BlobID, totalTickets in
 	// version (a leaked pending ticket would leave it short). The
 	// ticket count may run below the plan when ops are rejected or
 	// canceled before taking a ticket, but never above it.
-	pub, err := d.VM.Shard(blob).published(0, blob)
+	pub, err := frontier(d.VM.Shard(blob), 0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svm := d.VM.Shard(blob)
 	svm.mu.Lock()
 	assigned := len(svm.blobs[blob].records)
-	unresolved := len(svm.blobs[blob].pending)
 	svm.mu.Unlock()
-	if int(pub) != assigned || unresolved != 0 {
-		t.Fatalf("frontier at %d with %d tickets assigned and %d pending: ticket leaked", pub, assigned, unresolved)
+	if int(pub) != assigned {
+		t.Fatalf("frontier at %d with %d tickets assigned: ticket leaked", pub, assigned)
 	}
 	recs, err := d.VM.Shard(blob).records(0, blob)
 	if err != nil {
@@ -716,7 +715,7 @@ func runConsistencySeedSharded(t *testing.T, seed int64, withAborts bool, shards
 					if !awaited {
 						continue
 					}
-					pub, err := d.VM.Shard(blob).published(node, blob)
+					pub, err := frontier(d.VM.Shard(blob), node, blob)
 					if err != nil {
 						t.Error(err)
 						return

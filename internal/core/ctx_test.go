@@ -21,17 +21,16 @@ import (
 // blob has resolved (published or aborted) — the no-leak invariant.
 func frontierIntact(t *testing.T, d *Deployment, blob BlobID) {
 	t.Helper()
-	pub, err := d.VM.Shard(blob).published(0, blob)
+	pub, err := frontier(d.VM.Shard(blob), 0, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svm := d.VM.Shard(blob)
 	svm.mu.Lock()
 	assigned := len(svm.blobs[blob].records)
-	unresolved := len(svm.blobs[blob].pending)
 	svm.mu.Unlock()
-	if int(pub) != assigned || unresolved != 0 {
-		t.Fatalf("frontier at %d with %d tickets assigned and %d pending: ticket leaked", pub, assigned, unresolved)
+	if int(pub) != assigned {
+		t.Fatalf("frontier at %d with %d tickets assigned: ticket leaked", pub, assigned)
 	}
 }
 
@@ -60,7 +59,7 @@ func TestCanceledWriteBeforeTicketBurnsNothing(t *testing.T) {
 	if _, err := blob.ReadAt(make([]byte, 4), 0, WithCtx(ctx)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("read err = %v, want ErrCanceled", err)
 	}
-	pub, err := d.VM.Shard(blob.ID()).published(0, blob.ID())
+	pub, err := frontier(d.VM.Shard(blob.ID()), 0, blob.ID())
 	if err != nil || pub != 0 {
 		t.Fatalf("published = %d, %v: canceled ops burned a version", pub, err)
 	}

@@ -78,3 +78,10 @@ func (r *roundRobin) Place(_ cluster.NodeID, keys []string, replication int) [][
 	}
 	return out
 }
+
+// frontier reads a blob's publication frontier as the length of its
+// records: one round trip, like any other version-manager read.
+func frontier(vm *VersionManager, from cluster.NodeID, blob BlobID) (Version, error) {
+	recs, err := vm.records(from, blob)
+	return Version(len(recs)), err
+}

@@ -76,6 +76,7 @@ type WriteRecord struct {
 	SizeAfter int64 // blob size after this write
 	capAfter  int64 // tree capacity (pages) after this write
 	Aborted   bool  // version tombstoned by the version manager
+	ready     bool  // published by its writer, perhaps still behind the frontier
 }
 
 // pageRange is a canonical tree range measured in pages: Count is a
@@ -461,11 +462,6 @@ type PageLoc struct {
 	blob      BlobID
 	Version   Version
 	Providers []cluster.NodeID // empty for holes (zero pages); shared with the metadata cache, so read-only
-}
-
-// leafKey names the tree leaf that lists the page's holders.
-func (p PageLoc) leafKey() nodeKey {
-	return nodeKey{blob: p.blob, version: p.Version, pages: pageRange{off: p.Page, count: 1}}
 }
 
 // Key returns the provider-store key for the page ("" for holes).

@@ -12,13 +12,17 @@
 // behaves exactly like the paper's centralized one.
 //
 // The write-side RPCs are batched — RequestTickets, PublishBatch,
-// AbortBatch — and a single write is a batch of one:
-// there is no per-version variant. A publish or abort call resolves all
-// its members under one hold of vm.mu and advances the blob's published
-// frontier once, waking publishers and awaitPublished waiters in one
-// sweep, so clients amortize the manager round trip across many
-// in-flight writes. The frontier moves only under vm.mu: that is the
-// one step the manager serializes.
+// abortBatch — and a single write is a batch of one: there is no
+// per-version variant. A version's publication state lives on its
+// record: ready once its writer publishes, Aborted once it is
+// tombstoned. A publish or abort call sets those flags for all its
+// members under one hold of vm.mu and advances the blob's frontier once,
+// over every next record that is ready or aborted, so clients amortize
+// the manager round trip across many in-flight writes. Every caller that
+// waits on the frontier — a publisher, awaitPublished, pageOwner — parks
+// in one version-ordered list, and an advance wakes the prefix it
+// passes. The frontier moves only under vm.mu: that is the one step the
+// manager serializes.
 
 package core
 
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -89,30 +94,28 @@ type VersionManager struct {
 }
 
 type blobState struct {
-	pageSize  int64
-	records   []WriteRecord // index i = version i+1; includes pending
-	index     creatorIndex  // over records, extended by push
-	published Version       // latest published version
-	pending   map[Version]*pendingWrite
-	// pubWaiters are awaitPublished and pageOwner callers parked until
-	// the publication frontier reaches their version.
+	pageSize int64
+	// records holds every assigned version (index i = version i+1),
+	// unpublished tickets included; each carries its publication state.
+	records []WriteRecord
+	index   creatorIndex // over records, extended by push
+	// published is the frontier: every version up to it is published
+	// or aborted, and the next one is neither ready nor aborted.
+	published Version
+	// pubWaiters are the callers parked until the frontier reaches
+	// their version — publishers, awaitPublished and pageOwner alike —
+	// sorted by version, in arrival order within one version.
 	pubWaiters []pubWaiter
 }
 
 func newBlobState(pageSize int64) *blobState {
 	ix := creatorIndex{exact: make(map[pageRange]int), full: make(map[pageRange]int)}
-	return &blobState{pageSize: pageSize, pending: make(map[Version]*pendingWrite), index: ix}
+	return &blobState{pageSize: pageSize, index: ix}
 }
 
 type pubWaiter struct {
 	v   Version
 	sig cluster.Signal
-}
-
-type pendingWrite struct {
-	ready   bool // publish received, waiting for predecessors
-	aborted bool
-	done    cluster.Signal // fired when published or aborted
 }
 
 // newVersionManagerShard creates shard `shard` of a `stride`-shard
@@ -226,8 +229,8 @@ func (vm *VersionManager) RequestTickets(from cluster.NodeID, blob BlobID, inten
 	return out, nil
 }
 
-// assignLocked appends and indexes the next version's record, adds its
-// pending entry and returns its ticket.
+// assignLocked appends and indexes the next version's record and
+// returns its ticket.
 func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, in WriteIntent) Ticket {
 	prevSize := int64(0)
 	if n := len(b.records); n > 0 {
@@ -248,31 +251,29 @@ func (vm *VersionManager) assignLocked(b *blobState, blob BlobID, in WriteIntent
 	}
 	// About two borrows per tree level.
 	borrows := b.push(rec, make([]nodeRef, 0, 2*bits.Len64(uint64(rec.capAfter))))
-	b.pending[rec.Version] = &pendingWrite{done: vm.env.NewSignal()}
 	return Ticket{Record: rec, borrows: borrows, capBefore: capBefore(b.records, rec.Version)}
 }
 
 // PublishBatch declares the data and metadata of several versions of
 // one blob fully written, in a single round trip: every version is
 // marked ready and the frontier advanced under one lock hold. It blocks
-// until every version in the batch is visible — which happens once
-// every earlier version has been published or aborted, the version
-// manager's total-order guarantee — or resolved as aborted, and returns
-// the first error. Cancellation of ctx cuts the visibility waits short
-// with an error matching cluster.ErrCanceled; every member is marked
-// ready before the waits begin, so it stays ready and will publish in
-// ticket order unless the caller aborts it — the frontier never depends
-// on the canceled waiter.
+// until the frontier passes every version in the batch — which happens
+// once every earlier version has been published or aborted, the version
+// manager's total-order guarantee — and returns the first error: a
+// member aborted before the frontier reached it reports ErrAborted.
+// Cancellation of ctx cuts the waits short with an error matching
+// cluster.ErrCanceled; every member is marked ready before the waits
+// begin, so it stays ready and will publish in ticket order unless the
+// caller aborts it — the frontier never depends on the canceled waiter.
 func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	waits := make([]pubWait, 0, len(vs))
-	first := vm.resolve(from, blob, vs, false, &waits)
+	waits, first := vm.resolve(from, blob, vs, false)
 	for _, w := range waits {
-		err := ctx.Wait(w.p.done)
+		err := ctx.Wait(w.sig)
 		if err == nil {
-			err = vm.checkPublished(blob, w.v, w.p)
+			err = vm.outcome(blob, w.v)
 		}
 		if err != nil && first == nil {
 			first = err
@@ -281,118 +282,75 @@ func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, bl
 	return first
 }
 
-// pubWait is a PublishBatch member still pending once the call has
-// marked it ready: the caller waits for its visibility.
-type pubWait struct {
-	v Version
-	p *pendingWrite
-}
-
 // resolve charges one round trip and, under one hold of vm.mu, marks
 // every member of vs ready (or, with abort, tombstones it), then
-// advances the blob's frontier once. A publish appends each member that
-// is still pending to waits. It returns the first per-member error.
-func (vm *VersionManager) resolve(from cluster.NodeID, blob BlobID, vs []Version, abort bool, waits *[]pubWait) error {
+// advances the blob's frontier once. A publish parks a waiter for each
+// member the frontier has not passed and returns them. It returns the
+// first per-member error.
+func (vm *VersionManager) resolve(from cluster.NodeID, blob BlobID, vs []Version, abort bool) ([]pubWaiter, error) {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	b, ok := vm.blobs[blob]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
+		return nil, fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
 	}
 	var first error
 	for _, v := range vs {
-		var err error
-		if abort {
-			err = vm.applyAbortLocked(b, blob, v)
-		} else {
-			var p *pendingWrite
-			p, err = vm.applyPublishLocked(b, blob, v)
-			if p != nil {
-				*waits = append(*waits, pubWait{v: v, p: p})
-			}
-		}
-		if err != nil && first == nil {
+		if err := applyLocked(b, blob, v, abort); err != nil && first == nil {
 			first = err
 		}
 	}
 	vm.advanceLocked(b)
-	return first
+	if abort {
+		return nil, first
+	}
+	var waits []pubWaiter
+	for _, v := range vs {
+		if v > b.published && int(v) <= len(b.records) && !b.records[v-1].Aborted {
+			waits = append(waits, vm.parkLocked(b, v))
+		}
+	}
+	return waits, first
 }
 
-// checkPublished reports whether a version whose visibility signal
-// fired was published or aborted underneath its publisher.
-func (vm *VersionManager) checkPublished(blob BlobID, v Version, p *pendingWrite) error {
+// applyLocked marks v ready or, with abort, tombstones it. An aborted
+// version's record stays — tickets already issued may name its nodes as
+// borrows — but later borrows, pageOwner and the publication order skip
+// it, and it never becomes the visible snapshot. Publishing a published
+// version and aborting an aborted one are no-ops, and so is aborting a
+// published one: a visible snapshot cannot be retracted. Publishing an
+// aborted version is ErrAborted; an unknown version is ErrNoSuchVersion.
+func applyLocked(b *blobState, blob BlobID, v Version, abort bool) error {
+	if v == 0 || int(v) > len(b.records) {
+		return fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
+	}
+	rec := &b.records[v-1]
+	switch {
+	case abort:
+		if v > b.published {
+			rec.Aborted = true
+		}
+	case rec.Aborted:
+		return fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
+	default:
+		rec.ready = true
+	}
+	return nil
+}
+
+// outcome reports how a version the frontier has passed resolved: nil
+// if it was published, ErrAborted if it was tombstoned underneath its
+// publisher.
+func (vm *VersionManager) outcome(blob BlobID, v Version) error {
 	vm.mu.Lock()
-	aborted := p.aborted
+	aborted := vm.blobs[blob].records[v-1].Aborted
 	vm.mu.Unlock()
 	if aborted {
 		return fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
 	}
 	return nil
-}
-
-// applyPublishLocked marks v ready and returns its pending entry. A nil
-// entry with nil error means the version was already published
-// (idempotent re-publish).
-func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Version) (*pendingWrite, error) {
-	p, ok := b.pending[v]
-	if !ok {
-		if v == 0 || int(v) > len(b.records) {
-			return nil, fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
-		}
-		if b.records[int(v)-1].Aborted {
-			return nil, fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
-		}
-		return nil, nil // already published
-	}
-	if p.aborted {
-		return nil, fmt.Errorf("%w: %d@%d", ErrAborted, blob, v)
-	}
-	p.ready = true
-	return p, nil
-}
-
-// applyAbortLocked tombstones v if it is still pending. Its record stays
-// — tickets already issued may name its nodes as borrows — but later
-// borrows, pageOwner and the publication order skip it, and it never
-// becomes the visible snapshot. Aborting an already aborted version is a
-// no-op, and so is aborting a published one: a visible snapshot cannot
-// be retracted. An unknown version is ErrNoSuchVersion.
-func (vm *VersionManager) applyAbortLocked(b *blobState, blob BlobID, v Version) error {
-	p, ok := b.pending[v]
-	if !ok {
-		if v == 0 || int(v) > len(b.records) {
-			return fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
-		}
-		return nil // already aborted or published
-	}
-	if p.aborted {
-		return nil
-	}
-	p.aborted = true
-	b.records[int(v)-1].Aborted = true
-	p.done.Fire()
-	return nil
-}
-
-// isAborted reports whether version v of a blob has been tombstoned.
-// Readers use it to distinguish a dangling metadata link left by an
-// aborted writer (a hole) from genuine metadata loss (an error).
-func (vm *VersionManager) isAborted(from cluster.NodeID, blob BlobID, v Version) (bool, error) {
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	b, ok := vm.blobs[blob]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-	}
-	if v == 0 || int(v) > len(b.records) {
-		return false, fmt.Errorf("%w: %d@%d", ErrNoSuchVersion, blob, v)
-	}
-	return b.records[int(v)-1].Aborted, nil
 }
 
 // abortBatch tombstones every still-pending member of one blob's
@@ -408,46 +366,37 @@ func (vm *VersionManager) abortBatch(from cluster.NodeID, blob BlobID, vs []Vers
 	if len(vs) == 0 {
 		return nil
 	}
-	return vm.resolve(from, blob, vs, true, nil)
+	_, err := vm.resolve(from, blob, vs, true)
+	return err
 }
 
-// advanceLocked publishes ready versions in order, skipping aborted
-// ones, and wakes their publishers and any publication waiters.
+// advanceLocked moves the frontier over every next version that is
+// ready or aborted, then wakes the waiters it passed.
 func (vm *VersionManager) advanceLocked(b *blobState) {
-	defer func() {
-		kept := b.pubWaiters[:0]
-		for _, w := range b.pubWaiters {
-			if w.v <= b.published {
-				w.sig.Fire()
-			} else {
-				kept = append(kept, w)
-			}
+	for int(b.published) < len(b.records) {
+		if next := b.records[b.published]; !next.ready && !next.Aborted {
+			break
 		}
-		b.pubWaiters = kept
-	}()
-	for {
-		next := b.published + 1
-		p, ok := b.pending[next]
-		if !ok {
-			if int(next) > len(b.records) {
-				return // nothing further assigned
-			}
-			// Assigned but no pending entry: already resolved.
-			b.published = next
-			continue
-		}
-		if p.aborted {
-			b.published = next
-			delete(b.pending, next)
-			continue
-		}
-		if !p.ready {
-			return
-		}
-		b.published = next
-		delete(b.pending, next)
-		p.done.Fire()
+		b.published++
 	}
+	n := 0
+	for n < len(b.pubWaiters) && b.pubWaiters[n].v <= b.published {
+		b.pubWaiters[n].sig.Fire()
+		n++
+	}
+	b.pubWaiters = slices.Delete(b.pubWaiters, 0, n)
+}
+
+// parkLocked adds a waiter for version v behind every earlier waiter
+// for a version at or below v.
+func (vm *VersionManager) parkLocked(b *blobState, v Version) pubWaiter {
+	w := pubWaiter{v: v, sig: vm.env.NewSignal()}
+	i := len(b.pubWaiters)
+	for i > 0 && b.pubWaiters[i-1].v > v {
+		i--
+	}
+	b.pubWaiters = slices.Insert(b.pubWaiters, i, w)
+	return w
 }
 
 // awaitPublished blocks until the publication frontier reaches v
@@ -504,9 +453,7 @@ func (vm *VersionManager) watch(blob BlobID, v Version, target func(*blobState) 
 	if w <= b.published {
 		return w, nil, nil
 	}
-	sig := vm.env.NewSignal()
-	b.pubWaiters = append(b.pubWaiters, pubWaiter{v: w, sig: sig})
-	return w, sig, nil
+	return w, vm.parkLocked(b, w).sig, nil
 }
 
 // latest returns the newest published, non-aborted version and its
@@ -630,18 +577,4 @@ func (vm *VersionManager) blobIDs(from cluster.NodeID) []BlobID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// published returns the highest published version (possibly aborted
-// versions included in the count).
-func (vm *VersionManager) published(from cluster.NodeID, blob BlobID) (Version, error) {
-	vm.env.RTT(from, vm.node)
-	vm.serve()
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	b, ok := vm.blobs[blob]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-	}
-	return b.published, nil
 }

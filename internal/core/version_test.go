@@ -162,6 +162,119 @@ func TestAbortUnblocksSuccessors(t *testing.T) {
 	}
 }
 
+// TestWaitersWakeInVersionOrder: publishers, awaitPublished and
+// pageOwner all park in one list, and an advance wakes them in version
+// order, in arrival order within one version — whatever order they
+// arrived in.
+func TestWaitersWakeInVersionOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(4)))
+	vm := NewVersionManager(env, 0)
+	var woke []string
+	eng.Go(func() {
+		id, _ := vm.createBlob(1, 100)
+		for i := 0; i < 3; i++ {
+			ticket1(vm, 1, id, -1, 100) // v1..v3, one page each
+		}
+		wg := env.NewWaitGroup()
+		// Arrival order, one per second: publish v3, await v2, publish
+		// v2, the owner of page 1 as of v2 (v2 itself); then v1
+		// publishes.
+		wg.Go(func() {
+			if err := publish1(vm, bg, 1, id, 3); err != nil {
+				t.Error(err)
+			}
+			woke = append(woke, "publish v3")
+		})
+		wg.Go(func() {
+			env.Sleep(time.Second)
+			if err := vm.awaitPublished(bg, 2, id, 2); err != nil {
+				t.Error(err)
+			}
+			woke = append(woke, "await v2")
+		})
+		wg.Go(func() {
+			env.Sleep(2 * time.Second)
+			if err := publish1(vm, bg, 3, id, 2); err != nil {
+				t.Error(err)
+			}
+			woke = append(woke, "publish v2")
+		})
+		wg.Go(func() {
+			env.Sleep(3 * time.Second)
+			if w, err := vm.pageOwner(bg, 2, id, 3, 1); err != nil || w != 2 {
+				t.Errorf("pageOwner = %d, %v; want 2", w, err)
+			}
+			woke = append(woke, "owner v2")
+		})
+		env.Sleep(4 * time.Second)
+		vm.mu.Lock()
+		parked := len(vm.blobs[id].pubWaiters)
+		vm.mu.Unlock()
+		if parked != 4 {
+			t.Errorf("%d waiters parked before v1 publishes, want 4", parked)
+		}
+		if err := publish1(vm, bg, 1, id, 1); err != nil {
+			t.Error(err)
+		}
+		wg.Wait()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"await v2", "publish v2", "owner v2", "publish v3"}
+	if !slices.Equal(woke, want) {
+		t.Fatalf("woke %q, want %q", woke, want)
+	}
+}
+
+// TestAbortUnderParkedPublisher: a version aborted while its publisher
+// waits on the frontier stays parked until its predecessors resolve,
+// then reports ErrAborted; the frontier passes it.
+func TestAbortUnderParkedPublisher(t *testing.T) {
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(4)))
+	vm := NewVersionManager(env, 0)
+	var returned, v1Published time.Duration
+	eng.Go(func() {
+		id, _ := vm.createBlob(1, 100)
+		ticket1(vm, 1, id, 0, 100)  // v1
+		ticket1(vm, 1, id, -1, 100) // v2
+		wg := env.NewWaitGroup()
+		wg.Go(func() {
+			if err := publish1(vm, bg, 1, id, 2); !errors.Is(err, ErrAborted) {
+				t.Errorf("publisher of aborted v2 = %v, want ErrAborted", err)
+			}
+			returned = env.Now()
+		})
+		env.Sleep(time.Second)
+		if err := abort1(vm, 2, id, 2); err != nil {
+			t.Error(err)
+		}
+		env.Sleep(time.Second)
+		if returned != 0 {
+			t.Errorf("publisher returned at %v, before v1 resolved", returned)
+		}
+		if err := publish1(vm, bg, 1, id, 1); err != nil {
+			t.Error(err)
+		}
+		v1Published = env.Now()
+		wg.Wait()
+		if v, _, err := vm.latest(1, id); err != nil || v != 1 {
+			t.Errorf("Latest = %d, %v; want 1 (v2 aborted)", v, err)
+		}
+		if pub, err := frontier(vm, 1, id); err != nil || pub != 2 {
+			t.Errorf("frontier = %d, %v; want 2", pub, err)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if returned < v1Published {
+		t.Fatalf("publisher returned at %v, v1 published at %v", returned, v1Published)
+	}
+}
+
 func TestLatestSkipsTrailingAborted(t *testing.T) {
 	vm := localVM()
 	id, _ := vm.createBlob(0, 100)
@@ -362,7 +475,7 @@ func TestPublishBatchOneCall(t *testing.T) {
 			if err := publish1(vm, bg, 2, id, single.Record.Version); err != nil {
 				t.Error(err)
 			}
-			pub, _ := vm.published(2, id)
+			pub, _ := frontier(vm, 2, id)
 			if pub < single.Record.Version {
 				t.Errorf("v4 visible with frontier at %d", pub)
 			}
@@ -373,7 +486,7 @@ func TestPublishBatchOneCall(t *testing.T) {
 			if err := vm.PublishBatch(bg, 1, id, vs); err != nil {
 				t.Error(err)
 			}
-			pub, _ := vm.published(1, id)
+			pub, _ := frontier(vm, 1, id)
 			if pub < vs[2] {
 				t.Errorf("batch returned with frontier at %d, want >= %d", pub, vs[2])
 			}

@@ -65,7 +65,6 @@ type diskBackend struct {
 	active   *os.File
 	activeID int
 	activeSz int64
-	garbage  int64 // bytes of superseded records (rough)
 	// readers holds Get's read handle per segment, opened on first use
 	// and kept until Compact or Close: one descriptor per segment read
 	// since then, so a 1 GiB log read end to end holds 16 of them, on
@@ -185,9 +184,6 @@ func (w *diskBackend) replay(id int) error {
 			return err
 		}
 		rec.seg = id
-		if old, ok := w.index[key]; ok {
-			w.garbage += old.dataLen + int64(len(key)) + recFraming
-		}
 		if rec.size < 0 { // tombstone
 			delete(w.index, key)
 		} else {
@@ -300,9 +296,6 @@ func (w *diskBackend) Put(key string, data []byte, size int64, synthetic bool) e
 	if err != nil {
 		return err
 	}
-	if old, ok := w.index[key]; ok {
-		w.garbage += old.dataLen + int64(len(key)) + recFraming
-	}
 	w.index[key] = diskRec{seg: w.activeID, off: dataOff, dataLen: int64(len(data)), size: size, synthetic: synthetic}
 	return nil
 }
@@ -311,14 +304,12 @@ func (w *diskBackend) Delete(key string) error {
 	if w.active == nil {
 		return ErrClosed
 	}
-	old, ok := w.index[key]
-	if !ok {
+	if _, ok := w.index[key]; !ok {
 		return nil // nothing logged, nothing to tombstone
 	}
 	if _, err := w.appendRecord(recTombstone, key, 0, nil); err != nil {
 		return err
 	}
-	w.garbage += old.dataLen + int64(len(key)) + recFraming
 	delete(w.index, key)
 	return nil
 }
@@ -423,7 +414,6 @@ func (w *diskBackend) Compact() error {
 		return err
 	}
 	w.index = make(map[string]diskRec, len(records))
-	w.garbage = 0
 	for _, r := range records {
 		if err := w.Put(r.key, r.data, r.size, r.synthetic); err != nil {
 			return err

@@ -76,29 +76,38 @@ type Backend interface {
 // The empty spec is an error; callers that want "no backend at all"
 // (a pure cache) should not call Open.
 func Open(spec string) (Backend, error) {
+	kind, arg, err := parseSpec(spec)
+	switch {
+	case err != nil:
+		return nil, err
+	case kind == "mem":
+		return newMem(), nil
+	case kind == "null":
+		return newNull(), nil
+	}
+	return openDisk(arg)
+}
+
+// parseSpec checks spec against Open's grammar and splits it into its
+// backend kind and argument.
+func parseSpec(spec string) (kind, arg string, err error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
-		return nil, fmt.Errorf("%w: %q (want kind:arg, e.g. disk:/var/bsfs)", ErrBadSpec, spec)
+		return "", "", fmt.Errorf("%w: %q (want kind:arg, e.g. disk:/var/bsfs)", ErrBadSpec, spec)
 	}
 	switch kind {
-	case "mem":
+	case "mem", "null":
 		if arg != "" {
-			return nil, fmt.Errorf("%w: %q (mem: takes no argument)", ErrBadSpec, spec)
+			return "", "", fmt.Errorf("%w: %q (%s: takes no argument)", ErrBadSpec, spec, kind)
 		}
-		return newMem(), nil
-	case "null":
-		if arg != "" {
-			return nil, fmt.Errorf("%w: %q (null: takes no argument)", ErrBadSpec, spec)
-		}
-		return newNull(), nil
 	case "disk":
 		if arg == "" {
-			return nil, fmt.Errorf("%w: %q (disk: needs a directory)", ErrBadSpec, spec)
+			return "", "", fmt.Errorf("%w: %q (disk: needs a directory)", ErrBadSpec, spec)
 		}
-		return openDisk(arg)
 	default:
-		return nil, fmt.Errorf("%w: unknown backend kind %q in %q", ErrBadSpec, kind, spec)
+		return "", "", fmt.Errorf("%w: unknown backend kind %q in %q", ErrBadSpec, kind, spec)
 	}
+	return kind, arg, nil
 }
 
 // SubSpec derives a member-scoped spec from a fleet-wide one: a disk
@@ -121,21 +130,6 @@ func Valid(spec string) error {
 	if spec == "" {
 		return nil
 	}
-	kind, arg, ok := strings.Cut(spec, ":")
-	if !ok {
-		return fmt.Errorf("%w: %q (want kind:arg, e.g. disk:/var/bsfs)", ErrBadSpec, spec)
-	}
-	switch kind {
-	case "mem", "null":
-		if arg != "" {
-			return fmt.Errorf("%w: %q (%s: takes no argument)", ErrBadSpec, spec, kind)
-		}
-	case "disk":
-		if arg == "" {
-			return fmt.Errorf("%w: %q (disk: needs a directory)", ErrBadSpec, spec)
-		}
-	default:
-		return fmt.Errorf("%w: unknown backend kind %q in %q", ErrBadSpec, kind, spec)
-	}
-	return nil
+	_, _, err := parseSpec(spec)
+	return err
 }
