@@ -64,7 +64,7 @@ func buildNodesFromHistory(out map[string][]byte, rec WriteRecord, h history, pa
 		panic(fmt.Sprintf("build left %d borrows unconsumed", len(tb.borrows)))
 	}
 	for _, kn := range tb.out {
-		out[kn.key.String()] = kn.node.encode(kn.key.pages.leaf())
+		out[string(kn.key.appendTo(nil))] = kn.node.appendEncoded(nil, kn.key.pages.leaf())
 	}
 }
 

@@ -119,12 +119,6 @@ func (k nodeKey) appendTo(dst []byte) []byte {
 	return dst
 }
 
-// String renders the DHT key.
-func (k nodeKey) String() string {
-	var buf [64]byte
-	return string(k.appendTo(buf[:0]))
-}
-
 // appendPageKey appends the provider-store key rendering
 // ("p/blob/version/page") to dst. Pinned like NodeKey.appendTo: page
 // keys name durable provider-store entries.
@@ -319,30 +313,26 @@ func (d *descent) visit(r pageRange, inherited Version) {
 	}
 }
 
-// encode / decodeNode wire formats: 1-byte tag then fixed fields.
+// appendEncoded / decodeNode wire formats: 1-byte tag then fixed fields.
 const (
 	tagInner = 1
 	tagLeaf  = 2
 )
 
-// encode renders the node as the DHT stores it.
-func (n treeNode) encode(leaf bool) []byte {
+// appendEncoded appends the node, as the DHT stores it, to dst.
+func (n treeNode) appendEncoded(dst []byte, leaf bool) []byte {
 	if leaf {
-		buf := make([]byte, 2+8*len(n.providers))
-		buf[0] = tagLeaf
-		buf[1] = byte(len(n.providers))
-		for i, p := range n.providers {
-			binary.LittleEndian.PutUint64(buf[2+8*i:], uint64(p))
+		dst = append(dst, tagLeaf, byte(len(n.providers)))
+		for _, p := range n.providers {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(p))
 		}
-		return buf
+		return dst
 	}
-	buf := make([]byte, 33)
-	buf[0] = tagInner
-	binary.LittleEndian.PutUint64(buf[1:], uint64(n.left.blob))
-	binary.LittleEndian.PutUint64(buf[9:], uint64(n.left.ver))
-	binary.LittleEndian.PutUint64(buf[17:], uint64(n.right.blob))
-	binary.LittleEndian.PutUint64(buf[25:], uint64(n.right.ver))
-	return buf
+	dst = append(dst, tagInner)
+	for _, x := range [4]uint64{uint64(n.left.blob), uint64(n.left.ver), uint64(n.right.blob), uint64(n.right.ver)} {
+		dst = binary.LittleEndian.AppendUint64(dst, x)
+	}
+	return dst
 }
 
 // decodeNode decodes a node of the kind its range implies. A leaf's
@@ -541,7 +531,7 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, src 
 				k := b.frontier[i]
 				n, rest, err := decodeNode(b.vals[j], leaf, ids)
 				if err != nil {
-					return nil, fmt.Errorf("core: node %s: %w", k, err)
+					return nil, fmt.Errorf("core: node %s: %w", k.appendTo(nil), err)
 				}
 				ids = rest
 				src.remember(k, n)
@@ -557,7 +547,7 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, src 
 					appendHoles(&leaves, k.pages, lo, hi)
 					continue
 				}
-				return nil, fmt.Errorf("core: missing metadata node %s", k)
+				return nil, fmt.Errorf("core: missing metadata node %s", k.appendTo(nil))
 			}
 			if k.pages.leaf() {
 				leaves = append(leaves, PageLoc{Page: k.pages.off, blob: k.blob, Version: k.version, Providers: s.n.providers})
@@ -586,7 +576,8 @@ func walkTree(rootMetaBlob BlobID, v Version, capPages int64, lo, hi int64, src 
 // walkBufs is a tree walk's scratch, pooled across walks: the level
 // buffers, and the keys of one level's misses (their frontier positions
 // in missed) rendered into one buffer, with their values fetched by
-// position.
+// position. cachedMeta.put borrows it to render a batch's keys and
+// values.
 type walkBufs struct {
 	frontier, next []nodeKey
 	slots          []walkSlot // the frontier's nodes, ok if cached or fetched

@@ -48,13 +48,13 @@ func TestCapacityPages(t *testing.T) {
 
 func TestNodeEncodingRoundTrip(t *testing.T) {
 	in := treeNode{left: nodeRef{blob: 3, ver: 7}}
-	inner, _, err := decodeNode(in.encode(false), false, nil)
+	inner, _, err := decodeNode(in.appendEncoded(nil, false), false, nil)
 	if err != nil || inner.left != in.left || inner.right != in.right || inner.providers != nil {
 		t.Fatalf("inner round trip: %+v, %v", inner, err)
 	}
 	lf := treeNode{providers: []cluster.NodeID{3, 9, 12}}
 	ids := []cluster.NodeID{1}
-	leaf, ids, err := decodeNode(lf.encode(true), true, ids)
+	leaf, ids, err := decodeNode(lf.appendEncoded(nil, true), true, ids)
 	if err != nil || len(leaf.providers) != 3 || leaf.providers[2] != 12 || len(ids) != 4 {
 		t.Fatalf("leaf round trip: %+v, %v, %v", leaf, ids, err)
 	}
@@ -64,7 +64,7 @@ func TestNodeEncodingRoundTrip(t *testing.T) {
 	if _, _, err := decodeNode([]byte{9}, false, nil); err == nil {
 		t.Fatal("bad tag decoded")
 	}
-	if _, _, err := decodeNode(lf.encode(true), false, nil); err == nil {
+	if _, _, err := decodeNode(lf.appendEncoded(nil, true), false, nil); err == nil {
 		t.Fatal("leaf decoded at an inner range")
 	}
 	if _, _, err := decodeNode([]byte{tagInner, 0}, false, nil); err == nil {
@@ -325,8 +325,8 @@ func TestWalkTreeMissingNode(t *testing.T) {
 
 func TestNodeKeyFormat(t *testing.T) {
 	k := nodeKey{blob: 3, version: 9, pages: pageRange{off: 16, count: 8}}
-	if k.String() != "m/3/9/16/8" {
-		t.Fatalf("key = %q", k.String())
+	if got := string(k.appendTo(nil)); got != "m/3/9/16/8" {
+		t.Fatalf("key = %q", got)
 	}
 	if pageKey(3, 9, 5) != "p/3/9/5" {
 		t.Fatalf("pageKey = %q", pageKey(3, 9, 5))
@@ -375,8 +375,8 @@ func TestKeyFormatsPinned(t *testing.T) {
 	}
 	for _, k := range nodeKeys {
 		want := fmt.Sprintf("m/%d/%d/%d/%d", uint64(k.blob), uint64(k.version), k.pages.off, k.pages.count)
-		if got := k.String(); got != want {
-			t.Errorf("NodeKey%+v.String() = %q, want %q", k, got, want)
+		if got := string(k.appendTo(nil)); got != want {
+			t.Errorf("NodeKey%+v.appendTo(nil) = %q, want %q", k, got, want)
 		}
 		// appendTo must extend dst, preserving any existing prefix.
 		pre := []byte("x")

@@ -212,14 +212,22 @@ func (s *metaShard) pushFront(i int32) {
 // fetch reads encoded nodes from the DHT by position (dht.Client.Fetch).
 func (c *cachedMeta) fetch(keys, vals [][]byte) { c.cl.Fetch(keys, vals) }
 
-// put stores nodes in the DHT in one batch and, once they are stored,
-// caches them.
+// put stores nodes in the DHT in one batch, their keys and values
+// rendered into one pooled buffer (the servers copy them), and, once
+// they are stored, caches them.
 func (c *cachedMeta) put(nodes []keyedNode) error {
-	kvs := make(map[string][]byte, len(nodes))
+	b := walkPool.Get().(*walkBufs)
+	defer b.release()
+	b.keyBuf, b.keys, b.vals = b.keyBuf[:0], b.keys[:0], b.vals[:0]
 	for _, kn := range nodes {
-		kvs[kn.key.String()] = kn.node.encode(kn.key.pages.leaf())
+		// Windows keep their bytes when keyBuf grows, as in walkTree.
+		from := len(b.keyBuf)
+		b.keyBuf = kn.key.appendTo(b.keyBuf)
+		mid := len(b.keyBuf)
+		b.keyBuf = kn.node.appendEncoded(b.keyBuf, kn.key.pages.leaf())
+		b.keys, b.vals = append(b.keys, b.keyBuf[from:mid]), append(b.vals, b.keyBuf[mid:])
 	}
-	if err := c.cl.BatchPut(kvs); err != nil {
+	if err := c.cl.Store(b.keys, b.vals); err != nil {
 		return err
 	}
 	for _, kn := range nodes {

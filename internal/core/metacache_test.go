@@ -235,7 +235,7 @@ func TestMetaCacheConcurrentStress(t *testing.T) {
 						}
 					}
 					if ok && !slices.Equal(n.providers, want.node.providers) {
-						t.Errorf("%s = %v, want %v", want.key, n.providers, want.node.providers)
+						t.Errorf("%s = %v, want %v", want.key.appendTo(nil), n.providers, want.node.providers)
 						return
 					}
 				}
@@ -264,7 +264,7 @@ func TestMetaCacheShardedStress(t *testing.T) {
 	}
 	check := func(want keyedNode) bool {
 		if n, ok := c.cached(want.key); ok && !slices.Equal(n.providers, want.node.providers) {
-			t.Errorf("%s = %v, want %v", want.key, n.providers, want.node.providers)
+			t.Errorf("%s = %v, want %v", want.key.appendTo(nil), n.providers, want.node.providers)
 			return false
 		}
 		return true

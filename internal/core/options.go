@@ -26,6 +26,9 @@ func defaultSettings() opSettings {
 }
 
 func resolveReadOpts(opts []ReadOption) opSettings {
+	if len(opts) == 0 {
+		return defaultSettings() // s below escapes; an op without options allocates none
+	}
 	s := defaultSettings()
 	for _, o := range opts {
 		o.applyRead(&s)
@@ -34,6 +37,9 @@ func resolveReadOpts(opts []ReadOption) opSettings {
 }
 
 func resolveWriteOpts(opts []WriteOption) opSettings {
+	if len(opts) == 0 {
+		return defaultSettings() // s below escapes; an op without options allocates none
+	}
 	s := defaultSettings()
 	for _, o := range opts {
 		o.applyWrite(&s)

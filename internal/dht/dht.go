@@ -2,14 +2,18 @@
 // versioned metadata in: a consistent-hashing ring over a set of
 // metadata provider nodes, with configurable replication.
 //
-// Servers are plain in-memory key-value stores hosted on cluster nodes;
-// the Client routes keys to their replica sets and charges the
-// environment for message latency and payload movement, batching
-// whole-tree reads and writes into single scatter/gather transfers the
-// way the BlobSeer client batches metadata I/O.
+// A Server, hosted on one cluster node, copies each key and value it is
+// sent into an append-only arena of byte chunks and finds them through
+// an open-addressed table of pointer-free entries, so the collector has
+// nothing to trace per stored key. The Client routes keys to their
+// replica sets by position and charges the environment for message
+// latency and payload movement, batching whole-tree reads and writes
+// into single scatter/gather transfers the way the BlobSeer client
+// batches metadata I/O.
 package dht
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -75,7 +79,7 @@ func pointsFor(n cluster.NodeID, vnodes int) []point {
 		b := strconv.AppendInt(buf[:0], int64(n), 10)
 		b = append(b, '|')
 		b = strconv.AppendInt(b, int64(v), 10)
-		pts[v] = point{hash: hash64Bytes(b), node: n}
+		pts[v] = point{hash: hash64(b), node: n}
 	}
 	return pts
 }
@@ -134,17 +138,13 @@ func (r *Ring) RemoveNode(n cluster.NodeID) {
 // nodes walking clockwise from the key's hash (n clamped to the
 // current membership size).
 func (r *Ring) LookupN(key string, n int) []cluster.NodeID {
-	return r.lookupAppend(make([]cluster.NodeID, 0, n), key, n)
+	return r.lookupHash(make([]cluster.NodeID, 0, n), hash64(key), n)
 }
 
-// lookupAppend appends the replica set for key to dst and returns the
-// extended slice. It is LookupN without the per-call allocation:
-// callers looping over many keys pass the same backing slice (or a
-// slice re-sliced to length 0) and reuse its capacity.
-func (r *Ring) lookupAppend(dst []cluster.NodeID, key string, n int) []cluster.NodeID {
-	return r.lookupHash(dst, hash64(key), n)
-}
-
+// lookupHash appends the replica set for the key hashing to h to dst
+// and returns the extended slice. It is LookupN without the per-call
+// allocation: callers looping over many keys pass the same backing
+// slice (or a slice re-sliced to length 0) and reuse its capacity.
 func (r *Ring) lookupHash(dst []cluster.NodeID, h uint64, n int) []cluster.NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -157,24 +157,15 @@ func (r *Ring) lookupHash(dst []cluster.NodeID, h uint64, n int) []cluster.NodeI
 	}
 	base := len(dst)
 	// Distinctness via a linear scan of the appended prefix: replication
-	// is tiny (<=3 in practice), so this beats allocating a seen-map on
-	// every lookup — and Lookup runs once per metadata key on the client
-	// hot path. The walk index wraps with one compare instead of a mod
-	// per iteration.
+	// is tiny (<=3 in practice), so this beats a seen-map per lookup. The
+	// walk index wraps with one compare instead of a mod per iteration.
 	for j := 0; len(dst)-base < n && j < len(r.points); j++ {
 		p := r.points[i]
 		i++
 		if i == len(r.points) {
 			i = 0
 		}
-		dup := false
-		for _, m := range dst[base:] {
-			if m == p.node {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(dst[base:], p.node) {
 			dst = append(dst, p.node)
 		}
 	}
@@ -187,25 +178,15 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hash64 hashes a string key: an inlined FNV-1a pass (hash/fnv's
-// hasher costs a heap allocation per call; this costs none) plus a
-// splitmix64 finalizer — FNV clusters on short, similar keys, and the
-// finalizer scrambles the output so ring points spread uniformly.
-func hash64(s string) uint64 {
+// hash64 hashes a key: an inlined FNV-1a pass (hash/fnv's hasher costs
+// a heap allocation per call; this costs none) plus a splitmix64
+// finalizer — FNV clusters on short, similar keys, and the finalizer
+// scrambles the output so ring points spread uniformly. A key hashes
+// alike as a string and as bytes.
+func hash64[K string | []byte](k K) uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return mix64(h)
-}
-
-// hash64Bytes is hash64 for appended byte keys; it must produce the
-// same hash as hash64 on the equivalent string.
-func hash64Bytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
 		h *= fnvPrime64
 	}
 	return mix64(h)
@@ -220,12 +201,30 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Server is the metadata store hosted on one node.
+// Server is the metadata store hosted on one node. Keys and values are
+// copied back to back into chunks that start small and double up to a
+// cap. Stored bytes are never rewritten (an overwrite appends and
+// repoints its entry), so a window lookup returned stays valid while
+// later puts fill its chunk. table holds the entries themselves,
+// open-addressed by linear probing from their hash and kept at most
+// three quarters full, so a probe reads no other array until a hash
+// matches.
 type Server struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	down bool
+	mu     sync.Mutex
+	chunks [][]byte
+	table  []entry
+	n      int // entries in table
+	down   bool
 }
+
+// entry locates one stored key, with its value right after it, in
+// chunks[chunk-1]; chunk 0 marks an empty cell.
+type entry struct {
+	hash                       uint64
+	chunk, off, keyLen, valLen uint32
+}
+
+const firstChunk, doublings = 256, 8 // 256 B, doubling up to 64 KiB
 
 // SetDown marks the server unreachable (failure injection).
 //
@@ -236,34 +235,78 @@ func (s *Server) SetDown(down bool) {
 	s.mu.Unlock()
 }
 
-// put stores values; returns false if the server is down.
-func (s *Server) put(kvs map[string][]byte) bool {
+// put copies key (hashing to h) and val into the arena and points key's
+// entry at the copy: an overwrite repoints it (latest wins). It returns
+// false if the server is down.
+func (s *Server) put(h uint64, key, val []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
 		return false
 	}
-	for k, v := range kvs {
-		s.m[k] = v
+	n, last := len(key)+len(val), len(s.chunks)-1
+	if last < 0 || cap(s.chunks[last])-len(s.chunks[last]) < n {
+		s.chunks = append(s.chunks, make([]byte, 0, max(firstChunk<<min(len(s.chunks), doublings), n)))
+		last++
+	}
+	c := s.chunks[last]
+	e := entry{hash: h, chunk: uint32(last + 1), off: uint32(len(c)), keyLen: uint32(len(key)), valLen: uint32(len(val))}
+	s.chunks[last] = append(append(c, key...), val...)
+	cell, found := s.find(h, key)
+	s.table[cell] = e
+	if !found {
+		if s.n++; 4*s.n > 3*len(s.table) {
+			old := s.table
+			s.table = make([]entry, 2*len(old))
+			for _, e := range old {
+				if e.chunk != 0 {
+					cell, _ := s.find(e.hash, s.key(&e))
+					s.table[cell] = e
+				}
+			}
+		}
 	}
 	return true
 }
 
-// lookup reads one key; up is false if the server is down.
-func (s *Server) lookup(key []byte) (v []byte, up bool) {
+// find returns the cell holding key (hashing to h), or the empty cell
+// where it belongs.
+func (s *Server) find(h uint64, key []byte) (cell int, found bool) {
+	mask := len(s.table) - 1
+	for cell = int(h) & mask; ; cell = (cell + 1) & mask {
+		e := &s.table[cell]
+		if e.chunk == 0 {
+			return cell, false
+		}
+		if e.hash == h && bytes.Equal(s.key(e), key) {
+			return cell, true
+		}
+	}
+}
+
+func (s *Server) key(e *entry) []byte { return s.chunks[e.chunk-1][e.off : e.off+e.keyLen] }
+
+// lookup reads one key (hashing to h) as a window of the arena, capped
+// so that appending to it copies; up is false if the server is down.
+func (s *Server) lookup(h uint64, key []byte) (v []byte, up bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
 		return nil, false
 	}
-	return s.m[string(key)], true
+	if cell, found := s.find(h, key); found {
+		e := &s.table[cell]
+		a := e.off + e.keyLen
+		return s.chunks[e.chunk-1][a : a+e.valLen : a+e.valLen], true
+	}
+	return nil, true
 }
 
 // keys returns the number of keys stored on this server.
 func (s *Server) keys() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.m)
+	return s.n
 }
 
 // Cluster is the fleet of metadata servers plus the ring that routes to
@@ -277,7 +320,7 @@ type Cluster struct {
 func NewCluster(nodes []cluster.NodeID, vnodes, replication int) *Cluster {
 	c := &Cluster{ring: NewRing(nodes, vnodes, replication), servers: make(map[cluster.NodeID]*Server)}
 	for _, n := range nodes {
-		c.servers[n] = &Server{m: make(map[string][]byte)}
+		c.servers[n] = &Server{table: make([]entry, 8)}
 	}
 	return c
 }
@@ -309,46 +352,67 @@ func (c *Cluster) NewClient(env cluster.Env, from cluster.NodeID) *Client {
 	return &Client{env: env, dht: c, from: from}
 }
 
-// BatchPut stores many keys, grouped per destination server, as one
-// parallel round of messages plus one scatter transfer for the payload.
+// BatchPut is Store over a map.
 func (c *Client) BatchPut(kvs map[string][]byte) error {
-	if len(kvs) == 0 {
+	keys, vals := make([][]byte, 0, len(kvs)), make([][]byte, 0, len(kvs))
+	for k, v := range kvs {
+		keys, vals = append(keys, []byte(k)), append(vals, v)
+	}
+	return c.Store(keys, vals)
+}
+
+// Store writes vals[i] under keys[i] on each key's replica set, as one
+// parallel round of messages plus one scatter transfer for the payload.
+// The servers copy what they store, so the caller may reuse both
+// slices' bytes once Store returns. It fails only if every server it
+// sends to is down.
+func (c *Client) Store(keys, vals [][]byte) error {
+	if len(keys) == 0 {
 		return nil
 	}
-	groups := make(map[cluster.NodeID]map[string][]byte, c.dht.ring.replication)
+	r := c.dht.ring
+	b := storePool.Get().(*storeBufs)
+	defer storePool.Put(b)
+	b.hs, b.routes, b.dests = b.hs[:0], b.routes[:0], b.dests[:0]
 	var total int64
-	var replicas []cluster.NodeID // reused across keys
-	for k, v := range kvs {
-		total += int64(len(k) + len(v))
-		replicas = c.dht.ring.lookupAppend(replicas[:0], k, c.dht.ring.replication)
-		for _, n := range replicas {
-			g := groups[n]
-			if g == nil {
-				g = make(map[string][]byte)
-				groups[n] = g
-			}
-			g[k] = v
+	var buf [4]cluster.NodeID
+	for i, k := range keys {
+		h := hash64(k)
+		b.hs = append(b.hs, h)
+		total += int64(len(k) + len(vals[i]))
+		for _, n := range r.lookupHash(buf[:0], h, r.replication) {
+			b.routes = append(b.routes, uint64(n)<<32|uint64(i))
 		}
 	}
-	dests := make([]cluster.NodeID, 0, len(groups))
-	for n := range groups {
-		dests = append(dests, n)
+	slices.Sort(b.routes)
+	for _, rt := range b.routes {
+		if n := cluster.NodeID(rt >> 32); len(b.dests) == 0 || b.dests[len(b.dests)-1] != n {
+			b.dests = append(b.dests, n)
+		}
 	}
-	slices.Sort(dests)
 	// One round trip (requests go out in parallel) plus the payload.
-	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, dests))
-	c.env.Scatter(c.from, dests, total*int64(c.dht.ring.replication))
+	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, b.dests))
+	c.env.Scatter(c.from, b.dests, total*int64(r.replication))
 	ok := false
-	for _, n := range dests {
-		if c.dht.servers[n].put(groups[n]) {
-			ok = true
-		}
+	for _, rt := range b.routes {
+		i := uint32(rt)
+		ok = c.dht.servers[cluster.NodeID(rt>>32)].put(b.hs[i], keys[i], vals[i]) || ok
 	}
 	if !ok {
-		return fmt.Errorf("dht: all %d replica servers down", len(dests))
+		return fmt.Errorf("dht: all %d replica servers down", len(b.dests))
 	}
 	return nil
 }
+
+// storeBufs is Store's scratch, pooled: each key's hash, and a route per
+// replica of a key packed as node<<32 | position (node ids are
+// non-negative), so a plain sort groups them by node, ascending.
+type storeBufs struct {
+	hs, routes []uint64
+	dests      []cluster.NodeID
+}
+
+var storePool = sync.Pool{New: func() any { return new(storeBufs) }}
 
 // Get fetches one key, trying replicas in order.
 func (c *Client) Get(key string) ([]byte, error) {
@@ -373,11 +437,12 @@ func (c *Client) Fetch(keys, vals [][]byte) {
 	var total int64
 	var buf [4]cluster.NodeID
 	for i, k := range keys {
-		replicas := c.dht.ring.lookupHash(buf[:0], hash64Bytes(k), c.dht.ring.replication)
+		h := hash64(k)
+		replicas := c.dht.ring.lookupHash(buf[:0], h, c.dht.ring.replication)
 		n, v := replicas[0], []byte(nil)
 		for _, r := range replicas {
 			var up bool
-			if v, up = c.dht.servers[r].lookup(k); up {
+			if v, up = c.dht.servers[r].lookup(h, k); up {
 				n = r
 				break
 			}

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -319,29 +323,30 @@ func TestPointsForFormatPinned(t *testing.T) {
 // string.
 func TestHash64BytesMatchesString(t *testing.T) {
 	for _, s := range []string{"", "p/1/2/3", "m/9/42/128/8", "x"} {
-		if hb, hs := hash64Bytes([]byte(s)), hash64(s); hb != hs {
-			t.Fatalf("hash64Bytes(%q) = %#x, hash64 = %#x", s, hb, hs)
+		if hb, hs := hash64([]byte(s)), hash64(s); hb != hs {
+			t.Fatalf("hash64 of %q as bytes = %#x, as a string = %#x", s, hb, hs)
 		}
 	}
 }
 
-// TestLookupAppendReusesBuffer: lookupAppend appends after the given
+// TestLookupAppendReusesBuffer: lookupHash appends after the given
 // prefix and reuses capacity.
 func TestLookupAppendReusesBuffer(t *testing.T) {
 	r := NewRing(nodes(8), 16, 3)
+	h := hash64("a")
 	buf := make([]cluster.NodeID, 0, 8)
-	first := append([]cluster.NodeID(nil), r.lookupAppend(buf, "a", 3)...)
-	buf = r.lookupAppend(buf[:0], "a", 3)
+	first := append([]cluster.NodeID(nil), r.lookupHash(buf, h, 3)...)
+	buf = r.lookupHash(buf[:0], h, 3)
 	if fmt.Sprint(buf) != fmt.Sprint(first) {
 		t.Fatalf("reused buffer lookup %v != %v", buf, first)
 	}
 	if got, want := fmt.Sprint(buf), fmt.Sprint(r.LookupN("a", 3)); got != want {
-		t.Fatalf("lookupAppend = %s, LookupN = %s", got, want)
+		t.Fatalf("lookupHash = %s, LookupN = %s", got, want)
 	}
 	// Appending after a non-empty prefix keeps the prefix intact and
 	// dedups only within the appended portion.
 	pre := []cluster.NodeID{buf[0]}
-	out := r.lookupAppend(pre, "a", 3)
+	out := r.lookupHash(pre, h, 3)
 	if out[0] != pre[0] || fmt.Sprint(out[1:]) != fmt.Sprint(first) {
 		t.Fatalf("prefixed append = %v (first=%v)", out, first)
 	}
@@ -356,4 +361,205 @@ func (c *Client) Put(key string, val []byte) error {
 // distinct nodes walking clockwise from the key's hash.
 func (r *Ring) lookup(key string) []cluster.NodeID {
 	return r.LookupN(key, r.replication)
+}
+
+// batch renders keys "key/i" with values "val/i/<salt>" for i in
+// [from, to).
+func batch(from, to int, salt string) (keys, vals [][]byte) {
+	for i := from; i < to; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("key/%d", i)))
+		vals = append(vals, []byte(fmt.Sprintf("val/%d/%s", i, salt)))
+	}
+	return keys, vals
+}
+
+func storeOn(t *testing.T, cl *Client, from, to int, salt string) {
+	t.Helper()
+	if err := cl.Store(batch(from, to, salt)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerTableManyKeys fills one server's table and arena through
+// many growths: every key reads back, absent keys miss, and an
+// overwrite wins while the key is counted once.
+func TestServerTableManyKeys(t *testing.T) {
+	const n = 50000
+	c, cl := newTestCluster(1, 1)
+	for lo := 0; lo < n; lo += 1000 {
+		storeOn(t, cl, lo, lo+1000, "a")
+	}
+	storeOn(t, cl, 7, 8, "b")
+	if got := c.TotalKeys(); got != n {
+		t.Fatalf("TotalKeys = %d, want %d", got, n)
+	}
+	var keys []string
+	for i := 0; i < n+100; i++ {
+		keys = append(keys, fmt.Sprintf("key/%d", i))
+	}
+	for i, v := range fetch(cl, keys) {
+		want := fmt.Sprintf("val/%d/a", i)
+		switch {
+		case i == 7:
+			want = "val/7/b"
+		case i >= n:
+			if v != nil {
+				t.Fatalf("absent %s = %q", keys[i], v)
+			}
+			continue
+		}
+		if string(v) != want {
+			t.Fatalf("%s = %q, want %q", keys[i], v, want)
+		}
+	}
+}
+
+// TestFetchWindowsCapped: values are windows of one arena chunk, so a
+// caller appending to one must not write into its neighbour.
+func TestFetchWindowsCapped(t *testing.T) {
+	_, cl := newTestCluster(1, 1)
+	storeOn(t, cl, 0, 2, "x")
+	got := fetch(cl, []string{"key/0", "key/1"})
+	_ = append(got[0], "XXXXXXXXXXXX"...)
+	if again := fetch(cl, []string{"key/1"}); string(got[1]) != "val/1/x" || string(again[0]) != "val/1/x" {
+		t.Fatalf("neighbour reads %q, then %q, after an append to key/0's value", got[1], again[0])
+	}
+}
+
+// TestFirstStoreSmall: a fresh server's first one-key Store allocates
+// a small first chunk, not a large arena.
+func TestFirstStoreSmall(t *testing.T) {
+	_, warm := newTestCluster(1, 1)
+	storeOn(t, warm, 0, 1, "w") // the client's scratch pool
+	_, cl := newTestCluster(1, 1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	storeOn(t, cl, 0, 1, "x")
+	runtime.ReadMemStats(&m1)
+	if b := m1.TotalAlloc - m0.TotalAlloc; b >= 1024 {
+		t.Fatalf("first one-key Store allocated %d bytes, want < 1 KiB", b)
+	}
+}
+
+// recordingEnv logs the charges a DHT client makes.
+type recordingEnv struct {
+	*cluster.Local
+	log []string
+}
+
+func (e *recordingEnv) RTT(from, to cluster.NodeID) {
+	e.log = append(e.log, fmt.Sprintf("RTT %d->%d", from, to))
+}
+
+func (e *recordingEnv) Scatter(from cluster.NodeID, dests []cluster.NodeID, size int64) {
+	e.log = append(e.log, fmt.Sprintf("Scatter %d->%v %d B", from, dests, size))
+}
+
+// legacyBatchPut charges and fails the way BatchPut did when it grouped
+// keys by destination through maps: the reference Store must match.
+func legacyBatchPut(c *Client, kvs map[string][]byte) error {
+	groups := map[cluster.NodeID]bool{}
+	var total int64
+	for k, v := range kvs {
+		total += int64(len(k) + len(v))
+		for _, n := range c.dht.ring.LookupN(k, c.dht.ring.replication) {
+			groups[n] = true
+		}
+	}
+	var dests []cluster.NodeID
+	for n := range groups {
+		dests = append(dests, n)
+	}
+	slices.Sort(dests)
+	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, dests))
+	c.env.Scatter(c.from, dests, total*int64(c.dht.ring.replication))
+	for _, n := range dests {
+		if !c.dht.servers[n].down {
+			return nil
+		}
+	}
+	return fmt.Errorf("all %d down", len(dests))
+}
+
+// TestStoreChargesAsMapGrouping: over random batches at replications
+// 1-3, some with servers down, Store charges the same round trip, the
+// same scatter (destinations in the same order, the same bytes) and
+// fails alike as the map grouping it replaced.
+func TestStoreChargesAsMapGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		n, repl := 3+rng.Intn(8), 1+trial%3
+		var envs [2]*recordingEnv
+		var clients [2]*Client
+		down := rng.Perm(n)[:rng.Intn(n+1)*rng.Intn(2)]
+		for i := range envs {
+			envs[i] = &recordingEnv{Local: cluster.NewLocal(n, 2)}
+			c := NewCluster(nodes(n), 8, repl)
+			for _, d := range down {
+				c.Server(cluster.NodeID(d)).SetDown(true)
+			}
+			clients[i] = c.NewClient(envs[i], cluster.NodeID(rng.Intn(n)))
+		}
+		clients[1].from = clients[0].from
+		kvs := map[string][]byte{}
+		var keys, vals [][]byte
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			k := fmt.Sprintf("m/%d/%d/%d", rng.Intn(5), rng.Intn(100), i)
+			v := make([]byte, rng.Intn(40))
+			kvs[k] = v
+			keys, vals = append(keys, []byte(k)), append(vals, v)
+		}
+		err := clients[0].Store(keys, vals)
+		legacy := legacyBatchPut(clients[1], kvs)
+		if got, want := fmt.Sprint(envs[0].log), fmt.Sprint(envs[1].log); got != want || (err == nil) != (legacy == nil) {
+			t.Fatalf("trial %d (%d nodes, replication %d, down %v): Store charged %s, error %v; map grouping charged %s, error %v",
+				trial, n, repl, down, got, err, want, legacy)
+		}
+	}
+}
+
+// TestFetchWhileStoring: readers hold values fetched from one server,
+// each just stored, while writers keep filling the same arena chunk
+// behind them; every held value must keep its bytes (run it under
+// -race).
+func TestFetchWhileStoring(t *testing.T) {
+	const writers, perWriter = 2, 3000
+	_, cl := newTestCluster(1, 1)
+	var stored [writers]atomic.Int64 // each writer's keys below this are stored
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * perWriter; i < (w+1)*perWriter; i++ {
+				if err := cl.Store(batch(i, i+1, "x")); err != nil {
+					t.Error(err)
+					return
+				}
+				stored[w].Store(int64(i + 1))
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var keys []string
+			var held [][]byte
+			for j := 0; j < 2000; j++ {
+				w := (j + r) % writers
+				if i := int(stored[w].Load()) - 1; i >= w*perWriter {
+					keys = append(keys, fmt.Sprintf("key/%d", i))
+					held = append(held, fetch(cl, keys[len(keys)-1:])...)
+				}
+			}
+			for j, v := range held {
+				if want := "val/" + keys[j][len("key/"):] + "/x"; string(v) != want {
+					t.Errorf("held %s = %q, want %q", keys[j], v, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
