@@ -47,7 +47,7 @@
 //     thread instead.
 //
 //   - lockedblock: no blocking environment call while holding a
-//     sync.Mutex / sync.RWMutex. Under Sim, Env.RTT, Unicast, Scatter,
+//     sync.Mutex / sync.RWMutex. Under Sim, Env.RTT, Scatter,
 //     Gather, Pipeline, Sleep, DiskRead/DiskWrite, Signal.Wait,
 //     WaitGroup.Wait and Ctx.Wait park the goroutine until virtual
 //     time advances; any other goroutine that needs the held mutex to

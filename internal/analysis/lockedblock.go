@@ -12,12 +12,12 @@ import (
 // that would produce the wake-up event may first need the held mutex.
 var blockingMethods = map[string]map[string]bool{
 	clusterPath + ".Env": {
-		"RTT": true, "OneWay": true, "Unicast": true, "Scatter": true,
+		"RTT": true, "Scatter": true,
 		"Gather": true, "Pipeline": true, "Sleep": true,
 		"DiskRead": true, "DiskWrite": true,
 	},
 	clusterPath + ".Sim": {
-		"RTT": true, "OneWay": true, "Unicast": true, "Scatter": true,
+		"RTT": true, "Scatter": true,
 		"Gather": true, "Pipeline": true, "Sleep": true,
 		"DiskRead": true, "DiskWrite": true,
 	},

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 )
 
@@ -84,7 +87,7 @@ func TestPhase(t *testing.T) {
 		ok, okErr = tb.phase("ok", MB, nodes, func(i int, node cluster.NodeID) error {
 			tb.Env.Sleep(time.Duration(i) * 10 * time.Millisecond)
 			if node == 1 {
-				tb.Env.Unicast(node, 2, MB)
+				tb.Net.Transfer(tb.Net.PathUnicast(node, 2), MB)
 			}
 			return nil
 		})
@@ -124,5 +127,50 @@ func TestPhase(t *testing.T) {
 	if failed.clients != 3 || failed.duration != 30*time.Millisecond ||
 		failed.minMBps != mbps(MB, 30*time.Millisecond) || failed.maxMBps != mbps(MB, 10*time.Millisecond) {
 		t.Fatalf("failing phase lost timings: %+v", failed)
+	}
+}
+
+// TestSimRunLeavesNoGoroutines: background work runs only while there
+// is work, so once a simulation's body has settled and Run returns,
+// nothing of the deployment stays parked — no provider flusher, no
+// MapReduce slot — and the process is back to its goroutine count from
+// before the testbed.
+func TestSimRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tb, err := NewTestbed(ClusterSpec{Nodes: 20}, StorageOpts{Kind: "bsfs", BlockSize: 8 * MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const settle = 10 * time.Second // virtual: readahead and flushes finish
+	var runErr error
+	err = tb.Run(func() {
+		if runErr = writeSynthFile(tb, 1, "/in", 32*MB); runErr != nil {
+			return
+		}
+		tb.Env.Sleep(settle)
+		mr, err := newMRCluster(tb)
+		if err != nil {
+			runErr = err
+			return
+		}
+		res, err := mr.Submit(apps.SyntheticGrep([]string{"/in"}, "/out"))
+		if err != nil || res.Counters.MapTasks != 4 {
+			runErr = fmt.Errorf("grep: %+v, %v; want 4 maps", res, err)
+			return
+		}
+		tb.Env.Sleep(settle)
+	})
+	if err == nil {
+		err = runErr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Run, %d before the testbed", n, before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -46,32 +46,32 @@ var counters = []struct {
 	name, shape string
 	measure     func(t *testing.T) float64
 }{
-	{"core.append_synthetic_allocs", "1 RAM provider, flush daemon stopped, 256 KiB pages; one 1 MiB synthetic Append (4 pages); AllocsPerRun(300)",
+	{"core.append_synthetic_allocs", "1 RAM provider, flushing stopped, 256 KiB pages; one 1 MiB synthetic Append (4 pages); AllocsPerRun(300)",
 		func(t *testing.T) float64 {
 			blob := oneProviderBlob(t, 256<<10)
 			blocks := core.SyntheticBlocks(1 << 20)
 			return testing.AllocsPerRun(300, func() { mustAppend(t, blob, blocks) })
 		}},
-	{"core.append_real_allocs", "1 RAM provider, flush daemon stopped, 64 KiB pages; one 256 KiB Append of real bytes (4 pages); AllocsPerRun(300)",
+	{"core.append_real_allocs", "1 RAM provider, flushing stopped, 64 KiB pages; one 256 KiB Append of real bytes (4 pages); AllocsPerRun(300)",
 		func(t *testing.T) float64 {
 			blob := oneProviderBlob(t, 64<<10)
 			blocks := core.Blocks(make([]byte, 256<<10))
 			return testing.AllocsPerRun(300, func() { mustAppend(t, blob, blocks) })
 		}},
-	{"core.cached_read_synthetic_allocs", "1 RAM provider, flush daemon stopped, 256 KiB pages, a 64 MiB synthetic version; a 16 MiB synthetic ReadAt of it, metadata cached; AllocsPerRun(300)",
+	{"core.cached_read_synthetic_allocs", "1 RAM provider, flushing stopped, 256 KiB pages, a 64 MiB synthetic version; a 16 MiB synthetic ReadAt of it, metadata cached; AllocsPerRun(300)",
 		func(t *testing.T) float64 {
 			blob := oneProviderBlob(t, 256<<10)
 			v := mustAppend(t, blob, core.SyntheticBlocks(64<<20))
 			return testing.AllocsPerRun(300, func() { mustRead(t, blob, nil, 0, 16<<20, core.AtVersion(v), core.Synthetic(16<<20)) })
 		}},
-	{"core.cached_read_real_allocs", "1 RAM provider, flush daemon stopped, 64 KiB pages, a 1 MiB version of real bytes; a 1 MiB ReadAt of it, metadata cached; AllocsPerRun(300)",
+	{"core.cached_read_real_allocs", "1 RAM provider, flushing stopped, 64 KiB pages, a 1 MiB version of real bytes; a 1 MiB ReadAt of it, metadata cached; AllocsPerRun(300)",
 		func(t *testing.T) float64 {
 			blob := oneProviderBlob(t, 64<<10)
 			v := mustAppend(t, blob, core.Blocks(make([]byte, 1<<20)))
 			buf := make([]byte, 1<<20)
 			return testing.AllocsPerRun(300, func() { mustRead(t, blob, buf, 0, len(buf), core.AtVersion(v)) })
 		}},
-	{"core.first_write_fresh_client_bytes", "1 RAM provider, 4 KiB pages, 20000 one-page versions, then the flush daemon stopped; bytes allocated by a fresh client's first one-page synthetic Append, least of 8 clients",
+	{"core.first_write_fresh_client_bytes", "1 RAM provider, 4 KiB pages, 20000 one-page versions, then flushing stopped; bytes allocated by a fresh client's first one-page synthetic Append, least of 8 clients",
 		measureFirstWrite},
 	{"vm.publish_one_allocs", "a blob's version-manager shard, 1000 tickets taken; a one-version PublishBatch; AllocsPerRun(1000)",
 		measurePublishOne},
@@ -174,7 +174,7 @@ var counters = []struct {
 
 // sharedAppendShape is the core stack of bsfs-perf's shared-append
 // workload.
-const sharedAppendShape = "4 RAM providers, 4 KiB pages, replication 1, flush daemons stopped after the preload"
+const sharedAppendShape = "4 RAM providers, 4 KiB pages, replication 1, flushing stopped after the preload"
 
 // TestCounts measures every counter and compares it with its row of
 // BENCH_counts.json; with -update it rewrites the file from this run,
@@ -304,10 +304,10 @@ func oneProviderBlob(t *testing.T, pageSize int64) *core.Blob {
 	return blob
 }
 
-// stopFlushers stops dep's flush daemons. Each wake-up allocates, and
-// how many land inside a measurement depends on the scheduler, so only
-// the operation's own allocations are counted. The pages stay dirty in
-// RAM.
+// stopFlushers stops dep's flushing. A put on a running provider starts
+// a flusher, which allocates, and how many land inside a measurement
+// depends on the scheduler, so only the operation's own allocations are
+// counted. The pages stay dirty in RAM.
 func stopFlushers(dep *core.Deployment) {
 	for _, p := range dep.ProviderList() {
 		p.Stop()

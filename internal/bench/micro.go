@@ -14,7 +14,7 @@ import (
 )
 
 // settleTime is the virtual-time pause between the load phase and the
-// measured phase of read benchmarks: the flush daemons drain their
+// measured phase of read benchmarks: the providers' flushers drain their
 // write backlog, so readers face settled caches (LRU-resident up to
 // MemCapacity, the rest on disk) exactly as on a testbed where data
 // was loaded earlier.

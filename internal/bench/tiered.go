@@ -104,7 +104,7 @@ func runTieredRecovery(opts tieredOpts) (tieredResult, error) {
 	var res tieredResult
 	var runErr error
 	err = tb.Run(func() {
-		// Load phase, then let the flush daemons drain.
+		// Load phase, then let the flushers drain.
 		if runErr = tb.loadFar(clients, path, opts.bytesPerClient); runErr != nil {
 			return
 		}

@@ -65,11 +65,7 @@ type Env interface {
 	// RTT charges one request/response round trip between two nodes
 	// (control message, no payload).
 	RTT(from, to NodeID)
-	// OneWay charges a single message latency.
-	OneWay(from, to NodeID)
 
-	// Unicast charges moving size bytes from one node to another.
-	Unicast(from, to NodeID, size int64)
 	// Scatter charges one logical transfer of size bytes fanning out
 	// evenly from a node to many destinations.
 	Scatter(from NodeID, dests []NodeID, size int64)
@@ -126,14 +122,9 @@ func (s *Sim) Daemon(fn func())        { s.eng.GoDaemon(fn) }
 func (s *Sim) NewWaitGroup() WaitGroup { return s.eng.NewWaitGroup() }
 func (s *Sim) NewSignal() Signal       { return s.eng.NewSignal() }
 func (s *Sim) Sleep(d time.Duration)   { s.eng.Sleep(d) }
-func (s *Sim) OneWay(from, to NodeID)  { s.net.Delay(from, to) }
 func (s *Sim) RTT(from, to NodeID) {
 	s.net.Delay(from, to)
 	s.net.Delay(to, from)
-}
-
-func (s *Sim) Unicast(from, to NodeID, size int64) {
-	s.net.Transfer(s.net.PathUnicast(from, to), size)
 }
 
 func (s *Sim) Scatter(from NodeID, dests []NodeID, size int64) {
@@ -175,7 +166,6 @@ type Local struct {
 	nodes   int
 	perRack int
 	start   time.Time
-	wg      sync.WaitGroup // tracks daemons for leak hygiene only
 }
 
 // NewLocal returns a Local env presenting n nodes (racks of rackSize;
@@ -199,11 +189,10 @@ func (l *Local) NewWaitGroup() WaitGroup { return &localWG{} }
 func (l *Local) NewSignal() Signal { return &localSignal{ch: make(chan struct{})} }
 
 // Sleep in the Local env sleeps real time: explicit sleeps are daemon
-// pacing (flush loops, heartbeats), which must not busy-spin.
+// pacing (heartbeats, placement sweeps, deadlines), which must not
+// busy-spin.
 func (l *Local) Sleep(d time.Duration)                       { time.Sleep(d) }
 func (l *Local) RTT(from, to NodeID)                         {}
-func (l *Local) OneWay(from, to NodeID)                      {}
-func (l *Local) Unicast(from, to NodeID, size int64)         {}
 func (l *Local) Scatter(from NodeID, d []NodeID, size int64) {}
 func (l *Local) Gather(NodeID, []NodeID, int64, float64)     {}
 func (l *Local) Pipeline(NodeID, []NodeID, int64, bool)      {}

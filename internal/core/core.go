@@ -303,8 +303,8 @@ func (d *Deployment) NewClient(node cluster.NodeID) *Client {
 	}
 }
 
-// Close stops the placement loop, the health checker and the provider
-// flush daemons, and closes the provider stores.
+// Close stops the placement loop, the health checker and the
+// providers' flushing, and closes the provider stores.
 func (d *Deployment) Close() error {
 	d.Rebalance.stop()
 	d.Placement.Close()

@@ -162,8 +162,8 @@ func TestPublicationBeatsCancel(t *testing.T) {
 					return
 				}
 				t0 := env.Now()
-				env.OneWay(4, vm.node)
-				oneWay := env.Now() - t0
+				env.RTT(4, vm.node)
+				oneWay := (env.Now() - t0) / 2
 				ctx, cancel := withDeadline(env, deadline)
 				defer cancel()
 				start := env.Now()

@@ -15,8 +15,8 @@ import (
 	"repro/internal/pagestore"
 )
 
-// Provider stores pages on one node. Writes land in RAM and a flush
-// daemon persists them in the background (the BerkeleyDB layer of the
+// Provider stores pages on one node. Writes land in RAM and a
+// background flusher persists them (the BerkeleyDB layer of the
 // original system); reads are served from RAM when resident and charge
 // a disk read otherwise.
 type Provider struct {
@@ -24,9 +24,11 @@ type Provider struct {
 	node  cluster.NodeID
 	store *pagestore.Store
 
-	mu       sync.Mutex
-	bytesIn  int64
-	flushSig cluster.Signal
+	mu      sync.Mutex
+	bytesIn int64
+	// flushing is set while a flusher runs. It stays set after a failed
+	// commit, so no flusher starts again.
+	flushing bool
 	stopped  bool
 	down     bool
 }
@@ -66,20 +68,14 @@ type ProviderConfig struct {
 	Store string
 }
 
-// newProvider creates a provider on node and starts its flush daemon.
+// newProvider creates a provider on node. It runs no background work
+// until the first put.
 func newProvider(env cluster.Env, node cluster.NodeID, cfg ProviderConfig) (*Provider, error) {
 	st, err := pagestore.Open(pagestore.Config{MemCapacity: cfg.MemCapacity, Spec: cfg.Store})
 	if err != nil {
 		return nil, err
 	}
-	p := &Provider{
-		env:      env,
-		node:     node,
-		store:    st,
-		flushSig: env.NewSignal(),
-	}
-	env.Daemon(p.flushLoop)
-	return p, nil
+	return &Provider{env: env, node: node, store: st}, nil
 }
 
 // Node returns the hosting node.
@@ -89,72 +85,55 @@ func (p *Provider) Node() cluster.NodeID { return p.node }
 func (p *Provider) Store() *pagestore.Store { return p.store }
 
 // flushLoop persists dirty pages in the background, charging the
-// node's disk. It is event-driven: idle providers block on a signal
-// fired by the next write, so an idle fleet costs nothing. This is
-// what keeps BlobSeer's write path off the disk's critical path.
+// node's disk; this is what keeps BlobSeer's write path off the disk's
+// critical path. putPage starts it when none runs, and it exits once
+// no page is dirty, so an idle provider runs nothing. It clears
+// flushing in the same lock hold that sees no dirty byte: a put that
+// lands later finds the flag clear and starts the next flusher. It
+// stops at its next batch after Stop, and for good after a failed
+// commit (flushing stays set).
 func (p *Provider) flushLoop() {
 	for {
 		p.mu.Lock()
-		stopped := p.stopped
-		sig := p.flushSig
+		done := p.stopped
+		if !done && p.store.DirtyBytes() == 0 {
+			p.flushing, done = false, true
+		}
 		p.mu.Unlock()
-		if stopped {
+		if done {
 			return
 		}
-		keys, total := p.store.TakeDirty(flushBatch)
-		if len(keys) == 0 {
-			sig.Wait()
-			// Re-arm: the signal just consumed is burnt (Fire is
-			// idempotent), so the next idle wait needs a fresh one.
-			// Re-arming here instead of on every wake keeps the signal
-			// allocation off the per-put hot path: writers only ever
-			// Fire. A put racing the swap either reads the old signal
-			// (its page is already in the store, so the next TakeDirty
-			// sees it) or the new one (which wakes the next wait).
-			p.mu.Lock()
-			if !p.stopped && p.flushSig == sig {
-				p.flushSig = p.env.NewSignal()
-			}
-			p.mu.Unlock()
-			continue
-		}
-		p.env.DiskWrite(p.node, total)
-		if err := p.store.CommitFlush(keys); err != nil {
-			return // durable layer failed; stop persisting (tests assert on this)
+		if _, err := p.flushOnce(); err != nil {
+			return
 		}
 	}
 }
 
-// wakeFlusher fires the flush signal. Firing is idempotent, so the
-// per-put cost is one lock + one no-op after the first wake; the flush
-// loop re-arms a fresh signal when it next goes idle.
-func (p *Provider) wakeFlusher() {
-	p.mu.Lock()
-	sig := p.flushSig
-	p.mu.Unlock()
-	sig.Fire()
+// flushOnce persists one batch of dirty pages and reports whether
+// there was one.
+func (p *Provider) flushOnce() (bool, error) {
+	keys, total := p.store.TakeDirty(flushBatch)
+	if len(keys) == 0 {
+		return false, nil
+	}
+	p.env.DiskWrite(p.node, total)
+	return true, p.store.CommitFlush(keys)
 }
 
-// Stop terminates the flush daemon (the Local env's daemons are real
-// goroutines; stopping them keeps tests leak-free).
+// Stop ends background flushing: no flusher starts after it, and a
+// running one exits at its next batch. Pages put later stay dirty
+// until FlushNow.
 func (p *Provider) Stop() {
 	p.mu.Lock()
 	p.stopped = true
-	sig := p.flushSig
 	p.mu.Unlock()
-	sig.Fire()
 }
 
 // FlushNow synchronously persists all dirty pages (deterministic
-// alternative to waiting for the daemon).
+// alternative to waiting for the flusher).
 func (p *Provider) FlushNow() error {
 	for {
-		keys, total := p.store.TakeDirty(flushBatch)
-		if len(keys) == 0 {
-			return nil
-		}
-		p.env.DiskWrite(p.node, total)
-		if err := p.store.CommitFlush(keys); err != nil {
+		if more, err := p.flushOnce(); !more || err != nil {
 			return err
 		}
 	}
@@ -183,7 +162,19 @@ func (p *Provider) putPage(key string, data []byte, size int64) error {
 	if err != nil {
 		return err
 	}
-	p.wakeFlusher()
+	// After the put: a flusher that sees no dirty byte has cleared the
+	// flag by now, or it will see this page.
+	p.mu.Lock()
+	start := !p.flushing && !p.stopped
+	if start {
+		p.flushing = true
+	}
+	p.mu.Unlock()
+	if start {
+		// Go, not Daemon: a flush is disk work still owed, so a
+		// simulation runs it to the end instead of abandoning it.
+		p.env.Go(p.flushLoop)
+	}
 	return nil
 }
 

@@ -1,5 +1,5 @@
 // runtime.go is the execution engine: the jobtracker's task queue and
-// locality-aware assignment, the tasktracker slot loops, and map/reduce
+// locality-aware assignment, the tasktracker slots, and map/reduce
 // task execution (including the shuffle).
 
 package mapreduce
@@ -21,23 +21,20 @@ type Cluster struct {
 }
 
 // NewCluster starts a jobtracker and one tasktracker per worker node.
-// Slot loops are daemons: they live for the duration of the
-// environment.
+// Slots run only while there are tasks: they start idle, new work
+// starts every idle slot, and a slot that finds no task goes idle.
 func NewCluster(env cluster.Env, cfg Config) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{env: env, cfg: cfg}
 	c.jt = &jobTracker{env: env, cfg: cfg, node: cfg.JobTrackerNode}
-	c.jt.workSig = env.NewSignal()
 	for _, n := range cfg.WorkerNodes {
 		for s := 0; s < cfg.MapSlots; s++ {
-			node := n
-			env.Daemon(func() { c.jt.slotLoop(node, mapTask) })
+			c.jt.idle = append(c.jt.idle, slot{n, mapTask})
 		}
 		for s := 0; s < cfg.ReduceSlots; s++ {
-			node := n
-			env.Daemon(func() { c.jt.slotLoop(node, reduceTask) })
+			c.jt.idle = append(c.jt.idle, slot{n, reduceTask})
 		}
 	}
 	return c, nil
@@ -72,8 +69,14 @@ type jobTracker struct {
 
 	mu      sync.Mutex
 	pending []*task
-	workSig cluster.Signal
+	idle    []slot // in the order they went idle
 	nextJob int
+}
+
+// slot is one tasktracker slot: a node and the kind of task it runs.
+type slot struct {
+	node cluster.NodeID
+	kind taskKind
 }
 
 // job is one submitted job's runtime state.
@@ -198,11 +201,13 @@ func (jt *jobTracker) launch(j *job) {
 	jt.mu.Unlock()
 }
 
-// wakeLocked signals slot loops that new work exists.
+// wakeLocked starts every idle slot, in the order they went idle. Slots
+// are daemons: a simulation whose body ends abandons those still busy.
 func (jt *jobTracker) wakeLocked() {
-	old := jt.workSig
-	jt.workSig = jt.env.NewSignal()
-	old.Fire()
+	for _, s := range jt.idle {
+		jt.env.Daemon(func() { jt.slotLoop(s) })
+	}
+	jt.idle = jt.idle[:0]
 }
 
 // pickTaskLocked chooses the best pending task for a node: data-local
@@ -247,22 +252,22 @@ func (jt *jobTracker) pickTaskLocked(node cluster.NodeID, kind taskKind) (*task,
 	return t, bestClass
 }
 
-// slotLoop is one tasktracker slot: fetch a task, run it, repeat.
-func (jt *jobTracker) slotLoop(node cluster.NodeID, kind taskKind) {
+// slotLoop runs one slot: fetch a task, run it, repeat; once no task
+// fits, the slot goes idle and returns.
+func (jt *jobTracker) slotLoop(s slot) {
 	for {
 		jt.mu.Lock()
-		t, class := jt.pickTaskLocked(node, kind)
+		t, class := jt.pickTaskLocked(s.node, s.kind)
 		if t == nil {
-			sig := jt.workSig
+			jt.idle = append(jt.idle, s)
 			jt.mu.Unlock()
-			sig.Wait()
-			continue
+			return
 		}
 		jt.mu.Unlock()
 
 		// Task assignment heartbeat.
-		jt.env.RTT(jt.node, node)
-		jt.taskDone(t, jt.runTask(t, node, class))
+		jt.env.RTT(jt.node, s.node)
+		jt.taskDone(t, jt.runTask(t, s.node, class))
 	}
 }
 

@@ -120,7 +120,7 @@ func (s *Store) Close() error {
 	if s.backend == nil {
 		return nil
 	}
-	// Flush in dirty-queue order first (the order the flush daemon
+	// Flush in dirty-queue order first (the order a provider's flusher
 	// would have used), then any in-flight remainder.
 	var err error
 	flush := func(e *entry) {

@@ -22,7 +22,7 @@ func TestCloseFlushesDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.PutSynthetic("queued-syn", 4096)
-	// Taken by a flush batch that never commits (flush daemon killed
+	// Taken by a flush batch that never commits (flusher killed
 	// mid-write): still dirty, must not be lost either.
 	if err := s.Put("inflight", []byte("inflight-bytes")); err != nil {
 		t.Fatal(err)
