@@ -47,8 +47,8 @@
 //     thread instead.
 //
 //   - lockedblock: no blocking environment call while holding a
-//     sync.Mutex / sync.RWMutex. Under Sim, Env.RTT, Scatter,
-//     Gather, Pipeline, Sleep, DiskRead/DiskWrite, Signal.Wait,
+//     sync.Mutex / sync.RWMutex. Under Sim, Env.RTT, Scatter, Gather,
+//     Pipeline, Sleep, DiskRead/DiskWrite, Signal.Wait and WaitOr,
 //     WaitGroup.Wait and Ctx.Wait park the goroutine until virtual
 //     time advances; any other goroutine that needs the held mutex to
 //     produce the wake-up event deadlocks the simulation — and worse:

@@ -24,7 +24,7 @@ var blockingMethods = map[string]map[string]bool{
 	clusterPath + ".Local": {
 		"Sleep": true,
 	},
-	clusterPath + ".Signal":    {"Wait": true},
+	clusterPath + ".Signal":    {"Wait": true, "WaitOr": true},
 	clusterPath + ".WaitGroup": {"Wait": true},
 	clusterPath + ".Ctx":       {"Wait": true},
 }

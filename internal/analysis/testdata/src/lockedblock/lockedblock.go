@@ -38,6 +38,12 @@ func (s *server) transitive(peer cluster.NodeID) {
 	s.ping(peer) // want `ping blocks in virtual time \(Env\.RTT\) while "s\.mu" is locked`
 }
 
+func (s *server) waitEither(done, canceled cluster.Signal) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return done.WaitOr(canceled) // want `Signal\.WaitOr blocks in virtual time while "s\.mu" is locked`
+}
+
 // releasesFirst is a non-finding: the mutex is dropped before the
 // blocking call.
 func (s *server) releasesFirst() {

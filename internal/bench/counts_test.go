@@ -8,7 +8,9 @@ import (
 	"math"
 	"net"
 	"os"
+	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/bsfs"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/fsapi"
 	"repro/internal/rpcnet"
 	"repro/internal/sim"
@@ -30,7 +33,10 @@ import (
 // be recorded with -update, so `git log BENCH_counts.json` is the
 // per-layer history. The tolerance is 0 where the count is exact and the
 // spread measured over repeated runs where it jitters. The race runtime
-// inflates allocation counts, so the file is built without it.
+// inflates allocation counts, so the file is built without it. A row
+// that reads process-wide state (runtime.MemStats) is measured in a
+// child process of its own, so nothing another test left behind moves
+// it.
 const countsPath = "../../BENCH_counts.json"
 
 // A countRow is one counter at one shape.
@@ -72,7 +78,7 @@ var counters = []struct {
 			return testing.AllocsPerRun(300, func() { mustRead(t, blob, buf, 0, len(buf), core.AtVersion(v)) })
 		}},
 	{"core.first_write_fresh_client_bytes", "1 RAM provider, 4 KiB pages, 20000 one-page versions, then flushing stopped; bytes allocated by a fresh client's first one-page synthetic Append, least of 8 clients",
-		measureFirstWrite},
+		isolated(measureFirstWrite)},
 	{"vm.publish_one_allocs", "a blob's version-manager shard, 1000 tickets taken; a one-version PublishBatch; AllocsPerRun(1000)",
 		measurePublishOne},
 	{"dht.keys_per_append", sharedAppendShape + "; DHT keys stored per append over the first 2000 appends, as bsfs-perf traces it",
@@ -102,13 +108,13 @@ var counters = []struct {
 			return testing.AllocsPerRun(100, func() { mustRead(t, reader, buf, 8<<20, len(buf), core.AtVersion(1000)) })
 		}},
 	{"rpcnet.get_bytes_per_byte", "bsfsd's stack over loopback TCP: 3 RAM providers, 256 KiB pages, 4 MiB blocks; bytes allocated, server and client, per byte of ten 8 MiB Gets",
-		func(t *testing.T) float64 {
+		isolated(func(t *testing.T) float64 {
 			c, _ := serveWire(t, core.ProviderConfig{}, 4<<20)
 			put(t, c, "/f", make([]byte, 8<<20))
 			return getBytesPerByte(t, c)
-		}},
+		})},
 	{"rpcnet.get_disk_miss_bytes_per_byte", "rpcnet.get_bytes_per_byte with disk-backed providers caching one 256 KiB page each, flushed, so at least 90 % of page reads miss",
-		func(t *testing.T) float64 {
+		isolated(func(t *testing.T) float64 {
 			c, dep := serveWire(t, core.ProviderConfig{MemCapacity: 256 << 10, Store: "disk:" + t.TempDir()}, 4<<20)
 			put(t, c, "/f", make([]byte, 8<<20))
 			misses := func() (n uint64) {
@@ -128,18 +134,20 @@ var counters = []struct {
 				t.Fatalf("%d of %d page reads missed the providers' caches, want at least 90 %%", missed, pages)
 			}
 			return perByte
-		}},
+		})},
 	{"rpcnet.put_bytes_per_byte", "bsfsd's stack over loopback TCP: 3 disk-backed providers with 16 MiB caches, 256 KiB pages, 4 MiB blocks; bytes allocated, server and client, per byte of ten 8 MiB Puts",
-		func(t *testing.T) float64 {
+		isolated(func(t *testing.T) float64 {
 			c, _ := serveWire(t, core.ProviderConfig{MemCapacity: 16 << 20, Store: "disk:" + t.TempDir()}, 4<<20)
 			data := make([]byte, 8<<20)
 			put(t, c, "/warm", data) // fill the free blocks
 			return bytesPerByte(len(data), 10, func(i int) { put(t, c, fmt.Sprintf("/f%d", i), data) })
-		}},
+		})},
 	{"rpcnet.put_small_file_bytes", "bsfsd's stack over loopback TCP, 64 MiB blocks; bytes allocated by the first Put, of a 1 KiB file, least of 8 fresh stacks",
-		measurePutSmall},
+		isolated(measurePutSmall)},
 	{"sim.live_heap_bytes_per_page", "a 20-node BSFS testbed, 256 KiB pages: 8 clients each write a 256 MiB synthetic file, then 8 fresh clients each read one; every client kept; bytes of live heap after two GCs per page written, least of 3 runs",
-		measureLiveHeap},
+		isolated(measureLiveHeap)},
+	{"dht.first_store_bytes", "a fresh one-server DHT (16 vnodes, replication 1) and its client, after a one-key Store to another has filled the scratch pool; bytes allocated by its first one-key Store, least of 8 fresh DHTs",
+		isolated(measureFirstStore)},
 	{"sim.sleep_allocs", "one process's Sleep(1 µs); AllocsPerRun(100)",
 		func(t *testing.T) float64 {
 			var allocs float64
@@ -215,6 +223,59 @@ func TestCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// childRowEnv names the row a child process of TestCounts measures, and
+// childPrefix starts the line that reports its value.
+const (
+	childRowEnv = "BENCH_COUNTS_ROW"
+	childPrefix = "counts-child:"
+)
+
+// isolated wraps a measurement that reads process-wide state: TestCounts
+// runs it in a child process, this test binary re-executed with
+// TestCountsChild selected and the row named in childRowEnv, and parses
+// the value from the child's output.
+func isolated(measure func(t *testing.T) float64) func(t *testing.T) float64 {
+	return func(t *testing.T) float64 {
+		if os.Getenv(childRowEnv) != "" {
+			return measure(t)
+		}
+		name := strings.TrimPrefix(t.Name(), "TestCounts/")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCountsChild$", "-test.count=1")
+		cmd.Env = append(os.Environ(), childRowEnv+"="+name)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("child measuring %s: %v\n%s", name, err, out)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if v, ok := strings.CutPrefix(line, childPrefix); ok {
+				f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("child measuring %s reported no value:\n%s", name, out)
+		return 0
+	}
+}
+
+// TestCountsChild measures the one row childRowEnv names, in a process
+// TestCounts started for it. Without the variable it has nothing to do.
+func TestCountsChild(t *testing.T) {
+	name := os.Getenv(childRowEnv)
+	if name == "" {
+		t.Skip("runs only as a child of TestCounts")
+	}
+	for _, c := range counters {
+		if c.name == name {
+			fmt.Printf("%s %v\n", childPrefix, c.measure(t))
+			return
+		}
+	}
+	t.Fatalf("no counter %q", name)
 }
 
 // compareCounts returns one complaint per committed row that this run's
@@ -422,6 +483,29 @@ func warmRuntime() {
 	}
 	close(ch)
 	wg.Wait()
+}
+
+// measureFirstStore: a fresh DHT server's first one-key Store allocates
+// a small first chunk of its arena, not a large one. Another cluster's
+// Store first fills the client's scratch pool, which every cluster
+// shares. The pool is per P, so a Store that runs on another P than the
+// warm-up refills it; the least of several fresh clusters leaves that
+// out.
+func measureFirstStore(t *testing.T) float64 {
+	env, nodes := cluster.NewLocal(1, 0), []cluster.NodeID{0}
+	keys, vals := [][]byte{[]byte("key/0")}, [][]byte{[]byte("val/0")}
+	store := func(c *dht.Client) {
+		if err := c.Store(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store(dht.NewCluster(nodes, 16, 1).NewClient(env, 0))
+	least := math.Inf(1)
+	for range 8 {
+		c := dht.NewCluster(nodes, 16, 1).NewClient(env, 0)
+		least = min(least, bytesPerByte(1, 1, func(int) { store(c) }))
+	}
+	return least
 }
 
 // measurePublishOne: a one-version PublishBatch resolves under the

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite BENCH_sim.json and RESULTS.md, or BENCH_counts.json, from this run")
@@ -30,15 +32,22 @@ var golden struct {
 	raw  []byte
 	doc  *resultsFile
 	err  error
+	left int // goroutines the run left behind
 }
 
 // goldenRun runs every experiment at goldenOpts through RunExperiments,
 // once per test binary, and returns the bytes bsfs-bench -json writes
-// for that run, and their parse.
+// for that run, and their parse. It also counts the goroutines the run
+// leaves behind, polling for up to 10 s for them to exit.
 func goldenRun(t *testing.T) ([]byte, *resultsFile) {
 	t.Helper()
 	golden.once.Do(func() {
+		before := runtime.NumGoroutine()
 		res, err := RunExperiments(io.Discard, goldenOpts, Experiments)
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		golden.left = runtime.NumGoroutine() - before
 		var b bytes.Buffer
 		if err == nil {
 			err = WriteResultsJSON(&b, goldenOpts, res)
@@ -71,9 +80,13 @@ func readGolden(t *testing.T) ([]byte, *resultsFile) {
 // TestGolden pins every experiment's output: this run's -json bytes
 // must equal BENCH_sim.json, and RESULTS.md must be their rendering. On
 // a mismatch it lists every value that moved. A model change rewrites
-// both files with -update and pastes that list into CHANGES.md.
+// both files with -update and pastes that list into CHANGES.md. Every
+// simulation ends what it started, so the run leaves no goroutine.
 func TestGolden(t *testing.T) {
 	raw, doc := goldenRun(t)
+	if golden.left > 0 {
+		t.Errorf("the run left %d goroutines behind", golden.left)
+	}
 	md := renderResults(doc)
 	if *update {
 		for path, b := range map[string][]byte{goldenPath: raw, resultsPath: md} {

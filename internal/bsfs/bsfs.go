@@ -1102,7 +1102,8 @@ func (r *reader) touch(bi int64) {
 
 // Close implements fsapi.Reader: cached blocks go back to the free list
 // as their borrowers finish. In-flight readahead completes in the
-// background and discards its result.
+// background and discards its result, or, in a simulation whose body
+// returns first, is ended where it is parked.
 func (r *reader) Close() error {
 	r.mu.Lock()
 	if !r.closed {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -230,6 +231,67 @@ func TestReadaheadPrefetchesNextBlock(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[256:256+64]) {
 		t.Fatal("prefetched block content mismatch")
+	}
+}
+
+// TestSimRunEndsInFlightReadahead: a simulation whose body returns
+// while a readahead fetch is still moving bytes leaves no goroutine
+// behind once Run returns. The body writes a 4-block file, lets the
+// flushes finish, reads blocks 0 and 1 and returns with block 2's
+// readahead in flight.
+func TestSimRunEndsInFlightReadahead(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := sim.NewEngine()
+	env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(8)))
+	dep, err := core.NewDeployment(env, core.Options{PageSize: 64 << 10, ProviderNodes: []cluster.NodeID{1, 2, 3, 4, 5, 6, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 1 << 20
+	svc := NewService(dep, Config{BlockSize: block})
+	inflight := 0
+	eng.Go(func() {
+		fs := svc.NewFS(0)
+		w, err := fs.Create("/f")
+		if err == nil {
+			_, err = w.WriteSynthetic(4 * block)
+		}
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		env.Sleep(10 * time.Second) // virtual: the providers' flushes finish
+		r, err := fs.Open("/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer r.Close()
+		for bi := range int64(2) {
+			if n, err := r.ReadSyntheticAt(bi*block, block); err != nil || n != block {
+				t.Errorf("block %d: read %d bytes, %v", bi, n, err)
+			}
+		}
+		rd := r.(*reader)
+		rd.mu.Lock()
+		inflight = len(rd.inflight)
+		rd.mu.Unlock()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inflight != 1 {
+		t.Fatalf("%d readahead fetches in flight as the body returned, want 1", inflight)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Run, %d before the deployment", n, before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

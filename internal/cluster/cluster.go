@@ -38,11 +38,13 @@ type WaitGroup interface {
 
 // Signal is a one-shot wake-up usable across the environment's notion
 // of time. Fire releases all current and future waiters; firing twice
-// is a no-op.
+// is a no-op. WaitOr waits until this signal or o fires and reports
+// whether this one has, which it prefers when both have; o must come
+// from the same Env.
 type Signal interface {
 	Wait()
 	Fire()
-	Fired() bool
+	WaitOr(o Signal) bool
 }
 
 // Env is the execution environment for cluster services.
@@ -55,7 +57,8 @@ type Env interface {
 	Now() time.Duration
 
 	// Go spawns a concurrent activity; Daemon spawns one that does not
-	// keep a simulation alive.
+	// keep a simulation alive: a daemon still blocked when the rest is
+	// done is ended there, its deferred calls run.
 	Go(fn func())
 	Daemon(fn func())
 	NewWaitGroup() WaitGroup
@@ -120,7 +123,7 @@ func (s *Sim) Now() time.Duration      { return s.eng.Now() }
 func (s *Sim) Go(fn func())            { s.eng.Go(fn) }
 func (s *Sim) Daemon(fn func())        { s.eng.GoDaemon(fn) }
 func (s *Sim) NewWaitGroup() WaitGroup { return s.eng.NewWaitGroup() }
-func (s *Sim) NewSignal() Signal       { return s.eng.NewSignal() }
+func (s *Sim) NewSignal() Signal       { return simSignal{s.eng.NewSignal()} }
 func (s *Sim) Sleep(d time.Duration)   { s.eng.Sleep(d) }
 func (s *Sim) RTT(from, to NodeID) {
 	s.net.Delay(from, to)
@@ -154,6 +157,11 @@ func (s *Sim) Pipeline(from NodeID, chain []NodeID, size int64, disks bool) {
 
 func (s *Sim) DiskRead(node NodeID, size int64)  { s.net.DiskRead(node, size) }
 func (s *Sim) DiskWrite(node NodeID, size int64) { s.net.DiskWrite(node, size) }
+
+// simSignal is a sim.Signal as a Signal.
+type simSignal struct{ *sim.Signal }
+
+func (s simSignal) WaitOr(o Signal) bool { return s.Signal.WaitOr(o.(simSignal).Signal) }
 
 // ---------------------------------------------------------------------
 // Local (instantaneous) environment.
@@ -213,24 +221,23 @@ func (w *localWG) Go(fn func()) {
 }
 
 type localSignal struct {
-	mu    sync.Mutex
-	fired bool
-	ch    chan struct{}
+	once sync.Once
+	ch   chan struct{}
 }
 
 func (s *localSignal) Wait() { <-s.ch }
 
-func (s *localSignal) Fire() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.fired {
-		s.fired = true
-		close(s.ch)
-	}
-}
+func (s *localSignal) Fire() { s.once.Do(func() { close(s.ch) }) }
 
-func (s *localSignal) Fired() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
+func (s *localSignal) WaitOr(o Signal) bool {
+	select {
+	case <-s.ch:
+	case <-o.(*localSignal).ch:
+	}
+	select {
+	case <-s.ch:
+		return true
+	default:
+		return false
+	}
 }

@@ -143,8 +143,9 @@ func TestLocalEnvBasics(t *testing.T) {
 
 func TestLocalSignal(t *testing.T) {
 	env := NewLocal(2, 0)
-	sig := env.NewSignal()
-	if sig.Fired() {
+	sig, fired := env.NewSignal(), env.NewSignal()
+	fired.Fire()
+	if sig.WaitOr(fired) {
 		t.Fatal("new signal fired")
 	}
 	done := make(chan struct{})
@@ -155,8 +156,8 @@ func TestLocalSignal(t *testing.T) {
 	sig.Fire()
 	sig.Fire() // idempotent
 	<-done
-	if !sig.Fired() {
-		t.Fatal("Fired() false after Fire")
+	if !sig.WaitOr(env.NewSignal()) {
+		t.Fatal("WaitOr after Fire reports the other signal")
 	}
 	sig.Wait() // post-fire wait returns immediately
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -46,7 +47,6 @@ func TestWithCancelLocal(t *testing.T) {
 	if err := ctx.Wait(sig); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Wait = %v, want ErrCanceled", err)
 	}
-	sig.Fire() // release the parked watcher goroutine
 }
 
 func TestWaitWakesOnCancel(t *testing.T) {
@@ -65,7 +65,6 @@ func TestWaitWakesOnCancel(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Wait did not wake on cancel")
 	}
-	sig.Fire()
 }
 
 func TestWaitPrefersFiredSignal(t *testing.T) {
@@ -117,4 +116,63 @@ func TestCancelWakesWaitInVirtualTime(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCanceledWaitsLeaveNothing: Wait is one wait on the signal and the
+// cancellation, so 100 waits on signals that never fire, each
+// canceled, return ErrCanceled and leave no goroutine behind, under
+// either environment.
+func TestCanceledWaitsLeaveNothing(t *testing.T) {
+	const waits = 100
+	check := func(env string, errs []error, base int) {
+		t.Helper()
+		for i, err := range errs {
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%s: wait %d = %v, want ErrCanceled", env, i, err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after %d canceled waits, %d before", env, runtime.NumGoroutine(), waits, base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	base := runtime.NumGoroutine()
+	local := NewLocal(2, 0)
+	cancels := make([]func(), waits)
+	done := make(chan error, waits)
+	for i := range cancels {
+		var ctx *Ctx
+		ctx, cancels[i] = WithCancel(local)
+		go func() { done <- ctx.Wait(local.NewSignal()) }()
+	}
+	time.Sleep(20 * time.Millisecond) // the waits park before their cancel
+	errs := make([]error, waits)
+	for i, cancel := range cancels {
+		cancel()
+		errs[i] = <-done
+	}
+	check("Local", errs, base)
+
+	base = runtime.NumGoroutine()
+	eng := sim.NewEngine()
+	env := NewSim(simnet.New(eng, simnet.Grid5000(4)))
+	errs = make([]error, waits)
+	eng.Go(func() {
+		for i := range errs {
+			ctx, cancel := WithCancel(env)
+			env.Go(func() {
+				env.Sleep(time.Millisecond)
+				cancel()
+			})
+			errs[i] = ctx.Wait(env.NewSignal())
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("Sim", errs, base)
 }

@@ -172,7 +172,7 @@ func (p *Provider) putPage(key string, data []byte, size int64) error {
 	p.mu.Unlock()
 	if start {
 		// Go, not Daemon: a flush is disk work still owed, so a
-		// simulation runs it to the end instead of abandoning it.
+		// simulation runs it to the end instead of ending it mid-flush.
 		p.env.Go(p.flushLoop)
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -423,21 +422,6 @@ func TestFetchWindowsCapped(t *testing.T) {
 	_ = append(got[0], "XXXXXXXXXXXX"...)
 	if again := fetch(cl, []string{"key/1"}); string(got[1]) != "val/1/x" || string(again[0]) != "val/1/x" {
 		t.Fatalf("neighbour reads %q, then %q, after an append to key/0's value", got[1], again[0])
-	}
-}
-
-// TestFirstStoreSmall: a fresh server's first one-key Store allocates
-// a small first chunk, not a large arena.
-func TestFirstStoreSmall(t *testing.T) {
-	_, warm := newTestCluster(1, 1)
-	storeOn(t, warm, 0, 1, "w") // the client's scratch pool
-	_, cl := newTestCluster(1, 1)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	storeOn(t, cl, 0, 1, "x")
-	runtime.ReadMemStats(&m1)
-	if b := m1.TotalAlloc - m0.TotalAlloc; b >= 1024 {
-		t.Fatalf("first one-key Store allocated %d bytes, want < 1 KiB", b)
 	}
 }
 

@@ -202,7 +202,8 @@ func (jt *jobTracker) launch(j *job) {
 }
 
 // wakeLocked starts every idle slot, in the order they went idle. Slots
-// are daemons: a simulation whose body ends abandons those still busy.
+// are daemons: a simulation whose body ends first ends those still
+// busy, as it ends every parked process.
 func (jt *jobTracker) wakeLocked() {
 	for _, s := range jt.idle {
 		jt.env.Daemon(func() { jt.slotLoop(s) })

@@ -22,6 +22,8 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -43,7 +45,9 @@ type Engine struct {
 	cur     *proc         // holder of the baton; nil while the scheduler holds it
 	sched   chan struct{} // the scheduler's park channel
 	spare   []*proc       // exited processes whose goroutines await reuse
+	all     []*proc       // every goroutine started, in start order
 	running bool
+	ending  bool // Run is ending its processes: a spawn starts nothing
 }
 
 // proc is a simulated process: one goroutine that runs only while it
@@ -52,7 +56,9 @@ type proc struct {
 	park   chan struct{} // capacity 1: the baton may arrive before the park
 	fn     func()        // nil tells a spare goroutine to exit
 	daemon bool
-	wake   event // Sleep's event; a process sleeps at most once at a time
+	end    bool   // Run is ending the process: its park point unwinds it
+	gen    uint64 // counts signal wakes: a waiter of an older gen is stale
+	wake   event  // Sleep's event; a process sleeps at most once at a time
 }
 
 type event struct {
@@ -89,9 +95,8 @@ func (e *Engine) Go(fn func()) {
 	e.spawn(fn, false)
 }
 
-// GoDaemon spawns fn as a daemon process: it does not keep Run alive.
-// Daemons still blocked when the last regular process finishes are
-// abandoned.
+// GoDaemon spawns fn as a daemon process: it does not keep Run alive,
+// which ends the daemons still blocked once regular processes finish.
 func (e *Engine) GoDaemon(fn func()) {
 	e.spawn(fn, true)
 }
@@ -99,12 +104,16 @@ func (e *Engine) GoDaemon(fn func()) {
 func (e *Engine) spawn(fn func(), daemon bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.ending {
+		return
+	}
 	var p *proc
 	if n := len(e.spare); n > 0 {
 		p, e.spare = e.spare[n-1], e.spare[:n-1]
 	} else {
 		p = &proc{park: make(chan struct{}, 1)}
 		p.wake.p = p
+		e.all = append(e.all, p)
 		go e.loop(p)
 	}
 	p.fn, p.daemon = fn, daemon
@@ -115,8 +124,14 @@ func (e *Engine) spawn(fn func(), daemon bool) {
 }
 
 // loop is the goroutine behind p. It runs one process body per baton
-// it is given, and returns once it is handed the baton with no body.
+// it is given, until Run ends it: then a spare goroutine returns and a
+// blocked process unwinds, and either way the baton goes back to Run.
 func (e *Engine) loop(p *proc) {
+	defer func() {
+		if p.end {
+			e.sched <- struct{}{}
+		}
+	}()
 	for <-p.park; p.fn != nil; <-p.park {
 		p.fn()
 		e.mu.Lock()
@@ -131,17 +146,26 @@ func (e *Engine) loop(p *proc) {
 
 // parkLocked blocks the process holding the baton, after op has
 // registered what wakes it: the baton passes on and p waits for its
-// return. Callers hold e.mu. The scheduler (in an After callback) and
-// the host goroutine have nothing to park, so op panics there.
+// return. Callers hold e.mu; it is released on return. The scheduler
+// (in an After callback) and the host goroutine have nothing to park,
+// so op panics there. A process Run is ending exits here instead, by
+// runtime.Goexit, so its deferred calls run; a park in them exits too.
 func (e *Engine) parkLocked(op string, register func(p *proc)) {
 	p := e.cur
 	if p == nil {
 		e.mu.Unlock()
 		panic("sim: " + op + " called outside a simulated process (from an After callback or the host goroutine)")
 	}
+	if p.end {
+		e.mu.Unlock()
+		runtime.Goexit()
+	}
 	register(p)
 	e.handOffLocked()
 	<-p.park
+	if p.end {
+		runtime.Goexit()
+	}
 }
 
 // handOffLocked releases e.mu and passes the baton to the head of the
@@ -210,9 +234,10 @@ func (e *Engine) pushLocked(ev *event) {
 }
 
 // Run drives the simulation until every non-daemon process has finished
-// or a deadlock is detected. It must be invoked from the
-// host (non-simulated) goroutine, exactly once. When it returns, the
-// goroutines of finished processes have exited or are exiting.
+// or a deadlock is detected. It must be invoked from the host
+// (non-simulated) goroutine, exactly once. Before it returns it ends
+// every process still blocked, in start order, with the clock frozen:
+// nothing runs in virtual time after Run decides to return.
 func (e *Engine) Run() error {
 	e.mu.Lock()
 	if e.running {
@@ -232,14 +257,7 @@ func (e *Engine) Run() error {
 			if e.procs > 0 {
 				err = fmt.Errorf("%w (%d processes)", ErrDeadlock, e.procs)
 			}
-			// Blocked processes (abandoned daemons, a deadlock) keep
-			// their goroutines; spare ones exit.
-			spare := e.spare
-			e.spare = nil
-			e.mu.Unlock()
-			for _, p := range spare {
-				p.park <- struct{}{}
-			}
+			e.endLocked()
 			return err
 		}
 		ev := heap.Pop(&e.queue).(*event)
@@ -257,14 +275,36 @@ func (e *Engine) Run() error {
 	}
 }
 
+// endLocked hands each goroutine the engine started the baton one last
+// time, in start order: a spare one exits, and a blocked process runs
+// its deferred calls alone, spawning nothing. It releases e.mu.
+func (e *Engine) endLocked() {
+	e.ending = true
+	for _, p := range e.all {
+		p.end, e.cur = true, p
+		e.mu.Unlock()
+		p.park <- struct{}{}
+		<-e.sched
+		e.mu.Lock()
+	}
+	e.all, e.spare, e.cur = nil, nil, nil
+	e.mu.Unlock()
+}
+
 // Signal is a one-shot wake-up that simulated processes can Wait on.
 // Fire may be called before, during, or after Wait, from processes or
 // timer callbacks. Multiple waiters are all released by one Fire, in
 // the order they called Wait.
 type Signal struct {
 	e       *Engine
-	fired   bool    // guarded by e.mu
-	waiters []*proc // guarded by e.mu
+	fired   bool     // guarded by e.mu
+	waiters []waiter // guarded by e.mu
+}
+
+// A waiter is a process parked on a signal, stale once its gen moved.
+type waiter struct {
+	p   *proc
+	gen uint64
 }
 
 // NewSignal returns an unfired signal bound to the engine.
@@ -281,14 +321,29 @@ func (s *Signal) Wait() {
 		s.e.mu.Unlock()
 		return
 	}
-	s.e.parkLocked("Signal.Wait", func(p *proc) { s.waiters = append(s.waiters, p) })
+	s.e.parkLocked("Signal.Wait", s.addLocked)
 }
 
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool {
+// WaitOr blocks the calling process until s or o fires, and reports
+// whether s has, which it prefers when both have. Both must belong to
+// one engine. Unless one fired, it panics outside a simulated process.
+func (s *Signal) WaitOr(o *Signal) bool {
 	s.e.mu.Lock()
+	if !s.fired && !o.fired {
+		s.e.parkLocked("Signal.WaitOr", func(p *proc) { s.addLocked(p); o.addLocked(p) })
+		s.e.mu.Lock()
+	}
 	defer s.e.mu.Unlock()
 	return s.fired
+}
+
+// addLocked parks p on s, first dropping the stale waiters WaitOr leaves
+// if the list would grow, so a long-lived signal does not pile them up.
+func (s *Signal) addLocked(p *proc) {
+	if len(s.waiters) == cap(s.waiters) {
+		s.waiters = slices.DeleteFunc(s.waiters, func(w waiter) bool { return w.gen != w.p.gen })
+	}
+	s.waiters = append(s.waiters, waiter{p, p.gen})
 }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
@@ -298,7 +353,12 @@ func (s *Signal) Fire() {
 	defer s.e.mu.Unlock()
 	if !s.fired {
 		s.fired = true
-		s.e.ready = append(s.e.ready, s.waiters...)
+		for _, w := range s.waiters {
+			if w.gen == w.p.gen {
+				w.p.gen++
+				s.e.ready = append(s.e.ready, w.p)
+			}
+		}
 		s.waiters = nil
 	}
 }

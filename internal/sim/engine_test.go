@@ -117,10 +117,11 @@ func TestSignalFireBeforeWait(t *testing.T) {
 	s := e.NewSignal()
 	s.Fire()
 	s.Fire() // double fire is a no-op
-	done := false
+	done, fired := false, false
 	e.Go(func() {
 		s.Wait() // must not block
 		done = true
+		fired = s.WaitOr(e.NewSignal()) // nor must this
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -128,8 +129,8 @@ func TestSignalFireBeforeWait(t *testing.T) {
 	if !done {
 		t.Fatal("Wait on a fired signal blocked")
 	}
-	if !s.Fired() {
-		t.Fatal("Fired() = false after Fire")
+	if !fired {
+		t.Fatal("WaitOr on a fired signal reports the other one")
 	}
 }
 
@@ -386,5 +387,83 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunEndsBlockedProcesses: a run that deadlocks with three parked
+// processes and a parked daemon leaves no goroutine behind. Run ends
+// each in start order: its deferred calls run at the instant the run
+// stopped, a Sleep among them ends the process at once, and a process
+// spawned among them never runs.
+func TestRunEndsBlockedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	never := e.NewSignal()
+	var ended []string
+	var at []time.Duration
+	for i := range 3 {
+		e.Go(func() {
+			defer func() {
+				ended = append(ended, fmt.Sprint("proc", i))
+				at = append(at, e.Now())
+			}()
+			e.Sleep(time.Duration(3-i) * time.Second) // park in reverse start order
+			never.Wait()
+		})
+	}
+	e.GoDaemon(func() {
+		defer func() { ended = append(ended, "daemon") }()
+		defer func() {
+			e.Go(func() { ended = append(ended, "spawned in a defer") })
+			e.Sleep(time.Second)
+			ended = append(ended, "slept in a defer")
+		}()
+		never.Wait()
+	})
+	if err := e.Run(); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("Run = %v, want ErrDeadlock", err)
+	}
+	if want := []string{"proc0", "proc1", "proc2", "daemon"}; !slices.Equal(ended, want) {
+		t.Errorf("deferred calls ran as %v, want %v", ended, want)
+	}
+	if want := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}; !slices.Equal(at, want) || e.Now() != 3*time.Second {
+		t.Errorf("deferred calls ran at %v, and the clock reads %v after Run; want all at 3s", at, e.Now())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWaitOrWakesOnce: a process that WaitOr woke through o is not
+// woken again when s fires later, while it is parked on a third signal.
+func TestWaitOrWakesOnce(t *testing.T) {
+	e := NewEngine()
+	s, o, third := e.NewSignal(), e.NewSignal(), e.NewSignal()
+	var gotS bool
+	var woke time.Duration
+	e.Go(func() {
+		gotS = s.WaitOr(o)
+		third.Wait()
+		woke = e.Now()
+	})
+	e.Go(func() {
+		e.Sleep(time.Second)
+		o.Fire()
+		e.Sleep(time.Second)
+		s.Fire()
+		e.Sleep(time.Second)
+		if woke == 0 { // a stale wake would have run the waiter on already
+			third.Fire()
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if gotS || woke != 3*time.Second {
+		t.Fatalf("WaitOr reported s: %v; the third signal's waiter woke at %v, want o and 3s", gotS, woke)
 	}
 }
