@@ -23,6 +23,7 @@ import (
 	"repro/internal/fsapi"
 	"repro/internal/rpcnet"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // BENCH_counts.json holds the counters that do not depend on the host:
@@ -175,6 +176,19 @@ var counters = []struct {
 					sigs[i].Wait()
 					i++
 				})
+			})
+			return allocs
+		}},
+	{"simnet.small_gather_allocs", "Grid5000(150); one process's PathGather into node 0 from 16 sources spread over the 5 racks, then a 4 KiB Transfer of it (below the solver's cutoff); AllocsPerRun(100)",
+		func(t *testing.T) float64 {
+			srcs := make([]simnet.NodeID, 16)
+			for i := range srcs {
+				srcs[i] = simnet.NodeID(1 + 9*i)
+			}
+			var allocs float64
+			runSim(t, func(e *sim.Engine) {
+				n := simnet.New(e, simnet.Grid5000(150))
+				allocs = testing.AllocsPerRun(100, func() { n.Transfer(n.PathGather(0, srcs), 4<<10) })
 			})
 			return allocs
 		}},

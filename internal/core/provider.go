@@ -211,13 +211,13 @@ func (p *Provider) residentPageInto(key []byte, alloc func(int64) []byte) (pageF
 
 // deletePage removes a page copy from the provider's store (rebalance:
 // the copy migrated to a preferred owner). Deleting a missing key is
-// not an error; deleting on a down provider is.
+// not an error; deleting on a down provider is, and so is a delete the
+// store could not make durable.
 func (p *Provider) deletePage(key string) error {
 	if p.IsDown() {
 		return fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
 	}
-	p.store.Delete(key)
-	return nil
+	return p.store.Delete(key)
 }
 
 // BytesStored returns the cumulative bytes ingested (the placement

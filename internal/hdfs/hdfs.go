@@ -269,7 +269,7 @@ func (dn *dataNode) put(id uint64, data []byte, size int64, writeThrough bool) e
 
 // get reads a chunk replica, reporting whether it came from disk.
 func (dn *dataNode) get(id uint64) ([]byte, int64, bool, error) {
-	data, meta, err := dn.store.Get(chunkKey(id))
+	data, meta, err := dn.store.GetInto(chunkKey(id), nil)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("datanode %d: %w", dn.node, err)
 	}

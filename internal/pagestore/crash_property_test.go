@@ -88,23 +88,23 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 			delete(inflight, k)
 		case p < 70: // get: exercises LRU churn and backend fault-in
 			k := key()
-			data, m, err := s.Get(k)
+			data, m, err := s.GetInto(k, nil)
 			want, ok := live[k]
 			if !ok {
 				if !errors.Is(err, ErrNotFound) {
-					t.Fatalf("op %d: Get(%q) = %v, want ErrNotFound", i, k, err)
+					t.Fatalf("op %d: GetInto(%q) = %v, want ErrNotFound", i, k, err)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("op %d: Get(%q): %v (live model has it)", i, k, err)
+				t.Fatalf("op %d: GetInto(%q): %v (live model has it)", i, k, err)
 			}
 			if want.synthetic {
 				if data != nil || !m.synthetic || m.Size != want.size {
-					t.Fatalf("op %d: Get(%q) = %v, %+v, want synthetic size %d", i, k, data, m, want.size)
+					t.Fatalf("op %d: GetInto(%q) = %v, %+v, want synthetic size %d", i, k, data, m, want.size)
 				}
 			} else if !bytes.Equal(data, want.data) {
-				t.Fatalf("op %d: Get(%q) = %q, want %q", i, k, data, want.data)
+				t.Fatalf("op %d: GetInto(%q) = %q, want %q", i, k, data, want.data)
 			}
 		case p < 85: // start a flush batch
 			keys, _ := s.TakeDirty(int64(1 + rng.Intn(64)))
@@ -184,7 +184,7 @@ func checkRecovered(t *testing.T, dir string, want map[string]modelEntry) {
 		t.Fatalf("recovered %d entries, want %d", got, len(want))
 	}
 	for k, m := range want {
-		data, meta, err := s.Get(k)
+		data, meta, err := s.GetInto(k, nil)
 		if err != nil {
 			t.Fatalf("recovered store lost %q: %v", k, err)
 		}

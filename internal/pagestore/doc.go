@@ -21,7 +21,7 @@
 // # Aliasing
 //
 // The store never aliases caller memory in either direction: Put copies
-// its input, and Get returns a slice the caller owns outright — it may
+// its input, and GetInto returns a slice the caller owns outright — it may
 // be scribbled on, retained, or sent over a network without corrupting
 // the cache or what a later flush writes to the backend.
 //

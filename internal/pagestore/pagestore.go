@@ -212,21 +212,16 @@ func (s *Store) put(key string, data []byte, size int64, synthetic bool) error {
 	return nil
 }
 
-// Get returns a copy of the entry's data (nil for synthetic entries)
-// and its metadata as seen *before* the call: callers use Meta.Resident
-// to charge a disk read on a miss. A miss makes the entry resident
-// again (read-through caching), which may evict others. The returned
-// slice is the caller's — mutating it never touches the cache.
-func (s *Store) Get(key string) ([]byte, Meta, error) {
-	return s.GetInto(key, nil)
-}
-
-// GetInto is Get with caller-controlled destination allocation: the
-// entry's bytes are copied into alloc(size)'s result (which must be at
-// least size bytes long) instead of a fresh heap slice, letting callers
-// stage reads in pooled buffers. alloc runs under the store lock and
-// must not call back into the store; it is never called for synthetic
-// entries (their data is nil). A nil alloc behaves exactly like Get.
+// GetInto returns a copy of the entry's data (nil for synthetic
+// entries) and its metadata as seen *before* the call: callers use
+// Meta.Resident to charge a disk read on a miss. A miss makes the entry
+// resident again (read-through caching), which may evict others. The
+// returned slice is the caller's — mutating it never touches the cache.
+// The bytes are copied into alloc(size)'s result (which must be at
+// least size bytes long), letting callers stage reads in pooled
+// buffers, or into a fresh heap slice if alloc is nil. alloc runs under
+// the store lock and must not call back into the store; it is never
+// called for synthetic entries (their data is nil).
 func (s *Store) GetInto(key string, alloc func(size int64) []byte) ([]byte, Meta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,18 +342,27 @@ func (s *Store) Has(key string) bool {
 	return ok && !s.closed
 }
 
-// Delete removes an entry. Deleting a missing key is not an error.
-func (s *Store) Delete(key string) {
+// Delete removes an entry. Deleting a missing key is not an error. An
+// entry the backend holds is removed there first: if that fails, the
+// entry stays, so a restart does not bring back a page the store
+// reported deleted, and the error is returned.
+func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	e, ok := s.items[key]
 	if !ok {
-		return
+		return nil
+	}
+	if s.backend != nil && e.logged {
+		if err := s.backend.Delete(key); err != nil {
+			return fmt.Errorf("pagestore: delete %q: %w", key, err)
+		}
 	}
 	s.dropLocked(e)
-	if s.backend != nil && e.logged {
-		s.backend.Delete(key)
-	}
+	return nil
 }
 
 // dropLocked removes the entry from all in-memory structures.

@@ -2,12 +2,15 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/store"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -15,7 +18,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := s.Put("a", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	data, meta, err := s.Get("a")
+	data, meta, err := s.GetInto("a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestPutCopiesInput(t *testing.T) {
 	buf := []byte("abc")
 	s.Put("k", buf)
 	buf[0] = 'X'
-	data, _, _ := s.Get("k")
+	data, _, _ := s.GetInto("k", nil)
 	if string(data) != "abc" {
 		t.Fatalf("store aliased caller buffer: %q", data)
 	}
@@ -40,7 +43,7 @@ func TestPutCopiesInput(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	s := MustOpen(Config{})
-	if _, _, err := s.Get("nope"); err == nil {
+	if _, _, err := s.GetInto("nope", nil); err == nil {
 		t.Fatal("expected error for missing key")
 	}
 	if _, ok := s.Peek("nope"); ok {
@@ -53,7 +56,7 @@ func TestSyntheticEntry(t *testing.T) {
 	if err := s.PutSynthetic("s", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	data, meta, err := s.Get("s")
+	data, meta, err := s.GetInto("s", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestOverwriteReplacesEntry(t *testing.T) {
 	s := MustOpen(Config{})
 	s.Put("k", []byte("one"))
 	s.Put("k", []byte("four"))
-	data, meta, _ := s.Get("k")
+	data, meta, _ := s.GetInto("k", nil)
 	if string(data) != "four" || meta.Size != 4 {
 		t.Fatalf("got %q size %d", data, meta.Size)
 	}
@@ -88,6 +91,59 @@ func TestDelete(t *testing.T) {
 	s.Delete("k") // idempotent
 	if s.Len() != 0 {
 		t.Fatal("entry survived delete")
+	}
+}
+
+// tombstoneFails is a backend whose Delete fails, as a disk's would
+// when it cannot append the tombstone.
+type tombstoneFails struct{ store.Backend }
+
+var errTombstone = errors.New("tombstone write failed")
+
+func (tombstoneFails) Delete(string) error { return errTombstone }
+
+// TestDeleteKeepsEntryOnBackendError: a page the backend holds is
+// deleted only once its tombstone is written. A failed one leaves the
+// entry readable and returns the error, so the store never reports a
+// drop that a restart would undo; a closed store deletes nothing.
+func TestDeleteKeepsEntryOnBackendError(t *testing.T) {
+	s, err := Open(Config{Spec: "mem:"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("k", []byte("v"))
+	keys, _ := s.TakeDirty(0)
+	if err := s.CommitFlush(keys); err != nil {
+		t.Fatal(err)
+	}
+	mem := s.backend
+	s.backend = tombstoneFails{mem}
+	if err := s.Delete("k"); !errors.Is(err, errTombstone) {
+		t.Fatalf("Delete with a failing backend = %v, want %v", err, errTombstone)
+	}
+	if data, _, err := s.GetInto("k", nil); err != nil || string(data) != "v" {
+		t.Fatalf("after a failed Delete: %q, %v; want the entry kept", data, err)
+	}
+	if _, ok := mem.Stat("k"); !ok {
+		t.Fatal("the backend lost the entry")
+	}
+	s.backend = mem
+	if err := s.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has("k") {
+		t.Fatal("entry survived Delete")
+	}
+	if _, ok := mem.Stat("k"); ok {
+		t.Fatal("the backend kept the entry")
+	}
+	s.Put("j", []byte("w"))
+	s.Close()
+	if err := s.Delete("j"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Delete on a closed store = %v, want ErrClosed", err)
+	}
+	if _, ok := s.items["j"]; !ok {
+		t.Fatal("Delete on a closed store dropped the entry")
 	}
 }
 
@@ -112,7 +168,7 @@ func TestFlushLifecycle(t *testing.T) {
 	if got := s.DirtyBytes(); got != 0 {
 		t.Fatalf("DirtyBytes after flush = %d", got)
 	}
-	if _, m, _ := s.Get("a"); m.dirty {
+	if _, m, _ := s.GetInto("a", nil); m.dirty {
 		t.Fatal("entry still dirty after CommitFlush")
 	}
 }
@@ -179,12 +235,12 @@ func TestGetFaultsSyntheticBackIn(t *testing.T) {
 	if m, _ := s.Peek("a"); m.Resident {
 		t.Fatal("a still resident")
 	}
-	_, meta, err := s.Get("a")
+	_, meta, err := s.GetInto("a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Resident {
-		t.Fatal("Get should report pre-call residency (miss)")
+		t.Fatal("GetInto should report pre-call residency (miss)")
 	}
 	if m, _ := s.Peek("a"); !m.Resident {
 		t.Fatal("a not resident after read-through")
@@ -201,7 +257,7 @@ func TestEvictedRealEntryWithoutLogFails(t *testing.T) {
 	s.Put("b", bytes.Repeat([]byte{2}, 8))
 	keys, _ := s.TakeDirty(0)
 	s.CommitFlush(keys)
-	_, _, err := s.Get("a")
+	_, _, err := s.GetInto("a", nil)
 	if err == nil {
 		t.Fatal("expected ErrEvicted for evicted real entry with no WAL")
 	}
@@ -230,7 +286,7 @@ func TestWALPersistenceAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	data, meta, err := s2.Get("x")
+	data, meta, err := s2.GetInto("x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +296,7 @@ func TestWALPersistenceAndRecovery(t *testing.T) {
 	if meta.Resident {
 		t.Fatal("recovered entry claimed resident before first read")
 	}
-	_, meta, err = s2.Get("y")
+	_, meta, err = s2.GetInto("y", nil)
 	if err != nil || !meta.synthetic || meta.Size != 12345 {
 		t.Fatalf("synthetic recovery: %+v, %v", meta, err)
 	}
@@ -265,7 +321,7 @@ func TestWALEvictionReadBack(t *testing.T) {
 	if m, _ := s.Peek("a"); m.Resident {
 		t.Fatal("a should be evicted")
 	}
-	data, _, err := s.Get("a")
+	data, _, err := s.GetInto("a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +352,7 @@ func TestGetResidentInto(t *testing.T) {
 		t.Fatalf("resident b: ok=%v data=%v meta=%+v (staged in alloc's buffer: %v)", ok, data, m, len(staged) > 0 && &data[0] == &staged[0])
 	}
 	data[0] = 0xFF // the caller's copy: the cache must not see it
-	if again, _, _ := s.Get("b"); again[0] != 8 {
+	if again, _, _ := s.GetInto("b", nil); again[0] != 8 {
 		t.Fatal("GetResidentInto aliased the cache")
 	}
 	before := s.Stats()
@@ -345,7 +401,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovery after torn tail: %v", err)
 	}
 	defer s2.Close()
-	data, _, err := s2.Get("good")
+	data, _, err := s2.GetInto("good", nil)
 	if err != nil || string(data) != "data" {
 		t.Fatalf("lost good record: %q, %v", data, err)
 	}
@@ -378,11 +434,11 @@ func TestWALCompaction(t *testing.T) {
 	if total > 3000 {
 		t.Fatalf("log still %d bytes after compaction", total)
 	}
-	data, _, err := s.Get("churn")
+	data, _, err := s.GetInto("churn", nil)
 	if err != nil || !bytes.Equal(data, bytes.Repeat([]byte{49}, 1000)) {
 		t.Fatalf("churn after compact: %v", err)
 	}
-	data, _, _ = s.Get("keep")
+	data, _, _ = s.GetInto("keep", nil)
 	if string(data) != "stay" {
 		t.Fatal("keep lost by compaction")
 	}
@@ -394,7 +450,7 @@ func TestWALCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	data, _, err = s2.Get("keep")
+	data, _, err = s2.GetInto("keep", nil)
 	if err != nil || string(data) != "stay" {
 		t.Fatalf("post-compaction recovery: %q, %v", data, err)
 	}
@@ -420,7 +476,7 @@ func TestWALSegmentRolling(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("expected >=3 segments, got %d", len(segs))
 	}
-	data, _, err := s.Get("k000")
+	data, _, err := s.GetInto("k000", nil)
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("cross-segment read failed: %v", err)
 	}
@@ -452,7 +508,7 @@ func TestQuickAgainstReference(t *testing.T) {
 				s.CommitFlush(keys)
 			case 3: // get & compare
 				want, ok := ref[key]
-				got, _, err := s.Get(key)
+				got, _, err := s.GetInto(key, nil)
 				if ok != (err == nil) {
 					return false
 				}
@@ -463,7 +519,7 @@ func TestQuickAgainstReference(t *testing.T) {
 		}
 		// Final sweep: every reference key must match.
 		for k, want := range ref {
-			got, _, err := s.Get(k)
+			got, _, err := s.GetInto(k, nil)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
@@ -478,8 +534,8 @@ func TestQuickAgainstReference(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := MustOpen(Config{})
 	s.Put("a", []byte("1"))
-	s.Get("a")
-	s.Get("a")
+	s.GetInto("a", nil)
+	s.GetInto("a", nil)
 	st := s.Stats()
 	if st.Hits != 2 || st.Misses != 0 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -569,12 +625,12 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 				t.Fatalf("recovery after torn append: %v", err)
 			}
 			for i := 0; i < 4; i++ {
-				data, _, err := s2.Get(fmt.Sprintf("k%d", i))
+				data, _, err := s2.GetInto(fmt.Sprintf("k%d", i), nil)
 				if err != nil || !bytes.Equal(data, []byte{byte(i), byte(i)}) {
 					t.Fatalf("complete record k%d lost: %v, %v", i, data, err)
 				}
 			}
-			if _, m, err := s2.Get("syn"); err != nil || !m.synthetic || m.Size != 999 {
+			if _, m, err := s2.GetInto("syn", nil); err != nil || !m.synthetic || m.Size != 999 {
 				t.Fatalf("synthetic record lost: %+v, %v", m, err)
 			}
 			if _, ok := s2.Peek("torn"); ok {
@@ -590,7 +646,7 @@ func TestWALCrashMidAppendRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s3.Close()
-			if data, _, err := s3.Get("after"); err != nil || string(data) != "ok" {
+			if data, _, err := s3.GetInto("after", nil); err != nil || string(data) != "ok" {
 				t.Fatalf("post-recovery append lost: %q, %v", data, err)
 			}
 		})

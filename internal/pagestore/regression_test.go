@@ -43,7 +43,7 @@ func TestCloseFlushesDirty(t *testing.T) {
 		"queued":   "queued-bytes",
 		"inflight": "inflight-bytes",
 	} {
-		data, _, err := s2.Get(key)
+		data, _, err := s2.GetInto(key, nil)
 		if err != nil {
 			t.Fatalf("clean shutdown lost %q: %v", key, err)
 		}
@@ -51,13 +51,13 @@ func TestCloseFlushesDirty(t *testing.T) {
 			t.Fatalf("%q recovered as %q, want %q", key, data, want)
 		}
 	}
-	if _, m, err := s2.Get("queued-syn"); err != nil || !m.synthetic || m.Size != 4096 {
+	if _, m, err := s2.GetInto("queued-syn", nil); err != nil || !m.synthetic || m.Size != 4096 {
 		t.Fatalf("clean shutdown lost synthetic entry: %+v, %v", m, err)
 	}
 }
 
 // TestGetDoesNotAliasCache is the cache-corruption regression: the
-// slice Get returns must be the caller's to scribble on. The seed code
+// slice GetInto returns must be the caller's to scribble on. The seed code
 // handed out the internal cache slice, so a caller mutation corrupted
 // the cache and whatever the next flush wrote to the log.
 func TestGetDoesNotAliasCache(t *testing.T) {
@@ -70,14 +70,14 @@ func TestGetDoesNotAliasCache(t *testing.T) {
 	if err := s.Put("k", want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Get("k")
+	got, _, err := s.GetInto("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
 		got[i] = 'X' // caller scribbles on its buffer
 	}
-	again, _, err := s.Get("k")
+	again, _, err := s.GetInto("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGetDoesNotAliasCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	logged, _, err := s2.Get("k")
+	logged, _, err := s2.GetInto("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestGetDoesNotAliasCache(t *testing.T) {
 	}
 	// The fault-in path must not alias either: evict, read back, mutate,
 	// re-read.
-	faulted, _, err := s2.Get("k")
+	faulted, _, err := s2.GetInto("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range faulted {
 		faulted[i] = 'Y'
 	}
-	final, _, err := s2.Get("k")
+	final, _, err := s2.GetInto("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRestartDoesNotLeakSegments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restart %d: %v", i, err)
 		}
-		if data, _, err := s.Get("k"); err != nil || string(data) != "v" {
+		if data, _, err := s.GetInto("k", nil); err != nil || string(data) != "v" {
 			t.Fatalf("restart %d lost data: %q, %v", i, data, err)
 		}
 		if err := s.Close(); err != nil {
@@ -182,7 +182,7 @@ func TestRestartDoesNotLeakSegments(t *testing.T) {
 	}
 	defer s2.Close()
 	for key, want := range map[string]string{"k": "v", "k2": "v2"} {
-		if data, _, err := s2.Get(key); err != nil || string(data) != want {
+		if data, _, err := s2.GetInto(key, nil); err != nil || string(data) != want {
 			t.Fatalf("%q after reuse: %q, %v", key, data, err)
 		}
 	}

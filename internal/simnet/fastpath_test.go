@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -110,6 +111,58 @@ func TestPathWeightMerging(t *testing.T) {
 	// Rate = NIC 100 MB/s (each link weight 1) -> 1 s.
 	if d < 900*time.Millisecond || d > 1200*time.Millisecond {
 		t.Fatalf("pipeline took %v", d)
+	}
+}
+
+// TestPathMergesAfterAnotherPath: a path extended after another path
+// added the same link still holds it once, its weights summed in order,
+// and a path a small transfer is done with comes back empty.
+func TestPathMergesAfterAnotherPath(t *testing.T) {
+	n := New(sim.NewEngine(), Grid5000(60))
+	p := n.PathUnicast(0, 1).WithDisk(5, 0.5)
+	q := n.pathDisk(5)
+	p.WithDisk(5, 0.25).WithDisk(5, 0.25)
+	if want := []*link{n.up[0], n.down[1], n.disk[5]}; !slices.Equal(p.links, want) {
+		t.Fatalf("path holds %d links, want %d", len(p.links), len(want))
+	}
+	if want := []float64{1, 1, 1}; !slices.Equal(p.weights, want) {
+		t.Fatalf("weights %v, want %v", p.weights, want)
+	}
+	if len(q.links) != 1 || q.weights[0] != 1 {
+		t.Fatalf("the other path holds %d links", len(q.links))
+	}
+	n.eng.Go(func() { n.Transfer(q, KB) })
+	if err := n.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r := n.PathUnicast(0, 2); r != q || !slices.Equal(r.links, []*link{n.up[0], n.down[2]}) {
+		t.Fatal("a released path was not reused empty")
+	}
+}
+
+// TestAtRestHoldsNoPaths: while flows run, a finished flow's path is
+// kept for reuse; once the last one finishes, the network keeps no
+// spare path and no finished flow, so a simulation that has ended holds
+// nothing of its transfers.
+func TestAtRestHoldsNoPaths(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, Grid5000(60))
+	for i := range 8 {
+		eng.Go(func() { n.Transfer(n.PathScatter(NodeID(i), []NodeID{20, 40}), MB*int64(1+i)) })
+	}
+	reused := false
+	eng.Go(func() {
+		eng.Sleep(50 * time.Millisecond) // the first of the eight has finished
+		reused = len(n.spare) > 0
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Error("no finished flow's path was kept while others ran")
+	}
+	if len(n.spare) != 0 || cap(n.touched) != 0 {
+		t.Fatalf("at rest the network holds %d spare paths and room for %d finished flows", len(n.spare), cap(n.touched))
 	}
 }
 

@@ -13,10 +13,12 @@
 // behaviour of a store-and-forward replica pipeline.
 //
 // Rates are solved once per virtual instant that changes the flow set,
-// over flows in arrival order. Each bottleneck comes off a binary heap
-// of the round's links, and freezing it walks only the flows that cross
-// it. The sums a solve takes depend on nothing but the order in which
-// processes call Transfer.
+// over the flow–link components its arrivals and departures touch, with
+// flows in arrival order; max-min sharing on a component depends on no
+// other, so every other flow keeps its rate. Each bottleneck comes off
+// a binary heap of the round's links, and freezing it walks only the
+// flows that cross it. The sums a solve takes depend on nothing but the
+// order in which processes call Transfer.
 //
 // simnet is the repository's stand-in for the paper's Grid'5000 testbed;
 // see Grid5000 for the topology used by the experiments.
@@ -85,8 +87,10 @@ type link struct {
 	sumW     float64 // Σ weight of unfrozen flows during recompute
 	capRem   float64
 	epoch    uint64  // recompute round the working state belongs to
+	reached  uint64  // the last solve whose walk reached the link
 	flows    []*flow // active flows crossing the link, in arrival order
 	moved    float64
+	pathAt   int // index in the path that last added the link
 
 	// The link's entry in recompute's heap.
 	share float64 // heap key: capRem/sumW when last computed
@@ -164,16 +168,20 @@ type Network struct {
 	core   *link
 
 	flows      []*flow // active flows, in arrival order
-	heap       []*link // recompute's scratch: the links those flows cross
+	touched    []*flow // flows that arrived or finished since the last solve
+	heap       []*link // recompute's scratch: the links of the flows it fills
 	lastUpdate time.Duration
 	timer      *sim.Timer
 	solving    bool   // a solve is scheduled for the current instant
 	epoch      uint64 // counts solves
+
+	// Paths are built by simulation processes, which run one at a time.
+	building *Path   // the path that last added a link
+	spare    []*Path // paths that no transfer holds, for reuse while busy
 }
 
 type flow struct {
-	links     []*link
-	weights   []float64
+	*Path             // the flow's links and weights; released once it has finished
 	remaining float64 // bytes
 	rate      float64 // bytes/s, set by recompute
 	done      *sim.Signal
@@ -234,23 +242,42 @@ func (n *Network) Delay(from, to NodeID) {
 
 // A Path is a set of weighted resources a transfer occupies. Build one
 // with the Path* constructors, optionally extend it, then run it with
-// Transfer.
+// Transfer, which consumes it.
 type Path struct {
 	n       *Network
 	links   []*link
 	weights []float64
 }
 
+// newPath returns an empty path, reusing a spare one.
+func (n *Network) newPath() *Path {
+	k := len(n.spare) - 1
+	if k < 0 {
+		return &Path{n: n}
+	}
+	p := n.spare[k]
+	n.spare = n.spare[:k]
+	return p
+}
+
+// add loads l with weight w, merging into the link's entry if the path
+// has one. Each link records its index in the path that last added it;
+// a path that resumes after another path's adds re-records its own.
 func (p *Path) add(l *link, w float64) {
 	if l == nil || w <= 0 || l.capacity <= 0 {
 		return // unconstrained or unused
 	}
-	for i, existing := range p.links {
-		if existing == l {
-			p.weights[i] += w
-			return
+	if p.n.building != p {
+		for i, m := range p.links {
+			m.pathAt = i
 		}
+		p.n.building = p
 	}
+	if i := l.pathAt; i < len(p.links) && p.links[i] == l {
+		p.weights[i] += w
+		return
+	}
+	l.pathAt = len(p.links)
 	p.links = append(p.links, l)
 	p.weights = append(p.weights, w)
 }
@@ -270,7 +297,7 @@ func (p *Path) addFabric(from, to NodeID, w float64) {
 // PathUnicast models a transfer from one node to another. from == to is
 // a loopback and occupies no network resources.
 func (n *Network) PathUnicast(from, to NodeID) *Path {
-	p := &Path{n: n}
+	p := n.newPath()
 	if from == to {
 		return p
 	}
@@ -284,7 +311,7 @@ func (n *Network) PathUnicast(from, to NodeID) *Path {
 // evenly to many destinations (a striped write). The source uplink is
 // loaded with weight 1; each destination downlink with 1/len(dests).
 func (n *Network) PathScatter(from NodeID, dests []NodeID) *Path {
-	p := &Path{n: n}
+	p := n.newPath()
 	if len(dests) == 0 {
 		return p
 	}
@@ -307,7 +334,7 @@ func (n *Network) PathScatter(from NodeID, dests []NodeID) *Path {
 // PathGather models one logical transfer into a destination drawing
 // evenly from many sources (a striped read). Mirror of PathScatter.
 func (n *Network) PathGather(to NodeID, srcs []NodeID) *Path {
-	p := &Path{n: n}
+	p := n.newPath()
 	if len(srcs) == 0 {
 		return p
 	}
@@ -332,7 +359,7 @@ func (n *Network) PathGather(to NodeID, srcs []NodeID) *Path {
 // so each traversed link gets weight 1 and the flow's rate is the minimum
 // across the whole chain.
 func (n *Network) PathPipeline(src NodeID, chain []NodeID) *Path {
-	p := &Path{n: n}
+	p := n.newPath()
 	prev := src
 	for _, next := range chain {
 		if next != prev {
@@ -347,7 +374,7 @@ func (n *Network) PathPipeline(src NodeID, chain []NodeID) *Path {
 
 // pathDisk models a local disk access on a node.
 func (n *Network) pathDisk(node NodeID) *Path {
-	p := &Path{n: n}
+	p := n.newPath()
 	p.add(n.disk[node], 1)
 	return p
 }
@@ -365,6 +392,7 @@ func (p *Path) WithDisk(node NodeID, w float64) *Path {
 // resources completes instantly.
 func (n *Network) Transfer(p *Path, size int64) {
 	if size <= 0 || len(p.links) == 0 {
+		n.release(p)
 		return
 	}
 	if size <= n.cfg.smallTransferCutoff {
@@ -372,8 +400,7 @@ func (n *Network) Transfer(p *Path, size int64) {
 		return
 	}
 	f := &flow{
-		links:     p.links,
-		weights:   p.weights,
+		Path:      p,
 		remaining: float64(size),
 		done:      n.eng.NewSignal(),
 	}
@@ -383,6 +410,7 @@ func (n *Network) Transfer(p *Path, size int64) {
 	for _, l := range f.links {
 		l.flows = append(l.flows, f)
 	}
+	n.touched = append(n.touched, f)
 	if !n.solving {
 		// The first arrival at an instant schedules the solve later ones
 		// join, and cancels the completion timer the solve re-arms.
@@ -416,10 +444,17 @@ func (n *Network) transferSmall(p *Path, size int64) {
 		l.moved += float64(size) * p.weights[i]
 	}
 	n.mu.Unlock()
+	n.release(p)
 	if minRate <= 0 {
 		return
 	}
 	n.eng.Sleep(time.Duration(float64(size)/minRate*1e9) + 1)
+}
+
+// release keeps a path that no transfer holds any more for newPath.
+func (n *Network) release(p *Path) {
+	p.links, p.weights = p.links[:0], p.weights[:0]
+	n.spare = append(n.spare, p)
 }
 
 // DiskRead charges a local disk read of size bytes on the node.
@@ -450,11 +485,16 @@ func (n *Network) advanceLocked() {
 	}
 }
 
-// recomputeLocked runs weighted max-min progressive filling over all
-// flows, then schedules the next completion event. It runs once per
+// recomputeLocked runs weighted max-min progressive filling over the
+// flow–link components that the instant's arriving and finishing flows
+// touch, then schedules the next completion event. It runs once per
 // instant: from solve for the arrivals, from onCompletion for the
-// departures. Flows are visited in arrival order, and freezing a
-// bottleneck walks only its own flows, in the same order.
+// departures. A component is closed: its links list only its flows, and
+// its flows cross only its links. Visited in arrival order, its links
+// keep their relative first-visit order, so a round over a union of
+// components runs per component the bottlenecks and float operations of
+// a round over all flows, and the flows left out keep the rates it would
+// give them. Freezing a bottleneck walks only its own flows, in order.
 //
 // The round's links sit in a min-heap on (share, first-visit position),
 // so the top is the link a scan for the first strict minimum share
@@ -468,12 +508,45 @@ func (n *Network) advanceLocked() {
 // different bottleneck from the scan. The bottleneck, the freeze order
 // and every float operation are the scan's, so the rates are too.
 func (n *Network) recomputeLocked() {
-	// Gather active links and reset their working state, using an epoch
-	// marker so state left by earlier rounds is ignored.
+	// Walk the touched components from the touched flows, marking each
+	// flow reached unfrozen. Links go before flows, so the walk ends once
+	// every flow is reached, within a few links of a fabric-wide component.
 	n.epoch++
-	h := n.heap[:0]
+	unfrozen := 0
+	links, flows := n.heap[:0], n.touched
+	for unfrozen < len(n.flows) && len(links)+len(flows) > 0 {
+		if k := len(links) - 1; k >= 0 {
+			for _, f := range links[k].flows {
+				if f.rate >= 0 {
+					f.rate = -1 // unfrozen
+					unfrozen++
+					flows = append(flows, f)
+				}
+			}
+			links = links[:k]
+		} else {
+			k := len(flows) - 1
+			for _, l := range flows[k].links {
+				if l.reached != n.epoch {
+					l.reached = n.epoch
+					links = append(links, l)
+				}
+			}
+			flows = flows[:k]
+		}
+	}
+	n.touched = flows[:0]
+	if unfrozen == 0 {
+		n.scheduleNextLocked() // only departures, and their links are idle
+		return
+	}
+	// Gather the unfrozen flows' links and reset their working state,
+	// using an epoch marker so state left by earlier rounds is ignored.
+	h := links[:0]
 	for _, f := range n.flows {
-		f.rate = -1 // unfrozen
+		if f.rate >= 0 {
+			continue // an untouched component
+		}
 		for i, l := range f.links {
 			if l.epoch != n.epoch {
 				l.epoch = n.epoch
@@ -489,7 +562,6 @@ func (n *Network) recomputeLocked() {
 		h[i].share = h[i].capRem / h[i].sumW
 		siftDown(h, i)
 	}
-	unfrozen := len(n.flows)
 	for unfrozen > 0 {
 		if len(h) == 0 {
 			// Remaining flows traverse only unconstrained links.
@@ -583,7 +655,15 @@ func (n *Network) onCompletion() {
 			l.flows = slices.DeleteFunc(l.flows, isFinished)
 		}
 	}
+	n.touched = append(n.touched, finished...)
 	n.recomputeLocked()
+	if len(n.flows) == 0 {
+		n.spare, n.touched = nil, nil // at rest, hold no path and no finished flow
+	} else {
+		for _, f := range finished {
+			n.release(f.Path)
+		}
+	}
 	n.mu.Unlock()
 	for _, f := range finished {
 		f.done.Fire()

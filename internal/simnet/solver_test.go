@@ -242,3 +242,130 @@ func TestOneSolvePerInstant(t *testing.T) {
 		t.Fatalf("%d solves, want 2 (one arrival instant, one completion instant)", n.epoch)
 	}
 }
+
+// TestSolveStaysInTouchedComponents: an event re-solves its whole
+// component, flows two hops from it included, and leaves another
+// component alone, whose rates still equal a full solve's bit for bit.
+// Flows a0 (3→1) and a1 (0→1) share node 1's downlink. Two flows from
+// node 0 arrive, so a1 falls to a third of node 0's uplink and a0 rises
+// to take the rest of node 1's downlink; when they finish, both return
+// to half. The other component is one flow from node 40 to node 41.
+func TestSolveStaysInTouchedComponents(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, Grid5000(60))
+	c := &solverChecker{t: t, n: n, checked: map[uint64]bool{}}
+	other := n.up[40]
+	var check func(string)
+	check = func(event string) {
+		if n.solving {
+			eng.After(0, func() { check(event) })
+			return
+		}
+		c.check()
+		if other.epoch == n.epoch {
+			t.Errorf("the %s's solve reached the other component", event)
+		}
+		if got := n.flows[0].rate; got != float64(125*MB) {
+			t.Errorf("after the %s the other component's flow runs at %v", event, got)
+		}
+	}
+	eng.Go(func() { n.Transfer(n.PathUnicast(40, 41), 256*MB) })
+	eng.Go(func() { n.Transfer(n.PathUnicast(3, 1), 256*MB) })
+	eng.Go(func() { n.Transfer(n.PathUnicast(0, 1), 256*MB) })
+	eng.Go(func() {
+		eng.Sleep(time.Millisecond)
+		eng.Go(func() {
+			n.Transfer(n.PathUnicast(0, 4), 8*MB)
+		})
+		eng.After(0, func() { check("arrival") })
+		n.Transfer(n.PathUnicast(0, 2), 8*MB)
+		check("departure")
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.failed || len(c.checked) != 2 {
+		t.Fatalf("checked %d solves, failed %v", len(c.checked), c.failed)
+	}
+}
+
+// TestRandomTracesMatchReference runs seeded traces of the shapes the
+// storage layers build on Grid5000(150): one-disk flushes, and scatters,
+// gathers and pipelines that write or read disks. Node sets are narrow,
+// so the flow–link graph falls into many components that arrivals join
+// and departures split. Processes sleep between transfers, so arrivals
+// land between completions as well as on them. After every instant each
+// rate must equal refRates over all flows, bit for bit, and some solves
+// must leave flows unreached.
+func TestRandomTracesMatchReference(t *testing.T) {
+	sizes := []int64{MB, 2 * MB, 4 * MB, 16 * MB}
+	gaps := []time.Duration{0, 0, time.Millisecond, 7 * time.Millisecond, 30 * time.Millisecond}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.NewEngine()
+		n := New(eng, Grid5000(150))
+		c := &solverChecker{t: t, n: n, checked: map[uint64]bool{}}
+		node := func() NodeID { return NodeID(rng.Intn(150)) }
+		set := func() []NodeID {
+			s := make([]NodeID, 1+rng.Intn(4))
+			for i := range s {
+				s[i] = node()
+			}
+			return s
+		}
+		path := func() *Path {
+			switch rng.Intn(4) {
+			case 0:
+				return n.pathDisk(node())
+			case 1:
+				dests := set()
+				p := n.PathScatter(node(), dests)
+				for _, d := range dests {
+					p.WithDisk(d, 1/float64(len(dests)))
+				}
+				return p
+			case 2:
+				srcs := set()
+				p := n.PathGather(node(), srcs)
+				for _, s := range srcs {
+					p.WithDisk(s, 1/float64(len(srcs)))
+				}
+				return p
+			default:
+				chain := set()
+				p := n.PathPipeline(node(), chain)
+				for _, d := range chain {
+					p.WithDisk(d, 1)
+				}
+				return p
+			}
+		}
+		partial := 0 // checks after which the last solve had left a flow unreached
+		for p := 0; p < 60; p++ {
+			steps := 1 + rng.Intn(4)
+			eng.Go(func() { // processes run one at a time, so their draws are seeded too
+				for range steps {
+					eng.Sleep(gaps[rng.Intn(len(gaps))])
+					eng.After(0, c.check)
+					n.Transfer(path(), sizes[rng.Intn(len(sizes))])
+					c.check()
+					if slices.ContainsFunc(n.flows, func(f *flow) bool { return f.links[0].epoch != n.epoch }) {
+						partial++
+					}
+				}
+			})
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if c.failed {
+			t.Fatalf("seed %d: solver diverged from the reference", seed)
+		}
+		if len(c.checked) != int(n.epoch) {
+			t.Fatalf("seed %d: compared %d of %d solves", seed, len(c.checked), n.epoch)
+		}
+		if partial == 0 {
+			t.Fatalf("seed %d: every solve reached every flow", seed)
+		}
+	}
+}
