@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/fsapi"
+	"repro/internal/pagestore"
 	"repro/internal/rpcnet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -147,6 +148,8 @@ var counters = []struct {
 		isolated(measurePutSmall)},
 	{"sim.live_heap_bytes_per_page", "a 20-node BSFS testbed, 256 KiB pages: 8 clients each write a 256 MiB synthetic file, then 8 fresh clients each read one; every client kept; bytes of live heap after two GCs per page written, least of 3 runs",
 		isolated(measureLiveHeap)},
+	{"pagestore.heap_objects_per_page", "a fresh RAM page store: 100000 synthetic 4 KiB puts under pageKey-shaped keys the caller builds and drops, then half of them flushed; heap objects live after two GCs per page",
+		isolated(measurePageHeapObjects)},
 	{"dht.first_store_bytes", "a fresh one-server DHT (16 vnodes, replication 1) and its client, after a one-key Store to another has filled the scratch pool; bytes allocated by its first one-key Store, least of 8 fresh DHTs",
 		isolated(measureFirstStore)},
 	{"sim.sleep_allocs", "one process's Sleep(1 µs); AllocsPerRun(100)",
@@ -520,6 +523,36 @@ func measureFirstStore(t *testing.T) float64 {
 		least = min(least, bytesPerByte(1, 1, func(int) { store(c) }))
 	}
 	return least
+}
+
+// measurePageHeapObjects counts what a page store keeps on the heap per
+// page it holds, the load the collector traces on every cycle.
+func measurePageHeapObjects(t *testing.T) float64 {
+	const pages, size = 100_000, 4 << 10
+	objects := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapObjects
+	}
+	before := objects()
+	s, err := pagestore.Open(pagestore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pages {
+		if err := s.PutSynthetic(fmt.Sprintf("p/%d/%d/%d", 1+i%7, 1+i/64, i%64), size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch, _ := s.TakeDirty(pages / 2 * size)
+	if err := s.CommitFlush(batch); err != nil {
+		t.Fatal(err)
+	}
+	after := objects()
+	runtime.KeepAlive(s)
+	return float64(after-before) / pages
 }
 
 // measurePublishOne: a one-version PublishBatch resolves under the

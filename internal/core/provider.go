@@ -112,12 +112,12 @@ func (p *Provider) flushLoop() {
 // flushOnce persists one batch of dirty pages and reports whether
 // there was one.
 func (p *Provider) flushOnce() (bool, error) {
-	keys, total := p.store.TakeDirty(flushBatch)
-	if len(keys) == 0 {
+	batch, total := p.store.TakeDirty(flushBatch)
+	if len(batch) == 0 {
 		return false, nil
 	}
 	p.env.DiskWrite(p.node, total)
-	return true, p.store.CommitFlush(keys)
+	return true, p.store.CommitFlush(batch)
 }
 
 // Stop ends background flushing: no flusher starts after it, and a

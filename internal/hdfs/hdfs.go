@@ -261,8 +261,8 @@ func (dn *dataNode) put(id uint64, data []byte, size int64, writeThrough bool) e
 		return err
 	}
 	if writeThrough {
-		keys, _ := dn.store.TakeDirty(0)
-		return dn.store.CommitFlush(keys)
+		batch, _ := dn.store.TakeDirty(0)
+		return dn.store.CommitFlush(batch)
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 	live := map[string]modelEntry{}
 	durable := map[string]modelEntry{}
 	inflight := map[string]bool{} // taken by a batch and unchanged since
-	var batches [][]string
+	var batches [][]Taken
 
 	key := func() string { return fmt.Sprintf("k%d", rng.Intn(8)) }
 
@@ -110,7 +110,7 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 			keys, _ := s.TakeDirty(int64(1 + rng.Intn(64)))
 			if len(keys) > 0 {
 				batches = append(batches, keys)
-				for _, k := range keys {
+				for _, k := range s.batchKeys(keys) {
 					inflight[k] = true
 				}
 			}
@@ -124,7 +124,7 @@ func runCrashRecoverySequence(t *testing.T, seed int64, clean bool) {
 			if err := s.CommitFlush(batch); err != nil {
 				t.Fatalf("op %d: CommitFlush: %v", i, err)
 			}
-			for _, k := range batch {
+			for _, k := range s.batchKeys(batch) {
 				if inflight[k] { // not overwritten or deleted since taken
 					durable[k] = live[k]
 					delete(inflight, k)

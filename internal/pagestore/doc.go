@@ -36,4 +36,19 @@
 // can lose data, and then exactly the entries whose CommitFlush had not
 // completed. Backends without a durability promise (mem:, null:) keep
 // their own semantics; see the internal/store contract.
+//
+// # Memory layout and flush order
+//
+// The page index holds no pointer per page, so the collector traces no
+// object for it. Entries are pointer-free structs in one slice, found
+// through an open-addressed index on the key's hash; keys sit back to
+// back in one byte arena, compacted once its dead bytes outnumber the
+// live ones; the LRU links are slot numbers; real pages' bytes sit in a
+// side slice made only once the store holds one. The dirty queue and
+// TakeDirty's batches name a slot and its generation, which a delete
+// advances. So an overwrite keeps the key's place in the flush order,
+// while a key deleted and put again is flushed at its new place, not at
+// the place of its deleted predecessor. Close writes what in-flight
+// batches held in slot order: for a store opened empty, the same order
+// on every run.
 package pagestore

@@ -142,7 +142,7 @@ func TestDeleteKeepsEntryOnBackendError(t *testing.T) {
 	if err := s.Delete("j"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Delete on a closed store = %v, want ErrClosed", err)
 	}
-	if _, ok := s.items["j"]; !ok {
+	if s.slotOf("j") == 0 {
 		t.Fatal("Delete on a closed store dropped the entry")
 	}
 }
@@ -159,8 +159,8 @@ func TestFlushLifecycle(t *testing.T) {
 		t.Fatalf("TakeDirty = %v, %d", keys, total)
 	}
 	// FIFO order.
-	if keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("flush order = %v", keys)
+	if got := s.batchKeys(keys); got[0] != "a" || got[1] != "b" {
+		t.Fatalf("flush order = %v", got)
 	}
 	if err := s.CommitFlush(keys); err != nil {
 		t.Fatal(err)
