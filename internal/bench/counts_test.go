@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -192,6 +194,34 @@ var counters = []struct {
 			runSim(t, func(e *sim.Engine) {
 				n := simnet.New(e, simnet.Grid5000(150))
 				allocs = testing.AllocsPerRun(100, func() { n.Transfer(n.PathGather(0, srcs), 4<<10) })
+			})
+			return allocs
+		}},
+	{"simnet.flush_allocs", "Grid5000(150) carrying BenchmarkMaxMinSolver/paper-shape's background, none of it ending (140 disk flushes, 50 scatters to 64 nodes, seed 1); one process's 1 MiB DiskWrite on the disk none of them uses; AllocsPerRun(100)",
+		func(t *testing.T) float64 {
+			var allocs float64
+			runSim(t, func(e *sim.Engine) {
+				const nodes = 150
+				n := simnet.New(e, simnet.Grid5000(nodes))
+				rng := rand.New(rand.NewSource(1))
+				size := func() int64 { return 1<<40 + rng.Int63n(8<<20+1) }
+				busy := make([]bool, nodes)
+				for _, node := range rng.Perm(nodes)[:140] {
+					busy[node] = true
+					sz := size()
+					e.GoDaemon(func() { n.DiskWrite(simnet.NodeID(node), sz) })
+				}
+				for range 50 {
+					src, sz := simnet.NodeID(rng.Intn(nodes)), size()
+					dests := make([]simnet.NodeID, 64)
+					for j, d := range rng.Perm(nodes)[:64] {
+						dests[j] = simnet.NodeID(d)
+					}
+					e.GoDaemon(func() { n.Transfer(n.PathScatter(src, dests), sz) })
+				}
+				e.Sleep(time.Millisecond)
+				free := simnet.NodeID(slices.Index(busy, false))
+				allocs = testing.AllocsPerRun(100, func() { n.DiskWrite(free, 1<<20) })
 			})
 			return allocs
 		}},

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/store"
@@ -124,16 +126,27 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		s.backend = be
+		// Slots are given in key order, not in the backend's walk order,
+		// so Close's slot-order pass is the same on every run.
+		type replayed struct {
+			key string
+			m   store.Meta
+		}
+		var keys []replayed
 		be.Walk(func(key string, m store.Meta) bool {
-			h := maphash.String(s.seed, key)
-			c, _ := find(s, h, key)
-			e := &s.slots[s.insert(h, c, key)]
-			e.size, e.flags = m.Size, live|logged
-			if m.Synthetic {
-				e.flags |= synthetic
-			}
+			keys = append(keys, replayed{key, m})
 			return true
 		})
+		slices.SortFunc(keys, func(a, b replayed) int { return strings.Compare(a.key, b.key) })
+		for _, r := range keys {
+			h := maphash.String(s.seed, r.key)
+			c, _ := find(s, h, r.key)
+			e := &s.slots[s.insert(h, c, r.key)]
+			e.size, e.flags = r.m.Size, live|logged
+			if r.m.Synthetic {
+				e.flags |= synthetic
+			}
+		}
 		s.recovered = s.n
 	}
 	return s, nil

@@ -500,6 +500,49 @@ func TestCloseOrderIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestReopenCloseOrderIsDeterministic: a reopened store gives its
+// recovered entries slots in key order, not in the order the backend
+// walks its index, so Close writes in-flight overwrites of recovered
+// keys in key order, the same on every run.
+func TestReopenCloseOrderIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Spec: "disk:" + dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		s.Put(fmt.Sprintf("k%02d", i), []byte{byte(i)})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() []string {
+		s, err := Open(Config{Spec: "disk:" + dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingBackend{Backend: s.backend}
+		s.backend = rec
+		for i := 63; i >= 0; i-- { // put order differs from key order
+			s.Put(fmt.Sprintf("k%02d", i), []byte{byte(i), 1})
+		}
+		s.TakeDirty(0) // taken, never committed: all 64 are in flight
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rec.log
+	}
+	a, b := reopen(), reopen()
+	if len(a) != 64 || !slices.Equal(a, b) {
+		t.Fatalf("two reopens of one store wrote\n%s\nand\n%s", strings.Join(a, "\n"), strings.Join(b, "\n"))
+	}
+	for i, line := range a {
+		if want := fmt.Sprintf("put k%02d ", i); !strings.HasPrefix(line, want) {
+			t.Fatalf("write %d is %q, want key order (%q...)", i, line, want)
+		}
+	}
+}
+
 // TestFlushPlace pins where a rewritten key is flushed: an overwrite
 // keeps the key's place in the dirty queue, while a key deleted and put
 // again before its stale queue item is reached is flushed at its new

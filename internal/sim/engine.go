@@ -1,27 +1,28 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine multiplexes simulated processes (goroutines spawned with
-// Engine.Go) over a virtual clock. Exactly one process, or the
-// scheduler, runs at any moment: it holds the baton. A process keeps it
-// until it blocks on a simulation primitive (Sleep, Signal.Wait) or
-// exits, then hands it to the next ready process in FIFO order, or to
-// the scheduler when none is ready. The scheduler pops the earliest
-// pending event and readies the process it wakes. Order within one
-// virtual instant is thus event time, event sequence, then ready order:
-// a function of the program alone. Code running between blocking points
-// is instantaneous in virtual time, which matches the modelling
-// assumption of this repository: network and disk transfers consume
-// time, CPU does not.
+// The engine multiplexes simulated processes (coroutines spawned with
+// Engine.Go) over a virtual clock. One process, or the scheduler, runs
+// at a time. The scheduler is a loop on the goroutine that called Run:
+// it resumes the next ready process in FIFO order, which yields back
+// once it blocks on a simulation primitive (Sleep, Signal.Wait) or
+// returns; with none ready, it pops the earliest pending event and
+// readies the process it wakes. Order within one virtual instant is thus
+// event time, event sequence, then ready order: a function of the
+// program alone. A wake never passes through the Go scheduler. Code
+// running between blocking points is instantaneous in virtual time,
+// which matches the modelling assumption of this repository: network and
+// disk transfers consume time, CPU does not.
 //
 // With one runner a real mutex is never contended, and a real channel
 // is fine as long as it never blocks: a process parked on a real mutex
-// or channel keeps the baton, so Run never regains control.
+// or channel never yields, so Run never regains control.
 package sim
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"slices"
 	"sync"
@@ -39,22 +40,22 @@ type Engine struct {
 	now     time.Duration
 	queue   eventQueue
 	seq     uint64
-	procs   int           // live non-daemon processes
-	ready   []*proc       // FIFO of processes waiting for the baton
-	head    int           // ready[head] is next
-	cur     *proc         // holder of the baton; nil while the scheduler holds it
-	sched   chan struct{} // the scheduler's park channel
-	spare   []*proc       // exited processes whose goroutines await reuse
-	all     []*proc       // every goroutine started, in start order
+	procs   int     // live non-daemon processes
+	ready   []*proc // FIFO of processes waiting to run
+	head    int     // ready[head] is next
+	cur     *proc   // the running process; nil while the scheduler runs
+	spare   []*proc // processes whose body returned, their coroutines idle
+	all     []*proc // every coroutine started, in start order
 	running bool
 	ending  bool // Run is ending its processes: a spawn starts nothing
 }
 
-// proc is a simulated process: one goroutine that runs only while it
-// holds the baton, parked on its own channel otherwise.
+// proc is a simulated process: a coroutine that runs only while Run has
+// resumed it, and yields back to Run when it parks or its body returns.
 type proc struct {
-	park   chan struct{} // capacity 1: the baton may arrive before the park
-	fn     func()        // nil tells a spare goroutine to exit
+	next   func() (struct{}, bool) // resumes the coroutine until it yields
+	yield  func(struct{}) bool     // inside the coroutine: back to Run
+	fn     func()                  // the body; nil while the coroutine is spare
 	daemon bool
 	end    bool   // Run is ending the process: its park point unwinds it
 	gen    uint64 // counts signal wakes: a waiter of an older gen is stale
@@ -69,15 +70,15 @@ type event struct {
 	index int    // heap index, -1 once removed
 }
 
-// Timer is a cancellable scheduled callback.
+// Timer is a cancellable scheduled callback, allocated with its event.
 type Timer struct {
 	e  *Engine
-	ev *event
+	ev event
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{sched: make(chan struct{}, 1)}
+	return &Engine{}
 }
 
 // Now returns the current virtual time (elapsed since engine start).
@@ -89,8 +90,11 @@ func (e *Engine) Now() time.Duration {
 
 // Go spawns fn as a simulated process. Run returns once all non-daemon
 // processes have finished. The new process joins the back of the ready
-// queue; the caller keeps running until it blocks. fn must return: one
-// that ends its goroutine (runtime.Goexit, t.FailNow) keeps the baton.
+// queue; the caller keeps running until it blocks. fn runs as a
+// coroutine resumed from the goroutine that called Run, so what it does
+// not return from surfaces there: a panic in fn comes out of Run, and a
+// runtime.Goexit (t.FailNow) in fn ends Run's goroutine. Either leaves
+// the engine unusable.
 func (e *Engine) Go(fn func()) {
 	e.spawn(fn, false)
 }
@@ -111,10 +115,10 @@ func (e *Engine) spawn(fn func(), daemon bool) {
 	if n := len(e.spare); n > 0 {
 		p, e.spare = e.spare[n-1], e.spare[:n-1]
 	} else {
-		p = &proc{park: make(chan struct{}, 1)}
+		p = &proc{}
 		p.wake.p = p
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) { e.loop(p, yield) })
 		e.all = append(e.all, p)
-		go e.loop(p)
 	}
 	p.fn, p.daemon = fn, daemon
 	if !daemon {
@@ -123,16 +127,12 @@ func (e *Engine) spawn(fn func(), daemon bool) {
 	e.ready = append(e.ready, p)
 }
 
-// loop is the goroutine behind p. It runs one process body per baton
-// it is given, until Run ends it: then a spare goroutine returns and a
-// blocked process unwinds, and either way the baton goes back to Run.
-func (e *Engine) loop(p *proc) {
-	defer func() {
-		if p.end {
-			e.sched <- struct{}{}
-		}
-	}()
-	for <-p.park; p.fn != nil; <-p.park {
+// loop is the coroutine behind p. Each resume after a spawn runs one
+// body, which yields back to Run wherever it parks; a returned body
+// leaves p spare, yielding until spawn reuses it or Run ends it.
+func (e *Engine) loop(p *proc, yield func(struct{}) bool) {
+	p.yield = yield
+	for {
 		p.fn()
 		e.mu.Lock()
 		if !p.daemon {
@@ -140,16 +140,19 @@ func (e *Engine) loop(p *proc) {
 		}
 		p.fn = nil
 		e.spare = append(e.spare, p)
-		e.handOffLocked()
+		e.mu.Unlock()
+		if yield(struct{}{}); p.end {
+			return
+		}
 	}
 }
 
-// parkLocked blocks the process holding the baton, after op has
-// registered what wakes it: the baton passes on and p waits for its
-// return. Callers hold e.mu; it is released on return. The scheduler
-// (in an After callback) and the host goroutine have nothing to park,
-// so op panics there. A process Run is ending exits here instead, by
-// runtime.Goexit, so its deferred calls run; a park in them exits too.
+// parkLocked blocks the running process, after register has recorded
+// what wakes it, by yielding back to Run. Callers hold e.mu; it is
+// released on return. The scheduler (in an After callback) and the host
+// goroutine have nothing to park, so op panics there. A process Run is
+// ending exits here instead, by runtime.Goexit, so its deferred calls
+// run; a park in them exits too.
 func (e *Engine) parkLocked(op string, register func(p *proc)) {
 	p := e.cur
 	if p == nil {
@@ -161,30 +164,10 @@ func (e *Engine) parkLocked(op string, register func(p *proc)) {
 		runtime.Goexit()
 	}
 	register(p)
-	e.handOffLocked()
-	<-p.park
+	e.mu.Unlock()
+	p.yield(struct{}{})
 	if p.end {
 		runtime.Goexit()
-	}
-}
-
-// handOffLocked releases e.mu and passes the baton to the head of the
-// ready queue, or to the scheduler when no process is ready.
-func (e *Engine) handOffLocked() {
-	var next *proc
-	if e.head < len(e.ready) {
-		next, e.ready[e.head] = e.ready[e.head], nil
-		e.head++
-		if e.head == len(e.ready) {
-			e.ready, e.head = e.ready[:0], 0
-		}
-	}
-	e.cur = next
-	e.mu.Unlock()
-	if next == nil {
-		e.sched <- struct{}{}
-	} else {
-		next.park <- struct{}{}
 	}
 }
 
@@ -206,15 +189,15 @@ func (e *Engine) Sleep(d time.Duration) {
 func (e *Engine) After(d time.Duration, fn func()) *Timer {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ev := &event{at: e.now + max(d, 0), fn: fn}
-	e.pushLocked(ev)
-	return &Timer{e: e, ev: ev}
+	t := &Timer{e: e, ev: event{at: e.now + max(d, 0), fn: fn}}
+	e.pushLocked(&t.ev)
+	return t
 }
 
 // Cancel removes the timer if it has not fired. It reports whether the
 // timer was pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil {
+	if t == nil {
 		return false
 	}
 	t.e.mu.Lock()
@@ -247,9 +230,17 @@ func (e *Engine) Run() error {
 	e.running = true
 	for {
 		if e.head < len(e.ready) {
-			e.handOffLocked()
-			<-e.sched // back once no process is ready
+			p := e.ready[e.head]
+			e.ready[e.head] = nil
+			e.head++
+			if e.head == len(e.ready) {
+				e.ready, e.head = e.ready[:0], 0
+			}
+			e.cur = p
+			e.mu.Unlock()
+			p.next() // until p parks or its body returns
 			e.mu.Lock()
+			e.cur = nil
 			continue
 		}
 		if e.procs == 0 || e.queue.Len() == 0 {
@@ -275,16 +266,25 @@ func (e *Engine) Run() error {
 	}
 }
 
-// endLocked hands each goroutine the engine started the baton one last
-// time, in start order: a spare one exits, and a blocked process runs
-// its deferred calls alone, spawning nothing. It releases e.mu.
+// endLocked resumes each coroutine the engine started once more, in
+// start order, and releases e.mu. A spare one returns. A blocked process
+// runs its deferred calls alone, spawning nothing, from a helper
+// goroutine: its runtime.Goexit comes out of whatever resumed it.
 func (e *Engine) endLocked() {
 	e.ending = true
 	for _, p := range e.all {
 		p.end, e.cur = true, p
 		e.mu.Unlock()
-		p.park <- struct{}{}
-		<-e.sched
+		if p.fn == nil {
+			p.next() // a spare returns
+		} else {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				p.next()
+			}()
+			<-done
+		}
 		e.mu.Lock()
 	}
 	e.all, e.spare, e.cur = nil, nil, nil

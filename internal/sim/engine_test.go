@@ -294,8 +294,8 @@ func TestRealChannelFineWhenItNeverBlocks(t *testing.T) {
 }
 
 // The tests below append to slices guarded by no mutex: one process runs
-// at a time, and the baton hands over through channels, so -race sees
-// every append ordered after the last.
+// at a time, and each resume and yield is a synchronising hand-off, so
+// -race sees every append ordered after the last.
 
 func TestSignalWakesInWaitOrder(t *testing.T) {
 	e := NewEngine()
@@ -342,7 +342,7 @@ func TestSameInstantSpawnsRunInSpawnOrder(t *testing.T) {
 
 func TestSleepOutsideProcessPanics(t *testing.T) {
 	e := NewEngine()
-	var host, msg string
+	var host string
 	func() {
 		defer func() { host = fmt.Sprint(recover()) }()
 		e.Sleep(time.Second)
@@ -350,18 +350,110 @@ func TestSleepOutsideProcessPanics(t *testing.T) {
 	if !strings.Contains(host, "sim: Sleep called outside a simulated process") {
 		t.Fatalf("Sleep on the host goroutine: recovered %q, want the engine's panic", host)
 	}
+}
+
+// TestAfterCallbackCannotPark: a callback runs on Run's own goroutine,
+// between processes, so Sleep and Signal.Wait panic there. The panic
+// leaves the engine whole: recovered inside the callback, the run goes
+// on and the process wakes on time.
+func TestAfterCallbackCannotPark(t *testing.T) {
+	e := NewEngine()
+	var msgs []string
+	var woke time.Duration
 	e.Go(func() {
+		s := e.NewSignal()
 		e.After(time.Second, func() {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			e.Sleep(time.Second)
+			for _, park := range []func(){func() { e.Sleep(time.Second) }, s.Wait} {
+				func() {
+					defer func() { msgs = append(msgs, fmt.Sprint(recover())) }()
+					park()
+				}()
+			}
 		})
 		e.Sleep(2 * time.Second)
+		woke = e.Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(msg, "sim: Sleep called outside a simulated process") {
-		t.Fatalf("Sleep in an After callback: recovered %q, want the engine's panic", msg)
+	if len(msgs) != 2 || !strings.Contains(msgs[0], "sim: Sleep called outside a simulated process") ||
+		!strings.Contains(msgs[1], "sim: Signal.Wait called outside a simulated process") {
+		t.Fatalf("parks in an After callback recovered %q, want the engine's two panics", msgs)
+	}
+	if woke != 2*time.Second {
+		t.Fatalf("the process woke at %v after the callback's panics, want 2s", woke)
+	}
+}
+
+// TestProcessPanicComesOutOfRun: a process runs as a coroutine of Run's
+// goroutine, so its panic comes out of Run, where the host can recover
+// it, and does not crash the program from a goroutine of its own.
+func TestProcessPanicComesOutOfRun(t *testing.T) {
+	e := NewEngine()
+	e.Go(func() {
+		e.Sleep(time.Second)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v around Run, want the process's panic", got)
+	}
+}
+
+// TestProcessGoexitEndsRun: a process that ends its goroutine
+// (runtime.Goexit, as t.FailNow does) ends the goroutine that called
+// Run, after running its own deferred calls. Run neither returns nor
+// hangs.
+func TestProcessGoexitEndsRun(t *testing.T) {
+	e := NewEngine()
+	var deferred, returned bool
+	e.Go(func() {
+		defer func() { deferred = true }()
+		e.Sleep(time.Second)
+		runtime.Goexit()
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run's goroutine still runs 10 s after a process called runtime.Goexit")
+	}
+	if !deferred || returned {
+		t.Fatalf("process's deferred call ran: %v, Run returned: %v; want true, false", deferred, returned)
+	}
+}
+
+// TestSpareCoroutineIsReused: a process whose body returned leaves its
+// coroutine idle, and the next Go runs on it rather than starting one.
+func TestSpareCoroutineIsReused(t *testing.T) {
+	e := NewEngine()
+	started := func() int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.all)
+	}
+	var counts []int
+	e.Go(func() {
+		for range 3 {
+			e.Go(func() {})
+			e.Sleep(time.Second) // the child runs and returns
+			counts = append(counts, started())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 2, 2}; !slices.Equal(counts, want) {
+		t.Fatalf("coroutines started after each spawn: %v, want %v", counts, want)
 	}
 }
 

@@ -175,6 +175,9 @@ type Network struct {
 	solving    bool   // a solve is scheduled for the current instant
 	epoch      uint64 // counts solves
 
+	// n.solve and n.onCompletion, bound once rather than on every arm.
+	solveFn, completeFn func()
+
 	// Paths are built by simulation processes, which run one at a time.
 	building *Path   // the path that last added a link
 	spare    []*Path // paths that no transfer holds, for reuse while busy
@@ -199,6 +202,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		cfg.nodesPerRack = cfg.nodes
 	}
 	n := &Network{eng: eng, cfg: cfg}
+	n.solveFn, n.completeFn = n.solve, n.onCompletion
 	racks := (cfg.nodes + cfg.nodesPerRack - 1) / cfg.nodesPerRack
 	for i := 0; i < cfg.nodes; i++ {
 		n.up = append(n.up, &link{capacity: float64(cfg.nicBandwidth)})
@@ -417,7 +421,7 @@ func (n *Network) Transfer(p *Path, size int64) {
 		n.solving = true
 		n.timer.Cancel()
 		n.timer = nil
-		n.eng.After(0, n.solve)
+		n.eng.After(0, n.solveFn)
 	}
 	n.mu.Unlock()
 	f.done.Wait()
@@ -632,7 +636,7 @@ func (n *Network) scheduleNextLocked() {
 		}
 	}
 	if found {
-		n.timer = n.eng.After(next, n.onCompletion)
+		n.timer = n.eng.After(next, n.completeFn)
 	}
 }
 
