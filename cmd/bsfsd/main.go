@@ -102,7 +102,7 @@ func main() {
 	// deployment replays each provider's page log at startup.
 	var recovered int
 	for _, p := range dep.ProviderList() {
-		recovered += p.Store().Recovered()
+		recovered += p.Store().Stats().Recovered
 	}
 	if spec := dep.ProviderList()[0].Store().BackendSpec(); spec != "" {
 		fmt.Printf("bsfsd: provider backends %s: %d pages recovered from previous runs\n", spec, recovered)

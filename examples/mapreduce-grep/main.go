@@ -41,9 +41,8 @@ func main() {
 
 	eng.Go(func() {
 		mr, err := mapreduce.NewCluster(env, mapreduce.Config{
-			JobTrackerNode: 0,
-			WorkerNodes:    providers,
-			NewFS:          func(n cluster.NodeID) fsapi.FileSystem { return svc.NewFS(n) },
+			WorkerNodes: providers,
+			NewFS:       func(n cluster.NodeID) fsapi.FileSystem { return svc.NewFS(n) },
 		})
 		if err != nil {
 			log.Fatal(err)

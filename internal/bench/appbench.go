@@ -48,11 +48,8 @@ type AppResult struct {
 // storage.
 func newMRCluster(tb *Testbed) (*mapreduce.Cluster, error) {
 	return mapreduce.NewCluster(tb.Env, mapreduce.Config{
-		JobTrackerNode: 0,
-		WorkerNodes:    storageNodes(tb.spec.Nodes),
-		MapSlots:       2,
-		ReduceSlots:    1,
-		NewFS:          tb.NewFS,
+		WorkerNodes: storageNodes(tb.spec.Nodes),
+		NewFS:       tb.NewFS,
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,37 +36,39 @@ func TestA6GroupCommitNotSlowerThanSerial(t *testing.T)     { checkClaims(t) }
 func TestX7TieredRecovery(t *testing.T)                     { checkClaims(t) }
 func TestX8GracefulDegradationUnderOverload(t *testing.T)   { checkClaims(t) }
 
-// TestStorageOptsSurface pins StorageOpts' fields, exported or not:
-// each is a settable value. The admission rule for a new one (see
-// core's TestOptionsSurface): an experiment in this package sets it to
-// a second value — an arm that compares the code with its own past is
-// not an experiment.
-func TestStorageOptsSurface(t *testing.T) {
-	typ := reflect.TypeOf(StorageOpts{})
-	var got []string
-	for i := 0; i < typ.NumField(); i++ {
-		got = append(got, typ.Field(i).Name)
-	}
-	want := []string{"Kind", "replication", "pageSize", "BlockSize", "memCapacity", "store",
-		"localFirstPlacement", "noClientCache", "ramDatanodes", "maxInFlightBlocks", "vmShards", "vmServiceTime"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("StorageOpts has fields %v, want exactly %v", got, want)
-	}
-}
-
-// TestPublishOptsSurface pins publishOpts' fields: the publish
-// workload's own knobs are its shape (writers, the writer -> file
-// mapping, versions per writer); block size, pipeline depth and the
-// version-manager tier are StorageOpts fields.
-func TestPublishOptsSurface(t *testing.T) {
-	typ := reflect.TypeOf(publishOpts{})
-	var got []string
-	for i := 0; i < typ.NumField(); i++ {
-		got = append(got, typ.Field(i).Name)
-	}
-	want := []string{"writers", "files", "blocks", "storage", "spec"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("publishOpts has fields %v, want exactly %v", got, want)
+// TestOptsSurface pins the fields, exported or not, of every options
+// struct in the package: each is a settable value. The admission rule
+// for a new one (see core's TestOptionsSurface): an experiment in this
+// package sets it to a second value. A value every run shares is a
+// constant beside the experiment that uses it, and an arm that compares
+// the code with its own past is not an experiment.
+func TestOptsSurface(t *testing.T) {
+	for _, tc := range []struct {
+		opts any
+		want []string
+	}{
+		{SweepOpts{}, []string{"Clients", "BytesPerClient", "Spec", "MemCapacity", "Replication"}},
+		{ClusterSpec{}, []string{"Nodes", "metaNodes"}},
+		{StorageOpts{}, []string{"Kind", "replication", "pageSize", "BlockSize", "memCapacity", "store",
+			"localFirstPlacement", "noClientCache", "ramDatanodes", "maxInFlightBlocks", "vmShards", "vmServiceTime"}},
+		{AppOpts{}, []string{"Maps", "BytesPerMap", "Storage", "Spec"}},
+		{microOpts{}, []string{"clients", "bytesPerClient", "recordSize", "storage", "spec"}},
+		// Block size, pipeline depth and the version-manager tier are
+		// StorageOpts fields.
+		{publishOpts{}, []string{"writers", "files", "blocks", "storage", "spec"}},
+		{faultOpts{}, []string{"clients", "bytesPerClient", "storage", "spec"}},
+		{serveOpts{}, []string{"multiple", "admission"}},
+	} {
+		typ := reflect.TypeOf(tc.opts)
+		t.Run(typ.Name(), func(t *testing.T) {
+			var got []string
+			for i := 0; i < typ.NumField(); i++ {
+				got = append(got, typ.Field(i).Name)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s has fields %v, want exactly %v", typ.Name(), got, tc.want)
+			}
+		})
 	}
 }
 

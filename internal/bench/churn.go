@@ -22,45 +22,20 @@ import (
 	"repro/internal/simnet"
 )
 
-// churnOpts parameterizes the X6 membership-churn scenario.
-type churnOpts struct {
-	// writers is the number of concurrent appenders, one blob each
-	// (default 4).
-	writers int
-	// providers is the initial provider fleet size (default 10).
-	providers int
-	// cycles is the number of churn cycles; each kills one provider,
-	// removes it, and joins a fresh spare node (default 3).
-	cycles int
-	// blockBytes is the synthetic payload of each append (default 1 MB).
-	blockBytes int64
-	// replication is the page replica count (min and default 2: the
-	// scenario's liveness claim needs a survivor per page).
-	replication int
-	// memCapacity bounds each provider's RAM store (default 512 MB).
-	memCapacity int64
-}
-
-func (o *churnOpts) fillDefaults() {
-	if o.writers <= 0 {
-		o.writers = 4
-	}
-	if o.providers <= 0 {
-		o.providers = 10
-	}
-	if o.cycles <= 0 {
-		o.cycles = 3
-	}
-	if o.blockBytes <= 0 {
-		o.blockBytes = 1 * MB
-	}
-	if o.replication < 2 {
-		o.replication = 2
-	}
-	if o.memCapacity == 0 {
-		o.memCapacity = 512 * MB
-	}
-}
+// X6's shape: one value each.
+const (
+	// x6Writers is the number of concurrent appenders, one blob each.
+	x6Writers = 4
+	// x6Providers is the initial provider fleet size.
+	x6Providers = 10
+	// x6Cycles is the number of churn cycles; each kills one provider,
+	// removes it, and joins a fresh spare node.
+	x6Cycles = 3
+	// x6BlockBytes is the synthetic payload of each append.
+	x6BlockBytes = 1 * MB
+	// x6MemCapacity bounds each provider's RAM store.
+	x6MemCapacity = 512 * MB
+)
 
 // churnResult is the outcome of one churn run.
 type churnResult struct {
@@ -69,10 +44,9 @@ type churnResult struct {
 	// death) that succeeded on retry.
 	appends int
 	retries int
-	// cycles echoes the churn cycles executed; Epoch is the final
-	// membership epoch (every death, removal, and join bumps it).
-	cycles int
-	epoch  uint64
+	// epoch is the final membership epoch (every death, removal, and
+	// join bumps it).
+	epoch uint64
 	// rebalanceDuration is the virtual time from the end of churn until
 	// every page sat on its preferred owners at full replication.
 	rebalanceDuration time.Duration
@@ -85,33 +59,35 @@ type churnResult struct {
 // cannot land after this many attempts means the fleet is wedged.
 const maxWriteRetries = 50
 
-// runChurn executes the scenario: Writers appenders run continuously
-// while Cycles churn cycles each kill a provider (the heartbeat
+// runChurn executes the scenario: x6Writers appenders run continuously
+// while x6Cycles churn cycles each kill a provider (the heartbeat
 // checker marks it down), restore replication with a placement pass,
 // remove the dead node from the membership, and join a fresh spare.
 // No read may ever fail with ErrAllReplicasDown. After the churn
 // stops, placement passes must converge every page of every blob onto
-// its preferred owners at full replication.
-func runChurn(opts churnOpts) (churnResult, error) {
-	opts.fillDefaults()
-	// Node 0 hosts the masters, 1..Providers the initial fleet, and the
-	// next Cycles nodes are the spares that join mid-run.
-	total := 1 + opts.providers + opts.cycles
+// its preferred owners at full replication. replication is the page
+// replica count, at least 2: the scenario's liveness claim needs a
+// survivor per page.
+func runChurn(replication int) (churnResult, error) {
+	replication = max(replication, 2)
+	// Node 0 hosts the masters, 1..x6Providers the initial fleet, and
+	// the next x6Cycles nodes are the spares that join mid-run.
+	total := 1 + x6Providers + x6Cycles
 	eng := sim.NewEngine()
 	netw := simnet.New(eng, simnet.Grid5000(total))
 	env := cluster.NewSim(netw)
-	fleet := make([]cluster.NodeID, opts.providers)
+	fleet := make([]cluster.NodeID, x6Providers)
 	for i := range fleet {
 		fleet[i] = cluster.NodeID(i + 1)
 	}
 	dep, err := core.NewDeployment(env, core.Options{
 		PageSize:      256 * KB,
-		Replication:   opts.replication,
+		Replication:   replication,
 		ProviderNodes: fleet,
 		// Pin the metadata DHT to the initial nodes: the DHT tier is
 		// separate from the provider fleet and does not churn.
 		MetaNodes: fleet,
-		Provider:  core.ProviderConfig{MemCapacity: opts.memCapacity},
+		Provider:  core.ProviderConfig{MemCapacity: x6MemCapacity},
 		// The heartbeat daemon runs on virtual time and flips dead
 		// members to Down, which bumps the epoch and re-routes clients.
 		HeartbeatInterval: 10 * time.Millisecond,
@@ -121,14 +97,13 @@ func runChurn(opts churnOpts) (churnResult, error) {
 	}
 
 	var res churnResult
-	res.cycles = opts.cycles
 	var runErr firstError
 	fail := runErr.set
 
 	var stop atomic.Bool // controller -> writers
-	blobs := make([]core.BlobID, opts.writers)
-	appends := make([]int, opts.writers)
-	retries := make([]int, opts.writers)
+	blobs := make([]core.BlobID, x6Writers)
+	appends := make([]int, x6Writers)
+	retries := make([]int, x6Writers)
 
 	writer := func(i int, node cluster.NodeID) {
 		c := dep.NewClient(node)
@@ -142,7 +117,7 @@ func runChurn(opts churnOpts) (churnResult, error) {
 			var off int64
 			var werr error
 			for attempt := 0; ; attempt++ {
-				_, off, werr = b.Append(core.SyntheticBlocks(opts.blockBytes))
+				_, off, werr = b.Append(core.SyntheticBlocks(x6BlockBytes))
 				if werr == nil {
 					break
 				}
@@ -160,7 +135,7 @@ func runChurn(opts churnOpts) (churnResult, error) {
 			appends[i]++
 			// Read the block straight back: replica failover must keep
 			// every published page readable through the churn.
-			if _, rerr := b.ReadAt(nil, off, core.Synthetic(opts.blockBytes)); rerr != nil {
+			if _, rerr := b.ReadAt(nil, off, core.Synthetic(x6BlockBytes)); rerr != nil {
 				fail(fmt.Errorf("bench: writer %d: read-back at %d: %w", i, off, rerr))
 				return
 			}
@@ -183,7 +158,7 @@ func runChurn(opts churnOpts) (churnResult, error) {
 	}
 
 	controller := func() {
-		for cycle := 0; cycle < opts.cycles && runErr.get() == nil; cycle++ {
+		for cycle := 0; cycle < x6Cycles && runErr.get() == nil; cycle++ {
 			env.Sleep(25 * time.Millisecond) // let writers make progress
 			victim := fleet[cycle%len(fleet)]
 			dep.Provider(victim).SetDown(true)
@@ -197,7 +172,7 @@ func runChurn(opts churnOpts) (churnResult, error) {
 				fail(err)
 				return
 			}
-			spare := cluster.NodeID(opts.providers + 1 + cycle)
+			spare := cluster.NodeID(x6Providers + 1 + cycle)
 			if _, err := dep.AddProvider(spare); err != nil {
 				fail(err)
 				return
@@ -220,7 +195,7 @@ func runChurn(opts churnOpts) (churnResult, error) {
 			if !sweep() {
 				return
 			}
-			ok, err := allOnPreferredOwners(dep, blobs, opts.replication)
+			ok, err := allOnPreferredOwners(dep, blobs, replication)
 			if err != nil {
 				fail(err)
 				return
@@ -241,7 +216,7 @@ func runChurn(opts churnOpts) (churnResult, error) {
 	eng.Go(func() {
 		wg := env.NewWaitGroup()
 		for i := range blobs {
-			node := cluster.NodeID(1 + i%opts.providers)
+			node := cluster.NodeID(1 + i%x6Providers)
 			wg.Go(func() { writer(i, node) })
 		}
 		wg.Go(controller)

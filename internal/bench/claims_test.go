@@ -71,9 +71,7 @@ var claims = []claim{
 		}},
 	{"TestX6MembershipChurn", "ext.", "X6: writers publish through every churn cycle, each cycle moves the epoch at least 3 times, and the sweeps both repair and migrate pages",
 		func(r *reading) bool {
-			o := churnOpts{}
-			o.fillDefaults()
-			c := r.value("cycles", float64(o.cycles))
+			c := r.value("cycles", x6Cycles)
 			return r.metric("x6", "appends") >= c && r.metric("x6", "final_epoch") >= 3*c &&
 				r.metric("x6", "replicas_added") > 0 && r.metric("x6", "pages_migrated") > 0
 		}},
@@ -117,10 +115,8 @@ var claims = []claim{
 		}},
 	{"TestX8GracefulDegradationUnderOverload", "ext.", "X8 at 10x load: admission keeps at least the open run's SLO goodput, with its p99 inside the SLO",
 		func(r *reading) bool {
-			o := serveOpts{}
-			o.fillDefaults()
 			return r.metric("x8", "goodput_admit_10x") >= r.metric("x8", "goodput_open_10x") &&
-				r.metric("x8", "p99_admit_10x") <= r.value("slo_ms", ms(o.slo))
+				r.metric("x8", "p99_admit_10x") <= r.value("slo_ms", ms(x8SLO))
 		}},
 	{"TestX8GracefulDegradationUnderOverload", "ext.", "X8 at 10x load: admission rejects ops, and the open run's in-flight high-water mark is at least twice the admitted run's",
 		func(r *reading) bool {

@@ -15,44 +15,32 @@ import (
 	"repro/internal/core"
 )
 
+// X3's shape: one value each.
+const (
+	// x3KillProviders is the number of providers killed mid-read.
+	// Victims are chosen against the actual page locations so no page
+	// loses every replica; the run fails if no such victim set exists
+	// for the configured replication.
+	x3KillProviders = 1
+	// x3KillDelay is how far into the measured read phase the victims
+	// die: early enough to land mid-read even at reduced scale.
+	x3KillDelay = 100 * time.Millisecond
+	// x3RecordSize splits each client's read into individual requests
+	// of this size. A single huge request fetches all its pages at one
+	// virtual instant, so only record-sized requests give the failure a
+	// mid-read window to land in.
+	x3RecordSize = 8 * MB
+)
+
 // faultOpts parameterizes the fault/churn scenario.
 type faultOpts struct {
 	clients        int
 	bytesPerClient int64
-	// killProviders is the number of providers killed mid-read
-	// (default 1). Victims are chosen against the actual page
-	// locations so no page loses every replica; the run fails if no
-	// such victim set exists for the configured replication.
-	killProviders int
-	// killDelay is how far into the measured read phase the victims
-	// die (default 100ms of virtual time, early enough to land
-	// mid-read even at reduced scale).
-	killDelay time.Duration
-	// recordSize splits each client's read into individual requests of
-	// this size (default 8 MB). A single huge request fetches all its
-	// pages at one virtual instant, so only record-sized requests give
-	// the failure a mid-read window to land in.
-	recordSize int64
-	storage    StorageOpts
-	spec       ClusterSpec
+	storage        StorageOpts
+	spec           ClusterSpec
 }
 
 func (o *faultOpts) fillDefaults() {
-	if o.clients <= 0 {
-		o.clients = 1
-	}
-	if o.bytesPerClient <= 0 {
-		o.bytesPerClient = 1 * GB
-	}
-	if o.killProviders <= 0 {
-		o.killProviders = 1
-	}
-	if o.killDelay <= 0 {
-		o.killDelay = 100 * time.Millisecond
-	}
-	if o.recordSize <= 0 {
-		o.recordSize = 8 * MB
-	}
 	o.storage.Kind = "bsfs" // the scenario exercises BlobSeer's repair
 	if o.storage.replication < 2 {
 		o.storage.replication = 2
@@ -153,8 +141,8 @@ func runFaultChurn(opts faultOpts) (faultResult, error) {
 			if err != nil {
 				return err
 			}
-			for done := int64(0); done < opts.bytesPerClient; done += opts.recordSize {
-				want := min(opts.recordSize, opts.bytesPerClient-done)
+			for done := int64(0); done < opts.bytesPerClient; done += x3RecordSize {
+				want := min(x3RecordSize, opts.bytesPerClient-done)
 				n, err := b.ReadAt(nil, done, core.Synthetic(want))
 				if err != nil {
 					return err
@@ -211,7 +199,7 @@ func runFaultChurn(opts faultOpts) (faultResult, error) {
 				}
 			}
 		}
-		victims, runErr = pickVictims(dep.Placement.Fleet(), opts.killProviders, pageSets)
+		victims, runErr = pickVictims(dep.Placement.Fleet(), x3KillProviders, pageSets)
 		if runErr != nil {
 			return
 		}
@@ -224,7 +212,7 @@ func runFaultChurn(opts faultOpts) (faultResult, error) {
 		// Degraded phase: the victims die mid-read.
 		wg = tb.Env.NewWaitGroup()
 		wg.Go(func() {
-			tb.Env.Sleep(opts.killDelay)
+			tb.Env.Sleep(x3KillDelay)
 			for _, v := range victims {
 				dep.Provider(v).SetDown(true)
 			}

@@ -34,20 +34,10 @@ type microOpts struct {
 	spec       ClusterSpec
 }
 
-func (o *microOpts) fillDefaults() {
-	if o.clients <= 0 {
-		o.clients = 1
-	}
-	if o.bytesPerClient <= 0 {
-		o.bytesPerClient = 1 * GB
-	}
-}
-
 // runReadDistinct is experiment E1: clients concurrently read from
 // different files (map phase over distinct inputs). Files are
 // pre-loaded from nodes far from their readers.
 func runReadDistinct(opts microOpts) (point, error) {
-	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return point{}, err
@@ -74,7 +64,6 @@ func runReadDistinct(opts microOpts) (point, error) {
 // runReadShared is experiment E2: clients concurrently read disjoint
 // parts of the same huge file (map phase over one shared input).
 func runReadShared(opts microOpts) (point, error) {
-	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return point{}, err
@@ -103,7 +92,6 @@ func runReadShared(opts microOpts) (point, error) {
 // runWriteDistinct is experiment E3: clients concurrently write to
 // different files (reduce phase writing distinct outputs).
 func runWriteDistinct(opts microOpts) (point, error) {
-	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return point{}, err
@@ -127,7 +115,6 @@ func runWriteDistinct(opts microOpts) (point, error) {
 // it against HDFS returns the unsupported error, which is itself the
 // paper's point.
 func runAppendShared(opts microOpts) (point, error) {
-	opts.fillDefaults()
 	tb, err := NewTestbed(opts.spec, opts.storage)
 	if err != nil {
 		return point{}, err

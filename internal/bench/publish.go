@@ -33,35 +33,21 @@ import (
 // depth, shard count and shard service time are the Storage fields
 // BlockSize, MaxInFlightBlocks, VMShards and VMServiceTime.
 type publishOpts struct {
-	// writers is the number of concurrent writers (default 1).
+	// writers is the number of concurrent writers.
 	writers int
 	// files is the number of files the writers spread over, writer i
-	// appending to file i % Files (default 1: one shared blob).
+	// appending to file i % files.
 	files int
-	// blocks is the number of versions each writer publishes (default
-	// 64). The workload is sized in versions, not bytes: publish
-	// throughput is the metric.
+	// blocks is the number of versions each writer publishes. The
+	// workload is sized in versions, not bytes: publish throughput is
+	// the metric.
 	blocks  int
 	storage StorageOpts
 	spec    ClusterSpec
 }
 
 func (o *publishOpts) fillDefaults() {
-	if o.writers <= 0 {
-		o.writers = 1
-	}
-	if o.files <= 0 {
-		o.files = 1
-	}
-	if o.blocks <= 0 {
-		o.blocks = 64
-	}
 	o.storage.Kind = "bsfs" // the workload exercises BlobSeer's version manager
-	if o.storage.BlockSize <= 0 {
-		// Small enough that version-manager round trips are a visible
-		// share of each commit.
-		o.storage.BlockSize = 1 * MB
-	}
 	if o.storage.maxInFlightBlocks <= 0 {
 		o.storage.maxInFlightBlocks = 8
 	}

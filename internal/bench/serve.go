@@ -29,83 +29,46 @@ import (
 	"repro/internal/traffic"
 )
 
-// serveOpts parameterizes one heavy-traffic serving run.
+// X8's shape: one value each, the same for every point of the sweep.
+const (
+	// x8Tenants is the simulated tenant population.
+	x8Tenants = 1000
+	// x8BaseRate is the 1x aggregate offered load in ops/sec:
+	// comfortably inside the modeled version-manager capacity, so 5x
+	// approaches saturation and 10x is past it.
+	x8BaseRate = 400
+	// x8Duration is the offered window of virtual time: long enough for
+	// an unadmitted overload's queueing delay to blow through the SLO.
+	// In-flight work is always drained past it.
+	x8Duration = 6 * time.Second
+	// x8AdmitHeadroom scales the per-tenant admitted rate over the fair
+	// share, rate = x8AdmitHeadroom * x8BaseRate / x8Tenants: above the
+	// 1x fair share, still safely inside the modeled serving capacity,
+	// so admitted work never saturates the bottleneck.
+	x8AdmitHeadroom = 2.5
+	// x8ReadFraction and x8SharedFraction shape the op mix: reads vs
+	// appends, shared blob vs the tenant's private blob.
+	x8ReadFraction   = 0.5
+	x8SharedFraction = 0.5
+	// x8SLO is the completion-latency bound defining goodput.
+	x8SLO = 250 * time.Millisecond
+	// x8VMServiceTime is the modeled per-RPC occupancy of the version
+	// manager: the serving bottleneck.
+	x8VMServiceTime = 200 * time.Microsecond
+	// x8BlockSize sizes each synthetic append and read.
+	x8BlockSize = 64 * KB
+	// x8Nodes sizes the simulated cluster.
+	x8Nodes = 12
+	// x8Seed drives the arrival schedule.
+	x8Seed = 1
+)
+
+// serveOpts is one point of the X8 sweep.
 type serveOpts struct {
-	// tenants is the simulated tenant population (default 1000).
-	tenants int
-	// baseRate is the 1x aggregate offered load in ops/sec (default
-	// 400 — comfortably inside the modeled version-manager capacity, so
-	// 5x approaches saturation and 10x is past it).
-	baseRate float64
-	// multiple scales the offered load: Rate = Multiple * BaseRate
-	// (default 1).
+	// multiple scales the offered load: Rate = multiple * x8BaseRate.
 	multiple float64
-	// duration is the offered window of virtual time (default 6s —
-	// long enough for an unadmitted overload's queueing delay to blow
-	// through the SLO); in-flight work is always drained past it.
-	duration time.Duration
 	// admission enables per-tenant token-bucket admission at op entry.
 	admission bool
-	// admitHeadroom scales the per-tenant admitted rate over the fair
-	// share: rate = AdmitHeadroom * BaseRate / Tenants (default 2.5 —
-	// above the 1x fair share, still safely inside the modeled serving
-	// capacity, so admitted work never saturates the bottleneck).
-	admitHeadroom float64
-	// readFraction / SharedFraction shape the op mix (defaults 0.5 and
-	// 0.5): reads vs appends, shared blob vs the tenant's private blob.
-	readFraction   float64
-	sharedFraction float64
-	// slo is the completion-latency bound defining goodput (default
-	// 250ms).
-	slo time.Duration
-	// vmServiceTime is the modeled per-RPC occupancy of the version
-	// manager — the serving bottleneck (default 200µs).
-	vmServiceTime time.Duration
-	// blockSize sizes each synthetic append and read (default 64 KB).
-	blockSize int64
-	// nodes sizes the simulated cluster (default 12).
-	nodes int
-	// seed drives the arrival schedule (default 1).
-	seed int64
-}
-
-func (o *serveOpts) fillDefaults() {
-	if o.tenants <= 0 {
-		o.tenants = 1000
-	}
-	if o.baseRate <= 0 {
-		o.baseRate = 400
-	}
-	if o.multiple <= 0 {
-		o.multiple = 1
-	}
-	if o.duration <= 0 {
-		o.duration = 6 * time.Second
-	}
-	if o.admitHeadroom <= 0 {
-		o.admitHeadroom = 2.5
-	}
-	if o.readFraction == 0 {
-		o.readFraction = 0.5
-	}
-	if o.sharedFraction == 0 {
-		o.sharedFraction = 0.5
-	}
-	if o.slo <= 0 {
-		o.slo = 250 * time.Millisecond
-	}
-	if o.vmServiceTime <= 0 {
-		o.vmServiceTime = 200 * time.Microsecond
-	}
-	if o.blockSize <= 0 {
-		o.blockSize = 64 * KB
-	}
-	if o.nodes <= 0 {
-		o.nodes = 12
-	}
-	if o.seed == 0 {
-		o.seed = 1
-	}
 }
 
 // serveResult is the outcome of one serving run.
@@ -126,27 +89,26 @@ type serveResult struct {
 }
 
 // runServe is one X8 point: an open-loop Poisson arrival process over
-// Tenants tenants offers Multiple * BaseRate ops/sec of mixed
+// x8Tenants tenants offers multiple * x8BaseRate ops/sec of mixed
 // appends/reads against one shared blob and per-tenant private blobs,
 // with or without token-bucket admission. The run fails if any
 // operation errors for a reason other than admission rejection, or if
 // the publication frontier is left wedged after the drain.
 func runServe(opts serveOpts) (serveResult, error) {
-	opts.fillDefaults()
 	eng := sim.NewEngine()
-	net := simnet.New(eng, simnet.Grid5000(opts.nodes))
+	net := simnet.New(eng, simnet.Grid5000(x8Nodes))
 	env := cluster.NewSim(net)
-	provs := make([]cluster.NodeID, opts.nodes-1)
+	provs := make([]cluster.NodeID, x8Nodes-1)
 	for i := range provs {
 		provs[i] = cluster.NodeID(i + 1)
 	}
 	coreOpts := core.Options{
 		PageSize:      64 * KB,
 		ProviderNodes: provs,
-		VMServiceTime: opts.vmServiceTime,
+		VMServiceTime: x8VMServiceTime,
 	}
 	if opts.admission {
-		coreOpts.TenantRate = opts.admitHeadroom * opts.baseRate / float64(opts.tenants)
+		coreOpts.TenantRate = x8AdmitHeadroom * x8BaseRate / x8Tenants
 		coreOpts.TenantBurst = 2
 	}
 	d, err := core.NewDeployment(env, coreOpts)
@@ -168,7 +130,7 @@ func runServe(opts serveOpts) (serveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := b.WriteAt(nil, 0, core.Synthetic(opts.blockSize)); err != nil {
+			if _, err := b.WriteAt(nil, 0, core.Synthetic(x8BlockSize)); err != nil {
 				return nil, err
 			}
 			return b, nil
@@ -191,7 +153,7 @@ func runServe(opts serveOpts) (serveResult, error) {
 			}
 			sharedH[i] = bh
 		}
-		private := make([]*core.Blob, opts.tenants)
+		private := make([]*core.Blob, x8Tenants)
 		for t := range private {
 			bh, err := seed(clients[t%len(clients)])
 			if err != nil {
@@ -203,22 +165,22 @@ func runServe(opts serveOpts) (serveResult, error) {
 
 		start := env.Now()
 		rep = traffic.Run(env, traffic.GenConfig{
-			Tenants:        opts.tenants,
-			Rate:           opts.multiple * opts.baseRate,
-			Duration:       opts.duration,
-			ReadFraction:   opts.readFraction,
-			SharedFraction: opts.sharedFraction,
-			Seed:           opts.seed,
+			Tenants:        x8Tenants,
+			Rate:           opts.multiple * x8BaseRate,
+			Duration:       x8Duration,
+			ReadFraction:   x8ReadFraction,
+			SharedFraction: x8SharedFraction,
+			Seed:           x8Seed,
 		}, func(op traffic.Op) error {
 			bh := private[op.TenantIndex]
 			if op.Shared {
 				bh = sharedH[op.TenantIndex%len(sharedH)]
 			}
 			if op.Kind == traffic.OpRead {
-				_, err := bh.ReadAt(nil, 0, core.Synthetic(opts.blockSize), core.WithTenant(op.Tenant))
+				_, err := bh.ReadAt(nil, 0, core.Synthetic(x8BlockSize), core.WithTenant(op.Tenant))
 				return err
 			}
-			_, _, err := bh.Append(core.SyntheticBlocks(opts.blockSize), core.WithTenant(op.Tenant))
+			_, _, err := bh.Append(core.SyntheticBlocks(x8BlockSize), core.WithTenant(op.Tenant))
 			return err
 		})
 		makespan = env.Now() - start
@@ -257,13 +219,13 @@ func runServe(opts serveOpts) (serveResult, error) {
 		point: point{
 			experiment: fmt.Sprintf("X8-%.0fx-%s", opts.multiple, mode),
 			kind:       "bsfs",
-			clients:    opts.tenants,
+			clients:    x8Tenants,
 			duration:   makespan,
 			p50:        rep.P50,
 			p90:        rep.P90,
 			p99:        rep.P99,
 		},
-		goodputPerSec: rep.Goodput(opts.duration, opts.slo),
+		goodputPerSec: rep.Goodput(x8Duration, x8SLO),
 	}
 	if lim := d.Admission; lim != nil {
 		res.admittedStats = lim.Stats()
@@ -273,23 +235,14 @@ func runServe(opts serveOpts) (serveResult, error) {
 
 // runServeSweep runs the full X8 grid: every load multiple with
 // admission off and on.
-func runServeSweep(opts serveOpts, multiples []float64) (open, admitted []serveResult, err error) {
-	if len(multiples) == 0 {
-		multiples = []float64{1, 5, 10}
-	}
+func runServeSweep(multiples []float64) (open, admitted []serveResult, err error) {
 	for _, m := range multiples {
-		o := opts
-		o.multiple = m
-		o.admission = false
-		ro, err := runServe(o)
+		ro, err := runServe(serveOpts{multiple: m})
 		if err != nil {
 			return open, admitted, fmt.Errorf("bench: x8 %gx open: %w", m, err)
 		}
 		open = append(open, ro)
-		a := opts
-		a.multiple = m
-		a.admission = true
-		ra, err := runServe(a)
+		ra, err := runServe(serveOpts{multiple: m, admission: true})
 		if err != nil {
 			return open, admitted, fmt.Errorf("bench: x8 %gx admitted: %w", m, err)
 		}

@@ -86,7 +86,8 @@ func (o SweepOpts) appOpts(kind string) AppOpts {
 }
 
 // x2Opts sizes X2's publish workload from a sweep: n writers sharing
-// one file, each publishing 64 versions of 1 MiB.
+// one file, each publishing 64 versions of 1 MiB, small enough that
+// version-manager round trips are a visible share of each commit.
 func x2Opts(o SweepOpts, n int) publishOpts {
 	return publishOpts{writers: n, files: 1, blocks: 64, spec: o.Spec,
 		storage: StorageOpts{BlockSize: 1 * MB, memCapacity: o.MemCapacity, replication: o.Replication}}
@@ -283,13 +284,12 @@ var Experiments = []Experiment{
 		ID:    "x6",
 		Title: "X6: membership churn (writers survive join/leave cycles, time-to-rebalance, bsfs)",
 		run: func(opts SweepOpts, w io.Writer) error {
-			opts.fillDefaults()
-			res, err := runChurn(churnOpts{replication: opts.Replication})
+			res, err := runChurn(opts.Replication)
 			if err != nil {
 				return fmt.Errorf("bench: x6: %w", err)
 			}
 			fmt.Fprintf(w, "x6: %d appends (%d retried) across %d churn cycles, final epoch %d\n",
-				res.appends, res.retries, res.cycles, res.epoch)
+				res.appends, res.retries, x6Cycles, res.epoch)
 			fmt.Fprintf(w, "x6: placement moved %d replicas / migrated %d pages (%s copied); rebalanced to preferred owners in %s\n",
 				res.sweeps.ReplicasAdded, res.sweeps.PagesMigrated, size(res.sweeps.BytesCopied),
 				res.rebalanceDuration.Round(timeUnit(res.rebalanceDuration)))
@@ -310,10 +310,7 @@ var Experiments = []Experiment{
 			// fleet must recover after a restart.
 			var all []point
 			for _, mb := range []int64{64, 256, 1024} {
-				res, err := runTieredRecovery(tieredOpts{
-					bytesPerClient: mb * MB,
-					storage:        StorageOpts{memCapacity: opts.MemCapacity, replication: opts.Replication},
-				})
+				res, err := runTieredRecovery(mb*MB, StorageOpts{memCapacity: opts.MemCapacity, replication: opts.Replication})
 				if err != nil {
 					return fmt.Errorf("bench: x7 size=%dMB: %w", mb, err)
 				}
@@ -341,7 +338,7 @@ var Experiments = []Experiment{
 		Title: "X8: heavy-traffic serving (open-loop multi-tenant load; admission on/off at 1x/5x/10x)",
 		run: func(opts SweepOpts, w io.Writer) error {
 			multiples := []float64{1, 5, 10}
-			open, admitted, err := runServeSweep(serveOpts{}, multiples)
+			open, admitted, err := runServeSweep(multiples)
 			// Render whatever completed before reporting the error.
 			var pts []point
 			for i := range open {

@@ -15,42 +15,16 @@ import (
 	"repro/internal/cluster"
 )
 
-// tieredOpts parameterizes one X7 run.
-type tieredOpts struct {
-	clients int
-	// bytesPerClient sizes the dataset (and with it the per-provider
-	// log the restarted providers replay). Default 256 MB.
-	bytesPerClient int64
-	// dir hosts the provider backends ("disk:"+Dir, scoped per
-	// provider). Empty means a temporary directory, removed afterwards.
-	dir     string
-	spec    ClusterSpec
-	storage StorageOpts
-}
-
-func (o *tieredOpts) fillDefaults() {
-	if o.clients <= 0 {
-		o.clients = 4
-	}
-	if o.bytesPerClient <= 0 {
-		o.bytesPerClient = 256 * MB
-	}
-	// A compact fleet keeps per-provider logs non-trivial: recovery
-	// time is the measurement, and 270 providers would shred the
-	// dataset into noise.
-	if o.spec.Nodes <= 0 {
-		o.spec.Nodes = 17
-	}
-	if o.spec.metaNodes <= 0 {
-		o.spec.metaNodes = 8
-	}
-	o.storage.Kind = "bsfs"
-	if o.storage.memCapacity == 0 {
-		// Large enough that the warm pass is fully RAM-resident — the
-		// contrast under measurement.
-		o.storage.memCapacity = 4 * o.bytesPerClient
-	}
-}
+// X7's shape: one value each.
+const (
+	// x7Clients is the number of readers.
+	x7Clients = 4
+	// x7Nodes and x7MetaNodes size a compact fleet, which keeps
+	// per-provider logs non-trivial: recovery time is the measurement,
+	// and 270 providers would shred the dataset into noise.
+	x7Nodes     = 17
+	x7MetaNodes = 8
+)
 
 // tieredResult is the outcome of one X7 run.
 type tieredResult struct {
@@ -74,38 +48,42 @@ type tieredResult struct {
 	logBytes int64
 }
 
-// runTieredRecovery is experiment X7: write a dataset onto disk-backed
-// providers, restart the whole provider fleet in place, and measure
-// recovery time and the cold/warm read contrast.
-func runTieredRecovery(opts tieredOpts) (tieredResult, error) {
-	opts.fillDefaults()
-	dir := opts.dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "bsfs-x7-*")
-		if err != nil {
-			return tieredResult{}, err
-		}
-		defer os.RemoveAll(dir)
+// runTieredRecovery is experiment X7: write a dataset of
+// bytesPerClient per client onto disk-backed providers, restart the
+// whole provider fleet in place, and measure recovery time and the
+// cold/warm read contrast. The dataset sizes the per-provider logs the
+// restarted providers replay. The providers' backends live in a
+// temporary directory, removed afterwards.
+func runTieredRecovery(bytesPerClient int64, storage StorageOpts) (tieredResult, error) {
+	storage.Kind = "bsfs"
+	if storage.memCapacity == 0 {
+		// Large enough that the warm pass is fully RAM-resident — the
+		// contrast under measurement.
+		storage.memCapacity = 4 * bytesPerClient
 	}
-	opts.storage.store = "disk:" + dir
+	dir, err := os.MkdirTemp("", "bsfs-x7-*")
+	if err != nil {
+		return tieredResult{}, err
+	}
+	defer os.RemoveAll(dir)
+	storage.store = "disk:" + dir
 
-	tb, err := NewTestbed(opts.spec, opts.storage)
+	tb, err := NewTestbed(ClusterSpec{Nodes: x7Nodes, metaNodes: x7MetaNodes}, storage)
 	if err != nil {
 		return tieredResult{}, err
 	}
 	defer tb.Close()
 	dep := tb.deployment()
-	clients := tb.clientNodes(opts.clients)
+	clients := tb.clientNodes(x7Clients)
 	path := func(i int) string { return fmt.Sprintf("/x7/f%04d", i) }
 	readAll := func(i int, c cluster.NodeID) error {
-		return readSynthFile(tb, c, path(i), 0, opts.bytesPerClient, 0)
+		return readSynthFile(tb, c, path(i), 0, bytesPerClient, 0)
 	}
 	var res tieredResult
 	var runErr error
 	err = tb.Run(func() {
 		// Load phase, then let the flushers drain.
-		if runErr = tb.loadFar(clients, path, opts.bytesPerClient); runErr != nil {
+		if runErr = tb.loadFar(clients, path, bytesPerClient); runErr != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
@@ -113,14 +91,14 @@ func runTieredRecovery(opts tieredOpts) (tieredResult, error) {
 			if runErr = p.FlushNow(); runErr != nil {
 				return
 			}
-			res.storedPages += p.Store().Len()
+			res.storedPages += p.Store().Stats().Entries
 		}
 
 		// Restart the fleet: each provider closes its store and reopens
 		// it over the same backend, replaying the page log. The replay
 		// is real work (wall clock); the simulation additionally charges
 		// each node a sequential scan of its share of the log.
-		total := opts.bytesPerClient * int64(opts.clients) * int64(max(opts.storage.replication, 1))
+		total := bytesPerClient * x7Clients * int64(max(storage.replication, 1))
 		perProvider := total / int64(len(dep.ProviderList()))
 		simStart := tb.Env.Now()
 		wallStart := time.Now() //bsfs-vet:allow walltime -- X7 measures the real cost of WAL replay
@@ -139,11 +117,11 @@ func runTieredRecovery(opts tieredOpts) (tieredResult, error) {
 
 		// Cold pass: nothing is resident; every page faults in from the
 		// backend and charges the provider's disk.
-		if res.cold, runErr = tb.phase("X7-cold-read", opts.bytesPerClient, clients, readAll); runErr != nil {
+		if res.cold, runErr = tb.phase("X7-cold-read", bytesPerClient, clients, readAll); runErr != nil {
 			return
 		}
 		// Warm pass: the cold pass re-populated the RAM tier.
-		res.warm, runErr = tb.phase("X7-warm-read", opts.bytesPerClient, clients, readAll)
+		res.warm, runErr = tb.phase("X7-warm-read", bytesPerClient, clients, readAll)
 	})
 	if err == nil {
 		err = runErr

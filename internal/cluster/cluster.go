@@ -29,10 +29,9 @@ type NodeID = simnet.NodeID
 
 // WaitGroup joins concurrent activities spawned through an Env.
 type WaitGroup interface {
-	Add(delta int)
-	Done()
 	// Go runs fn as a tracked concurrent activity.
 	Go(fn func())
+	// Wait blocks until every activity started by Go has returned.
 	Wait()
 }
 
@@ -209,9 +208,7 @@ func (l *Local) DiskWrite(node NodeID, size int64)           {}
 
 type localWG struct{ wg sync.WaitGroup }
 
-func (w *localWG) Add(d int) { w.wg.Add(d) }
-func (w *localWG) Done()     { w.wg.Done() }
-func (w *localWG) Wait()     { w.wg.Wait() }
+func (w *localWG) Wait() { w.wg.Wait() }
 func (w *localWG) Go(fn func()) {
 	w.wg.Add(1)
 	go func() {

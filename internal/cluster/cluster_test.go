@@ -173,11 +173,6 @@ func TestLocalWaitGroup(t *testing.T) {
 	if len(total) != 10 {
 		t.Fatalf("completed = %d", len(total))
 	}
-	// Add/Done by hand.
-	wg2 := env.NewWaitGroup()
-	wg2.Add(1)
-	go wg2.Done()
-	wg2.Wait()
 }
 
 func TestFarthest(t *testing.T) {

@@ -206,7 +206,7 @@ func (d *Deployment) RestartProvider(node cluster.NodeID) (recovered int, err er
 	}
 	d.provs[node] = p
 	d.provMu.Unlock()
-	return p.Store().Recovered(), nil
+	return p.Store().Stats().Recovered, nil
 }
 
 // probeProvider is the placement manager's health probe: a provider is

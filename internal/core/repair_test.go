@@ -418,7 +418,7 @@ func TestMigrationsKeepEveryVersionReadable(t *testing.T) {
 	}
 	stored := func() (n int) {
 		for _, p := range d.ProviderList() {
-			n += p.Store().Len()
+			n += p.Store().Stats().Entries
 		}
 		return n
 	}
@@ -432,7 +432,7 @@ func TestMigrationsKeepEveryVersionReadable(t *testing.T) {
 	if err != nil || st.PagesMigrated == 0 || st.ReplicasAdded != st.PagesMigrated || st.ReplicasDropped != st.PagesMigrated {
 		t.Fatalf("sweep after the join: %+v, %v", st, err)
 	}
-	if got := joined.Store().Len(); got != st.ReplicasAdded || before-(stored()-got) != st.ReplicasDropped {
+	if got := joined.Store().Stats().Entries; got != st.ReplicasAdded || before-(stored()-got) != st.ReplicasDropped {
 		t.Fatalf("sweep %+v: the joiner holds %d pages and the others lost %d", st, got, before-(stored()-got))
 	}
 	again, err := d.Rebalance.SweepOnce()

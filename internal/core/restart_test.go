@@ -33,7 +33,7 @@ func TestRestartProviderRecovery(t *testing.T) {
 		if err := p.FlushNow(); err != nil {
 			t.Fatal(err)
 		}
-		pages += p.Store().Len()
+		pages += p.Store().Stats().Entries
 	}
 	if pages == 0 {
 		t.Fatal("no pages stored")

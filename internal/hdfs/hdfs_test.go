@@ -160,7 +160,7 @@ func TestReplicationOnDataNodes(t *testing.T) {
 	w.Close()
 	copies := 0
 	for _, dn := range d.dns {
-		copies += dn.store.Len()
+		copies += dn.store.Stats().Entries
 	}
 	if copies != 3 {
 		t.Fatalf("%d chunk replicas stored, want 3", copies)
@@ -243,7 +243,7 @@ func TestDeleteReleasesChunks(t *testing.T) {
 	stored := func() int {
 		total := 0
 		for _, dn := range d.dns {
-			total += dn.store.Len()
+			total += dn.store.Stats().Entries
 		}
 		return total
 	}
@@ -348,7 +348,7 @@ func TestDataNodeStoreSpecRecovery(t *testing.T) {
 	}
 	var chunks int
 	for _, dn := range d.dns {
-		chunks += dn.store.Len()
+		chunks += dn.store.Stats().Entries
 	}
 	if chunks == 0 {
 		t.Fatal("no chunks stored")
@@ -364,7 +364,7 @@ func TestDataNodeStoreSpecRecovery(t *testing.T) {
 	defer d2.Close()
 	var recovered int
 	for _, dn := range d2.dns {
-		recovered += dn.store.Recovered()
+		recovered += dn.store.Stats().Recovered
 	}
 	if recovered != chunks {
 		t.Fatalf("recovered %d chunks, stored %d", recovered, chunks)

@@ -89,6 +89,15 @@ type JobConfig struct {
 // all fail fails its job.
 const maxAttempts = 3
 
+// The deployment's shape: node 0 hosts the jobtracker, as it hosts
+// the storage masters, and each tasktracker runs mapSlots map slots and
+// reduceSlots reduce slots.
+const (
+	jobTrackerNode cluster.NodeID = 0
+	mapSlots                      = 2
+	reduceSlots                   = 1
+)
+
 // taskKind distinguishes map from reduce tasks.
 type taskKind int
 
@@ -135,30 +144,19 @@ type JobResult struct {
 
 // Config parameterizes the framework deployment.
 type Config struct {
-	// JobTrackerNode hosts the jobtracker.
-	JobTrackerNode cluster.NodeID
 	// WorkerNodes run tasktrackers.
 	WorkerNodes []cluster.NodeID
-	// MapSlots / ReduceSlots per tasktracker (defaults 2 and 1).
-	MapSlots    int
-	ReduceSlots int
 	// NewFS builds the storage client a node's tasks use — the single
 	// point where BSFS or HDFS is plugged in.
 	NewFS func(node cluster.NodeID) fsapi.FileSystem
 }
 
-func (c *Config) fillDefaults() error {
+func (c *Config) validate() error {
 	if len(c.WorkerNodes) == 0 {
 		return errors.New("mapreduce: no worker nodes")
 	}
 	if c.NewFS == nil {
 		return errors.New("mapreduce: NewFS factory required")
-	}
-	if c.MapSlots <= 0 {
-		c.MapSlots = 2
-	}
-	if c.ReduceSlots <= 0 {
-		c.ReduceSlots = 1
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -59,9 +61,8 @@ func newMR(t *testing.T, te testEnv) *Cluster {
 	t.Helper()
 	workers := []cluster.NodeID{1, 2, 3, 4, 5, 6, 7}
 	c, err := NewCluster(te.env, Config{
-		JobTrackerNode: 0,
-		WorkerNodes:    workers,
-		NewFS:          te.newFS,
+		WorkerNodes: workers,
+		NewFS:       te.newFS,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +152,21 @@ func testWordCount(t *testing.T, te testEnv) {
 		if !strings.Contains(out, word+"\t"+count) {
 			t.Fatalf("output missing %q=%s:\n%s", word, count, out)
 		}
+	}
+}
+
+// TestConfigSurface pins Config's fields. The admission rule for a new
+// one (see core's TestOptionsSurface): a non-test setter with a second
+// value in use — otherwise it is a constant at its use site, as the
+// jobtracker's node and the slot counts are.
+func TestConfigSurface(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if want := []string{"WorkerNodes", "NewFS"}; !slices.Equal(got, want) {
+		t.Errorf("Config has fields %v, want exactly %v", got, want)
 	}
 }
 

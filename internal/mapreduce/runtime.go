@@ -24,16 +24,16 @@ type Cluster struct {
 // Slots run only while there are tasks: they start idle, new work
 // starts every idle slot, and a slot that finds no task goes idle.
 func NewCluster(env cluster.Env, cfg Config) (*Cluster, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{env: env, cfg: cfg}
-	c.jt = &jobTracker{env: env, cfg: cfg, node: cfg.JobTrackerNode}
+	c.jt = &jobTracker{env: env, cfg: cfg, node: jobTrackerNode}
 	for _, n := range cfg.WorkerNodes {
-		for s := 0; s < cfg.MapSlots; s++ {
+		for s := 0; s < mapSlots; s++ {
 			c.jt.idle = append(c.jt.idle, slot{n, mapTask})
 		}
-		for s := 0; s < cfg.ReduceSlots; s++ {
+		for s := 0; s < reduceSlots; s++ {
 			c.jt.idle = append(c.jt.idle, slot{n, reduceTask})
 		}
 	}

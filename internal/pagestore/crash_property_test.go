@@ -180,7 +180,7 @@ func checkRecovered(t *testing.T, dir string, want map[string]modelEntry) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s.Close()
-	if got := s.Recovered(); got != len(want) {
+	if got := s.Stats().Recovered; got != len(want) {
 		t.Fatalf("recovered %d entries, want %d", got, len(want))
 	}
 	for k, m := range want {

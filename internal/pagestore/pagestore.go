@@ -198,14 +198,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Recovered returns the number of entries replayed from the backend at
-// Open — the size of the recovered page index.
-func (s *Store) Recovered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
-}
-
 // BackendSpec returns the canonical spec of the backend tier ("" for a
 // pure RAM cache).
 func (s *Store) BackendSpec() string {
@@ -503,6 +495,7 @@ func (s *Store) DirtyBytes() int64 {
 
 // Stats reports cache behaviour counters and occupancy.
 type Stats struct {
+	// Entries is the number of pages the store indexes.
 	Entries   int
 	MemBytes  int64
 	Hits      uint64
@@ -525,13 +518,6 @@ func (s *Store) Stats() Stats {
 		Evictions: s.evictions,
 		Recovered: s.recovered,
 	}
-}
-
-// Len returns the number of entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 func (s *Store) key(e *entry) []byte { return s.keys[e.keyOff : e.keyOff+e.keyLen] }

@@ -79,8 +79,8 @@ func TestOverwriteReplacesEntry(t *testing.T) {
 	if string(data) != "four" || meta.Size != 4 {
 		t.Fatalf("got %q size %d", data, meta.Size)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.Stats().Entries != 1 {
+		t.Fatalf("Entries = %d", s.Stats().Entries)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestDelete(t *testing.T) {
 	s.Put("k", []byte("v"))
 	s.Delete("k")
 	s.Delete("k") // idempotent
-	if s.Len() != 0 {
+	if s.Stats().Entries != 0 {
 		t.Fatal("entry survived delete")
 	}
 }
@@ -524,7 +524,7 @@ func TestQuickAgainstReference(t *testing.T) {
 				return false
 			}
 		}
-		return s.Len() == len(ref)
+		return s.Stats().Entries == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Fatal(err)

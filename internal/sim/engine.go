@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -92,7 +93,8 @@ func (e *Engine) Now() time.Duration {
 // processes have finished. The new process joins the back of the ready
 // queue; the caller keeps running until it blocks. fn runs as a
 // coroutine resumed from the goroutine that called Run, so what it does
-// not return from surfaces there: a panic in fn comes out of Run, and a
+// not return from surfaces there: a panic in fn comes out of Run, as an
+// error that carries the panic's value and fn's stack, and a
 // runtime.Goexit (t.FailNow) in fn ends Run's goroutine. Either leaves
 // the engine unusable.
 func (e *Engine) Go(fn func()) {
@@ -133,7 +135,7 @@ func (e *Engine) spawn(fn func(), daemon bool) {
 func (e *Engine) loop(p *proc, yield func(struct{}) bool) {
 	p.yield = yield
 	for {
-		p.fn()
+		p.run()
 		e.mu.Lock()
 		if !p.daemon {
 			e.procs--
@@ -145,6 +147,37 @@ func (e *Engine) loop(p *proc, yield func(struct{}) bool) {
 			return
 		}
 	}
+}
+
+// run calls p's body. A panic in it comes out of Run, where the
+// coroutine re-raises it, and Run's trace no longer shows the line that
+// panicked; so it leaves carrying the process's stack. A recover in a
+// function of its own keeps the defer open-coded, not one per turn of
+// loop.
+func (p *proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(&procPanic{value: r, stack: debug.Stack()})
+		}
+	}()
+	p.fn()
+}
+
+// procPanic is what Run panics with when a process body panicked: the
+// value it panicked with, and the process's stack where it did.
+type procPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *procPanic) Error() string {
+	return fmt.Sprintf("sim: process panicked: %v\n\nprocess stack:\n%s", p.value, p.stack)
+}
+
+// Unwrap returns the panic's value if it is an error.
+func (p *procPanic) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
 }
 
 // parkLocked blocks the running process, after register has recorded

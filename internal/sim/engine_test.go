@@ -387,20 +387,32 @@ func TestAfterCallbackCannotPark(t *testing.T) {
 
 // TestProcessPanicComesOutOfRun: a process runs as a coroutine of Run's
 // goroutine, so its panic comes out of Run, where the host can recover
-// it, and does not crash the program from a goroutine of its own.
+// it, and does not crash the program from a goroutine of its own. It
+// comes out carrying the panic's value and the process's stack, which
+// names the line that panicked.
 func TestProcessPanicComesOutOfRun(t *testing.T) {
 	e := NewEngine()
+	boom := errors.New("boom")
+	var line int
 	e.Go(func() {
 		e.Sleep(time.Second)
-		panic("boom")
+		_, _, line, _ = runtime.Caller(0)
+		panic(boom)
 	})
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		e.Run()
 		return nil
 	}()
-	if got != "boom" {
+	pp, ok := got.(*procPanic)
+	if !ok {
 		t.Fatalf("recovered %v around Run, want the process's panic", got)
+	}
+	if pp.value != boom || !errors.Is(pp, boom) {
+		t.Fatalf("recovered value %v, want %v", pp.value, boom)
+	}
+	if at := fmt.Sprintf("engine_test.go:%d", line+1); !strings.Contains(string(pp.stack), at) {
+		t.Fatalf("panic's stack does not name %s:\n%s", at, pp.stack)
 	}
 }
 

@@ -3,9 +3,9 @@ package sim
 import "sync"
 
 // WaitGroup is the simulation-aware analogue of sync.WaitGroup: Wait
-// blocks the calling process in virtual time until the counter reaches
-// zero. Unlike sync.WaitGroup it may be safely awaited while the
-// counterparts are blocked on simulation primitives.
+// blocks the calling process in virtual time until every process
+// started by Go has returned. Unlike sync.WaitGroup it may be safely
+// awaited while those processes are blocked on simulation primitives.
 type WaitGroup struct {
 	e   *Engine
 	mu  sync.Mutex
@@ -18,15 +18,22 @@ func (e *Engine) NewWaitGroup() *WaitGroup {
 	return &WaitGroup{e: e}
 }
 
-// Add adds delta (which may be negative) to the counter. The counter
-// must not go negative.
-func (w *WaitGroup) Add(delta int) {
+// Go spawns fn as a simulated process tracked by the WaitGroup.
+func (w *WaitGroup) Go(fn func()) {
 	w.mu.Lock()
-	w.n += delta
-	if w.n < 0 {
-		w.mu.Unlock()
-		panic("sim: negative WaitGroup counter")
-	}
+	w.n++
+	w.mu.Unlock()
+	w.e.Go(func() {
+		defer w.done()
+		fn()
+	})
+}
+
+// done counts one tracked process out, waking the waiters if it was
+// the last.
+func (w *WaitGroup) done() {
+	w.mu.Lock()
+	w.n--
 	var sig *Signal
 	if w.n == 0 && w.sig != nil {
 		sig = w.sig
@@ -36,18 +43,6 @@ func (w *WaitGroup) Add(delta int) {
 	if sig != nil {
 		sig.Fire()
 	}
-}
-
-// Done decrements the counter by one.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Go spawns fn as a simulated process tracked by the WaitGroup.
-func (w *WaitGroup) Go(fn func()) {
-	w.Add(1)
-	w.e.Go(func() {
-		defer w.Done()
-		fn()
-	})
 }
 
 // Wait blocks until the counter reaches zero.
