@@ -95,7 +95,7 @@ func main() {
 		todo = []bench.Experiment{e}
 	}
 
-	results, err := bench.RunExperiments(os.Stdout, opts, todo)
+	results, err := bench.RunExperiments(os.Stdout, os.Stderr, opts, todo)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bsfs-bench: %v\n", err)
 		os.Exit(1)

@@ -19,6 +19,7 @@ import (
 
 func TestE1ReadDistinctShapes(t *testing.T)                 { checkClaims(t) }
 func TestE2ReadSharedShapes(t *testing.T)                   { checkClaims(t) }
+func TestE2SlowestReaderKeepsPace(t *testing.T)             { checkClaims(t) }
 func TestE3WriteBSFSBeatsHDFS(t *testing.T)                 { checkClaims(t) }
 func TestBSFSSustainsUnderConcurrency(t *testing.T)         { checkClaims(t) }
 func TestX1AppendSharedWorksOnlyOnBSFS(t *testing.T)        { checkClaims(t) }

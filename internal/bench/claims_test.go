@@ -34,6 +34,11 @@ var claims = []claim{
 		func(r *reading) bool { return r.beats(micro[0]) }},
 	{"TestE2ReadSharedShapes", "§IV.B", "E2: BSFS reads disjoint parts of one file faster per client than HDFS, at every client count",
 		func(r *reading) bool { return r.beats(micro[1]) }},
+	{"TestE2SlowestReaderKeepsPace", "§IV.B", "E2: the slowest BSFS reader of a shared file keeps at least 90 % of the one-client per-client MB/s, at every client count",
+		func(r *reading) bool {
+			s, lo := r.series(micro[1][0], micro[1][1], "bsfs"), r.slowest(micro[1][0], micro[1][1], "bsfs")
+			return len(s) > 0 && r.clients()[0] == 1 && all(lo, atLeast(0.9*s[0]))
+		}},
 	{"TestE3WriteBSFSBeatsHDFS", "§IV.B", "E3: BSFS writes distinct files faster per client than HDFS, at every client count",
 		func(r *reading) bool { return r.beats(micro[2]) }},
 	{"TestE3WriteBSFSBeatsHDFS", "§IV.B", "E3: HDFS's write-through pipeline is disk-bound: at most 70 MB/s per client",
@@ -175,13 +180,25 @@ func (r *reading) value(name string, v float64) float64 {
 // series returns the per-client MB/s of experiment id's points with the
 // given name and file system, in client order.
 func (r *reading) series(id, name, fs string) []float64 {
+	return r.points(id, name, fs, "MB/s", func(p pointJSON) float64 { return p.PerClientMBps })
+}
+
+// slowest returns the MB/s of the slowest client of each of experiment
+// id's points with the given name and file system, in client order.
+func (r *reading) slowest(id, name, fs string) []float64 {
+	return r.points(id, name, fs, "min MB/s", func(p pointJSON) float64 { return p.MinMBps })
+}
+
+// points reads one value (unit names it) of each of experiment id's
+// points with the given name and file system, in client order.
+func (r *reading) points(id, name, fs, unit string, value func(pointJSON) float64) []float64 {
 	var vs []float64
 	for _, p := range r.exp(id).Points {
 		if p.Experiment == name && p.FS == fs {
-			vs = append(vs, p.PerClientMBps)
+			vs = append(vs, value(p))
 		}
 	}
-	r.notes = append(r.notes, fmt.Sprintf("%s %s MB/s %.4g", name, fs, vs))
+	r.notes = append(r.notes, fmt.Sprintf("%s %s %s %.4g", name, fs, unit, vs))
 	return vs
 }
 

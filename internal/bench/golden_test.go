@@ -43,7 +43,7 @@ func goldenRun(t *testing.T) ([]byte, *resultsFile) {
 	t.Helper()
 	golden.once.Do(func() {
 		before := runtime.NumGoroutine()
-		res, err := RunExperiments(io.Discard, goldenOpts, Experiments)
+		res, err := RunExperiments(io.Discard, io.Discard, goldenOpts, Experiments)
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 			time.Sleep(5 * time.Millisecond)
 		}

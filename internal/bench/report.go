@@ -15,22 +15,24 @@ import (
 // structured results behind it. RunExperiments passes one as the writer
 // to Experiment.run: writePointsTable feeds it every sweep point, and
 // experiments with scalar results (e4, e5, x2-x8, a6, a7) record named
-// metrics.
+// metrics. wall takes what a run measures in wall-clock time, which is
+// not a function of the program, so w stays one.
 type recorder struct {
 	io.Writer
+	wall    io.Writer
 	points  []point
 	metrics []Metric
 }
 
 // RunExperiments runs exps in order at opts, rendering each one's
-// tables to w, and returns what each recorded: the one loop behind
-// bsfs-bench and the golden test. It stops at the first experiment that
-// fails.
-func RunExperiments(w io.Writer, opts SweepOpts, exps []Experiment) ([]ExperimentResult, error) {
+// tables to w and its wall-clock timings (X7's log replay) to wall, and
+// returns what each recorded: the one loop behind bsfs-bench and the
+// golden test. It stops at the first experiment that fails.
+func RunExperiments(w, wall io.Writer, opts SweepOpts, exps []Experiment) ([]ExperimentResult, error) {
 	var results []ExperimentResult
 	for _, e := range exps {
 		fmt.Fprintf(w, "\n--- %s ---\n", e.Title)
-		rec := &recorder{Writer: w}
+		rec := &recorder{Writer: w, wall: wall}
 		if err := e.run(opts, rec); err != nil {
 			return results, fmt.Errorf("%s: %w", e.ID, err)
 		}
@@ -59,6 +61,14 @@ func recordPoints(w io.Writer, pts []point) {
 func recordMetric(w io.Writer, name, unit string, value float64) {
 	if r, ok := w.(*recorder); ok {
 		r.metrics = append(r.metrics, Metric{Name: name, Unit: unit, Value: value})
+	}
+}
+
+// noteWall writes a wall-clock timing to the recorder's wall writer;
+// plain writers drop it.
+func noteWall(w io.Writer, format string, args ...any) {
+	if r, ok := w.(*recorder); ok {
+		fmt.Fprintf(r.wall, format, args...)
 	}
 }
 

@@ -7,8 +7,12 @@
 //   - a centralized namespace manager mapping a hierarchical file
 //     namespace onto blobs (one file = one blob);
 //   - a client-side cache: reads prefetch whole blocks (MapReduce
-//     processes small records, ~4 KB, out of huge files), and writes
-//     are committed only when a whole block has accumulated;
+//     processes small records, ~4 KB, out of huge files) and read the
+//     next block ahead inside a call's extent, past it only for a
+//     stream of calls each starting where the last ended (a one-off
+//     positional read fetches just its blocks, while a stream reads one
+//     block past its last call); writes are committed only when a whole
+//     block has accumulated;
 //   - data-layout exposure: BlockLocations aggregates BlobSeer's
 //     page-level distribution into the per-block host lists the
 //     MapReduce scheduler consumes.
@@ -769,14 +773,21 @@ func (w *writer) Close() error {
 // ---------------------------------------------------------------------
 // Reader: whole-block prefetch cache (§III.B — "prefetches a whole
 // block when the requested data is not already cached"), plus
-// background readahead: a sequential scan that reaches block bi kicks
-// off a concurrent fetch of block bi+1, overlapping the next block's
-// provider I/O with consumption of the current one. Blocks are filled
-// from the service's free list, gathered straight from the providers'
-// caches, and handed out whole: ReadAt copies from them, WriteTo passes
-// them to its writer as they are. Each is borrowed for that copy or
-// write and goes back to the free list once it has left the cache and
-// its last borrower is done.
+// background readahead: a call that reaches block bi kicks off a
+// concurrent fetch of block bi+1 while bi+1 lies inside the call's
+// extent, overlapping the next block's provider I/O with consumption
+// of the current one. Past its extent a call reads ahead only when it
+// continues a stream — it starts where the previous call on the reader
+// ended, as Read does from its second call on. A one-off positional
+// read fetches only the blocks it covers, so a reader that reads its
+// part of a file in one positional call never fetches its neighbour's
+// first block. One that streams its part in smaller calls still reads
+// one block past the part's end: its last call continues the stream.
+// Blocks are filled from the service's free list, gathered straight
+// from the providers' caches, and handed out whole: ReadAt copies from
+// them, WriteTo passes them to its writer as they are. Each is borrowed
+// for that copy or write and goes back to the free list once it has
+// left the cache and its last borrower is done.
 
 // cached is one block the reader holds: its bytes (nil for a synthetic
 // placeholder) and its holds — one while it is in the cache, one per
@@ -794,8 +805,8 @@ type reader struct {
 
 	mu       sync.Mutex
 	pos      int64
+	end      int64 // where the last call's extent ended (-1 before any)
 	closed   bool
-	lastBi   int64                    // last block accessed (-1 before any)
 	blocks   map[int64]*cached        // block index -> cached block
 	order    []int64                  // LRU, most recent last
 	inflight map[int64]cluster.Signal // fetches in progress, fired on completion
@@ -804,7 +815,7 @@ type reader struct {
 func (f *FS) newReader(b *core.Blob, v core.Version, size int64) *reader {
 	return &reader{
 		fs: f, b: b, ver: v, size: size,
-		lastBi:   -1,
+		end:      -1,
 		blocks:   map[int64]*cached{},
 		inflight: map[int64]cluster.Signal{},
 	}
@@ -856,11 +867,12 @@ func (r *reader) WriteTo(w io.Writer) (n int64, err error) {
 	r.mu.Lock()
 	pos := r.pos
 	r.mu.Unlock()
+	limit := r.begin(pos, r.size)
 	bs := r.fs.svc.cfg.BlockSize
 	for pos < r.size && err == nil {
 		bi := pos / bs
 		var c *cached
-		if c, err = r.block(bi, false); err != nil {
+		if c, err = r.block(bi, limit, false); err != nil {
 			break
 		}
 		var m int
@@ -884,12 +896,13 @@ func (r *reader) ReadAt(p []byte, off int64) (int, error) {
 	if off+want > r.size {
 		want = r.size - off
 	}
+	limit := r.begin(off, off+want)
 	bs := r.fs.svc.cfg.BlockSize
 	var done int64
 	for done < want {
 		at := off + done
 		bi := at / bs
-		c, err := r.block(bi, false)
+		c, err := r.block(bi, limit, false)
 		if err != nil {
 			return int(done), err
 		}
@@ -914,11 +927,12 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 	if off+length > r.size {
 		length = r.size - off
 	}
+	limit := r.begin(off, off+length)
 	bs := r.fs.svc.cfg.BlockSize
 	var done int64
 	for done < length {
 		bi := (off + done) / bs
-		c, err := r.block(bi, true)
+		c, err := r.block(bi, limit, true)
 		if err != nil {
 			return done, err
 		}
@@ -932,12 +946,27 @@ func (r *reader) ReadSyntheticAt(off, length int64) (int64, error) {
 	return length, nil
 }
 
+// begin records a call over [off, end) and returns the last block the
+// call may read ahead to: the block after its extent when the call
+// continues a stream (it starts where the previous call ended), its
+// own last block otherwise.
+func (r *reader) begin(off, end int64) (limit int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	limit = (end - 1) / r.fs.svc.cfg.BlockSize
+	if off == r.end {
+		limit++
+	}
+	r.end = end
+	return limit
+}
+
 // block returns block bi borrowed, fetching (prefetching the whole
-// block) on miss; the caller releases it. synthetic fetches cover the
-// block without materializing. A miss that finds a readahead of bi
-// already in flight waits for it instead of fetching the same bytes
-// twice.
-func (r *reader) block(bi int64, synthetic bool) (*cached, error) {
+// block) on miss, and reads block bi+1 ahead unless it is past limit;
+// the caller releases it. synthetic fetches cover the block without
+// materializing. A miss that finds a readahead of bi already in flight
+// waits for it instead of fetching the same bytes twice.
+func (r *reader) block(bi, limit int64, synthetic bool) (*cached, error) {
 	r.mu.Lock()
 	for {
 		if c, ok := r.blocks[bi]; ok {
@@ -948,7 +977,7 @@ func (r *reader) block(bi int64, synthetic bool) (*cached, error) {
 			if c.data != nil || synthetic {
 				c.refs++
 				r.touch(bi)
-				r.noteAccessLocked(bi, synthetic)
+				r.readaheadLocked(bi+1, limit, synthetic)
 				r.mu.Unlock()
 				return c, nil
 			}
@@ -968,7 +997,7 @@ func (r *reader) block(bi int64, synthetic bool) (*cached, error) {
 	}
 	sig := r.fs.svc.env.NewSignal()
 	r.inflight[bi] = sig
-	r.noteAccessLocked(bi, synthetic)
+	r.readaheadLocked(bi+1, limit, synthetic)
 	r.mu.Unlock()
 	return r.load(bi, synthetic, sig)
 }
@@ -1050,18 +1079,12 @@ func (r *reader) insertLocked(bi int64, c *cached) {
 	}
 }
 
-// noteAccessLocked tracks the scan position and, when the access
-// continues a forward sequential scan, starts a background readahead
-// of the next block. Readahead failures are dropped: the foreground
-// read of that block retries and surfaces the error itself.
-func (r *reader) noteAccessLocked(bi int64, synthetic bool) {
-	seq := bi == r.lastBi+1
-	r.lastBi = bi
-	if !seq || r.closed {
-		return
-	}
-	next := bi + 1
-	if next*r.fs.svc.cfg.BlockSize >= r.size {
+// readaheadLocked starts a background fetch of block next unless it is
+// past limit or the snapshot's end, cached or already in flight.
+// Readahead failures are dropped: the foreground read of that block
+// retries and surfaces the error itself.
+func (r *reader) readaheadLocked(next, limit int64, synthetic bool) {
+	if r.closed || next > limit || next*r.fs.svc.cfg.BlockSize >= r.size {
 		return
 	}
 	if _, ok := r.blocks[next]; ok {

@@ -191,9 +191,10 @@ func TestWriterSyntheticPipeline(t *testing.T) {
 	}
 }
 
-// TestReadaheadPrefetchesNextBlock: a sequential read of block 0 must
-// trigger a background fetch of block 1 that lands in the cache before
-// the reader asks for it.
+// TestReadaheadPrefetchesNextBlock: a stream of reads in block 0 (a
+// call starting where the last one ended) must trigger a background
+// fetch of block 1 that lands in the cache before the reader asks for
+// it.
 func TestReadaheadPrefetchesNextBlock(t *testing.T) {
 	_, fs := newTestFS(t, Config{BlockSize: 256})
 	data := make([]byte, 1024)
@@ -208,8 +209,10 @@ func TestReadaheadPrefetchesNextBlock(t *testing.T) {
 	defer r.Close()
 	rd := r.(*reader)
 	buf := make([]byte, 64)
-	if _, err := rd.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
+	for _, off := range []int64{0, 64} {
+		if _, err := rd.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The readahead daemon runs in the background; wait for block 1.
 	deadline := time.Now().Add(5 * time.Second)
@@ -320,6 +323,156 @@ func TestReadaheadRandomAccessDoesNotTrigger(t *testing.T) {
 	}
 }
 
+// simFS runs body in a simulation over a deployment whose providers
+// sit on nodes 3-7 and metadata on nodes 1-2, once /f holds blocks
+// blocks of block bytes (synthetic, or real zeros) and the providers'
+// flushes have finished.
+func simFS(t *testing.T, block, blocks int64, synthetic bool, body func(env *cluster.Sim, net *simnet.Network, svc *Service)) {
+	t.Helper()
+	eng := sim.NewEngine()
+	net := simnet.New(eng, simnet.Grid5000(12))
+	env := cluster.NewSim(net)
+	dep, err := core.NewDeployment(env, core.Options{
+		PageSize:      16 << 10,
+		MetaNodes:     []cluster.NodeID{1, 2},
+		ProviderNodes: []cluster.NodeID{3, 4, 5, 6, 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(dep, Config{BlockSize: block})
+	eng.Go(func() {
+		w, err := svc.NewFS(0).Create("/f")
+		if err == nil && synthetic {
+			_, err = w.WriteSynthetic(blocks * block)
+		} else if err == nil {
+			_, err = w.Write(make([]byte, blocks*block))
+		}
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		env.Sleep(10 * time.Second) // virtual: the providers' flushes finish
+		body(env, net, svc)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadaheadOnlyContinuesAStream: a call reads the block after its
+// extent ahead only when it starts where the previous call on the
+// reader ended. Each row makes its calls on a fresh reader of a 4-block
+// file and checks whether block 2 was fetched (cached or in flight).
+func TestReadaheadOnlyContinuesAStream(t *testing.T) {
+	const bs = 64 << 10
+	for _, synthetic := range []bool{false, true} {
+		rows := []struct {
+			name  string
+			calls [][2]int64 // [off, len) of each call
+			want  bool
+		}{
+			{"one call over blocks 0-1", [][2]int64{{0, 2 * bs}}, false},
+			{"a jump into block 1", [][2]int64{{0, bs}, {bs + bs/2, bs / 4}}, false},
+			{"stream over blocks 0-1", [][2]int64{{0, bs}, {bs, bs}}, true},
+			{"stream inside block 1", [][2]int64{{bs + bs/4, bs / 4}, {bs + bs/2, bs / 4}}, true},
+		}
+		got := make([]bool, len(rows))
+		simFS(t, bs, 4, synthetic, func(_ *cluster.Sim, _ *simnet.Network, svc *Service) {
+			fs := svc.NewFS(8)
+			for i, row := range rows {
+				r, err := fs.Open("/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rd := r.(*reader)
+				for _, c := range row.calls {
+					if synthetic {
+						_, err = rd.ReadSyntheticAt(c[0], c[1])
+					} else {
+						_, err = rd.ReadAt(make([]byte, c[1]), c[0])
+					}
+					if err != nil {
+						t.Errorf("%s: read at %d: %v", row.name, c[0], err)
+					}
+				}
+				rd.mu.Lock()
+				_, cached := rd.blocks[2]
+				_, inflight := rd.inflight[2]
+				rd.mu.Unlock()
+				got[i] = cached || inflight
+				r.Close()
+			}
+		})
+		for i, row := range rows {
+			if got[i] != row.want {
+				t.Errorf("synthetic=%v, %s: block 2 fetched = %v, want %v", synthetic, row.name, got[i], row.want)
+			}
+		}
+	}
+}
+
+// TestDisjointReadersMoveOnlyTheirBytes: four readers of disjoint
+// 2-block parts of one file. Read in one call each, the parts move the
+// file's bytes out of the providers and nothing more: no reader fetches
+// its neighbour's first block. Read in record-sized calls, each part is
+// a stream whose last call reads one block ahead, so every reader but
+// the last still fetches its neighbour's first block. simnet integrates
+// flow rates in float64, so its byte counters may miss a few bytes; a
+// fetched block adds a whole 256 KiB.
+func TestDisjointReadersMoveOnlyTheirBytes(t *testing.T) {
+	const bs, readers = 256 << 10, 4
+	providers := func(net *simnet.Network) (up int64) {
+		s := net.Stats()
+		for n := 3; n <= 7; n++ {
+			up += s.BytesUp[n]
+		}
+		return up
+	}
+	for _, tc := range []struct {
+		name   string
+		record int64 // bytes per call
+		extra  int64 // blocks fetched beyond the readers' parts
+	}{
+		{"one call", 2 * bs, 0},
+		{"record-sized calls", 64 << 10, readers - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after int64
+			simFS(t, bs, 2*readers, true, func(env *cluster.Sim, net *simnet.Network, svc *Service) {
+				before = providers(net)
+				wg := env.NewWaitGroup()
+				for i := range int64(readers) {
+					wg.Go(func() {
+						r, err := svc.NewFS(cluster.NodeID(8 + i)).Open("/f")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						defer r.Close()
+						for off := 2 * i * bs; off < 2*(i+1)*bs; off += tc.record {
+							if n, err := r.ReadSyntheticAt(off, tc.record); err != nil || n != tc.record {
+								t.Errorf("reader %d at %d: read %d bytes, %v", i, off, n, err)
+								return
+							}
+						}
+					})
+				}
+				wg.Wait()
+				env.Sleep(10 * time.Second) // any readahead still in flight lands
+				after = providers(net)
+			})
+			if got, want := after-before, int64(2*readers*bs+tc.extra*bs); got < want-16 || got > want+16 {
+				t.Fatalf("providers sent %d bytes to %d readers of disjoint parts, want %d", got, readers, want)
+			}
+		})
+	}
+}
+
 // TestSyntheticReadaheadDoesNotPoisonRealReads: a synthetic scan
 // readaheads the next block as a synthetic placeholder; a later real
 // read of that block must re-fetch the bytes instead of returning the
@@ -336,22 +489,27 @@ func TestSyntheticReadaheadDoesNotPoisonRealReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	// Synthetic traversal of block 0 triggers a synthetic readahead of
-	// block 1 (cached as a nil placeholder once it lands).
-	if n, err := r.ReadSyntheticAt(0, 128); err != nil || n != 128 {
-		t.Fatalf("ReadSyntheticAt = %d, %v", n, err)
+	// A synthetic stream through block 0 triggers a synthetic readahead
+	// of block 1, cached as a nil placeholder once it lands.
+	for _, off := range []int64{0, 64} {
+		if n, err := r.ReadSyntheticAt(off, 64); err != nil || n != 64 {
+			t.Fatalf("ReadSyntheticAt(%d) = %d, %v", off, n, err)
+		}
 	}
 	rd := r.(*reader)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		rd.mu.Lock()
-		_, cached := rd.blocks[1]
-		inflight := len(rd.inflight)
+		c, cached := rd.blocks[1]
 		rd.mu.Unlock()
-		if cached || (inflight == 0 && time.Now().After(deadline)) {
+		if cached {
+			if c.data != nil {
+				t.Fatal("block 1 cached with bytes after a synthetic readahead")
+			}
 			break
 		}
-		time.Sleep(time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatal("block 1's synthetic placeholder never formed")
+		}
 	}
 	// A real read across blocks 1 and 2 must return the actual bytes.
 	buf := make([]byte, 2*128)

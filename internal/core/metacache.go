@@ -72,11 +72,14 @@ func newCachedMeta(cl *dht.Client, shards, capacity int) *cachedMeta {
 	return c
 }
 
-// hash mixes a key's fields; the low bits pick the shard, the high bits
-// the shard's table cell.
+// hash mixes a key's fields and finishes with a 64-bit finalizer, so
+// every field reaches every bit; the low bits pick the shard, the high
+// bits the shard's table cell.
 func (k nodeKey) hash() uint64 {
 	h := uint64(k.blob)*0x9e3779b97f4a7c15 ^ uint64(k.version)*0xbf58476d1ce4e5b9 ^ uint64(k.pages.off)*0x94d049bb133111eb ^ uint64(k.pages.count)
-	return h ^ h>>31
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 func (c *cachedMeta) shard(k nodeKey) *metaShard { return &c.shards[k.hash()&c.mask] }
