@@ -26,15 +26,6 @@ type AppOpts struct {
 	Spec        ClusterSpec
 }
 
-func (o *AppOpts) fillDefaults() {
-	if o.Maps <= 0 {
-		o.Maps = 50
-	}
-	if o.BytesPerMap <= 0 {
-		o.BytesPerMap = 1 * GB
-	}
-}
-
 // AppResult is one application benchmark measurement.
 type AppResult struct {
 	experiment string
@@ -56,7 +47,6 @@ func newMRCluster(tb *Testbed) (*mapreduce.Cluster, error) {
 // runRandomTextWriter is experiment E4: the map-only generator job
 // whose access pattern is massively parallel writes to different files.
 func runRandomTextWriter(opts AppOpts) (AppResult, error) {
-	opts.fillDefaults()
 	tb, err := NewTestbed(opts.Spec, opts.Storage)
 	if err != nil {
 		return AppResult{}, err
@@ -87,7 +77,6 @@ func runRandomTextWriter(opts AppOpts) (AppResult, error) {
 // Text Writer on the same storage (as the paper's evaluation does),
 // then scan it; its access pattern is highly concurrent reads.
 func RunDistributedGrep(opts AppOpts) (AppResult, error) {
-	opts.fillDefaults()
 	tb, err := NewTestbed(opts.Spec, opts.Storage)
 	if err != nil {
 		return AppResult{}, err
@@ -126,7 +115,6 @@ func RunDistributedGrep(opts AppOpts) (AppResult, error) {
 // storage layer. Returns the two job results, snapshot 1's first; the
 // run fails unless the concurrent append lands whole.
 func runSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
-	opts.fillDefaults()
 	if opts.Storage.Kind != "bsfs" {
 		return nil, fmt.Errorf("bench: X4 requires versioning storage (bsfs), got %q", opts.Storage.Kind)
 	}

@@ -31,10 +31,10 @@ const (
 	GB = simnet.GB
 )
 
-// ClusterSpec sizes the simulated testbed. The defaults reproduce the
-// paper's setup: 270 nodes, node 0 hosting the masters (version
-// manager, provider manager, namespace manager / namenode, jobtracker)
-// and nodes 1..269 hosting providers/datanodes and clients.
+// ClusterSpec sizes the simulated testbed: Nodes nodes (the paper's
+// setup has 270), node 0 hosting the masters (version manager, provider
+// manager, namespace manager / namenode, jobtracker) and the rest
+// hosting providers/datanodes and clients.
 type ClusterSpec struct {
 	Nodes int
 	// metaNodes is the number of metadata (DHT) providers for BSFS,
@@ -43,9 +43,6 @@ type ClusterSpec struct {
 }
 
 func (s *ClusterSpec) fillDefaults() {
-	if s.Nodes <= 0 {
-		s.Nodes = 270
-	}
 	if s.metaNodes <= 0 {
 		s.metaNodes = 24
 	}

@@ -211,7 +211,6 @@ type paramsJSON struct {
 // WriteResultsJSON serializes recorded experiment results with the
 // sweep parameters that produced them.
 func WriteResultsJSON(w io.Writer, opts SweepOpts, exps []ExperimentResult) error {
-	opts.fillDefaults()
 	doc := resultsFile{
 		Params: paramsJSON{
 			Clients:        opts.Clients,

@@ -17,12 +17,11 @@ import (
 
 // SweepOpts parameterizes a full experiment sweep.
 type SweepOpts struct {
-	// Clients lists the sweep points (default the paper's range
-	// 1..250).
+	// Clients lists the sweep points (the paper's range is 1..250).
 	Clients []int
-	// BytesPerClient defaults to the paper's 1 GB.
+	// BytesPerClient is each client's volume (the paper's is 1 GB).
 	BytesPerClient int64
-	// Spec defaults to the paper's 270 nodes.
+	// Spec sizes the cluster (the paper's has 270 nodes).
 	Spec ClusterSpec
 	// MemCapacity scales storage-node caches (default 512 MB).
 	MemCapacity int64
@@ -31,22 +30,12 @@ type SweepOpts struct {
 	Replication int
 }
 
-func (o *SweepOpts) fillDefaults() {
-	if len(o.Clients) == 0 {
-		o.Clients = []int{1, 20, 50, 100, 150, 200, 250}
-	}
-	if o.BytesPerClient <= 0 {
-		o.BytesPerClient = 1 * GB
-	}
-}
-
 // microRunner is one of the E1/E2/E3/X1 run functions.
 type microRunner func(microOpts) (point, error)
 
 // runSweep executes a microbenchmark over both storage kinds at every
 // client count.
 func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*microOpts)) ([]point, error) {
-	opts.fillDefaults()
 	var out []point
 	for _, kind := range kinds {
 		for _, n := range opts.Clients {
@@ -76,7 +65,6 @@ func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*micr
 // appOpts sizes an application benchmark from a sweep: one map per
 // client at the sweep's largest client count, a client's volume per map.
 func (o SweepOpts) appOpts(kind string) AppOpts {
-	o.fillDefaults()
 	return AppOpts{
 		Maps:        slices.Max(o.Clients),
 		BytesPerMap: o.BytesPerClient,
@@ -181,7 +169,6 @@ var Experiments = []Experiment{
 				return err
 			}
 			// Demonstrate the HDFS refusal at one point.
-			opts.fillDefaults()
 			_, herr := runAppendShared(microOpts{
 				clients:        opts.Clients[0],
 				bytesPerClient: opts.BytesPerClient,
@@ -199,7 +186,6 @@ var Experiments = []Experiment{
 		ID:    "x2",
 		Title: "X2: concurrent writers to one blob (publish throughput vs N writers, bsfs)",
 		run: func(opts SweepOpts, w io.Writer) error {
-			opts.fillDefaults()
 			var pts []point
 			for _, n := range opts.Clients {
 				res, err := runPublish(x2Opts(opts, n))
@@ -220,7 +206,6 @@ var Experiments = []Experiment{
 		ID:    "x3",
 		Title: "X3: provider failure and churn (degraded reads + time-to-full-replication, bsfs)",
 		run: func(opts SweepOpts, w io.Writer) error {
-			opts.fillDefaults()
 			var pts []point
 			for _, n := range opts.Clients {
 				// FaultOpts.fillDefaults forces bsfs and Replication >= 2.
@@ -258,7 +243,6 @@ var Experiments = []Experiment{
 		ID:    "x5",
 		Title: "X5: sharded version manager (aggregate multi-blob publish throughput vs shard count)",
 		run: func(opts SweepOpts, w io.Writer) error {
-			opts.fillDefaults()
 			// The sweep axis is the shard count, not the client count:
 			// a fixed multi-blob writer fleet drives the tier at every
 			// shard width.
@@ -446,7 +430,6 @@ var Experiments = []Experiment{
 		ID:    "a6",
 		Title: "A6 ablation: writer pipeline depth 8 vs 2 blocks per commit (shared-blob publish)",
 		run: func(opts SweepOpts, w io.Writer) error {
-			opts.fillDefaults()
 			var all []point
 			for _, n := range opts.Clients {
 				batched, unbatched, err := runPublishAblation(x2Opts(opts, n))
@@ -467,7 +450,6 @@ var Experiments = []Experiment{
 		ID:    "a7",
 		Title: "A7 ablation: version-manager tier sharded vs centralized (multi-blob publish)",
 		run: func(opts SweepOpts, w io.Writer) error {
-			opts.fillDefaults()
 			var all []point
 			for _, writers := range []int{8, 32, 64} {
 				sharded, single, err := runShardAblation(x5Opts(opts, writers))

@@ -479,7 +479,7 @@ func (w *writer) commitLocked(b pendingBlock) error {
 
 // flushLoop is the writer's single background flusher: it drains the
 // whole queue each round and commits it in batched runs — one ticket
-// round trip, scatter fan-out and batched publish per run (the
+// round trip, scatter and batched publish per run (the
 // one flusher requesting all tickets is what keeps appends ordered).
 // Runs are homogeneous (a writer may legally switch from real to
 // synthetic blocks at a block boundary, and core.Blob.Append rejects

@@ -68,13 +68,15 @@ type Env interface {
 	// (control message, no payload).
 	RTT(from, to NodeID)
 
-	// Scatter charges one logical transfer of size bytes fanning out
-	// evenly from a node to many destinations.
-	Scatter(from NodeID, dests []NodeID, size int64)
-	// Gather charges one logical transfer of size bytes converging
-	// evenly from many sources into a node. diskFraction in [0,1] is
-	// the fraction of the payload that must come off source disks
-	// (cache misses); it loads each source's disk proportionally.
+	// Scatter and Gather charge one logical transfer of size bytes,
+	// fanning out evenly from a node to many destinations or converging
+	// evenly from many sources into a node. diskFraction in [0,1] is the
+	// fraction of the payload that goes onto destination disks (puts past
+	// a full RAM buffer) or comes off source disks (cache misses); it
+	// loads each one's disk proportionally. They are the whole cost of
+	// the data path: a provider's put or get charges nothing, and each
+	// direction's one transfer carries the disk share.
+	Scatter(from NodeID, dests []NodeID, size int64, diskFraction float64)
 	Gather(to NodeID, srcs []NodeID, size int64, diskFraction float64)
 	// Pipeline charges a store-and-forward chain transfer (HDFS-style
 	// replica pipeline); if disks is true every chain member also
@@ -129,19 +131,23 @@ func (s *Sim) RTT(from, to NodeID) {
 	s.net.Delay(to, from)
 }
 
-func (s *Sim) Scatter(from NodeID, dests []NodeID, size int64) {
-	s.net.Transfer(s.net.PathScatter(from, dests), size)
+func (s *Sim) Scatter(from NodeID, dests []NodeID, size int64, diskFraction float64) {
+	s.net.Transfer(withDisks(s.net.PathScatter(from, dests), dests, diskFraction), size)
 }
 
 func (s *Sim) Gather(to NodeID, srcs []NodeID, size int64, diskFraction float64) {
-	p := s.net.PathGather(to, srcs)
-	if diskFraction > 0 && len(srcs) > 0 {
-		w := diskFraction / float64(len(srcs))
-		for _, src := range srcs {
-			p.WithDisk(src, w)
+	s.net.Transfer(withDisks(s.net.PathGather(to, srcs), srcs, diskFraction), size)
+}
+
+// withDisks loads each node's disk with diskFraction/len(nodes) of the
+// transfer along p.
+func withDisks(p *simnet.Path, nodes []NodeID, diskFraction float64) *simnet.Path {
+	for _, n := range nodes {
+		if diskFraction > 0 {
+			p.WithDisk(n, diskFraction/float64(len(nodes)))
 		}
 	}
-	s.net.Transfer(p, size)
+	return p
 }
 
 func (s *Sim) Pipeline(from NodeID, chain []NodeID, size int64, disks bool) {
@@ -198,13 +204,13 @@ func (l *Local) NewSignal() Signal { return &localSignal{ch: make(chan struct{})
 // Sleep in the Local env sleeps real time: explicit sleeps are daemon
 // pacing (heartbeats, placement sweeps, deadlines), which must not
 // busy-spin.
-func (l *Local) Sleep(d time.Duration)                       { time.Sleep(d) }
-func (l *Local) RTT(from, to NodeID)                         {}
-func (l *Local) Scatter(from NodeID, d []NodeID, size int64) {}
-func (l *Local) Gather(NodeID, []NodeID, int64, float64)     {}
-func (l *Local) Pipeline(NodeID, []NodeID, int64, bool)      {}
-func (l *Local) DiskRead(node NodeID, size int64)            {}
-func (l *Local) DiskWrite(node NodeID, size int64)           {}
+func (l *Local) Sleep(d time.Duration)                    { time.Sleep(d) }
+func (l *Local) RTT(from, to NodeID)                      {}
+func (l *Local) Scatter(NodeID, []NodeID, int64, float64) {}
+func (l *Local) Gather(NodeID, []NodeID, int64, float64)  {}
+func (l *Local) Pipeline(NodeID, []NodeID, int64, bool)   {}
+func (l *Local) DiskRead(node NodeID, size int64)         {}
+func (l *Local) DiskWrite(node NodeID, size int64)        {}
 
 type localWG struct{ wg sync.WaitGroup }
 

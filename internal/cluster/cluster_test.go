@@ -29,7 +29,7 @@ func TestSimEnvChargesTime(t *testing.T) {
 	eng, env := newSimEnv(8)
 	var after time.Duration
 	eng.Go(func() {
-		env.Scatter(0, []NodeID{1}, 125<<20) // 125 MB at 125 MB/s NIC = 1 s
+		env.Scatter(0, []NodeID{1}, 125<<20, 0) // 125 MB at 125 MB/s NIC = 1 s
 		after = env.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -127,7 +127,7 @@ func TestLocalEnvBasics(t *testing.T) {
 	}
 	// Charges are instantaneous.
 	t0 := time.Now()
-	env.Scatter(0, []NodeID{1, 2}, 1<<30)
+	env.Scatter(0, []NodeID{1, 2}, 1<<30, 1)
 	env.Gather(0, []NodeID{1, 2}, 1<<30, 1)
 	env.Pipeline(0, []NodeID{1, 2}, 1<<30, true)
 	env.DiskRead(0, 1<<30)

@@ -41,8 +41,8 @@ var ErrCanceled = cluster.ErrCanceled
 // for concurrent use by multiple goroutines (or simulated processes):
 // mu guards only the page-size cache — a write's borrows arrive with
 // its ticket, so the client holds no write history — the metadata
-// cache locks itself, and the scatter/gather fan-outs join all
-// in-flight provider operations before returning.
+// cache locks itself, a scatter puts from the calling process, and a
+// gather's fan-out joins every in-flight provider read before returning.
 type Client struct {
 	d    *Deployment
 	node cluster.NodeID
@@ -123,7 +123,7 @@ func (b AppendBlock) length() int64 {
 // ticket), so a single write is a batch of one and a batch amortizes
 // the version-manager round trips: one RequestTickets call assigns
 // every version (contiguously — no other writer interleaves), the pages
-// of all blocks scatter in one fan-out, the metadata trees go out in
+// of all blocks go out in one scatter, the metadata trees go out in
 // one DHT batch, and one PublishBatch call publishes them under one
 // manager lock hold. It returns the published versions in block order
 // and the offset the first block landed at.
@@ -227,7 +227,7 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 			direct = direct && int64(len(b.Data))%ps == 0
 		}
 		if !direct {
-			// Pooled; the scatter joins every in-flight put before this
+			// Pooled; every put has copied its page in before this
 			// function returns, so the deferred recycle is safe on every
 			// path. Only the fragments are cleared: where no version wrote,
 			// they must read as zeros.
@@ -268,10 +268,9 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 		return fail(err)
 	}
 
-	// 4. One scatter fan-out (one logical transfer; the store operations
-	// carry the real or synthetic contents).
+	// 4. One scatter (one logical transfer; the store operations carry
+	// the real or synthetic contents).
 	perProv := make(map[cluster.NodeID][]pagePut)
-	var total int64
 	slot := 0
 	for i, t := range tickets {
 		lo, hi := pageSpan(t.Record.Offset, t.Record.Length, ps)
@@ -286,14 +285,13 @@ func (c *Client) writeBlocks(s opSettings, blob BlobID, ps, off int64, blocks []
 				from := p*ps - t.Record.Offset
 				content = blocks[i].Data[from : from+size]
 			}
-			total += size * int64(len(sets[slot]))
 			for _, prov := range sets[slot] {
 				perProv[prov] = append(perProv[prov], pagePut{key: keys[slot], data: content, size: size})
 			}
 			slot++
 		}
 	}
-	if err := c.scatterPuts(s.ctx, perProv, total); err != nil {
+	if err := c.scatterPuts(s.ctx, perProv); err != nil {
 		return fail(err)
 	}
 
@@ -332,55 +330,42 @@ type pagePut struct {
 	size int64
 }
 
-// scatterPuts pushes per-provider page batches concurrently as one
-// logical transfer (one RTT charge, one Scatter charge). fanOut joins
-// every worker before returning, so a failed scatter never races an
-// in-flight put; workers stop issuing new puts as soon as any provider
-// fails or ctx is canceled, and the first error is returned for the
-// caller to abort on.
-func (c *Client) scatterPuts(ctx *cluster.Ctx, perProv map[cluster.NodeID][]pagePut, total int64) error {
+// scatterPuts pushes per-provider page batches as one logical transfer:
+// one RTT and one Scatter charge, whose disk share is the bytes landing
+// past a provider's RAM write buffer. A page put waits on nothing, so
+// the puts run right here, in node order and each batch in slot order;
+// ctx is checked before each put, and the first error is returned for
+// the caller to abort on.
+func (c *Client) scatterPuts(ctx *cluster.Ctx, perProv map[cluster.NodeID][]pagePut) error {
 	dests := sortedNodes(perProv)
+	var total, throttled int64
+	for _, prov := range dests {
+		var n int64
+		for _, pt := range perProv[prov] {
+			n += pt.size
+		}
+		total += n
+		if pr := c.d.Provider(prov); pr != nil {
+			throttled += pr.pastCap(n)
+		}
+	}
 	c.d.Env.RTT(c.node, cluster.Farthest(c.d.Env, c.node, dests))
-	c.d.Env.Scatter(c.node, dests, total)
-	var scMu sync.Mutex
-	var scErr error
-	failed := func() bool {
-		if ctx.Done() {
-			return true
-		}
-		scMu.Lock()
-		defer scMu.Unlock()
-		return scErr != nil
-	}
-	c.fanOut(dests, func(prov cluster.NodeID) {
+	c.d.Env.Scatter(c.node, dests, total, float64(throttled)/float64(total))
+	for _, prov := range dests {
 		pr := c.d.Provider(prov)
-		var err error
 		if pr == nil {
-			err = fmt.Errorf("core: no provider on node %d", prov)
-		} else {
-			for _, pt := range perProv[prov] {
-				if failed() {
-					return
-				}
-				if err = pr.putPage(pt.key, pt.data, pt.size); err != nil {
-					break
-				}
-			}
+			return fmt.Errorf("core: no provider on node %d", prov)
 		}
-		if err != nil {
-			scMu.Lock()
-			if scErr == nil {
-				scErr = err
+		for _, pt := range perProv[prov] {
+			if err := ctx.Err(); err != nil {
+				return canceled("scatter", err)
 			}
-			scMu.Unlock()
-		}
-	})
-	if scErr == nil {
-		if err := ctx.Err(); err != nil {
-			return canceled("scatter", err)
+			if err := pr.putPage(pt.key, pt.data, pt.size); err != nil {
+				return err
+			}
 		}
 	}
-	return scErr
+	return nil
 }
 
 // pageExtent returns how many bytes of page p exist in a blob of the
@@ -513,7 +498,7 @@ func (d *pageDst) alloc(p, n int64) []byte {
 }
 
 // fanOut runs fn once per node, concurrently through the environment's
-// WaitGroup so the same code overlaps provider I/O in both the Sim and
+// WaitGroup so a gather's backend reads overlap in both the Sim and
 // Local envs. It returns only after every invocation has finished: no
 // in-flight work leaks past it. A single node is visited inline: there
 // is nothing to overlap.

@@ -46,11 +46,11 @@
 //
 // Every operation accepts core.WithCtx(ctx) with a cluster.Ctx —
 // cancellation expressed in the environment's (possibly virtual) time.
-// A canceled operation returns an error matching
-// ErrCanceled promptly: scatter/gather fan-outs stop issuing provider
-// work and join what is in flight, await paths wake, and a write whose
-// ticket was already assigned aborts it, so the publication frontier
-// never wedges on a canceled writer. Writes hold exactly one
+// A canceled operation returns an error matching ErrCanceled promptly:
+// a scatter stops before its next page put, a gather stops issuing
+// provider reads and joins what is in flight, await paths wake, and a
+// write whose ticket was already assigned aborts it, so the
+// publication frontier never wedges on a canceled writer. Writes hold exactly one
 // invariant under cancellation: the assigned version either publishes
 // (cancellation lost the race) or is tombstoned — never leaked.
 package core

@@ -35,11 +35,12 @@ func (w *countingWG) Go(fn func()) {
 	w.WaitGroup.Go(fn)
 }
 
-// TestGatherFansOutOnlyPagesThatWait: a read whose pages all sit in
-// provider RAM is copied by the calling goroutine — no WaitGroup, no
-// goroutine — and a read with some pages evicted to a disk backend fans
-// out exactly the providers holding the evicted ones.
-func TestGatherFansOutOnlyPagesThatWait(t *testing.T) {
+// TestFanOutOnlyPagesThatWait: a write puts every page from the calling
+// goroutine, and so does a read whose pages all sit in provider RAM —
+// no WaitGroup, no goroutine — while a read with some pages evicted to
+// a disk backend fans out exactly the providers holding the evicted
+// ones.
+func TestFanOutOnlyPagesThatWait(t *testing.T) {
 	env := &countingEnv{Env: cluster.NewLocal(8, 4)}
 	d, err := NewDeployment(env, Options{
 		PageSize:      128,
@@ -57,6 +58,9 @@ func TestGatherFansOutOnlyPagesThatWait(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789abcdef"), 8*64) // 64 pages
 	if _, err := blob.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
+	}
+	if g, s := env.groups.Load(), env.spawned.Load(); g != 0 || s != 0 {
+		t.Fatalf("a 64-page write over 4 providers: %d WaitGroups and %d goroutines, want 0 and 0", g, s)
 	}
 	read := func(what string, wantGroups, wantSpawned int64) {
 		t.Helper()
@@ -134,6 +138,78 @@ func TestInlineGatherStillChargesVirtualTime(t *testing.T) {
 	// provider's batch in its own simulated process), same deployment.
 	if want := 128200001 * time.Nanosecond; took != want {
 		t.Fatalf("all-resident 64-page read took %v of virtual time, want %v", took, want)
+	}
+}
+
+// TestThrottledScatterKeepsDisksParallel: once every provider holds
+// more than dirtyCap unflushed bytes, a write runs at disk speed, and
+// its providers' disks take their shares side by side: the put loop
+// parks nowhere, the scatter's one transfer carries the disk share.
+func TestThrottledScatterKeepsDisksParallel(t *testing.T) {
+	const (
+		ps    = 1 << 20
+		fill  = dirtyCap + dirtyCap/2 // per provider
+		write = 64 * ps
+	)
+	took := func(providers int) time.Duration {
+		t.Helper()
+		eng := sim.NewEngine()
+		env := cluster.NewSim(simnet.New(eng, simnet.Grid5000(12)))
+		provs := make([]cluster.NodeID, providers)
+		for i := range provs {
+			provs[i] = cluster.NodeID(i + 1)
+		}
+		d, err := NewDeployment(env, Options{PageSize: ps, ProviderNodes: provs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for _, p := range d.ProviderList() {
+			p.Stop()
+		}
+		var took time.Duration
+		eng.Go(func() {
+			blob, err := d.NewClient(0).CreateBlob(0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			size := int64(providers) * fill
+			if _, err := blob.WriteAt(nil, 0, Synthetic(size)); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, p := range d.ProviderList() {
+				if dirty := p.Store().DirtyBytes(); dirty <= dirtyCap {
+					t.Errorf("provider %d holds %d unflushed bytes, want more than %d", p.Node(), dirty, dirtyCap)
+				}
+			}
+			start := env.Now()
+			if _, err := blob.WriteAt(nil, size, Synthetic(write)); err != nil {
+				t.Error(err)
+			}
+			took = env.Now() - start
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return took
+	}
+	one, two := took(1), took(2)
+	if t.Failed() {
+		return
+	}
+	if two >= one {
+		t.Fatalf("a throttled 64 MiB write took %v on two providers, not less than %v on one", two, one)
+	}
+	// The commit before, whose fan-out charged each provider's disk in
+	// its put loop after the network transfer, took 1.5791009s and
+	// 1.179101258s.
+	if want := 1067100878 * time.Nanosecond; one != want {
+		t.Errorf("one provider: a throttled 64 MiB write took %v of virtual time, want %v", one, want)
+	}
+	if want := 533767911 * time.Nanosecond; two != want {
+		t.Errorf("two providers: a throttled 64 MiB write took %v of virtual time, want %v", two, want)
 	}
 }
 

@@ -66,8 +66,8 @@ type readOption func(*opSettings)
 func (o readOption) applyRead(s *opSettings) { o(s) }
 
 // WithCtx scopes the operation to ctx: cancellation makes the
-// operation return an error matching ErrCanceled promptly —
-// in-flight provider fan-outs stop issuing work, await paths wake, and
+// operation return an error matching ErrCanceled promptly — scatters
+// and gathers stop issuing provider work, await paths wake, and
 // a write's version ticket is aborted so the publication frontier never
 // wedges. A nil ctx means Background (never canceled).
 func WithCtx(ctx *cluster.Ctx) interface {

@@ -36,8 +36,9 @@ type Provider struct {
 const (
 	// flushBatch caps the bytes persisted per flush round.
 	flushBatch = 64 << 20
-	// dirtyCap is the RAM write buffer: while unflushed bytes exceed it,
-	// incoming page writes are throttled to disk speed (backpressure).
+	// dirtyCap is the RAM write buffer: bytes put past it are throttled
+	// to disk speed (backpressure: the paper's RAM-first write path only
+	// helps while the buffer absorbs the burst).
 	dirtyCap = 1 << 30
 )
 
@@ -139,7 +140,16 @@ func (p *Provider) FlushNow() error {
 	}
 }
 
+// pastCap returns how many of n bytes put next land past dirtyCap: the
+// share of a transfer that the provider's disk takes at disk speed.
+func (p *Provider) pastCap(n int64) int64 {
+	return min(n, max(0, p.store.DirtyBytes()+n-dirtyCap))
+}
+
 // putPage stores one page (data nil means synthetic of the given size).
+// Like every provider call on the data path it charges nothing: it
+// makes no Env call but to start the flusher, and the write's one
+// transfer, Env.Scatter, carries the disk share (pastCap).
 func (p *Provider) putPage(key string, data []byte, size int64) error {
 	if p.IsDown() {
 		return fmt.Errorf("%w: node %d", ErrProviderDown, p.node)
@@ -147,12 +157,6 @@ func (p *Provider) putPage(key string, data []byte, size int64) error {
 	p.mu.Lock()
 	p.bytesIn += size
 	p.mu.Unlock()
-	// Backpressure: once the RAM write buffer is full, the writer is
-	// throttled to disk speed for the overflow (the paper's RAM-first
-	// write path only helps while the buffer absorbs the burst).
-	if p.store.DirtyBytes() > dirtyCap {
-		p.env.DiskWrite(p.node, size)
-	}
 	var err error
 	if data == nil {
 		err = p.store.PutSynthetic(key, size)
@@ -187,6 +191,8 @@ type pageFetch struct {
 
 // getPageInto fetches one page by its byte-rendered key: no key
 // string on the gather's hot path. A nil alloc returns a fresh copy.
+// It charges nothing: the read's one transfer, Env.Gather, carries the
+// disk share (fromDisk).
 func (p *Provider) getPageInto(key []byte, alloc func(int64) []byte) (pageFetch, error) {
 	if p.IsDown() {
 		return pageFetch{}, fmt.Errorf("%w: node %d", ErrProviderDown, p.node)

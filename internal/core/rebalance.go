@@ -268,12 +268,13 @@ func (r *Rebalancer) copyTo(key string, sources, targets []cluster.NodeID) ([]cl
 		if pr == nil {
 			continue
 		}
+		throttled := pr.pastCap(fetch.size)
 		if err := pr.putPage(key, fetch.data, fetch.size); err != nil {
 			continue // destination died between pick and put: next pass retries
 		}
-		// Charge the provider-to-provider copy.
+		// Charge the provider-to-provider copy, its disk share included.
 		r.d.Env.RTT(src, dst)
-		r.d.Env.Scatter(src, []cluster.NodeID{dst}, fetch.size)
+		r.d.Env.Scatter(src, []cluster.NodeID{dst}, fetch.size, float64(throttled)/float64(fetch.size))
 		added = append(added, dst)
 		copied += fetch.size
 	}

@@ -345,13 +345,13 @@ func (e *chargeEnv) Gather(to cluster.NodeID, srcs []cluster.NodeID, size int64,
 	e.Env.Gather(to, srcs, size, diskFraction)
 }
 
-func (e *chargeEnv) Scatter(from cluster.NodeID, dests []cluster.NodeID, size int64) {
+func (e *chargeEnv) Scatter(from cluster.NodeID, dests []cluster.NodeID, size int64, diskFraction float64) {
 	if slices.Contains(dests, e.meta) {
 		e.mu.Lock()
 		e.puts++
 		e.mu.Unlock()
 	}
-	e.Env.Scatter(from, dests, size)
+	e.Env.Scatter(from, dests, size, diskFraction)
 }
 
 // TestSweepsPutNoMetadata: the placement loop moves pages and never

@@ -392,7 +392,7 @@ func (c *Client) Store(keys, vals [][]byte) error {
 	}
 	// One round trip (requests go out in parallel) plus the payload.
 	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, b.dests))
-	c.env.Scatter(c.from, b.dests, total*int64(r.replication))
+	c.env.Scatter(c.from, b.dests, total*int64(r.replication), 0)
 	ok := false
 	for _, rt := range b.routes {
 		i := uint32(rt)

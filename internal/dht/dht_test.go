@@ -435,7 +435,7 @@ func (e *recordingEnv) RTT(from, to cluster.NodeID) {
 	e.log = append(e.log, fmt.Sprintf("RTT %d->%d", from, to))
 }
 
-func (e *recordingEnv) Scatter(from cluster.NodeID, dests []cluster.NodeID, size int64) {
+func (e *recordingEnv) Scatter(from cluster.NodeID, dests []cluster.NodeID, size int64, _ float64) {
 	e.log = append(e.log, fmt.Sprintf("Scatter %d->%v %d B", from, dests, size))
 }
 
@@ -456,7 +456,7 @@ func legacyBatchPut(c *Client, kvs map[string][]byte) error {
 	}
 	slices.Sort(dests)
 	c.env.RTT(c.from, cluster.Farthest(c.env, c.from, dests))
-	c.env.Scatter(c.from, dests, total*int64(c.dht.ring.replication))
+	c.env.Scatter(c.from, dests, total*int64(c.dht.ring.replication), 0)
 	for _, n := range dests {
 		if !c.dht.servers[n].down {
 			return nil

@@ -75,24 +75,18 @@ func (jt *jobTracker) runMap(t *task, node cluster.NodeID) error {
 	if numR == 0 {
 		// Map-only: write this task's emissions to its attempt-private
 		// file, promoted to the part name only on success.
-		w, tmp, final, err := openAttemptOutput(fs, t, "m")
-		if err != nil {
-			return err
-		}
-		for _, p := range parts {
-			for _, e := range p {
-				if _, err := writeRecord(w, e); err != nil {
-					abandonOutput(fs, w, tmp)
-					return err
+		err := writeOutput(fs, t, "m", func(w fsapi.Writer) error {
+			for _, p := range parts {
+				for _, e := range p {
+					if _, err := writeRecord(w, e); err != nil {
+						return err
+					}
+					outBytes += int64(len(e.key) + len(e.value) + 2)
 				}
-				outBytes += int64(len(e.key) + len(e.value) + 2)
 			}
-		}
-		if err := w.Close(); err != nil {
-			fs.Delete(tmp)
-			return err
-		}
-		if err := commitOutput(fs, tmp, final); err != nil {
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	} else {
@@ -135,19 +129,7 @@ func (jt *jobTracker) runSyntheticMap(t *task, node cluster.NodeID, fs fsapi.Fil
 	numR := j.cfg.NumReduces
 	if numR == 0 {
 		if inter > 0 {
-			w, tmp, final, err := openAttemptOutput(fs, t, "m")
-			if err != nil {
-				return err
-			}
-			if _, err := w.WriteSynthetic(inter); err != nil {
-				abandonOutput(fs, w, tmp)
-				return err
-			}
-			if err := w.Close(); err != nil {
-				fs.Delete(tmp)
-				return err
-			}
-			if err := commitOutput(fs, tmp, final); err != nil {
+			if err := writeOutput(fs, t, "m", writeSynthetic(inter)); err != nil {
 				return err
 			}
 		}
@@ -174,37 +156,26 @@ func (jt *jobTracker) runSyntheticMap(t *task, node cluster.NodeID, fs fsapi.Fil
 // runGeneratorMap executes an input-less map (Random Text Writer).
 func (jt *jobTracker) runGeneratorMap(t *task, node cluster.NodeID, fs fsapi.FileSystem) error {
 	j := t.j
-	w, tmp, final, err := openAttemptOutput(fs, t, "m")
-	if err != nil {
-		return err
-	}
 	var outBytes int64
-	if j.cfg.Synthetic {
-		n := j.cfg.Profile.GenerateBytesPerMap
-		jt.cpuCharge(j.cfg.Profile.MapCPUPerMB, n)
-		if _, err := w.WriteSynthetic(n); err != nil {
-			abandonOutput(fs, w, tmp)
+	err := writeOutput(fs, t, "m", func(w fsapi.Writer) error {
+		if j.cfg.Synthetic {
+			outBytes = j.cfg.Profile.GenerateBytesPerMap
+			jt.cpuCharge(j.cfg.Profile.MapCPUPerMB, outBytes)
+			_, err := w.WriteSynthetic(outBytes)
 			return err
 		}
-		outBytes = n
-	} else {
 		if j.cfg.Generate == nil {
-			abandonOutput(fs, w, tmp)
 			return errf("generator job %s has no Generate function", j.cfg.Name)
 		}
 		cw := &countingWriter{w: w}
 		if err := j.cfg.Generate(t.index, cw); err != nil {
-			abandonOutput(fs, w, tmp)
 			return err
 		}
 		outBytes = cw.n
 		jt.cpuCharge(j.cfg.Profile.MapCPUPerMB, outBytes)
-	}
-	if err := w.Close(); err != nil {
-		fs.Delete(tmp)
-		return err
-	}
-	if err := commitOutput(fs, tmp, final); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -253,19 +224,7 @@ func (jt *jobTracker) runReduce(t *task, node cluster.NodeID) error {
 		jt.cpuCharge(j.cfg.Profile.ReduceCPUPerMB, shuffleBytes)
 		out := int64(float64(shuffleBytes) * j.cfg.Profile.ReduceOutputRatio)
 		if out > 0 {
-			w, tmp, final, err := openAttemptOutput(fs, t, "r")
-			if err != nil {
-				return err
-			}
-			if _, err := w.WriteSynthetic(out); err != nil {
-				abandonOutput(fs, w, tmp)
-				return err
-			}
-			if err := w.Close(); err != nil {
-				fs.Delete(tmp)
-				return err
-			}
-			if err := commitOutput(fs, tmp, final); err != nil {
+			if err := writeOutput(fs, t, "r", writeSynthetic(out)); err != nil {
 				return err
 			}
 		}
@@ -280,48 +239,39 @@ func (jt *jobTracker) runReduce(t *task, node cluster.NodeID) error {
 	sort.SliceStable(pairs, func(a, b int) bool { return bytes.Compare(pairs[a].key, pairs[b].key) < 0 })
 	jt.cpuCharge(j.cfg.Profile.ReduceCPUPerMB, shuffleBytes)
 
-	w, tmp, final, err := openAttemptOutput(fs, t, "r")
-	if err != nil {
-		return err
-	}
 	var outBytes int64
-	emit := func(key, value []byte) {
-		n, werr := writeRecord(w, kv{key: key, value: value})
-		if werr != nil && err == nil {
-			err = werr
-		}
-		outBytes += int64(n)
-	}
-	for i := 0; i < len(pairs); {
-		k := i
-		for k < len(pairs) && bytes.Equal(pairs[k].key, pairs[i].key) {
-			k++
-		}
-		values := make([][]byte, 0, k-i)
-		for _, p := range pairs[i:k] {
-			values = append(values, p.value)
-		}
-		if j.cfg.Reduce != nil {
-			if rerr := j.cfg.Reduce(pairs[i].key, values, emit); rerr != nil {
-				abandonOutput(fs, w, tmp)
-				return rerr
+	err := writeOutput(fs, t, "r", func(w fsapi.Writer) error {
+		var err error
+		emit := func(key, value []byte) {
+			n, werr := writeRecord(w, kv{key: key, value: value})
+			if werr != nil && err == nil {
+				err = werr
 			}
-		} else {
+			outBytes += int64(n)
+		}
+		for i := 0; i < len(pairs); {
+			k := i
+			for k < len(pairs) && bytes.Equal(pairs[k].key, pairs[i].key) {
+				k++
+			}
+			values := make([][]byte, 0, k-i)
 			for _, p := range pairs[i:k] {
-				emit(p.key, p.value)
+				values = append(values, p.value)
 			}
+			if j.cfg.Reduce != nil {
+				if rerr := j.cfg.Reduce(pairs[i].key, values, emit); rerr != nil {
+					return rerr
+				}
+			} else {
+				for _, p := range pairs[i:k] {
+					emit(p.key, p.value)
+				}
+			}
+			i = k
 		}
-		i = k
-	}
+		return err
+	})
 	if err != nil {
-		abandonOutput(fs, w, tmp)
-		return err
-	}
-	if err := w.Close(); err != nil {
-		fs.Delete(tmp)
-		return err
-	}
-	if err := commitOutput(fs, tmp, final); err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -336,30 +286,39 @@ func partName(dir, phase string, idx int) string {
 	return fmt.Sprintf("%s/part-%s-%05d", dir, phase, idx)
 }
 
-// openAttemptOutput creates the attempt-private output file of one
-// task attempt (part name + ".attempt-N"). Attempts never write the
-// final part name directly: a failed attempt must not clobber the
-// output of an earlier one, so promotion happens only in commitOutput
-// on success.
-func openAttemptOutput(fs fsapi.FileSystem, t *task, phase string) (fsapi.Writer, string, string, error) {
+// writeOutput writes one task attempt's output through write into the
+// attempt-private file (part name + ".attempt-N"), then promotes it to
+// the part name, replacing any previous attempt's output. Attempts
+// never write the part name directly: a failed attempt must not
+// clobber the output of an earlier one, so on any error the private
+// file is closed and removed instead.
+func writeOutput(fs fsapi.FileSystem, t *task, phase string, write func(fsapi.Writer) error) error {
 	final := partName(t.j.cfg.OutputDir, phase, t.index)
 	tmp := fmt.Sprintf("%s.attempt-%d", final, t.attempt)
 	fs.Delete(tmp) // leftover of an earlier same-numbered attempt
 	w, err := fs.Create(tmp)
-	return w, tmp, final, err
-}
-
-// commitOutput promotes a successful attempt's private file to the
-// final part name, replacing any previous attempt's output.
-func commitOutput(fs fsapi.FileSystem, tmp, final string) error {
+	if err != nil {
+		return err
+	}
+	if err := write(w); err != nil {
+		w.Close()
+		fs.Delete(tmp)
+		return err
+	}
+	if err := w.Close(); err != nil {
+		fs.Delete(tmp)
+		return err
+	}
 	fs.Delete(final)
 	return fs.Rename(tmp, final)
 }
 
-// abandonOutput closes and removes a failed attempt's private file.
-func abandonOutput(fs fsapi.FileSystem, w fsapi.Writer, tmp string) {
-	w.Close()
-	fs.Delete(tmp)
+// writeSynthetic is a writeOutput body of n synthetic bytes.
+func writeSynthetic(n int64) func(fsapi.Writer) error {
+	return func(w fsapi.Writer) error {
+		_, err := w.WriteSynthetic(n)
+		return err
+	}
 }
 
 // writeRecord writes "key\tvalue\n".
